@@ -59,7 +59,7 @@
 // ProfileJob, Simulate) stop promptly when their context is cancelled,
 // returning ctx.Err() without leaking goroutines, and stream progress to
 // the WithProgress callback. Uncancelled, their results are bit-identical
-// to the deprecated package-level free functions they replace.
+// to running the same pipeline stages directly on a fresh engine.
 //
 // # The measurement store
 //
@@ -86,10 +86,6 @@
 //	arena-bench   -fig fig11 -store ./measurements
 //	arena-plan    -model GPT-1.3B -gpu A40 -n 8 -store ./measurements
 //	arena-profile -model WRes-1B -gpu A40 -n 4 -store ./measurements
-//
-// The deprecated WithPerfDBSnapshot / -db-cache single-file snapshot path
-// is kept as a working shim, but it is all-or-nothing: one new workload,
-// seed or GPU type forces a full rebuild.
 //
 // See examples/ for runnable programs and cmd/arena-bench for the full
 // reproduction of the paper's evaluation.
@@ -241,63 +237,13 @@ type ProfileEstimate = profiler.Estimate
 // JobProfile aggregates a job's profiled grids.
 type JobProfile = profiler.JobProfile
 
-// SampleComm builds the offline communication table over the engine.
-//
-// Deprecated: use Session.CommTable, which builds and caches the table
-// for the session's GPU types.
-func SampleComm(eng *Engine, gpuTypes []string, maxWorkers int) (*CommTable, error) {
-	return profiler.OfflineSampleComm(eng, gpuTypes, maxWorkers)
-}
-
 // NewProfiler returns a profiler over an engine and a sampled table.
 func NewProfiler(eng *Engine, ct *CommTable) *Profiler { return profiler.New(eng, ct) }
-
-// ProfileJob plans and profiles every grid of a workload.
-//
-// Deprecated: use Session.ProfileJob, which is cancellable, streams
-// progress, and shares the session's planner and profiler caches.
-func ProfileJob(pl *Planner, pr *Profiler, g *Graph, w Workload, gpuTypes []string, maxN int) (*JobProfile, error) {
-	return profiler.ProfileJob(pl, pr, g, w, gpuTypes, maxN)
-}
 
 // --- AP search (§3.6) ---
 
 // SearchOutcome is a search result with cost accounting.
 type SearchOutcome = search.Outcome
-
-// SearchOptions tune search execution (memoization cache, profiling
-// fan-out, node packing) without changing outcomes.
-type SearchOptions = search.Options
-
-// FullSearch runs the Alpa-style full-space AP search.
-//
-// Deprecated: use Session.FullSearch, which is cancellable and goes
-// through the session's eval cache and worker pool.
-func FullSearch(eng *Engine, g *Graph, spec GPU, globalBatch, n int) (SearchOutcome, error) {
-	return search.FullSearch(eng, g, spec, globalBatch, n)
-}
-
-// FullSearchOpts is FullSearch with execution options.
-//
-// Deprecated: use Session.FullSearch.
-func FullSearchOpts(eng *Engine, g *Graph, spec GPU, globalBatch, n int, opts SearchOptions) (SearchOutcome, error) {
-	return search.FullSearchOpts(eng, g, spec, globalBatch, n, opts)
-}
-
-// PrunedSearch runs Arena's space-pruned AP search for a selected grid.
-//
-// Deprecated: use Session.PrunedSearch (or Session.Search for the whole
-// plan → profile → pruned-search deployment pipeline).
-func PrunedSearch(eng *Engine, g *Graph, spec GPU, globalBatch, n int, gp *GridPlan) (SearchOutcome, error) {
-	return search.PrunedSearch(eng, g, spec, globalBatch, n, gp)
-}
-
-// PrunedSearchOpts is PrunedSearch with execution options.
-//
-// Deprecated: use Session.PrunedSearch.
-func PrunedSearchOpts(eng *Engine, g *Graph, spec GPU, globalBatch, n int, gp *GridPlan, opts SearchOptions) (SearchOutcome, error) {
-	return search.PrunedSearchOpts(eng, g, spec, globalBatch, n, gp, opts)
-}
 
 // --- Stage-measurement cache ---
 
@@ -390,45 +336,11 @@ func DirectMeasureCost(res ExecResult, p *Plan, trials int) float64 {
 // PerfDB is the performance database all schedulers consult.
 type PerfDB = perfdb.DB
 
-// PerfDBOptions configure a database build.
-type PerfDBOptions = perfdb.Options
-
-// BuildPerfDB constructs the database over the engine.
-//
-// Deprecated: use Session.BuildPerfDB, which is cancellable, streams
-// progress, caches the database for the session, and handles snapshots.
-func BuildPerfDB(eng *Engine, opts PerfDBOptions) (*PerfDB, error) { return perfdb.Build(eng, opts) }
-
-// SavePerfDB is db.Save: it writes the database as a JSON snapshot.
-//
-// Deprecated: configure the session with WithPerfDBSnapshot instead.
-func SavePerfDB(db *PerfDB, path string) error { return db.Save(path) }
-
-// LoadPerfDB reads a JSON snapshot back into a usable database.
-//
-// Deprecated: configure the session with WithPerfDBSnapshot instead.
-func LoadPerfDB(path string) (*PerfDB, error) { return perfdb.Load(path) }
-
-// BuildOrLoadPerfDB loads the snapshot at path when it matches the
-// request (seed, GPU types, counts, workloads) and otherwise builds
-// fresh, saving the snapshot for next time. The bool reports a load.
-//
-// Deprecated: use Session.BuildPerfDB with WithPerfDBSnapshot.
-func BuildOrLoadPerfDB(eng *Engine, opts PerfDBOptions, path string) (*PerfDB, bool, error) {
-	return perfdb.BuildOrLoad(eng, opts, path)
-}
-
 // SimConfig drives one cluster simulation.
 type SimConfig = sim.Config
 
 // SimResult is a simulation outcome with aggregated metrics.
 type SimResult = sim.Result
-
-// Simulate runs the discrete-event cluster simulation.
-//
-// Deprecated: use Session.Simulate, which is cancellable and fills the
-// database, cluster spec and progress stream from the session.
-func Simulate(cfg SimConfig) (*SimResult, error) { return sim.Run(cfg) }
 
 // Summary aggregates scheduling statistics (JCT, queuing, throughput).
 type Summary = metrics.Summary

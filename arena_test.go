@@ -8,6 +8,11 @@ import (
 	"testing"
 
 	arena "github.com/sjtu-epcc/arena"
+	"github.com/sjtu-epcc/arena/internal/perfdb"
+	"github.com/sjtu-epcc/arena/internal/profiler"
+	"github.com/sjtu-epcc/arena/internal/search"
+	"github.com/sjtu-epcc/arena/internal/sim"
+	"github.com/sjtu-epcc/arena/internal/trace"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -50,25 +55,24 @@ func TestCatalogAndClusters(t *testing.T) {
 }
 
 func TestFacadeSearches(t *testing.T) {
-	eng := arena.NewEngine(42)
+	ctx := context.Background()
+	s := arena.MustNew(arena.WithSeed(42), arena.WithGPUTypes("A40"), arena.WithMaxN(4))
 	g := arena.MustBuildModel("MoE-1.3B")
-	spec := arena.MustGPU("A40")
-	full, err := arena.FullSearch(eng, g, spec, 256, 4)
+	full, err := s.FullSearch(ctx, g, "A40", 256, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !full.Feasible() {
 		t.Fatal("full search found nothing")
 	}
-	pl := arena.NewPlanner()
-	gp, err := pl.PlanGrid(g, arena.Grid{
+	gp, err := s.Plan(ctx, arena.Grid{
 		Workload: arena.Workload{Model: "MoE-1.3B", GlobalBatch: 256},
 		GPUType:  "A40", N: 4, S: full.Plan.PipelineDegree(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned, err := arena.PrunedSearch(eng, g, spec, 256, 4, gp)
+	pruned, err := s.PrunedSearch(ctx, g, "A40", 256, 4, gp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,23 +83,18 @@ func TestFacadeSearches(t *testing.T) {
 
 func TestFacadeSimulation(t *testing.T) {
 	spec := arena.ClusterA()
+	w := arena.Workload{Model: "WRes-1B", GlobalBatch: 256}
 	jobs, err := arena.GenerateTrace(arena.TraceConfig{
 		Kind: "philly", Duration: 3600, NumJobs: 12, Seed: 3,
 		GPUTypes: spec.GPUTypes(), MaxGPUs: 8,
-		Workloads: []arena.Workload{{Model: "WRes-1B", GlobalBatch: 256}},
+		Workloads: []arena.Workload{w},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := arena.BuildPerfDB(arena.NewEngine(42), arena.PerfDBOptions{
-		GPUTypes: spec.GPUTypes(), MaxN: 8,
-		Workloads: []arena.Workload{{Model: "WRes-1B", GlobalBatch: 256}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := arena.Simulate(arena.SimConfig{
-		Spec: spec, Policy: arena.NewArenaPolicy(), Jobs: jobs, DB: db,
+	s := arena.MustNew(arena.WithSeed(42), arena.WithCluster(spec), arena.WithMaxN(8), arena.WithWorkloads(w))
+	res, err := s.Simulate(context.Background(), arena.SimConfig{
+		Policy: arena.NewArenaPolicy(), Source: arena.SliceTraceSource(jobs),
 		RoundSeconds: 300, IncludeUnfinished: true,
 	})
 	if err != nil {
@@ -114,9 +113,9 @@ func TestObjectiveConstants(t *testing.T) {
 	}
 }
 
-// TestSessionMatchesFreeFunctions asserts the redesign's bit-identity
-// contract: every Session method returns exactly what the deprecated
-// free-function wiring returned for the same inputs.
+// TestSessionMatchesFreeFunctions asserts the Session's bit-identity
+// contract: every Session method returns exactly what the pipeline
+// packages' free functions return for the same inputs on a fresh engine.
 func TestSessionMatchesFreeFunctions(t *testing.T) {
 	ctx := context.Background()
 	s, err := arena.New(arena.WithSeed(42), arena.WithGPUTypes("A40"), arena.WithMaxN(4))
@@ -129,7 +128,7 @@ func TestSessionMatchesFreeFunctions(t *testing.T) {
 
 	// Full search: session (cached, parallel) vs legacy serial reference.
 	eng := arena.NewEngine(42)
-	serial, err := arena.FullSearch(eng, g, spec, 128, 4)
+	serial, err := search.FullSearch(eng, g, spec, 128, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,11 +167,11 @@ func TestSessionMatchesFreeFunctions(t *testing.T) {
 	}
 
 	// ProfileJob: same grids, same estimates, same profiling bill.
-	ct, err := arena.SampleComm(eng, []string{"A40"}, 16)
+	ct, err := profiler.OfflineSampleComm(eng, []string{"A40"}, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jpFree, err := arena.ProfileJob(arena.NewPlanner(), arena.NewProfiler(eng, ct), g, w, []string{"A40"}, 4)
+	jpFree, err := profiler.ProfileJob(arena.NewPlanner(), arena.NewProfiler(eng, ct), g, w, []string{"A40"}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,14 +202,14 @@ func TestSessionSimulateMatchesFreeSimulate(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dbFree, err := arena.BuildPerfDB(arena.NewEngine(42), arena.PerfDBOptions{
+	dbFree, err := perfdb.Build(arena.NewEngine(42), perfdb.Options{
 		GPUTypes: spec.GPUTypes(), MaxN: 8, Workloads: []arena.Workload{w},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	free, err := arena.Simulate(arena.SimConfig{
-		Spec: spec, Policy: arena.NewArenaPolicy(), Jobs: jobs, DB: dbFree,
+	free, err := sim.Run(sim.Config{
+		Spec: spec, Policy: arena.NewArenaPolicy(), Source: trace.SliceSource(jobs), DB: dbFree,
 		RoundSeconds: 300, IncludeUnfinished: true,
 	})
 	if err != nil {
@@ -225,7 +224,7 @@ func TestSessionSimulateMatchesFreeSimulate(t *testing.T) {
 		t.Fatal(err)
 	}
 	viaSession, err := s.Simulate(ctx, arena.SimConfig{
-		Policy: arena.NewArenaPolicy(), Jobs: jobs,
+		Policy: arena.NewArenaPolicy(), Source: arena.SliceTraceSource(jobs),
 		RoundSeconds: 300, IncludeUnfinished: true,
 	})
 	if err != nil {
@@ -305,10 +304,6 @@ func TestSessionRejectsBadOptions(t *testing.T) {
 	}
 	if _, err := arena.New(arena.WithMaxN(0)); err == nil {
 		t.Error("want error for MaxN 0")
-	}
-	cache := arena.NewEvalCache(arena.NewEngine(7))
-	if _, err := arena.New(arena.WithSeed(42), arena.WithEvalCache(cache)); err == nil {
-		t.Error("want error for eval cache bound to a different seed")
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 
 	"io"
 	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 
@@ -215,12 +214,10 @@ func BenchmarkFullSearch(b *testing.B) {
 	})
 }
 
-// BenchmarkBuildPerfDB compares three ways of obtaining the same
-// database on identical inputs: the pre-memoization build (NoCache:
-// per-workload concurrency only, every search measuring from scratch),
-// the cached build (shared per-workload evalcache plus the types ×
-// counts fan-out), and the -db-cache path (BuildOrLoad against a warm
-// JSON snapshot — what a repeated simulator run pays).
+// BenchmarkBuildPerfDB compares two ways of building the same database
+// on identical inputs: the pre-memoization build (NoCache: per-workload
+// concurrency only, every search measuring from scratch) and the cached
+// build (shared per-workload evalcache plus the types × counts fan-out).
 func BenchmarkBuildPerfDB(b *testing.B) {
 	workloads := []model.Workload{
 		{Model: "GPT-1.3B", GlobalBatch: 128},
@@ -241,23 +238,6 @@ func BenchmarkBuildPerfDB(b *testing.B) {
 	}
 	b.Run("baseline", func(b *testing.B) { run(b, true) })
 	b.Run("cached", func(b *testing.B) { run(b, false) })
-	b.Run("snapshot", func(b *testing.B) {
-		path := filepath.Join(b.TempDir(), "perfdb.json")
-		eng := arena.NewEngine(42)
-		if _, _, err := perfdb.BuildOrLoad(eng, opts(false), path); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			db, loaded, err := perfdb.BuildOrLoad(eng, opts(false), path)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !loaded || db == nil {
-				b.Fatal("snapshot not used")
-			}
-		}
-	})
 }
 
 var (
@@ -303,7 +283,7 @@ func BenchmarkSimRun(b *testing.B) {
 	b.Run("arena", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			res, err := sim.Run(sim.Config{
-				Spec: hw.ClusterA(), Policy: sched.NewArena(), Jobs: simBenchJobs,
+				Spec: hw.ClusterA(), Policy: sched.NewArena(), Source: trace.SliceSource(simBenchJobs),
 				DB: simBenchDB, RoundSeconds: 300, IncludeUnfinished: true, Seed: 1,
 			})
 			if err != nil {
@@ -431,7 +411,7 @@ func BenchmarkSimRunFaults(b *testing.B) {
 	b.Run("arena", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			res, err := sim.Run(sim.Config{
-				Spec: hw.ClusterA(), Policy: sched.NewArena(), Jobs: simBenchJobs,
+				Spec: hw.ClusterA(), Policy: sched.NewArena(), Source: trace.SliceSource(simBenchJobs),
 				DB: simBenchDB, RoundSeconds: 300, IncludeUnfinished: true, Seed: 1,
 				Faults: fc,
 			})

@@ -41,9 +41,8 @@ func main() {
 
 	env := experiments.NewEnv(c.Seed)
 	env.StoreDir = c.Store
-	env.DBCacheDir = c.EffectiveDBCache()
 	env.Workers = c.Workers
-	env.SnapshotWarn = cli.WarnSnapshot
+	env.Warn = cli.WarnPersist
 	if *verbose {
 		env.Progress = func(ev core.Event) {
 			if ev.Total > 0 {

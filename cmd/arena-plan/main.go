@@ -93,7 +93,7 @@ func main() {
 		}
 	}
 
-	if c.Persistent() {
+	if c.Store != "" {
 		db, src := cli.BuildDB(ctx, sess)
 		if e, ok := db.Entry(w, *gpu, *n); ok {
 			fmt.Printf("\nperfdb (%s): AP optimum %-12s %8.1f samples/s (full search %.0fs)\n",

@@ -87,7 +87,7 @@ func main() {
 			est.ProfileGPUTime, est.UniqueOps, est.TotalOps, oracle, oracle/est.ProfileGPUTime)
 	}
 
-	if c.Persistent() {
+	if c.Store != "" {
 		db, src := cli.BuildDB(ctx, sess)
 		if e, ok := db.Entry(w, *gpu, *n); ok {
 			fmt.Printf("\nperfdb (%s): profiler estimate %8.1f samples/s vs deployed plan %-12s %8.1f samples/s\n",

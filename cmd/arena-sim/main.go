@@ -114,19 +114,21 @@ func main() {
 	fmt.Println(header)
 	for _, p := range pols {
 		sc := arena.SimConfig{
-			Policy: p, Jobs: traceJobs,
-			RoundSeconds: 300, MaxRounds: pick(*rounds, 2*window+576),
+			Policy: p, RoundSeconds: 300, MaxRounds: pick(*rounds, 2*window+576),
 			IncludeUnfinished: true, Seed: c.Seed,
 			Faults: fc, ReferenceScore: *refScore,
 		}
-		if *traceGen != "" {
-			// Sources are single-use: each policy gets its own (identical)
-			// stream. Streaming mode keeps memory O(active jobs).
+		// Sources are single-use: each policy gets its own (identical)
+		// stream.
+		if *traceGen == "" {
+			sc.Source = arena.SliceTraceSource(traceJobs)
+		} else {
+			// Streaming mode keeps memory O(active jobs).
 			src, err := arena.StreamTrace(cfg)
 			if err != nil {
 				cli.Fatal(err)
 			}
-			sc.Jobs, sc.Source, sc.Streaming = nil, src, true
+			sc.Source, sc.Streaming = src, true
 		}
 		res, err := sess.Simulate(ctx, sc)
 		if err != nil {

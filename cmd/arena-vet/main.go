@@ -2,7 +2,7 @@
 // determinism-discipline analyzer suite (internal/analysis). It runs
 // two ways:
 //
-//	arena-vet [-tags tags] [packages]     standalone, like shadowcheck was
+//	arena-vet [-tags tags] [packages]     standalone
 //	go vet -vettool=$(which arena-vet) ./...
 //
 // The second form speaks the go vet unitchecker protocol (-V=full,
@@ -14,8 +14,7 @@
 //	file:line:col: message [analyzer]
 //
 // and any finding makes the process exit non-zero: 1 for findings,
-// 2 for operational errors (standalone mode), matching the retired
-// internal/shadowcheck tool.
+// 2 for operational errors (standalone mode).
 package main
 
 import (

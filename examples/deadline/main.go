@@ -44,7 +44,7 @@ func main() {
 
 	for _, p := range []arena.Policy{arena.NewElasticFlow(), arenaDDL} {
 		res, err := s.Simulate(ctx, arena.SimConfig{
-			Policy: p, Jobs: jobs,
+			Policy: p, Source: arena.SliceTraceSource(jobs),
 			RoundSeconds: 300, IncludeUnfinished: true, Seed: 1,
 		})
 		if err != nil {

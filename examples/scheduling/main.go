@@ -68,7 +68,7 @@ func main() {
 	var fcfsJCT float64
 	for _, p := range policies {
 		res, err := s.Simulate(ctx, arena.SimConfig{
-			Policy: p, Jobs: jobs,
+			Policy: p, Source: arena.SliceTraceSource(jobs),
 			RoundSeconds: 300, IncludeUnfinished: true, Seed: 1,
 		})
 		if err != nil {

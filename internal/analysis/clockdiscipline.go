@@ -13,9 +13,8 @@ import (
 // legal — the ban is on acquiring instants or waiting on the real
 // clock, not on describing durations.
 //
-// This is the go/types port of shadowcheck's syntactic check: uses are
-// resolved through the type checker, so aliased imports, dot-imports
-// and local variables named `time` are all handled exactly.
+// Uses are resolved through the type checker, so aliased imports,
+// dot-imports and local variables named `time` are all handled exactly.
 var ClockDiscipline = &Analyzer{
 	Name: "clockdiscipline",
 	Doc: "report direct time.Now/Sleep/... calls in scheduling code; " +

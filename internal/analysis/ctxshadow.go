@@ -11,9 +11,8 @@ import (
 // cancellation context, and the cancellation check kept reading the
 // right variable only by accident of statement order.
 //
-// This is the go/types port of internal/shadowcheck's original go/ast
-// check. The typed view removes the syntactic heuristics: a parameter
-// counts as a context whatever the import is named (`c "context"`,
+// The check runs on go/types, not syntax: a parameter counts as a
+// context whatever the import is named (`c "context"`,
 // dot-imports, type aliases), and a same-scope reuse like
 // `ctx, cancel := context.WithCancel(ctx)` produces no new object so it
 // can never be flagged by construction.

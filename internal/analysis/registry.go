@@ -1,8 +1,8 @@
 package analysis
 
 // All returns the full determinism-discipline suite in a stable order.
-// arena-vet, the repo-sweep test and the shadowcheck compatibility shim
-// all run exactly this set, so a finding has one name everywhere.
+// arena-vet and the repo-sweep test both run exactly this set, so a
+// finding has one name everywhere.
 func All() []*Analyzer {
 	return []*Analyzer{
 		ClockDiscipline,

@@ -34,12 +34,6 @@ type Common struct {
 	// database columns persist across invocations, so repeated runs skip
 	// cold profiling and adding a workload rebuilds only its own column.
 	Store string
-	// DBCache is the legacy all-or-nothing PerfDB snapshot path — a JSON
-	// file, or a directory for arena-bench (-db-cache).
-	//
-	// Deprecated: use Store. Kept as a working alias; ignored when Store
-	// is also set.
-	DBCache string
 }
 
 // CommonFlags registers the shared flag set on flag.CommandLine. Call
@@ -49,51 +43,17 @@ func CommonFlags() *Common {
 	flag.Uint64Var(&c.Seed, "seed", 42, "determinism seed")
 	flag.IntVar(&c.Workers, "workers", 0, "worker goroutines for profiling/search/build fan-out (0 = all cores)")
 	flag.StringVar(&c.Store, "store", "", "content-addressed measurement store directory: persists op/stage measurements and per-workload PerfDB columns across runs")
-	flag.StringVar(&c.DBCache, "db-cache", "", "deprecated: use -store. Legacy all-or-nothing PerfDB JSON snapshot path (arena-bench: directory)")
 	return c
 }
 
-// Persistent reports whether any cross-run persistence is configured —
-// the condition tools use to decide whether to print the perfdb section.
-func (c *Common) Persistent() bool { return c.Store != "" || c.DBCache != "" }
-
-// EffectiveDBCache resolves the deprecated -db-cache flag against -store,
-// printing the uniform deprecation warning: -store supersedes -db-cache
-// when both are given. Every tool must route its legacy snapshot path
-// through this method so the precedence rule lives in exactly one place.
-func (c *Common) EffectiveDBCache() string {
-	switch {
-	case c.DBCache == "":
-		return ""
-	case c.Store != "":
-		fmt.Fprintf(os.Stderr, "%s: warning: -db-cache is deprecated and ignored because -store is set\n", Tool())
-		return ""
-	default:
-		fmt.Fprintf(os.Stderr, "%s: warning: -db-cache is deprecated; prefer -store for partial, content-addressed reuse\n", Tool())
-		return c.DBCache
-	}
-}
-
-// SessionOptions translates the persistence flags into session options.
-func (c *Common) SessionOptions() []arena.Option {
-	var opts []arena.Option
-	if c.Store != "" {
-		opts = append(opts, arena.WithStore(c.Store))
-	}
-	if path := c.EffectiveDBCache(); path != "" {
-		opts = append(opts, arena.WithPerfDBSnapshot(path))
-	}
-	return opts
-}
-
 // NewSession constructs the tool's session from the given options plus
-// the persistence flags. A store written by an incompatible schema
-// version is warned about and skipped — the tool runs without persistence
-// rather than aborting, since the store is only a cache. A store held by
+// the -store flag. A store written by an incompatible schema version is
+// warned about and skipped — the tool runs without persistence rather
+// than aborting, since the store is only a cache. A store held by
 // another process is different: silently proceeding without it would look
 // like a cold run, so the tool fails fast and names the conflict.
 func NewSession(c *Common, opts ...arena.Option) *arena.Session {
-	full := append(append([]arena.Option(nil), opts...), c.SessionOptions()...)
+	full := append(append([]arena.Option(nil), opts...), arena.WithStore(c.Store))
 	sess, err := arena.New(full...)
 	if err != nil && c.Store != "" && errors.Is(err, store.ErrSchema) {
 		fmt.Fprintf(os.Stderr, "%s: warning: %v (continuing without the store)\n", Tool(), err)
@@ -141,32 +101,31 @@ func Fatal(err error) {
 	os.Exit(1)
 }
 
-// WarnSnapshot prints the uniform snapshot-persistence warning: the
-// database was built fine, only the cross-run cache write failed.
-func WarnSnapshot(err error) {
+// WarnPersist prints the uniform store-persistence warning: the database
+// was built fine, only the cross-run cache write failed.
+func WarnPersist(err error) {
 	fmt.Fprintf(os.Stderr, "%s: warning: %v (continuing with the built database)\n", Tool(), err)
 }
 
 // ReportDB funnels every tool's BuildPerfDB outcome through one policy:
-// nil error passes, a snapshot persistence failure on a usable database
-// warns and continues, anything else is fatal.
+// nil error passes, a persistence failure on a usable database warns and
+// continues, anything else is fatal.
 func ReportDB(db *perfdb.DB, err error) {
 	if err == nil {
 		return
 	}
-	var snapErr *perfdb.SnapshotError
-	if db != nil && errors.As(err, &snapErr) {
-		WarnSnapshot(err)
+	var perr *perfdb.PersistError
+	if db != nil && errors.As(err, &perr) {
+		WarnPersist(err)
 		return
 	}
 	Fatal(err)
 }
 
-// BuildDB builds (or store/snapshot-loads) the session's performance
-// database, funnels the outcome through ReportDB, and labels the source
-// the way the tools print it: "store" (all columns reused), "store,
-// partial" (some columns built), "snapshot" (legacy single file), or
-// "searched".
+// BuildDB builds (or store-loads) the session's performance database,
+// funnels the outcome through ReportDB, and labels the source the way the
+// tools print it: "store" (all columns reused), "store, partial" (some
+// columns built), or "searched".
 func BuildDB(ctx context.Context, sess *arena.Session) (*perfdb.DB, string) {
 	db, err := sess.BuildPerfDB(ctx)
 	ReportDB(db, err)
@@ -179,8 +138,6 @@ func BuildDB(ctx context.Context, sess *arena.Session) (*perfdb.DB, string) {
 		return db, "store"
 	case stats.LoadedColumns > 0:
 		return db, fmt.Sprintf("store, partial: %d columns reused, %d built", stats.LoadedColumns, stats.BuiltColumns)
-	case sess.PerfDBFromSnapshot():
-		return db, "snapshot"
 	default:
 		return db, "searched"
 	}

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -91,15 +90,6 @@ type Env struct {
 	// with partial rebuilds when only some columns are missing.
 	StoreDir string
 
-	// DBCacheDir, when non-empty, persists every performance database the
-	// experiments build as a JSON snapshot under this directory (one file
-	// per seed × GPU-type set) and reloads matching snapshots on later
-	// runs, skipping the rebuild entirely.
-	//
-	// Deprecated: use StoreDir. Kept as a working shim; ignored when
-	// StoreDir is also set.
-	DBCacheDir string
-
 	// Workers caps database-build worker pools; 0 = all cores.
 	Workers int
 
@@ -111,11 +101,11 @@ type Env struct {
 	// set it before the first Run call. cmd/arena-bench wires it to -v.
 	Progress core.ProgressFunc
 
-	// SnapshotWarn, when non-nil, receives snapshot persistence failures
-	// (the build itself succeeded); the default prints to stderr.
-	// cmd/arena-bench routes it through internal/cli for the uniform
-	// tool-prefixed message.
-	SnapshotWarn func(error)
+	// Warn, when non-nil, receives store persistence failures (the build
+	// itself succeeded); the default prints to stderr. cmd/arena-bench
+	// routes it through internal/cli for the uniform tool-prefixed
+	// message.
+	Warn func(error)
 
 	mu         sync.Mutex
 	progressMu sync.Mutex // serializes Progress calls from worker pools
@@ -157,9 +147,8 @@ func (e *Env) CommTable(types []string) (*profiler.CommTable, error) {
 
 // DB returns (building on first use) the performance database for a set
 // of GPU types over the default trace workload mix. The build is
-// cancelled through ctx; persistence goes through StoreDir (per-workload
-// columns, partial rebuilds) or, as a deprecated fallback, DBCacheDir
-// (all-or-nothing JSON snapshots).
+// cancelled through ctx; with StoreDir set it persists per-workload
+// columns and rebuilds only the missing ones.
 func (e *Env) DB(ctx context.Context, types []string) (*perfdb.DB, error) {
 	key := strings.Join(types, ",")
 	e.mu.Lock()
@@ -179,21 +168,13 @@ func (e *Env) DB(ctx context.Context, types []string) (*perfdb.DB, error) {
 		Workers:   e.Workers,
 		Progress:  e.progress(),
 	}
-	var db *perfdb.DB
-	var err error
-	if st := e.openStore(); st != nil {
-		var stats perfdb.StoreStats
-		db, stats, err = perfdb.BuildOrLoadStore(ctx, e.eng, opts, st)
-		for _, serr := range stats.Skipped {
-			e.warn(fmt.Errorf("%v (column rebuilt)", serr))
-		}
-	} else {
-		db, _, err = perfdb.BuildOrLoadCtx(ctx, e.eng, opts, e.dbSnapshotPath(types))
+	db, stats, err := perfdb.BuildOrLoadStore(ctx, e.eng, opts, e.openStore())
+	for _, serr := range stats.Skipped {
+		e.warn(fmt.Errorf("%v (column rebuilt)", serr))
 	}
 	if err != nil {
-		// A failed snapshot or column write still returns a usable
-		// database; experiments only lose the cross-run cache, not
-		// correctness.
+		// A failed column write still returns a usable database;
+		// experiments only lose the cross-run cache, not correctness.
 		if db == nil {
 			return nil, err
 		}
@@ -219,17 +200,17 @@ func (e *Env) progress() core.ProgressFunc {
 	}
 }
 
-// warn routes a persistence warning through SnapshotWarn or stderr.
+// warn routes a persistence warning through Warn or stderr.
 func (e *Env) warn(err error) {
-	if e.SnapshotWarn != nil {
-		e.SnapshotWarn(err)
+	if e.Warn != nil {
+		e.Warn(err)
 		return
 	}
 	fmt.Fprintf(os.Stderr, "experiments: warning: %v (continuing with the built database)\n", err)
 }
 
-// openStore lazily opens StoreDir, warning once and falling back to the
-// legacy path when the directory is unusable (the store is only a cache).
+// openStore lazily opens StoreDir, warning once and building without
+// persistence when the directory is unusable (the store is only a cache).
 func (e *Env) openStore() *store.Store {
 	e.mu.Lock()
 	dir, st := e.StoreDir, e.store
@@ -254,16 +235,6 @@ func (e *Env) openStore() *store.Store {
 	return st
 }
 
-// dbSnapshotPath names the snapshot file for a GPU-type set, or "" when
-// snapshotting is disabled.
-func (e *Env) dbSnapshotPath(types []string) string {
-	if e.DBCacheDir == "" {
-		return ""
-	}
-	name := fmt.Sprintf("perfdb-seed%d-%s.json", e.Seed, strings.Join(types, "_"))
-	return filepath.Join(e.DBCacheDir, name)
-}
-
 // Policies returns the five schedulers of §5.1 in the paper's order.
 func Policies() []sched.Policy {
 	return []sched.Policy{
@@ -283,7 +254,7 @@ func (e *Env) runPolicies(ctx context.Context, spec hw.ClusterSpec, jobs []trace
 	var order []string
 	for _, p := range pols {
 		res, err := sim.RunCtx(ctx, sim.Config{
-			Spec: spec, Policy: p, Jobs: jobs, DB: db,
+			Spec: spec, Policy: p, Source: trace.SliceSource(jobs), DB: db,
 			RoundSeconds: 300, MaxRounds: maxRounds,
 			IncludeUnfinished: true, Seed: e.Seed,
 			Progress: e.progress(),

@@ -281,7 +281,7 @@ func (e *Env) EtaKnob(ctx context.Context) (*Table, error) {
 		p.Eta = eta
 		p.DisableRefinement = true
 		res, err := sim.RunCtx(ctx, sim.Config{
-			Spec: spec, Policy: p, Jobs: jobs, DB: db,
+			Spec: spec, Policy: p, Source: trace.SliceSource(jobs), DB: db,
 			RoundSeconds: 300, MaxRounds: 2 * window,
 			IncludeUnfinished: true, Seed: e.Seed,
 		})

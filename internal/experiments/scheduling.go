@@ -354,14 +354,14 @@ func (e *Env) Fidelity(ctx context.Context) (*Table, error) {
 	var count int
 	for _, p := range Policies() {
 		coarse, err := sim.RunCtx(ctx, sim.Config{
-			Spec: spec, Policy: p, Jobs: jobs, DB: db,
+			Spec: spec, Policy: p, Source: trace.SliceSource(jobs), DB: db,
 			RoundSeconds: 300, IncludeUnfinished: true, Seed: e.Seed,
 		})
 		if err != nil {
 			return nil, err
 		}
 		fine, err := sim.RunCtx(ctx, sim.Config{
-			Spec: spec, Policy: p, Jobs: jobs, DB: db,
+			Spec: spec, Policy: p, Source: trace.SliceSource(jobs), DB: db,
 			RoundSeconds: 100, ThroughputNoise: 0.03,
 			IncludeUnfinished: true, Seed: e.Seed,
 		})
@@ -411,7 +411,7 @@ func (e *Env) Sensitivity(ctx context.Context) (*Table, error) {
 	window := int(7 * 24 * 3600 / 300)
 	run := func(p *sched.ArenaPolicy, js []trace.Job) (*sim.Result, error) {
 		return sim.RunCtx(ctx, sim.Config{
-			Spec: spec, Policy: p, Jobs: js, DB: db,
+			Spec: spec, Policy: p, Source: trace.SliceSource(js), DB: db,
 			RoundSeconds: 300, MaxRounds: 2 * window,
 			IncludeUnfinished: true, Seed: e.Seed,
 		})

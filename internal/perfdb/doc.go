@@ -32,9 +32,8 @@
 // reference paths and determinism tests in this package prove results
 // stay bit-identical.
 //
-// Two persistence layers avoid rebuilding: BuildOrLoad reads/writes an
-// all-or-nothing JSON snapshot (legacy -db-cache), and BuildOrLoadStore
-// persists one content-addressed object per workload column with partial
-// invalidation — adding a workload to a cached request builds exactly
-// the missing column (see store.go for the key derivation rules).
+// BuildOrLoadStore avoids rebuilding: it persists one content-addressed
+// object per workload column with partial invalidation — adding a
+// workload to a cached request builds exactly the missing column (see
+// store.go for the key derivation rules).
 package perfdb

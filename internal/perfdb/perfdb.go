@@ -56,8 +56,8 @@ type DB struct {
 	GPUTypes []string
 	MaxN     int
 
-	// seed records the build engine's determinism seed; snapshots refuse
-	// to serve a request built for a different seed.
+	// seed records the build engine's determinism seed; persisted columns
+	// carry it so a store never serves a column built for another seed.
 	seed uint64
 
 	entries map[Key]*Entry

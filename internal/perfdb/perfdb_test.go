@@ -262,6 +262,25 @@ func TestBuildDeterministic(t *testing.T) {
 	}
 }
 
+// TestCachedBuildMatchesUncachedSerial is the perfdb half of the
+// memoization determinism guarantee: the memoized fan-out build and the
+// pre-cache serial build produce byte-identical databases — entries
+// (throughputs, plans, modeled search times) and profiling wall-time
+// accumulators.
+func TestCachedBuildMatchesUncachedSerial(t *testing.T) {
+	opts := storeTestOpts(storeTestWorkloads...)
+	cached, err := Build(exec.NewEngine(42), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.NoCache, opts.Serial = true, true
+	baseline, err := Build(exec.NewEngine(42), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	equalDBExact(t, cached, baseline)
+}
+
 func TestBuildSharedEvalCacheMatchesFresh(t *testing.T) {
 	// A caller-provided measurement cache (the session's, possibly
 	// store-hydrated) must change wall-clock only: entries are

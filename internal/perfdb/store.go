@@ -17,10 +17,8 @@ import (
 // This file persists the database through a content-addressed store, one
 // object per *workload column* — everything Build computes for one
 // workload across the request's (GPU types × counts). Column granularity
-// is what makes invalidation partial: the legacy single-file snapshot is
-// all-or-nothing (one new workload in the mix forces a full rebuild),
-// while a column store rebuilds exactly the missing columns and reuses
-// every other one byte for byte.
+// is what makes invalidation partial: a request rebuilds exactly the
+// missing columns and reuses every other one byte for byte.
 //
 // A column's key hashes everything its entries depend on: the column
 // schema version, the engine fingerprint (seed + tunables), the
@@ -61,6 +59,21 @@ type colEntry struct {
 	Entry   Entry  `json:"entry"`
 }
 
+// PersistError marks a column write failure that did not affect the
+// built database: the build succeeded and the returned DB is fully
+// usable; only the cross-run cache was lost. Callers distinguish it with
+// errors.As to warn-and-continue instead of aborting.
+type PersistError struct {
+	Key string
+	Err error
+}
+
+func (e *PersistError) Error() string {
+	return fmt.Sprintf("perfdb: persisting column %s: %v", e.Key, e.Err)
+}
+
+func (e *PersistError) Unwrap() error { return e.Err }
+
 // StoreStats reports how a BuildOrLoadStore request was served.
 type StoreStats struct {
 	// LoadedColumns / BuiltColumns count workload columns served from the
@@ -72,8 +85,7 @@ type StoreStats struct {
 	Skipped []error
 }
 
-// FromStore reports whether every requested column came from the store
-// (the partial-build analogue of a full snapshot hit).
+// FromStore reports whether every requested column came from the store.
 func (s StoreStats) FromStore() bool { return s.BuiltColumns == 0 && s.LoadedColumns > 0 }
 
 // columnKey derives the content address of one workload column.
@@ -103,9 +115,9 @@ func columnKey(engineFP string, w model.Workload, graphFP string, gpuTypes []str
 // that engine's pure results), which
 // TestStorePartialBuildMatchesColdBuild asserts.
 //
-// A column write failure returns the fully usable database together with
-// a *SnapshotError, matching BuildOrLoad's warn-and-continue convention;
-// unreadable column objects are rebuilt and reported in StoreStats.Skipped.
+// A nil store builds without persistence. A column write failure returns
+// the fully usable database together with a *PersistError; unreadable
+// column objects are rebuilt and reported in StoreStats.Skipped.
 func BuildOrLoadStore(ctx context.Context, eng *exec.Engine, opts Options, st *store.Store) (*DB, StoreStats, error) {
 	var stats StoreStats
 	if ctx == nil {
@@ -199,7 +211,7 @@ func BuildOrLoadStore(ctx context.Context, eng *exec.Engine, opts Options, st *s
 			col := built.exportColumn(w)
 			db.importColumn(w, col)
 			if err := st.Put(columnDomain, missingKeys[i], col); err != nil && saveErr == nil {
-				saveErr = &SnapshotError{Path: string(missingKeys[i]), Err: err}
+				saveErr = &PersistError{Key: string(missingKeys[i]), Err: err}
 			}
 		}
 		if saveErr != nil {

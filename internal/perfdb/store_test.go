@@ -22,8 +22,8 @@ func storeTestOpts(ws ...model.Workload) Options {
 	return Options{GPUTypes: []string{"A40"}, MaxN: 8, Workloads: ws}
 }
 
-// equalDB asserts two databases are bit-identical in every serialized
-// dimension (entries, wall times, metadata).
+// equalDBExact asserts two databases are bit-identical in every
+// serialized dimension (entries, wall times, metadata).
 func equalDBExact(t *testing.T, got, want *DB) {
 	t.Helper()
 	if got.seed != want.seed || got.MaxN != want.MaxN || !reflect.DeepEqual(got.GPUTypes, want.GPUTypes) {
@@ -199,6 +199,34 @@ func TestStoreCorruptColumnRebuilds(t *testing.T) {
 	if !stats.FromStore() {
 		t.Fatalf("repaired store should hit, got %+v", stats)
 	}
+}
+
+// TestBuildOrLoadKeepsDBWhenSaveFails: a failed column write must not
+// discard the expensive build. A regular file squatting on the perfdb
+// domain directory makes every column read and write fail.
+func TestBuildOrLoadKeepsDBWhenSaveFails(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, columnDomain), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opts := storeTestOpts(storeTestWorkloads[0])
+	db, stats, err := BuildOrLoadStore(context.Background(), exec.NewEngine(42), opts, st)
+	var perr *PersistError
+	if !errors.As(err, &perr) {
+		t.Fatalf("want a *PersistError, got %v", err)
+	}
+	if stats.BuiltColumns != 1 || db == nil {
+		t.Fatalf("built database was discarded over a persistence failure: db=%v stats=%+v", db, stats)
+	}
+	cold, err := Build(exec.NewEngine(42), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	equalDBExact(t, db, cold)
 }
 
 // TestStoreCancellation verifies a cancelled context aborts the build

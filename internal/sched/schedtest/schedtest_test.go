@@ -65,7 +65,7 @@ func seededJobs(t *testing.T, seed uint64, n int) []trace.Job {
 func checkedRun(t *testing.T, p sched.Policy, jobs []trace.Job, opts Options, fc *faults.Config) {
 	t.Helper()
 	_, err := sim.Run(sim.Config{
-		Spec: hw.ClusterA(), Policy: Wrap(t, p, opts), Jobs: jobs, DB: db(t),
+		Spec: hw.ClusterA(), Policy: Wrap(t, p, opts), Source: trace.SliceSource(jobs), DB: db(t),
 		RoundSeconds: 300, MaxRounds: 200, IncludeUnfinished: true, Seed: 1,
 		Faults: fc,
 	})

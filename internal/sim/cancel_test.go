@@ -8,6 +8,7 @@ import (
 	"github.com/sjtu-epcc/arena/internal/core"
 	"github.com/sjtu-epcc/arena/internal/hw"
 	"github.com/sjtu-epcc/arena/internal/sched"
+	"github.com/sjtu-epcc/arena/internal/trace"
 )
 
 // TestRunCtxCancellation: a cancelled context aborts the round loop with
@@ -19,7 +20,7 @@ func TestRunCtxCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if res, err := RunCtx(ctx, Config{
-		Spec: hw.ClusterA(), Policy: sched.NewArena(), Jobs: jobs, DB: db(t),
+		Spec: hw.ClusterA(), Policy: sched.NewArena(), Source: trace.SliceSource(jobs), DB: db(t),
 		RoundSeconds: 300, IncludeUnfinished: true,
 	}); err != context.Canceled || res != nil {
 		t.Fatalf("pre-cancelled run: res=%v err=%v, want nil/context.Canceled", res, err)
@@ -29,7 +30,7 @@ func TestRunCtxCancellation(t *testing.T) {
 	defer cancel2()
 	var rounds atomic.Int32
 	res, err := RunCtx(ctx2, Config{
-		Spec: hw.ClusterA(), Policy: sched.NewArena(), Jobs: jobs, DB: db(t),
+		Spec: hw.ClusterA(), Policy: sched.NewArena(), Source: trace.SliceSource(jobs), DB: db(t),
 		RoundSeconds: 300, IncludeUnfinished: true,
 		Progress: func(e core.Event) {
 			if rounds.Add(1) == 3 {

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/sjtu-epcc/arena/internal/cluster"
 	"github.com/sjtu-epcc/arena/internal/metrics"
@@ -27,16 +26,12 @@ type Engine struct {
 }
 
 // NewEngine validates the configuration and builds the initial world:
-// cfg.Jobs become pending submissions exactly as RunCtx stages them,
-// while a cfg.Source is held back and pulled from on demand as rounds
-// reach its submission times. An empty world is valid — the daemon
-// starts idle and submits later.
+// cfg.Source is pulled from on demand as rounds reach its submission
+// times. An empty world is valid — the daemon starts idle and submits
+// later.
 func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.Policy == nil || cfg.DB == nil {
 		return nil, fmt.Errorf("sim: need a policy and a perfdb")
-	}
-	if cfg.Source != nil && len(cfg.Jobs) > 0 {
-		return nil, fmt.Errorf("sim: set Jobs or Source, not both")
 	}
 	if cfg.RoundSeconds <= 0 {
 		cfg.RoundSeconds = 300
@@ -67,23 +62,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		s.jctS = metrics.NewStream(0.50, 0.90)
 		s.queueS = metrics.NewStream()
 	}
-	e := &Engine{s: s}
-	for _, tj := range cfg.Jobs {
-		j := &sched.Job{
-			Trace:            tj,
-			State:            sched.StateQueued,
-			SubmittedAt:      tj.SubmitTime + cfg.Policy.ProfilePrepend(cfg.DB, tj.Workload),
-			LaunchedAt:       -1,
-			RemainingSamples: tj.TotalSamples(),
-			CurPriority:      tj.Priority,
-		}
-		s.pending = append(s.pending, j)
-	}
-	sort.SliceStable(s.pending, func(a, b int) bool {
-		return s.pending[a].SubmittedAt < s.pending[b].SubmittedAt
-	})
-
-	e.maxRounds = cfg.MaxRounds
+	e := &Engine{s: s, maxRounds: cfg.MaxRounds}
 	if e.maxRounds <= 0 {
 		// Horizon: trace span plus generous drain time.
 		var last float64
@@ -93,12 +72,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 				return nil, fmt.Errorf("sim: a Source without a Span needs an explicit MaxRounds")
 			}
 			last = sp.Span()
-		} else {
-			for _, j := range cfg.Jobs {
-				if j.SubmitTime > last {
-					last = j.SubmitTime
-				}
-			}
 		}
 		e.maxRounds = int((last*3+48*3600)/cfg.RoundSeconds) + 1
 	}
@@ -191,8 +164,8 @@ func (e *Engine) Round(now float64) sched.Assignment {
 // The job's SubmittedAt gains the policy's profiling prepend exactly as
 // trace jobs do, and it is inserted keeping pending sorted by effective
 // submission time with ties in arrival order, so an incremental sequence
-// of Submits reproduces the batch constructor's stable sort and a
-// journal replay reconstructs identical state.
+// of Submits stages exactly as a Source emitting the same jobs would, and
+// a journal replay reconstructs identical state.
 func (e *Engine) Submit(tj trace.Job, now float64) *sched.Job {
 	if tj.SubmitTime == 0 && now > 0 {
 		tj.SubmitTime = now

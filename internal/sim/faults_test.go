@@ -25,7 +25,7 @@ import (
 func runFaultSim(t *testing.T, p sched.Policy, jobs []trace.Job, fc *faults.Config, maxRounds int) *Result {
 	t.Helper()
 	res, err := Run(Config{
-		Spec: hw.ClusterA(), Policy: p, Jobs: jobs, DB: db(t),
+		Spec: hw.ClusterA(), Policy: p, Source: trace.SliceSource(jobs), DB: db(t),
 		RoundSeconds: 300, MaxRounds: maxRounds,
 		IncludeUnfinished: true, Seed: 1, Faults: fc,
 	})
@@ -297,7 +297,7 @@ func TestSimCancellationMidFailureStorm(t *testing.T) {
 	defer cancel()
 	var rounds atomic.Int32
 	res, err := RunCtx(ctx, Config{
-		Spec: hw.ClusterA(), Policy: sched.NewArena(), Jobs: jobs, DB: db(t),
+		Spec: hw.ClusterA(), Policy: sched.NewArena(), Source: trace.SliceSource(jobs), DB: db(t),
 		RoundSeconds: 300, IncludeUnfinished: true, Seed: 1, Faults: fc,
 		Progress: func(e core.Event) {
 			if rounds.Add(1) == 5 {
@@ -325,7 +325,7 @@ func TestSimFaultTraceValidatedAgainstSpec(t *testing.T) {
 	// up front, not crash mid-run.
 	bad := faults.Schedule{{Time: 10, Kind: faults.Crash, GPUType: "A40", Node: 99}}
 	_, err := Run(Config{
-		Spec: hw.ClusterA(), Policy: policy.NewFCFS(), Jobs: longJobs(1), DB: db(t),
+		Spec: hw.ClusterA(), Policy: policy.NewFCFS(), Source: trace.SliceSource(longJobs(1)), DB: db(t),
 		RoundSeconds: 300, Faults: &faults.Config{Trace: bad},
 	})
 	if err == nil {
@@ -385,7 +385,7 @@ func TestSimRescaleStacksOnPendingDeploy(t *testing.T) {
 		Iterations: 4, ReqGPUs: 2, ReqType: "A40", Priority: 1,
 	}}
 	res, err := Run(Config{
-		Spec: hw.ClusterA(), Policy: p, Jobs: jobs, DB: db(t),
+		Spec: hw.ClusterA(), Policy: p, Source: trace.SliceSource(jobs), DB: db(t),
 		RoundSeconds: 300, MaxRounds: 40, IncludeUnfinished: true, Seed: 1,
 	})
 	if err != nil {

@@ -66,13 +66,13 @@ func runParityCfg(t *testing.T, name string, mkCfg func() Config, set func(*Conf
 func setScan(cfg *Config, ref bool)  { cfg.ReferenceScan = ref }
 func setScore(cfg *Config, ref bool) { cfg.ReferenceScore = ref }
 
-// runParity runs cfg through both cores (a fresh policy each) and fails
-// on any divergence.
-func runParity(t *testing.T, name string, mk func() sched.Policy, cfg Config) (*Result, *Result) {
+// runParity runs cfg over jobs through both cores (a fresh policy and
+// source each) and fails on any divergence.
+func runParity(t *testing.T, name string, mk func() sched.Policy, cfg Config, jobs []trace.Job) (*Result, *Result) {
 	t.Helper()
 	return runParityCfg(t, name, func() Config {
 		c := cfg
-		c.Policy = mk()
+		c.Policy, c.Source = mk(), trace.SliceSource(jobs)
 		return c
 	}, setScan)
 }
@@ -104,21 +104,21 @@ func parityFaults() *faults.Config {
 
 func TestScanHeapParityMatrix(t *testing.T) {
 	// Every policy, with and without the random fault model, on the
-	// standard 40-job slice trace AND a streamed philly-6h source —
-	// streamed arrival staging exercises a different engine path (pull-on-
-	// demand vs pre-staged pending), so the cores must agree on both.
+	// standard 40-job slice trace AND a streamed philly-6h source, whose
+	// arrivals spread across the whole span, so the cores must agree on
+	// both.
 	jobs := testJobs(t, 40)
 	fm := parityFaults()
 	for name, mk := range parityPolicies() {
 		base := Config{
-			Spec: hw.ClusterA(), Jobs: jobs, DB: db(t),
+			Spec: hw.ClusterA(), DB: db(t),
 			RoundSeconds: 300, IncludeUnfinished: true, Seed: 1,
 		}
-		runParity(t, name, mk, base)
+		runParity(t, name, mk, base, jobs)
 		withFaults := base
 		withFaults.Faults = fm
 		withFaults.MaxRounds = 400
-		runParity(t, name+"+faults", mk, withFaults)
+		runParity(t, name+"+faults", mk, withFaults, jobs)
 		for _, faulted := range []bool{false, true} {
 			faulted := faulted
 			label := name + "+stream"
@@ -158,7 +158,7 @@ func TestScoreParityMatrix(t *testing.T) {
 			}
 			runParityCfg(t, name+suffix, func() Config {
 				c := Config{
-					Spec: hw.ClusterA(), Jobs: jobs, DB: db(t),
+					Spec: hw.ClusterA(), Source: trace.SliceSource(jobs), DB: db(t),
 					RoundSeconds: 300, IncludeUnfinished: true, Seed: 1, Policy: mk(),
 				}
 				if faulted {
@@ -191,7 +191,7 @@ func TestScoreParityArenaVariants(t *testing.T) {
 		mk := mk
 		runParityCfg(t, name, func() Config {
 			return Config{
-				Spec: hw.ClusterA(), Jobs: jobs, DB: db(t),
+				Spec: hw.ClusterA(), Source: trace.SliceSource(jobs), DB: db(t),
 				RoundSeconds: 300, IncludeUnfinished: true, Seed: 1, Policy: mk(),
 			}
 		}, setScore)
@@ -208,7 +208,7 @@ func TestScoreParityDeepQueue(t *testing.T) {
 		mk := parityPolicies()[name]
 		runParityCfg(t, name+"+deep", func() Config {
 			return Config{
-				Spec: hw.ClusterA(), Jobs: jobs, DB: db(t),
+				Spec: hw.ClusterA(), Source: trace.SliceSource(jobs), DB: db(t),
 				RoundSeconds: 300, IncludeUnfinished: true, Seed: 1, Policy: mk(),
 			}
 		}, setScore)
@@ -222,10 +222,10 @@ func TestScanHeapParityFaultStorm(t *testing.T) {
 	fc := &faults.Config{Trace: stormTrace(t), CheckpointInterval: 600}
 	for _, name := range []string{"fcfs", "arena"} {
 		runParity(t, name+"+storm", parityPolicies()[name], Config{
-			Spec: hw.ClusterA(), Jobs: longJobs(24), DB: db(t),
+			Spec: hw.ClusterA(), DB: db(t),
 			RoundSeconds: 300, MaxRounds: 300,
 			IncludeUnfinished: true, Seed: 1, Faults: fc,
-		})
+		}, longJobs(24))
 	}
 }
 
@@ -264,44 +264,6 @@ func TestScanHeapParitySynthetic10k(t *testing.T) {
 	}
 }
 
-func TestSliceSourceMatchesJobs(t *testing.T) {
-	// Config.Jobs and Config.Source = SliceSource(jobs) are the same
-	// trace through two staging paths; results must be bit-identical.
-	jobs := testJobs(t, 40)
-	base := Config{
-		Spec: hw.ClusterA(), Policy: sched.NewArena(), DB: db(t),
-		RoundSeconds: 300, IncludeUnfinished: true, Seed: 1,
-	}
-	byJobs := base
-	byJobs.Jobs = jobs
-	a, err := Run(byJobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bySrc := base
-	bySrc.Source = trace.SliceSource(jobs)
-	b, err := Run(bySrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a.Summary, b.Summary) {
-		t.Errorf("Jobs vs SliceSource summaries diverge")
-	}
-	if !reflect.DeepEqual(outcomes(a), outcomes(b)) {
-		t.Errorf("Jobs vs SliceSource per-job outcomes diverge")
-	}
-}
-
-func TestSimRejectsJobsAndSource(t *testing.T) {
-	_, err := Run(Config{
-		Spec: hw.ClusterA(), Policy: policy.NewFCFS(), DB: db(t),
-		Jobs: testJobs(t, 2), Source: trace.SliceSource(nil),
-	})
-	if err == nil {
-		t.Fatal("Jobs+Source config accepted; want error")
-	}
-}
-
 func TestSimSourceWithoutSpanNeedsMaxRounds(t *testing.T) {
 	// A bare Source (no Spanner) gives the engine no horizon to derive.
 	src := spanlessSource{}
@@ -334,7 +296,7 @@ func TestStreamingMatchesExact(t *testing.T) {
 	// censored jobs), and the raw slices must stay nil.
 	jobs := testJobs(t, 40)
 	base := Config{
-		Spec: hw.ClusterA(), Policy: sched.NewArena(), Jobs: jobs, DB: db(t),
+		Spec: hw.ClusterA(), Policy: sched.NewArena(), Source: trace.SliceSource(jobs), DB: db(t),
 		RoundSeconds: 300, IncludeUnfinished: true, Seed: 1,
 	}
 	exact, err := Run(base)
@@ -342,7 +304,7 @@ func TestStreamingMatchesExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	sCfg := base
-	sCfg.Streaming = true
+	sCfg.Source, sCfg.Streaming = trace.SliceSource(jobs), true
 	stream, err := Run(sCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -390,7 +352,7 @@ func TestRunStopsWhenArrivalsBeyondHorizon(t *testing.T) {
 	}}
 	rounds := 0
 	res, err := Run(Config{
-		Spec: hw.ClusterA(), Policy: policy.NewFCFS(), Jobs: jobs, DB: db(t),
+		Spec: hw.ClusterA(), Policy: policy.NewFCFS(), Source: trace.SliceSource(jobs), DB: db(t),
 		RoundSeconds: 300, MaxRounds: 400, IncludeUnfinished: true, Seed: 1,
 		Progress: func(core.Event) { rounds++ },
 	})

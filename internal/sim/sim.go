@@ -32,16 +32,11 @@ import (
 type Config struct {
 	Spec   hw.ClusterSpec
 	Policy sched.Policy
-	// Jobs is the materialized trace. Kept working for every existing
-	// call site; prefer Source for anything large.
-	//
-	// Deprecated: use Source (trace.SliceSource wraps a slice).
-	Jobs []trace.Job
 	// Source streams trace jobs on demand (non-decreasing SubmitTime),
-	// so a 100k–1M-job synthetic trace never exists as a slice. Mutually
-	// exclusive with Jobs. A Source that does not implement trace.Spanner
-	// needs an explicit MaxRounds. Each Source is single-use: build a
-	// fresh one per simulation.
+	// so a 100k–1M-job synthetic trace never exists as a slice;
+	// trace.SliceSource wraps a materialized trace. A Source that does
+	// not implement trace.Spanner needs an explicit MaxRounds. Each
+	// Source is single-use: build a fresh one per simulation.
 	Source trace.Source
 	DB     *perfdb.DB
 
@@ -172,7 +167,7 @@ type state struct {
 	running []*sched.Job
 	done_   []*sched.Job // empty in streaming mode (jobs fold into aggregates)
 
-	// Streaming trace source (nil when cfg.Jobs was staged up front).
+	// Streaming trace source (nil for an engine fed only by Submit).
 	src     trace.Source
 	srcPeek *trace.Job // pulled but not yet due
 	srcDone bool
@@ -465,9 +460,8 @@ func (s *state) accountTerminal(j *sched.Job) {
 
 // stage registers one trace job as a future submission, keeping pending
 // sorted by effective submission time (SubmitTime plus the policy's
-// profiling prepend) with ties in arrival order — the insertion-sort
-// equivalent of the batch constructor's stable sort, so slice staging,
-// streaming pulls and live Submits all produce identical pending order.
+// profiling prepend) with ties in arrival order, so streaming pulls and
+// live Submits of the same sequence produce identical pending order.
 func (s *state) stage(tj trace.Job) *sched.Job {
 	j := &sched.Job{
 		Trace:            tj,
@@ -754,9 +748,8 @@ func (s *state) finish(end float64) *Result {
 	if s.cfg.Streaming {
 		return s.finishStreaming(end)
 	}
-	// In the compatibility modes the report covers the whole trace, so
-	// anything the source still holds is staged first — the result is
-	// indistinguishable from having passed the trace as a slice.
+	// The exact report covers the whole trace, so anything the source
+	// still holds is staged first.
 	s.drainSource()
 	// Total counts the jobs that belong to the simulated horizon: done,
 	// running, queued, and the pending jobs whose trace submission falls

@@ -60,7 +60,7 @@ func testJobs(t *testing.T, n int) []trace.Job {
 func runSim(t *testing.T, p sched.Policy, jobs []trace.Job) *Result {
 	t.Helper()
 	res, err := Run(Config{
-		Spec: hw.ClusterA(), Policy: p, Jobs: jobs, DB: db(t),
+		Spec: hw.ClusterA(), Policy: p, Source: trace.SliceSource(jobs), DB: db(t),
 		RoundSeconds: 300, IncludeUnfinished: true, Seed: 1,
 	})
 	if err != nil {
@@ -223,7 +223,7 @@ func TestSimValidation(t *testing.T) {
 func TestSimMaxRoundsBound(t *testing.T) {
 	jobs := testJobs(t, 40)
 	res, err := Run(Config{
-		Spec: hw.ClusterA(), Policy: policy.NewFCFS(), Jobs: jobs, DB: db(t),
+		Spec: hw.ClusterA(), Policy: policy.NewFCFS(), Source: trace.SliceSource(jobs), DB: db(t),
 		RoundSeconds: 300, MaxRounds: 4, IncludeUnfinished: true,
 	})
 	if err != nil {
@@ -339,7 +339,7 @@ func TestSimTotalRespectsHorizon(t *testing.T) {
 	// jobs the simulation never saw.
 	jobs := testJobs(t, 40)
 	res, err := Run(Config{
-		Spec: hw.ClusterA(), Policy: policy.NewFCFS(), Jobs: jobs, DB: db(t),
+		Spec: hw.ClusterA(), Policy: policy.NewFCFS(), Source: trace.SliceSource(jobs), DB: db(t),
 		RoundSeconds: 300, MaxRounds: 4, IncludeUnfinished: true,
 	})
 	if err != nil {
@@ -363,7 +363,7 @@ func TestSimFidelityNoiseChangesResults(t *testing.T) {
 	jobs := testJobs(t, 30)
 	clean := runSim(t, sched.NewArena(), jobs)
 	noisy, err := Run(Config{
-		Spec: hw.ClusterA(), Policy: sched.NewArena(), Jobs: jobs, DB: db(t),
+		Spec: hw.ClusterA(), Policy: sched.NewArena(), Source: trace.SliceSource(jobs), DB: db(t),
 		RoundSeconds: 300, ThroughputNoise: 0.05, IncludeUnfinished: true, Seed: 1,
 	})
 	if err != nil {

@@ -28,8 +28,8 @@
 // All read-side failures are reported as a *Error wrapping one of the
 // sentinel errors (ErrNotFound, ErrSchema, ErrCorrupt, ErrKeyMismatch), so
 // callers can route each object onto the rebuild-and-warn path — the same
-// convention perfdb.SnapshotError established: persistence is a cache
-// concern and must never abort work that can be recomputed.
+// convention as perfdb.PersistError: persistence is a cache concern and
+// must never abort work that can be recomputed.
 //
 // The clients' key-derivation and invalidation rules — which fields feed
 // which hash, and what a drifted input orphans — are documented in

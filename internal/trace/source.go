@@ -37,12 +37,9 @@ type sliceSource struct {
 	i    int
 }
 
-// SliceSource wraps an in-memory trace as a streaming Source — the shim
-// that lets existing []trace.Job call sites move to the Source API
-// without regenerating anything. The slice is copied and stably sorted
-// by SubmitTime (ties keep slice order), matching how the simulator has
-// always staged a Jobs slice, so SliceSource(jobs) and Config.Jobs are
-// interchangeable bit-for-bit.
+// SliceSource wraps an in-memory trace as a streaming Source — how a
+// materialized []Job reaches the simulator. The slice is copied and
+// stably sorted by SubmitTime (ties keep slice order).
 func SliceSource(jobs []Job) Source {
 	cp := append([]Job(nil), jobs...)
 	sort.SliceStable(cp, func(a, b int) bool { return cp[a].SubmitTime < cp[b].SubmitTime })

@@ -18,8 +18,6 @@ type sessionConfig struct {
 	maxN      int
 	workloads []Workload
 	cluster   *ClusterSpec
-	cache     *EvalCache
-	snapshot  string
 	storeDir  string
 	progress  ProgressFunc
 	faults    *FaultsConfig
@@ -101,8 +99,7 @@ func WithWorkloads(ws ...Workload) Option {
 }
 
 // WithStore attaches a content-addressed measurement store rooted at dir,
-// created on first use. It subsumes the WithEvalCache/WithPerfDBSnapshot
-// pairing with one persistent mechanism covering both layers:
+// created on first use. One persistent mechanism covers both layers:
 //
 //   - the session's stage/op/plan measurement memo hydrates from the
 //     store lazily — one object read per measurement context, on first
@@ -112,7 +109,7 @@ func WithWorkloads(ws ...Workload) Option {
 //     actually touches;
 //   - BuildPerfDB persists the performance database per workload column
 //     and rebuilds only columns the store lacks, so adding one workload
-//     no longer forces a full rebuild.
+//     profiles that workload alone.
 //
 // Objects are keyed by content (engine seed and tunables, model-graph and
 // device-spec fingerprints, workload params, schema version): changing any
@@ -126,42 +123,10 @@ func WithWorkloads(ws ...Workload) Option {
 // say a CLI pointed at a running arena-server's store — fails fast with
 // an error wrapping store.ErrLocked instead of racing the first's writes.
 //
-// An empty dir is a no-op. When both WithStore and WithPerfDBSnapshot are
-// given, the store serves BuildPerfDB and the snapshot path is ignored.
+// An empty dir is a no-op.
 func WithStore(dir string) Option {
 	return func(c *sessionConfig) error {
 		c.storeDir = dir
-		return nil
-	}
-}
-
-// WithEvalCache attaches an existing stage-measurement cache, sharing
-// memoized measurements with other sessions or call sites bound to an
-// engine with the same seed. The default is a fresh cache per session.
-//
-// Deprecated: in-process sharing still works, but for persistence across
-// processes use WithStore, which loads and flushes the memo through a
-// content-addressed on-disk store. The two compose: a shared cache is
-// warmed from the store when both are configured.
-func WithEvalCache(c *EvalCache) Option {
-	return func(cfg *sessionConfig) error {
-		cfg.cache = c
-		return nil
-	}
-}
-
-// WithPerfDBSnapshot persists the session's performance database as a
-// JSON snapshot at path: BuildPerfDB loads it when it matches the
-// session's request and writes it after a fresh build.
-//
-// Deprecated: use WithStore. The single-file snapshot is all-or-nothing —
-// one new workload, seed or GPU type forces a full rebuild — while the
-// store invalidates per workload column and shares content-identical
-// columns across requests. WithPerfDBSnapshot is kept as a working shim
-// and is ignored when WithStore is also configured.
-func WithPerfDBSnapshot(path string) Option {
-	return func(c *sessionConfig) error {
-		c.snapshot = path
 		return nil
 	}
 }

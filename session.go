@@ -38,8 +38,8 @@ type ProgressFunc = core.ProgressFunc
 // Every long-running method takes a context.Context and stops within one
 // scheduling quantum of its worker pool when the context is cancelled,
 // returning ctx.Err() and leaking no goroutines. Uncancelled, results are
-// bit-identical to the package-level free functions the Session replaces
-// (the engine is a pure function of its seed).
+// bit-identical to running the same pipeline stages directly on a fresh
+// engine (the engine is a pure function of its seed).
 //
 // A Session is safe for concurrent use: the engine, planner, profiler and
 // eval cache are concurrency-safe, lazy construction is serialized, and
@@ -65,11 +65,10 @@ type Session struct {
 	// session's other lazy state; dbBuilding marks an in-flight build
 	// (closed on completion) for single-flight semantics whose waiters
 	// still honor their own contexts.
-	dbMu           sync.Mutex
-	db             *perfdb.DB
-	dbFromSnapshot bool
-	dbStoreStats   PerfDBStoreStats
-	dbBuilding     chan struct{}
+	dbMu         sync.Mutex
+	db           *perfdb.DB
+	dbStoreStats PerfDBStoreStats
+	dbBuilding   chan struct{}
 }
 
 // EvalStoreStats reports what a session restored from its measurement
@@ -87,13 +86,13 @@ type PerfDBStoreStats = perfdb.StoreStats
 //	s, err := arena.New(
 //		arena.WithSeed(42),
 //		arena.WithGPUTypes("A40", "A10"),
-//		arena.WithPerfDBSnapshot("perfdb.json"),
+//		arena.WithStore("./measurements"),
 //		arena.WithProgress(func(e arena.ProgressEvent) { ... }),
 //	)
 //
 // Defaults: seed 42, all catalog GPU types, allocations up to 16 GPUs,
 // the trace generator's workload mix, all cores, a fresh eval cache, no
-// snapshot, no progress stream.
+// store, no progress stream.
 func New(opts ...Option) (*Session, error) {
 	cfg := defaultSessionConfig()
 	for _, opt := range opts {
@@ -110,21 +109,8 @@ func New(opts ...Option) (*Session, error) {
 	if len(cfg.workloads) == 0 {
 		cfg.workloads = trace.DefaultWorkloads()
 	}
-	s := &Session{cfg: cfg, planner: planner.New()}
-	if cfg.cache != nil {
-		// Adopt the cache's engine: engines are pure functions of their
-		// seed, so sharing the instance is what makes memoized
-		// measurements transferable between sessions.
-		if cfg.cache.Engine().Seed() != cfg.seed {
-			return nil, fmt.Errorf("arena: eval cache is bound to seed %d, session wants %d",
-				cfg.cache.Engine().Seed(), cfg.seed)
-		}
-		s.eng = cfg.cache.Engine()
-		s.cache = cfg.cache
-	} else {
-		s.eng = exec.NewEngine(cfg.seed)
-		s.cache = NewEvalCache(s.eng)
-	}
+	eng := exec.NewEngine(cfg.seed)
+	s := &Session{cfg: cfg, eng: eng, planner: planner.New(), cache: NewEvalCache(eng)}
 	if cfg.storeDir != "" {
 		st, err := store.Open(cfg.storeDir)
 		if err != nil {
@@ -147,7 +133,7 @@ func New(opts ...Option) (*Session, error) {
 // of the session's lifecycle. The returned error, when non-nil, is a
 // *store-layer persistence failure; all measured results remain valid, so
 // callers typically warn and continue, exactly as with
-// perfdb.SnapshotError.
+// perfdb.PersistError.
 func (s *Session) Close() error {
 	if s.store == nil {
 		return nil
@@ -175,7 +161,8 @@ func (s *Session) Store() *store.Store {
 func (s *Session) EvalStoreStats() EvalStoreStats { return s.cache.StoreStats() }
 
 // PerfDBStoreStats reports how the last BuildPerfDB call was served from
-// the store (zero before the first call or without WithStore).
+// the store (zero before the first call; without WithStore every column
+// counts as built).
 func (s *Session) PerfDBStoreStats() PerfDBStoreStats {
 	s.dbMu.Lock()
 	defer s.dbMu.Unlock()
@@ -208,8 +195,7 @@ func (s *Session) Engine() *Engine { return s.eng }
 // Planner returns the session's execution-free parallelism planner.
 func (s *Session) Planner() *Planner { return s.planner }
 
-// EvalCache returns the session's stage-measurement cache. Pass it to
-// another session via WithEvalCache to share memoized measurements.
+// EvalCache returns the session's stage-measurement cache.
 func (s *Session) EvalCache() *EvalCache { return s.cache }
 
 // emit forwards a progress event, serializing the user's callback.
@@ -414,15 +400,11 @@ func (s *Session) Evaluate(ctx context.Context, g *Graph, p *Plan, gpuType strin
 // first use over (GPU types × counts up to MaxN × workloads) — by far the
 // most expensive step of a simulator run. With WithStore each workload
 // column is served from the content-addressed store when present and only
-// missing columns are built (and written back); with WithPerfDBSnapshot
-// it loads a matching all-or-nothing snapshot instead, and writes one
-// after a fresh build.
+// missing columns are built (and written back).
 //
-// A snapshot or column persistence failure returns the fully usable
-// database together with a *perfdb.SnapshotError-wrapped error; callers
-// decide whether to warn or abort. PerfDBFromSnapshot reports which path
-// served the call, and PerfDBStoreStats breaks a store-served build down
-// by column.
+// A column persistence failure returns the fully usable database together
+// with a *perfdb.PersistError-wrapped error; callers decide whether to
+// warn or abort. PerfDBStoreStats breaks the build down by column.
 func (s *Session) BuildPerfDB(ctx context.Context) (*PerfDB, error) {
 	for {
 		if err := ctx.Err(); err != nil {
@@ -462,22 +444,11 @@ func (s *Session) BuildPerfDB(ctx context.Context) (*PerfDB, error) {
 			// into the session memo (and to the store on Close).
 			EvalCache: s.cache,
 		}
-		var (
-			db     *perfdb.DB
-			loaded bool
-			stats  perfdb.StoreStats
-			err    error
-		)
-		if s.store != nil {
-			db, stats, err = perfdb.BuildOrLoadStore(ctx, s.eng, opts, s.store)
-			loaded = stats.FromStore()
-		} else {
-			db, loaded, err = perfdb.BuildOrLoadCtx(ctx, s.eng, opts, s.cfg.snapshot)
-		}
+		db, stats, err := perfdb.BuildOrLoadStore(ctx, s.eng, opts, s.store)
 		s.dbMu.Lock()
 		s.dbBuilding = nil
 		if db != nil {
-			s.db, s.dbFromSnapshot, s.dbStoreStats = db, loaded, stats
+			s.db, s.dbStoreStats = db, stats
 		}
 		s.dbMu.Unlock()
 		close(building)
@@ -485,17 +456,9 @@ func (s *Session) BuildPerfDB(ctx context.Context) (*PerfDB, error) {
 	}
 }
 
-// PerfDBFromSnapshot reports whether BuildPerfDB served the database from
-// the configured snapshot (false before the first BuildPerfDB call).
-func (s *Session) PerfDBFromSnapshot() bool {
-	s.dbMu.Lock()
-	defer s.dbMu.Unlock()
-	return s.dbFromSnapshot
-}
-
 // Simulate runs the discrete-event cluster simulation. Config fields the
 // caller leaves zero are filled from the session: a nil DB uses
-// BuildPerfDB (tolerating snapshot persistence failures), an empty Spec
+// BuildPerfDB (tolerating store persistence failures), an empty Spec
 // uses the WithCluster spec, a nil Faults uses the WithFaults config, and
 // a nil Progress uses the session stream.
 func (s *Session) Simulate(ctx context.Context, cfg SimConfig) (*SimResult, error) {

@@ -47,7 +47,6 @@ func main() {
 		faultTrace = flag.String("fault-trace", "", "scripted failure-trace file (lines: <time> crash|recover <type> <node>, <time> slow <type> <node> <factor> <dur>)")
 		ckptEvery  = flag.Float64("checkpoint-interval", 1800, "modeled checkpoint period, seconds of productive training")
 		noRecovery = flag.Bool("no-fault-recovery", false, "ablation: preempted jobs fail instead of restarting from checkpoint")
-		refScore   = flag.Bool("reference-score", false, "run the policies' full per-round rescans instead of their incremental score caches (bit-identical, slower; the parity oracle)")
 	)
 	c := cli.CommonFlags()
 	flag.Parse()
@@ -115,8 +114,7 @@ func main() {
 	for _, p := range pols {
 		sc := arena.SimConfig{
 			Policy: p, RoundSeconds: 300, MaxRounds: pick(*rounds, 2*window+576),
-			IncludeUnfinished: true, Seed: c.Seed,
-			Faults: fc, ReferenceScore: *refScore,
+			IncludeUnfinished: true, Seed: c.Seed, Faults: fc,
 		}
 		// Sources are single-use: each policy gets its own (identical)
 		// stream.

@@ -2,7 +2,6 @@ package perfdb
 
 import (
 	"context"
-	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -24,7 +23,7 @@ func cancelOpts() Options {
 // TestBuildCtxCancellation asserts the tentpole contract for database
 // builds: cancelling mid-build returns ctx.Err() promptly with no
 // database and no leaked goroutines, and a subsequent uncancelled build
-// on the same engine matches the pre-cancellation reference bit for bit.
+// on the same engine matches a fresh build on a new engine bit for bit.
 func TestBuildCtxCancellation(t *testing.T) {
 	eng := exec.NewEngine(42)
 	before := runtime.NumGoroutine()
@@ -59,25 +58,16 @@ func TestBuildCtxCancellation(t *testing.T) {
 	}
 
 	// The engine is stateless across builds: after the aborted attempts an
-	// uncancelled build still matches the serial reference exactly.
-	serialOpts := cancelOpts()
-	serialOpts.NoCache, serialOpts.Serial = true, true
-	ref, err := Build(eng, serialOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// uncancelled build still matches a fresh engine's build exactly.
 	rebuilt, err := BuildCtx(context.Background(), eng, cancelOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(ref.entries, rebuilt.entries) {
-		t.Error("post-cancel rebuild diverged from the serial reference")
+	fresh, err := Build(exec.NewEngine(42), cancelOpts())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(ref.arenaProfileWall, rebuilt.arenaProfileWall) ||
-		!reflect.DeepEqual(ref.dpProfileWall, rebuilt.dpProfileWall) ||
-		!reflect.DeepEqual(ref.siaProfileWall, rebuilt.siaProfileWall) {
-		t.Error("post-cancel rebuild wall times diverged from the serial reference")
-	}
+	equalDBExact(t, rebuilt, fresh)
 }
 
 // TestBuildCtxProgressCoversEveryPoint asserts the progress stream emits

@@ -27,10 +27,12 @@
 // byte-identical for n=8).
 // Options.EvalCache substitutes a caller-owned cache — the session
 // passes its store-attached one, so even a first-ever build starts from
-// measurements persisted by earlier searches. All execution options
-// (NoCache, Serial, Workers, EvalCache) change wall-clock only; the
-// reference paths and determinism tests in this package prove results
-// stay bit-identical.
+// measurements persisted by earlier searches. The execution options
+// (Workers, EvalCache) change wall-clock only: the determinism tests in
+// this package pin a build's entries to a digest recorded from the
+// uncached serial build this one replaced, and check shared-cache,
+// store-backed and post-cancellation builds against fresh ones bit for
+// bit.
 //
 // BuildOrLoadStore avoids rebuilding: it persists one content-addressed
 // object per workload column with partial invalidation — adding a

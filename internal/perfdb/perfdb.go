@@ -86,20 +86,9 @@ type Options struct {
 	MaxN      int
 	Workloads []model.Workload
 
-	// NoCache disables the shared stage-measurement cache and the
-	// types × counts fan-out, reproducing the pre-memoization build
-	// exactly (every search re-measures from scratch, serially within a
-	// workload). It exists as the reference baseline for determinism
-	// tests and benchmarks; the cached path is bit-identical, just
-	// faster.
-	NoCache bool
-	// Serial additionally disables the per-workload fan-out, forcing a
-	// fully single-threaded build.
-	Serial bool
-
 	// Workers caps the build's total worker budget across both fan-out
-	// levels (workloads × points). <= 0 means all cores (GOMAXPROCS).
-	// Like NoCache/Serial it changes wall-clock only, never results.
+	// levels (workloads × points). <= 0 means all cores (GOMAXPROCS); 1
+	// builds fully serially. It changes wall-clock only, never results.
 	Workers int
 
 	// EvalCache, when non-nil, is the measurement cache the build's
@@ -111,7 +100,7 @@ type Options struct {
 	// measurements earlier searches persisted, instead of measuring
 	// every workload column cold. The engine is a pure function of its
 	// seed, so sharing a cache — across workloads and across processes —
-	// changes wall-clock only, never results. Ignored with NoCache.
+	// changes wall-clock only, never results.
 	EvalCache *evalcache.Cache
 
 	// Progress, when non-nil, receives one "perfdb.build" event per
@@ -181,16 +170,12 @@ func BuildCtx(ctx context.Context, eng *exec.Engine, opts Options) (*DB, error) 
 	// Workloads are independent; build them concurrently. The engine is a
 	// pure function of its seed, so concurrency cannot perturb results.
 	results := make([]workloadResult, len(opts.Workloads))
-	workloadWorkers := opts.maxWorkers()
-	if opts.Serial {
-		workloadWorkers = 1
-	}
 	counts := 0
 	for n := 1; n <= opts.MaxN; n *= 2 {
 		counts++
 	}
 	sink := &progressSink{fn: opts.Progress, total: len(opts.Workloads) * len(opts.GPUTypes) * counts}
-	if err := core.ParallelForCtx(ctx, len(opts.Workloads), workloadWorkers, func(i int) {
+	if err := core.ParallelForCtx(ctx, len(opts.Workloads), opts.maxWorkers(), func(i int) {
 		results[i] = buildWorkload(ctx, eng, ct, opts.Workloads[i], opts, sink)
 	}); err != nil {
 		return nil, err
@@ -286,14 +271,11 @@ func buildWorkload(ctx context.Context, eng *exec.Engine, ct *profiler.CommTable
 	// device, node packing), so workloads sharing one cache cannot
 	// collide, and a store-attached session cache lets this build start
 	// from measurements persisted by earlier searches.
-	var searchOpts search.Options
-	if !opts.NoCache {
-		cache := opts.EvalCache
-		if cache == nil {
-			cache = evalcache.New(eng)
-		}
-		searchOpts = search.Options{Cache: cache, Workers: 1}
+	cache := opts.EvalCache
+	if cache == nil {
+		cache = evalcache.New(eng)
 	}
+	searchOpts := search.Options{Cache: cache, Workers: 1}
 
 	type point struct {
 		typ string
@@ -306,14 +288,10 @@ func buildWorkload(ctx context.Context, eng *exec.Engine, ct *profiler.CommTable
 		}
 	}
 	outs := make([]pointResult, len(points))
-	workers := 1
-	if !opts.NoCache && !opts.Serial {
-		// Split the worker budget across the workloads building
-		// concurrently so the two fan-out levels multiply to ~budget,
-		// not budget².
-		budget := opts.maxWorkers()
-		workers = max(1, budget/max(1, min(len(opts.Workloads), budget)))
-	}
+	// Split the worker budget across the workloads building concurrently
+	// so the two fan-out levels multiply to ~budget, not budget².
+	budget := opts.maxWorkers()
+	workers := max(1, budget/max(1, min(len(opts.Workloads), budget)))
 	if err := core.ParallelForCtx(ctx, len(points), workers, func(i int) {
 		outs[i] = buildPoint(ctx, eng, g, w, jp, points[i].typ, points[i].n, searchOpts)
 		if outs[i].err == nil {
@@ -350,13 +328,7 @@ func buildPoint(ctx context.Context, eng *exec.Engine, g *model.Graph, w model.W
 	out.entry = e
 
 	// Static DP view.
-	var dpRes exec.Result
-	var err error
-	if c := searchOpts.Cache; c != nil {
-		dpRes, err = c.Evaluate(g, parallel.PureDP(g, n), spec, w.GlobalBatch, spec.GPUsPerNode)
-	} else {
-		dpRes, err = eng.Evaluate(g, parallel.PureDP(g, n), spec, w.GlobalBatch)
-	}
+	dpRes, err := searchOpts.Cache.Evaluate(g, parallel.PureDP(g, n), spec, w.GlobalBatch, spec.GPUsPerNode)
 	if err != nil {
 		out.err = err
 		return out

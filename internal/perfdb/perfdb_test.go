@@ -1,6 +1,9 @@
 package perfdb
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"sync"
 	"testing"
 
@@ -262,23 +265,59 @@ func TestBuildDeterministic(t *testing.T) {
 	}
 }
 
+// uncachedSerialDigest is dbDigest of the storeTestOpts build of
+// storeTestWorkloads, recorded from the uncached, fully serial build the
+// memoized fan-out build replaced (the two were then compared field by
+// field and matched).
+const uncachedSerialDigest = "ab8c97aa3dd537cd5cf0c4e4cd6c805e2096ba72739844e2a6b0063d3d340075"
+
+// dbDigest hashes a database's entries (throughputs, plans, modeled
+// search times) in key order and its profiling wall-time accumulators in
+// storeTestWorkloads order. JSON prints each float64 in its shortest
+// round-tripping form, so equal digests mean bit-identical databases.
+func dbDigest(t *testing.T, d *DB) string {
+	t.Helper()
+	type entryRow struct {
+		Key   Key
+		Entry Entry
+	}
+	type wallRow struct {
+		Workload       string
+		Arena, DP, Sia float64
+	}
+	var entries []entryRow
+	for _, k := range d.Keys() {
+		entries = append(entries, entryRow{k, *d.entries[k]})
+	}
+	var walls []wallRow
+	for _, w := range storeTestWorkloads {
+		walls = append(walls, wallRow{w.String(), d.arenaProfileWall[w], d.dpProfileWall[w], d.siaProfileWall[w]})
+	}
+	data, err := json.Marshal(struct {
+		Entries []entryRow
+		Walls   []wallRow
+	}{entries, walls})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:])
+}
+
 // TestCachedBuildMatchesUncachedSerial is the perfdb half of the
-// memoization determinism guarantee: the memoized fan-out build and the
-// pre-cache serial build produce byte-identical databases — entries
-// (throughputs, plans, modeled search times) and profiling wall-time
-// accumulators.
+// memoization determinism guarantee: the memoized fan-out build
+// reproduces, bit for bit, the database the pre-cache serial build
+// produced — entries and profiling wall-time accumulators, pinned by
+// uncachedSerialDigest. Update the digest only for a change that is
+// meant to alter the database.
 func TestCachedBuildMatchesUncachedSerial(t *testing.T) {
-	opts := storeTestOpts(storeTestWorkloads...)
-	cached, err := Build(exec.NewEngine(42), opts)
+	d, err := Build(exec.NewEngine(42), storeTestOpts(storeTestWorkloads...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.NoCache, opts.Serial = true, true
-	baseline, err := Build(exec.NewEngine(42), opts)
-	if err != nil {
-		t.Fatal(err)
+	if got := dbDigest(t, d); got != uncachedSerialDigest {
+		t.Fatalf("database digest %s, want %s", got, uncachedSerialDigest)
 	}
-	equalDBExact(t, cached, baseline)
 }
 
 func TestBuildSharedEvalCacheMatchesFresh(t *testing.T) {

@@ -19,31 +19,32 @@
 //
 // # Enumeration
 //
-// Step 2 runs on one of two interchangeable enumerators, both streaming
-// into a candidateSink. The default is the incremental prefix DP of
-// dp.go: partitions are walked as a tree of boundary choices, per-stage
-// fractional shares and the power-of-two assignment DP's rows are keyed
-// to the deepest boundary they depend on and computed once per frontier
-// extension instead of once per partition, and stage ranges that fit
-// device memory at no GPU count prune their whole subtree.
-// Planner.Exhaustive selects the reference enumerator that evaluates
-// every partition from scratch.
+// Step 2 runs on the incremental prefix DP of dp.go, streaming into a
+// candidateSink: partitions are walked as a tree of boundary choices,
+// per-stage fractional shares and the power-of-two assignment DP's rows
+// are keyed to the deepest boundary they depend on and computed once per
+// frontier extension instead of once per partition, and stage ranges
+// that fit device memory at no GPU count prune their whole subtree.
 //
 // # Pareto reduction
 //
-// Step 4 likewise has a fast path and a reference. By default PlanGrid
-// fuses the reduction into emission: the incremental sweep of
-// frontier.go maintains the (b_comp, l_comm) staircase online, rejects
+// PlanGrid fuses step 4's reduction into emission: the incremental sweep
+// of frontier.go maintains the (b_comp, l_comm) staircase online, rejects
 // dominated candidates at O(log F) insertion time without materializing
 // them, and queries intra-stage selection lazily — a candidate's
 // communication scan stops at the first stage that proves domination.
-// Planner.SortedPareto selects the post-hoc reference (pareto.go):
-// materialize the population, sort, sweep once. Exact metric ties
-// resolve by lexicographic partition rank on both paths, so all four
-// enumerator × reduction combinations emit bit-identical GridPlans (the
-// stability analysis and proof obligations are spelled out in dp.go,
-// frontier.go and docs/ARCHITECTURE.md); the reference flags exist only
-// for determinism tests and benchmark baselines.
+//
+// # References
+//
+// Both fast paths replaced references that now live only in the tests
+// (reference_test.go): the exhaustive enumerator that evaluates every
+// partition from scratch, and the post-hoc reduction that materializes
+// the population, sorts it and sweeps once. Exact metric ties resolve by
+// lexicographic partition rank everywhere, so all four enumerator ×
+// reduction combinations emit bit-identical GridPlans, which the
+// determinism tests check against production PlanGrid (the stability
+// analysis and proof obligations are spelled out in dp.go, frontier.go
+// and docs/ARCHITECTURE.md).
 //
 // PlanHetero extends the same partition machinery to mixed GPU pools
 // (§6): stages stay internally homogeneous, each pinned to one type with

@@ -1,14 +1,16 @@
 package planner
 
 // This file is the incremental prefix-DP partition enumerator — the
-// default path behind PlanGrid and EnumerateCandidates. The reference
-// enumerator (forEachPartition + buildCandidate) treats every one of the
-// C(O−1, s−1) partitions as independent: it recomputes the fractional
-// GPU shares of all s stages and runs the full power-of-two assignment
-// DP (normalizeAssignment, O(s·n·log n)) from scratch per partition,
-// even though consecutive partitions differ in a single boundary. After
-// PR 1 removed the allocation cost, that redundant recomputation was the
-// dominant cost of a cold performance-database build (~60%).
+// only enumerator behind PlanGrid and EnumerateCandidates. The
+// per-partition reference it replaced (forEachPartition +
+// normalizeAssignment, kept as enumerateExhaustive in reference_test.go)
+// treats every one of the C(O−1, s−1) partitions as independent: it
+// recomputes the fractional GPU shares of all s stages and runs the full
+// power-of-two assignment DP (normalizeAssignment, O(s·n·log n)) from
+// scratch per partition, even though consecutive partitions differ in a
+// single boundary. Once its allocations were pooled, that redundant
+// recomputation was the dominant cost of a cold performance-database
+// build (~60%).
 //
 // The DP enumerator removes the redundancy by walking partitions as a
 // tree of boundary choices and keying every piece of per-stage state to
@@ -104,9 +106,10 @@ type partitionDP struct {
 	sink candidateSink // consumes leaves, keyed by lexicographic rank
 }
 
-// enumerateDP is the prefix-DP twin of the Exhaustive enumerate branch:
-// same candidates, same lexicographic ranks, same partition count, ~4×
-// less work.
+// enumerateDP streams every partition of the grid with a feasible GPU
+// assignment into the sink and returns the count of partitions
+// enumerated: the per-partition reference's candidates, lexicographic
+// ranks and partition count with ~4× less work.
 func (pl *Planner) enumerateDP(
 	g *model.Graph, grid core.Grid,
 	stats *opRangeStats, intra *intraSelector,
@@ -115,7 +118,7 @@ func (pl *Planner) enumerateDP(
 	numOps := len(g.Ops)
 	if grid.S == 1 {
 		// A single partition has no boundary frontier to share; evaluate
-		// it with the reference per-partition code path.
+		// it directly.
 		scr := newCandScratch(1, grid.N)
 		scr.ideal[0] = stats.loadOf(0, numOps) / totalLoad * float64(grid.N)
 		scr.opsPer[0] = numOps
@@ -317,16 +320,13 @@ func (e *partitionDP) leaf(b, rank int) {
 }
 
 // populationSink materializes every feasible candidate — the sink behind
-// EnumerateCandidates (Fig. 14 measures whole grid populations) and the
-// SortedPareto reference reduction. out accumulates candidates in
-// arrival order; slots maps each partition's lexicographic rank to 1+its
-// out index, so candidates() rebuilds the canonical lexicographic order
-// by a linear slot scan instead of a comparison sort, whichever
-// enumerator streamed in. Indices rather than pointers keep the hot loop
-// free of GC write barriers. Retained storage is bump-allocated from the
-// sink's arena instead of six heap objects per candidate; PlanGrid
-// detaches the few candidates that survive Pareto reduction, releasing
-// the arena with the enumeration.
+// EnumerateCandidates (Fig. 14 measures whole grid populations). out
+// accumulates candidates in arrival order; slots maps each partition's
+// lexicographic rank to 1+its out index, so candidates() rebuilds the
+// canonical lexicographic order by a linear slot scan instead of a
+// comparison sort. Indices rather than pointers keep the hot loop free
+// of GC write barriers. Retained storage is bump-allocated from the
+// sink's arena instead of six heap objects per candidate.
 type populationSink struct {
 	intra    *intraSelector
 	numMicro int

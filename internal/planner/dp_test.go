@@ -35,49 +35,50 @@ func dpTestMatrix() []core.Grid {
 	return grids
 }
 
-// plannerVariants is the parity matrix's axis: every combination of
-// enumerator (prefix DP vs exhaustive reference) and Pareto reduction
-// (incremental sweep vs post-hoc sorted reference). The first entry is
-// the default fast path; all four must emit bit-identical GridPlans.
-func plannerVariants() []struct {
+// planVariant is one way of planning a grid.
+type planVariant struct {
 	name string
-	pl   *Planner
-} {
-	mk := func(exhaustive, sorted bool) *Planner {
-		pl := New()
-		pl.Exhaustive = exhaustive
-		pl.SortedPareto = sorted
-		return pl
+	plan func(*model.Graph, core.Grid) (*GridPlan, error)
+}
+
+// plannerVariants is the parity matrix's axis: production PlanGrid first
+// (prefix DP + incremental sweep), then every other combination of
+// enumerator (prefix DP vs the exhaustive reference) and Pareto reduction
+// (incremental sweep vs the post-hoc sorted reference), all from
+// reference_test.go. All four must emit bit-identical GridPlans.
+func plannerVariants() []planVariant {
+	pl := New()
+	ref := func(exhaustive, sorted bool) func(*model.Graph, core.Grid) (*GridPlan, error) {
+		return func(g *model.Graph, grid core.Grid) (*GridPlan, error) {
+			return referencePlanGrid(pl, g, grid, exhaustive, sorted)
+		}
 	}
-	return []struct {
-		name string
-		pl   *Planner
-	}{
-		{"dp+sweep", mk(false, false)},
-		{"dp+sorted", mk(false, true)},
-		{"exhaustive+sweep", mk(true, false)},
-		{"exhaustive+sorted", mk(true, true)},
+	return []planVariant{
+		{"dp+sweep", pl.PlanGrid},
+		{"dp+sorted", ref(false, true)},
+		{"exhaustive+sweep", ref(true, false)},
+		{"exhaustive+sorted", ref(true, true)},
 	}
 }
 
-// TestPrefixDPMatchesExhaustive is the tentpole's frontier-stability
+// TestPrefixDPMatchesExhaustive is the planner's frontier-stability
 // proof: across the whole grid matrix, every enumerator × reduction
-// combination emits GridPlans bit-identical to the default (prefix DP +
-// incremental sweep) — same feasibility, same partition count,
-// deep-equal proxy and frontier (plans, metrics, assignments, ideals).
-// The exhaustive enumerator offers candidates in lexicographic order and
-// the DP in colexicographic order, so agreement through the shared sweep
-// also proves the staircase's order independence on real populations.
+// combination emits GridPlans bit-identical to production PlanGrid —
+// same feasibility, same partition count, deep-equal proxy and frontier
+// (plans, metrics, assignments, ideals). The exhaustive enumerator
+// offers candidates in lexicographic order and the DP in
+// colexicographic order, so agreement through the shared sweep also
+// proves the staircase's order independence on real populations.
 func TestPrefixDPMatchesExhaustive(t *testing.T) {
 	variants := plannerVariants()
 	for _, grid := range dpTestMatrix() {
 		g := model.MustBuildClustered(grid.Workload.Model)
-		want, err := variants[0].pl.PlanGrid(g, grid)
+		want, err := variants[0].plan(g, grid)
 		if err != nil {
 			t.Fatalf("%v: %s: %v", grid, variants[0].name, err)
 		}
 		for _, v := range variants[1:] {
-			got, err := v.pl.PlanGrid(g, grid)
+			got, err := v.plan(g, grid)
 			if err != nil {
 				t.Fatalf("%v: %s: %v", grid, v.name, err)
 			}
@@ -107,12 +108,12 @@ func TestSweepFrontierTieStress(t *testing.T) {
 	} {
 		g := zeroLoadGraph(tc.ops, tc.zero)
 		gr := grid(g.Name, 64, "A40", tc.n, tc.s)
-		want, err := variants[0].pl.PlanGrid(g, gr)
+		want, err := variants[0].plan(g, gr)
 		if err != nil {
 			t.Fatalf("%v: %v", gr, err)
 		}
 		for _, v := range variants[1:] {
-			got, err := v.pl.PlanGrid(g, gr)
+			got, err := v.plan(g, gr)
 			if err != nil {
 				t.Fatalf("%v: %s: %v", gr, v.name, err)
 			}
@@ -128,15 +129,13 @@ func TestSweepFrontierTieStress(t *testing.T) {
 // emission order — candidate lists are compared element-wise.
 func TestEnumerateCandidatesDPMatchesExhaustive(t *testing.T) {
 	dp := New()
-	ex := New()
-	ex.Exhaustive = true
 	for _, grid := range dpTestMatrix() {
 		if grid.S == 1 || grid.N < 4 {
 			continue // thin grids are covered by the PlanGrid sweep
 		}
 		g := model.MustBuildClustered(grid.Workload.Model)
 		got := dp.EnumerateCandidates(g, grid)
-		want := ex.EnumerateCandidates(g, grid)
+		want := referenceEnumerateCandidates(g, grid)
 		if len(got) != len(want) {
 			t.Fatalf("%v: %d candidates via DP, %d exhaustive", grid, len(got), len(want))
 		}
@@ -172,10 +171,9 @@ func zeroLoadGraph(numOps int, zeroEvery int) *model.Graph {
 }
 
 // TestPlannerEdgePartitions covers the degenerate partitions on every
-// enumerator × reduction combination before the reference paths are
-// deleted: s=1 (single stage), s=numOps (one operator per stage), and
-// graphs with zero-load operators, asserting path parity plus basic
-// shape invariants.
+// enumerator × reduction combination: s=1 (single stage), s=numOps (one
+// operator per stage), and graphs with zero-load operators, asserting
+// path parity plus basic shape invariants.
 func TestPlannerEdgePartitions(t *testing.T) {
 	type gcase struct {
 		name string
@@ -195,12 +193,12 @@ func TestPlannerEdgePartitions(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			variants := plannerVariants()
-			got, err := variants[0].pl.PlanGrid(tc.g, tc.grid)
+			got, err := variants[0].plan(tc.g, tc.grid)
 			if err != nil {
 				t.Fatalf("%s: %v", variants[0].name, err)
 			}
 			for _, v := range variants[1:] {
-				want, err := v.pl.PlanGrid(tc.g, tc.grid)
+				want, err := v.plan(tc.g, tc.grid)
 				if err != nil {
 					t.Fatalf("%s: %v", v.name, err)
 				}
@@ -271,18 +269,18 @@ func TestPascalTriangle(t *testing.T) {
 	}
 }
 
-// TestExhaustiveFlagChangesNothingVisible guards the reference toggle
-// itself: an Exhaustive planner must keep satisfying the public
-// invariants the default path is tested for (frontier non-domination,
-// proxy provenance).
+// TestExhaustiveFlagChangesNothingVisible guards the full reference
+// (exhaustive enumerator, sorted reduction) itself — once selected by a
+// Planner flag, now kept in reference_test.go: it must keep satisfying
+// the public invariants production PlanGrid is tested for (feasibility,
+// proxy provenance), so the parity tests never compare against a
+// degenerate oracle.
 func TestExhaustiveFlagChangesNothingVisible(t *testing.T) {
-	pl := New()
-	pl.Exhaustive = true
 	g := model.MustBuildClustered("WRes-2B")
-	gp, err := pl.PlanGrid(g, core.Grid{
+	gp, err := referencePlanGrid(New(), g, core.Grid{
 		Workload: model.Workload{Model: "WRes-2B", GlobalBatch: 512},
 		GPUType:  "A40", N: 8, S: 4,
-	})
+	}, true, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,12 @@
 package planner
 
-// This file is the frontier-aware incremental Pareto sweep — the default
-// reduction path behind PlanGrid. The post-hoc reference (pareto.go)
-// materializes every memory-feasible candidate of a grid, sorts the full
-// population and sweeps it once; for the 16-operator graphs at s = 8
-// that is up to 6,435 materializations and an O(C log C) sort to keep a
-// frontier of at most a few dozen plans. The sweep fuses the reduction
+// This file is the frontier-aware incremental Pareto sweep — the
+// reduction behind PlanGrid. The post-hoc reference it replaced
+// (paretoFrontier, kept in reference_test.go) materializes every
+// memory-feasible candidate of a grid, sorts the full population and
+// sweeps it once; for the 16-operator graphs at s = 8 that is up to
+// 6,435 materializations and an O(C log C) sort to keep a frontier of at
+// most a few dozen plans. The sweep fuses the reduction
 // into candidate emission instead: a staircase of the current
 // (BComp, LComm) minima is maintained online, every emitted candidate is
 // judged against it in O(log F), and only candidates that enter the
@@ -22,12 +23,12 @@ package planner
 // exactly tied on both with a smaller lexicographic partition rank".
 // That set is a property of the candidate *population*, not of the order
 // candidates arrive in — which is what lets the prefix DP (colex
-// discovery order) and the exhaustive enumerator (lex order) route
-// through one frontier and still emit bit-identical GridPlans. The rank
-// tie-break is load-bearing: dropping it would make exact (BComp, LComm)
-// ties — which uniform transformer layers and zero-load operators
-// produce routinely — fall to whichever duplicate arrives first, and the
-// two enumerators arrive in different orders. See docs/ARCHITECTURE.md
+// discovery order) and the test-only exhaustive enumerator (lex order)
+// route through one frontier and still emit bit-identical GridPlans. The
+// rank tie-break is load-bearing: dropping it would make exact
+// (BComp, LComm) ties — which uniform transformer layers and zero-load
+// operators produce routinely — fall to whichever duplicate arrives
+// first, and the two enumerators arrive in different orders. See docs/ARCHITECTURE.md
 // §planner for why the pre-sweep sort had the same tie problem in a
 // worse form.
 
@@ -48,7 +49,7 @@ type frontierEntry struct {
 // sweepFrontier maintains the (BComp, LComm) Pareto staircase online
 // under simultaneous minimization: entries are strictly increasing in
 // BComp and strictly decreasing in LComm. It implements candidateSink,
-// so either enumerator can stream into it.
+// so any enumerator can stream into it.
 type sweepFrontier struct {
 	intra    *intraSelector
 	numMicro int

@@ -153,12 +153,12 @@ func TestSweepFrontierRandomGraphParity(t *testing.T) {
 			s = n
 		}
 		gr := grid(g.Name, 64, "A40", n, s)
-		want, err := variants[0].pl.PlanGrid(g, gr)
+		want, err := variants[0].plan(g, gr)
 		if err != nil {
 			t.Fatalf("trial %d %v: %v", trial, gr, err)
 		}
 		for _, v := range variants[1:] {
-			got, err := v.pl.PlanGrid(g, gr)
+			got, err := v.plan(g, gr)
 			if err != nil {
 				t.Fatalf("trial %d %v: %s: %v", trial, gr, v.name, err)
 			}

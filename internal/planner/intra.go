@@ -90,7 +90,7 @@ func (is *intraSelector) best(start, end, gpus int) *intraChoice {
 
 // commAccum accumulates the communication-load metric (Eq. 4) stage by
 // stage. It is the single home of the metric's float arithmetic, shared
-// by the eager reference path (stageMetrics) and the incremental sweep
+// by the eager population path (stageMetrics) and the incremental sweep
 // (sweepFrontier.offer) so a candidate's LComm bits depend only on its
 // stage choices, never on which path computed them. Both partial terms
 // are monotone — the running maximum never decreases and every added

@@ -1,55 +1,6 @@
 package planner
 
-import (
-	"math"
-	"sort"
-)
-
-// paretoFrontier returns the non-dominated candidates under simultaneous
-// minimization of (BComp, LComm): a plan is kept iff no other plan is at
-// least as good on both metrics and strictly better on one (§3.3). It is
-// the post-hoc reference the incremental sweep (frontier.go) is proven
-// against, reachable through Planner.SortedPareto.
-//
-// Exact (BComp, LComm) ties keep the candidate at the lowest input
-// position — the lexicographic partition rank, since both enumerators
-// present candidates in that order. The position tie-break is explicit
-// in the comparator: an earlier revision sorted on the metrics alone,
-// which let sort.Slice's unstable pdqsort pick the surviving duplicate —
-// deterministic for a fixed Go release but an artifact of the sort
-// algorithm, observed to keep non-first members in two thirds of the
-// tie-heavy matrix's frontier tie groups. The rank rule makes the
-// reference a pure function of the candidate population and is what the
-// incremental sweep reproduces order-independently.
-func paretoFrontier(cands []*Candidate) []*Candidate {
-	// Sort by BComp ascending, LComm ascending, input position ascending
-	// (a total order, so sort instability cannot matter); then sweep: a
-	// candidate is on the frontier iff its LComm is strictly below every
-	// previously kept LComm (classic 2-D skyline).
-	pos := make(map[*Candidate]int, len(cands))
-	for i, c := range cands {
-		pos[c] = i
-	}
-	sorted := append([]*Candidate(nil), cands...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].BComp != sorted[j].BComp {
-			return sorted[i].BComp < sorted[j].BComp
-		}
-		if sorted[i].LComm != sorted[j].LComm {
-			return sorted[i].LComm < sorted[j].LComm
-		}
-		return pos[sorted[i]] < pos[sorted[j]]
-	})
-	var frontier []*Candidate
-	bestLComm := math.MaxFloat64
-	for _, c := range sorted {
-		if c.LComm < bestLComm {
-			frontier = append(frontier, c)
-			bestLComm = c.LComm
-		}
-	}
-	return frontier
-}
+import "math"
 
 // reduceFrontier shrinks an oversized frontier by repeatedly locating the
 // pair of plans with the most similar stage partitions and dropping the

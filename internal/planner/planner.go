@@ -20,22 +20,6 @@ type Planner struct {
 	// proxy selection to plans within (1+BiasTolerance)×min, letting the
 	// communication load break near-ties.
 	BiasTolerance float64
-	// Exhaustive switches PlanGrid and EnumerateCandidates from the
-	// incremental prefix-DP enumerator (dp.go) to the reference
-	// enumerator that recomputes every partition from scratch. Both emit
-	// bit-identical GridPlans — proven by TestPrefixDPMatchesExhaustive —
-	// so the flag changes wall-clock only. It exists for the determinism
-	// tests and the BenchmarkPlanGrid baseline, and is scheduled for
-	// deletion once a release has soaked with the DP path as default.
-	Exhaustive bool
-	// SortedPareto switches PlanGrid from the incremental Pareto sweep
-	// (frontier.go) to the post-hoc reference reduction: materialize the
-	// whole candidate population, sort it and sweep once (pareto.go).
-	// Orthogonal to Exhaustive — all four combinations emit bit-identical
-	// GridPlans (TestPrefixDPMatchesExhaustive sweeps the matrix) — and,
-	// like it, exists for the parity tests and the benchmark baseline
-	// until a release has soaked on the sweep.
-	SortedPareto bool
 }
 
 // New returns a Planner with the paper-aligned defaults.
@@ -116,26 +100,12 @@ func (pl *Planner) PlanGrid(g *model.Graph, grid core.Grid) (*GridPlan, error) {
 	numMicro := parallel.DefaultMicrobatches(grid.S)
 	intra := newIntraSelector(g, spec, grid, numMicro)
 
+	// The incremental sweep judges candidates as they are emitted and
+	// materializes only staircase members.
 	out := &GridPlan{Grid: grid}
-	var frontier []*Candidate
-	if pl.SortedPareto {
-		// Reference reduction: materialize the full population (arena-
-		// backed), then sort-and-sweep post hoc. Survivors are detached
-		// so the returned frontier does not pin the enumeration's arena.
-		sink := newPopulationSink(g, grid, intra, numMicro)
-		out.CandidatesEvaluated = pl.enumerate(g, grid, stats, intra, totalLoad, numMicro, sink)
-		frontier = paretoFrontier(sink.candidates())
-		for i, c := range frontier {
-			frontier[i] = detachCandidate(c)
-		}
-	} else {
-		// Default: the incremental sweep judges candidates as they are
-		// emitted and materializes only staircase members, already
-		// detached.
-		sink := newSweepFrontier(grid.S, intra, numMicro)
-		out.CandidatesEvaluated = pl.enumerate(g, grid, stats, intra, totalLoad, numMicro, sink)
-		frontier = sink.candidates()
-	}
+	sink := newSweepFrontier(grid.S, intra, numMicro)
+	out.CandidatesEvaluated = pl.enumerateDP(g, grid, stats, intra, totalLoad, numMicro, sink)
+	frontier := sink.candidates()
 	if len(frontier) == 0 {
 		return out, nil // infeasible grid: nothing fits memory
 	}
@@ -143,23 +113,6 @@ func (pl *Planner) PlanGrid(g *model.Graph, grid core.Grid) (*GridPlan, error) {
 	out.Frontier = pl.reduceFrontier(frontier)
 	out.Proxy = pl.selectProxy(out.Frontier)
 	return out, nil
-}
-
-// detachCandidate deep-copies a candidate onto its own heap objects,
-// preserving every value bit. Proxy selection runs after detachment, so
-// the proxy remains a member of the returned frontier.
-func detachCandidate(c *Candidate) *Candidate {
-	return &Candidate{
-		Plan: &parallel.Plan{
-			Stages:          append([]parallel.StagePlan(nil), c.Plan.Stages...),
-			NumMicrobatches: c.Plan.NumMicrobatches,
-		},
-		BComp:        c.BComp,
-		LComm:        c.LComm,
-		OpsPerStage:  append([]int(nil), c.OpsPerStage...),
-		GPUsPerStage: append([]int(nil), c.GPUsPerStage...),
-		IdealAssign:  append([]float64(nil), c.IdealAssign...),
-	}
 }
 
 // EnumerateCandidates returns every generated candidate of the grid (one
@@ -182,59 +135,29 @@ func (pl *Planner) EnumerateCandidates(g *model.Graph, grid core.Grid) []*Candid
 	numMicro := parallel.DefaultMicrobatches(grid.S)
 	intra := newIntraSelector(g, spec, grid, numMicro)
 	sink := newPopulationSink(g, grid, intra, numMicro)
-	pl.enumerate(g, grid, stats, intra, totalLoad, numMicro, sink)
+	pl.enumerateDP(g, grid, stats, intra, totalLoad, numMicro, sink)
 	return sink.candidates()
 }
 
-// candidateSink consumes the enumerators' output, one call per partition
+// candidateSink consumes the enumerator's output, one call per partition
 // whose power-of-two GPU assignment exists. Arguments are the caller's
 // scratch — a sink retaining any of them must copy. rank is the
 // partition's lexicographic index among all C(O−1, s−1) partitions of
 // the grid, the canonical candidate order: the population sink uses it
 // to reproduce that order without a comparison sort, the sweep frontier
-// to resolve exact (BComp, LComm) ties identically on both enumeration
-// orders. The sink decides memory feasibility itself (via the
-// intra-stage selector), so infeasible partitions are simply dropped.
+// to resolve exact (BComp, LComm) ties independently of the order
+// partitions are discovered in. The sink decides memory feasibility
+// itself (via the intra-stage selector), so infeasible partitions are
+// simply dropped.
 type candidateSink interface {
 	offer(bounds, assign, opsPer []int, ideal []float64, bias2 float64, rank int)
 }
 
-// enumerate streams every partition of the grid with a feasible GPU
-// assignment into the sink and returns the count of partitions
-// enumerated. The DP path (dp.go) is the default; Exhaustive selects the
-// reference path that rebuilds every partition from scratch. The two
-// differ in discovery order (lexicographic vs colexicographic), which is
-// why sinks key on the lexicographic rank rather than arrival order.
-func (pl *Planner) enumerate(
-	g *model.Graph, grid core.Grid,
-	stats *opRangeStats, intra *intraSelector,
-	totalLoad float64, numMicro int, sink candidateSink,
-) int {
-	if !pl.Exhaustive {
-		return pl.enumerateDP(g, grid, stats, intra, totalLoad, numMicro, sink)
-	}
-	evaluated := 0
-	scr := newCandScratch(grid.S, grid.N)
-	forEachPartition(len(g.Ops), grid.S, func(rank int, bounds []int) {
-		evaluated++
-		start := 0
-		for j, end := range bounds {
-			scr.ideal[j] = stats.loadOf(start, end) / totalLoad * float64(grid.N)
-			scr.opsPer[j] = end - start
-			start = end
-		}
-		if assign, bias2 := normalizeAssignment(scr.ideal, grid.N, scr); assign != nil {
-			sink.offer(bounds, assign, scr.opsPer, scr.ideal, bias2, rank)
-		}
-	})
-	return evaluated
-}
-
-// candScratch holds the per-partition working storage of one exhaustive
-// enumeration pass. A grid enumerates C(O−1, s−1) partitions; reusing
-// the trial buffers (and the assignment DP tables) across them removes
-// the enumerator's dominant allocation cost. Sinks copy anything they
-// retain, so accepted candidates never alias the scratch.
+// candScratch holds normalizeAssignment's working storage: the trial
+// buffers and the assignment DP tables, reusable across the partitions
+// of one grid so a per-partition caller pays no allocation per call.
+// Sinks copy anything they retain, so accepted candidates never alias
+// the scratch.
 type candScratch struct {
 	ideal  []float64
 	opsPer []int

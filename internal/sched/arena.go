@@ -44,19 +44,11 @@ type ArenaPolicy struct {
 	// messages never influence decisions.
 	Warnf func(format string, args ...any)
 
-	// refScore switches Assign to the full per-round candidate rescans
-	// instead of the incremental score caches (see score.go). Both paths
-	// decide identically — the simulator's score parity matrix is the
-	// proof — so the flag exists as the testing oracle.
-	refScore bool
 	// ladders caches per-signature launch candidate lists; ladderKey
 	// fingerprints the inputs they were built from.
 	ladders   map[launchSig]*ladder
 	ladderKey ladderCacheKey
 }
-
-// SetReferenceScore implements ReferenceScorer.
-func (p *ArenaPolicy) SetReferenceScore(on bool) { p.refScore = on }
 
 // warnf forwards a warning to Warnf when one is installed.
 func (p *ArenaPolicy) warnf(format string, args ...any) {
@@ -185,12 +177,10 @@ func (p *ArenaPolicy) Assign(ctx *Context) Assignment {
 	// search entirely. Deadline mode scores per-job feasibility (remaining
 	// work against the clock), so the memo stays off there.
 	var failed map[launchSig]bool
-	if !p.refScore && p.Objective != ObjDeadline {
+	if p.Objective != ObjDeadline {
 		failed = map[launchSig]bool{}
 	}
-	if !p.refScore {
-		p.ensureLadders(ctx)
-	}
+	p.ensureLadders(ctx)
 	for _, job := range queued {
 		if job.CurPriority > blockedPrio {
 			// A higher-priority queue is blocked; later queues must wait
@@ -202,7 +192,7 @@ func (p *ArenaPolicy) Assign(ctx *Context) Assignment {
 			asg.Drop = append(asg.Drop, job.Trace.ID)
 			continue
 		}
-		if p.DisableElastic && len(p.launchCounts(ctx, job)) == 0 {
+		if p.DisableElastic && len(p.launchLadder(ctx, job).counts) == 0 {
 			// Rigid mode with a request no profiled size can serve on any
 			// allowed type: drop the job instead of letting it queue
 			// forever and head-of-line-block its priority queue. (Elastic
@@ -345,15 +335,6 @@ func (p *ArenaPolicy) allowedCounts(ctx *Context, job *Job) []int {
 	return out
 }
 
-// launchCounts is allowedCounts through the per-signature ladder cache;
-// the reference path recomputes it each time.
-func (p *ArenaPolicy) launchCounts(ctx *Context, job *Job) []int {
-	if p.refScore {
-		return p.allowedCounts(ctx, job)
-	}
-	return p.launchLadder(ctx, job).counts
-}
-
 // ceilPow2 returns the smallest power of two ≥ n (minimum 1) — the
 // granularity the performance database profiles grids at.
 func ceilPow2(n int) int {
@@ -462,49 +443,20 @@ func (p *ArenaPolicy) tryLaunch(ctx *Context, job *Job, free map[string]int, tar
 // objective: admitting a queued job adds its full throughput, so the
 // launch size stops at the efficiency knee — growth beyond it is left to
 // the scale-up phase, which weighs it against admitting further jobs.
-// Deadline mode additionally requires Eq. 6.
+// Deadline mode additionally requires Eq. 6. The candidates are the
+// signature's cached ladder (knee-truncated, see score.go); only the
+// per-round checks — free capacity and the deadline — run here.
 func (p *ArenaPolicy) bestUnderFree(ctx *Context, job *Job, free map[string]int) (Alloc, bool) {
-	if !p.refScore {
-		// Fast path: iterate the signature's cached ladder — the same
-		// survivors the loops below visit, in the same order, with only
-		// the per-round checks (free capacity, deadline) left live.
-		var best Alloc
-		var bestDensity float64
-		found := false
-		for _, c := range p.launchLadder(ctx, job).cands {
-			if c.n > free[c.typ] || !p.meetsDeadline(ctx, job, c.thr) {
-				continue
-			}
-			density := c.thr / float64(c.n)
-			if !found || density > bestDensity {
-				best, bestDensity, found = Alloc{GPUType: c.typ, N: c.n}, density, true
-			}
-		}
-		return best, found
-	}
 	var best Alloc
 	var bestDensity float64
 	found := false
-	for _, typ := range p.allowedTypes(ctx, job) {
-		var prevThr float64
-		for _, n := range p.allowedCounts(ctx, job) {
-			thr := p.PerceivedThr(ctx.DB, job.Workload(), typ, n)
-			if thr <= 0 {
-				continue
-			}
-			// Knee rule: stop growing on this type once doubling yields
-			// under 30% more throughput (diminishing returns, §2.2).
-			if prevThr > 0 && thr < prevThr*1.3 {
-				break
-			}
-			prevThr = thr
-			if n > free[typ] || !p.meetsDeadline(ctx, job, thr) {
-				continue
-			}
-			density := thr / float64(n)
-			if !found || density > bestDensity {
-				best, bestDensity, found = Alloc{GPUType: typ, N: n}, density, true
-			}
+	for _, c := range p.launchLadder(ctx, job).cands {
+		if c.n > free[c.typ] || !p.meetsDeadline(ctx, job, c.thr) {
+			continue
+		}
+		density := c.thr / float64(c.n)
+		if !found || density > bestDensity {
+			best, bestDensity, found = Alloc{GPUType: c.typ, N: c.n}, density, true
 		}
 	}
 	return best, found
@@ -568,76 +520,9 @@ func (p *ArenaPolicy) scaleUp(ctx *Context, free map[string]int, target map[stri
 	}
 	sort.Strings(ids)
 
-	if p.refScore {
-		// Reference: rescan every candidate per selection.
-		for *depth < p.D {
-			var bestJob *Job
-			var bestAlloc Alloc
-			bestGain := 0.0
-			for _, id := range ids {
-				j := jobs[id]
-				cur := target[id]
-				if free[cur.GPUType] < cur.N { // need cur.N more GPUs
-					continue
-				}
-				gain, ok := p.scaleGain(ctx, j, cur)
-				if !ok {
-					continue
-				}
-				if gain > bestGain {
-					bestJob, bestAlloc, bestGain = j, Alloc{GPUType: cur.GPUType, N: cur.N * 2}, gain
-				}
-			}
-			if bestJob == nil {
-				return
-			}
-			*depth++
-			old := target[bestJob.Trace.ID]
-			target[bestJob.Trace.ID] = bestAlloc
-			asg.Place[bestJob.Trace.ID] = bestAlloc
-			free[old.GPUType] -= bestAlloc.N - old.N
-		}
-		return
-	}
-
-	// Fast path: a candidate's gain moves only when that candidate is
-	// doubled, so score everything once into a max-gain heap and re-score
-	// just the selected entry after each doubling. Free capacity only
-	// shrinks in this phase, so a popped candidate that no longer fits can
-	// be discarded for good — the rescan above would skip it every
-	// remaining iteration too.
-	h := NewGainHeap(len(ids))
-	for i, id := range ids {
-		if gain, ok := p.scaleGain(ctx, jobs[id], target[id]); ok {
-			h.Update(i, gain)
-		}
-	}
-	for *depth < p.D {
-		sel := -1
-		for {
-			i, ok := h.Pop()
-			if !ok {
-				return
-			}
-			cur := target[ids[i]]
-			if free[cur.GPUType] < cur.N {
-				continue // permanently infeasible: free never grows here
-			}
-			sel = i
-			break
-		}
-		*depth++
-		j := jobs[ids[sel]]
-		old := target[ids[sel]]
-		next := Alloc{GPUType: old.GPUType, N: old.N * 2}
-		target[ids[sel]] = next
-		asg.Place[ids[sel]] = next
-		free[old.GPUType] -= next.N - old.N
-		// Only the doubled job's gain is dirtied; re-score it alone.
-		if gain, ok := p.scaleGain(ctx, j, next); ok {
-			h.Update(sel, gain)
-		}
-	}
+	*depth += DoubleByGain(ids, p.D-*depth, target, free, asg.Place, func(id string, cur Alloc) (float64, bool) {
+		return p.scaleGain(ctx, jobs[id], cur)
+	})
 }
 
 // scaleGain scores one scale-up candidate at its current target size:

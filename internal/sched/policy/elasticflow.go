@@ -16,14 +16,7 @@ import (
 type ElasticFlow struct {
 	// ScaleGainThreshold gates rescaling of running jobs (restart costs).
 	ScaleGainThreshold float64
-
-	// refScore runs the full per-round rescans instead of the round-
-	// scoped caches below; see sched.ReferenceScorer.
-	refScore bool
 }
-
-// SetReferenceScore implements sched.ReferenceScorer.
-func (e *ElasticFlow) SetReferenceScore(on bool) { e.refScore = on }
 
 // NewElasticFlow returns the policy.
 func NewElasticFlow() *ElasticFlow { return &ElasticFlow{ScaleGainThreshold: 1.25} }
@@ -88,15 +81,15 @@ func (e *ElasticFlow) Assign(ctx *sched.Context) sched.Assignment {
 	// Admission at minimum feasible size, arrival order. Shrink work per
 	// round is bounded so huge backlogs cannot stall the scheduler.
 	//
-	// The fast path adds two round-scoped caches, neither changing a
+	// Two round-scoped caches skip repeated work without changing a
 	// decision: a (workload, requested-type) → (region, minN) memo —
 	// perceived throughputs are fixed within a round, so the region scan
 	// is a pure per-signature function — and a per-type no-victim flag.
 	// Victim sets only shrink within a round (admission shrinks targets
 	// and adds queued jobs, which the victim scan never looks at), so
 	// once a region's scan comes up empty every later scan would too;
-	// the reference's futile scan still costs one budget unit, which the
-	// fast path replicates exactly.
+	// each skipped scan still costs the one budget unit a futile scan
+	// spends.
 	type regionKey struct {
 		w       model.Workload
 		reqType string
@@ -105,45 +98,32 @@ func (e *ElasticFlow) Assign(ctx *sched.Context) sched.Assignment {
 		typ  string
 		minN int
 	}
-	var regions map[regionKey]regionVal
-	var noVictim map[string]bool
-	if !e.refScore {
-		regions = map[regionKey]regionVal{}
-		noVictim = map[string]bool{}
-	}
+	regions := map[regionKey]regionVal{}
+	noVictim := map[string]bool{}
 	shrinkBudget := 64
 	for _, job := range ctx.Queued {
-		var typ string
-		var minN int
-		if regions != nil {
-			key := regionKey{w: job.Trace.Workload, reqType: job.Trace.ReqType}
-			rv, ok := regions[key]
-			if !ok {
-				rv.typ = e.region(ctx, job)
-				rv.minN = e.minFeasible(ctx, job.Trace.Workload, rv.typ)
-				regions[key] = rv
-			}
-			typ, minN = rv.typ, rv.minN
-		} else {
-			typ = e.region(ctx, job)
-			minN = e.minFeasible(ctx, job.Trace.Workload, typ)
+		key := regionKey{w: job.Trace.Workload, reqType: job.Trace.ReqType}
+		rv, ok := regions[key]
+		if !ok {
+			rv.typ = e.region(ctx, job)
+			rv.minN = e.minFeasible(ctx, job.Trace.Workload, rv.typ)
+			regions[key] = rv
 		}
+		typ, minN := rv.typ, rv.minN
 		if minN == 0 {
 			continue
 		}
 		if free[typ] < minN && shrinkBudget > 0 {
-			if noVictim != nil && noVictim[typ] {
-				// The reference path would re-enter shrinkRegion, spend
-				// one budget unit scanning the region, find no victim and
-				// return; skip the scan but keep the spend.
+			if noVictim[typ] {
+				// shrinkRegion would spend one budget unit scanning the
+				// region, find no victim and return; skip the scan but
+				// keep the spend.
 				shrinkBudget--
-			} else {
-				// Shrink running jobs in this region to admit the newcomer
-				// (deadline-loosened ElasticFlow favours admission).
-				exhausted := e.shrinkRegion(ctx, typ, minN, free, target, asg.Place, &shrinkBudget)
-				if exhausted && noVictim != nil {
-					noVictim[typ] = true
-				}
+			} else if e.shrinkRegion(ctx, typ, minN, free, target, asg.Place, &shrinkBudget) {
+				// Shrinking running jobs in this region to admit the
+				// newcomer (deadline-loosened ElasticFlow favours
+				// admission) ran out of victims for the rest of the round.
+				noVictim[typ] = true
 			}
 		}
 		if free[typ] >= minN {
@@ -158,7 +138,9 @@ func (e *ElasticFlow) Assign(ctx *sched.Context) sched.Assignment {
 
 	// Elastic scale-up: repeatedly double the job with the best marginal
 	// perceived gain per added GPU.
-	e.grow(ctx, 16, order, jobOf, target, free, asg.Place)
+	sched.DoubleByGain(order, 16, target, free, asg.Place, func(id string, cur sched.Alloc) (float64, bool) {
+		return e.growthGain(ctx, jobOf[id], cur)
+	})
 	return asg
 }
 
@@ -190,73 +172,6 @@ func (e *ElasticFlow) growthGain(ctx *sched.Context, job *sched.Job, cur sched.A
 		return 0, false
 	}
 	return (thrNew - thrCur) / float64(cur.N), true
-}
-
-// grow runs the bounded marginal-gain doubling loop over order. The
-// reference path rescans every candidate per selection; the fast path
-// scores them once into a max-gain heap (ties break toward the earlier
-// order index, exactly like the scan's strict `>`) and re-scores only
-// the candidate each doubling dirtied. Free capacity only shrinks here,
-// so popped candidates that no longer fit are discarded outright.
-func (e *ElasticFlow) grow(ctx *sched.Context, rounds int, order []string, jobOf map[string]*sched.Job, target map[string]sched.Alloc, free map[string]int, place map[string]sched.Alloc) {
-	if e.refScore {
-		for r := 0; r < rounds; r++ {
-			bestID := ""
-			bestGain := 0.0
-			for _, id := range order {
-				cur := target[id]
-				if free[cur.GPUType] < cur.N {
-					continue
-				}
-				gain, ok := e.growthGain(ctx, jobOf[id], cur)
-				if !ok {
-					continue
-				}
-				if gain > bestGain {
-					bestID, bestGain = id, gain
-				}
-			}
-			if bestID == "" {
-				break
-			}
-			cur := target[bestID]
-			next := sched.Alloc{GPUType: cur.GPUType, N: cur.N * 2}
-			free[cur.GPUType] -= cur.N
-			target[bestID] = next
-			place[bestID] = next
-		}
-		return
-	}
-	h := sched.NewGainHeap(len(order))
-	for i, id := range order {
-		if gain, ok := e.growthGain(ctx, jobOf[id], target[id]); ok {
-			h.Update(i, gain)
-		}
-	}
-	for r := 0; r < rounds; r++ {
-		sel := -1
-		for {
-			i, ok := h.Pop()
-			if !ok {
-				return
-			}
-			cur := target[order[i]]
-			if free[cur.GPUType] < cur.N {
-				continue // free only shrinks: never feasible again
-			}
-			sel = i
-			break
-		}
-		id := order[sel]
-		cur := target[id]
-		next := sched.Alloc{GPUType: cur.GPUType, N: cur.N * 2}
-		free[cur.GPUType] -= cur.N
-		target[id] = next
-		place[id] = next
-		if gain, ok := e.growthGain(ctx, jobOf[id], next); ok {
-			h.Update(sel, gain)
-		}
-	}
 }
 
 // shrinkRegion halves the running jobs with the least throughput loss per

@@ -15,10 +15,9 @@ import (
 // arrival order (the Kubernetes default the paper cites). A blocked head
 // job blocks everything behind it; no scaling ever happens.
 //
-// FCFS deliberately implements no sched.ReferenceScorer: head-of-line
-// blocking already bounds per-round work to the launched prefix plus one
-// blocked probe, so there is nothing for a score cache to save and no
-// fast/reference pair to keep in parity.
+// FCFS keeps no score caches: head-of-line blocking already bounds
+// per-round work to the launched prefix plus one blocked probe, so there
+// is nothing for a cache to save.
 type FCFS struct{}
 
 // NewFCFS returns the policy.

@@ -16,14 +16,7 @@ type Gavel struct {
 	// SwitchGainThreshold gates type migration of running jobs: moving a
 	// job pays checkpoint-resume + AP re-search, so only clear wins move.
 	SwitchGainThreshold float64
-
-	// refScore runs the full per-round rescans instead of the round-
-	// scoped demand/score cache; see sched.ReferenceScorer.
-	refScore bool
 }
-
-// SetReferenceScore implements sched.ReferenceScorer.
-func (g *Gavel) SetReferenceScore(on bool) { g.refScore = on }
 
 // NewGavel returns the policy with the default migration threshold.
 func NewGavel() *Gavel { return &Gavel{SwitchGainThreshold: 1.3} }
@@ -60,11 +53,11 @@ func (g *Gavel) Assign(ctx *sched.Context) sched.Assignment {
 	// round solver maximizes Σ throughput).
 	//
 	// A job's demand and per-type throughputs are a pure function of its
-	// (workload, requested count) within a round, so the fast path scores
-	// each distinct pair once — a deep backlog of look-alike jobs costs
-	// one lookup apiece instead of one database walk. The density sort
-	// and the free-capacity placement loop are untouched: capacity is the
-	// input that moves as jobs place.
+	// (workload, requested count) within a round, so each distinct pair is
+	// scored once — a deep backlog of look-alike jobs costs one lookup
+	// apiece instead of one database walk. The density sort and the
+	// free-capacity placement loop stay per job: capacity is the input
+	// that moves as jobs place.
 	types := ctx.Cluster.GPUTypes()
 	type score struct {
 		n       int       // demand (0 = unservable)
@@ -91,10 +84,7 @@ func (g *Gavel) Assign(ctx *sched.Context) sched.Assignment {
 		}
 		return sc
 	}
-	var cache map[scoreKey]score
-	if !g.refScore {
-		cache = map[scoreKey]score{}
-	}
+	cache := map[scoreKey]score{}
 	type cand struct {
 		job *sched.Job
 		thr float64
@@ -104,16 +94,11 @@ func (g *Gavel) Assign(ctx *sched.Context) sched.Assignment {
 	}
 	var cands []cand
 	for _, job := range ctx.Queued {
-		var sc score
-		if cache != nil {
-			key := scoreKey{w: job.Trace.Workload, req: job.Trace.ReqGPUs}
-			var ok bool
-			if sc, ok = cache[key]; !ok {
-				sc = scoreOf(job)
-				cache[key] = sc
-			}
-		} else {
+		key := scoreKey{w: job.Trace.Workload, req: job.Trace.ReqGPUs}
+		sc, ok := cache[key]
+		if !ok {
 			sc = scoreOf(job)
+			cache[key] = sc
 		}
 		if sc.n == 0 || sc.bestThr <= 0 {
 			continue
@@ -131,11 +116,7 @@ func (g *Gavel) Assign(ctx *sched.Context) sched.Assignment {
 			continue
 		}
 		for ti, typ := range types {
-			thr := c.sc.byType[ti]
-			if g.refScore {
-				thr = g.perceived(ctx.DB, c.job.Workload(), typ, c.n)
-			}
-			if thr > 0 && free[typ] >= c.n {
+			if c.sc.byType[ti] > 0 && free[typ] >= c.n {
 				asg.Place[c.job.Trace.ID] = sched.Alloc{GPUType: typ, N: c.n}
 				free[typ] -= c.n
 				break

@@ -26,16 +26,7 @@ type Sia struct {
 	// DisableRefinement turns off the online observation loop so the η
 	// knob alone controls estimate precision (§2.3's controlled study).
 	DisableRefinement bool
-
-	// refScore runs the full per-round rescans instead of the round-
-	// scoped caches; see sched.ReferenceScorer. Sia's caches must be
-	// round-scoped (not per-run): the perceived table is refined online
-	// between rounds by observed throughputs.
-	refScore bool
 }
-
-// SetReferenceScore implements sched.ReferenceScorer.
-func (s *Sia) SetReferenceScore(on bool) { s.refScore = on }
 
 // NewSia returns stock Sia (η = 1).
 func NewSia() *Sia { return &Sia{Eta: 1, ScaleGainThreshold: 1.4} }
@@ -76,78 +67,54 @@ func (s *Sia) Assign(ctx *sched.Context) sched.Assignment {
 		order = append(order, j.Trace.ID)
 	}
 
-	// Admission: smallest feasible allocation on the perceived-best type
-	// (goodput of admitting a job always beats growing one).
+	// Admission: the smallest perceived-feasible size per type, provided
+	// it fits free capacity, on the type with the best density (goodput
+	// of admitting a job always beats growing one).
 	//
-	// Per type, the reference inner loop reduces to "the smallest n with
-	// positive perceived throughput, provided it fits free capacity" —
-	// larger sizes can never be reached once either check fails, because
-	// `continue` on a too-big n only meets bigger ones. The fast path
-	// precomputes that (minN, thr) ladder per workload once per round
-	// (the table is fixed within a round; observations land between
-	// rounds) and memoizes failed workloads: admission only ever shrinks
-	// free capacity, so a workload that found no feasible type cannot
-	// succeed later in the same round.
+	// That (minN, thr) table is precomputed per workload once per round —
+	// it is fixed within a round; observations land between rounds, which
+	// is why it cannot live longer — and failed workloads are memoized:
+	// admission only ever shrinks free capacity, so a workload that found
+	// no feasible type cannot succeed later in the same round.
 	types := ctx.Cluster.GPUTypes()
 	type minCand struct {
 		minN int
 		thr  float64
 	}
-	var table map[model.Workload][]minCand
-	var failed map[model.Workload]bool
-	if !s.refScore {
-		table = map[model.Workload][]minCand{}
-		failed = map[model.Workload]bool{}
-	}
+	table := map[model.Workload][]minCand{}
+	failed := map[model.Workload]bool{}
 	for _, job := range ctx.Queued {
+		w := job.Trace.Workload
+		if failed[w] {
+			continue
+		}
+		cands, ok := table[w]
+		if !ok {
+			cands = make([]minCand, len(types))
+			for ti, typ := range types {
+				for n := 1; n <= ctx.MaxPerJob; n *= 2 {
+					if thr := s.perceived(ctx.DB, w, typ, n); thr > 0 {
+						cands[ti] = minCand{minN: n, thr: thr}
+						break
+					}
+				}
+			}
+			table[w] = cands
+		}
 		var best sched.Alloc
 		var bestThr float64
-		if table != nil {
-			w := job.Trace.Workload
-			if failed[w] {
+		for ti, typ := range types {
+			c := cands[ti]
+			if c.minN == 0 || c.minN > free[typ] {
 				continue
 			}
-			cands, ok := table[w]
-			if !ok {
-				cands = make([]minCand, len(types))
-				for ti, typ := range types {
-					for n := 1; n <= ctx.MaxPerJob; n *= 2 {
-						if thr := s.perceived(ctx.DB, w, typ, n); thr > 0 {
-							cands[ti] = minCand{minN: n, thr: thr}
-							break
-						}
-					}
-				}
-				table[w] = cands
-			}
-			for ti, typ := range types {
-				c := cands[ti]
-				if c.minN == 0 || c.minN > free[typ] {
-					continue
-				}
-				if c.thr/float64(c.minN) > bestThr {
-					best, bestThr = sched.Alloc{GPUType: typ, N: c.minN}, c.thr/float64(c.minN)
-				}
-			}
-			if best.IsZero() {
-				failed[w] = true
-			}
-		} else {
-			for _, typ := range types {
-				for n := 1; n <= ctx.MaxPerJob; n *= 2 {
-					thr := s.perceived(ctx.DB, job.Workload(), typ, n)
-					if thr <= 0 || n > free[typ] {
-						continue
-					}
-					// Smallest n per type; across types pick best density.
-					if thr/float64(n) > bestThr {
-						best, bestThr = sched.Alloc{GPUType: typ, N: n}, thr/float64(n)
-					}
-					break
-				}
+			if c.thr/float64(c.minN) > bestThr {
+				best, bestThr = sched.Alloc{GPUType: typ, N: c.minN}, c.thr/float64(c.minN)
 			}
 		}
-		if !best.IsZero() {
+		if best.IsZero() {
+			failed[w] = true
+		} else {
 			asg.Place[job.Trace.ID] = best
 			target[job.Trace.ID] = best
 			jobOf[job.Trace.ID] = job
@@ -159,13 +126,15 @@ func (s *Sia) Assign(ctx *sched.Context) sched.Assignment {
 	// Growth: repeatedly double the job with the best perceived marginal
 	// gain per added GPU. With linear estimates the marginal never decays,
 	// so growth continues while capacity lasts.
-	s.grow(ctx, 32, order, jobOf, target, free, asg.Place)
+	sched.DoubleByGain(order, 32, target, free, asg.Place, func(id string, cur sched.Alloc) (float64, bool) {
+		return s.growthGain(ctx, jobOf[id], cur)
+	})
 	return asg
 }
 
 // growthGain scores one growth candidate; see ElasticFlow.growthGain —
-// the loops share their shape, but each policy consults its own
-// perceived table and threshold.
+// both feed sched.DoubleByGain, each with its own perceived table and
+// threshold.
 func (s *Sia) growthGain(ctx *sched.Context, job *sched.Job, cur sched.Alloc) (float64, bool) {
 	if job == nil || cur.N*2 > ctx.MaxPerJob {
 		return 0, false
@@ -179,70 +148,6 @@ func (s *Sia) growthGain(ctx *sched.Context, job *sched.Job, cur sched.Alloc) (f
 		return 0, false
 	}
 	return (thrNew - thrCur) / float64(cur.N), true
-}
-
-// grow is the bounded marginal-gain doubling loop: reference rescan per
-// selection, or one max-gain heap re-scoring only dirtied entries (the
-// same structure as ElasticFlow.grow; see there for the invariants).
-func (s *Sia) grow(ctx *sched.Context, rounds int, order []string, jobOf map[string]*sched.Job, target map[string]sched.Alloc, free map[string]int, place map[string]sched.Alloc) {
-	if s.refScore {
-		for r := 0; r < rounds; r++ {
-			bestID := ""
-			bestGain := 0.0
-			for _, id := range order {
-				cur := target[id]
-				if free[cur.GPUType] < cur.N {
-					continue
-				}
-				gain, ok := s.growthGain(ctx, jobOf[id], cur)
-				if !ok {
-					continue
-				}
-				if gain > bestGain {
-					bestID, bestGain = id, gain
-				}
-			}
-			if bestID == "" {
-				break
-			}
-			cur := target[bestID]
-			next := sched.Alloc{GPUType: cur.GPUType, N: cur.N * 2}
-			free[cur.GPUType] -= cur.N
-			target[bestID] = next
-			place[bestID] = next
-		}
-		return
-	}
-	h := sched.NewGainHeap(len(order))
-	for i, id := range order {
-		if gain, ok := s.growthGain(ctx, jobOf[id], target[id]); ok {
-			h.Update(i, gain)
-		}
-	}
-	for r := 0; r < rounds; r++ {
-		sel := -1
-		for {
-			i, ok := h.Pop()
-			if !ok {
-				return
-			}
-			cur := target[order[i]]
-			if free[cur.GPUType] < cur.N {
-				continue // free only shrinks: never feasible again
-			}
-			sel = i
-			break
-		}
-		id := order[sel]
-		cur := target[id]
-		next := sched.Alloc{GPUType: cur.GPUType, N: cur.N * 2}
-		free[cur.GPUType] -= cur.N
-		target[id] = next
-		place[id] = next
-		if gain, ok := s.growthGain(ctx, jobOf[id], next); ok {
-			h.Update(sel, gain)
-		}
-	}
 }
 
 // PerceivedThr implements sched.Policy.

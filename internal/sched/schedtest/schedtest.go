@@ -219,11 +219,3 @@ func (c *checked) ProfilePrepend(db *perfdb.DB, w model.Workload) float64 {
 func (c *checked) DeployOverhead(db *perfdb.DB, w model.Workload, gpuType string, n int) float64 {
 	return c.p.DeployOverhead(db, w, gpuType, n)
 }
-
-// SetReferenceScore forwards the oracle flag so wrapped policies stay
-// toggleable through sim.Config.ReferenceScore.
-func (c *checked) SetReferenceScore(on bool) {
-	if rs, ok := c.p.(sched.ReferenceScorer); ok {
-		rs.SetReferenceScore(on)
-	}
-}

@@ -28,30 +28,20 @@ import (
 //     head-of-queue prefix introducing new signatures does real scoring
 //     work, while skipped jobs still lower the blocking bar (line 9).
 //
-//   - GainHeap (arena scale-up, elasticflow/sia growth): the marginal-
-//     gain loops repeatedly take an argmax over candidates whose gain
-//     changes only when that candidate itself is doubled. The heap makes
-//     each selection O(log n) and re-scores exactly the one dirtied
-//     entry, instead of rescanning every candidate per iteration.
+//   - GainHeap and DoubleByGain (arena scale-up, elasticflow/sia
+//     growth): the marginal-gain loops repeatedly take an argmax over
+//     candidates whose gain changes only when that candidate itself is
+//     doubled. The heap makes each selection O(log n) and re-scores
+//     exactly the one dirtied entry, instead of rescanning every
+//     candidate per iteration.
 //
-// Every fast path must be *bit-identical* to the full rescan it
-// replaces: the simulator's score parity matrix proves DeepEqual
-// equality of summaries and per-job outcomes across all five policies,
-// faults on/off, slice and streamed traces. Config.ReferenceScore keeps
-// the rescans alive as the oracle, mirroring ReferenceScan for the
-// event core.
-
-// ReferenceScorer is implemented by policies that maintain incremental
-// score caches with a full-rescan reference mode. The simulator's engine
-// propagates Config.ReferenceScore through it; policies without caches
-// (FCFS) simply don't implement it.
-type ReferenceScorer interface {
-	// SetReferenceScore toggles the full per-round candidate rescan
-	// (true) against the incremental score caches (false, the default).
-	// Both paths make identical decisions; the flag exists as the oracle
-	// the parity tests check the caches against.
-	SetReferenceScore(on bool)
-}
+// Each cache decides exactly as the full per-round rescan it replaced,
+// bit for bit. Those rescans no longer exist in production code: the
+// simulator's golden digests (internal/sim/testdata/golden.json) were
+// recorded while they still ran beside the caches and matched them on
+// every pinned run, and the unit tests of this package keep the argmax
+// scan behind GainHeap and the candidate loops behind the launch
+// ladders as references written out in the test files.
 
 // launchSig identifies the inputs of one launch-admission decision that
 // come from the job itself. Two queued jobs with equal signatures see
@@ -72,11 +62,11 @@ type ladderCand struct {
 	thr float64
 }
 
-// ladder is a signature's launch candidate list in exactly the order
-// bestUnderFree's reference loop visits survivors: allowedTypes outer,
-// allowedCounts inner, zero-throughput entries dropped, each type
-// truncated at the first knee-rule violation. Free-capacity and deadline
-// checks stay at use time — they are the inputs that move per round.
+// ladder is a signature's launch candidate list, in the order
+// bestUnderFree weighs them: allowedTypes outer, allowedCounts inner,
+// zero-throughput entries dropped, each type truncated at the first
+// knee-rule violation. Free-capacity and deadline checks stay at use
+// time — they are the inputs that move per round.
 type ladder struct {
 	cands []ladderCand
 	// counts is the allowedCounts result (nil in rigid mode when no
@@ -122,7 +112,7 @@ func (p *ArenaPolicy) sigOf(job *Job) launchSig {
 }
 
 // launchLadder returns the signature's cached candidate ladder, building
-// it on first use with the very loops the reference path runs.
+// it on first use.
 func (p *ArenaPolicy) launchLadder(ctx *Context, job *Job) *ladder {
 	sig := p.sigOf(job)
 	if lad, ok := p.ladders[sig]; ok {
@@ -136,6 +126,8 @@ func (p *ArenaPolicy) launchLadder(ctx *Context, job *Job) *ladder {
 			if thr <= 0 {
 				continue
 			}
+			// Knee rule: stop growing on this type once doubling yields
+			// under 30% more throughput (diminishing returns, §2.2).
 			if prevThr > 0 && thr < prevThr*1.3 {
 				break
 			}
@@ -153,13 +145,7 @@ func (p *ArenaPolicy) launchLadder(ctx *Context, job *Job) *ladder {
 // loop can be replaced by Pop without changing any decision. Candidates
 // are dense indices into a caller-side slice; Update re-scores one entry
 // (stale copies are discarded lazily on Pop via a per-index version).
-//
-// The intended discipline, shared by every marginal-gain loop here:
-// gains that depend only on the candidate's own target size are pushed
-// once and re-pushed only when that candidate is doubled; checks against
-// free capacity stay at Pop time, and because free capacity only shrinks
-// within a phase, a candidate that fails them can be discarded outright
-// rather than re-queued.
+// DoubleByGain is the loop every marginal-gain phase runs on it.
 type GainHeap struct {
 	entries []gainEntry
 	version []int
@@ -243,4 +229,48 @@ func (h *GainHeap) siftDown(i int) {
 		h.entries[i], h.entries[best] = h.entries[best], h.entries[i]
 		i = best
 	}
+}
+
+// DoubleByGain is the bounded marginal-gain doubling loop shared by
+// arena's scale-up and the elasticflow and sia growth phases. Up to
+// rounds times it selects the candidate with the highest positive gain
+// (ties toward the lowest index in ids) whose GPU type still has cur.N
+// free GPUs, doubles its target, charges the cur.N added GPUs to free and
+// records the new allocation in place. It returns the number of
+// doublings made.
+//
+// gain scores candidate id at target size cur (ok=false marks it
+// ineligible) and must depend only on that size: candidates are scored
+// once into a GainHeap and only the doubled one is re-scored. Free
+// capacity is checked at selection instead; it only shrinks here, so a
+// candidate that no longer fits is discarded for good rather than
+// re-queued.
+func DoubleByGain(ids []string, rounds int, target map[string]Alloc, free map[string]int, place map[string]Alloc, gain func(id string, cur Alloc) (float64, bool)) int {
+	h := NewGainHeap(len(ids))
+	for i, id := range ids {
+		if g, ok := gain(id, target[id]); ok {
+			h.Update(i, g)
+		}
+	}
+	doubled := 0
+	for doubled < rounds {
+		i, ok := h.Pop()
+		if !ok {
+			break
+		}
+		id := ids[i]
+		cur := target[id]
+		if free[cur.GPUType] < cur.N {
+			continue // permanently infeasible: free never grows here
+		}
+		next := Alloc{GPUType: cur.GPUType, N: cur.N * 2}
+		free[cur.GPUType] -= cur.N
+		target[id] = next
+		place[id] = next
+		doubled++
+		if g, ok := gain(id, next); ok {
+			h.Update(i, g)
+		}
+	}
+	return doubled
 }

@@ -1,0 +1,67 @@
+package server
+
+import (
+	"encoding/json"
+	"flag"
+	"os"
+	"reflect"
+	"testing"
+
+	"github.com/sjtu-epcc/arena/internal/sched"
+	"github.com/sjtu-epcc/arena/internal/sched/policy"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.json from the current code")
+
+const goldenPath = "testdata/golden.json"
+
+// TestRoundDigestsMatchGolden pins the daemon's decisions round by round:
+// the assignment digest of every round an uninterrupted driveScript run
+// fires, for each of the five policies over 20 rounds, against digests
+// committed under testdata/. Regenerate with -update only for a change
+// that is meant to alter scheduling decisions.
+func TestRoundDigestsMatchGolden(t *testing.T) {
+	jobs := testJobs(t, 30)
+	got := map[string][]string{}
+	for name, mk := range map[string]func() sched.Policy{
+		"fcfs":        func() sched.Policy { return policy.NewFCFS() },
+		"gavel":       func() sched.Policy { return policy.NewGavel() },
+		"elasticflow": func() sched.Policy { return policy.NewElasticFlow() },
+		"sia":         func() sched.Policy { return policy.NewSia() },
+		"arena":       func() sched.Policy { return sched.NewArena() },
+	} {
+		srv, st := newServer(t, t.TempDir(), mk())
+		got[name] = driveScript(t, srv, jobs, 20)
+		srv.Close()
+		st.Close()
+	}
+	if *updateGolden {
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string][]string
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	for name, w := range want {
+		if !reflect.DeepEqual(got[name], w) {
+			t.Errorf("%s: round digests %v, golden %v", name, got[name], w)
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("%d policies, %d goldens", len(got), len(want))
+	}
+}

@@ -39,11 +39,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.MaxPerJob <= 0 {
 		cfg.MaxPerJob = cfg.DB.MaxN
 	}
-	// Policies with incremental score caches expose a reference-rescan
-	// toggle; propagate the oracle flag (a no-op for cacheless policies).
-	if rs, ok := cfg.Policy.(sched.ReferenceScorer); ok {
-		rs.SetReferenceScore(cfg.ReferenceScore)
-	}
 	cl, err := cluster.New(cfg.Spec)
 	if err != nil {
 		return nil, err
@@ -57,10 +52,12 @@ func NewEngine(cfg Config) (*Engine, error) {
 		cluster: cl,
 		src:     cfg.Source,
 		sim:     map[*sched.Job]*jobSim{},
+		jctS:    metrics.NewStream(),
+		queueS:  metrics.NewStream(),
 	}
 	if cfg.Streaming {
+		// No raw JCT values are kept: P50/P90 come from P² sketches.
 		s.jctS = metrics.NewStream(0.50, 0.90)
-		s.queueS = metrics.NewStream()
 	}
 	e := &Engine{s: s, maxRounds: cfg.MaxRounds}
 	if e.maxRounds <= 0 {
@@ -93,7 +90,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		s.events.Sort()
 		// The event core merges the fault stream into its heap; the
 		// schedule is sorted, so one cursor entry at a time suffices.
-		if !cfg.ReferenceScan && len(s.events) > 0 {
+		if len(s.events) > 0 {
 			s.pushFault(0)
 		}
 	}
@@ -235,22 +232,17 @@ func (e *Engine) Find(id string) *sched.Job {
 
 // Jobs returns every job the engine has ever seen (completed first, then
 // running, queued and pending), in the same order Finish reports them.
-func (e *Engine) Jobs() []*sched.Job {
-	s := e.s
-	jobs := append([]*sched.Job(nil), s.done_...)
-	jobs = append(jobs, s.running...)
-	jobs = append(jobs, s.queued...)
-	jobs = append(jobs, s.pending...)
-	return jobs
-}
+// Streaming mode retains no completed jobs.
+func (e *Engine) Jobs() []*sched.Job { return e.s.jobs() }
 
 // Done reports whether no work remains anywhere in the world.
 func (e *Engine) Done() bool { return e.s.done() }
 
 // Finish progresses the world to `end` and assembles the final metrics
-// summary — the batch simulator's last step. The engine remains usable
-// (a daemon can snapshot metrics without stopping), but Finish at a
-// given instant is idempotent only if no rounds fire in between.
+// summary — the batch simulator's last step. It is final: it drains the
+// trace source and folds censored jobs into the running totals, so the
+// engine must not fire rounds or call Finish again afterwards (a second
+// call would count those jobs twice). Monitor a live engine with Stats.
 func (e *Engine) Finish(end float64) *Result {
 	e.s.advance(end)
 	e.s.materializeRunning(end)
@@ -290,34 +282,26 @@ type Stats struct {
 	Utilization                         float64
 }
 
-// Stats summarizes the engine's current world for monitoring. O(jobs);
+// Stats summarizes the engine's current world for monitoring. O(live jobs);
 // never affects scheduling state.
 func (e *Engine) Stats() Stats {
 	s := e.s
+	// Retired jobs are already folded into the running totals.
 	st := Stats{
 		Pending:           len(s.pending),
 		Queued:            len(s.queued),
 		Running:           len(s.running),
+		Finished:          s.mFinished,
+		Dropped:           s.mDropped,
+		Failed:            s.mFailed,
+		Preemptions:       s.mPreempt,
+		Restarts:          s.mRestarts,
+		Migrations:        s.mMigrations,
 		GoodputGPUSeconds: s.goodputGPUSec,
 		WastedGPUSeconds:  s.wastedGPUSec,
 		Utilization:       s.cluster.Utilization(),
 	}
-	// In streaming mode terminal jobs are folded into counters at
-	// retirement instead of being kept on done_; both tallies below see
-	// each job exactly once.
-	st.Finished, st.Dropped, st.Failed = s.mFinished, s.mDropped, s.mFailed
-	st.Preemptions, st.Restarts = s.mPreempt, s.mRestarts
-	for _, j := range s.done_ {
-		switch j.State {
-		case sched.StateFinished:
-			st.Finished++
-		case sched.StateDropped:
-			st.Dropped++
-		case sched.StateFailed:
-			st.Failed++
-		}
-	}
-	for _, list := range [][]*sched.Job{s.done_, s.running, s.queued, s.pending} {
+	for _, list := range [][]*sched.Job{s.running, s.queued, s.pending} {
 		for _, j := range list {
 			st.Preemptions += j.Preemptions
 			st.Restarts += j.Restarts

@@ -8,7 +8,7 @@ import (
 )
 
 // applyFault mutates the world for one fault event. Called from
-// advanceTo at the event's exact time: progress up to the instant has
+// advance at the event's exact time: progress up to the instant has
 // already been applied, so a crash destroys exactly the since-checkpoint
 // window and nothing more.
 func (s *state) applyFault(ev faults.Event) {

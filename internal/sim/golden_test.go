@@ -13,7 +13,9 @@ import (
 	"github.com/sjtu-epcc/arena/internal/faults"
 	"github.com/sjtu-epcc/arena/internal/hw"
 	"github.com/sjtu-epcc/arena/internal/metrics"
+	"github.com/sjtu-epcc/arena/internal/model"
 	"github.com/sjtu-epcc/arena/internal/sched"
+	"github.com/sjtu-epcc/arena/internal/sched/policy"
 	"github.com/sjtu-epcc/arena/internal/trace"
 )
 
@@ -59,11 +61,26 @@ func resultDigest(t *testing.T, r *Result) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// goldenConfigs are the pinned runs: every policy on the 40-job slice
-// trace with and without the random fault model, every Arena ablation
-// variant, and the same-instant outage over 24 identical-arrival jobs.
-// Each call returns fresh policies and single-use sources.
+// goldenConfigs are the pinned runs, each in exact and in streaming-
+// summary mode: every policy on the 40-job slice trace and on a streamed
+// philly-6h trace, with and without the random fault model; every Arena
+// ablation variant; the same-instant outage over 24 identical-arrival
+// jobs; a 120-job backlog several times cluster capacity for the three
+// policies whose score caches it stresses; and a 10k-job streamed Helios
+// day cut off mid-trace by MaxRounds. Each call returns fresh policies
+// and single-use sources.
 func goldenConfigs(t *testing.T) map[string]Config {
+	t.Helper()
+	cfgs := exactGoldenConfigs(t)
+	for name, c := range exactGoldenConfigs(t) {
+		c.Streaming = true
+		cfgs[name+"+streaming"] = c
+	}
+	return cfgs
+}
+
+// exactGoldenConfigs builds one fresh set of the pinned runs in exact mode.
+func exactGoldenConfigs(t *testing.T) map[string]Config {
 	t.Helper()
 	jobs := testJobs(t, 40)
 	slice := func(p sched.Policy, js []trace.Job) Config {
@@ -78,6 +95,18 @@ func goldenConfigs(t *testing.T) map[string]Config {
 		c := slice(mk(), jobs)
 		c.Faults, c.MaxRounds = parityFaults(), 400
 		cfgs[name+"+faults"] = c
+		for _, faulted := range []bool{false, true} {
+			c := Config{
+				Spec: hw.ClusterA(), Policy: mk(), Source: phillyStream(t), DB: db(t),
+				RoundSeconds: 300, MaxRounds: 400, IncludeUnfinished: true, Seed: 1,
+			}
+			key := "philly-6h/" + name
+			if faulted {
+				c.Faults = parityFaults()
+				key += "+faults"
+			}
+			cfgs[key] = c
+		}
 	}
 	for name, mk := range arenaVariants() {
 		if name != "arena" { // the default variant is pinned above
@@ -90,14 +119,74 @@ func goldenConfigs(t *testing.T) map[string]Config {
 		c.Faults, c.MaxRounds = storm, 300
 		cfgs[name+"+storm"] = c
 	}
+	deep := testJobs(t, 120)
+	for _, name := range []string{"arena", "sia", "elasticflow"} {
+		cfgs["deep/"+name] = slice(parityPolicies()[name](), deep)
+	}
+	src, err := trace.Stream(trace.HeliosDay(11, []string{"A40", "A10"}, 10000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs["helios-10k/fcfs"] = Config{
+		Spec: hw.ClusterA(), Policy: policy.NewFCFS(), Source: src, DB: db(t),
+		RoundSeconds: 300, MaxRounds: 400, IncludeUnfinished: true, Seed: 1,
+	}
 	return cfgs
 }
 
+// parityPolicies returns constructors for the paper's five schedulers.
+// Constructors, not instances: some policies carry internal state across
+// rounds, so each run needs its own fresh policy.
+func parityPolicies() map[string]func() sched.Policy {
+	return map[string]func() sched.Policy{
+		"fcfs":        func() sched.Policy { return policy.NewFCFS() },
+		"gavel":       func() sched.Policy { return policy.NewGavel() },
+		"elasticflow": func() sched.Policy { return policy.NewElasticFlow() },
+		"sia":         func() sched.Policy { return policy.NewSia() },
+		"arena":       func() sched.Policy { return sched.NewArena() },
+	}
+}
+
+// phillyStream returns a fresh streamed philly-6h source over the test
+// database's workloads. Sources are single-use: call once per run.
+func phillyStream(t *testing.T) *trace.Generator {
+	t.Helper()
+	cfg := trace.PhillySixHour(9, []string{"A40", "A10"})
+	cfg.Workloads = []model.Workload{
+		{Model: "WRes-1B", GlobalBatch: 256},
+		{Model: "GPT-1.3B", GlobalBatch: 128},
+		{Model: "GPT-2.6B", GlobalBatch: 128},
+	}
+	src, err := trace.Stream(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return src
+}
+
+// parityFaults is the random fault model of the faulted golden runs.
+func parityFaults() *faults.Config {
+	return &faults.Config{
+		Model:              &faults.Model{Default: faults.TypeFaults{MTBF: 2 * 3600, MTTR: 1800, SlowEvery: 4 * 3600}},
+		CheckpointInterval: 900,
+	}
+}
+
 // TestSliceSourceMatchesJobs pins simulation results to digests committed
-// under testdata/. They were recorded through the removed Config.Jobs
-// staging path, so SliceSource reproducing them bit for bit is the proof
-// that the two paths were interchangeable. Regenerate with -update only
-// for a change that is meant to alter simulation results.
+// under testdata/, and is the proof that each simulator layer's single
+// production path is correct. The first 19 exact-mode entries were
+// recorded through the removed Config.Jobs staging path, so SliceSource
+// reproducing them bit for bit proves the two paths interchangeable. The
+// rest were recorded while the linear-scan event core and the policies'
+// full per-round rescans still ran beside the event heap and the score
+// caches, and every entry then matched them bit for bit; reproducing the
+// digests is what now stands in for those reference paths. Regenerate
+// with -update only for a change that is meant to alter simulation
+// results.
+//
+// The digests are amd64 values: the Go spec lets other architectures
+// fuse a multiply and an add into one rounding, which can move the last
+// bit of a float result.
 func TestSliceSourceMatchesJobs(t *testing.T) {
 	got := map[string]string{}
 	for name, cfg := range goldenConfigs(t) {

@@ -5,8 +5,7 @@ import "github.com/sjtu-epcc/arena/internal/sched"
 // The event classes, in same-instant processing order. Completions beat
 // fault events at the same instant — a job that finishes exactly when
 // its node crashes has finished (internal/faults' kindRank orders
-// crashes last among faults for the same reason), and the reference
-// scan core implements the identical tie rule.
+// crashes last among faults for the same reason).
 const (
 	classCompletion uint8 = iota
 	classFault
@@ -27,9 +26,9 @@ type event struct {
 	// seq totally orders same-instant events of the same class:
 	// completions carry the job's rate-change sequence number, fault
 	// entries their schedule index (the schedule is pre-sorted by time,
-	// then kind rank). A total order is what keeps the heap core's event
-	// sequence — and therefore every order-dependent float accumulation —
-	// bit-identical to the reference scan's.
+	// then kind rank). A total order is what makes the event sequence —
+	// and therefore every order-dependent float accumulation —
+	// independent of the heap's internal layout.
 	seq   uint64
 	job   *sched.Job // completion entries
 	epoch uint64     // completion entries: liveness check
@@ -94,12 +93,15 @@ func (s *state) pushFault(idx int) {
 	s.heap.push(event{at: s.events[idx].Time, class: classFault, seq: uint64(idx), fault: idx})
 }
 
-// advanceHeap is the event core: pop due events until the heap's front
-// is beyond t. Between-round work is O(events · log heap) — no per-event
-// rescan of the running set. The fault stream is merged into the same
-// heap one entry at a time (the schedule is already sorted, so a single
-// cursor entry suffices); popping a fault event publishes its successor.
-func (s *state) advanceHeap(t float64) {
+// advance is the event core: it processes every due event — completions
+// at their predicted instants, fault events at theirs — up to and
+// including t, in global (time, completion-before-fault, sequence) order,
+// popping the heap until its front lies beyond t. Between-round work is
+// O(events · log heap), with no per-event rescan of the running set. The
+// fault stream is merged into the same heap one entry at a time (the
+// schedule is already sorted, so a single cursor entry suffices); popping
+// a fault event publishes its successor.
+func (s *state) advance(t float64) {
 	for len(s.heap) > 0 && s.heap[0].at <= t {
 		ev := s.heap.pop()
 		switch ev.class {

@@ -64,22 +64,6 @@ type Config struct {
 	// P90JCT are sketch estimates rather than exact order statistics.
 	Streaming bool
 
-	// ReferenceScan runs the legacy per-round linear-scan core instead of
-	// the event-heap core. Both cores share every progress/accounting
-	// primitive and differ only in how the next due event is found, so
-	// results are bit-identical — the parity tests prove it. The scan is
-	// O(running jobs) per event and exists as the oracle the heap is
-	// checked against.
-	ReferenceScan bool
-
-	// ReferenceScore runs the policies' full per-round candidate rescans
-	// instead of their incremental score caches (launch ladders, failure
-	// memos, marginal-gain heaps). Both paths make identical decisions —
-	// the score parity tests prove it — so the flag exists, like
-	// ReferenceScan, purely as the oracle the caches are checked against.
-	// Policies without caches (FCFS) ignore it.
-	ReferenceScore bool
-
 	// Faults enables deterministic fault injection: crashes preempt the
 	// jobs on the dead node and roll them back to their last modeled
 	// checkpoint, stragglers degrade achieved throughput, and the Summary
@@ -165,7 +149,7 @@ type state struct {
 	pending []*sched.Job // submitted in the future
 	queued  []*sched.Job
 	running []*sched.Job
-	done_   []*sched.Job // empty in streaming mode (jobs fold into aggregates)
+	done_   []*sched.Job // retired jobs; empty in streaming mode
 
 	// Streaming trace source (nil for an engine fed only by Submit).
 	src     trace.Source
@@ -173,7 +157,6 @@ type state struct {
 	srcDone bool
 
 	thrSeries []float64
-	lastTime  float64
 
 	// Event core. heap holds completion predictions (epoch-validated,
 	// lazily deleted) and the next pending fault event; predSeq is the
@@ -194,14 +177,17 @@ type state struct {
 	wastedGPUSec  float64
 	recomputeSec  float64
 
-	// Streaming-mode aggregates (cfg.Streaming): what finish() would
-	// have derived from retained job records.
-	jctS, queueS                 *metrics.Stream
-	mFinished, mDropped, mFailed int
-	mDeadlineSat, mDeadlineTot   int
-	mResched                     float64
-	mLaunched                    int
-	mPreempt, mRestarts          int
+	// Running totals, folded in as each job retires (and, for censored
+	// jobs, at finish) in both modes. Exact mode also keeps the raw JCT
+	// and queue-time values for Summary's slices and exact P50/P90;
+	// streaming mode sketches the quantiles in jctS instead.
+	jctS, queueS                     *metrics.Stream
+	jcts, queueTimes                 []float64 // exact mode only
+	mFinished, mDropped, mFailed     int
+	mDeadlineSat, mDeadlineTot       int
+	mResched                         float64
+	mLaunched                        int
+	mPreempt, mRestarts, mMigrations int
 }
 
 // jobSim is one job's simulation record: checkpoint accounting plus the
@@ -217,8 +203,7 @@ type state struct {
 // pred is computed once per rate change (launch, rescale, migrate,
 // straggler episode edge) and is *the* completion time — materializing
 // progress at later instants never recomputes it, so completion times
-// cannot drift with how often progress is observed, and the scan and
-// heap cores agree bitwise by construction.
+// cannot drift with how often progress is observed.
 type jobSim struct {
 	sinceCkptSec    float64 // productive seconds since the last checkpoint
 	sinceCkptGPUSec float64 // GPU-seconds accumulated in that window
@@ -239,57 +224,6 @@ func (s *state) simFor(j *sched.Job) *jobSim {
 		s.sim[j] = js
 	}
 	return js
-}
-
-// advance processes every due event — completions at their predicted
-// instants, fault events at theirs — up to and including t, in global
-// (time, completion-before-fault, sequence) order. Completions at the
-// same instant as a crash win (kindRank orders crashes last for the same
-// reason). Both cores perform the identical operation sequence; they
-// differ only in how the next due event is found (heap pop vs. linear
-// scan), which is what the parity tests pin down.
-func (s *state) advance(t float64) {
-	if s.cfg.ReferenceScan {
-		s.advanceScan(t)
-	} else {
-		s.advanceHeap(t)
-	}
-	s.lastTime = t
-}
-
-// advanceScan is the reference core: each iteration linearly scans the
-// running set for the earliest predicted completion and plays it against
-// the next fault event. O(running jobs) per event.
-func (s *state) advanceScan(t float64) {
-	for {
-		var next *sched.Job
-		var nextJS *jobSim
-		for _, j := range s.running {
-			js := s.sim[j]
-			if js == nil || js.pred > t {
-				continue
-			}
-			if nextJS == nil || js.pred < nextJS.pred ||
-				(js.pred == nextJS.pred && js.seq < nextJS.seq) {
-				next, nextJS = j, js
-			}
-		}
-		faultAt := math.Inf(1)
-		if s.evIdx < len(s.events) {
-			faultAt = s.events[s.evIdx].Time
-		}
-		switch {
-		case nextJS != nil && nextJS.pred <= faultAt:
-			s.materialize(next, nextJS.pred)
-			s.complete(next, nextJS.pred)
-		case faultAt <= t:
-			ev := s.events[s.evIdx]
-			s.evIdx++
-			s.applyFault(ev)
-		default:
-			return
-		}
-	}
 }
 
 // materialize brings a job's RemainingSamples (and checkpoint-window
@@ -319,10 +253,10 @@ func (s *state) materializeRunning(now float64) {
 }
 
 // rePredict re-anchors a job after a rate change at instant t: caches
-// its new effective throughput, fixes its completion prediction, and
-// (heap core) publishes the new prediction, invalidating prior entries
-// via the epoch bump. Callers must materialize progress at t first
-// (launch needs no progress; everything else does).
+// its new effective throughput, fixes its completion prediction and
+// publishes it to the event heap, invalidating prior entries via the
+// epoch bump. Callers must materialize progress at t first (launch
+// needs no progress; everything else does).
 func (s *state) rePredict(j *sched.Job, t float64) {
 	js := s.simFor(j)
 	js.anchor = t
@@ -332,9 +266,7 @@ func (s *state) rePredict(j *sched.Job, t float64) {
 	js.seq = s.predSeq
 	if js.thr > 0 {
 		js.pred = math.Max(t, j.BusyUntil) + j.RemainingSamples/js.thr
-		if !s.cfg.ReferenceScan {
-			s.heap.push(event{at: js.pred, class: classCompletion, seq: js.seq, job: j, epoch: js.epoch})
-		}
+		s.heap.push(event{at: js.pred, class: classCompletion, seq: js.seq, job: j, epoch: js.epoch})
 	} else {
 		js.pred = math.Inf(1)
 	}
@@ -412,26 +344,18 @@ func (s *state) complete(j *sched.Job, at float64) {
 }
 
 // retire takes a job that reached a terminal state (finished, dropped,
-// failed) out of the live world. Normally it joins done_ for the final
-// report; in streaming mode it is folded into the running aggregates and
-// dropped, which is what keeps memory O(active jobs).
+// failed) out of the live world and folds it into the running totals.
+// Exact mode also keeps it on done_ for Result.Jobs; streaming mode
+// drops it, which is what keeps memory O(active jobs).
 func (s *state) retire(j *sched.Job) {
 	delete(s.sim, j)
 	if !s.cfg.Streaming {
 		s.done_ = append(s.done_, j)
-		return
 	}
-	s.accountTerminal(j)
-}
-
-// accountTerminal folds one terminal job into the streaming aggregates —
-// the per-job arm of finish()'s summary loop, applied at retirement time
-// instead of at the end.
-func (s *state) accountTerminal(j *sched.Job) {
 	switch j.State {
 	case sched.StateFinished:
 		s.mFinished++
-		s.jctS.Add(j.FinishedAt - j.Trace.SubmitTime)
+		s.observeJCT(j.FinishedAt - j.Trace.SubmitTime)
 		if j.Trace.Deadline > 0 {
 			s.mDeadlineTot++
 			if j.FinishedAt <= j.Trace.SubmitTime+j.Trace.Deadline {
@@ -449,13 +373,34 @@ func (s *state) accountTerminal(j *sched.Job) {
 			s.mDeadlineTot++
 		}
 	}
-	if j.LaunchedAt >= 0 {
-		s.queueS.Add(j.LaunchedAt - j.Trace.SubmitTime)
-		s.mLaunched++
-		s.mResched += float64(j.Resched)
-	}
+	s.observeLaunch(j)
 	s.mPreempt += j.Preemptions
 	s.mRestarts += j.Restarts
+	s.mMigrations += j.Migrations
+}
+
+// observeJCT folds one job completion time — a finished job's, or a live
+// job's censored at the horizon — into the totals.
+func (s *state) observeJCT(jct float64) {
+	s.jctS.Add(jct)
+	if !s.cfg.Streaming {
+		s.jcts = append(s.jcts, jct)
+	}
+}
+
+// observeLaunch folds a launched job's queueing delay and reschedule
+// count into the totals; never-launched jobs contribute neither.
+func (s *state) observeLaunch(j *sched.Job) {
+	if j.LaunchedAt < 0 {
+		return
+	}
+	q := j.LaunchedAt - j.Trace.SubmitTime
+	s.queueS.Add(q)
+	if !s.cfg.Streaming {
+		s.queueTimes = append(s.queueTimes, q)
+	}
+	s.mLaunched++
+	s.mResched += float64(j.Resched)
 }
 
 // stage registers one trace job as a future submission, keeping pending
@@ -507,8 +452,8 @@ func (s *state) pull(now float64) {
 }
 
 // drainSource stages everything the source still holds — the
-// non-streaming finish path, where the final report must see the whole
-// trace exactly as if it had been staged up front.
+// exact-mode finish, where Result.Jobs must list the whole trace exactly
+// as if it had been staged up front.
 func (s *state) drainSource() {
 	if s.src == nil {
 		return
@@ -743,109 +688,29 @@ func (s *state) done() bool {
 		s.srcExhausted()
 }
 
-// finish assembles the metrics summary.
+// finish assembles the metrics summary. Terminal jobs were folded into
+// the running totals as they retired, so only live jobs — censored at
+// the horizon under IncludeUnfinished — and submissions that never
+// reached the queue are accounted here, in both modes. Exact mode first
+// stages the source's remainder so Result.Jobs lists the whole trace,
+// and reads P50/P90 off the raw JCT values; streaming mode counts that
+// remainder without materializing it, reports P² sketch quantiles and
+// no per-job data. Every count, sum and mean is exact in both modes.
 func (s *state) finish(end float64) *Result {
-	if s.cfg.Streaming {
-		return s.finishStreaming(end)
+	if !s.cfg.Streaming {
+		s.drainSource()
 	}
-	// The exact report covers the whole trace, so anything the source
-	// still holds is staged first.
-	s.drainSource()
-	// Total counts the jobs that belong to the simulated horizon: done,
-	// running, queued, and the pending jobs whose trace submission falls
-	// inside it. A pending job submitted after the horizon (a MaxRounds
-	// cap can end the simulation mid-trace) was never part of this run —
-	// counting it inflated Total and skewed every per-job ratio derived
-	// from it.
-	total := len(s.done_) + len(s.running) + len(s.queued)
-	for _, j := range s.pending {
-		if j.Trace.SubmitTime <= end {
-			total++
-		}
-	}
-	sum := metrics.Summary{
-		Policy:           s.cfg.Policy.Name(),
-		ThroughputSeries: s.thrSeries,
-		Total:            total,
-	}
-	consider := append([]*sched.Job(nil), s.done_...)
-	if s.cfg.IncludeUnfinished {
-		consider = append(consider, s.running...)
-		consider = append(consider, s.queued...)
-		// Jobs still pending (e.g. stuck in their profiling prepend) are
-		// censored too, as long as their trace submission precedes the
-		// horizon.
-		for _, j := range s.pending {
-			if j.Trace.SubmitTime <= end {
-				consider = append(consider, j)
-			}
-		}
-	}
-	var resched, launched float64
-	for _, j := range consider {
-		switch j.State {
-		case sched.StateFinished:
-			sum.Finished++
-			sum.JCTs = append(sum.JCTs, j.FinishedAt-j.Trace.SubmitTime)
-			if j.Trace.Deadline > 0 {
-				sum.DeadlineTotal++
-				if j.FinishedAt <= j.Trace.SubmitTime+j.Trace.Deadline {
-					sum.DeadlineSatisfied++
-				}
-			}
-		case sched.StateDropped:
-			sum.Dropped++
-			if j.Trace.Deadline > 0 {
-				sum.DeadlineTotal++
-			}
-		case sched.StateFailed:
-			sum.Failed++
-			if j.Trace.Deadline > 0 {
-				sum.DeadlineTotal++
-			}
-		default: // censored
-			sum.JCTs = append(sum.JCTs, end-j.Trace.SubmitTime)
-		}
-		if j.LaunchedAt >= 0 {
-			sum.QueueTimes = append(sum.QueueTimes, j.LaunchedAt-j.Trace.SubmitTime)
-			launched++
-			resched += float64(j.Resched)
-		}
-	}
-	if launched > 0 {
-		sum.AvgReschedules = resched / launched
-	}
-	jobs := append([]*sched.Job(nil), s.done_...)
-	jobs = append(jobs, s.running...)
-	jobs = append(jobs, s.queued...)
-	jobs = append(jobs, s.pending...)
-	sum.GoodputGPUHours = s.goodputGPUSec / 3600
-	sum.WastedGPUHours = s.wastedGPUSec / 3600
-	sum.RecomputeSeconds = s.recomputeSec
-	for _, j := range jobs {
-		sum.Preemptions += j.Preemptions
-		sum.Restarts += j.Restarts
-	}
-	sum.Finalize()
-	return &Result{Summary: sum, Jobs: jobs, Horizon: end}
-}
-
-// finishStreaming assembles the summary from the running aggregates:
-// terminal jobs were folded in at retirement, so only the live
-// (censored) jobs and the source's unreached tail are accounted here.
-// Result.Jobs is nil and the raw JCTs/QueueTimes slices stay nil —
-// memory never grew past O(active jobs). P50/P90 are P² sketch values;
-// every count, sum and mean is exact.
-func (s *state) finishStreaming(end float64) *Result {
+	// Total counts the jobs that belong to the simulated horizon: retired,
+	// running, queued, and the not-yet-admitted jobs whose trace
+	// submission falls inside it. A job submitted after the horizon (a
+	// MaxRounds cap can end the simulation mid-trace) was never part of
+	// this run — counting it inflated Total and skewed every per-job ratio
+	// derived from it.
 	total := s.mFinished + s.mDropped + s.mFailed + len(s.running) + len(s.queued)
 	preempt, restarts := s.mPreempt, s.mRestarts
 	censor := func(j *sched.Job) {
-		s.jctS.Add(end - j.Trace.SubmitTime)
-		if j.LaunchedAt >= 0 {
-			s.queueS.Add(j.LaunchedAt - j.Trace.SubmitTime)
-			s.mLaunched++
-			s.mResched += float64(j.Resched)
-		}
+		s.observeJCT(end - j.Trace.SubmitTime)
+		s.observeLaunch(j)
 	}
 	for _, list := range [][]*sched.Job{s.running, s.queued} {
 		for _, j := range list {
@@ -859,6 +724,9 @@ func (s *state) finishStreaming(end float64) *Result {
 	for _, j := range s.pending {
 		preempt += j.Preemptions
 		restarts += j.Restarts
+		// Jobs still pending (e.g. stuck in their profiling prepend) are
+		// censored too, as long as their trace submission precedes the
+		// horizon.
 		if j.Trace.SubmitTime <= end {
 			total++
 			if s.cfg.IncludeUnfinished {
@@ -866,14 +734,14 @@ func (s *state) finishStreaming(end float64) *Result {
 			}
 		}
 	}
-	// Jobs the source never emitted into the world: count (and censor)
-	// the ones submitted inside the horizon, one at a time, without ever
-	// materializing them.
+	// Jobs the source never emitted into the world (streaming mode only:
+	// exact mode staged them above): count and censor the ones submitted
+	// inside the horizon, one at a time.
 	if s.srcPeek != nil {
 		if s.srcPeek.SubmitTime <= end {
 			total++
 			if s.cfg.IncludeUnfinished {
-				s.jctS.Add(end - s.srcPeek.SubmitTime)
+				s.observeJCT(end - s.srcPeek.SubmitTime)
 			}
 		}
 		s.srcPeek = nil
@@ -887,7 +755,7 @@ func (s *state) finishStreaming(end float64) *Result {
 		if tj.SubmitTime <= end {
 			total++
 			if s.cfg.IncludeUnfinished {
-				s.jctS.Add(end - tj.SubmitTime)
+				s.observeJCT(end - tj.SubmitTime)
 			}
 		}
 	}
@@ -896,6 +764,8 @@ func (s *state) finishStreaming(end float64) *Result {
 		ThroughputSeries:  s.thrSeries,
 		AvgThr:            metrics.Mean(s.thrSeries),
 		PeakThr:           metrics.Max(s.thrSeries),
+		JCTs:              s.jcts,
+		QueueTimes:        s.queueTimes,
 		Total:             total,
 		Finished:          s.mFinished,
 		Dropped:           s.mDropped,
@@ -903,8 +773,6 @@ func (s *state) finishStreaming(end float64) *Result {
 		DeadlineSatisfied: s.mDeadlineSat,
 		DeadlineTotal:     s.mDeadlineTot,
 		AvgJCT:            s.jctS.Mean(),
-		P50JCT:            s.jctS.Quantile(0.50),
-		P90JCT:            s.jctS.Quantile(0.90),
 		AvgQueue:          s.queueS.Mean(),
 		GoodputGPUHours:   s.goodputGPUSec / 3600,
 		WastedGPUHours:    s.wastedGPUSec / 3600,
@@ -915,7 +783,23 @@ func (s *state) finishStreaming(end float64) *Result {
 	if s.mLaunched > 0 {
 		sum.AvgReschedules = s.mResched / float64(s.mLaunched)
 	}
-	return &Result{Summary: sum, Jobs: nil, Horizon: end}
+	res := &Result{Summary: sum, Horizon: end}
+	if s.cfg.Streaming {
+		res.P50JCT, res.P90JCT = s.jctS.Quantile(0.50), s.jctS.Quantile(0.90)
+	} else {
+		res.P50JCT, res.P90JCT = metrics.Percentile(s.jcts, 0.50), metrics.Percentile(s.jcts, 0.90)
+		res.Jobs = s.jobs()
+	}
+	return res
+}
+
+// jobs lists every job the world holds — retired first, then running,
+// queued and pending.
+func (s *state) jobs() []*sched.Job {
+	jobs := append([]*sched.Job(nil), s.done_...)
+	jobs = append(jobs, s.running...)
+	jobs = append(jobs, s.queued...)
+	return append(jobs, s.pending...)
 }
 
 func (s *state) findQueued(id string) *sched.Job {

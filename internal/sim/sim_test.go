@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"math"
 	"reflect"
 	"sync"
 	"testing"
 
+	"github.com/sjtu-epcc/arena/internal/core"
 	"github.com/sjtu-epcc/arena/internal/exec"
 	"github.com/sjtu-epcc/arena/internal/hw"
 	"github.com/sjtu-epcc/arena/internal/model"
@@ -376,5 +378,129 @@ func TestSimFidelityNoiseChangesResults(t *testing.T) {
 	rel := (clean.AvgJCT - noisy.AvgJCT) / noisy.AvgJCT
 	if rel < -0.25 || rel > 0.25 {
 		t.Errorf("noise shifted JCT by %.1f%%, too much", 100*rel)
+	}
+}
+
+func TestSimSourceWithoutSpanNeedsMaxRounds(t *testing.T) {
+	// A bare Source (no Spanner) gives the engine no horizon to derive.
+	src := spanlessSource{}
+	_, err := Run(Config{
+		Spec: hw.ClusterA(), Policy: policy.NewFCFS(), DB: db(t), Source: src,
+	})
+	if err == nil {
+		t.Fatal("span-less Source without MaxRounds accepted; want error")
+	}
+	res, err := Run(Config{
+		Spec: hw.ClusterA(), Policy: policy.NewFCFS(), DB: db(t), Source: src,
+		MaxRounds: 10,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Total != 0 {
+		t.Errorf("empty span-less source simulated %d jobs", res.Total)
+	}
+}
+
+type spanlessSource struct{}
+
+func (spanlessSource) Next() (trace.Job, bool) { return trace.Job{}, false }
+
+func TestStreamingMatchesExact(t *testing.T) {
+	// Streaming mode folds terminal jobs into aggregates instead of
+	// retaining them: every count must match the exact run, means must
+	// agree to float tolerance (the addition order differs only for
+	// censored jobs), and the raw slices must stay nil.
+	jobs := testJobs(t, 40)
+	base := Config{
+		Spec: hw.ClusterA(), Policy: sched.NewArena(), Source: trace.SliceSource(jobs), DB: db(t),
+		RoundSeconds: 300, IncludeUnfinished: true, Seed: 1,
+	}
+	exact, err := Run(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sCfg := base
+	sCfg.Source, sCfg.Streaming = trace.SliceSource(jobs), true
+	stream, err := Run(sCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stream.Jobs != nil || stream.JCTs != nil || stream.QueueTimes != nil {
+		t.Errorf("streaming run retained per-job data (Jobs=%d JCTs=%d QueueTimes=%d)",
+			len(stream.Jobs), len(stream.JCTs), len(stream.QueueTimes))
+	}
+	if stream.Total != exact.Total || stream.Finished != exact.Finished ||
+		stream.Dropped != exact.Dropped || stream.Failed != exact.Failed ||
+		stream.DeadlineSatisfied != exact.DeadlineSatisfied ||
+		stream.DeadlineTotal != exact.DeadlineTotal ||
+		stream.Preemptions != exact.Preemptions || stream.Restarts != exact.Restarts {
+		t.Errorf("streaming counters diverge from exact run:\nexact:  %+v\nstream: %+v",
+			exact.Summary, stream.Summary)
+	}
+	approx := func(name string, a, b float64) {
+		if math.Abs(a-b) > 1e-9*(1+math.Abs(a)) {
+			t.Errorf("%s: exact %g vs streaming %g", name, a, b)
+		}
+	}
+	approx("AvgJCT", exact.AvgJCT, stream.AvgJCT)
+	approx("AvgQueue", exact.AvgQueue, stream.AvgQueue)
+	approx("GoodputGPUHours", exact.GoodputGPUHours, stream.GoodputGPUHours)
+	approx("AvgReschedules", exact.AvgReschedules, stream.AvgReschedules)
+	// P50/P90 are P² sketch estimates; for a few dozen observations they
+	// land near — not on — the exact order statistics.
+	if exact.P90JCT > 0 {
+		if r := stream.P90JCT / exact.P90JCT; r < 0.5 || r > 2 {
+			t.Errorf("P90JCT sketch %g implausibly far from exact %g", stream.P90JCT, exact.P90JCT)
+		}
+	}
+}
+
+func TestRunStopsWhenArrivalsBeyondHorizon(t *testing.T) {
+	// Regression for the stop condition: a trace whose remaining
+	// arrivals all land beyond the round budget used to keep the loop
+	// alive (pending non-empty -> not Done) for the full MaxRounds —
+	// hundreds of empty rounds deciding nothing. The loop must now stop
+	// as soon as the world is provably idle until past the horizon.
+	jobs := []trace.Job{{
+		ID: "far-future", Workload: testJobs(t, 1)[0].Workload,
+		Iterations: 100, ReqGPUs: 2, ReqType: "A40", Priority: 1,
+		SubmitTime: 1e7,
+	}}
+	rounds := 0
+	res, err := Run(Config{
+		Spec: hw.ClusterA(), Policy: policy.NewFCFS(), Source: trace.SliceSource(jobs), DB: db(t),
+		RoundSeconds: 300, MaxRounds: 400, IncludeUnfinished: true, Seed: 1,
+		Progress: func(core.Event) { rounds++ },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rounds >= 400 {
+		t.Errorf("idle run burned all %d rounds; want early stop", rounds)
+	}
+	if rounds > 10 {
+		t.Errorf("idle run took %d rounds to stop; want a handful", rounds)
+	}
+	if res.Total != 0 {
+		t.Errorf("job beyond the horizon counted into Total=%d", res.Total)
+	}
+}
+
+func TestEngineSubmitStampsNow(t *testing.T) {
+	e, err := NewEngine(Config{
+		Spec: hw.ClusterA(), Policy: policy.NewFCFS(), DB: db(t), MaxRounds: 10,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := testJobs(t, 1)[0].Workload
+	j := e.Submit(trace.Job{ID: "live", Workload: w, Iterations: 100, ReqGPUs: 2, ReqType: "A40"}, 1234)
+	if j.Trace.SubmitTime != 1234 {
+		t.Errorf("zero SubmitTime not stamped with now: got %g", j.Trace.SubmitTime)
+	}
+	j2 := e.Submit(trace.Job{ID: "replay", Workload: w, Iterations: 100, ReqGPUs: 2, ReqType: "A40", SubmitTime: 77}, 1234)
+	if j2.Trace.SubmitTime != 77 {
+		t.Errorf("explicit SubmitTime overwritten: got %g", j2.Trace.SubmitTime)
 	}
 }

@@ -10,6 +10,7 @@
 //	arena-bench -seed 7         # change the determinism seed
 //	arena-bench -fig fig11 -store ./measurements
 //	arena-bench -fig fig12 -v   # stream per-figure build/sim progress
+//	arena-bench -fig fig11 -cpuprofile cpu.prof -memprofile mem.prof
 //
 // With -store, every performance database the experiments build persists
 // as content-addressed per-workload columns, so later runs — including
@@ -37,7 +38,10 @@ func main() {
 		verbose = flag.Bool("v", false, "stream per-figure build/simulation progress to stderr")
 	)
 	c := cli.CommonFlags()
+	prof := cli.ProfileFlags()
 	flag.Parse()
+	prof.Start()
+	defer prof.Stop()
 
 	env := experiments.NewEnv(c.Seed)
 	env.StoreDir = c.Store

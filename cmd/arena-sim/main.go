@@ -18,6 +18,10 @@
 //	arena-sim -policy arena -mtbf 12 -mttr 0.5 -straggler-mtbs 24
 //	arena-sim -policy all -fault-trace storm.txt -checkpoint-interval 900
 //	arena-sim -policy arena -mtbf 6 -no-fault-recovery   # ablation
+//
+// Profiling (runtime/pprof; read with `go tool pprof arena-sim cpu.prof`):
+//
+//	arena-sim -policy arena -trace-gen helios-day -trace-jobs 50000 -cpuprofile cpu.prof -memprofile mem.prof
 package main
 
 import (
@@ -49,7 +53,10 @@ func main() {
 		noRecovery = flag.Bool("no-fault-recovery", false, "ablation: preempted jobs fail instead of restarting from checkpoint")
 	)
 	c := cli.CommonFlags()
+	prof := cli.ProfileFlags()
 	flag.Parse()
+	prof.Start()
+	defer prof.Stop()
 	ctx := cli.Context()
 
 	spec, err := cli.PickCluster(*clusterName)

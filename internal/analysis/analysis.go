@@ -8,7 +8,8 @@
 //	ctxshadow       no declaration may shadow a context.Context parameter
 //	clockdiscipline scheduling code takes instants from internal/clock only
 //	maporder        map iteration order must not escape into output
-//	stablesort      sort.Slice needs a proven total order; ties need a rank
+//	stablesort      sort.Slice needs a proven total order; ties need a rank;
+//	                slices.SortFunc is always flagged
 //	rngdiscipline   scheduling/fault randomness flows through internal/rng
 //
 // Each bug class shipped at least once before being caught by a parity

@@ -34,7 +34,7 @@ var (
 
 // fixtureExtraImports are packages fixtures may import beyond the
 // module's own dependency closure.
-var fixtureExtraImports = []string{"math/rand", "math/rand/v2"}
+var fixtureExtraImports = []string{"cmp", "math/rand", "math/rand/v2", "slices"}
 
 // fixtureLoader builds (once) a moduleLoader able to type-check fixture
 // packages: module-internal imports resolve from source, everything else

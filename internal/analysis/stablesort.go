@@ -27,10 +27,15 @@ import (
 // shape cannot express it (e.g. comparing through a helper), use
 // sort.SliceStable so ties preserve a deterministic input order, or
 // suppress with //arena:allow stablesort <why the order is total>.
+//
+// slices.SortFunc is pdqsort too, and its cmp func returns an int, so
+// no comparator shape proves it total: every call is flagged, pointing
+// to slices.SortStableFunc, a sort.Slice tie-break chain, or a reasoned
+// //arena:allow stablesort.
 var StableSort = &Analyzer{
 	Name: "stablesort",
-	Doc: "report sort.Slice calls whose less func is not a visible tie-break chain; " +
-		"use sort.SliceStable or a rank-extended total-order comparator",
+	Doc: "report sort.Slice calls whose less func is not a visible tie-break chain, and every slices.SortFunc; " +
+		"use sort.SliceStable, slices.SortStableFunc or a rank-extended total-order comparator",
 	Scope: []string{
 		"internal/sched", "internal/sim", "internal/planner",
 		"internal/faults", "internal/trace", "internal/evalcache",
@@ -47,12 +52,27 @@ func runStableSort(pass *Pass) error {
 			if !ok || len(call.Args) != 2 {
 				return true
 			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
+			fun := call.Fun
+			switch ix := fun.(type) {
+			case *ast.IndexExpr: // slices.SortFunc[[]T](...)
+				fun = ix.X
+			case *ast.IndexListExpr: // slices.SortFunc[[]T, T](...)
+				fun = ix.X
+			}
+			sel, ok := fun.(*ast.SelectorExpr)
 			if !ok {
 				return true
 			}
 			obj, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-			if !ok || obj.Pkg() == nil || obj.Pkg().Path() != "sort" || obj.Name() != "Slice" {
+			if !ok || obj.Pkg() == nil {
+				return true
+			}
+			switch {
+			case obj.Pkg().Path() == "slices" && obj.Name() == "SortFunc":
+				pass.Reportf(call.Pos(),
+					"slices.SortFunc is unstable: equal elements get an arbitrary order; use slices.SortStableFunc, a sort.Slice tie-break chain, or //arena:allow stablesort <why the order is total>")
+				return true
+			case obj.Pkg().Path() != "sort" || obj.Name() != "Slice":
 				return true
 			}
 			lit, ok := call.Args[1].(*ast.FuncLit)

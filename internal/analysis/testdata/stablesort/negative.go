@@ -1,6 +1,10 @@
 package fixture
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 type item struct {
 	key string
@@ -35,4 +39,14 @@ func twoSided(xs []item) {
 // SliceStable preserves a deterministic input order on ties.
 func stable(xs []item) {
 	sort.SliceStable(xs, func(i, j int) bool { return xs[i].n < xs[j].n })
+}
+
+// slices.SortStableFunc keeps equal elements in input order.
+func stableFunc(xs []item) {
+	slices.SortStableFunc(xs, func(a, b item) int { return cmp.Compare(a.n, b.n) })
+}
+
+// slices.Sort orders values that are equal only when indistinguishable.
+func sortValues(ns []int) {
+	slices.Sort(ns)
 }

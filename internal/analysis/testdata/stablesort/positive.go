@@ -1,6 +1,10 @@
 package fixture
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 type cand struct {
 	score float64
@@ -26,5 +30,24 @@ func rankNonStrict(cs []cand) {
 			return cs[i].score > cs[j].score
 		}
 		return cs[i].rank <= cs[j].rank
+	})
+}
+
+// slices.SortFunc is pdqsort as well: whatever its cmp func, equal
+// elements land in an arbitrary order.
+func rankSortFunc(cs []cand) {
+	slices.SortFunc(cs, func(a, b cand) int { return cmp.Compare(b.score, a.score) }) // want `slices.SortFunc is unstable`
+}
+
+// An explicitly instantiated call is the same call, with one type
+// argument or both.
+func rankSortFuncInstantiated(cs []cand) {
+	slices.SortFunc[[]cand, cand](cs, func(a, b cand) int { return cmp.Compare(a.rank, b.rank) }) // want `slices.SortFunc is unstable`
+
+	slices.SortFunc[[]cand](cs, func(a, b cand) int { // want `slices.SortFunc is unstable`
+		if c := cmp.Compare(b.score, a.score); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.rank, b.rank)
 	})
 }

@@ -1,8 +1,8 @@
 // Package cli holds the plumbing shared by the four arena command-line
 // tools (arena-sim, arena-bench, arena-plan, arena-profile): the common
-// -seed/-workers/-store flags, cluster and trace pickers, a signal-aware
-// root context, and one error/warning path so every tool reports failures
-// in the same format.
+// -seed/-workers/-store flags, the -cpuprofile/-memprofile profiling
+// flags, cluster and trace pickers, a signal-aware root context, and one
+// error/warning path so every tool reports failures in the same format.
 package cli
 
 import (
@@ -13,6 +13,8 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"syscall"
 
 	arena "github.com/sjtu-epcc/arena"
@@ -44,6 +46,69 @@ func CommonFlags() *Common {
 	flag.IntVar(&c.Workers, "workers", 0, "worker goroutines for profiling/search/build fan-out (0 = all cores)")
 	flag.StringVar(&c.Store, "store", "", "content-addressed measurement store directory: persists op/stage measurements and per-workload PerfDB columns across runs")
 	return c
+}
+
+// Profile carries the standard profiling flags: -cpuprofile and
+// -memprofile, written with runtime/pprof and read with `go tool pprof`.
+type Profile struct {
+	// CPU is the CPU profile's path (-cpuprofile); empty = off.
+	CPU string
+	// Mem is the allocation profile's path (-memprofile), written when
+	// the tool finishes; empty = off.
+	Mem string
+
+	cpu *os.File
+}
+
+// ProfileFlags registers -cpuprofile and -memprofile on flag.CommandLine.
+// Call before flag.Parse, then Start after it and Stop when the tool
+// finishes.
+func ProfileFlags() *Profile {
+	p := &Profile{}
+	flag.StringVar(&p.CPU, "cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
+	flag.StringVar(&p.Mem, "memprofile", "", "write an allocation profile to this file when the run finishes (go tool pprof)")
+	return p
+}
+
+// Start begins CPU profiling when -cpuprofile is set.
+func (p *Profile) Start() {
+	if p.CPU == "" {
+		return
+	}
+	f, err := os.Create(p.CPU)
+	if err != nil {
+		Fatal(err)
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		Fatal(err)
+	}
+	p.cpu = f
+}
+
+// Stop ends CPU profiling and writes the allocation profile. A tool that
+// exits early through Fatal or os.Exit writes neither.
+func (p *Profile) Stop() {
+	if p.cpu != nil {
+		pprof.StopCPUProfile()
+		if err := p.cpu.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: warning: %v (CPU profile incomplete)\n", Tool(), err)
+		}
+		p.cpu = nil
+	}
+	if p.Mem == "" {
+		return
+	}
+	f, err := os.Create(p.Mem)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: warning: %v (no allocation profile)\n", Tool(), err)
+		return
+	}
+	defer f.Close()
+	runtime.GC() // bring the in-use figures up to date
+	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+		fmt.Fprintf(os.Stderr, "%s: warning: %v (allocation profile incomplete)\n", Tool(), err)
+	}
 }
 
 // NewSession constructs the tool's session from the given options plus

@@ -34,8 +34,28 @@
 // store-backed and post-cancellation builds against fresh ones bit for
 // bit.
 //
+// # Column layout
+//
+// A DB holds one dense column per workload, not a map over every
+// (workload, type, count) key. A column is a []Entry with one slot per
+// grid point: slot t*counts + log2(n) holds GPUTypes[t] at n GPUs, where
+// counts is the number of powers of two up to MaxN. Every point of a
+// known workload on that grid has an entry and no other point does, so
+// Entry answers (nil, false) for n = 0, a count that is not a power of
+// two, a count past MaxN, an unknown type or an unknown workload. A
+// lookup hashes the workload once and indexes the rest: the throughput
+// and search-time views the schedulers query every round (DPThr,
+// ArenaEstThr, SearchTimePruned, …) cost one model.Workload hash, not a
+// four-field Key hash. The column also holds the workload's three
+// profiling wall times and the online observations Observe records.
+// Keys lists the columns' points by workload name, type name and count.
+//
 // BuildOrLoadStore avoids rebuilding: it persists one content-addressed
 // object per workload column with partial invalidation — adding a
 // workload to a cached request builds exactly the missing column (see
-// store.go for the key derivation rules).
+// store.go for the key derivation rules). A stored column is used only if
+// it is the request's column point for point: the same seed, model,
+// batch, GPU types and MaxN, and exactly one entry per grid point. Any
+// other column is reported as store.ErrCorrupt in StoreStats.Skipped and
+// rebuilt.
 package perfdb

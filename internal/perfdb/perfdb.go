@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"sort"
 	"sync/atomic"
@@ -60,20 +61,58 @@ type DB struct {
 	// carry it so a store never serves a column built for another seed.
 	seed uint64
 
-	entries map[Key]*Entry
+	// cols holds one dense column per workload: a lookup hashes the
+	// workload once and indexes the (type, count) point (see column).
+	cols map[model.Workload]*column
+}
 
-	// arenaProfileWall is Arena's per-workload grid-profiling wall time
-	// (single-GPU disaggregated profiling, §5.8: ≈8.5 min at N=16, M=4).
-	arenaProfileWall map[model.Workload]float64
-	// dpProfileWall is the full-space DP profiling wall time per workload
-	// (ElasticFlow/Gavel-style ahead-of-time measurement, §2.3).
-	dpProfileWall map[model.Workload]float64
-	// siaProfileWall is Sia's bootstrap profiling wall time (1-GPU).
-	siaProfileWall map[model.Workload]float64
+// column is everything the database holds for one workload. Its entries
+// are dense over the database's grid: slot t*counts + log2(n) holds
+// GPUTypes[t] at n GPUs, for every power of two n up to MaxN, so a
+// column has exactly len(GPUTypes)*counts entries and no point is
+// missing.
+type column struct {
+	entries []Entry
+	// observed holds online-profiled actual throughputs by slot (Sia's
+	// refinement loop, Fig. 4(b)); nil until the first observation.
+	observed []float64
 
-	// observed holds online-profiled actual throughputs (Sia's refinement
-	// loop, Fig. 4(b)).
-	observed map[Key]float64
+	// arenaWall is Arena's grid-profiling wall time (single-GPU
+	// disaggregated profiling, §5.8: ≈8.5 min at N=16, M=4).
+	arenaWall float64
+	// dpWall is the full-space DP profiling wall time (ElasticFlow/Gavel-
+	// style ahead-of-time measurement, §2.3).
+	dpWall float64
+	// siaWall is Sia's bootstrap profiling wall time (1-GPU).
+	siaWall float64
+}
+
+// gridCounts is the number of power-of-two GPU counts up to maxN: the
+// per-type stride of a column.
+func gridCounts(maxN int) int { return bits.Len(uint(maxN)) }
+
+// slot returns the column slot of (gpuType, n), or false when the point
+// is off the grid: an unknown type, or n not a power of two in [1, MaxN].
+func (db *DB) slot(gpuType string, n int) (int, bool) {
+	if n < 1 || n > db.MaxN || n&(n-1) != 0 {
+		return 0, false
+	}
+	for t, typ := range db.GPUTypes {
+		if typ == gpuType {
+			return t*gridCounts(db.MaxN) + bits.TrailingZeros(uint(n)), true
+		}
+	}
+	return 0, false
+}
+
+// newDB returns an empty database over the options' grid.
+func newDB(opts Options, seed uint64) *DB {
+	return &DB{
+		GPUTypes: opts.GPUTypes,
+		MaxN:     opts.MaxN,
+		seed:     seed,
+		cols:     map[model.Workload]*column{},
+	}
 }
 
 // Options configure a database build.
@@ -151,16 +190,7 @@ func BuildCtx(ctx context.Context, eng *exec.Engine, opts Options) (*DB, error) 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	db := &DB{
-		GPUTypes:         opts.GPUTypes,
-		MaxN:             opts.MaxN,
-		seed:             eng.Seed(),
-		entries:          map[Key]*Entry{},
-		arenaProfileWall: map[model.Workload]float64{},
-		dpProfileWall:    map[model.Workload]float64{},
-		siaProfileWall:   map[model.Workload]float64{},
-		observed:         map[Key]float64{},
-	}
+	db := newDB(opts, eng.Seed())
 
 	ct, err := profiler.OfflineSampleComm(eng, opts.GPUTypes, opts.MaxN)
 	if err != nil {
@@ -181,33 +211,24 @@ func BuildCtx(ctx context.Context, eng *exec.Engine, opts Options) (*DB, error) 
 		return nil, err
 	}
 
-	for _, r := range results {
+	for i, r := range results {
 		if r.err != nil {
 			return nil, r.err
 		}
-		for k, e := range r.entries {
-			db.entries[k] = e
-		}
-		db.arenaProfileWall[r.w] = r.arenaWall
-		db.dpProfileWall[r.w] = r.dpWall
-		db.siaProfileWall[r.w] = r.siaWall
+		db.cols[opts.Workloads[i]] = r.col
 	}
 	return db, nil
 }
 
 // workloadResult is one workload's contribution to the database.
 type workloadResult struct {
-	w         model.Workload
-	entries   map[Key]*Entry
-	arenaWall float64
-	dpWall    float64
-	siaWall   float64
-	err       error
+	col *column
+	err error
 }
 
 // pointResult is one (type, count) point's contribution to a workload.
 type pointResult struct {
-	entry   *Entry
+	entry   Entry
 	dpWall  float64
 	siaWall float64
 	err     error
@@ -242,8 +263,6 @@ func (ps *progressSink) point(w model.Workload, typ string, n int) {
 // so float summation order — and therefore every derived number — matches
 // the serial build bit for bit.
 func buildWorkload(ctx context.Context, eng *exec.Engine, ct *profiler.CommTable, w model.Workload, opts Options, sink *progressSink) (res workloadResult) {
-	res.w = w
-	res.entries = map[Key]*Entry{}
 	g, err := model.BuildClustered(w.Model)
 	if err != nil {
 		res.err = err
@@ -258,7 +277,7 @@ func buildWorkload(ctx context.Context, eng *exec.Engine, ct *profiler.CommTable
 		res.err = err
 		return res
 	}
-	res.arenaWall = jp.TotalProfileGPUTime // single profiling GPU
+	col := &column{arenaWall: jp.TotalProfileGPUTime} // single profiling GPU
 
 	// Concurrency budget: the build already fans out across workloads
 	// (GOMAXPROCS-gated) and, below, across this workload's (type, count)
@@ -277,6 +296,7 @@ func buildWorkload(ctx context.Context, eng *exec.Engine, ct *profiler.CommTable
 	}
 	searchOpts := search.Options{Cache: cache, Workers: 1}
 
+	// Points in slot order: types outer, counts inner.
 	type point struct {
 		typ string
 		n   int
@@ -302,30 +322,30 @@ func buildWorkload(ctx context.Context, eng *exec.Engine, ct *profiler.CommTable
 		return res
 	}
 
-	for i, p := range points {
-		out := outs[i]
+	col.entries = make([]Entry, len(points))
+	for i, out := range outs {
 		if out.err != nil {
 			res.err = out.err
 			return res
 		}
-		res.entries[Key{Workload: w, GPUType: p.typ, N: p.n}] = out.entry
-		res.dpWall += out.dpWall
-		res.siaWall += out.siaWall
+		col.entries[i] = out.entry
+		col.dpWall += out.dpWall
+		col.siaWall += out.siaWall
 	}
 	// Sia cannot bootstrap from a 1-GPU DP profile when the model does
 	// not fit one GPU; it falls back to probing a manually partitioned
 	// pipeline (§2.2 footnote), which still costs setup time.
-	if res.siaWall == 0 {
-		res.siaWall = 120
+	if col.siaWall == 0 {
+		col.siaWall = 120
 	}
+	res.col = col
 	return res
 }
 
 // buildPoint computes the entry for one (workload, type, count) point.
 func buildPoint(ctx context.Context, eng *exec.Engine, g *model.Graph, w model.Workload, jp *profiler.JobProfile, typ string, n int, searchOpts search.Options) (out pointResult) {
 	spec := hw.MustLookup(typ)
-	e := &Entry{}
-	out.entry = e
+	e := &out.entry
 
 	// Static DP view.
 	dpRes, err := searchOpts.Cache.Evaluate(g, parallel.PureDP(g, n), spec, w.GlobalBatch, spec.GPUsPerNode)
@@ -372,10 +392,26 @@ func buildPoint(ctx context.Context, eng *exec.Engine, g *model.Graph, w model.W
 	return out
 }
 
-// Entry returns the database entry for a key, if present.
+// Entry returns the database entry for a point, if present: every point
+// of a known workload on the grid (a listed GPU type, a power-of-two
+// count up to MaxN) has one, and no other point does.
 func (db *DB) Entry(w model.Workload, gpuType string, n int) (*Entry, bool) {
-	e, ok := db.entries[Key{Workload: w, GPUType: gpuType, N: n}]
-	return e, ok
+	col, i, ok := db.point(w, gpuType, n)
+	if !ok {
+		return nil, false
+	}
+	return &col.entries[i], true
+}
+
+// point locates (w, gpuType, n): the workload's column and the point's
+// slot in it, or false for an unknown workload or an off-grid point.
+func (db *DB) point(w model.Workload, gpuType string, n int) (*column, int, bool) {
+	col, ok := db.cols[w]
+	if !ok {
+		return nil, 0, false
+	}
+	i, ok := db.slot(gpuType, n)
+	return col, i, ok
 }
 
 // DPThr returns the static data-parallel throughput view (0 = OOM).
@@ -485,30 +521,53 @@ const manualPipelineFactor = 0.8
 // calls this at the start of every run so one policy's online refinement
 // cannot leak into another experiment sharing the database.
 func (db *DB) ResetObservations() {
-	db.observed = map[Key]float64{}
+	for _, col := range db.cols {
+		col.observed = nil
+	}
 }
 
 // Observe records an online-profiled actual throughput (Sia's refinement
-// of Fig. 4(b)); ObservedThr serves it back.
+// of Fig. 4(b)); ObservedThr serves it back. Only a point with an entry
+// can be observed: throughput elsewhere is zero by construction.
 func (db *DB) Observe(w model.Workload, gpuType string, n int, thr float64) {
-	db.observed[Key{Workload: w, GPUType: gpuType, N: n}] = thr
+	col, i, ok := db.point(w, gpuType, n)
+	if !ok {
+		return
+	}
+	if col.observed == nil {
+		col.observed = make([]float64, len(col.entries))
+	}
+	col.observed[i] = thr
 }
 
 // ObservedThr returns a previously observed throughput (0 = none).
 func (db *DB) ObservedThr(w model.Workload, gpuType string, n int) float64 {
-	return db.observed[Key{Workload: w, GPUType: gpuType, N: n}]
+	col, i, ok := db.point(w, gpuType, n)
+	if !ok || col.observed == nil {
+		return 0
+	}
+	return col.observed[i]
+}
+
+// col returns the workload's column, or an empty one for an unknown
+// workload (whose profiling wall times are zero).
+func (db *DB) col(w model.Workload) *column {
+	if col, ok := db.cols[w]; ok {
+		return col
+	}
+	return &column{}
 }
 
 // ArenaProfileWall returns Arena's per-job profiling wall time: the grid
 // proxies are measured on a single fragmented GPU (§3.4), so wall time
 // equals the accumulated GPU time.
-func (db *DB) ArenaProfileWall(w model.Workload) float64 { return db.arenaProfileWall[w] }
+func (db *DB) ArenaProfileWall(w model.Workload) float64 { return db.col(w).arenaWall }
 
 // DPProfileWall returns the baseline full-space DP profiling wall time.
-func (db *DB) DPProfileWall(w model.Workload) float64 { return db.dpProfileWall[w] }
+func (db *DB) DPProfileWall(w model.Workload) float64 { return db.col(w).dpWall }
 
 // SiaProfileWall returns Sia's bootstrap profiling wall time.
-func (db *DB) SiaProfileWall(w model.Workload) float64 { return db.siaProfileWall[w] }
+func (db *DB) SiaProfileWall(w model.Workload) float64 { return db.col(w).siaWall }
 
 // SearchTimeFull returns the modeled full AP search wall time for a
 // deployment point (baselines pay this on every (re)deployment).
@@ -527,11 +586,14 @@ func (db *DB) SearchTimePruned(w model.Workload, gpuType string, n int) float64 
 	return 0
 }
 
-// Keys returns all database keys in deterministic order (tests, dumps).
+// Keys returns all database keys in deterministic order (tests, dumps):
+// by workload name, then GPU type name, then count.
 func (db *DB) Keys() []Key {
-	keys := make([]Key, 0, len(db.entries))
-	for k := range db.entries {
-		keys = append(keys, k)
+	keys := make([]Key, 0, len(db.cols)*len(db.GPUTypes)*gridCounts(db.MaxN))
+	for w, col := range db.cols {
+		for i := range col.entries {
+			keys = append(keys, db.keyAt(w, i))
+		}
 	}
 	sort.Slice(keys, func(i, j int) bool {
 		a, b := keys[i], keys[j]
@@ -544,6 +606,12 @@ func (db *DB) Keys() []Key {
 		return a.N < b.N
 	})
 	return keys
+}
+
+// keyAt is the key of a workload's column slot i, the inverse of slot.
+func (db *DB) keyAt(w model.Workload, i int) Key {
+	counts := gridCounts(db.MaxN)
+	return Key{Workload: w, GPUType: db.GPUTypes[i/counts], N: 1 << (i % counts)}
 }
 
 // MeanEstimationError reports the mean relative error of an estimator

@@ -287,11 +287,12 @@ func dbDigest(t *testing.T, d *DB) string {
 	}
 	var entries []entryRow
 	for _, k := range d.Keys() {
-		entries = append(entries, entryRow{k, *d.entries[k]})
+		e, _ := d.Entry(k.Workload, k.GPUType, k.N)
+		entries = append(entries, entryRow{k, *e})
 	}
 	var walls []wallRow
 	for _, w := range storeTestWorkloads {
-		walls = append(walls, wallRow{w.String(), d.arenaProfileWall[w], d.dpProfileWall[w], d.siaProfileWall[w]})
+		walls = append(walls, wallRow{w.String(), d.ArenaProfileWall(w), d.DPProfileWall(w), d.SiaProfileWall(w)})
 	}
 	data, err := json.Marshal(struct {
 		Entries []entryRow

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -101,6 +102,29 @@ func columnKey(engineFP string, w model.Workload, graphFP string, gpuTypes []str
 	return store.NewKey(columnDomain, fields...)
 }
 
+// columnKeys derives the content address of every requested workload
+// column (opts already defaulted).
+func columnKeys(eng *exec.Engine, opts Options) ([]store.Key, error) {
+	engineFP := evalcache.EngineFingerprint(eng)
+	gpuFPs := make([]string, len(opts.GPUTypes))
+	for i, t := range opts.GPUTypes {
+		spec, err := hw.Lookup(t)
+		if err != nil {
+			return nil, err
+		}
+		gpuFPs[i] = evalcache.GPUFingerprint(spec)
+	}
+	keys := make([]store.Key, len(opts.Workloads))
+	for i, w := range opts.Workloads {
+		g, err := model.BuildClustered(w.Model)
+		if err != nil {
+			return nil, err
+		}
+		keys[i] = columnKey(engineFP, w, evalcache.GraphFingerprint(g), opts.GPUTypes, gpuFPs, opts.MaxN)
+	}
+	return keys, nil
+}
+
 // BuildOrLoadStore returns a database for the request, serving each
 // workload column from the content-addressed store when present and
 // building only the missing columns — so adding one workload to an
@@ -143,55 +167,28 @@ func BuildOrLoadStore(ctx context.Context, eng *exec.Engine, opts Options, st *s
 		opts.Workloads = model.Workloads()
 	}
 
-	engineFP := evalcache.EngineFingerprint(eng)
-	gpuFPs := make([]string, len(opts.GPUTypes))
-	for i, t := range opts.GPUTypes {
-		spec, err := hw.Lookup(t)
-		if err != nil {
-			return nil, stats, err
-		}
-		gpuFPs[i] = evalcache.GPUFingerprint(spec)
+	keys, err := columnKeys(eng, opts)
+	if err != nil {
+		return nil, stats, err
 	}
-
-	keys := make([]store.Key, len(opts.Workloads))
-	for i, w := range opts.Workloads {
-		g, err := model.BuildClustered(w.Model)
-		if err != nil {
-			return nil, stats, err
-		}
-		keys[i] = columnKey(engineFP, w, evalcache.GraphFingerprint(g), opts.GPUTypes, gpuFPs, opts.MaxN)
-	}
-
-	db := &DB{
-		GPUTypes:         opts.GPUTypes,
-		MaxN:             opts.MaxN,
-		seed:             eng.Seed(),
-		entries:          map[Key]*Entry{},
-		arenaProfileWall: map[model.Workload]float64{},
-		dpProfileWall:    map[model.Workload]float64{},
-		siaProfileWall:   map[model.Workload]float64{},
-		observed:         map[Key]float64{},
-	}
+	db := newDB(opts, eng.Seed())
 
 	var missing []model.Workload
 	var missingKeys []store.Key
 	for i, w := range opts.Workloads {
 		var col columnDump
 		err := st.Get(columnDomain, keys[i], &col)
-		switch {
-		case err == nil && col.Seed == eng.Seed() && col.Model == w.Model && col.GlobalBatch == w.GlobalBatch:
-			db.importColumn(w, &col)
-			stats.LoadedColumns++
-			continue
-		case err == nil:
-			// The object passed the store's integrity checks but declares a
-			// different identity than its key implies — treat as corrupt.
-			stats.Skipped = append(stats.Skipped, &store.Error{
-				Op: "get", Path: string(keys[i]),
-				Err: fmt.Errorf("%w: column identity %s@%d/seed %d does not match request",
-					store.ErrCorrupt, col.Model, col.GlobalBatch, col.Seed),
-			})
-		case !isNotFound(err):
+		if err == nil {
+			ierr := db.importColumn(w, &col)
+			if ierr == nil {
+				stats.LoadedColumns++
+				continue
+			}
+			// The object passed the store's integrity checks but does not
+			// hold what its key implies — treat as corrupt.
+			err = &store.Error{Op: "get", Path: string(keys[i]), Err: fmt.Errorf("%w: %v", store.ErrCorrupt, ierr)}
+		}
+		if !isNotFound(err) {
 			stats.Skipped = append(stats.Skipped, err)
 		}
 		missing = append(missing, w)
@@ -208,9 +205,8 @@ func BuildOrLoadStore(ctx context.Context, eng *exec.Engine, opts Options, st *s
 		stats.BuiltColumns = len(missing)
 		var saveErr error
 		for i, w := range missing {
-			col := built.exportColumn(w)
-			db.importColumn(w, col)
-			if err := st.Put(columnDomain, missingKeys[i], col); err != nil && saveErr == nil {
+			db.cols[w] = built.cols[w]
+			if err := st.Put(columnDomain, missingKeys[i], built.exportColumn(w)); err != nil && saveErr == nil {
 				saveErr = &PersistError{Key: string(missingKeys[i]), Err: err}
 			}
 		}
@@ -226,20 +222,21 @@ func isNotFound(err error) bool {
 	return errors.Is(err, store.ErrNotFound)
 }
 
-// exportColumn snapshots one workload's contribution in deterministic
-// order.
+// exportColumn snapshots one workload's column, its entries ordered by
+// (GPU type name, count).
 func (db *DB) exportColumn(w model.Workload) *columnDump {
+	c := db.cols[w]
 	col := &columnDump{
 		Seed: db.seed, Model: w.Model, GlobalBatch: w.GlobalBatch,
 		GPUTypes: db.GPUTypes, MaxN: db.MaxN,
-		ArenaWall: db.arenaProfileWall[w],
-		DPWall:    db.dpProfileWall[w],
-		SiaWall:   db.siaProfileWall[w],
+		Entries:   make([]colEntry, len(c.entries)),
+		ArenaWall: c.arenaWall,
+		DPWall:    c.dpWall,
+		SiaWall:   c.siaWall,
 	}
-	for k, e := range db.entries {
-		if k.Workload == w {
-			col.Entries = append(col.Entries, colEntry{GPUType: k.GPUType, N: k.N, Entry: *e})
-		}
+	for i, e := range c.entries {
+		k := db.keyAt(w, i)
+		col.Entries[i] = colEntry{GPUType: k.GPUType, N: k.N, Entry: e}
 	}
 	sort.Slice(col.Entries, func(i, j int) bool {
 		a, b := col.Entries[i], col.Entries[j]
@@ -251,13 +248,39 @@ func (db *DB) exportColumn(w model.Workload) *columnDump {
 	return col
 }
 
-// importColumn merges one column into the database.
-func (db *DB) importColumn(w model.Workload, col *columnDump) {
-	for _, ce := range col.Entries {
-		e := ce.Entry
-		db.entries[Key{Workload: w, GPUType: ce.GPUType, N: ce.N}] = &e
+// importColumn adds a stored column to the database after checking that
+// it is the workload's column for this database: the same seed, model and
+// global batch, the same GPU types and MaxN, and exactly one entry per
+// grid point. A column that fails any check is left out — a dense column
+// has no slot for an off-grid entry and no value for a missing one.
+func (db *DB) importColumn(w model.Workload, col *columnDump) error {
+	if col.Seed != db.seed || col.Model != w.Model || col.GlobalBatch != w.GlobalBatch {
+		return fmt.Errorf("column identity %s@%d/seed %d does not match request", col.Model, col.GlobalBatch, col.Seed)
 	}
-	db.arenaProfileWall[w] = col.ArenaWall
-	db.dpProfileWall[w] = col.DPWall
-	db.siaProfileWall[w] = col.SiaWall
+	if !slices.Equal(col.GPUTypes, db.GPUTypes) || col.MaxN != db.MaxN {
+		return fmt.Errorf("column grid %v/MaxN %d does not match request %v/MaxN %d", col.GPUTypes, col.MaxN, db.GPUTypes, db.MaxN)
+	}
+	c := &column{
+		entries:   make([]Entry, len(db.GPUTypes)*gridCounts(db.MaxN)),
+		arenaWall: col.ArenaWall,
+		dpWall:    col.DPWall,
+		siaWall:   col.SiaWall,
+	}
+	seen := make([]bool, len(c.entries))
+	for _, ce := range col.Entries {
+		i, ok := db.slot(ce.GPUType, ce.N)
+		if !ok {
+			return fmt.Errorf("column entry %s/n=%d lies off the grid", ce.GPUType, ce.N)
+		}
+		if seen[i] {
+			return fmt.Errorf("column entry %s/n=%d appears twice", ce.GPUType, ce.N)
+		}
+		seen[i] = true
+		c.entries[i] = ce.Entry
+	}
+	if len(col.Entries) != len(c.entries) {
+		return fmt.Errorf("column holds %d of the grid's %d entries", len(col.Entries), len(c.entries))
+	}
+	db.cols[w] = c
+	return nil
 }

@@ -151,23 +151,20 @@ func freeMap(ctx *Context) map[string]int {
 func (p *ArenaPolicy) Assign(ctx *Context) Assignment {
 	asg := NewAssignment()
 	free := freeMap(ctx)
-	// Track per-round target sizes of running jobs (after scale ops).
-	target := map[string]Alloc{}
+	// Track per-round target sizes of running jobs (after scale ops) and
+	// of this round's launches. Sized by the running set: launches are
+	// few, and a queue-deep map would cost every round its depth.
+	target := make(map[string]Alloc, len(ctx.Running))
 	for _, j := range ctx.Running {
 		target[j.Trace.ID] = j.Alloc
 	}
+	var launched []*Job
 	depth := 0
 
 	p.promote(ctx)
 
 	// --- Launch phase (LEventHandler, lines 6–16). ---
-	queued := append([]*Job(nil), ctx.Queued...)
-	sort.SliceStable(queued, func(a, b int) bool {
-		if queued[a].CurPriority != queued[b].CurPriority {
-			return queued[a].CurPriority < queued[b].CurPriority
-		}
-		return queued[a].SubmittedAt < queued[b].SubmittedAt
-	})
+	queued := launchOrder(ctx.Queued, p.P)
 	blockedPrio := p.P + 1
 	// The admission window: within one round, a failed launch is a pure
 	// function of (signature, free capacity). Free capacity only shrinks
@@ -215,6 +212,9 @@ func (p *ArenaPolicy) Assign(ctx *Context) Assignment {
 		}
 		depth = 0 // the search depth bounds each launch event (Alg. 1 l.13)
 		ok, shrank := p.tryLaunch(ctx, job, free, target, &depth, &asg)
+		if ok {
+			launched = append(launched, job)
+		}
 		switch {
 		case !ok:
 			if failed != nil {
@@ -235,8 +235,55 @@ func (p *ArenaPolicy) Assign(ctx *Context) Assignment {
 
 	// --- Scale-up phase (InFlightHandler, lines 17–20). ---
 	depth = 0
-	p.scaleUp(ctx, free, target, &depth, &asg)
+	p.scaleUp(ctx, launched, free, target, &depth, &asg)
 	return asg
+}
+
+// launchOrder returns the queue in Algorithm 1's launch order: ascending
+// CurPriority, then SubmittedAt, ties in queue order — the order a
+// stable sort by (CurPriority, SubmittedAt) produces, built in linear
+// time. A stable bucket pass groups the jobs by priority (1..maxPrio
+// each get a bucket, lower and higher priorities share one bucket per
+// side); a bucket is then sorted only if it is not already in order.
+// The engine admits jobs in SubmittedAt order, so in a priority bucket
+// only requeued jobs (crash restarts, failed moves) are ever out of
+// place, and a round without them sorts nothing.
+func launchOrder(queued []*Job, maxPrio int) []*Job {
+	maxPrio = max(maxPrio, 0)
+	bucket := func(j *Job) int {
+		return min(max(j.CurPriority, 0), maxPrio+1)
+	}
+	// start[b] is bucket b's first index in the output.
+	start := make([]int, maxPrio+3)
+	for _, j := range queued {
+		start[bucket(j)+1]++
+	}
+	for b := 1; b < len(start); b++ {
+		start[b] += start[b-1]
+	}
+	out := make([]*Job, len(queued))
+	next := append([]int(nil), start...)
+	for _, j := range queued {
+		b := bucket(j)
+		out[next[b]] = j
+		next[b]++
+	}
+	less := func(a, b *Job) bool {
+		if a.CurPriority != b.CurPriority {
+			return a.CurPriority < b.CurPriority
+		}
+		return a.SubmittedAt < b.SubmittedAt
+	}
+	for b := 0; b+1 < len(start); b++ {
+		seg := out[start[b]:start[b+1]]
+		for i := 1; i < len(seg); i++ {
+			if less(seg[i], seg[i-1]) {
+				sort.SliceStable(seg, func(x, y int) bool { return less(seg[x], seg[y]) })
+				break
+			}
+		}
+	}
+	return out
 }
 
 // routeStragglers migrates running jobs pinned to degraded nodes onto
@@ -497,31 +544,22 @@ func (p *ArenaPolicy) optimalScaleDown(ctx *Context, free map[string]int, target
 	return bestJob, bestAlloc, true
 }
 
-// scaleUp gives idle GPUs to the in-flight jobs with the best marginal
-// gain (GetOptimalScaleUp), within the remaining search depth. Under the
+// scaleUp gives idle GPUs to the in-flight jobs — the running ones and
+// this round's launches — with the best marginal gain
+// (GetOptimalScaleUp), within the remaining search depth. Under the
 // fairness objective the marginal gain is weighted by remaining work, so
 // the laggard jobs scale first (Eq. 7's min-max finish time).
-func (p *ArenaPolicy) scaleUp(ctx *Context, free map[string]int, target map[string]Alloc, depth *int, asg *Assignment) {
+func (p *ArenaPolicy) scaleUp(ctx *Context, launched []*Job, free map[string]int, target map[string]Alloc, depth *int, asg *Assignment) {
 	if p.DisableElastic {
 		return
 	}
-	jobs := map[string]*Job{}
-	for _, j := range ctx.Running {
-		jobs[j.Trace.ID] = j
-	}
-	for _, j := range ctx.Queued {
-		if _, ok := target[j.Trace.ID]; ok {
-			jobs[j.Trace.ID] = j // launched this round
-		}
-	}
-	ids := make([]string, 0, len(jobs))
-	for id := range jobs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
+	jobs := make([]*Job, 0, len(ctx.Running)+len(launched))
+	jobs = append(append(jobs, ctx.Running...), launched...)
+	// IDs are unique among live jobs, so the order is total.
+	sort.SliceStable(jobs, func(a, b int) bool { return jobs[a].Trace.ID < jobs[b].Trace.ID })
 
-	*depth += DoubleByGain(ids, p.D-*depth, target, free, asg.Place, func(id string, cur Alloc) (float64, bool) {
-		return p.scaleGain(ctx, jobs[id], cur)
+	*depth += DoubleByGain(jobs, p.D-*depth, target, free, asg.Place, func(j *Job, cur Alloc) (float64, bool) {
+		return p.scaleGain(ctx, j, cur)
 	})
 }
 

@@ -66,16 +66,14 @@ func (e *ElasticFlow) Assign(ctx *sched.Context) sched.Assignment {
 	for _, typ := range ctx.Cluster.GPUTypes() {
 		free[typ] = ctx.Cluster.FreeGPUs(typ)
 	}
-	target := map[string]sched.Alloc{}
-	jobOf := map[string]*sched.Job{}
+	target := make(map[string]sched.Alloc, len(ctx.Running))
 	// order fixes the candidate iteration below: ranging over the target
 	// map broke ties by map order, making the whole simulation
 	// nondeterministic whenever two jobs had equal marginal gain.
-	var order []string
+	order := make([]*sched.Job, 0, len(ctx.Running))
 	for _, j := range ctx.Running {
 		target[j.Trace.ID] = j.Alloc
-		jobOf[j.Trace.ID] = j
-		order = append(order, j.Trace.ID)
+		order = append(order, j)
 	}
 
 	// Admission at minimum feasible size, arrival order. Shrink work per
@@ -130,16 +128,15 @@ func (e *ElasticFlow) Assign(ctx *sched.Context) sched.Assignment {
 			alloc := sched.Alloc{GPUType: typ, N: minN}
 			asg.Place[job.Trace.ID] = alloc
 			target[job.Trace.ID] = alloc
-			jobOf[job.Trace.ID] = job
-			order = append(order, job.Trace.ID)
+			order = append(order, job)
 			free[typ] -= minN
 		}
 	}
 
 	// Elastic scale-up: repeatedly double the job with the best marginal
 	// perceived gain per added GPU.
-	sched.DoubleByGain(order, 16, target, free, asg.Place, func(id string, cur sched.Alloc) (float64, bool) {
-		return e.growthGain(ctx, jobOf[id], cur)
+	sched.DoubleByGain(order, 16, target, free, asg.Place, func(j *sched.Job, cur sched.Alloc) (float64, bool) {
+		return e.growthGain(ctx, j, cur)
 	})
 	return asg
 }
@@ -160,7 +157,7 @@ func (e *ElasticFlow) minFeasible(ctx *sched.Context, w model.Workload, typ stri
 // The free-capacity check stays with the caller — it is the only input
 // that moves without the candidate itself being doubled.
 func (e *ElasticFlow) growthGain(ctx *sched.Context, job *sched.Job, cur sched.Alloc) (float64, bool) {
-	if job == nil || cur.N*2 > ctx.MaxPerJob {
+	if cur.N*2 > ctx.MaxPerJob {
 		return 0, false
 	}
 	if job.Running() && job.BusyUntil > ctx.Now {

@@ -55,16 +55,14 @@ func (s *Sia) Assign(ctx *sched.Context) sched.Assignment {
 	for _, typ := range ctx.Cluster.GPUTypes() {
 		free[typ] = ctx.Cluster.FreeGPUs(typ)
 	}
-	target := map[string]sched.Alloc{}
-	jobOf := map[string]*sched.Job{}
+	target := make(map[string]sched.Alloc, len(ctx.Running))
 	// order fixes the candidate iteration below: ranging over the target
 	// map broke ties by map order, making the whole simulation
 	// nondeterministic whenever two jobs had equal marginal gain.
-	var order []string
+	order := make([]*sched.Job, 0, len(ctx.Running))
 	for _, j := range ctx.Running {
 		target[j.Trace.ID] = j.Alloc
-		jobOf[j.Trace.ID] = j
-		order = append(order, j.Trace.ID)
+		order = append(order, j)
 	}
 
 	// Admission: the smallest perceived-feasible size per type, provided
@@ -117,8 +115,7 @@ func (s *Sia) Assign(ctx *sched.Context) sched.Assignment {
 		} else {
 			asg.Place[job.Trace.ID] = best
 			target[job.Trace.ID] = best
-			jobOf[job.Trace.ID] = job
-			order = append(order, job.Trace.ID)
+			order = append(order, job)
 			free[best.GPUType] -= best.N
 		}
 	}
@@ -126,8 +123,8 @@ func (s *Sia) Assign(ctx *sched.Context) sched.Assignment {
 	// Growth: repeatedly double the job with the best perceived marginal
 	// gain per added GPU. With linear estimates the marginal never decays,
 	// so growth continues while capacity lasts.
-	sched.DoubleByGain(order, 32, target, free, asg.Place, func(id string, cur sched.Alloc) (float64, bool) {
-		return s.growthGain(ctx, jobOf[id], cur)
+	sched.DoubleByGain(order, 32, target, free, asg.Place, func(j *sched.Job, cur sched.Alloc) (float64, bool) {
+		return s.growthGain(ctx, j, cur)
 	})
 	return asg
 }
@@ -136,7 +133,7 @@ func (s *Sia) Assign(ctx *sched.Context) sched.Assignment {
 // both feed sched.DoubleByGain, each with its own perceived table and
 // threshold.
 func (s *Sia) growthGain(ctx *sched.Context, job *sched.Job, cur sched.Alloc) (float64, bool) {
-	if job == nil || cur.N*2 > ctx.MaxPerJob {
+	if cur.N*2 > ctx.MaxPerJob {
 		return 0, false
 	}
 	if job.Running() && job.BusyUntil > ctx.Now {

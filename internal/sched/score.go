@@ -234,21 +234,25 @@ func (h *GainHeap) siftDown(i int) {
 // DoubleByGain is the bounded marginal-gain doubling loop shared by
 // arena's scale-up and the elasticflow and sia growth phases. Up to
 // rounds times it selects the candidate with the highest positive gain
-// (ties toward the lowest index in ids) whose GPU type still has cur.N
-// free GPUs, doubles its target, charges the cur.N added GPUs to free and
-// records the new allocation in place. It returns the number of
-// doublings made.
+// (ties toward the lowest index in cands) whose GPU type still has cur.N
+// free GPUs, doubles its target (keyed by job ID), charges the cur.N
+// added GPUs to free and records the new allocation in place. It returns
+// the number of doublings made.
 //
-// gain scores candidate id at target size cur (ok=false marks it
+// gain scores candidate j at target size cur (ok=false marks it
 // ineligible) and must depend only on that size: candidates are scored
 // once into a GainHeap and only the doubled one is re-scored. Free
 // capacity is checked at selection instead; it only shrinks here, so a
 // candidate that no longer fits is discarded for good rather than
-// re-queued.
-func DoubleByGain(ids []string, rounds int, target map[string]Alloc, free map[string]int, place map[string]Alloc, gain func(id string, cur Alloc) (float64, bool)) int {
-	h := NewGainHeap(len(ids))
-	for i, id := range ids {
-		if g, ok := gain(id, target[id]); ok {
+// re-queued — and one that does not fit at the start is never scored.
+func DoubleByGain(cands []*Job, rounds int, target map[string]Alloc, free map[string]int, place map[string]Alloc, gain func(j *Job, cur Alloc) (float64, bool)) int {
+	h := NewGainHeap(len(cands))
+	for i, j := range cands {
+		cur := target[j.Trace.ID]
+		if free[cur.GPUType] < cur.N {
+			continue
+		}
+		if g, ok := gain(j, cur); ok {
 			h.Update(i, g)
 		}
 	}
@@ -258,7 +262,8 @@ func DoubleByGain(ids []string, rounds int, target map[string]Alloc, free map[st
 		if !ok {
 			break
 		}
-		id := ids[i]
+		j := cands[i]
+		id := j.Trace.ID
 		cur := target[id]
 		if free[cur.GPUType] < cur.N {
 			continue // permanently infeasible: free never grows here
@@ -268,7 +273,7 @@ func DoubleByGain(ids []string, rounds int, target map[string]Alloc, free map[st
 		target[id] = next
 		place[id] = next
 		doubled++
-		if g, ok := gain(id, next); ok {
+		if g, ok := gain(j, next); ok {
 			h.Update(i, g)
 		}
 	}

@@ -400,3 +400,45 @@ func TestSimRescaleStacksOnPendingDeploy(t *testing.T) {
 			j.FinishedAt, want)
 	}
 }
+
+// TestApplyResolvesAssignmentOnce drives apply through the scripted
+// policy with assignment shapes no golden run produces: a drop listed
+// twice, a drop naming a running job, a placement for an unknown ID, a
+// zero placement and a migration of a queued job. The duplicate drop
+// retires its job once, the running job keeps running, the rest change
+// nothing, and the queue keeps its order around the round's launch and
+// drop.
+func TestApplyResolvesAssignmentOnce(t *testing.T) {
+	p := &scriptPolicy{thr: 1, script: map[int]sched.Assignment{
+		0: {Place: map[string]sched.Alloc{"j1": {GPUType: "A40", N: 2}}},
+		1: {
+			Drop:    []string{"j3", "j1", "j3"},
+			Migrate: []string{"j5"},
+			Place: map[string]sched.Alloc{
+				"j4": {GPUType: "A40", N: 2}, "j2": {}, "ghost": {GPUType: "A40", N: 2},
+			},
+		},
+	}}
+	e, err := NewEngine(Config{Spec: hw.ClusterA(), Policy: p, DB: db(t), MaxRounds: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := model.Workload{Model: "WRes-1B", GlobalBatch: 256}
+	for _, id := range []string{"j1", "j2", "j3", "j4", "j5", "j6"} {
+		e.Submit(trace.Job{ID: id, Workload: w, Iterations: 1000, ReqGPUs: 2, ReqType: "A40", Priority: 1}, 0)
+	}
+	e.Round(0)
+	e.Round(300)
+
+	var order []string
+	for _, j := range e.Jobs() {
+		order = append(order, j.Trace.ID+":"+string(j.State))
+	}
+	want := []string{"j3:dropped", "j1:running", "j4:running", "j2:queued", "j5:queued", "j6:queued"}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("jobs after the round = %v, want %v", order, want)
+	}
+	if st := e.Stats(); st.Dropped != 1 || st.Migrations != 0 {
+		t.Fatalf("stats %+v: want one drop and no migration", st)
+	}
+}

@@ -491,14 +491,44 @@ func (s *state) admit(now float64) {
 	s.pending = s.pending[i:]
 }
 
-// apply executes the policy's assignment: drops, shrinks, launches, and
-// growths, charging deployment overheads.
+// apply executes the policy's assignment: drops, migrations, then the
+// placements, charging deployment overheads. IDs are unique among live
+// jobs, so every ID the assignment names resolves in one pass over the
+// queue and the running set, and the queue is compacted once at the end
+// (launched and dropped jobs leave it, the rest keep their order): a
+// round costs O(queue + running) plus a sort of its placements, however
+// deep the queue.
 func (s *state) apply(now float64, asg sched.Assignment) {
+	if len(asg.Drop) == 0 && len(asg.Migrate) == 0 && len(asg.Place) == 0 {
+		return
+	}
+	// named resolves the drop and migration IDs.
+	var named map[string]*sched.Job
+	if n := len(asg.Drop) + len(asg.Migrate); n > 0 {
+		named = make(map[string]*sched.Job, n)
+		for _, ids := range [][]string{asg.Drop, asg.Migrate} {
+			for _, id := range ids {
+				named[id] = nil
+			}
+		}
+	}
+	var placed []placement
+	for _, list := range [][]*sched.Job{s.queued, s.running} {
+		for _, j := range list {
+			id := j.Trace.ID
+			if target, ok := asg.Place[id]; ok && !target.IsZero() {
+				placed = append(placed, placement{job: j, target: target})
+			}
+			if _, ok := named[id]; ok {
+				named[id] = j
+			}
+		}
+	}
+
 	for _, id := range asg.Drop {
-		if j := s.findQueued(id); j != nil {
+		if j := named[id]; j != nil && j.State == sched.StateQueued {
 			j.State = sched.StateDropped
 			j.FinishedAt = now
-			s.queued = removeJob(s.queued, j)
 			s.retire(j)
 		}
 	}
@@ -509,56 +539,70 @@ func (s *state) apply(now float64, asg sched.Assignment) {
 			if _, placed := asg.Place[id]; placed {
 				continue // a rescale supersedes the migration
 			}
-			if j := s.findAny(id); j != nil && j.Running() {
+			if j := named[id]; j != nil && j.Running() {
 				s.migrate(now, j)
 			}
 		}
 	}
-	if len(asg.Place) == 0 {
-		return
-	}
+
 	// Deterministic application order: shrinks and moves of running jobs
-	// first (they free capacity), then queued launches, then growths.
-	ids := make([]string, 0, len(asg.Place))
-	for id := range asg.Place {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	rank := func(id string) int {
-		j := s.findAny(id)
-		if j == nil {
-			return 9
-		}
-		target := asg.Place[id]
+	// first (they free capacity), then queued launches, then growths;
+	// ties by ID. A job dropped above is no longer live and is skipped.
+	live := placed[:0]
+	for _, p := range placed {
+		j := p.job
 		switch {
 		case j.State == sched.StateQueued:
-			return 2
-		case target.N < j.Alloc.N:
-			return 0
-		case target.GPUType != j.Alloc.GPUType:
-			return 1
-		default:
-			return 3
-		}
-	}
-	sort.SliceStable(ids, func(a, b int) bool { return rank(ids[a]) < rank(ids[b]) })
-
-	for _, id := range ids {
-		target := asg.Place[id]
-		j := s.findAny(id)
-		if j == nil || target.IsZero() {
+			p.rank = 2
+		case j.State != sched.StateRunning:
 			continue
+		case p.target.N < j.Alloc.N:
+			p.rank = 0
+		case p.target.GPUType != j.Alloc.GPUType:
+			p.rank = 1
+		default:
+			p.rank = 3
 		}
-		switch j.State {
+		live = append(live, p)
+	}
+	sort.Slice(live, func(a, b int) bool {
+		x, y := live[a], live[b]
+		if x.rank != y.rank {
+			return x.rank < y.rank
+		}
+		return x.job.Trace.ID < y.job.Trace.ID
+	})
+	for _, p := range live {
+		switch p.job.State {
 		case sched.StateQueued:
-			s.launch(now, j, target)
+			s.launch(now, p.job, p.target)
 		case sched.StateRunning:
-			if j.Alloc == target {
-				continue
+			if p.job.Alloc != p.target {
+				s.rescale(now, p.job, p.target)
 			}
-			s.rescale(now, j, target)
 		}
 	}
+	s.compactQueue()
+}
+
+// placement is one resolved asg.Place entry and its application rank.
+type placement struct {
+	job    *sched.Job
+	target sched.Alloc
+	rank   int
+}
+
+// compactQueue removes the jobs that left the queue during apply —
+// launched or dropped — keeping the order of the rest.
+func (s *state) compactQueue() {
+	q := s.queued[:0]
+	for _, j := range s.queued {
+		if j.State == sched.StateQueued {
+			q = append(q, j)
+		}
+	}
+	clear(s.queued[len(q):])
+	s.queued = q
 }
 
 // launch places a queued job.
@@ -589,7 +633,7 @@ func (s *state) launch(now float64, j *sched.Job, target sched.Alloc) {
 	if j.LaunchedAt < 0 {
 		j.LaunchedAt = now
 	}
-	s.queued = removeJob(s.queued, j)
+	// apply compacts the queue once the round's launches are done.
 	s.running = append(s.running, j)
 	s.rePredict(j, now)
 }

@@ -301,6 +301,20 @@ func BenchmarkSimRunDeepQueue(b *testing.B) {
 	})
 }
 
+// BenchmarkSimRunSlope is the third point of the streamed runs' size
+// slope: the same streamed Helios-day pipeline as SimRunDeepQueue/50k and
+// SimRun/100k at 200,000 jobs, so the cost per job between sizes can be
+// read off one host. It is named outside the CI regexes and has no
+// baseline: it exists to run on demand, and -short skips it.
+func BenchmarkSimRunSlope(b *testing.B) {
+	if testing.Short() {
+		b.Skip("200k-job slope point skipped in -short mode")
+	}
+	b.Run("200k", func(b *testing.B) {
+		streamBenchRun(b, 200_000, func() sched.Policy { return sched.NewArena() })
+	})
+}
+
 // streamBenchSpec is the synthetic large cluster of the streaming
 // benchmarks: 2048 GPUs across the two types the shared database knows.
 func streamBenchSpec() hw.ClusterSpec {

@@ -44,10 +44,16 @@ type ArenaPolicy struct {
 	// messages never influence decisions.
 	Warnf func(format string, args ...any)
 
-	// ladders caches per-signature launch candidate lists; ladderKey
-	// fingerprints the inputs they were built from.
-	ladders   map[launchSig]*ladder
+	// ladders caches per-signature launch candidate lists in build order;
+	// ladderOf maps a signature to 1 + its index there (the value a job's
+	// ladderHint holds); ladderKey fingerprints the inputs they were built
+	// from.
+	ladders   []*ladder
+	ladderOf  map[launchSig]uint32
 	ladderKey ladderCacheKey
+	// failEpoch is the launch phase's failure-memo generation: bumping it
+	// forgets every failure stamped on a ladder (see score.go).
+	failEpoch uint64
 }
 
 // warnf forwards a warning to Warnf when one is installed.
@@ -159,6 +165,8 @@ func (p *ArenaPolicy) Assign(ctx *Context) Assignment {
 		target[j.Trace.ID] = j.Alloc
 	}
 	var launched []*Job
+	// downCost is the round's scale-down cost cache (see optimalScaleDown).
+	var downCost []float64
 	depth := 0
 
 	p.promote(ctx)
@@ -172,11 +180,10 @@ func (p *ArenaPolicy) Assign(ctx *Context) Assignment {
 	// staged victim shrinks moved capacity between types, clears the memo
 	// — so jobs repeating an already-failed signature skip the candidate
 	// search entirely. Deadline mode scores per-job feasibility (remaining
-	// work against the clock), so the memo stays off there.
-	var failed map[launchSig]bool
-	if p.Objective != ObjDeadline {
-		failed = map[launchSig]bool{}
-	}
+	// work against the clock), so the memo stays off there. The memo is a
+	// stamp on the signature's ladder; bumping failEpoch clears it.
+	memo := p.Objective != ObjDeadline
+	p.failEpoch++
 	p.ensureLadders(ctx)
 	for _, job := range queued {
 		if job.CurPriority > blockedPrio {
@@ -189,7 +196,8 @@ func (p *ArenaPolicy) Assign(ctx *Context) Assignment {
 			asg.Drop = append(asg.Drop, job.Trace.ID)
 			continue
 		}
-		if p.DisableElastic && len(p.launchLadder(ctx, job).counts) == 0 {
+		lad := p.launchLadder(ctx, job)
+		if p.DisableElastic && len(lad.counts) == 0 {
 			// Rigid mode with a request no profiled size can serve on any
 			// allowed type: drop the job instead of letting it queue
 			// forever and head-of-line-block its priority queue. (Elastic
@@ -199,7 +207,7 @@ func (p *ArenaPolicy) Assign(ctx *Context) Assignment {
 			asg.Drop = append(asg.Drop, job.Trace.ID)
 			continue
 		}
-		if failed != nil && failed[p.sigOf(job)] {
+		if memo && lad.failedAt == p.failEpoch {
 			// Provably identical failure: a same-signature launch already
 			// ran the full search this round and nothing it depends on has
 			// grown since. The skip must still lower the blocking bar —
@@ -211,22 +219,22 @@ func (p *ArenaPolicy) Assign(ctx *Context) Assignment {
 			continue
 		}
 		depth = 0 // the search depth bounds each launch event (Alg. 1 l.13)
-		ok, shrank := p.tryLaunch(ctx, job, free, target, &depth, &asg)
+		ok, shrank := p.tryLaunch(ctx, job, free, target, &downCost, &depth, &asg)
 		if ok {
 			launched = append(launched, job)
 		}
 		switch {
 		case !ok:
-			if failed != nil {
-				failed[p.sigOf(job)] = true
+			if memo {
+				lad.failedAt = p.failEpoch
 			}
 			if job.CurPriority < blockedPrio {
 				blockedPrio = job.CurPriority
 			}
-		case shrank && failed != nil:
+		case shrank && memo:
 			// Victim shrinks landed: capacity may have moved onto a type a
 			// memoized failure found full. Every memo entry is stale.
-			clear(failed)
+			p.failEpoch++
 		}
 	}
 
@@ -293,15 +301,18 @@ func launchOrder(queued []*Job, maxPrio int) []*Job {
 // itself before the job would have finished at its degraded pace.
 func (p *ArenaPolicy) routeStragglers(ctx *Context, free map[string]int, asg *Assignment) {
 	const slowCut = 0.9 // ignore degradation the resume overhead would dwarf
-	running := append([]*Job(nil), ctx.Running...)
-	sort.SliceStable(running, func(a, b int) bool {
-		return running[a].Trace.ID < running[b].Trace.ID
-	})
-	for _, j := range running {
-		f := j.SlowFactor
-		if f <= 0 || f >= slowCut {
+	var slow []*Job
+	for _, j := range ctx.Running {
+		if f := j.SlowFactor; f <= 0 || f >= slowCut {
 			continue
 		}
+		slow = append(slow, j)
+	}
+	sort.SliceStable(slow, func(a, b int) bool {
+		return slow[a].Trace.ID < slow[b].Trace.ID
+	})
+	for _, j := range slow {
+		f := j.SlowFactor
 		if j.BusyUntil > ctx.Now {
 			continue // mid-reconfiguration; moving again would thrash
 		}
@@ -432,7 +443,11 @@ func (p *ArenaPolicy) hopeless(ctx *Context, job *Job) bool {
 // it — the one case where free capacity can grow on a type other than
 // the launch's own, which invalidates the launch phase's failure memo.
 // A failed call reverts completely, so it never sets shrank.
-func (p *ArenaPolicy) tryLaunch(ctx *Context, job *Job, free map[string]int, target map[string]Alloc, depth *int, asg *Assignment) (ok, shrank bool) {
+//
+// downCost is the round's scale-down cost cache (see optimalScaleDown):
+// every target change of a running job goes through retarget, which
+// keeps the changed entry current.
+func (p *ArenaPolicy) tryLaunch(ctx *Context, job *Job, free map[string]int, target map[string]Alloc, downCost *[]float64, depth *int, asg *Assignment) (ok, shrank bool) {
 	if alloc, ok := p.bestUnderFree(ctx, job, free); ok {
 		asg.Place[job.Trace.ID] = alloc
 		target[job.Trace.ID] = alloc
@@ -442,22 +457,23 @@ func (p *ArenaPolicy) tryLaunch(ctx *Context, job *Job, free map[string]int, tar
 	// Cluster full: iteratively scale down the in-flight job that loses
 	// the least throughput per freed GPU, up to the search depth.
 	type shrink struct {
-		victim    *Job
+		victim    int   // index in ctx.Running
 		old       Alloc // target before this shrink
 		prevPlace Alloc // asg.Place entry before this shrink, if any
 		hadPlace  bool  // (an earlier launch may have already rescaled it)
 	}
 	var staged []shrink
 	for *depth < p.D {
-		victim, newAlloc, ok := p.optimalScaleDown(ctx, free, target)
+		i, newAlloc, ok := p.optimalScaleDown(ctx, target, downCost)
 		if !ok {
 			break
 		}
 		*depth++
+		victim := ctx.Running[i]
 		old := target[victim.Trace.ID]
 		prev, had := asg.Place[victim.Trace.ID]
-		staged = append(staged, shrink{victim: victim, old: old, prevPlace: prev, hadPlace: had})
-		target[victim.Trace.ID] = newAlloc
+		staged = append(staged, shrink{victim: i, old: old, prevPlace: prev, hadPlace: had})
+		p.retarget(ctx, target, *downCost, i, newAlloc)
 		asg.Place[victim.Trace.ID] = newAlloc
 		free[old.GPUType] += old.N
 		free[newAlloc.GPUType] -= newAlloc.N
@@ -473,14 +489,15 @@ func (p *ArenaPolicy) tryLaunch(ctx *Context, job *Job, free map[string]int, tar
 	// the search had not run.
 	for i := len(staged) - 1; i >= 0; i-- {
 		s := staged[i]
-		cur := target[s.victim.Trace.ID]
+		id := ctx.Running[s.victim].Trace.ID
+		cur := target[id]
 		free[cur.GPUType] += cur.N
 		free[s.old.GPUType] -= s.old.N
-		target[s.victim.Trace.ID] = s.old
+		p.retarget(ctx, target, *downCost, s.victim, s.old)
 		if s.hadPlace {
-			asg.Place[s.victim.Trace.ID] = s.prevPlace
+			asg.Place[id] = s.prevPlace
 		} else {
-			delete(asg.Place, s.victim.Trace.ID)
+			delete(asg.Place, id)
 		}
 	}
 	return false, false
@@ -511,37 +528,58 @@ func (p *ArenaPolicy) bestUnderFree(ctx *Context, job *Job, free map[string]int)
 
 // optimalScaleDown locates the running job whose halving frees GPUs at
 // the lowest throughput cost while staying executable (§3.5: "Arena
-// scales down jobs with excessive resources but limited performance").
-func (p *ArenaPolicy) optimalScaleDown(ctx *Context, free map[string]int, target map[string]Alloc) (*Job, Alloc, bool) {
-	var bestJob *Job
-	var bestAlloc Alloc
-	bestCost := math.MaxFloat64
-	for _, j := range ctx.Running {
-		if p.DisableElastic {
-			continue
+// scales down jobs with excessive resources but limited performance"),
+// returning its index in ctx.Running and its halved allocation. Ties go
+// to the first job in ctx.Running.
+//
+// The costs come from *downCost, indexed like ctx.Running: the round's
+// first call fills it from target, and retarget keeps each entry current
+// as the launch phase moves targets, so later calls compare floats only.
+func (p *ArenaPolicy) optimalScaleDown(ctx *Context, target map[string]Alloc, downCost *[]float64) (int, Alloc, bool) {
+	if *downCost == nil {
+		costs := make([]float64, len(ctx.Running))
+		for i, j := range ctx.Running {
+			costs[i] = p.halvingCost(ctx, j, target[j.Trace.ID])
 		}
-		cur := target[j.Trace.ID]
-		if cur.N < 2 {
-			continue
-		}
-		half := cur.N / 2
-		thrCur := p.PerceivedThr(ctx.DB, j.Workload(), cur.GPUType, cur.N)
-		thrHalf := p.PerceivedThr(ctx.DB, j.Workload(), cur.GPUType, half)
-		if thrHalf <= 0 { // would become non-executable: forbidden (§3.5)
-			continue
-		}
-		if !p.meetsDeadline(ctx, j, thrHalf) {
-			continue
-		}
-		cost := (thrCur - thrHalf) / float64(cur.N-half)
-		if cost < bestCost {
-			bestJob, bestAlloc, bestCost = j, Alloc{GPUType: cur.GPUType, N: half}, cost
+		*downCost = costs
+	}
+	best, bestCost := -1, math.MaxFloat64
+	for i, c := range *downCost {
+		if c < bestCost {
+			best, bestCost = i, c
 		}
 	}
-	if bestJob == nil {
-		return nil, Alloc{}, false
+	if best < 0 {
+		return -1, Alloc{}, false
 	}
-	return bestJob, bestAlloc, true
+	cur := target[ctx.Running[best].Trace.ID]
+	return best, Alloc{GPUType: cur.GPUType, N: cur.N / 2}, true
+}
+
+// halvingCost is the throughput running job j loses per GPU freed by
+// halving it from cur, or math.MaxFloat64 when it may not shrink: rigid
+// mode, a single GPU, a half that would be non-executable (forbidden,
+// §3.5) or one that misses the job's deadline.
+func (p *ArenaPolicy) halvingCost(ctx *Context, j *Job, cur Alloc) float64 {
+	if p.DisableElastic || cur.N < 2 {
+		return math.MaxFloat64
+	}
+	half := cur.N / 2
+	thrCur := p.PerceivedThr(ctx.DB, j.Workload(), cur.GPUType, cur.N)
+	thrHalf := p.PerceivedThr(ctx.DB, j.Workload(), cur.GPUType, half)
+	if thrHalf <= 0 || !p.meetsDeadline(ctx, j, thrHalf) {
+		return math.MaxFloat64
+	}
+	return (thrCur - thrHalf) / float64(cur.N-half)
+}
+
+// retarget moves ctx.Running[i]'s round target to a and rewrites its
+// entry in the round's scale-down costs, which optimalScaleDown has
+// filled by the time any target moves.
+func (p *ArenaPolicy) retarget(ctx *Context, target map[string]Alloc, downCost []float64, i int, a Alloc) {
+	j := ctx.Running[i]
+	target[j.Trace.ID] = a
+	downCost[i] = p.halvingCost(ctx, j, a)
 }
 
 // scaleUp gives idle GPUs to the in-flight jobs — the running ones and

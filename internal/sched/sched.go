@@ -89,6 +89,12 @@ type Job struct {
 	// Restarting marks that the next launch is a checkpoint restore and
 	// must pay the resume overhead on top of the deployment search.
 	Restarting bool
+	// ladderHint is 1 + the index of the job's launch ladder in the
+	// Arena policy's ladder list (0 = none yet). It sits in the padding
+	// after Restarting, so Job stays 256 bytes. The policy checks the
+	// hinted ladder's signature before using it, so a stale hint (another
+	// policy instance, a reset cache, a flipped ablation) only misses.
+	ladderHint uint32
 	// SlowFactor is the straggler degradation of the current allocation
 	// (multiplies achieved throughput; 0 or 1 = healthy).
 	SlowFactor float64
@@ -115,8 +121,8 @@ type Context struct {
 type Assignment struct {
 	// Place maps job ID → target allocation. Queued jobs with a target
 	// launch; running jobs with a different target rescale (paying the
-	// reconfiguration overhead); a zero Alloc releases resources back to
-	// the queue (only meaningful for deadline-mode admission control).
+	// reconfiguration overhead). A zero Alloc does nothing: the job keeps
+	// its state and its resources (no policy emits one).
 	Place map[string]Alloc
 	// Drop lists jobs abandoned as unable to meet their deadline (§5.6).
 	Drop []string

@@ -2,8 +2,10 @@ package sched
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"github.com/sjtu-epcc/arena/internal/cluster"
 	"github.com/sjtu-epcc/arena/internal/exec"
@@ -441,5 +443,20 @@ func TestPolicyNames(t *testing.T) {
 	ddl.Objective = ObjDeadline
 	if ddl.Name() != "arena-ddl" {
 		t.Errorf("deadline name = %s", ddl.Name())
+	}
+}
+
+// TestJobFitsSizeClass keeps Job inside Go's 256-byte allocation size
+// class on 64-bit platforms. A deep queue holds thousands of jobs and a
+// streamed run allocates one per trace job: a field that pushes Job past
+// 256 bytes moves every job into the 288-byte class, about 12% more heap
+// per job, so new per-job state belongs in existing padding (as
+// ladderHint does, after Restarting) or outside Job.
+func TestJobFitsSizeClass(t *testing.T) {
+	if strconv.IntSize != 64 {
+		t.Skip("the size class bound is for 64-bit platforms")
+	}
+	if size := unsafe.Sizeof(Job{}); size > 256 {
+		t.Fatalf("unsafe.Sizeof(Job{}) = %d bytes, over the 256-byte size class: every queued and running job would move to the next class", size)
 	}
 }

@@ -27,6 +27,20 @@ import (
 //     bounded admission window of Algorithm 1's launch phase: only the
 //     head-of-queue prefix introducing new signatures does real scoring
 //     work, while skipped jobs still lower the blocking bar (line 9).
+//     Arena keeps its memo as a stamp on the ladders: a policy counter
+//     (failEpoch) is bumped at the start of every Assign and wherever the
+//     memo is cleared, a failed launch writes it into the signature's
+//     ladder, and a job whose ladder carries the current value is
+//     skipped. A job finds its ladder through Job.ladderHint, checked by
+//     signature equality, so a memo probe hashes nothing.
+//
+//   - scale-down costs (arena): GetOptimalScaleDown's per-job cost — the
+//     throughput lost per freed GPU by halving a running job at its
+//     current round target — changes only when that target does. The
+//     round's first scale-down fills one cost per running job; tryLaunch
+//     rewrites exactly the entries it stages and reverts, so every later
+//     pick is a scan of floats and a round that never scales down pays
+//     nothing.
 //
 //   - GainHeap and DoubleByGain (arena scale-up, elasticflow/sia
 //     growth): the marginal-gain loops repeatedly take an argmax over
@@ -68,33 +82,43 @@ type ladderCand struct {
 // knee-rule violation. Free-capacity and deadline checks stay at use
 // time — they are the inputs that move per round.
 type ladder struct {
+	sig   launchSig
 	cands []ladderCand
 	// counts is the allowedCounts result (nil in rigid mode when no
 	// profiled size fits) — the launch loop's drop check reads it.
 	counts []int
+	// failedAt is the failEpoch in which a launch of this signature last
+	// failed; equal to the policy's current failEpoch, it is the failure
+	// memo's hit.
+	failedAt uint64
 }
 
 // ladderCacheKey fingerprints everything a ladder depends on besides the
 // signature. The database pointer stands in for its contents: arena's
 // perceived throughputs are static per DB (no online refinement), so the
-// same pointer means the same table.
+// same pointer means the same table. noPlanner selects which of its
+// tables PerceivedThr reads.
 type ladderCacheKey struct {
-	db    *perfdb.DB
-	maxN  int
-	types string
+	db        *perfdb.DB
+	maxN      int
+	types     string
+	noPlanner bool
 }
 
 // ensureLadders resets the ladder cache when its inputs moved (different
-// database, per-job cap or cluster type order — e.g. the policy instance
-// reused across simulations). Called once per Assign.
+// database, per-job cap, cluster type order or perceived table — e.g.
+// the policy instance reused across simulations). Called once per
+// Assign.
 func (p *ArenaPolicy) ensureLadders(ctx *Context) {
 	key := ladderCacheKey{
-		db:    ctx.DB,
-		maxN:  ctx.MaxPerJob,
-		types: strings.Join(ctx.Cluster.GPUTypes(), "\x00"),
+		db:        ctx.DB,
+		maxN:      ctx.MaxPerJob,
+		types:     strings.Join(ctx.Cluster.GPUTypes(), "\x00"),
+		noPlanner: p.DisablePlanner,
 	}
-	if p.ladders == nil || p.ladderKey != key {
-		p.ladders = map[launchSig]*ladder{}
+	if p.ladderOf == nil || p.ladderKey != key {
+		p.ladders = nil
+		p.ladderOf = map[launchSig]uint32{}
 		p.ladderKey = key
 	}
 }
@@ -112,13 +136,21 @@ func (p *ArenaPolicy) sigOf(job *Job) launchSig {
 }
 
 // launchLadder returns the signature's cached candidate ladder, building
-// it on first use.
+// it on first use. The job's hint finds it without hashing; a hint that
+// names another signature's ladder falls back to the map and is
+// rewritten.
 func (p *ArenaPolicy) launchLadder(ctx *Context, job *Job) *ladder {
 	sig := p.sigOf(job)
-	if lad, ok := p.ladders[sig]; ok {
-		return lad
+	if h := int(job.ladderHint); h > 0 && h <= len(p.ladders) {
+		if lad := p.ladders[h-1]; lad.sig == sig {
+			return lad
+		}
 	}
-	lad := &ladder{counts: p.allowedCounts(ctx, job)}
+	if h, ok := p.ladderOf[sig]; ok {
+		job.ladderHint = h
+		return p.ladders[h-1]
+	}
+	lad := &ladder{sig: sig, counts: p.allowedCounts(ctx, job)}
 	for _, typ := range p.allowedTypes(ctx, job) {
 		var prevThr float64
 		for _, n := range lad.counts {
@@ -135,7 +167,9 @@ func (p *ArenaPolicy) launchLadder(ctx *Context, job *Job) *ladder {
 			lad.cands = append(lad.cands, ladderCand{typ: typ, n: n, thr: thr})
 		}
 	}
-	p.ladders[sig] = lad
+	p.ladders = append(p.ladders, lad)
+	p.ladderOf[sig] = uint32(len(p.ladders))
+	job.ladderHint = uint32(len(p.ladders))
 	return lad
 }
 

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"sort"
@@ -315,4 +316,315 @@ func TestLaunchOrderMatchesStableSort(t *testing.T) {
 	if got := launchOrder(nil, 3); len(got) != 0 {
 		t.Fatalf("launchOrder(nil) = %v", got)
 	}
+}
+
+// scanScaleDown is the GetOptimalScaleDown the per-round cost cache
+// replaced: every call rescans the running set at its current targets,
+// two perceived-throughput lookups per job, keeping the strictly lowest
+// cost, so ties go to the first job in ctx.Running. st counts what the
+// scan saw: ties at the minimum, single-GPU jobs, halves with zero
+// perceived throughput and halves that miss their deadline.
+func scanScaleDown(p *ArenaPolicy, ctx *Context, target map[string]Alloc, st *scanStats) (*Job, Alloc, bool) {
+	var bestJob *Job
+	var bestAlloc Alloc
+	bestCost := math.MaxFloat64
+	ties := 0
+	for _, j := range ctx.Running {
+		if p.DisableElastic {
+			continue
+		}
+		cur := target[j.Trace.ID]
+		if cur.N < 2 {
+			st.single++
+			continue
+		}
+		half := cur.N / 2
+		thrCur := p.PerceivedThr(ctx.DB, j.Workload(), cur.GPUType, cur.N)
+		thrHalf := p.PerceivedThr(ctx.DB, j.Workload(), cur.GPUType, half)
+		if thrHalf <= 0 {
+			st.zeroHalf++
+			continue
+		}
+		if !p.meetsDeadline(ctx, j, thrHalf) {
+			st.late++
+			continue
+		}
+		cost := (thrCur - thrHalf) / float64(cur.N-half)
+		switch {
+		case cost < bestCost:
+			bestJob, bestAlloc, bestCost, ties = j, Alloc{GPUType: cur.GPUType, N: half}, cost, 0
+		case cost == bestCost:
+			ties++
+		}
+	}
+	if ties > 0 {
+		st.ties++
+	}
+	if bestJob == nil {
+		return nil, Alloc{}, false
+	}
+	return bestJob, bestAlloc, true
+}
+
+type scanStats struct{ ties, single, zeroHalf, late int }
+
+// TestScaleDownMatchesScan checks the cached optimalScaleDown against the
+// per-call scan on random running sets — few distinct (workload, type,
+// size) shapes, so equal-cost ties are common, with single-GPU jobs,
+// halves the database cannot run and deadlines just above or below a
+// half's finish — under the default policy, ObjDeadline, DisableElastic
+// and DisablePlanner. Each set sees a random sequence of launch attempts
+// made the way tryLaunch makes them: up to D picks, each staged through
+// retarget, then either kept (the launch landed) or reverted in reverse
+// order. After every step the cached pick must equal the scan's.
+func TestScaleDownMatchesScan(t *testing.T) {
+	variants := []struct {
+		name string
+		mod  func(*ArenaPolicy)
+	}{
+		{"arena", func(*ArenaPolicy) {}},
+		{"ddl", func(p *ArenaPolicy) { p.Objective = ObjDeadline }},
+		{"w/o-elastic", func(p *ArenaPolicy) { p.DisableElastic = true }},
+		{"w/o-planner", func(p *ArenaPolicy) { p.DisablePlanner = true }},
+	}
+	types := []string{"A40", "A10"}
+	base := testCtx(t, nil, nil)
+	r := rng.New(59)
+	var st scanStats
+	picks := 0
+	for _, v := range variants {
+		p := NewArena()
+		v.mod(p)
+		for trial := 0; trial < 150; trial++ {
+			ctx := *base
+			ctx.Now = 3600
+			ctx.Running = make([]*Job, r.Intn(12))
+			target := map[string]Alloc{}
+			for i := range ctx.Running {
+				w := testWorkloads()[r.Intn(2)]
+				j := mkJob(fmt.Sprintf("r%02d", i), w.Model, w.GlobalBatch, 1, 1)
+				j.State = StateRunning
+				j.Alloc = Alloc{GPUType: types[r.Intn(2)], N: 1 << r.Intn(5)}
+				if r.Intn(3) == 0 {
+					if thr := p.PerceivedThr(ctx.DB, w, j.Alloc.GPUType, max(j.Alloc.N/2, 1)); thr > 0 {
+						j.Trace.Deadline = ctx.Now + j.RemainingSamples/thr*(0.8+0.4*r.Float64())
+					}
+				}
+				ctx.Running[i] = j
+				target[j.Trace.ID] = j.Alloc
+			}
+			var downCost []float64
+			pick := func(step int) (int, Alloc, bool) {
+				t.Helper()
+				i, got, ok := p.optimalScaleDown(&ctx, target, &downCost)
+				want, wantAlloc, wantOK := scanScaleDown(p, &ctx, target, &st)
+				if ok != wantOK || (ok && (ctx.Running[i] != want || got != wantAlloc)) {
+					t.Fatalf("%s trial %d step %d: cached pick %d %v %v, scan picks %v %v %v (targets %v)",
+						v.name, trial, step, i, got, ok, want, wantAlloc, wantOK, target)
+				}
+				if ok {
+					picks++
+				}
+				return i, got, ok
+			}
+			for step := 0; step < 12; step++ {
+				type staged struct {
+					i   int
+					old Alloc
+				}
+				var stack []staged
+				for k := 1 + r.Intn(p.D); k > 0; k-- {
+					i, half, ok := pick(step)
+					if !ok {
+						break
+					}
+					stack = append(stack, staged{i, target[ctx.Running[i].Trace.ID]})
+					p.retarget(&ctx, target, downCost, i, half)
+				}
+				if r.Intn(2) == 0 {
+					continue // landed: the shrinks stay
+				}
+				for k := len(stack) - 1; k >= 0; k-- {
+					p.retarget(&ctx, target, downCost, stack[k].i, stack[k].old)
+					pick(step)
+				}
+			}
+		}
+	}
+	if picks == 0 || st.ties == 0 || st.single == 0 || st.zeroHalf == 0 || st.late == 0 {
+		t.Errorf("the running sets miss a case: %d picks, scan stats %+v", picks, st)
+	}
+}
+
+// TestLadderHintMatchesColdLookup gives launchLadder jobs whose hints
+// index another policy instance's ladder list, the list from before an
+// ensureLadders reset, or the list from before each ablation flip; each
+// time the policy's current list is built in another order than the one
+// the hints were written from. Every lookup must return the ladder a
+// hint-free copy of the job gets from the same policy, with the
+// candidates a fresh policy of the same configuration builds.
+func TestLadderHintMatchesColdLookup(t *testing.T) {
+	ctx := testCtx(t, nil, nil)
+	var jobs []*Job
+	for _, w := range testWorkloads() {
+		for _, reqType := range []string{"A40", "A10"} {
+			for _, req := range []int{1, 3, 8} {
+				j := mkJob("j", w.Model, w.GlobalBatch, req, 1)
+				j.Trace.ReqType = reqType
+				jobs = append(jobs, j)
+			}
+		}
+	}
+	cold := func(j *Job) *Job {
+		c := *j
+		c.ladderHint = 0
+		return &c
+	}
+	// hint writes p's list positions into the jobs' hints, building the
+	// list in job order where it is empty.
+	hint := func(p *ArenaPolicy) {
+		for _, j := range jobs {
+			p.launchLadder(ctx, j)
+		}
+	}
+	// build fills p's list from hint-free copies, leaving the jobs' hints
+	// alone, in reverse job order on odd calls and in job order on even
+	// ones: never in the order the hints were last written from.
+	builds := 0
+	build := func(p *ArenaPolicy) {
+		builds++
+		for i := range jobs {
+			if builds%2 == 1 {
+				i = len(jobs) - 1 - i
+			}
+			p.launchLadder(ctx, cold(jobs[i]))
+		}
+	}
+	check := func(stage string, p *ArenaPolicy) {
+		t.Helper()
+		fresh := NewArena()
+		fresh.DisablePlanner, fresh.DisableElastic, fresh.DisableHetero = p.DisablePlanner, p.DisableElastic, p.DisableHetero
+		fresh.ensureLadders(ctx)
+		for _, j := range jobs {
+			got := p.launchLadder(ctx, j)
+			if want := p.launchLadder(ctx, cold(j)); got != want {
+				t.Fatalf("%s: %v req %d×%s: the hinted lookup returned another ladder than a cold one", stage, j.Workload(), j.Trace.ReqGPUs, j.Trace.ReqType)
+			}
+			if want := fresh.launchLadder(ctx, cold(j)); !reflect.DeepEqual(got.cands, want.cands) || !slices.Equal(got.counts, want.counts) {
+				t.Fatalf("%s: %v req %d×%s: ladder %+v, a fresh policy builds %+v", stage, j.Workload(), j.Trace.ReqGPUs, j.Trace.ReqType, got.cands, want.cands)
+			}
+		}
+	}
+
+	other := NewArena()
+	other.ensureLadders(ctx)
+	hint(other)
+	p := NewArena()
+	p.ensureLadders(ctx)
+	build(p)
+	check("another instance", p)
+
+	hint(p)
+	ctx.MaxPerJob = 8
+	p.ensureLadders(ctx) // a new cap resets the cache
+	build(p)
+	check("reset", p)
+	ctx.MaxPerJob = 16
+
+	for _, flip := range []struct {
+		name string
+		set  func(*ArenaPolicy)
+	}{
+		{"w/o-hetero", func(p *ArenaPolicy) { p.DisableHetero = true }},
+		{"w/o-elastic", func(p *ArenaPolicy) { p.DisableElastic = true }},
+		{"w/o-planner", func(p *ArenaPolicy) { p.DisablePlanner = true }},
+	} {
+		hint(p)
+		flip.set(p)
+		p.ensureLadders(ctx)
+		build(p)
+		check(flip.name, p)
+	}
+}
+
+// TestLaunchMemoStamps pins when a failure stamp may skip a job. A
+// failure stamped in an earlier round never skips: the same job launches
+// the next round once capacity frees up. Within a round, a landed launch
+// that staged a shrink bumps the memo, so a later job with an earlier
+// failure's signature runs its search again. The round is built for it
+// (scale-down depth 1): A, a GPT-6.7B job (4×A40 or 8×A10), fails after
+// the cheapest shrink frees 4 A10; B, a GPT-2.6B job, lands on 4 A10 by
+// the same shrink; C, A's twin, then shrinks the next victim, which
+// frees 4 A40, and lands.
+func TestLaunchMemoStamps(t *testing.T) {
+	giant := func(id string, at float64) *Job {
+		j := mkJob(id, "GPT-6.7B", 128, 4, 1)
+		j.SubmittedAt = at
+		return j
+	}
+
+	p := NewArena()
+	a := giant("a", 0)
+	if asg := p.Assign(testCtx(t, []*Job{a}, unshrinkable(32, 32))); len(asg.Place) != 0 {
+		t.Fatalf("round 1 placed %v on a full cluster", asg.Place)
+	}
+	if asg := p.Assign(testCtx(t, []*Job{a}, unshrinkable(28, 32))); asg.Place["a"] != (Alloc{GPUType: "A40", N: 4}) {
+		t.Fatalf("round 2: the job failed in round 1 got %v with 4 A40 free", asg.Place)
+	}
+
+	p = NewArena()
+	p.D = 1
+	running := append([]*Job{runningWRes("v10", "A10", 8), runningWRes("v40", "A40", 8)}, unshrinkable(24, 22)...)
+	b := mkJob("b", "GPT-2.6B", 128, 4, 1)
+	b.SubmittedAt = 1
+	asg := p.Assign(testCtx(t, []*Job{giant("a", 0), b, giant("c", 2)}, running))
+	want := map[string]Alloc{
+		"b": {GPUType: "A10", N: 4}, "c": {GPUType: "A40", N: 4},
+		"v10": {GPUType: "A10", N: 4}, "v40": {GPUType: "A40", N: 4},
+	}
+	if !reflect.DeepEqual(asg.Place, want) {
+		t.Fatalf("placements %v, want %v", asg.Place, want)
+	}
+}
+
+// TestLadderCacheTracksDisablePlanner flips DisablePlanner between two
+// Assign calls on one policy: the second must decide as a fresh policy
+// built with the switch set. Two A40 GPUs are free; the planner's view
+// runs GPT-2.6B on them, the static-DP view needs four.
+func TestLadderCacheTracksDisablePlanner(t *testing.T) {
+	round := func(p *ArenaPolicy) Assignment {
+		return p.Assign(testCtx(t, []*Job{mkJob("q", "GPT-2.6B", 128, 2, 1)}, unshrinkable(30, 32)))
+	}
+	p := NewArena()
+	if asg := round(p); asg.Place["q"] != (Alloc{GPUType: "A40", N: 2}) {
+		t.Fatalf("with the planner: %v, want q on 2 A40", asg.Place)
+	}
+	p.DisablePlanner = true
+	fresh := NewArena()
+	fresh.DisablePlanner = true
+	if got, want := round(p), round(fresh); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after the flip: %+v, a fresh w/o-planner policy: %+v", got, want)
+	}
+}
+
+// runningWRes returns a WRes-1B job holding n GPUs of the type, ready for
+// testCtx's running set.
+func runningWRes(id, typ string, n int) *Job {
+	j := mkJob(id, "WRes-1B", 256, n, 1)
+	j.Alloc = Alloc{GPUType: typ, N: n}
+	return j
+}
+
+// unshrinkable returns running jobs holding a40 A40 and a10 A10 GPUs
+// that no scale-down may pick: single A40 GPUs and A10 pairs (WRes-1B
+// cannot run on one A10).
+func unshrinkable(a40, a10 int) []*Job {
+	var js []*Job
+	for i := 0; i < a40; i++ {
+		js = append(js, runningWRes(fmt.Sprintf("f40-%02d", i), "A40", 1))
+	}
+	for i := 0; i < a10; i += 2 {
+		js = append(js, runningWRes(fmt.Sprintf("f10-%02d", i), "A10", 2))
+	}
+	return js
 }

@@ -407,16 +407,28 @@ func TestSimRescaleStacksOnPendingDeploy(t *testing.T) {
 // zero placement and a migration of a queued job. The duplicate drop
 // retires its job once, the running job keeps running, the rest change
 // nothing, and the queue keeps its order around the round's launch and
-// drop.
+// drop. Two more rounds pin the scan's early exit: a placement for the
+// last queued job next to a ghost ID and an ID both placed and dropped
+// (the drop wins), then a drop and a placement whose IDs are the last
+// two jobs the scan reaches, with no ghost to force a full scan.
 func TestApplyResolvesAssignmentOnce(t *testing.T) {
+	a40x2 := sched.Alloc{GPUType: "A40", N: 2}
 	p := &scriptPolicy{thr: 1, script: map[int]sched.Assignment{
-		0: {Place: map[string]sched.Alloc{"j1": {GPUType: "A40", N: 2}}},
+		0: {Place: map[string]sched.Alloc{"j1": a40x2}},
 		1: {
 			Drop:    []string{"j3", "j1", "j3"},
 			Migrate: []string{"j5"},
 			Place: map[string]sched.Alloc{
-				"j4": {GPUType: "A40", N: 2}, "j2": {}, "ghost": {GPUType: "A40", N: 2},
+				"j4": a40x2, "j2": {}, "ghost": a40x2,
 			},
+		},
+		2: {
+			Drop:  []string{"j2"},
+			Place: map[string]sched.Alloc{"j6": a40x2, "ghost": a40x2, "j2": a40x2},
+		},
+		3: {
+			Drop:  []string{"j7"},
+			Place: map[string]sched.Alloc{"j8": a40x2},
 		},
 	}}
 	e, err := NewEngine(Config{Spec: hw.ClusterA(), Policy: p, DB: db(t), MaxRounds: 10})
@@ -427,18 +439,27 @@ func TestApplyResolvesAssignmentOnce(t *testing.T) {
 	for _, id := range []string{"j1", "j2", "j3", "j4", "j5", "j6"} {
 		e.Submit(trace.Job{ID: id, Workload: w, Iterations: 1000, ReqGPUs: 2, ReqType: "A40", Priority: 1}, 0)
 	}
+	check := func(round int, want []string, dropped int) {
+		t.Helper()
+		var order []string
+		for _, j := range e.Jobs() {
+			order = append(order, j.Trace.ID+":"+string(j.State))
+		}
+		if !reflect.DeepEqual(order, want) {
+			t.Fatalf("jobs after round %d = %v, want %v", round, order, want)
+		}
+		if st := e.Stats(); st.Dropped != dropped || st.Migrations != 0 {
+			t.Fatalf("stats after round %d %+v: want %d drops and no migration", round, st, dropped)
+		}
+	}
 	e.Round(0)
 	e.Round(300)
-
-	var order []string
-	for _, j := range e.Jobs() {
-		order = append(order, j.Trace.ID+":"+string(j.State))
+	check(1, []string{"j3:dropped", "j1:running", "j4:running", "j2:queued", "j5:queued", "j6:queued"}, 1)
+	e.Round(600)
+	check(2, []string{"j3:dropped", "j2:dropped", "j1:running", "j4:running", "j6:running", "j5:queued"}, 2)
+	for _, id := range []string{"j7", "j8"} {
+		e.Submit(trace.Job{ID: id, Workload: w, Iterations: 1000, ReqGPUs: 2, ReqType: "A40", Priority: 1}, 600)
 	}
-	want := []string{"j3:dropped", "j1:running", "j4:running", "j2:queued", "j5:queued", "j6:queued"}
-	if !reflect.DeepEqual(order, want) {
-		t.Fatalf("jobs after the round = %v, want %v", order, want)
-	}
-	if st := e.Stats(); st.Dropped != 1 || st.Migrations != 0 {
-		t.Fatalf("stats %+v: want one drop and no migration", st)
-	}
+	e.Round(900)
+	check(3, []string{"j3:dropped", "j2:dropped", "j7:dropped", "j1:running", "j4:running", "j6:running", "j8:running", "j5:queued"}, 3)
 }

@@ -494,33 +494,52 @@ func (s *state) admit(now float64) {
 // apply executes the policy's assignment: drops, migrations, then the
 // placements, charging deployment overheads. IDs are unique among live
 // jobs, so every ID the assignment names resolves in one pass over the
-// queue and the running set, and the queue is compacted once at the end
-// (launched and dropped jobs leave it, the rest keep their order): a
-// round costs O(queue + running) plus a sort of its placements, however
-// deep the queue.
+// running set and then the queue that stops once each distinct ID has
+// matched (an ID naming no live job scans everything); a zero placement
+// counts as matched and applies nothing. The queue is compacted once at
+// the end (launched and dropped jobs leave it, the rest keep their
+// order). A round hashes the running set and the queue prefix up to its
+// last named job, sorts its placements and checks each queued job's
+// state once, however deep the queue.
 func (s *state) apply(now float64, asg sched.Assignment) {
 	if len(asg.Drop) == 0 && len(asg.Migrate) == 0 && len(asg.Place) == 0 {
 		return
 	}
-	// named resolves the drop and migration IDs.
+	// named resolves the drop and migration IDs; unresolved counts the
+	// distinct IDs of Place, Drop and Migrate not yet matched.
 	var named map[string]*sched.Job
+	unresolved := len(asg.Place)
 	if n := len(asg.Drop) + len(asg.Migrate); n > 0 {
 		named = make(map[string]*sched.Job, n)
 		for _, ids := range [][]string{asg.Drop, asg.Migrate} {
 			for _, id := range ids {
+				if _, dup := named[id]; dup {
+					continue
+				}
 				named[id] = nil
+				if _, ok := asg.Place[id]; !ok {
+					unresolved++
+				}
 			}
 		}
 	}
 	var placed []placement
-	for _, list := range [][]*sched.Job{s.queued, s.running} {
+scan:
+	for _, list := range [][]*sched.Job{s.running, s.queued} {
 		for _, j := range list {
 			id := j.Trace.ID
-			if target, ok := asg.Place[id]; ok && !target.IsZero() {
+			target, inPlace := asg.Place[id]
+			if inPlace && !target.IsZero() {
 				placed = append(placed, placement{job: j, target: target})
 			}
-			if _, ok := named[id]; ok {
+			_, inNamed := named[id]
+			if inNamed {
 				named[id] = j
+			}
+			if inPlace || inNamed {
+				if unresolved--; unresolved == 0 {
+					break scan
+				}
 			}
 		}
 	}

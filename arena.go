@@ -23,10 +23,11 @@
 //     function of its seed, so a stage candidate measured once is reused
 //     across the pipeline degrees of one search, across the full and
 //     pruned searches of a deployment point, and across every GPU count
-//     of a perfdb column. With it, candidate profiling inside a search
-//     and the types × counts loop of a database build both fan out over
-//     worker pools with bit-identical results (search.Options wires both
-//     into FullSearchOpts/PrunedSearchOpts).
+//     of a perfdb column. Every search measures through one (a private
+//     cache when search.Options.Cache is nil). With it, candidate
+//     profiling inside a search and the types × counts loop of a database
+//     build both fan out over worker pools with bit-identical results
+//     (search.Options wires both into FullSearchCtx/PrunedSearchCtx).
 //   - The cluster scheduler: Arena's generalized event-driven policy plus
 //     the FCFS/Gavel/ElasticFlow/Sia baselines (sched, sched/policy).
 //   - The discrete-event cluster simulator, trace synthesis, performance

@@ -126,9 +126,10 @@ func TestSessionMatchesFreeFunctions(t *testing.T) {
 	spec := arena.MustGPU("A40")
 	w := arena.Workload{Model: "GPT-1.3B", GlobalBatch: 128}
 
-	// Full search: session (cached, parallel) vs legacy serial reference.
+	// Full search: session (shared cache, parallel) vs a serial search on
+	// a fresh cache.
 	eng := arena.NewEngine(42)
-	serial, err := search.FullSearch(eng, g, spec, 128, 4)
+	serial, err := search.FullSearchCtx(ctx, eng, g, spec, 128, 4, search.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

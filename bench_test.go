@@ -171,24 +171,27 @@ func BenchmarkFullSearch8GPU(b *testing.B) {
 	spec := arena.MustGPU("A40")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := search.FullSearch(eng, g, spec, 128, 8); err != nil {
+		if _, err := search.FullSearchCtx(context.Background(), eng, g, spec, 128, 8, search.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkFullSearch compares the legacy serial uncached full search
-// against the memoized + parallel path on the same inputs (one 16-GPU
-// column, n = 1..16, as perfdb builds it). The cached variant starts
-// from a cold cache every iteration, so the measured speedup is real
-// intra-column reuse plus profiling fan-out, not warm-cache replay.
+// BenchmarkFullSearch times one 16-GPU full-search column (n = 1..16,
+// as perfdb builds it) two ways. serial runs each search on one worker
+// with a fresh private cache (Options{}), so only reuse within one search
+// counts; cached-parallel shares one cache, cold at the start of every
+// iteration, across the column and fans profiling out over every core,
+// so its speedup is intra-column reuse plus fan-out, not warm-cache
+// replay.
 func BenchmarkFullSearch(b *testing.B) {
+	ctx := context.Background()
 	eng := arena.NewEngine(42)
 	g := arena.MustBuildModel("GPT-1.3B")
 	spec := arena.MustGPU("A40")
 	column := func(opts search.Options) {
 		for n := 1; n <= 16; n *= 2 {
-			if _, err := search.FullSearchOpts(eng, g, spec, 128, n, opts); err != nil {
+			if _, err := search.FullSearchCtx(ctx, eng, g, spec, 128, n, opts); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -5,21 +5,14 @@ import (
 	"sync"
 )
 
-// ParallelFor runs fn(i) for every i in [0, n) on up to `workers`
+// ParallelForCtx runs fn(i) for every i in [0, n) on up to `workers`
 // goroutines, blocking until all complete. workers <= 1 (or n < 2) runs
-// inline on the caller's goroutine. fn must be safe to call concurrently
-// and must not panic across iterations it wants completed.
-func ParallelFor(n, workers int, fn func(i int)) {
-	_ = ParallelForCtx(context.Background(), n, workers, fn)
-}
-
-// ParallelForCtx is ParallelFor with cooperative cancellation: once ctx is
-// cancelled no further iterations start, in-flight iterations finish, and
-// the call returns ctx.Err(). Iterations that never started are simply
-// skipped — callers must treat a non-nil return as "results incomplete".
-// All worker goroutines are joined before returning, cancelled or not, so
-// the pool cannot leak. With a background (never-cancelled) context the
-// iteration set and ordering are identical to ParallelFor.
+// inline on the caller's goroutine. fn must be safe to call concurrently.
+// Once ctx is cancelled no further iterations start, in-flight iterations
+// finish, and the call returns ctx.Err(). Iterations that never started
+// are simply skipped — callers must treat a non-nil return as "results
+// incomplete". All worker goroutines are joined before returning,
+// cancelled or not, so the pool cannot leak.
 func ParallelForCtx(ctx context.Context, n, workers int, fn func(i int)) error {
 	if ctx == nil {
 		ctx = context.Background()

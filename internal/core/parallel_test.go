@@ -8,6 +8,9 @@ import (
 	"time"
 )
 
+// TestParallelForCtxUncancelledMatchesParallelFor checks the plain
+// parallel-for contract of an uncancelled pool: every index runs exactly
+// once, at every width.
 func TestParallelForCtxUncancelledMatchesParallelFor(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		var ran [64]atomic.Int32

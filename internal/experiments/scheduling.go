@@ -338,7 +338,7 @@ func (e *Env) Deadline(ctx context.Context) (*Table, error) {
 func (e *Env) Fidelity(ctx context.Context) (*Table, error) {
 	t := &Table{
 		ID:     "fidelity",
-		Title:  "Simulation fidelity: 5-min rounds (sim) vs 60s rounds + measurement noise (testbed-like)",
+		Title:  "Simulation fidelity: 5-min rounds (sim) vs 100s rounds + measurement noise (testbed-like)",
 		Header: []string{"policy", "thr-error", "JCT-error"},
 	}
 	spec := hw.ClusterA()

@@ -24,31 +24,18 @@ func NewElasticFlow() *ElasticFlow { return &ElasticFlow{ScaleGainThreshold: 1.2
 // Name implements sched.Policy.
 func (e *ElasticFlow) Name() string { return "elasticflow-ls" }
 
-// perceived is the DP view with the everywhere-infeasible fallback.
-func (e *ElasticFlow) perceived(db *perfdb.DB, w model.Workload, typ string, n int) float64 {
-	if t := db.DPThr(w, typ, n); t > 0 {
-		return t
-	}
-	for _, tt := range db.GPUTypes {
-		if db.MinFeasibleDP(w, tt) != 0 {
-			return 0
-		}
-	}
-	return db.APThr(w, typ, n)
-}
-
 // region returns the job's home region: the requested type, or the first
 // type where the job is perceived-feasible at all.
 func (e *ElasticFlow) region(ctx *sched.Context, job *sched.Job) string {
 	typ := job.Trace.ReqType
 	for n := 1; n <= ctx.MaxPerJob; n *= 2 {
-		if e.perceived(ctx.DB, job.Workload(), typ, n) > 0 {
+		if dpView(ctx.DB, job.Workload(), typ, n) > 0 {
 			return typ
 		}
 	}
 	for _, t := range ctx.Cluster.GPUTypes() {
 		for n := 1; n <= ctx.MaxPerJob; n *= 2 {
-			if e.perceived(ctx.DB, job.Workload(), t, n) > 0 {
+			if dpView(ctx.DB, job.Workload(), t, n) > 0 {
 				return t
 			}
 		}
@@ -144,7 +131,7 @@ func (e *ElasticFlow) Assign(ctx *sched.Context) sched.Assignment {
 // minFeasible is the smallest profiled size the workload runs at on typ.
 func (e *ElasticFlow) minFeasible(ctx *sched.Context, w model.Workload, typ string) int {
 	for n := 1; n <= ctx.MaxPerJob; n *= 2 {
-		if e.perceived(ctx.DB, w, typ, n) > 0 {
+		if dpView(ctx.DB, w, typ, n) > 0 {
 			return n
 		}
 	}
@@ -163,8 +150,8 @@ func (e *ElasticFlow) growthGain(ctx *sched.Context, job *sched.Job, cur sched.A
 	if job.Running() && job.BusyUntil > ctx.Now {
 		return 0, false
 	}
-	thrCur := e.perceived(ctx.DB, job.Workload(), cur.GPUType, cur.N)
-	thrNew := e.perceived(ctx.DB, job.Workload(), cur.GPUType, cur.N*2)
+	thrCur := dpView(ctx.DB, job.Workload(), cur.GPUType, cur.N)
+	thrNew := dpView(ctx.DB, job.Workload(), cur.GPUType, cur.N*2)
 	if thrCur <= 0 || thrNew <= thrCur*e.ScaleGainThreshold {
 		return 0, false
 	}
@@ -186,8 +173,8 @@ func (e *ElasticFlow) shrinkRegion(ctx *sched.Context, typ string, need int, fre
 			if cur.GPUType != typ || cur.N < 2 || j.BusyUntil > ctx.Now {
 				continue
 			}
-			thrCur := e.perceived(ctx.DB, j.Workload(), typ, cur.N)
-			thrHalf := e.perceived(ctx.DB, j.Workload(), typ, cur.N/2)
+			thrCur := dpView(ctx.DB, j.Workload(), typ, cur.N)
+			thrHalf := dpView(ctx.DB, j.Workload(), typ, cur.N/2)
 			if thrHalf <= 0 {
 				continue
 			}
@@ -210,7 +197,7 @@ func (e *ElasticFlow) shrinkRegion(ctx *sched.Context, typ string, need int, fre
 
 // PerceivedThr implements sched.Policy.
 func (e *ElasticFlow) PerceivedThr(db *perfdb.DB, w model.Workload, gpuType string, n int) float64 {
-	return e.perceived(db, w, gpuType, n)
+	return dpView(db, w, gpuType, n)
 }
 
 // ActualThr implements sched.Policy.

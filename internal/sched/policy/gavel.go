@@ -24,10 +24,11 @@ func NewGavel() *Gavel { return &Gavel{SwitchGainThreshold: 1.3} }
 // Name implements sched.Policy.
 func (g *Gavel) Name() string { return "gavel" }
 
-// perceived returns Gavel's DP view with the manual-fallback rule: when a
-// workload fits DP nowhere, the user supplies a hand-tuned parallel plan
-// and Gavel schedules it by its measured throughput.
-func (g *Gavel) perceived(db *perfdb.DB, w model.Workload, typ string, n int) float64 {
+// dpView is the throughput Gavel and ElasticFlow perceive: the DP view
+// with the manual-fallback rule. When a workload fits DP on no GPU type,
+// the user supplies a hand-tuned parallel plan and the policy schedules
+// it by its measured (AP) throughput.
+func dpView(db *perfdb.DB, w model.Workload, typ string, n int) float64 {
 	if t := db.DPThr(w, typ, n); t > 0 {
 		return t
 	}
@@ -76,7 +77,7 @@ func (g *Gavel) Assign(ctx *sched.Context) sched.Assignment {
 		}
 		sc.byType = make([]float64, len(types))
 		for ti, typ := range types {
-			thr := g.perceived(ctx.DB, job.Workload(), typ, sc.n)
+			thr := dpView(ctx.DB, job.Workload(), typ, sc.n)
 			sc.byType[ti] = thr
 			if thr > sc.bestThr {
 				sc.bestTyp, sc.bestThr = typ, thr
@@ -130,12 +131,12 @@ func (g *Gavel) Assign(ctx *sched.Context) sched.Assignment {
 			continue
 		}
 		cur := job.Alloc
-		curThr := g.perceived(ctx.DB, job.Workload(), cur.GPUType, cur.N)
+		curThr := dpView(ctx.DB, job.Workload(), cur.GPUType, cur.N)
 		for _, typ := range ctx.Cluster.GPUTypes() {
 			if typ == cur.GPUType || free[typ] < cur.N {
 				continue
 			}
-			newThr := g.perceived(ctx.DB, job.Workload(), typ, cur.N)
+			newThr := dpView(ctx.DB, job.Workload(), typ, cur.N)
 			if curThr > 0 && newThr > curThr*g.SwitchGainThreshold {
 				asg.Place[job.Trace.ID] = sched.Alloc{GPUType: typ, N: cur.N}
 				free[typ] -= cur.N
@@ -180,7 +181,7 @@ func (g *Gavel) demand(db *perfdb.DB, job *sched.Job, maxPerJob int) int {
 
 // PerceivedThr implements sched.Policy.
 func (g *Gavel) PerceivedThr(db *perfdb.DB, w model.Workload, gpuType string, n int) float64 {
-	return g.perceived(db, w, gpuType, n)
+	return dpView(db, w, gpuType, n)
 }
 
 // ActualThr implements sched.Policy: execution uses AP (§5.1).

@@ -166,48 +166,3 @@ type Policy interface {
 // parallelism search whenever a *running* job is rescaled or migrated
 // (§5.8: "checkpoint-resume (<5 minutes)").
 const CheckpointResume = 300.0
-
-// BestFeasible returns the allocation maximizing thr(type, n) over the
-// policy-perceived table, subject to current free capacity; ok = false
-// when nothing feasible fits. Ties prefer fewer GPUs, then the canonical
-// type order.
-func BestFeasible(ctx *Context, thr func(gpuType string, n int) float64) (Alloc, bool) {
-	var best Alloc
-	var bestThr float64
-	found := false
-	for _, typ := range ctx.Cluster.GPUTypes() {
-		for n := 1; n <= ctx.MaxPerJob; n *= 2 {
-			t := thr(typ, n)
-			if t <= 0 || !ctx.Cluster.CanAlloc(typ, n) {
-				continue
-			}
-			better := t > bestThr ||
-				(t == bestThr && found && n < best.N)
-			if !found || better {
-				best, bestThr, found = Alloc{GPUType: typ, N: n}, t, true
-			}
-		}
-	}
-	return best, found
-}
-
-// MinFeasible returns the cheapest (fewest-GPU) allocation with positive
-// perceived throughput under current capacity.
-func MinFeasible(ctx *Context, thr func(gpuType string, n int) float64) (Alloc, bool) {
-	var best Alloc
-	var bestThr float64
-	found := false
-	for _, typ := range ctx.Cluster.GPUTypes() {
-		for n := 1; n <= ctx.MaxPerJob; n *= 2 {
-			t := thr(typ, n)
-			if t <= 0 || !ctx.Cluster.CanAlloc(typ, n) {
-				continue
-			}
-			if !found || n < best.N || (n == best.N && t > bestThr) {
-				best, bestThr, found = Alloc{GPUType: typ, N: n}, t, true
-			}
-			break // smallest n for this type found
-		}
-	}
-	return best, found
-}

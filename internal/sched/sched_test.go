@@ -416,20 +416,6 @@ func TestArenaDeadlineKeepsFeasible(t *testing.T) {
 	}
 }
 
-func TestBestFeasibleHelpers(t *testing.T) {
-	ctx := testCtx(t, nil, nil)
-	w := model.Workload{Model: "WRes-1B", GlobalBatch: 256}
-	thr := func(typ string, n int) float64 { return ctx.DB.APThr(w, typ, n) }
-	best, ok := BestFeasible(ctx, thr)
-	if !ok || best.IsZero() {
-		t.Fatal("no feasible allocation on an empty cluster")
-	}
-	min, ok := MinFeasible(ctx, thr)
-	if !ok || min.N > best.N {
-		t.Fatalf("min %v should not exceed best %v", min, best)
-	}
-}
-
 func TestPolicyNames(t *testing.T) {
 	if NewArena().Name() != "arena" {
 		t.Error("default name")

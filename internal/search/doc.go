@@ -17,12 +17,14 @@
 // which is what collapses redeployment cost from the full search's
 // minutes to seconds (§5.4, Fig. 15).
 //
-// Execution options (Options) control wall-clock only, never results:
-// Cache threads an evalcache.Cache so repeated candidates are measured
-// once (across degrees, across the full and pruned searches of one
-// point, and across GPU counts of one perfdb column), Workers fans
-// candidate profiling out over a pool, and Progress streams per-candidate
-// completion events. Determinism tests in this package prove the cached,
-// parallel and planner-DP paths all return outcomes bit-identical to the
-// serial uncached reference.
+// Every search measures through an evalcache.Cache, so repeated
+// candidates are measured once: the caller's Options.Cache, shared across
+// degrees, across the full and pruned searches of one point and across
+// GPU counts of one perfdb column, or a private cache when it is nil.
+// There is one measurement path and one compose DP. The other execution
+// options change wall-clock only, never results: Workers fans candidate
+// profiling out over a pool, and Progress streams one event per pipeline
+// degree searched. TestSearchMatrixDigest pins the outcomes across the
+// default workload mix to a digest recorded from the retired serial
+// uncached search while both paths ran and agreed.
 package search

@@ -101,31 +101,13 @@ func (r *Restriction) ShapeAllowed(start, end, gpus, dp, tp int) bool {
 // final plan's compilation are still paid.
 const prunedSearchBaseSeconds = 90.0
 
-// PrunedSearch runs Arena's space-pruned AP search (§3.6) for the grid the
-// scheduler selected: only the grid's pipeline degree is explored, with
-// partition-imbalance and composition-matching pruning derived from the
-// planner's Pareto frontier.
-func PrunedSearch(eng *exec.Engine, g *model.Graph, spec hw.GPU, globalBatch, n int, gp *planner.GridPlan) (Outcome, error) {
-	return PrunedSearchWithNodes(eng, g, spec, globalBatch, n, spec.GPUsPerNode, gp)
-}
-
-// PrunedSearchWithNodes is PrunedSearch with explicit placement.
-func PrunedSearchWithNodes(eng *exec.Engine, g *model.Graph, spec hw.GPU, globalBatch, n, gpusPerNode int, gp *planner.GridPlan) (Outcome, error) {
-	return PrunedSearchOpts(eng, g, spec, globalBatch, n, gp, Options{GPUsPerNode: gpusPerNode})
-}
-
-// PrunedSearchOpts is PrunedSearch with execution options (memoization
-// cache, profiling fan-out, node packing). Sharing one cache between the
-// full and pruned searches of a point reuses every overlapping stage
-// measurement.
-func PrunedSearchOpts(eng *exec.Engine, g *model.Graph, spec hw.GPU, globalBatch, n int, gp *planner.GridPlan, opts Options) (Outcome, error) {
-	return PrunedSearchCtx(context.Background(), eng, g, spec, globalBatch, n, gp, opts)
-}
-
-// PrunedSearchCtx is PrunedSearchOpts with cooperative cancellation: when
-// ctx is cancelled the search stops within one scheduling quantum of its
-// worker pool and returns ctx.Err() with a zero Outcome. Uncancelled, it
-// is bit-identical to PrunedSearchOpts.
+// PrunedSearchCtx runs Arena's space-pruned AP search (§3.6) for the grid
+// the scheduler selected: only the grid's pipeline degree is explored,
+// with partition-imbalance and composition-matching pruning derived from
+// the planner's Pareto frontier. Sharing one cache between the full and
+// pruned searches of a point reuses every overlapping stage measurement.
+// When ctx is cancelled the search stops within one scheduling quantum of
+// its worker pool and returns ctx.Err() with a zero Outcome.
 func PrunedSearchCtx(ctx context.Context, eng *exec.Engine, g *model.Graph, spec hw.GPU, globalBatch, n int, gp *planner.GridPlan, opts Options) (Outcome, error) {
 	if gp == nil || !gp.Feasible || gp.Proxy == nil {
 		return Outcome{}, fmt.Errorf("search: pruned search needs a feasible grid plan")
@@ -147,8 +129,7 @@ func PrunedSearchCtx(ctx context.Context, eng *exec.Engine, g *model.Graph, spec
 	out.SearchTime = prunedSearchBaseSeconds + float64(s.stageEvals)*stageProfileSeconds
 	opts.Progress.Emit("search.pruned", fmt.Sprintf("deg=%d", gp.Grid.S), 1, 1)
 
-	// Fall back to the proxy plan if the restricted DP found nothing; the
-	// measurement goes through the session cache when one is attached.
+	// Fall back to the proxy plan if the restricted DP found nothing.
 	if out.Plan == nil || !out.Result.Fits {
 		res, err := s.evaluate(gp.Proxy.Plan)
 		if err != nil {
@@ -162,17 +143,4 @@ func PrunedSearchCtx(ctx context.Context, eng *exec.Engine, g *model.Graph, spec
 		}, nil
 	}
 	return out, nil
-}
-
-// ProxyExecution directly executes the grid's proxy plan with zero search
-// overhead — the alternative deployment mode of §3.6.
-func ProxyExecution(eng *exec.Engine, g *model.Graph, spec hw.GPU, globalBatch, gpusPerNode int, gp *planner.GridPlan) (Outcome, error) {
-	if gp == nil || gp.Proxy == nil {
-		return Outcome{}, fmt.Errorf("search: no proxy plan available")
-	}
-	res, err := eng.EvaluateWithNodes(g, gp.Proxy.Plan, spec, globalBatch, gpusPerNode)
-	if err != nil {
-		return Outcome{}, err
-	}
-	return Outcome{Plan: gp.Proxy.Plan, Result: res, PlanEvals: 1}, nil
 }

@@ -44,24 +44,24 @@ type stageCand struct {
 	gpus       int
 	dp, tp     int
 	time       float64 // per-microbatch latency (engine measurement)
-	feasible   bool
 }
 
-// Options tune how a search session executes. The zero value reproduces
-// the legacy behavior: default node packing, no memoization, serial
-// candidate profiling. Options change only wall-clock execution, never
-// outcomes: the engine is a pure function of its seed, so the cached and
-// parallel paths are bit-identical to the serial one (including the
-// StageEvals/SearchTime cost model, which accounts profiled candidates,
-// not cache misses — a real system re-deploying a memoized measurement
-// still models the paper's per-candidate profiling bill).
+// Options tune how a search session executes. Options change only
+// wall-clock execution, never outcomes: the engine is a pure function of
+// its seed, so every cache and worker count yields bit-identical outcomes
+// (including the StageEvals/SearchTime cost model, which accounts
+// profiled candidates, not cache misses — a real system re-deploying a
+// memoized measurement still models the paper's per-candidate profiling
+// bill). The zero value searches serially with a private cache and the
+// device catalog's node packing.
 type Options struct {
 	// GPUsPerNode overrides the device catalog's node packing (0 = the
 	// spec default).
 	GPUsPerNode int
-	// Cache, when non-nil, memoizes stage measurements and plan
-	// evaluations across degrees and across searches sharing the cache.
-	// It must be bound to the same engine the search runs on.
+	// Cache memoizes stage measurements and plan evaluations across
+	// degrees and across searches sharing it; nil gives the search a
+	// private cache of its own. It must be bound to the same engine the
+	// search runs on.
 	Cache *evalcache.Cache
 	// Workers bounds the candidate-profiling fan-out per degree
 	// (<= 1 = serial, < 0 = GOMAXPROCS).
@@ -85,60 +85,29 @@ func (o Options) workers() int {
 // searcher carries shared state across one search session.
 type searcher struct {
 	ctx         context.Context
-	eng         *exec.Engine
 	graph       *model.Graph
 	spec        hw.GPU
 	globalBatch int
 	gpusPerNode int
 	cache       *evalcache.Cache
-	shard       *evalcache.StageShard // session view of cache; nil iff cache is
+	shard       *evalcache.StageShard // the cache's view of (graph, spec, gpusPerNode)
 	workers     int
 
 	stageEvals int
 	err        error // sticky cancellation error (always ctx.Err())
 }
 
-// measureStage profiles one candidate, through the memo table when the
-// session has one.
-func (s *searcher) measureStage(st parallel.StagePlan, microSamples float64) exec.StageMeasure {
-	if s.shard != nil {
-		return s.shard.Measure(st, microSamples)
-	}
-	return s.eng.MeasureStage(s.graph, st, s.spec, microSamples, s.gpusPerNode)
-}
-
-// evaluate measures a composed plan end to end, through the memo table
-// when the session has one.
+// evaluate measures a composed plan end to end through the session cache.
 func (s *searcher) evaluate(plan *parallel.Plan) (exec.Result, error) {
-	if s.cache != nil {
-		return s.cache.Evaluate(s.graph, plan, s.spec, s.globalBatch, s.gpusPerNode)
-	}
-	return s.eng.EvaluateWithNodes(s.graph, plan, s.spec, s.globalBatch, s.gpusPerNode)
+	return s.cache.Evaluate(s.graph, plan, s.spec, s.globalBatch, s.gpusPerNode)
 }
 
-// FullSearch explores the complete adaptive-parallelism space for n GPUs
-// of the given type: every pipeline degree, every contiguous partition,
-// every power-of-two GPU assignment and intra-stage shape — the Alpa
-// workflow. It returns the best measured plan.
-func FullSearch(eng *exec.Engine, g *model.Graph, spec hw.GPU, globalBatch, n int) (Outcome, error) {
-	return FullSearchWithNodes(eng, g, spec, globalBatch, n, spec.GPUsPerNode)
-}
-
-// FullSearchWithNodes is FullSearch with explicit GPUs-per-node placement.
-func FullSearchWithNodes(eng *exec.Engine, g *model.Graph, spec hw.GPU, globalBatch, n, gpusPerNode int) (Outcome, error) {
-	return FullSearchOpts(eng, g, spec, globalBatch, n, Options{GPUsPerNode: gpusPerNode})
-}
-
-// FullSearchOpts is FullSearch with execution options (memoization cache,
-// profiling fan-out, node packing).
-func FullSearchOpts(eng *exec.Engine, g *model.Graph, spec hw.GPU, globalBatch, n int, opts Options) (Outcome, error) {
-	return FullSearchCtx(context.Background(), eng, g, spec, globalBatch, n, opts)
-}
-
-// FullSearchCtx is FullSearchOpts with cooperative cancellation: when ctx
-// is cancelled the search stops within one scheduling quantum of its
-// worker pool and returns ctx.Err() with a zero Outcome. Uncancelled, it
-// is bit-identical to FullSearchOpts.
+// FullSearchCtx explores the complete adaptive-parallelism space for n
+// GPUs of the given type: every pipeline degree, every contiguous
+// partition, every power-of-two GPU assignment and intra-stage shape —
+// the Alpa workflow. It returns the best measured plan. When ctx is
+// cancelled the search stops within one scheduling quantum of its worker
+// pool and returns ctx.Err() with a zero Outcome.
 func FullSearchCtx(ctx context.Context, eng *exec.Engine, g *model.Graph, spec hw.GPU, globalBatch, n int, opts Options) (Outcome, error) {
 	if n < 1 {
 		return Outcome{}, fmt.Errorf("search: n=%d", n)
@@ -164,7 +133,10 @@ func FullSearchCtx(ctx context.Context, eng *exec.Engine, g *model.Graph, spec h
 
 // newSearcher validates options and builds a search session.
 func newSearcher(ctx context.Context, eng *exec.Engine, g *model.Graph, spec hw.GPU, globalBatch int, opts Options) (*searcher, error) {
-	if opts.Cache != nil && opts.Cache.Engine() != eng {
+	cache := opts.Cache
+	if cache == nil {
+		cache = evalcache.New(eng)
+	} else if cache.Engine() != eng {
 		return nil, fmt.Errorf("search: cache is bound to a different engine")
 	}
 	if ctx == nil {
@@ -174,14 +146,11 @@ func newSearcher(ctx context.Context, eng *exec.Engine, g *model.Graph, spec hw.
 	if gpusPerNode < 1 {
 		gpusPerNode = spec.GPUsPerNode
 	}
-	s := &searcher{
-		ctx: ctx, eng: eng, graph: g, spec: spec, globalBatch: globalBatch,
-		gpusPerNode: gpusPerNode, cache: opts.Cache, workers: opts.workers(),
-	}
-	if s.cache != nil {
-		s.shard = s.cache.StageShard(g, spec, gpusPerNode)
-	}
-	return s, nil
+	return &searcher{
+		ctx: ctx, graph: g, spec: spec, globalBatch: globalBatch,
+		gpusPerNode: gpusPerNode, cache: cache, shard: cache.StageShard(g, spec, gpusPerNode),
+		workers: opts.workers(),
+	}, nil
 }
 
 // mergeBest folds a per-degree outcome into the running best, keeping
@@ -210,26 +179,13 @@ func (s *searcher) searchDegree(deg, n int, restrict *Restriction) Outcome {
 	// profiled latency distribution, DP-compose minimal-total pipelines
 	// under each bound, measure the distinct results end-to-end.
 	bounds := latencyQuantiles(cands, 24)
-	// The memoized session additionally collapses redundant compose DPs:
-	// bounds at or above a result's own bottleneck provably reproduce it
-	// (see composeBounds). The plain session runs one DP per bound — the
-	// legacy path the determinism tests compare against.
-	var composed [][]parallel.StagePlan
-	if s.cache != nil {
-		composed = s.composeBounds(cands, deg, n, bounds)
-	}
+	composed := s.composeBounds(cands, deg, n, bounds)
 	seen := map[string]bool{}
 	var out Outcome
-	for bi, tmax := range bounds {
+	for _, stages := range composed {
 		if err := s.ctx.Err(); err != nil {
 			s.err = err
 			return Outcome{}
-		}
-		var stages []parallel.StagePlan
-		if composed != nil {
-			stages = composed[bi]
-		} else {
-			stages, _ = s.compose(cands, deg, n, tmax)
 		}
 		if stages == nil {
 			continue
@@ -302,10 +258,10 @@ func (s *searcher) profileStageCandidates(deg, n, numMicro int, restrict *Restri
 	cands := make([]stageCand, len(jobs))
 	if err := core.ParallelForCtx(s.ctx, len(jobs), s.workers, func(i int) {
 		st := jobs[i]
-		m := s.measureStage(st, microSamples)
+		m := s.shard.Measure(st, microSamples)
 		cands[i] = stageCand{
 			start: st.OpStart, end: st.OpEnd, gpus: st.GPUs(), dp: st.DP, tp: st.TP,
-			time: m.Time(), feasible: true,
+			time: m.Time(),
 		}
 	}); err != nil {
 		s.err = err
@@ -337,11 +293,12 @@ func latencyQuantiles(cands []stageCand, k int) []float64 {
 	return slices.Compact(out)
 }
 
-// composeBounds returns compose's result for every bound, running the DP
-// only once per distinct outcome. It relies on admitted-set monotonicity:
-// the candidates admitted under bound t are a subset of those admitted
-// under t' ≥ t, so the optimum under t' whose own bottleneck is b ≤ t is
-// feasible — and therefore still optimal — under every bound in [b, t'].
+// composeBounds returns composeScratch's result for every bound, running
+// the DP only once per distinct outcome. It relies on admitted-set
+// monotonicity: the candidates admitted under bound t are a subset of
+// those admitted under t' ≥ t, so the optimum under t' whose own
+// bottleneck is b ≤ t is feasible — and therefore still optimal — under
+// every bound in [b, t'].
 // Likewise a bound with no feasible composition proves every smaller
 // bound infeasible. Solving the bound list by descending intervals costs
 // one DP per distinct result plan instead of one per bound.
@@ -349,8 +306,8 @@ func latencyQuantiles(cands []stageCand, k int) []float64 {
 // When the optimum under a bound is unique (the generic case: candidate
 // latencies carry engine jitter, so exact cost ties between different
 // compositions do not occur), the per-bound results are identical to
-// running compose on each bound — the determinism tests cross-validate
-// this path against the legacy loop.
+// running the DP once per bound; TestComposeBoundsMatchesPerBound checks
+// this against exactly that reference.
 func (s *searcher) composeBounds(cands []stageCand, deg, n int, bounds []float64) [][]parallel.StagePlan {
 	results := make([][]parallel.StagePlan, len(bounds))
 	scr := newComposeScratch(len(s.graph.Ops), deg, n)
@@ -373,11 +330,8 @@ func (s *searcher) composeBounds(cands []stageCand, deg, n int, bounds []float64
 	return results
 }
 
-// composeScratch is compose over a reusable flat table: cells carry an
-// epoch stamp instead of being reallocated and cleared per bound. The
-// relaxation order, comparisons and tie-breaking are identical to
-// compose, so both produce the same stages for the same inputs (the
-// determinism tests cross-validate the two).
+// composeScratch is the compose DP's reusable flat table: cells carry an
+// epoch stamp instead of being reallocated and cleared per bound.
 type composeScratch struct {
 	numOps, n int
 	cost      []float64
@@ -402,6 +356,12 @@ func (scr *composeScratch) idx(k, start, g int) int {
 	return (k*(scr.numOps+1)+start)*(scr.n+1) + g
 }
 
+// composeScratch runs the inter-operator DP on scr: split ops into
+// exactly deg stages over exactly n GPUs minimizing total per-microbatch
+// latency subject to every stage ≤ tmax. It returns the stage sequence
+// and its bottleneck (the slowest stage's latency), or nil when
+// infeasible. Cell (k, start, g) holds the minimal total latency covering
+// ops[start:] with exactly k stages using exactly g GPUs.
 func (s *searcher) composeScratch(cands []stageCand, deg, n int, tmax float64, scr *composeScratch) ([]parallel.StagePlan, float64) {
 	numOps := len(s.graph.Ops)
 	const inf = math.MaxFloat64
@@ -453,78 +413,6 @@ func (s *searcher) composeScratch(cands []stageCand, deg, n int, tmax float64, s
 	start, g := 0, n
 	for k := deg; k >= 1; k-- {
 		_, c := get(k, start, g)
-		if c == nil {
-			return nil, 0
-		}
-		stages = append(stages, parallel.StagePlan{OpStart: c.start, OpEnd: c.end, DP: c.dp, TP: c.tp})
-		if c.time > bottleneck {
-			bottleneck = c.time
-		}
-		start, g = c.end, g-c.gpus
-	}
-	if start != numOps || g != 0 {
-		return nil, 0
-	}
-	return stages, bottleneck
-}
-
-// compose runs the inter-operator DP: split ops into exactly deg stages
-// over exactly n GPUs minimizing total per-microbatch latency subject to
-// every stage ≤ tmax. Returns the stage sequence and its bottleneck (the
-// slowest stage's latency), or nil when infeasible. Table layout:
-// tables[k][start][g] = min total latency covering ops[start:] with
-// exactly k stages using exactly g GPUs.
-func (s *searcher) compose(cands []stageCand, deg, n int, tmax float64) ([]parallel.StagePlan, float64) {
-	numOps := len(s.graph.Ops)
-	const inf = math.MaxFloat64
-	type cell struct {
-		cost float64
-		cand *stageCand
-	}
-	// Index candidates by start op, pre-filtered by the bottleneck bound.
-	byStart := make([][]*stageCand, numOps)
-	for i := range cands {
-		c := &cands[i]
-		if c.time <= tmax {
-			byStart[c.start] = append(byStart[c.start], c)
-		}
-	}
-	tables := make([][][]cell, deg+1)
-	for k := 0; k <= deg; k++ {
-		tables[k] = make([][]cell, numOps+1)
-		for i := range tables[k] {
-			tables[k][i] = make([]cell, n+1)
-			for j := range tables[k][i] {
-				tables[k][i][j] = cell{cost: inf}
-			}
-		}
-	}
-	tables[0][numOps][0] = cell{cost: 0}
-	for k := 1; k <= deg; k++ {
-		for start := numOps - 1; start >= 0; start-- {
-			for _, c := range byStart[start] {
-				for g := c.gpus; g <= n; g++ {
-					rest := tables[k-1][c.end][g-c.gpus]
-					if rest.cost == inf {
-						continue
-					}
-					total := c.time + rest.cost
-					if total < tables[k][start][g].cost {
-						tables[k][start][g] = cell{cost: total, cand: c}
-					}
-				}
-			}
-		}
-	}
-	if tables[deg][0][n].cost == inf {
-		return nil, 0
-	}
-	// Reconstruct the stage sequence front to back.
-	stages := make([]parallel.StagePlan, 0, deg)
-	var bottleneck float64
-	start, g := 0, n
-	for k := deg; k >= 1; k-- {
-		c := tables[k][start][g].cand
 		if c == nil {
 			return nil, 0
 		}

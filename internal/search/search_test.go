@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"testing"
 
 	"github.com/sjtu-epcc/arena/internal/core"
@@ -17,7 +18,7 @@ func fullSearch(t *testing.T, modelName string, gb, n int) (*model.Graph, Outcom
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := FullSearch(exec.NewEngine(42), g, hw.MustLookup("A40"), gb, n)
+	out, err := FullSearchCtx(context.Background(), exec.NewEngine(42), g, hw.MustLookup("A40"), gb, n, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestFullSearchBeatsPureDP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := FullSearch(eng, g, spec, tc.gb, tc.n)
+		out, err := FullSearchCtx(context.Background(), eng, g, spec, tc.gb, tc.n, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +79,7 @@ func TestFullSearchHandlesOOMModels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := FullSearch(exec.NewEngine(42), g, hw.MustLookup("V100"), 128, 4)
+	out, err := FullSearchCtx(context.Background(), exec.NewEngine(42), g, hw.MustLookup("V100"), 128, 4, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestSearchSingleGPU(t *testing.T) {
 
 func TestSearchInvalidN(t *testing.T) {
 	g, _ := model.BuildClustered("GPT-1.3B")
-	if _, err := FullSearch(exec.NewEngine(1), g, hw.MustLookup("A40"), 128, 0); err == nil {
+	if _, err := FullSearchCtx(context.Background(), exec.NewEngine(1), g, hw.MustLookup("A40"), 128, 0, Options{}); err == nil {
 		t.Fatal("n=0 should error")
 	}
 }
@@ -116,7 +117,7 @@ func prunedSetup(t *testing.T, modelName string, gb, n int) (*model.Graph, *plan
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := FullSearch(eng, g, spec, gb, n)
+	full, err := FullSearchCtx(context.Background(), eng, g, spec, gb, n, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func prunedSetup(t *testing.T, modelName string, gb, n int) (*model.Graph, *plan
 	if bestGP == nil {
 		t.Fatal("no feasible grid")
 	}
-	pruned, err := PrunedSearch(eng, g, spec, gb, n, bestGP)
+	pruned, err := PrunedSearchCtx(context.Background(), eng, g, spec, gb, n, bestGP, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestPrunedSearchQualityAndCost(t *testing.T) {
 func TestPrunedSearchRejectsBadInput(t *testing.T) {
 	g, _ := model.BuildClustered("GPT-1.3B")
 	eng := exec.NewEngine(42)
-	if _, err := PrunedSearch(eng, g, hw.MustLookup("A40"), 128, 4, nil); err == nil {
+	if _, err := PrunedSearchCtx(context.Background(), eng, g, hw.MustLookup("A40"), 128, 4, nil, Options{}); err == nil {
 		t.Fatal("nil grid plan should error")
 	}
 	gp, err := planner.New().PlanGrid(g, core.Grid{
@@ -197,29 +198,8 @@ func TestPrunedSearchRejectsBadInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := PrunedSearch(eng, g, hw.MustLookup("A40"), 128, 4, gp); err == nil {
+	if _, err := PrunedSearchCtx(context.Background(), eng, g, hw.MustLookup("A40"), 128, 4, gp, Options{}); err == nil {
 		t.Fatal("mismatched N should error")
-	}
-}
-
-func TestProxyExecutionZeroOverhead(t *testing.T) {
-	g, _ := model.BuildClustered("GPT-1.3B")
-	gp, err := planner.New().PlanGrid(g, core.Grid{
-		Workload: model.Workload{Model: "GPT-1.3B", GlobalBatch: 128},
-		GPUType:  "A40", N: 4, S: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := ProxyExecution(exec.NewEngine(42), g, hw.MustLookup("A40"), 128, 0, gp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.StageEvals != 0 || out.SearchTime != 0 {
-		t.Error("proxy execution must have zero search cost")
-	}
-	if !out.Feasible() {
-		t.Error("proxy should be feasible")
 	}
 }
 

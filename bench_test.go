@@ -475,6 +475,78 @@ func BenchmarkServerScheduleRound(b *testing.B) {
 	})
 }
 
+// BenchmarkServerRecover guards the daemon's restart: server.New replays
+// the journal of a 1,000-round session — every record's frame checked,
+// every submit re-applied, every round re-executed and its digest
+// verified — and Close releases it. The session has daemon-philly's
+// shape (Philly arrivals at 2,500 jobs a day, the Arena policy, 300 s
+// rounds, 256 A40 and 256 A10 nodes) and is built once, before the
+// timer starts.
+func BenchmarkServerRecover(b *testing.B) {
+	simBenchSetup()
+	if simBenchErr != nil {
+		b.Fatal(simBenchErr)
+	}
+	const rounds = 1000
+	duration := float64(rounds-1) * 300
+	jobs, err := trace.Generate(trace.Config{
+		Kind: trace.Philly, Duration: duration, NumJobs: int(2500 * duration / 86400), Seed: 7,
+		GPUTypes: []string{"A40", "A10"}, MaxGPUs: 16,
+		Workloads: []model.Workload{
+			{Model: "WRes-1B", GlobalBatch: 256},
+			{Model: "GPT-1.3B", GlobalBatch: 128},
+			{Model: "GPT-2.6B", GlobalBatch: 128},
+		},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, err := store.Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	cfg := server.Config{
+		Spec: hw.ClusterSpec{Name: "bench", Regions: []hw.Region{
+			{GPUType: "A40", Nodes: 256}, {GPUType: "A10", Nodes: 256},
+		}},
+		Policy: sched.NewArena(), DB: simBenchDB, RoundSeconds: 300, Seed: 7,
+		Store: st, Clock: clock.NewVirtual(),
+	}
+	srv, err := server.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for round, next := 0, 0; round < rounds; round++ {
+		for ; next < len(jobs) && jobs[next].SubmitTime <= float64(round)*cfg.RoundSeconds; next++ {
+			if _, err := srv.Submit(jobs[next]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := srv.Step(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := srv.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("1k", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			cfg.Policy = sched.NewArena() // a restart starts with cold policy caches
+			srv, err := server.New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if srv.NextRound() != rounds {
+				b.Fatalf("recovered at round %d, want %d", srv.NextRound(), rounds)
+			}
+			if err := srv.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 func BenchmarkProfileGridPlan(b *testing.B) {
 	eng := arena.NewEngine(42)
 	ct, err := profiler.OfflineSampleComm(eng, []string{"A40"}, 16)

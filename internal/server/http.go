@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strings"
 
 	"github.com/sjtu-epcc/arena/internal/sched"
 	"github.com/sjtu-epcc/arena/internal/trace"
@@ -214,7 +215,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics serves the stats snapshot in Prometheus exposition
-// format, one gauge per counter.
+// format, each sample after the TYPE line that declares it: a counter
+// for every _total name, a gauge otherwise.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	st := s.Stats()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -239,7 +241,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"arena_utilization", st.Utilization},
 		{"arena_journal_records_total", float64(st.JournalRecords)},
 	} {
-		fmt.Fprintf(w, "%s %g\n", m.name, m.val)
+		kind := "gauge"
+		if strings.HasSuffix(m.name, "_total") {
+			kind = "counter"
+		}
+		fmt.Fprintf(w, "# TYPE %s %s\n%s %g\n", m.name, kind, m.name, m.val)
 	}
 }
 

@@ -526,8 +526,41 @@ func TestHTTPAPI(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "arena_rounds_total 2") {
 		t.Fatalf("metrics: %d %s", resp.StatusCode, body)
 	}
+	checkMetricTypes(t, string(body))
 	if resp, _ = get("/healthz"); resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz: %d", resp.StatusCode)
+	}
+}
+
+// checkMetricTypes checks a Prometheus exposition: every sample follows
+// exactly one TYPE line for its name, a counter for a _total name and a
+// gauge otherwise, and no TYPE line declares a name without a sample.
+func checkMetricTypes(t *testing.T, body string) {
+	t.Helper()
+	types := map[string][]string{}
+	typeLines, samples := 0, 0
+	for _, line := range strings.Split(strings.TrimSpace(body), "\n") {
+		fields := strings.Fields(line)
+		if len(fields) == 4 && fields[0] == "#" && fields[1] == "TYPE" {
+			types[fields[2]] = append(types[fields[2]], fields[3])
+			typeLines++
+			continue
+		}
+		if len(fields) != 2 || strings.HasPrefix(line, "#") {
+			t.Fatalf("metrics line %q is neither a TYPE line nor a sample", line)
+		}
+		name := fields[0]
+		want := "gauge"
+		if strings.HasSuffix(name, "_total") {
+			want = "counter"
+		}
+		if got := types[name]; len(got) != 1 || got[0] != want {
+			t.Fatalf("sample %s follows TYPE lines %v, want exactly one %s", name, got, want)
+		}
+		samples++
+	}
+	if samples == 0 || typeLines != samples || len(types) != samples {
+		t.Fatalf("%d samples, %d TYPE lines, %d declared names", samples, typeLines, len(types))
 	}
 }
 

@@ -16,7 +16,9 @@
 //
 //	dir/
 //	  MANIFEST.json          {"version": 1}
+//	  LOCK                   the single-writer flock
 //	  <domain>/<key>.json    one object per key
+//	  journal/<name>.log     one append-only journal per name
 //
 // Every object is an envelope carrying the store schema version, the key
 // it was written under, and a checksum of the payload, so torn or tampered
@@ -24,6 +26,19 @@
 // atomic (temp file + rename in the target directory), which makes
 // concurrent writers safe: the last complete write wins and a reader never
 // observes a partial object.
+//
+// A Journal is the store's other shape: an append-only log of fsynced
+// lines, one record each, framed with the schema version, a contiguous
+// sequence number and the payload checksum, and validated in full when
+// opened. The daemon replays it after a crash (internal/server). Its
+// frames are written and read by hand, so a restart never re-encodes a
+// payload; the first failed write or fsync is sticky, so nothing is
+// appended after a torn line.
+//
+// One checksum rule covers both shapes: the lowercase hex sha256 of the
+// payload bytes exactly as written. The store writes only json.Marshal
+// output, which is already compact, so no payload is re-encoded to be
+// checked.
 //
 // All read-side failures are reported as a *Error wrapping one of the
 // sentinel errors (ErrNotFound, ErrSchema, ErrCorrupt, ErrKeyMismatch), so

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -188,7 +187,7 @@ func (s *Store) Dir() string { return s.dir }
 type envelope struct {
 	Version int             `json:"version"`
 	Key     Key             `json:"key"`
-	Sum     string          `json:"sum"` // sha256 of Payload bytes
+	Sum     string          `json:"sum"` // payloadSum of the Payload bytes as written
 	Payload json.RawMessage `json:"payload"`
 }
 
@@ -283,16 +282,10 @@ func (s *Store) List(domain string) ([]Key, error) {
 	return keys, nil
 }
 
-// payloadSum hashes a payload in canonical (compact) JSON form, so the
-// checksum is insensitive to whitespace introduced by envelope re-encoding.
+// payloadSum is the checksum objects and journal frames carry: the
+// lowercase hex sha256 of the payload bytes exactly as written.
 func payloadSum(payload []byte) string {
-	var compact bytes.Buffer
-	if err := json.Compact(&compact, payload); err != nil {
-		// Not valid JSON: hash the raw bytes; Get's Unmarshal rejects it.
-		sum := sha256.Sum256(payload)
-		return hex.EncodeToString(sum[:])
-	}
-	sum := sha256.Sum256(compact.Bytes())
+	sum := sha256.Sum256(payload)
 	return hex.EncodeToString(sum[:])
 }
 

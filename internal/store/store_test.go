@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -366,5 +367,35 @@ func TestTransientWriteRetry(t *testing.T) {
 	}
 	if calls != writeAttempts {
 		t.Fatalf("want %d attempts, got %d", writeAttempts, calls)
+	}
+}
+
+// TestRespacedPayloadRefused re-spaces an object's payload without
+// changing its JSON value: the checksum covers the payload bytes as
+// written, so the object no longer verifies.
+func TestRespacedPayloadRefused(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := NewKey("test", "respace")
+	if err := s.Put("test", k, payload{Name: "x", Vals: []float64{1, 2}}); err != nil {
+		t.Fatal(err)
+	}
+	path := s.objectPath("test", k)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	respaced := strings.Replace(string(data), `"vals":[1,2]`, `"vals": [1, 2]`, 1)
+	if respaced == string(data) {
+		t.Fatalf("payload not found in %s", data)
+	}
+	if err := os.WriteFile(path, []byte(respaced), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out payload
+	if err := s.Get("test", k, &out); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("re-spaced payload: want ErrCorrupt, got %v", err)
 	}
 }

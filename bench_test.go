@@ -7,9 +7,10 @@ package arena_test
 
 import (
 	"context"
-
+	"errors"
 	"io"
 	"os"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -379,6 +380,105 @@ func BenchmarkSimRunMillion(b *testing.B) {
 		b.Skip("million-job smoke skipped in -short mode")
 	}
 	streamBenchRun(b, 1_000_000, func() sched.Policy { return policy.NewFCFS() })
+}
+
+// BenchmarkArenaAssign times the policy layer on its own: one
+// ArenaPolicy.Assign on a frozen round of a streamed simulation. The
+// simulation runs to round `at` (set-up, untimed); frozenRound then
+// times b.N calls of Assign on that round's live Context before the
+// simulation is cancelled, so every call sees the same queue, running
+// set, cluster and warm policy caches. light is sim-helios-light's shape
+// (70,000 Helios jobs over 14 days on 128 A40 and 128 A10 nodes): round
+// 2,600 has 128 jobs running and 15 queued, so the scale-up and
+// scale-down passes over the running set dominate. deep is
+// sim-helios-deep's (12,500 jobs in one day on the same cluster): round
+// 200 has 216 jobs running and 3,335 queued.
+func BenchmarkArenaAssign(b *testing.B) {
+	simBenchSetup()
+	if simBenchErr != nil {
+		b.Fatal(simBenchErr)
+	}
+	for _, c := range []struct {
+		name  string
+		jobs  int
+		days  float64
+		round int
+	}{
+		{"light", 70_000, 14, 2600},
+		{"deep", 12_500, 1, 200},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			cfg := trace.HeliosDay(7, []string{"A40", "A10"}, c.jobs)
+			cfg.Duration = c.days * 86400
+			cfg.Workloads = []model.Workload{
+				{Model: "WRes-1B", GlobalBatch: 256},
+				{Model: "GPT-1.3B", GlobalBatch: 128},
+				{Model: "GPT-2.6B", GlobalBatch: 128},
+			}
+			src, err := trace.Stream(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			f := &frozenRound{Policy: sched.NewArena(), b: b, at: c.round, stop: cancel}
+			_, err = sim.RunCtx(ctx, sim.Config{
+				Spec: hw.ClusterSpec{Name: "bench", Regions: []hw.Region{
+					{GPUType: "A40", Nodes: 128}, {GPUType: "A10", Nodes: 128},
+				}},
+				Policy: f, Source: src, DB: simBenchDB, RoundSeconds: 300,
+				Streaming: true, IncludeUnfinished: true, Seed: 7,
+			})
+			if f.first == nil {
+				b.Fatalf("the simulation ended after %d rounds, before round %d (err %v)", f.rounds, c.round, err)
+			}
+			if !errors.Is(err, context.Canceled) {
+				b.Fatalf("the simulation did not stop at the frozen round: %v", err)
+			}
+			if !reflect.DeepEqual(*f.first, f.last) {
+				b.Fatalf("Assign is not repeatable on a frozen round: first call %+v, last %+v", *f.first, f.last)
+			}
+			b.ReportMetric(float64(f.running), "running")
+			b.ReportMetric(float64(f.queued), "queued")
+		})
+	}
+}
+
+// frozenRound is a policy wrapper for BenchmarkArenaAssign: at its
+// round `at` it resets the benchmark timer, runs b.N Assign calls on the
+// round's Context, stops the timer, returns the last call's assignment
+// and cancels the simulation through stop. Every other round passes
+// through.
+type frozenRound struct {
+	sched.Policy
+	b    *testing.B
+	at   int
+	stop context.CancelFunc
+
+	rounds          int
+	running, queued int
+	first           *sched.Assignment
+	last            sched.Assignment
+}
+
+func (f *frozenRound) Assign(ctx *sched.Context) sched.Assignment {
+	f.rounds++
+	if f.rounds != f.at {
+		return f.Policy.Assign(ctx)
+	}
+	f.running, f.queued = len(ctx.Running), len(ctx.Queued)
+	f.b.ReportAllocs()
+	f.b.ResetTimer()
+	for i := 0; i < f.b.N; i++ {
+		f.last = f.Policy.Assign(ctx)
+		if i == 0 {
+			first := f.last
+			f.first = &first
+		}
+	}
+	f.b.StopTimer()
+	f.stop()
+	return f.last
 }
 
 // BenchmarkSimRunFaults guards the fault-injected simulation path: the

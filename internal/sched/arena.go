@@ -44,13 +44,15 @@ type ArenaPolicy struct {
 	// messages never influence decisions.
 	Warnf func(format string, args ...any)
 
-	// ladders caches per-signature launch candidate lists in build order;
-	// ladderOf maps a signature to 1 + its index there (the value a job's
-	// ladderHint holds); ladderKey fingerprints the inputs they were built
-	// from.
+	// ladders caches per-signature launch candidate lists and tables in
+	// build order; ladderOf maps a signature to 1 + its index there (the
+	// value a job's ladderHint holds); ladderKey fingerprints the inputs
+	// they were built from, and types is the cluster type order their
+	// tables and candidates index.
 	ladders   []*ladder
 	ladderOf  map[launchSig]uint32
 	ladderKey ladderCacheKey
+	types     []string
 	// failEpoch is the launch phase's failure-memo generation: bumping it
 	// forgets every failure stamped on a ladder (see score.go).
 	failEpoch uint64
@@ -144,27 +146,13 @@ func (p *ArenaPolicy) DeployOverhead(db *perfdb.DB, w model.Workload, gpuType st
 	return db.SearchTimeFull(w, gpuType, n)
 }
 
-// freeMap snapshots per-type free capacity for what-if planning.
-func freeMap(ctx *Context) map[string]int {
-	m := map[string]int{}
-	for _, typ := range ctx.Cluster.GPUTypes() {
-		m[typ] = ctx.Cluster.FreeGPUs(typ)
-	}
-	return m
-}
-
 // Assign implements Algorithm 1.
 func (p *ArenaPolicy) Assign(ctx *Context) Assignment {
+	p.ensureLadders(ctx)
+	// The round's free capacity and targets: the running set's, then
+	// each launch's (see Targets).
+	ts := newTargets(ctx, p.types)
 	asg := NewAssignment()
-	free := freeMap(ctx)
-	// Track per-round target sizes of running jobs (after scale ops) and
-	// of this round's launches. Sized by the running set: launches are
-	// few, and a queue-deep map would cost every round its depth.
-	target := make(map[string]Alloc, len(ctx.Running))
-	for _, j := range ctx.Running {
-		target[j.Trace.ID] = j.Alloc
-	}
-	var launched []*Job
 	// downCost is the round's scale-down cost cache (see optimalScaleDown).
 	var downCost []float64
 	depth := 0
@@ -184,7 +172,6 @@ func (p *ArenaPolicy) Assign(ctx *Context) Assignment {
 	// stamp on the signature's ladder; bumping failEpoch clears it.
 	memo := p.Objective != ObjDeadline
 	p.failEpoch++
-	p.ensureLadders(ctx)
 	for _, job := range queued {
 		if job.CurPriority > blockedPrio {
 			// A higher-priority queue is blocked; later queues must wait
@@ -192,11 +179,11 @@ func (p *ArenaPolicy) Assign(ctx *Context) Assignment {
 			// conditional preemption privilege of §3.5.
 			break
 		}
-		if p.Objective == ObjDeadline && p.hopeless(ctx, job) {
+		lad := p.launchLadder(ctx, job)
+		if p.Objective == ObjDeadline && p.hopeless(ctx, job, lad) {
 			asg.Drop = append(asg.Drop, job.Trace.ID)
 			continue
 		}
-		lad := p.launchLadder(ctx, job)
 		if p.DisableElastic && len(lad.counts) == 0 {
 			// Rigid mode with a request no profiled size can serve on any
 			// allowed type: drop the job instead of letting it queue
@@ -219,10 +206,7 @@ func (p *ArenaPolicy) Assign(ctx *Context) Assignment {
 			continue
 		}
 		depth = 0 // the search depth bounds each launch event (Alg. 1 l.13)
-		ok, shrank := p.tryLaunch(ctx, job, free, target, &downCost, &depth, &asg)
-		if ok {
-			launched = append(launched, job)
-		}
+		ok, shrank := p.tryLaunch(ctx, job, lad, ts, &downCost, &depth, &asg)
 		switch {
 		case !ok:
 			if memo {
@@ -239,11 +223,11 @@ func (p *ArenaPolicy) Assign(ctx *Context) Assignment {
 	}
 
 	// --- Straggler-routing phase (fault-aware extension). ---
-	p.routeStragglers(ctx, free, &asg)
+	p.routeStragglers(ctx, ts, &asg)
 
 	// --- Scale-up phase (InFlightHandler, lines 17–20). ---
 	depth = 0
-	p.scaleUp(ctx, launched, free, target, &depth, &asg)
+	p.scaleUp(ctx, ts, &depth, &asg)
 	return asg
 }
 
@@ -299,7 +283,7 @@ func launchOrder(queued []*Job, maxPrio int) []*Job {
 // plan (no new search) but pays checkpoint-resume, so it is taken only
 // under the same promising-job rule as scaling: the move must pay for
 // itself before the job would have finished at its degraded pace.
-func (p *ArenaPolicy) routeStragglers(ctx *Context, free map[string]int, asg *Assignment) {
+func (p *ArenaPolicy) routeStragglers(ctx *Context, ts *Targets, asg *Assignment) {
 	const slowCut = 0.9 // ignore degradation the resume overhead would dwarf
 	var slow []*Job
 	for _, j := range ctx.Running {
@@ -323,10 +307,10 @@ func (p *ArenaPolicy) routeStragglers(ctx *Context, free map[string]int, asg *As
 		// The move frees cur.N and takes cur.N elsewhere: require that
 		// much untouched free capacity of the type, on fully healthy
 		// nodes, so the migration cannot land back on the straggler.
-		if free[cur.GPUType] < cur.N || !ctx.Cluster.CanAllocHealthy(cur.GPUType, cur.N) {
+		if ts.FreeOf(cur.GPUType) < cur.N || !ctx.Cluster.CanAllocHealthy(cur.GPUType, cur.N) {
 			continue
 		}
-		thr := p.PerceivedThr(ctx.DB, j.Workload(), cur.GPUType, cur.N)
+		thr := p.thrOf(ctx, p.launchLadder(ctx, j), cur.GPUType, cur.N)
 		if thr <= 0 {
 			continue
 		}
@@ -356,12 +340,13 @@ func (p *ArenaPolicy) promote(ctx *Context) {
 	}
 }
 
-// allowedTypes respects the heterogeneity ablation.
-func (p *ArenaPolicy) allowedTypes(ctx *Context, job *Job) []string {
+// allowedTypes respects the heterogeneity ablation: the requested type
+// alone, or every type of the cluster ensureLadders last saw.
+func (p *ArenaPolicy) allowedTypes(job *Job) []string {
 	if p.DisableHetero {
 		return []string{job.Trace.ReqType}
 	}
-	return ctx.Cluster.GPUTypes()
+	return p.types
 }
 
 // allowedCounts respects the elasticity ablation. Without elasticity the
@@ -378,7 +363,7 @@ func (p *ArenaPolicy) allowedTypes(ctx *Context, job *Job) []string {
 func (p *ArenaPolicy) allowedCounts(ctx *Context, job *Job) []int {
 	if p.DisableElastic {
 		for n := ceilPow2(job.Trace.ReqGPUs); n <= ctx.MaxPerJob; n *= 2 {
-			for _, typ := range p.allowedTypes(ctx, job) {
+			for _, typ := range p.allowedTypes(job) {
 				if p.PerceivedThr(ctx.DB, job.Workload(), typ, n) > 0 {
 					return []int{n}
 				}
@@ -413,14 +398,15 @@ func (p *ArenaPolicy) meetsDeadline(ctx *Context, job *Job, thr float64) bool {
 }
 
 // hopeless reports that no allocation (even ignoring current occupancy)
-// can meet the job's deadline — such jobs are dropped (§5.6).
-func (p *ArenaPolicy) hopeless(ctx *Context, job *Job) bool {
+// can meet the job's deadline — such jobs are dropped (§5.6). lad is the
+// job's ladder: its counts are allowedCounts, its table the throughputs.
+func (p *ArenaPolicy) hopeless(ctx *Context, job *Job, lad *ladder) bool {
 	if job.Trace.Deadline <= 0 {
 		return false
 	}
-	for _, typ := range p.allowedTypes(ctx, job) {
-		for _, n := range p.allowedCounts(ctx, job) {
-			thr := p.PerceivedThr(ctx.DB, job.Workload(), typ, n)
+	for _, typ := range p.allowedTypes(job) {
+		for _, n := range lad.counts {
+			thr := p.thrOf(ctx, lad, typ, n)
 			if thr > 0 && p.meetsDeadline(ctx, job, thr) {
 				return false
 			}
@@ -431,13 +417,13 @@ func (p *ArenaPolicy) hopeless(ctx *Context, job *Job) bool {
 
 // tryLaunch finds the best allocation for a queued job under the
 // remaining free capacity, invoking bounded scale-down of in-flight jobs
-// when the cluster is full (GetOptimalScaleDown). Victim shrinks are
-// speculative: they exist only to free capacity for this launch, so they
-// are staged and rolled back — free and target restored, the asg.Place
-// entries returned to their pre-call state — if bestUnderFree still
-// fails at the depth bound. (They used to be applied unconditionally,
-// so a launch that never landed still cost every victim half its GPUs
-// for nothing.)
+// when the cluster is full (GetOptimalScaleDown). lad is the job's
+// ladder. Victim shrinks are speculative: they exist only to free
+// capacity for this launch, so they are staged in ts and published to
+// asg.Place only when the launch lands. If bestUnderFree still fails at
+// the depth bound they are rolled back — free capacity and targets
+// restored — and the assignment never saw them: a launch that never
+// lands costs no victim its GPUs.
 //
 // shrank reports that the launch landed *and* staged victim shrinks with
 // it — the one case where free capacity can grow on a type other than
@@ -447,58 +433,45 @@ func (p *ArenaPolicy) hopeless(ctx *Context, job *Job) bool {
 // downCost is the round's scale-down cost cache (see optimalScaleDown):
 // every target change of a running job goes through retarget, which
 // keeps the changed entry current.
-func (p *ArenaPolicy) tryLaunch(ctx *Context, job *Job, free map[string]int, target map[string]Alloc, downCost *[]float64, depth *int, asg *Assignment) (ok, shrank bool) {
-	if alloc, ok := p.bestUnderFree(ctx, job, free); ok {
-		asg.Place[job.Trace.ID] = alloc
-		target[job.Trace.ID] = alloc
-		free[alloc.GPUType] -= alloc.N
+func (p *ArenaPolicy) tryLaunch(ctx *Context, job *Job, lad *ladder, ts *Targets, downCost *[]float64, depth *int, asg *Assignment) (ok, shrank bool) {
+	if c, ok := p.bestUnderFree(ctx, job, lad, ts.Free); ok {
+		asg.Place[job.Trace.ID] = ts.Launch(job, c.t, c.n)
 		return true, false
 	}
 	// Cluster full: iteratively scale down the in-flight job that loses
 	// the least throughput per freed GPU, up to the search depth.
 	type shrink struct {
-		victim    int   // index in ctx.Running
-		old       Alloc // target before this shrink
-		prevPlace Alloc // asg.Place entry before this shrink, if any
-		hadPlace  bool  // (an earlier launch may have already rescaled it)
+		victim int   // index in ctx.Running
+		t      int   // its type index
+		old    Alloc // target before this shrink
 	}
 	var staged []shrink
 	for *depth < p.D {
-		i, newAlloc, ok := p.optimalScaleDown(ctx, target, downCost)
+		i, half, ok := p.optimalScaleDown(ctx, ts, downCost)
 		if !ok {
 			break
 		}
 		*depth++
-		victim := ctx.Running[i]
-		old := target[victim.Trace.ID]
-		prev, had := asg.Place[victim.Trace.ID]
-		staged = append(staged, shrink{victim: i, old: old, prevPlace: prev, hadPlace: had})
-		p.retarget(ctx, target, *downCost, i, newAlloc)
-		asg.Place[victim.Trace.ID] = newAlloc
-		free[old.GPUType] += old.N
-		free[newAlloc.GPUType] -= newAlloc.N
-		if alloc, ok := p.bestUnderFree(ctx, job, free); ok {
-			asg.Place[job.Trace.ID] = alloc
-			target[job.Trace.ID] = alloc
-			free[alloc.GPUType] -= alloc.N
+		old := ts.Target[i]
+		t := ts.TypeIndex(old.GPUType)
+		staged = append(staged, shrink{victim: i, t: t, old: old})
+		p.retarget(ctx, ts, *downCost, i, half)
+		ts.Free[t] += old.N - half.N
+		if c, ok := p.bestUnderFree(ctx, job, lad, ts.Free); ok {
+			for _, s := range staged {
+				asg.Place[ctx.Running[s.victim].Trace.ID] = ts.Target[s.victim]
+			}
+			asg.Place[job.Trace.ID] = ts.Launch(job, c.t, c.n)
 			return true, true
 		}
 	}
 	// The enabling launch never landed: revert the staged shrinks in
 	// reverse order so the round's capacity and targets are exactly as if
 	// the search had not run.
-	for i := len(staged) - 1; i >= 0; i-- {
-		s := staged[i]
-		id := ctx.Running[s.victim].Trace.ID
-		cur := target[id]
-		free[cur.GPUType] += cur.N
-		free[s.old.GPUType] -= s.old.N
-		p.retarget(ctx, target, *downCost, s.victim, s.old)
-		if s.hadPlace {
-			asg.Place[id] = s.prevPlace
-		} else {
-			delete(asg.Place, id)
-		}
+	for k := len(staged) - 1; k >= 0; k-- {
+		s := staged[k]
+		ts.Free[s.t] -= s.old.N - ts.Target[s.victim].N
+		p.retarget(ctx, ts, *downCost, s.victim, s.old)
 	}
 	return false, false
 }
@@ -507,20 +480,20 @@ func (p *ArenaPolicy) tryLaunch(ctx *Context, job *Job, free map[string]int, tar
 // objective: admitting a queued job adds its full throughput, so the
 // launch size stops at the efficiency knee — growth beyond it is left to
 // the scale-up phase, which weighs it against admitting further jobs.
-// Deadline mode additionally requires Eq. 6. The candidates are the
-// signature's cached ladder (knee-truncated, see score.go); only the
-// per-round checks — free capacity and the deadline — run here.
-func (p *ArenaPolicy) bestUnderFree(ctx *Context, job *Job, free map[string]int) (Alloc, bool) {
-	var best Alloc
+// Deadline mode additionally requires Eq. 6. The candidates are the job's
+// cached ladder (knee-truncated, see score.go); only the per-round checks
+// — free capacity by type index, and the deadline — run here.
+func (p *ArenaPolicy) bestUnderFree(ctx *Context, job *Job, lad *ladder, free []int) (ladderCand, bool) {
+	var best ladderCand
 	var bestDensity float64
 	found := false
-	for _, c := range p.launchLadder(ctx, job).cands {
-		if c.n > free[c.typ] || !p.meetsDeadline(ctx, job, c.thr) {
+	for _, c := range lad.cands {
+		if c.n > free[c.t] || !p.meetsDeadline(ctx, job, c.thr) {
 			continue
 		}
 		density := c.thr / float64(c.n)
 		if !found || density > bestDensity {
-			best, bestDensity, found = Alloc{GPUType: c.typ, N: c.n}, density, true
+			best, bestDensity, found = c, density, true
 		}
 	}
 	return best, found
@@ -533,13 +506,14 @@ func (p *ArenaPolicy) bestUnderFree(ctx *Context, job *Job, free map[string]int)
 // to the first job in ctx.Running.
 //
 // The costs come from *downCost, indexed like ctx.Running: the round's
-// first call fills it from target, and retarget keeps each entry current
-// as the launch phase moves targets, so later calls compare floats only.
-func (p *ArenaPolicy) optimalScaleDown(ctx *Context, target map[string]Alloc, downCost *[]float64) (int, Alloc, bool) {
+// first call fills it from the round's targets, and retarget keeps each
+// entry current as the launch phase moves targets, so later calls
+// compare floats only.
+func (p *ArenaPolicy) optimalScaleDown(ctx *Context, ts *Targets, downCost *[]float64) (int, Alloc, bool) {
 	if *downCost == nil {
 		costs := make([]float64, len(ctx.Running))
 		for i, j := range ctx.Running {
-			costs[i] = p.halvingCost(ctx, j, target[j.Trace.ID])
+			costs[i] = p.halvingCost(ctx, j, ts.Target[i])
 		}
 		*downCost = costs
 	}
@@ -552,7 +526,7 @@ func (p *ArenaPolicy) optimalScaleDown(ctx *Context, target map[string]Alloc, do
 	if best < 0 {
 		return -1, Alloc{}, false
 	}
-	cur := target[ctx.Running[best].Trace.ID]
+	cur := ts.Target[best]
 	return best, Alloc{GPUType: cur.GPUType, N: cur.N / 2}, true
 }
 
@@ -565,8 +539,9 @@ func (p *ArenaPolicy) halvingCost(ctx *Context, j *Job, cur Alloc) float64 {
 		return math.MaxFloat64
 	}
 	half := cur.N / 2
-	thrCur := p.PerceivedThr(ctx.DB, j.Workload(), cur.GPUType, cur.N)
-	thrHalf := p.PerceivedThr(ctx.DB, j.Workload(), cur.GPUType, half)
+	lad := p.launchLadder(ctx, j)
+	thrCur := p.thrOf(ctx, lad, cur.GPUType, cur.N)
+	thrHalf := p.thrOf(ctx, lad, cur.GPUType, half)
 	if thrHalf <= 0 || !p.meetsDeadline(ctx, j, thrHalf) {
 		return math.MaxFloat64
 	}
@@ -576,28 +551,23 @@ func (p *ArenaPolicy) halvingCost(ctx *Context, j *Job, cur Alloc) float64 {
 // retarget moves ctx.Running[i]'s round target to a and rewrites its
 // entry in the round's scale-down costs, which optimalScaleDown has
 // filled by the time any target moves.
-func (p *ArenaPolicy) retarget(ctx *Context, target map[string]Alloc, downCost []float64, i int, a Alloc) {
-	j := ctx.Running[i]
-	target[j.Trace.ID] = a
-	downCost[i] = p.halvingCost(ctx, j, a)
+func (p *ArenaPolicy) retarget(ctx *Context, ts *Targets, downCost []float64, i int, a Alloc) {
+	ts.Target[i] = a
+	downCost[i] = p.halvingCost(ctx, ctx.Running[i], a)
 }
 
 // scaleUp gives idle GPUs to the in-flight jobs — the running ones and
 // this round's launches — with the best marginal gain
-// (GetOptimalScaleUp), within the remaining search depth. Under the
-// fairness objective the marginal gain is weighted by remaining work, so
-// the laggard jobs scale first (Eq. 7's min-max finish time).
-func (p *ArenaPolicy) scaleUp(ctx *Context, launched []*Job, free map[string]int, target map[string]Alloc, depth *int, asg *Assignment) {
+// (GetOptimalScaleUp), within the remaining search depth; equal gains go
+// to the lower job ID. Under the fairness objective the marginal gain is
+// weighted by remaining work, so the laggard jobs scale first (Eq. 7's
+// min-max finish time).
+func (p *ArenaPolicy) scaleUp(ctx *Context, ts *Targets, depth *int, asg *Assignment) {
 	if p.DisableElastic {
 		return
 	}
-	jobs := make([]*Job, 0, len(ctx.Running)+len(launched))
-	jobs = append(append(jobs, ctx.Running...), launched...)
-	// IDs are unique among live jobs, so the order is total.
-	sort.SliceStable(jobs, func(a, b int) bool { return jobs[a].Trace.ID < jobs[b].Trace.ID })
-
-	*depth += DoubleByGain(jobs, p.D-*depth, target, free, asg.Place, func(j *Job, cur Alloc) (float64, bool) {
-		return p.scaleGain(ctx, j, cur)
+	*depth += DoubleByGain(ts, p.D-*depth, true, asg.Place, func(i int, cur Alloc) (float64, bool) {
+		return p.scaleGain(ctx, ts.Jobs[i], cur)
 	})
 }
 
@@ -618,15 +588,16 @@ func (p *ArenaPolicy) scaleGain(ctx *Context, j *Job, cur Alloc) (float64, bool)
 		return 0, false
 	}
 	double := cur.N * 2
-	thrCur := p.PerceivedThr(ctx.DB, j.Workload(), cur.GPUType, cur.N)
-	thrNew := p.PerceivedThr(ctx.DB, j.Workload(), cur.GPUType, double)
+	lad := p.launchLadder(ctx, j)
+	thrCur := p.thrOf(ctx, lad, cur.GPUType, cur.N)
+	thrNew := p.thrOf(ctx, lad, cur.GPUType, double)
 	if thrNew <= thrCur*1.02 {
 		return 0, false // no meaningful gain
 	}
 	// Promising jobs only (§3.5): the restart (checkpoint-resume +
 	// search tail) must pay for itself before the job finishes.
 	if j.Running() {
-		restart := CheckpointResume + 0.2*p.DeployOverhead(ctx.DB, j.Workload(), cur.GPUType, double)
+		restart := CheckpointResume + 0.2*p.deployOf(ctx, lad, cur.GPUType, double)
 		tCur := j.RemainingSamples / thrCur
 		tNew := j.RemainingSamples/thrNew + restart
 		if tNew >= tCur {

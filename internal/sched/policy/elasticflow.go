@@ -49,19 +49,10 @@ func (e *ElasticFlow) region(ctx *sched.Context, job *sched.Job) string {
 // room (ElasticFlow's admission-driven elasticity).
 func (e *ElasticFlow) Assign(ctx *sched.Context) sched.Assignment {
 	asg := sched.NewAssignment()
-	free := map[string]int{}
-	for _, typ := range ctx.Cluster.GPUTypes() {
-		free[typ] = ctx.Cluster.FreeGPUs(typ)
-	}
-	target := make(map[string]sched.Alloc, len(ctx.Running))
-	// order fixes the candidate iteration below: ranging over the target
-	// map broke ties by map order, making the whole simulation
-	// nondeterministic whenever two jobs had equal marginal gain.
-	order := make([]*sched.Job, 0, len(ctx.Running))
-	for _, j := range ctx.Running {
-		target[j.Trace.ID] = j.Alloc
-		order = append(order, j)
-	}
+	// The round's free capacity and targets, by type and job index: the
+	// running set in order, then each admission. Growth breaks equal
+	// gains by that index, so ties decide deterministically.
+	ts := sched.NewTargets(ctx)
 
 	// Admission at minimum feasible size, arrival order. Shrink work per
 	// round is bounded so huge backlogs cannot stall the scheduler.
@@ -98,32 +89,28 @@ func (e *ElasticFlow) Assign(ctx *sched.Context) sched.Assignment {
 		if minN == 0 {
 			continue
 		}
-		if free[typ] < minN && shrinkBudget > 0 {
+		if ts.FreeOf(typ) < minN && shrinkBudget > 0 {
 			if noVictim[typ] {
 				// shrinkRegion would spend one budget unit scanning the
 				// region, find no victim and return; skip the scan but
 				// keep the spend.
 				shrinkBudget--
-			} else if e.shrinkRegion(ctx, typ, minN, free, target, asg.Place, &shrinkBudget) {
+			} else if e.shrinkRegion(ctx, ts, typ, minN, asg.Place, &shrinkBudget) {
 				// Shrinking running jobs in this region to admit the
 				// newcomer (deadline-loosened ElasticFlow favours
 				// admission) ran out of victims for the rest of the round.
 				noVictim[typ] = true
 			}
 		}
-		if free[typ] >= minN {
-			alloc := sched.Alloc{GPUType: typ, N: minN}
-			asg.Place[job.Trace.ID] = alloc
-			target[job.Trace.ID] = alloc
-			order = append(order, job)
-			free[typ] -= minN
+		if ts.FreeOf(typ) >= minN {
+			asg.Place[job.Trace.ID] = ts.Launch(job, ts.TypeIndex(typ), minN)
 		}
 	}
 
 	// Elastic scale-up: repeatedly double the job with the best marginal
 	// perceived gain per added GPU.
-	sched.DoubleByGain(order, 16, target, free, asg.Place, func(j *sched.Job, cur sched.Alloc) (float64, bool) {
-		return e.growthGain(ctx, j, cur)
+	sched.DoubleByGain(ts, 16, false, asg.Place, func(i int, cur sched.Alloc) (float64, bool) {
+		return e.growthGain(ctx, ts.Jobs[i], cur)
 	})
 	return asg
 }
@@ -163,13 +150,13 @@ func (e *ElasticFlow) growthGain(ctx *sched.Context, job *sched.Job, cur sched.A
 // shrink). It reports whether it stopped because no shrinkable victim
 // remains in the region — a condition that can only persist for the rest
 // of the round, since admission never grows a running job's target.
-func (e *ElasticFlow) shrinkRegion(ctx *sched.Context, typ string, need int, free map[string]int, target map[string]sched.Alloc, place map[string]sched.Alloc, budget *int) bool {
-	for free[typ] < need && *budget > 0 {
+func (e *ElasticFlow) shrinkRegion(ctx *sched.Context, ts *sched.Targets, typ string, need int, place map[string]sched.Alloc, budget *int) bool {
+	for ts.FreeOf(typ) < need && *budget > 0 {
 		*budget--
-		var victim *sched.Job
+		victim := -1
 		bestCost := math.MaxFloat64
-		for _, j := range ctx.Running {
-			cur := target[j.Trace.ID]
+		for i, j := range ctx.Running {
+			cur := ts.Target[i]
 			if cur.GPUType != typ || cur.N < 2 || j.BusyUntil > ctx.Now {
 				continue
 			}
@@ -180,17 +167,17 @@ func (e *ElasticFlow) shrinkRegion(ctx *sched.Context, typ string, need int, fre
 			}
 			cost := (thrCur - thrHalf) / float64(cur.N/2)
 			if cost < bestCost {
-				victim, bestCost = j, cost
+				victim, bestCost = i, cost
 			}
 		}
-		if victim == nil {
+		if victim < 0 {
 			return true
 		}
-		cur := target[victim.Trace.ID]
+		cur := ts.Target[victim]
 		next := sched.Alloc{GPUType: typ, N: cur.N / 2}
-		target[victim.Trace.ID] = next
-		place[victim.Trace.ID] = next
-		free[typ] += cur.N - next.N
+		ts.Target[victim] = next
+		place[ctx.Running[victim].Trace.ID] = next
+		ts.Free[ts.TypeIndex(typ)] += cur.N - next.N
 	}
 	return false
 }

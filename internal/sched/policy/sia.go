@@ -51,19 +51,10 @@ func (s *Sia) perceived(db *perfdb.DB, w model.Workload, typ string, n int) floa
 // overstate for large allocations.
 func (s *Sia) Assign(ctx *sched.Context) sched.Assignment {
 	asg := sched.NewAssignment()
-	free := map[string]int{}
-	for _, typ := range ctx.Cluster.GPUTypes() {
-		free[typ] = ctx.Cluster.FreeGPUs(typ)
-	}
-	target := make(map[string]sched.Alloc, len(ctx.Running))
-	// order fixes the candidate iteration below: ranging over the target
-	// map broke ties by map order, making the whole simulation
-	// nondeterministic whenever two jobs had equal marginal gain.
-	order := make([]*sched.Job, 0, len(ctx.Running))
-	for _, j := range ctx.Running {
-		target[j.Trace.ID] = j.Alloc
-		order = append(order, j)
-	}
+	// The round's free capacity and targets, by type and job index: the
+	// running set in order, then each admission. Growth breaks equal
+	// gains by that index, so ties decide deterministically.
+	ts := sched.NewTargets(ctx)
 
 	// Admission: the smallest perceived-feasible size per type, provided
 	// it fits free capacity, on the type with the best density (goodput
@@ -74,7 +65,7 @@ func (s *Sia) Assign(ctx *sched.Context) sched.Assignment {
 	// is why it cannot live longer — and failed workloads are memoized:
 	// admission only ever shrinks free capacity, so a workload that found
 	// no feasible type cannot succeed later in the same round.
-	types := ctx.Cluster.GPUTypes()
+	types := ts.Types
 	type minCand struct {
 		minN int
 		thr  float64
@@ -99,32 +90,29 @@ func (s *Sia) Assign(ctx *sched.Context) sched.Assignment {
 			}
 			table[w] = cands
 		}
-		var best sched.Alloc
+		best := -1
 		var bestThr float64
-		for ti, typ := range types {
+		for ti := range types {
 			c := cands[ti]
-			if c.minN == 0 || c.minN > free[typ] {
+			if c.minN == 0 || c.minN > ts.Free[ti] {
 				continue
 			}
 			if c.thr/float64(c.minN) > bestThr {
-				best, bestThr = sched.Alloc{GPUType: typ, N: c.minN}, c.thr/float64(c.minN)
+				best, bestThr = ti, c.thr/float64(c.minN)
 			}
 		}
-		if best.IsZero() {
+		if best < 0 {
 			failed[w] = true
 		} else {
-			asg.Place[job.Trace.ID] = best
-			target[job.Trace.ID] = best
-			order = append(order, job)
-			free[best.GPUType] -= best.N
+			asg.Place[job.Trace.ID] = ts.Launch(job, best, cands[best].minN)
 		}
 	}
 
 	// Growth: repeatedly double the job with the best perceived marginal
 	// gain per added GPU. With linear estimates the marginal never decays,
 	// so growth continues while capacity lasts.
-	sched.DoubleByGain(order, 32, target, free, asg.Place, func(j *sched.Job, cur sched.Alloc) (float64, bool) {
-		return s.growthGain(ctx, j, cur)
+	sched.DoubleByGain(ts, 32, false, asg.Place, func(i int, cur sched.Alloc) (float64, bool) {
+		return s.growthGain(ctx, ts.Jobs[i], cur)
 	})
 	return asg
 }

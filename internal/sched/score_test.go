@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 
+	"github.com/sjtu-epcc/arena/internal/model"
 	"github.com/sjtu-epcc/arena/internal/rng"
 	"github.com/sjtu-epcc/arena/internal/trace"
 )
@@ -92,53 +93,94 @@ func rescanDoubling(ids []string, rounds int, target map[string]Alloc, free map[
 // identical random states — mixed GPU types, tight free capacity, gains
 // that depend only on (candidate, size) with ties, ineligible and
 // non-positive entries — and requires the same doublings, targets, free
-// capacity and placements.
+// capacity and placements. The candidates sit in ts.Jobs in a shuffled
+// order with IDs of mixed lengths, so index order, numeric order and ID
+// order all differ. Index tie order (elasticflow, sia) is checked against
+// the rescan in ts.Jobs order; ID tie order (arena) against the rescan
+// over the ID-sorted list, the order arena's scale-up once sorted its
+// candidates into. In the ID trials most candidates share one of two
+// workloads and their gain depends only on (workload, type, size), so
+// exact ties are the rule.
 func TestDoubleByGainMatchesRescan(t *testing.T) {
 	types := []string{"A40", "A10"}
 	alphabet := []float64{-1, 0, 0.5, 1, 1, 3}
 	r := rng.New(23)
-	for trial := 0; trial < 300; trial++ {
-		n := 1 + r.Intn(10)
-		ids := make([]string, n)
-		cands := make([]*Job, n)
-		target := map[string]Alloc{}
-		for i := range ids {
-			ids[i] = fmt.Sprintf("j%02d", i)
-			cands[i] = &Job{Trace: trace.Job{ID: ids[i]}}
-			target[ids[i]] = Alloc{GPUType: types[r.Intn(2)], N: 1 << r.Intn(4)}
-		}
-		free := map[string]int{"A40": r.Intn(24), "A10": r.Intn(24)}
-		seed := r.Uint64()
-		gain := func(id string, cur Alloc) (float64, bool) {
-			x := rng.Derive(seed, rng.HashString(id), uint64(cur.N))
-			if x.Intn(5) == 0 {
-				return 0, false
+	ties := 0
+	for _, byID := range []bool{false, true} {
+		for trial := 0; trial < 300; trial++ {
+			n := 1 + r.Intn(10)
+			if byID {
+				n = 1 + r.Intn(40)
 			}
-			return alphabet[x.Intn(len(alphabet))], true
-		}
-		copyState := func() (map[string]Alloc, map[string]int) {
-			tg, fr := map[string]Alloc{}, map[string]int{}
-			for k, v := range target {
-				tg[k] = v
+			ts := &Targets{Types: types, Free: []int{r.Intn(24), r.Intn(24)}}
+			ids := make([]string, n)
+			class := map[string]int{}
+			target := map[string]Alloc{}
+			perm := make([]int, n)
+			for i := range perm {
+				k := r.Intn(i + 1)
+				perm[i], perm[k] = perm[k], i
 			}
-			for k, v := range free {
-				fr[k] = v
+			for i, k := range perm {
+				ids[i] = fmt.Sprintf("j%d", k)
+				class[ids[i]] = r.Intn(2)
+				if r.Intn(8) == 0 {
+					class[ids[i]] = 2 + i // a workload of its own
+				}
+				a := Alloc{GPUType: types[r.Intn(2)], N: 1 << r.Intn(4)}
+				target[ids[i]] = a
+				ts.Jobs = append(ts.Jobs, &Job{Trace: trace.Job{ID: ids[i]}})
+				ts.Target = append(ts.Target, a)
 			}
-			return tg, fr
+			free := map[string]int{"A40": ts.Free[0], "A10": ts.Free[1]}
+			seed := r.Uint64()
+			gain := func(id string, cur Alloc) (float64, bool) {
+				key := rng.HashString(id)
+				if byID {
+					key = rng.HashString(fmt.Sprintf("w%d/%s", class[id], cur.GPUType))
+				}
+				x := rng.Derive(seed, key, uint64(cur.N))
+				if x.Intn(5) == 0 {
+					return 0, false
+				}
+				return alphabet[x.Intn(len(alphabet))], true
+			}
+			order := slices.Clone(ids)
+			if byID {
+				sort.Strings(order)
+			}
+			rounds := r.Intn(8)
+			wantPlace := map[string]Alloc{}
+			want := rescanDoubling(order, rounds, target, free, wantPlace, gain)
+			gotPlace := map[string]Alloc{}
+			scored := map[float64][]Alloc{}
+			got := DoubleByGain(ts, rounds, byID, gotPlace, func(i int, cur Alloc) (float64, bool) {
+				g, ok := gain(ts.Jobs[i].Trace.ID, cur)
+				if ok && g > 0 {
+					scored[g] = append(scored[g], cur)
+				}
+				return g, ok
+			})
+			for _, as := range scored {
+				for k := 1; k < len(as); k++ {
+					if slices.Contains(as[:k], as[k]) {
+						ties++
+					}
+				}
+			}
+			gotTarget := map[string]Alloc{}
+			for i, j := range ts.Jobs {
+				gotTarget[j.Trace.ID] = ts.Target[i]
+			}
+			gotFree := map[string]int{"A40": ts.Free[0], "A10": ts.Free[1]}
+			if got != want || !reflect.DeepEqual(gotTarget, target) || !reflect.DeepEqual(gotFree, free) || !reflect.DeepEqual(gotPlace, wantPlace) {
+				t.Fatalf("byID %v trial %d: DoubleByGain made %d doublings (target %v free %v place %v), rescan %d (target %v free %v place %v)",
+					byID, trial, got, gotTarget, gotFree, gotPlace, want, target, free, wantPlace)
+			}
 		}
-		rounds := r.Intn(8)
-		wantTarget, wantFree := copyState()
-		wantPlace := map[string]Alloc{}
-		want := rescanDoubling(ids, rounds, wantTarget, wantFree, wantPlace, gain)
-		gotTarget, gotFree := copyState()
-		gotPlace := map[string]Alloc{}
-		got := DoubleByGain(cands, rounds, gotTarget, gotFree, gotPlace, func(j *Job, cur Alloc) (float64, bool) {
-			return gain(j.Trace.ID, cur)
-		})
-		if got != want || !reflect.DeepEqual(gotTarget, wantTarget) || !reflect.DeepEqual(gotFree, wantFree) || !reflect.DeepEqual(gotPlace, wantPlace) {
-			t.Fatalf("trial %d: DoubleByGain made %d doublings (target %v free %v place %v), rescan %d (target %v free %v place %v)",
-				trial, got, gotTarget, gotFree, gotPlace, want, wantTarget, wantFree, wantPlace)
-		}
+	}
+	if ties < 1000 {
+		t.Errorf("only %d exact ties (equal gain, type and size) were scored; the ID trials do not stress the tie order", ties)
 	}
 }
 
@@ -150,7 +192,7 @@ func kneeLoopBestUnderFree(p *ArenaPolicy, ctx *Context, job *Job, free map[stri
 	var best Alloc
 	var bestDensity float64
 	found := false
-	for _, typ := range p.allowedTypes(ctx, job) {
+	for _, typ := range p.allowedTypes(job) {
 		var prevThr float64
 		for _, n := range p.allowedCounts(ctx, job) {
 			thr := p.PerceivedThr(ctx.DB, job.Workload(), typ, n)
@@ -175,8 +217,9 @@ func kneeLoopBestUnderFree(p *ArenaPolicy, ctx *Context, job *Job, free map[stri
 
 // TestLaunchLadderMatchesKneeLoop checks Arena's ladder-based
 // bestUnderFree against the knee loop for every workload of the test
-// database, every requested type and a spread of requested counts
-// (including a non-power-of-two one), random free-capacity vectors and
+// database, every requested type (and none) and a spread of requested
+// counts (including zero and a non-power-of-two one), random
+// free-capacity vectors and
 // random deadlines, under the default policy and the DisableHetero,
 // DisableElastic and ObjDeadline variants — the knobs the ladder's
 // signature and checks depend on — plus a DisablePlanner deadline variant
@@ -207,8 +250,8 @@ func TestLaunchLadderMatchesKneeLoop(t *testing.T) {
 		p.ensureLadders(ctx)
 		checked := 0
 		for _, w := range testWorkloads() {
-			for _, reqType := range []string{"A40", "A10"} {
-				for _, req := range []int{1, 2, 3, 4, 8, 16} {
+			for _, reqType := range []string{"A40", "A10", ""} {
+				for _, req := range []int{0, 1, 2, 3, 4, 8, 16} {
 					for trial := 0; trial < 20; trial++ {
 						job := mkJob("j", w.Model, w.GlobalBatch, req, 1)
 						job.Trace.ReqType = reqType
@@ -224,7 +267,15 @@ func TestLaunchLadderMatchesKneeLoop(t *testing.T) {
 							}
 						}
 						free := map[string]int{"A40": r.Intn(33), "A10": r.Intn(33)}
-						got, gotOK := p.bestUnderFree(ctx, job, free)
+						freeByType := make([]int, len(p.types))
+						for t, typ := range p.types {
+							freeByType[t] = free[typ]
+						}
+						var got Alloc
+						c, gotOK := p.bestUnderFree(ctx, job, p.launchLadder(ctx, job), freeByType)
+						if gotOK {
+							got = Alloc{GPUType: p.types[c.t], N: c.n}
+						}
 						want, wantOK := kneeLoopBestUnderFree(p, ctx, job, free)
 						if got != want || gotOK != wantOK {
 							t.Fatalf("%s: %v req %d×%s free %v deadline %g: ladder %v/%v, knee loop %v/%v",
@@ -324,16 +375,16 @@ func TestLaunchOrderMatchesStableSort(t *testing.T) {
 // cost, so ties go to the first job in ctx.Running. st counts what the
 // scan saw: ties at the minimum, single-GPU jobs, halves with zero
 // perceived throughput and halves that miss their deadline.
-func scanScaleDown(p *ArenaPolicy, ctx *Context, target map[string]Alloc, st *scanStats) (*Job, Alloc, bool) {
+func scanScaleDown(p *ArenaPolicy, ctx *Context, target []Alloc, st *scanStats) (*Job, Alloc, bool) {
 	var bestJob *Job
 	var bestAlloc Alloc
 	bestCost := math.MaxFloat64
 	ties := 0
-	for _, j := range ctx.Running {
+	for i, j := range ctx.Running {
 		if p.DisableElastic {
 			continue
 		}
-		cur := target[j.Trace.ID]
+		cur := target[i]
 		if cur.N < 2 {
 			st.single++
 			continue
@@ -399,7 +450,6 @@ func TestScaleDownMatchesScan(t *testing.T) {
 			ctx := *base
 			ctx.Now = 3600
 			ctx.Running = make([]*Job, r.Intn(12))
-			target := map[string]Alloc{}
 			for i := range ctx.Running {
 				w := testWorkloads()[r.Intn(2)]
 				j := mkJob(fmt.Sprintf("r%02d", i), w.Model, w.GlobalBatch, 1, 1)
@@ -411,16 +461,17 @@ func TestScaleDownMatchesScan(t *testing.T) {
 					}
 				}
 				ctx.Running[i] = j
-				target[j.Trace.ID] = j.Alloc
 			}
+			p.ensureLadders(&ctx)
+			ts := NewTargets(&ctx)
 			var downCost []float64
 			pick := func(step int) (int, Alloc, bool) {
 				t.Helper()
-				i, got, ok := p.optimalScaleDown(&ctx, target, &downCost)
-				want, wantAlloc, wantOK := scanScaleDown(p, &ctx, target, &st)
+				i, got, ok := p.optimalScaleDown(&ctx, ts, &downCost)
+				want, wantAlloc, wantOK := scanScaleDown(p, &ctx, ts.Target, &st)
 				if ok != wantOK || (ok && (ctx.Running[i] != want || got != wantAlloc)) {
 					t.Fatalf("%s trial %d step %d: cached pick %d %v %v, scan picks %v %v %v (targets %v)",
-						v.name, trial, step, i, got, ok, want, wantAlloc, wantOK, target)
+						v.name, trial, step, i, got, ok, want, wantAlloc, wantOK, ts.Target)
 				}
 				if ok {
 					picks++
@@ -438,14 +489,14 @@ func TestScaleDownMatchesScan(t *testing.T) {
 					if !ok {
 						break
 					}
-					stack = append(stack, staged{i, target[ctx.Running[i].Trace.ID]})
-					p.retarget(&ctx, target, downCost, i, half)
+					stack = append(stack, staged{i, ts.Target[i]})
+					p.retarget(&ctx, ts, downCost, i, half)
 				}
 				if r.Intn(2) == 0 {
 					continue // landed: the shrinks stay
 				}
 				for k := len(stack) - 1; k >= 0; k-- {
-					p.retarget(&ctx, target, downCost, stack[k].i, stack[k].old)
+					p.retarget(&ctx, ts, downCost, stack[k].i, stack[k].old)
 					pick(step)
 				}
 			}
@@ -462,13 +513,15 @@ func TestScaleDownMatchesScan(t *testing.T) {
 // time the policy's current list is built in another order than the one
 // the hints were written from. Every lookup must return the ladder a
 // hint-free copy of the job gets from the same policy, with the
-// candidates a fresh policy of the same configuration builds.
+// candidates and tables a fresh policy of the same configuration builds.
+// The jobs include empty requests (no type, zero GPUs): their signature
+// is the same with the matching switch on and off.
 func TestLadderHintMatchesColdLookup(t *testing.T) {
 	ctx := testCtx(t, nil, nil)
 	var jobs []*Job
 	for _, w := range testWorkloads() {
-		for _, reqType := range []string{"A40", "A10"} {
-			for _, req := range []int{1, 3, 8} {
+		for _, reqType := range []string{"A40", "A10", ""} {
+			for _, req := range []int{0, 1, 3, 8} {
 				j := mkJob("j", w.Model, w.GlobalBatch, req, 1)
 				j.Trace.ReqType = reqType
 				jobs = append(jobs, j)
@@ -503,15 +556,19 @@ func TestLadderHintMatchesColdLookup(t *testing.T) {
 	check := func(stage string, p *ArenaPolicy) {
 		t.Helper()
 		fresh := NewArena()
-		fresh.DisablePlanner, fresh.DisableElastic, fresh.DisableHetero = p.DisablePlanner, p.DisableElastic, p.DisableHetero
+		fresh.DisablePlanner, fresh.DisableElastic, fresh.DisableHetero, fresh.DisablePruning = p.DisablePlanner, p.DisableElastic, p.DisableHetero, p.DisablePruning
 		fresh.ensureLadders(ctx)
 		for _, j := range jobs {
 			got := p.launchLadder(ctx, j)
 			if want := p.launchLadder(ctx, cold(j)); got != want {
-				t.Fatalf("%s: %v req %d×%s: the hinted lookup returned another ladder than a cold one", stage, j.Workload(), j.Trace.ReqGPUs, j.Trace.ReqType)
+				t.Fatalf("%s: %v req %d×%q: the hinted lookup returned another ladder than a cold one", stage, j.Workload(), j.Trace.ReqGPUs, j.Trace.ReqType)
 			}
-			if want := fresh.launchLadder(ctx, cold(j)); !reflect.DeepEqual(got.cands, want.cands) || !slices.Equal(got.counts, want.counts) {
-				t.Fatalf("%s: %v req %d×%s: ladder %+v, a fresh policy builds %+v", stage, j.Workload(), j.Trace.ReqGPUs, j.Trace.ReqType, got.cands, want.cands)
+			want := fresh.launchLadder(ctx, cold(j))
+			if !reflect.DeepEqual(got.cands, want.cands) || !slices.Equal(got.counts, want.counts) {
+				t.Fatalf("%s: %v req %d×%q: ladder %+v, a fresh policy builds %+v", stage, j.Workload(), j.Trace.ReqGPUs, j.Trace.ReqType, got.cands, want.cands)
+			}
+			if !slices.Equal(got.thr, want.thr) || !slices.Equal(got.deploy, want.deploy) {
+				t.Fatalf("%s: %v req %d×%q: tables %v/%v, a fresh policy builds %v/%v", stage, j.Workload(), j.Trace.ReqGPUs, j.Trace.ReqType, got.thr, got.deploy, want.thr, want.deploy)
 			}
 		}
 	}
@@ -538,6 +595,7 @@ func TestLadderHintMatchesColdLookup(t *testing.T) {
 		{"w/o-hetero", func(p *ArenaPolicy) { p.DisableHetero = true }},
 		{"w/o-elastic", func(p *ArenaPolicy) { p.DisableElastic = true }},
 		{"w/o-planner", func(p *ArenaPolicy) { p.DisablePlanner = true }},
+		{"w/o-pruning", func(p *ArenaPolicy) { p.DisablePruning = true }},
 	} {
 		hint(p)
 		flip.set(p)
@@ -604,6 +662,221 @@ func TestLadderCacheTracksDisablePlanner(t *testing.T) {
 	fresh.DisablePlanner = true
 	if got, want := round(p), round(fresh); !reflect.DeepEqual(got, want) {
 		t.Fatalf("after the flip: %+v, a fresh w/o-planner policy: %+v", got, want)
+	}
+}
+
+// flipMatchesFresh runs round on a default policy, sets one ablation
+// switch on it with set and runs round again: the second round must
+// decide as a fresh policy built with the switch set. It returns the
+// first round's assignment.
+func flipMatchesFresh(t *testing.T, set func(*ArenaPolicy), round func(*ArenaPolicy) Assignment) Assignment {
+	t.Helper()
+	p := NewArena()
+	before := round(p)
+	set(p)
+	fresh := NewArena()
+	set(fresh)
+	if got, want := round(p), round(fresh); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after the flip: %+v, a fresh policy with the switch set: %+v", got, want)
+	}
+	return before
+}
+
+// TestLadderCacheTracksDisableHetero flips DisableHetero under a job
+// that requests no GPU type: its signature is the same either way. With
+// heterogeneity the job launches on A40; pinned to its (empty) request
+// it can launch nowhere.
+func TestLadderCacheTracksDisableHetero(t *testing.T) {
+	q := mkJob("q", "GPT-2.6B", 128, 2, 1)
+	q.Trace.ReqType = ""
+	round := func(p *ArenaPolicy) Assignment {
+		return p.Assign(testCtx(t, []*Job{q}, nil))
+	}
+	if asg := flipMatchesFresh(t, func(p *ArenaPolicy) { p.DisableHetero = true }, round); asg.Place["q"].GPUType != "A40" {
+		t.Fatalf("before the flip: %v, want q on A40", asg.Place)
+	}
+}
+
+// TestLadderCacheTracksDisableElastic flips DisableElastic under a
+// WRes-1B job that requests zero GPUs: its signature is the same either
+// way. All A40 GPUs and all but two A10 are taken; WRes-1B needs two A10
+// GPUs, which elastic mode grants, while rigid mode snaps the request to
+// one GPU and, with no single A40 free, leaves the job queued.
+func TestLadderCacheTracksDisableElastic(t *testing.T) {
+	q := mkJob("q", "WRes-1B", 256, 0, 1)
+	round := func(p *ArenaPolicy) Assignment {
+		return p.Assign(testCtx(t, []*Job{q}, unshrinkable(32, 30)))
+	}
+	if asg := flipMatchesFresh(t, func(p *ArenaPolicy) { p.DisableElastic = true }, round); asg.Place["q"] != (Alloc{GPUType: "A10", N: 2}) {
+		t.Fatalf("before the flip: %v, want q on 2 A10", asg.Place)
+	}
+}
+
+// TestLadderCacheTracksDisablePruning flips DisablePruning, which picks
+// the deployment overhead the scale-up's promising-job rule charges. A
+// running GPT-1.3B job on 2 A40 has just enough work left that doubling
+// pays for the pruned search's restart but not for the full search's.
+func TestLadderCacheTracksDisablePruning(t *testing.T) {
+	w := testWorkloads()[1]
+	dbp := db(t)
+	pruned, full := NewArena(), NewArena()
+	full.DisablePruning = true
+	thrCur, thrNew := pruned.PerceivedThr(dbp, w, "A40", 2), pruned.PerceivedThr(dbp, w, "A40", 4)
+	restartPruned := CheckpointResume + 0.2*pruned.DeployOverhead(dbp, w, "A40", 4)
+	restartFull := CheckpointResume + 0.2*full.DeployOverhead(dbp, w, "A40", 4)
+	if thrNew <= thrCur*1.02 || restartFull <= restartPruned {
+		t.Fatalf("%v on A40: thr %g → %g, restart %g (pruned) vs %g (full): no room for the test", w, thrCur, thrNew, restartPruned, restartFull)
+	}
+	remaining := (restartPruned + restartFull) / 2 / (1/thrCur - 1/thrNew)
+	round := func(p *ArenaPolicy) Assignment {
+		r := mkJob("r", w.Model, w.GlobalBatch, 2, 1)
+		r.Alloc = Alloc{GPUType: "A40", N: 2}
+		r.RemainingSamples = remaining
+		return p.Assign(testCtx(t, nil, []*Job{r}))
+	}
+	if asg := flipMatchesFresh(t, func(p *ArenaPolicy) { p.DisablePruning = true }, round); asg.Place["r"] != (Alloc{GPUType: "A40", N: 4}) {
+		t.Fatalf("before the flip: %v, want r doubled to 4 A40", asg.Place)
+	}
+}
+
+// directScaleGain is scaleGain as it read the database before the
+// per-signature tables: every throughput and overhead a PerceivedThr or
+// DeployOverhead call.
+func directScaleGain(p *ArenaPolicy, ctx *Context, j *Job, cur Alloc) (float64, bool) {
+	if cur.IsZero() || cur.N*2 > ctx.MaxPerJob {
+		return 0, false
+	}
+	if j.Running() && j.BusyUntil > ctx.Now {
+		return 0, false
+	}
+	double := cur.N * 2
+	thrCur := p.PerceivedThr(ctx.DB, j.Workload(), cur.GPUType, cur.N)
+	thrNew := p.PerceivedThr(ctx.DB, j.Workload(), cur.GPUType, double)
+	if thrNew <= thrCur*1.02 {
+		return 0, false
+	}
+	if j.Running() {
+		restart := CheckpointResume + 0.2*p.DeployOverhead(ctx.DB, j.Workload(), cur.GPUType, double)
+		tCur := j.RemainingSamples / thrCur
+		tNew := j.RemainingSamples/thrNew + restart
+		if tNew >= tCur {
+			return 0, false
+		}
+	}
+	gain := (thrNew - thrCur) / float64(cur.N)
+	if p.Objective == ObjFairness {
+		gain *= j.RemainingSamples / math.Max(thrCur, 1e-9)
+	}
+	return gain, true
+}
+
+// directHalvingCost is halvingCost on PerceivedThr calls.
+func directHalvingCost(p *ArenaPolicy, ctx *Context, j *Job, cur Alloc) float64 {
+	if p.DisableElastic || cur.N < 2 {
+		return math.MaxFloat64
+	}
+	half := cur.N / 2
+	thrCur := p.PerceivedThr(ctx.DB, j.Workload(), cur.GPUType, cur.N)
+	thrHalf := p.PerceivedThr(ctx.DB, j.Workload(), cur.GPUType, half)
+	if thrHalf <= 0 || !p.meetsDeadline(ctx, j, thrHalf) {
+		return math.MaxFloat64
+	}
+	return (thrCur - thrHalf) / float64(cur.N-half)
+}
+
+// directHopeless is hopeless on PerceivedThr calls over allowedTypes ×
+// allowedCounts.
+func directHopeless(p *ArenaPolicy, ctx *Context, job *Job) bool {
+	if job.Trace.Deadline <= 0 {
+		return false
+	}
+	for _, typ := range p.allowedTypes(job) {
+		for _, n := range p.allowedCounts(ctx, job) {
+			thr := p.PerceivedThr(ctx.DB, job.Workload(), typ, n)
+			if thr > 0 && p.meetsDeadline(ctx, job, thr) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestTablesMatchDirectEvaluation checks that scaleGain, halvingCost and
+// hopeless, which read the per-signature tables, return bit for bit what
+// the same formulas return on direct database calls — for every Arena
+// variant (the default, the five ablations, deadline and fairness), on
+// random running and queued jobs (every test workload plus one the
+// database lacks, any requested type including none, requested counts
+// including zero, some mid-reconfiguration, some with deadlines) at
+// random targets: both cluster types and one outside the cluster, and
+// sizes on and off the tables (3 GPUs, 32 GPUs).
+func TestTablesMatchDirectEvaluation(t *testing.T) {
+	variants := []struct {
+		name string
+		mod  func(*ArenaPolicy)
+	}{
+		{"arena", func(*ArenaPolicy) {}},
+		{"w/o-planner", func(p *ArenaPolicy) { p.DisablePlanner = true }},
+		{"w/o-profiler", func(p *ArenaPolicy) { p.DisableProfiler = true }},
+		{"w/o-elastic", func(p *ArenaPolicy) { p.DisableElastic = true }},
+		{"w/o-hetero", func(p *ArenaPolicy) { p.DisableHetero = true }},
+		{"w/o-pruning", func(p *ArenaPolicy) { p.DisablePruning = true }},
+		{"ddl", func(p *ArenaPolicy) { p.Objective = ObjDeadline }},
+		{"fair", func(p *ArenaPolicy) { p.Objective = ObjFairness }},
+	}
+	workloads := append(testWorkloads(), model.Workload{Model: "GPT-1.3B", GlobalBatch: 64})
+	types := []string{"A40", "A10", "V100"}
+	sizes := []int{1, 2, 3, 4, 8, 16, 32}
+	r := rng.New(61)
+	ctx := testCtx(t, nil, nil)
+	ctx.Now = 3600
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, v := range variants {
+		p := NewArena()
+		v.mod(p)
+		p.ensureLadders(ctx)
+		gains, costs, hopeful := 0, 0, 0
+		for trial := 0; trial < 3000; trial++ {
+			w := workloads[r.Intn(len(workloads))]
+			j := mkJob(fmt.Sprintf("j%d", trial), w.Model, w.GlobalBatch, []int{0, 1, 2, 3, 8}[r.Intn(5)], 1)
+			j.Trace.ReqType = []string{"A40", "A10", ""}[r.Intn(3)]
+			j.RemainingSamples = float64(1+r.Intn(100_000)) * float64(w.GlobalBatch)
+			if r.Intn(2) == 0 {
+				j.State = StateRunning
+				if r.Intn(4) == 0 {
+					j.BusyUntil = ctx.Now + 60
+				}
+			}
+			if r.Intn(2) == 0 {
+				j.Trace.Deadline = ctx.Now + j.RemainingSamples/float64(1+r.Intn(2000))
+			}
+			cur := Alloc{GPUType: types[r.Intn(len(types))], N: sizes[r.Intn(len(sizes))]}
+			if r.Intn(3) == 0 {
+				j.ladderHint = uint32(1 + r.Intn(len(p.ladders)+1)) // maybe another signature's
+			}
+
+			g, ok := p.scaleGain(ctx, j, cur)
+			wantG, wantOK := directScaleGain(p, ctx, j, cur)
+			if ok != wantOK || !same(g, wantG) {
+				t.Fatalf("%s: scaleGain(%v %s, %v) = %v/%v, direct %v/%v", v.name, w, j.State, cur, g, ok, wantG, wantOK)
+			}
+			if c, want := p.halvingCost(ctx, j, cur), directHalvingCost(p, ctx, j, cur); !same(c, want) {
+				t.Fatalf("%s: halvingCost(%v, %v) = %v, direct %v", v.name, w, cur, c, want)
+			} else if c != math.MaxFloat64 {
+				costs++
+			}
+			if h, want := p.hopeless(ctx, j, p.launchLadder(ctx, j)), directHopeless(p, ctx, j); h != want {
+				t.Fatalf("%s: hopeless(%v req %d×%q, deadline %g) = %v, direct %v", v.name, w, j.Trace.ReqGPUs, j.Trace.ReqType, j.Trace.Deadline, h, want)
+			} else if !h && j.Trace.Deadline > 0 {
+				hopeful++
+			}
+			if ok {
+				gains++
+			}
+		}
+		if gains == 0 || (costs == 0 && !p.DisableElastic) || hopeful == 0 {
+			t.Errorf("%s: %d eligible gains, %d finite halving costs, %d feasible deadlines: the jobs miss a case", v.name, gains, costs, hopeful)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 
@@ -199,6 +200,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&tj); err != nil {
 		writeError(w, fmt.Errorf("%w: %v", ErrBadJob, err))
+		return
+	}
+	// The body is one job: anything after it but white space — a second
+	// object, a stray token — rejects the whole request.
+	if _, err := dec.Token(); err != io.EOF {
+		writeError(w, fmt.Errorf("%w: data after the job object", ErrBadJob))
 		return
 	}
 	tj, err := s.Submit(tj)

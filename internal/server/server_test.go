@@ -564,6 +564,62 @@ func checkMetricTypes(t *testing.T, body string) {
 	}
 }
 
+// TestSubmitRejectsTrailingData posts bodies with data after the job
+// object. Each gets 400 wrapping ErrBadJob and registers nothing: the
+// server lists no job, and a restart from its journal replays none.
+// Trailing white space is not data.
+func TestSubmitRejectsTrailingData(t *testing.T) {
+	dir := t.TempDir()
+	srv, st := newServer(t, dir, policy.NewFCFS())
+	ts := httptest.NewServer(srv.Handler())
+	job := func(id string) string {
+		return `{"ID":"` + id + `","Workload":{"Model":"WRes-1B","GlobalBatch":256},"Iterations":2000}`
+	}
+	post := func(body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var e apiError
+		json.NewDecoder(resp.Body).Decode(&e)
+		return resp.StatusCode, e.Error
+	}
+	for _, body := range []string{
+		job("a") + job("b") + "trailing",
+		job("a") + job("b"),
+		job("a") + " trailing",
+		job("a") + "}",
+		job("a") + "]",
+		job("a") + "null",
+		job("a") + " 1",
+	} {
+		code, msg := post(body)
+		if code != http.StatusBadRequest || !strings.HasPrefix(msg, ErrBadJob.Error()) {
+			t.Errorf("POST %s: %d %q, want 400 wrapping %q", body, code, msg, ErrBadJob)
+		}
+	}
+	if jobs := srv.Jobs(); len(jobs) != 0 {
+		t.Fatalf("rejected submits registered %+v", jobs)
+	}
+	if code, msg := post(job("c") + " \n\t "); code != http.StatusCreated {
+		t.Fatalf("a job followed by white space: %d %q, want 201", code, msg)
+	}
+	ts.Close()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	srv, st = newServer(t, dir, policy.NewFCFS())
+	defer st.Close()
+	defer srv.Close()
+	if jobs := srv.Jobs(); len(jobs) != 1 || jobs[0].ID != "c" {
+		t.Fatalf("the journal replayed %+v, want job c alone", jobs)
+	}
+}
+
 func TestSubmitStampsClockTime(t *testing.T) {
 	srv, st := newServer(t, t.TempDir(), policy.NewFCFS())
 	defer st.Close()

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 
 	"github.com/sjtu-epcc/arena/internal/model"
 	"github.com/sjtu-epcc/arena/internal/rng"
@@ -172,7 +173,7 @@ func synthesize(r *rng.SplitMix64, cfg Config, workloads []model.Workload, weigh
 	prio := 1 + weightedChoice(r, priorityWeights(cfg.PriorityLevels))
 
 	j := Job{
-		ID:         fmt.Sprintf("%s-%04d", cfg.Kind, i),
+		ID:         jobID(cfg.Kind, i),
 		SubmitTime: submit,
 		Workload:   w,
 		Iterations: iters,
@@ -187,6 +188,24 @@ func synthesize(r *rng.SplitMix64, cfg Config, workloads []model.Workload, weigh
 		j.Deadline = nominal*r.Range(3, 10) + 3600
 	}
 	return j
+}
+
+// jobID returns the trace ID of job i of a kind: the bytes
+// fmt.Sprintf("%s-%04d", kind, i) prints, built without fmt (IDs break
+// ties and feed every digest, so they must not change).
+func jobID(kind Kind, i int) string {
+	var num [20]byte
+	var buf [48]byte
+	digits := strconv.AppendInt(num[:0], int64(i), 10)
+	b := append(append(buf[:0], kind...), '-')
+	if digits[0] == '-' {
+		// %04d pads after the sign: -7 prints as -007.
+		b, digits = append(b, '-'), digits[1:]
+		b = append(b, "000"[min(len(digits), 3):]...)
+	} else {
+		b = append(b, "0000"[min(len(digits), 4):]...)
+	}
+	return string(append(b, digits...))
 }
 
 // Generate synthesizes a deterministic trace for the configuration.

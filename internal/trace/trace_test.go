@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"github.com/sjtu-epcc/arena/internal/model"
@@ -177,5 +179,22 @@ func TestGenerateValidation(t *testing.T) {
 	}
 	if _, err := Generate(Config{Kind: Philly, Duration: 100, NumJobs: 10}); err == nil {
 		t.Error("missing GPU types should error")
+	}
+}
+
+// TestJobIDMatchesSprintf checks jobID against the fmt.Sprintf("%s-%04d")
+// it replaced, for every Kind and indices across the padding boundaries.
+func TestJobIDMatchesSprintf(t *testing.T) {
+	kinds := []Kind{Philly, Helios, PAI, "", "a-very-long-custom-trace-kind-name-beyond-any-buffer"}
+	is := []int{0, 1, 9, 10, 99, 100, 999, 1000, 9999, 10000, 99999, 1_000_000, math.MaxInt32, math.MaxInt64, -1, -7, -99, -999, -1000, math.MinInt64}
+	for _, k := range kinds {
+		for _, i := range is {
+			if got, want := jobID(k, i), fmt.Sprintf("%s-%04d", k, i); got != want {
+				t.Errorf("jobID(%q, %d) = %q, fmt.Sprintf gives %q", k, i, got, want)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = jobID(Helios, 12345) }); n > 1 {
+		t.Errorf("jobID allocates %v times per ID, want 1", n)
 	}
 }

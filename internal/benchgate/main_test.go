@@ -1,8 +1,10 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -41,12 +43,13 @@ func TestParseBenchOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(runs["BenchmarkFullSearch/serial"]); got != 3 {
+	if got := len(runs["BenchmarkFullSearch/serial"].Samples); got != 3 {
 		t.Fatalf("serial samples: want 3, got %d", got)
 	}
-	// The -4 GOMAXPROCS suffix must be stripped, extra metrics tolerated.
-	if got := len(runs["BenchmarkBuildPerfDB/snapshot"]); got != 1 {
-		t.Fatalf("snapshot samples: want 1, got %d (keys %v)", got, runs)
+	// The -4 GOMAXPROCS suffix must be stripped and kept as the run's
+	// GOMAXPROCS, extra metrics tolerated.
+	if r := runs["BenchmarkBuildPerfDB/snapshot"]; r == nil || len(r.Samples) != 1 || r.Procs != 4 {
+		t.Fatalf("snapshot: want 1 sample at GOMAXPROCS 4, got %+v (keys %v)", r, runs)
 	}
 	if _, err := parseBenchOutput(strings.NewReader("PASS\nok x 1s\n")); err == nil {
 		t.Fatal("benchmark-free input must error")
@@ -64,7 +67,7 @@ func TestLoadBaselines(t *testing.T) {
 	}
 	// Underscore variants map to dash-named sub-benchmarks; non-ns fields
 	// (inputs, speedup) are ignored.
-	if base["BenchmarkFullSearch/cached-parallel"] != 17781101 {
+	if base["BenchmarkFullSearch/cached-parallel"].NsPerOp != 17781101 {
 		t.Fatalf("cached-parallel baseline missing: %v", base)
 	}
 	if len(base) != 3 {
@@ -73,13 +76,13 @@ func TestLoadBaselines(t *testing.T) {
 }
 
 func TestCompareTolerance(t *testing.T) {
-	runs := map[string][]float64{
-		"BenchmarkFullSearch/serial": {100, 300, 200}, // median 200
-		"BenchmarkFullSearch/new":    {50},            // no baseline: skipped
+	runs := map[string]*benchRun{
+		"BenchmarkFullSearch/serial": {Samples: []float64{100, 300, 200}, Procs: 1}, // median 200
+		"BenchmarkFullSearch/new":    {Samples: []float64{50}, Procs: 1},            // no baseline: skipped
 	}
-	baselines := map[string]float64{
-		"BenchmarkFullSearch/serial": 100,
-		"BenchmarkFullSearch/idle":   1, // not run: skipped
+	baselines := map[string]baseline{
+		"BenchmarkFullSearch/serial": {NsPerOp: 100, Procs: 1},
+		"BenchmarkFullSearch/idle":   {NsPerOp: 1, Procs: 1}, // not run: skipped
 	}
 	res := compare(runs, baselines, 2.5)
 	if len(res) != 1 || res[0].Failed {
@@ -101,14 +104,60 @@ func TestMedian(t *testing.T) {
 }
 
 func TestUnmatchedBaselines(t *testing.T) {
-	runs := map[string][]float64{"BenchmarkFullSearch/serial": {100}}
-	baselines := map[string]float64{
-		"BenchmarkFullSearch/serial":    100,
-		"BenchmarkBuildPerfDB/snapshot": 70602,
-		"BenchmarkBuildPerfDB/cached":   1,
+	runs := map[string]*benchRun{"BenchmarkFullSearch/serial": {Samples: []float64{100}, Procs: 1}}
+	baselines := map[string]baseline{
+		"BenchmarkFullSearch/serial":    {NsPerOp: 100},
+		"BenchmarkBuildPerfDB/snapshot": {NsPerOp: 70602},
+		"BenchmarkBuildPerfDB/cached":   {NsPerOp: 1},
 	}
 	missing := unmatchedBaselines(runs, baselines)
 	if len(missing) != 2 || missing[0] != "BenchmarkBuildPerfDB/cached" {
 		t.Fatalf("want the two unexercised baselines sorted, got %v", missing)
+	}
+}
+
+// TestCompareMarksCrossRegime pins the CPU-regime report: a run's
+// GOMAXPROCS comes from its name suffix (none means 1), a baseline's from
+// <variant>_gomaxprocs, and a row is marked when they differ or the
+// baseline records none. The mark never fails a row.
+func TestCompareMarksCrossRegime(t *testing.T) {
+	out := `BenchmarkA/one   	5	100 ns/op
+BenchmarkA/two-2 	5	100 ns/op
+BenchmarkA/four-4	5	100 ns/op
+BenchmarkA/bare  	5	100 ns/op
+`
+	path := filepath.Join(t.TempDir(), "base.json")
+	base := `{"benchmarks": {"BenchmarkA": {
+  "one_ns_per_op": 100, "one_gomaxprocs": 1,
+  "two_ns_per_op": 100, "two_gomaxprocs": 2,
+  "four_ns_per_op": 100, "four_gomaxprocs": 1,
+  "bare_ns_per_op": 100
+}}}`
+	if err := os.WriteFile(path, []byte(base), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	runs, err := parseBenchOutput(strings.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	baselines, err := loadBaselines(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]string{}
+	for _, r := range compare(runs, baselines, 2.5) {
+		if r.Failed {
+			t.Errorf("%s failed at ratio %g", r.Name, r.Ratio)
+		}
+		got[r.Name] = fmt.Sprintf("%s %v", procsColumn(r), r.CrossRegime())
+	}
+	want := map[string]string{
+		"BenchmarkA/one":  "1/1 false",
+		"BenchmarkA/two":  "2/2 false",
+		"BenchmarkA/four": "4/1 true",
+		"BenchmarkA/bare": "1/? true",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("rows %v, want %v", got, want)
 	}
 }

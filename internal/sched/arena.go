@@ -56,6 +56,18 @@ type ArenaPolicy struct {
 	// failEpoch is the launch phase's failure-memo generation: bumping it
 	// forgets every failure stamped on a ladder (see score.go).
 	failEpoch uint64
+
+	// The launch FIFOs (see fifo.go): every FIFO of the current ladders,
+	// their entries counted live and dead, and the Changes and round they
+	// hold the queue of (nil: a context without Changes).
+	fifos   []*launchFIFO
+	entries int
+	changes *QueueChanges
+	round   uint64
+	// merge is the launch phase's heap buffer, kept between rounds:
+	// allocating it every round cost about 2% of a sim-helios-light round
+	// (shallow queue, 2-vCPU host).
+	merge mergeHeap
 }
 
 // warnf forwards a warning to Warnf when one is installed.
@@ -149,6 +161,7 @@ func (p *ArenaPolicy) DeployOverhead(db *perfdb.DB, w model.Workload, gpuType st
 // Assign implements Algorithm 1.
 func (p *ArenaPolicy) Assign(ctx *Context) Assignment {
 	p.ensureLadders(ctx)
+	p.syncQueue(ctx)
 	// The round's free capacity and targets: the running set's, then
 	// each launch's (see Targets).
 	ts := newTargets(ctx, p.types)
@@ -157,70 +170,11 @@ func (p *ArenaPolicy) Assign(ctx *Context) Assignment {
 	var downCost []float64
 	depth := 0
 
-	p.promote(ctx)
-
 	// --- Launch phase (LEventHandler, lines 6–16). ---
-	queued := launchOrder(ctx.Queued, p.P)
-	blockedPrio := p.P + 1
-	// The admission window: within one round, a failed launch is a pure
-	// function of (signature, free capacity). Free capacity only shrinks
-	// while the phase runs — the single exception, a landed launch whose
-	// staged victim shrinks moved capacity between types, clears the memo
-	// — so jobs repeating an already-failed signature skip the candidate
-	// search entirely. Deadline mode scores per-job feasibility (remaining
-	// work against the clock), so the memo stays off there. The memo is a
-	// stamp on the signature's ladder; bumping failEpoch clears it.
-	memo := p.Objective != ObjDeadline
-	p.failEpoch++
-	for _, job := range queued {
-		if job.CurPriority > blockedPrio {
-			// A higher-priority queue is blocked; later queues must wait
-			// (Algorithm 1, line 9). Same-queue jobs may still try — the
-			// conditional preemption privilege of §3.5.
-			break
-		}
-		lad := p.launchLadder(ctx, job)
-		if p.Objective == ObjDeadline && p.hopeless(ctx, job, lad) {
-			asg.Drop = append(asg.Drop, job.Trace.ID)
-			continue
-		}
-		if p.DisableElastic && len(lad.counts) == 0 {
-			// Rigid mode with a request no profiled size can serve on any
-			// allowed type: drop the job instead of letting it queue
-			// forever and head-of-line-block its priority queue. (Elastic
-			// counts are never empty, so only rigid mode can drop here.)
-			p.warnf("sched: dropping rigid job %s: no feasible GPU count for request of %d (type %s)",
-				job.Trace.ID, job.Trace.ReqGPUs, job.Trace.ReqType)
-			asg.Drop = append(asg.Drop, job.Trace.ID)
-			continue
-		}
-		if memo && lad.failedAt == p.failEpoch {
-			// Provably identical failure: a same-signature launch already
-			// ran the full search this round and nothing it depends on has
-			// grown since. The skip must still lower the blocking bar —
-			// Algorithm 1 line 9 blocks on the failed job's priority, not
-			// on whether its search was re-run.
-			if job.CurPriority < blockedPrio {
-				blockedPrio = job.CurPriority
-			}
-			continue
-		}
+	p.launch(ctx, &asg, func(job *Job, lad *ladder) (ok, shrank bool) {
 		depth = 0 // the search depth bounds each launch event (Alg. 1 l.13)
-		ok, shrank := p.tryLaunch(ctx, job, lad, ts, &downCost, &depth, &asg)
-		switch {
-		case !ok:
-			if memo {
-				lad.failedAt = p.failEpoch
-			}
-			if job.CurPriority < blockedPrio {
-				blockedPrio = job.CurPriority
-			}
-		case shrank && memo:
-			// Victim shrinks landed: capacity may have moved onto a type a
-			// memoized failure found full. Every memo entry is stale.
-			p.failEpoch++
-		}
-	}
+		return p.tryLaunch(ctx, job, lad, ts, &downCost, &depth, &asg)
+	})
 
 	// --- Straggler-routing phase (fault-aware extension). ---
 	p.routeStragglers(ctx, ts, &asg)
@@ -231,51 +185,101 @@ func (p *ArenaPolicy) Assign(ctx *Context) Assignment {
 	return asg
 }
 
-// launchOrder returns the queue in Algorithm 1's launch order: ascending
-// CurPriority, then SubmittedAt, ties in queue order — the order a
-// stable sort by (CurPriority, SubmittedAt) produces, built in linear
-// time. A stable bucket pass groups the jobs by priority (1..maxPrio
-// each get a bucket, lower and higher priorities share one bucket per
-// side); a bucket is then sorted only if it is not already in order.
-// The engine admits jobs in SubmittedAt order, so in a priority bucket
-// only requeued jobs (crash restarts, failed moves) are ever out of
-// place, and a round without them sorts nothing.
-func launchOrder(queued []*Job, maxPrio int) []*Job {
-	maxPrio = max(maxPrio, 0)
-	bucket := func(j *Job) int {
-		return min(max(j.CurPriority, 0), maxPrio+1)
-	}
-	// start[b] is bucket b's first index in the output.
-	start := make([]int, maxPrio+3)
-	for _, j := range queued {
-		start[bucket(j)+1]++
-	}
-	for b := 1; b < len(start); b++ {
-		start[b] += start[b-1]
-	}
-	out := make([]*Job, len(queued))
-	next := append([]int(nil), start...)
-	for _, j := range queued {
-		b := bucket(j)
-		out[next[b]] = j
-		next[b]++
-	}
-	less := func(a, b *Job) bool {
-		if a.CurPriority != b.CurPriority {
-			return a.CurPriority < b.CurPriority
+// launch runs the launch phase over the queue in Algorithm 1's launch
+// order — ascending live priority, then SubmittedAt, then QueueSeq —
+// merged from the FIFO heads, and returns the final blocking priority.
+// attempt tries one job's launch on its ladder (tryLaunch, in Assign)
+// and reports whether it landed and whether it staged victim shrinks.
+//
+// The admission window: within one round, a failed launch is a pure
+// function of (signature, free capacity). Free capacity only shrinks
+// while the phase runs — the single exception, a landed launch whose
+// staged victim shrinks moved capacity between types, clears the memo —
+// so jobs repeating an already-failed signature would fail too and are
+// not visited: the failure parks the FIFO, and every other FIFO of the
+// signature parks when it surfaces. Parked FIFOs rejoin the merge after
+// the current position when the memo clears. Skipping them cannot move
+// the blocking bar: launch order never lowers the live priority, so a
+// parked job's priority is at least that of the failure that parked it,
+// which already lowered the bar that far. Deadline mode scores per-job
+// feasibility (remaining work against the clock), so the memo stays off
+// there. The memo is a stamp on the signature's ladder; bumping
+// failEpoch clears it.
+func (p *ArenaPolicy) launch(ctx *Context, asg *Assignment, attempt func(job *Job, lad *ladder) (ok, shrank bool)) int {
+	blockedPrio := p.P + 1
+	memo := p.Objective != ObjDeadline
+	p.failEpoch++
+	h := p.merge[:0]
+	var parked []*launchFIFO
+	for _, f := range p.fifos {
+		f.next = f.head
+		if p.seek(f) {
+			h.push(p.keyOf(ctx.Now, f, f.q[f.next]))
 		}
-		return a.SubmittedAt < b.SubmittedAt
 	}
-	for b := 0; b+1 < len(start); b++ {
-		seg := out[start[b]:start[b+1]]
-		for i := 1; i < len(seg); i++ {
-			if less(seg[i], seg[i-1]) {
-				sort.SliceStable(seg, func(x, y int) bool { return less(seg[x], seg[y]) })
-				break
+	for len(h) > 0 {
+		top := h[0]
+		if top.prio > blockedPrio {
+			// A higher-priority queue is blocked; later queues must wait
+			// (Algorithm 1, line 9). Same-queue jobs may still try — the
+			// conditional preemption privilege of §3.5.
+			break
+		}
+		f := top.f
+		job, lad := f.q[f.next].job, f.lad
+		switch {
+		case p.Objective == ObjDeadline && p.hopeless(ctx, job, lad):
+			asg.Drop = append(asg.Drop, job.Trace.ID)
+		case p.DisableElastic && len(lad.counts) == 0:
+			// Rigid mode with a request no profiled size can serve on any
+			// allowed type: drop the job instead of letting it queue
+			// forever and head-of-line-block its priority queue. (Elastic
+			// counts are never empty, so only rigid mode can drop here.)
+			p.warnf("sched: dropping rigid job %s: no feasible GPU count for request of %d (type %s)",
+				job.Trace.ID, job.Trace.ReqGPUs, job.Trace.ReqType)
+			asg.Drop = append(asg.Drop, job.Trace.ID)
+		case memo && lad.failedAt == p.failEpoch:
+			// Provably identical failure: a same-signature launch already
+			// ran the full search this round and nothing it depends on has
+			// grown since. Parked below.
+		default:
+			ok, shrank := attempt(job, lad)
+			switch {
+			case !ok:
+				blockedPrio = min(blockedPrio, top.prio)
+				if memo {
+					lad.failedAt = p.failEpoch
+				}
+			case shrank && memo:
+				// Victim shrinks landed: capacity may have moved onto a
+				// type a memoized failure found full. Every memo entry is
+				// stale, and the parked FIFOs rejoin.
+				p.failEpoch++
+				for _, g := range parked {
+					if p.rejoin(ctx.Now, g, top) {
+						h.push(p.keyOf(ctx.Now, g, g.q[g.next]))
+					}
+				}
+				parked = parked[:0]
 			}
 		}
+		if memo && lad.failedAt == p.failEpoch {
+			// The FIFO's later jobs share the failed signature.
+			h.pop()
+			parked = append(parked, f)
+			continue
+		}
+		f.next++
+		if p.seek(f) {
+			h[0] = p.keyOf(ctx.Now, f, f.q[f.next])
+			h.down()
+		} else {
+			h.pop()
+		}
 	}
-	return out
+	clear(h[:cap(h)])
+	p.merge = h[:0]
+	return blockedPrio
 }
 
 // routeStragglers migrates running jobs pinned to degraded nodes onto
@@ -320,23 +324,6 @@ func (p *ArenaPolicy) routeStragglers(ctx *Context, ts *Targets, asg *Assignment
 			continue
 		}
 		asg.Migrate = append(asg.Migrate, j.Trace.ID)
-	}
-}
-
-// promote raises the live priority of long-queued jobs (§3.5: "a job
-// priority λ is promoted to λ−1 after prolonged queuing").
-func (p *ArenaPolicy) promote(ctx *Context) {
-	for _, j := range ctx.Queued {
-		waited := ctx.Now - j.SubmittedAt
-		levels := 0
-		if p.PromoteAfter > 0 {
-			levels = int(waited / p.PromoteAfter)
-		}
-		cur := j.Trace.Priority - levels
-		if cur < 1 {
-			cur = 1
-		}
-		j.CurPriority = cur
 	}
 }
 

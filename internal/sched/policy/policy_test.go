@@ -63,7 +63,7 @@ func job(id, m string, gb, req, prio int) *sched.Job {
 			Iterations: 200, ReqGPUs: req, ReqType: "A40", Priority: prio,
 		},
 		State: sched.StateQueued, LaunchedAt: -1,
-		RemainingSamples: 200 * float64(gb), CurPriority: prio,
+		RemainingSamples: 200 * float64(gb),
 	}
 }
 

@@ -70,8 +70,12 @@ type Job struct {
 
 	Resched int // reallocation count (the paper reports 2.29 avg, §5.3)
 
-	// CurPriority is the live priority (promotion lowers it over time).
-	CurPriority int
+	// QueueSeq is stamped by the engine from a per-engine counter each
+	// time the job enters its queue (admission, crash requeue, a failed
+	// migration or rescale), so the queue is in QueueSeq order and a
+	// requeued job carries a newer QueueSeq than every job already
+	// queued. Policies break launch-order ties on it.
+	QueueSeq uint64
 
 	// Fault-model bookkeeping (populated only by fault-injected runs).
 
@@ -108,13 +112,40 @@ func (j *Job) Running() bool { return j.State == StateRunning }
 
 // Context is the policy's view of one scheduling round.
 type Context struct {
-	Now     float64
-	Queued  []*Job // submitted, not running; ascending submission order
+	Now float64
+	// Queued lists the submitted jobs that are not running and may launch
+	// this round, in the order they entered the queue (ascending
+	// QueueSeq). That is not SubmittedAt order: a requeued job (crash
+	// restart, failed move) and a daemon submission stamped in the past
+	// enter behind jobs submitted after them.
+	Queued  []*Job
 	Running []*Job
 	Cluster *cluster.Cluster
 	DB      *perfdb.DB
 	// MaxPerJob caps any single job's allocation (the paper's N, §2.3).
 	MaxPerJob int
+	// Changes, when non-nil, says how Queued differs from the previous
+	// round's, so a policy can keep per-queue state across rounds instead
+	// of rescanning Queued. The engine owns it and rewrites it every
+	// round; a hand-built context leaves it nil.
+	Changes *QueueChanges
+}
+
+// QueueChanges is the engine's account of a round's queue delta. One
+// engine hands out the same QueueChanges every round, allocated apart
+// from its own state, so a policy may keep the pointer to recognize the
+// engine without keeping the engine alive. A job that leaves the queue
+// is not listed anywhere: a policy's record of a queued job is current
+// only while the job is still StateQueued under the same QueueSeq.
+type QueueChanges struct {
+	// Round counts the engine's rounds: 1 for its first, one more per
+	// round after it.
+	Round uint64
+	// Entered lists the jobs of this round's Queued that were not in the
+	// previous round's under the same QueueSeq, in Queued order:
+	// admissions, requeues, and jobs whose crash backoff ended this round
+	// (those sit mid-queue).
+	Entered []*Job
 }
 
 // Assignment is a policy's decision for the round.

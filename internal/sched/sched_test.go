@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -78,7 +79,6 @@ func mkJob(id, modelName string, gb, reqGPUs, prio int) *Job {
 		State:            StateQueued,
 		LaunchedAt:       -1,
 		RemainingSamples: 100 * float64(gb),
-		CurPriority:      prio,
 	}
 }
 
@@ -144,15 +144,30 @@ func TestArenaPriorityOrder(t *testing.T) {
 	}
 }
 
+// TestArenaPriorityPromotion checks promotion through the launch order.
+// A priority-3 job queued five hours is promoted twice, to priority 1,
+// ahead of a priority-2 job queued one hour; when its launch fails it
+// blocks the priority-2 queue (Algorithm 1, line 9). Without promotion
+// the priority-2 job goes first and its failure blocks the other.
 func TestArenaPriorityPromotion(t *testing.T) {
-	p := NewArena()
-	j := mkJob("j1", "WRes-1B", 256, 2, 3)
-	j.SubmittedAt = 0
-	ctx := testCtx(t, []*Job{j}, nil)
-	ctx.Now = 5 * 3600 // queued five hours: promoted twice
-	p.promote(ctx)
-	if j.CurPriority != 1 {
-		t.Fatalf("priority = %d after 5h, want 1", j.CurPriority)
+	for _, c := range []struct {
+		promoteAfter float64
+		want         []string
+	}{
+		{2 * 3600, []string{"old fail"}},
+		{0, []string{"fresh fail"}},
+	} {
+		p := NewArena()
+		p.PromoteAfter = c.promoteAfter
+		old := mkJob("old", "WRes-1B", 256, 2, 3)
+		fresh := mkJob("fresh", "WRes-1B", 256, 2, 2)
+		old.SubmittedAt, fresh.SubmittedAt = 0, 4*3600
+		ctx := testCtx(t, []*Job{fresh, old}, nil)
+		ctx.Now = 5 * 3600
+		got, _ := runLaunch(t, p, ctx, func(*Job) (bool, bool) { return false, false })
+		if !slices.Equal(got, c.want) {
+			t.Errorf("promotion after %gs: attempts %v, want %v", c.promoteAfter, got, c.want)
+		}
 	}
 }
 

@@ -28,6 +28,7 @@ package schedtest
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -186,6 +187,31 @@ func Check(ctx *sched.Context, asg sched.Assignment, opts Options) error {
 // config to turn a whole run into a property test.
 func Wrap(t testing.TB, p sched.Policy, opts Options) sched.Policy {
 	return &checked{t: t, p: p, opts: opts}
+}
+
+// MatchRebuilt returns a Policy that decides with fed and, every round,
+// also runs shadow on a copy of the context without Changes, so a policy
+// that keeps queue state across rounds rebuilds it from Queued there; t
+// fails on the first round whose two assignments differ. fed and shadow
+// must be two instances of one configuration.
+func MatchRebuilt(t testing.TB, fed, shadow sched.Policy) sched.Policy {
+	return &rebuilt{Policy: fed, t: t, shadow: shadow}
+}
+
+type rebuilt struct {
+	sched.Policy
+	t      testing.TB
+	shadow sched.Policy
+}
+
+func (r *rebuilt) Assign(ctx *sched.Context) sched.Assignment {
+	asg := r.Policy.Assign(ctx)
+	bare := *ctx
+	bare.Changes = nil
+	if want := r.shadow.Assign(&bare); !reflect.DeepEqual(asg, want) {
+		r.t.Fatalf("%s at t=%g: fed the queue's changes it assigned %+v, rebuilt from Queued %+v", r.Name(), ctx.Now, asg, want)
+	}
+	return asg
 }
 
 type checked struct {

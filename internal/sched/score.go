@@ -39,13 +39,24 @@ import (
 //     whole candidate search: it provably fails too. The memo is the
 //     bounded admission window of Algorithm 1's launch phase: only the
 //     head-of-queue prefix introducing new signatures does real scoring
-//     work, while skipped jobs still lower the blocking bar (line 9).
-//     Arena keeps its memo as a stamp on the ladders: a policy counter
-//     (failEpoch) is bumped at the start of every Assign and wherever the
-//     memo is cleared, a failed launch writes it into the signature's
-//     ladder, and a job whose ladder carries the current value is
-//     skipped. A job finds its ladder through Job.ladderHint, checked by
-//     signature equality, so a memo probe hashes nothing.
+//     work. A skipped job never lowers the blocking bar (line 9): launch
+//     order never lowers the live priority, so the failure that stamped
+//     its signature came first and already lowered the bar to at most
+//     the job's priority. Arena keeps its memo as a stamp on the ladders:
+//     a policy counter (failEpoch) is bumped at the start of every Assign
+//     and wherever the memo is cleared, a failed launch writes it into
+//     the signature's ladder, and a ladder carrying the current value
+//     parks the signature's launch FIFOs.
+//
+//   - launch FIFOs (arena, fifo.go): the queue filed by (original
+//     priority, launch signature) on the signature's ladder, each FIFO
+//     sorted by (SubmittedAt, QueueSeq) and so already in launch order.
+//     The engine's Context.Changes feeds them the jobs that entered the
+//     queue; an entry dies when its job leaves the queue or is requeued
+//     under a new QueueSeq. Each round merges the FIFO heads lazily, so
+//     the launch phase visits the jobs it attempts or drops and one head
+//     per parked FIFO, not the queue. A context without Changes, another
+//     engine's, a skipped round or a ladder reset refiles Queued whole.
 //
 //   - scale-down costs (arena): GetOptimalScaleDown's per-job cost — the
 //     throughput lost per freed GPU by halving a running job at its
@@ -75,8 +86,9 @@ import (
 // recorded while they still ran beside the caches and matched them on
 // every pinned run, and the unit tests of this package keep the argmax
 // scan behind GainHeap, the ID-sorted rescan behind DoubleByGain, the
-// candidate loops behind the launch ladders and the direct database
-// calls behind the tables as references written out in the test files.
+// candidate loops behind the launch ladders, the direct database calls
+// behind the tables and the promote-sort-visit launch loop behind the
+// FIFO merge as references written out in the test files.
 
 // launchSig identifies the inputs of one launch-admission decision that
 // come from the job itself. Two queued jobs with equal signatures see
@@ -120,6 +132,9 @@ type ladder struct {
 	// failed; equal to the policy's current failEpoch, it is the failure
 	// memo's hit.
 	failedAt uint64
+	// fifos are the signature's launch FIFOs, one per original priority
+	// (see fifo.go).
+	fifos []*launchFIFO
 }
 
 // ladderCacheKey fingerprints everything a ladder and its tables depend
@@ -157,6 +172,9 @@ func (p *ArenaPolicy) ensureLadders(ctx *Context) {
 		p.ladderOf = map[launchSig]uint32{}
 		p.ladderKey = key
 		p.types = types
+		// The launch FIFOs hang off the ladders: syncQueue refiles the
+		// queue.
+		p.fifos, p.changes = nil, nil
 	}
 }
 

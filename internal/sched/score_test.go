@@ -294,81 +294,6 @@ func TestLaunchLadderMatchesKneeLoop(t *testing.T) {
 	}
 }
 
-// stableSortOrder is the launch order Assign built before launchOrder: a
-// copy of the queue stable-sorted by (CurPriority, SubmittedAt).
-func stableSortOrder(queued []*Job) []*Job {
-	out := append([]*Job(nil), queued...)
-	sort.SliceStable(out, func(a, b int) bool {
-		if out[a].CurPriority != out[b].CurPriority {
-			return out[a].CurPriority < out[b].CurPriority
-		}
-		return out[a].SubmittedAt < out[b].SubmittedAt
-	})
-	return out
-}
-
-// TestLaunchOrderMatchesStableSort checks launchOrder against the stable
-// sort it replaced on random queues shaped like the engine's — admitted
-// in SubmittedAt order with many equal submission times, then some jobs
-// requeued to the back out of order (or the whole queue shuffled) — with
-// priorities from 1 to far above P (plus a few below 1), for several P,
-// including empty and one-job queues.
-func TestLaunchOrderMatchesStableSort(t *testing.T) {
-	r := rng.New(41)
-	for trial := 0; trial < 3000; trial++ {
-		p := []int{0, 1, 3, 5}[r.Intn(4)]
-		n := r.Intn(40)
-		if trial < 8 {
-			n = trial % 2 // empty and one-job queues under every P
-		}
-		queue := make([]*Job, n)
-		at := 0.0
-		for i := range queue {
-			if r.Intn(3) > 0 {
-				at += float64(1 + r.Intn(4))
-			}
-			prio := 1 + r.Intn(p+1)
-			switch r.Intn(10) {
-			case 0:
-				prio = p + 1 + r.Intn(1000) // far above P
-			case 1:
-				prio = 1 - r.Intn(3) // below the first queue
-			}
-			queue[i] = &Job{Trace: trace.Job{ID: fmt.Sprintf("j%02d", i)}, SubmittedAt: at, CurPriority: prio}
-		}
-		switch r.Intn(4) {
-		case 0:
-			// Requeue: move a few jobs to the back, as crash restarts and
-			// failed moves do.
-			for k := r.Intn(4); k > 0 && n > 1; k-- {
-				i := r.Intn(n)
-				j := queue[i]
-				copy(queue[i:], queue[i+1:])
-				queue[n-1] = j
-			}
-		case 1:
-			for i := n - 1; i > 0; i-- {
-				k := r.Intn(i + 1)
-				queue[i], queue[k] = queue[k], queue[i]
-			}
-		}
-		got, want := launchOrder(queue, p), stableSortOrder(queue)
-		if !slices.Equal(got, want) {
-			ids := func(js []*Job) []string {
-				var s []string
-				for _, j := range js {
-					s = append(s, fmt.Sprintf("%s(p%d,t%g)", j.Trace.ID, j.CurPriority, j.SubmittedAt))
-				}
-				return s
-			}
-			t.Fatalf("trial %d (P=%d): launchOrder %v, stable sort %v", trial, p, ids(got), ids(want))
-		}
-	}
-	if got := launchOrder(nil, 3); len(got) != 0 {
-		t.Fatalf("launchOrder(nil) = %v", got)
-	}
-}
-
 // scanScaleDown is the GetOptimalScaleDown the per-round cost cache
 // replaced: every call rescans the running set at its current targets,
 // two perceived-throughput lookups per job, keeping the strictly lowest

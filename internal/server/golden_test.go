@@ -3,12 +3,14 @@ package server
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"reflect"
 	"testing"
 
 	"github.com/sjtu-epcc/arena/internal/sched"
 	"github.com/sjtu-epcc/arena/internal/sched/policy"
+	"github.com/sjtu-epcc/arena/internal/sched/schedtest"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.json from the current code")
@@ -63,5 +65,54 @@ func TestRoundDigestsMatchGolden(t *testing.T) {
 	}
 	if len(got) != len(want) {
 		t.Errorf("%d policies, %d goldens", len(got), len(want))
+	}
+}
+
+// TestFedQueueMatchesRebuilt runs the daemon's scripted session —
+// arrivals between rounds and a cancel — with Arena fed by the engine's
+// queue changes beside a twin that rebuilds its launch FIFOs from Queued
+// every round (schedtest.MatchRebuilt), so every round must decide the
+// same. Halfway through, the daemon restarts from its journal with the
+// same pair of instances, as a session that keeps its policy across
+// restarts does: the replay runs a second engine. After the script, late
+// submissions arrive, stamped hours before the round that admits them,
+// and two more rounds run. The scripted rounds must match the golden
+// digests.
+func TestFedQueueMatchesRebuilt(t *testing.T) {
+	jobs := testJobs(t, 30)
+	pair := schedtest.MatchRebuilt(t, sched.NewArena(), sched.NewArena())
+	dir := t.TempDir()
+	srv, st := newServer(t, dir, pair)
+	got := driveScript(t, srv, jobs, 10)
+	srv.Close()
+	st.Close()
+
+	srv, st = newServer(t, dir, pair)
+	defer st.Close()
+	defer srv.Close()
+	got = append(got, driveScript(t, srv, jobs, 20)...)
+	data, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden map[string][]string
+	if err := json.Unmarshal(data, &golden); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, golden["arena"]) {
+		t.Fatalf("round digests %v, golden %v", got, golden["arena"])
+	}
+
+	for i, tj := range jobs[:6] {
+		tj.ID = fmt.Sprintf("late-%d", i)
+		tj.SubmitTime = 600 * float64(1+i%3)
+		if _, err := srv.Submit(tj); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 2 {
+		if _, err := srv.Step(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -52,6 +52,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		cluster: cl,
 		src:     cfg.Source,
 		sim:     map[*sched.Job]*jobSim{},
+		changes: &sched.QueueChanges{},
 		jctS:    metrics.NewStream(),
 		queueS:  metrics.NewStream(),
 	}
@@ -123,28 +124,17 @@ func (e *Engine) Round(now float64) sched.Assignment {
 	s.pull(now)
 	s.admit(now)
 
-	// Crash-restart backoff gates relaunch uniformly across policies:
-	// a job still backing off is invisible this round.
-	eligible := s.queued
-	if s.faults != nil {
-		eligible = make([]*sched.Job, 0, len(s.queued))
-		for _, j := range s.queued {
-			if j.NextEligibleAt <= now {
-				eligible = append(eligible, j)
-			}
-		}
-	}
-
 	// Named rctx, not ctx: shadowing a context.Context parameter here
 	// once hid a cancellation bug (the vet shadow check in CI now
 	// rejects the pattern).
 	rctx := &sched.Context{
 		Now:       now,
-		Queued:    eligible,
+		Queued:    s.roundQueue(now),
 		Running:   s.running,
 		Cluster:   s.cluster,
 		DB:        s.cfg.DB,
 		MaxPerJob: s.cfg.MaxPerJob,
+		Changes:   s.changes,
 	}
 	asg := s.cfg.Policy.Assign(rctx)
 	s.apply(now, asg)

@@ -93,5 +93,5 @@ func (s *state) preempt(t float64, j *sched.Job) {
 	j.NextEligibleAt = t + fc.BackoffBase*math.Pow(2, float64(j.Restarts-1))
 	j.Restarting = true
 	j.State = sched.StateQueued
-	s.queued = append(s.queued, j)
+	s.enqueue(j)
 }

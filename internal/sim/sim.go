@@ -147,9 +147,18 @@ type state struct {
 	cluster *cluster.Cluster
 
 	pending []*sched.Job // submitted in the future
-	queued  []*sched.Job
+	queued  []*sched.Job // in entry order: ascending QueueSeq
 	running []*sched.Job
 	done_   []*sched.Job // retired jobs; empty in streaming mode
+
+	// Queue entry bookkeeping. queueSeq is the last QueueSeq stamped;
+	// seqMark and markNow are queueSeq and the instant when the previous
+	// round's context was built. changes is the delta handed to the
+	// policy: allocated apart from the state, so a policy that keeps it
+	// across rounds does not keep a finished engine alive.
+	queueSeq, seqMark uint64
+	markNow           float64
+	changes           *sched.QueueChanges
 
 	// Streaming trace source (nil for an engine fed only by Submit).
 	src     trace.Source
@@ -414,7 +423,6 @@ func (s *state) stage(tj trace.Job) *sched.Job {
 		SubmittedAt:      tj.SubmitTime + s.cfg.Policy.ProfilePrepend(s.cfg.DB, tj.Workload),
 		LaunchedAt:       -1,
 		RemainingSamples: tj.TotalSamples(),
-		CurPriority:      tj.Priority,
 	}
 	// First index whose SubmittedAt exceeds the new job's: insert there,
 	// i.e. after every earlier-or-equal submission.
@@ -486,9 +494,57 @@ func (s *state) admit(now float64) {
 		if s.pending[i].SubmittedAt > now {
 			break
 		}
-		s.queued = append(s.queued, s.pending[i])
+		s.enqueue(s.pending[i])
 	}
 	s.pending = s.pending[i:]
+}
+
+// enqueue appends j to the queue under a fresh QueueSeq.
+func (s *state) enqueue(j *sched.Job) {
+	s.queueSeq++
+	j.QueueSeq = s.queueSeq
+	s.queued = append(s.queued, j)
+}
+
+// roundQueue returns the round's Queued and rewrites s.changes for it.
+// Crash-restart backoff gates relaunch uniformly across policies: under
+// faults a job still backing off is invisible this round, so Queued is
+// the eligible subset of the queue, and a job enters it when its
+// backoff ends as well as when it enters the queue. Without faults
+// Queued is the queue itself and the jobs that entered since the
+// previous round are its tail: every job queued then is still queued
+// under a QueueSeq at or below the previous mark, and every later entry
+// is stamped above it.
+func (s *state) roundQueue(now float64) []*sched.Job {
+	c := s.changes
+	c.Round++
+	clear(c.Entered) // release the previous round's jobs
+	c.Entered = c.Entered[:0]
+	eligible := s.queued
+	if s.faults != nil {
+		// A job queued under a QueueSeq at or below the mark was in the
+		// previous round's Queued iff its backoff had ended by then:
+		// NextEligibleAt changes only when a crash requeues the job,
+		// which restamps it.
+		eligible = make([]*sched.Job, 0, len(s.queued))
+		for _, j := range s.queued {
+			if j.NextEligibleAt > now {
+				continue
+			}
+			eligible = append(eligible, j)
+			if j.QueueSeq > s.seqMark || j.NextEligibleAt > s.markNow {
+				c.Entered = append(c.Entered, j)
+			}
+		}
+	} else {
+		i := len(s.queued)
+		for i > 0 && s.queued[i-1].QueueSeq > s.seqMark {
+			i--
+		}
+		c.Entered = append(c.Entered, s.queued[i:]...)
+	}
+	s.seqMark, s.markNow = s.queueSeq, now
+	return eligible
 }
 
 // apply executes the policy's assignment: drops, migrations, then the
@@ -673,7 +729,7 @@ func (s *state) migrate(now float64, j *sched.Job) {
 		j.ActualThr = 0
 		j.SlowFactor = 0
 		s.running = removeJob(s.running, j)
-		s.queued = append(s.queued, j)
+		s.enqueue(j)
 		s.invalidate(j)
 		return
 	}
@@ -708,7 +764,7 @@ func (s *state) rescale(now float64, j *sched.Job, target sched.Alloc) {
 			j.Alloc = sched.Alloc{}
 			j.ActualThr = 0
 			s.running = removeJob(s.running, j)
-			s.queued = append(s.queued, j)
+			s.enqueue(j)
 			s.invalidate(j)
 		}
 		return

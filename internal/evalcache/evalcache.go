@@ -22,15 +22,19 @@ type shardKey struct {
 	gpusPerNode int
 }
 
-// stageKey identifies one stage-candidate measurement within a shard.
-// Micro-batch sample counts are keyed by their exact bit pattern so
-// distinct fractional sample sizes never alias. Keeping the key small and
-// string-free matters: on the search hot path the map hash is paid per
-// candidate.
-type stageKey struct {
-	start, end int32
-	dp, tp     int32
-	microBits  uint64
+// shapeKey identifies one stage shape within a shard: every operator
+// range measured under (DP, TP, micro-batch samples). Micro-batch sample
+// counts are keyed by their exact bit pattern so distinct fractional
+// sample sizes never alias.
+type shapeKey struct {
+	dp, tp    int32
+	microBits uint64
+}
+
+// stageSlot is one memoized stage measurement; ok marks a filled slot.
+type stageSlot struct {
+	m  exec.StageMeasure
+	ok bool
 }
 
 // opCtxKey identifies one operator-measurement context within a shard:
@@ -127,19 +131,22 @@ func (c *Cache) sortedShardsLocked() []*StageShard {
 
 // StageShard is the cache's view of one measurement context: a (graph,
 // device, node-packing) triple. A search session resolves its shard once
-// and then pays only a small integer-keyed lookup per candidate. Shards
-// share the parent cache's storage and counters, so reuse still spans
-// searches (full ↔ pruned, every GPU count of a column).
+// and then pays one small map lookup and two slice indexes per candidate.
+// Shards share the parent cache's counters, so reuse still spans searches
+// (full ↔ pruned, every GPU count of a column).
 type StageShard struct {
 	cache *Cache
 	graph *model.Graph
 	spec  hw.GPU
 	gpn   int
 
-	mu    sync.RWMutex
-	m     map[stageKey]exec.StageMeasure
-	ops   map[opCtxKey]*opCtx
-	dirty bool // has measurements the backing store has not seen
+	mu sync.RWMutex
+	// stages is the stage memo: per shape, one row per start op, allocated
+	// on first use and indexed by end−start−1.
+	stages map[shapeKey][][]stageSlot
+	filled int // filled slots across stages
+	ops    map[opCtxKey]*opCtx
+	dirty  bool // has measurements the backing store has not seen
 }
 
 // StageShard returns (creating on first use) the shard for a measurement
@@ -166,8 +173,8 @@ func (c *Cache) StageShard(g *model.Graph, spec hw.GPU, gpusPerNode int) *StageS
 	}
 	sh = &StageShard{
 		cache: c, graph: g, spec: spec, gpn: gpusPerNode,
-		m:   map[stageKey]exec.StageMeasure{},
-		ops: map[opCtxKey]*opCtx{},
+		stages: map[shapeKey][][]stageSlot{},
+		ops:    map[opCtxKey]*opCtx{},
 	}
 	// First resolution of this measurement context: hydrate it from the
 	// backing store (one targeted object read; contexts the session never
@@ -178,24 +185,22 @@ func (c *Cache) StageShard(g *model.Graph, spec hw.GPU, gpusPerNode int) *StageS
 }
 
 // Measure returns the engine's measurement of one stage candidate in this
-// shard's context, computing it at most once per distinct key. Misses
+// shard's context, computing it at most once per distinct key. The stage
+// must lie in the graph: 0 ≤ OpStart < OpEnd ≤ len(Ops), as every
+// validated plan's stages and every search candidate do. Misses
 // assemble the stage from memoized per-operator measurements (the stage
 // loop is pure summation in the engine's own order, so the result is bit
 // identical to a direct MeasureStage), which collapses the search's
 // O(ranges × range-length) kernel measurements to one per distinct
 // operator configuration.
 func (sh *StageShard) Measure(st parallel.StagePlan, microSamples float64) exec.StageMeasure {
-	key := stageKey{
-		start: int32(st.OpStart), end: int32(st.OpEnd),
-		dp: int32(st.DP), tp: int32(st.TP),
-		microBits: math.Float64bits(microSamples),
-	}
+	key := shapeKey{dp: int32(st.DP), tp: int32(st.TP), microBits: math.Float64bits(microSamples)}
 	sh.mu.RLock()
-	m, ok := sh.m[key]
+	slot := sh.slotLocked(key, st.OpStart, st.OpEnd)
 	sh.mu.RUnlock()
-	if ok {
+	if slot.ok {
 		sh.cache.stageHits.Add(1)
-		return m
+		return slot.m
 	}
 	spr := microSamples / float64(st.DP)
 	ctx := sh.opContext(opCtxKey{tp: int32(st.TP), sprBits: math.Float64bits(spr)})
@@ -203,7 +208,7 @@ func (sh *StageShard) Measure(st parallel.StagePlan, microSamples float64) exec.
 	// One lock spans the whole assembly: per-op work inside is either a
 	// slice read or a rare pure computation filling the context in.
 	ctx.mu.Lock()
-	m = eng.MeasureStageFromOps(sh.graph, st, sh.spec, microSamples, sh.gpn, func(i int) exec.OpMeasure {
+	m := eng.MeasureStageFromOps(sh.graph, st, sh.spec, microSamples, sh.gpn, func(i int) exec.OpMeasure {
 		if !ctx.have[i] {
 			ctx.vals[i] = eng.MeasureOp(sh.graph.Ops[i], sh.spec, spr, st.TP, sh.gpn)
 			ctx.have[i] = true
@@ -212,11 +217,43 @@ func (sh *StageShard) Measure(st parallel.StagePlan, microSamples float64) exec.
 	})
 	ctx.mu.Unlock()
 	sh.mu.Lock()
-	sh.m[key] = m
+	sh.storeLocked(key, st.OpStart, st.OpEnd, m)
 	sh.dirty = true
 	sh.mu.Unlock()
 	sh.cache.stageMisses.Add(1)
 	return m
+}
+
+// slotLocked returns the memo slot of ops[start:end) under key, empty
+// when its row was never allocated. The caller holds sh.mu.
+func (sh *StageShard) slotLocked(key shapeKey, start, end int) stageSlot {
+	if rows := sh.stages[key]; rows != nil {
+		if row := rows[start]; row != nil {
+			return row[end-start-1]
+		}
+	}
+	return stageSlot{}
+}
+
+// storeLocked fills the memo slot of ops[start:end) under key unless it
+// is filled already (a concurrent miss computed the same pure value), and
+// reports whether it filled it. The caller holds sh.mu for writing.
+func (sh *StageShard) storeLocked(key shapeKey, start, end int, m exec.StageMeasure) bool {
+	rows := sh.stages[key]
+	if rows == nil {
+		rows = make([][]stageSlot, len(sh.graph.Ops))
+		sh.stages[key] = rows
+	}
+	if rows[start] == nil {
+		rows[start] = make([]stageSlot, len(sh.graph.Ops)-start)
+	}
+	slot := &rows[start][end-start-1]
+	if slot.ok {
+		return false
+	}
+	*slot = stageSlot{m: m, ok: true}
+	sh.filled++
+	return true
 }
 
 // opContext returns (creating on first use) the per-(tp, spr) operator
@@ -314,7 +351,7 @@ func (c *Cache) Len() (stages, plans int) {
 	defer c.mu.RUnlock()
 	for _, sh := range c.shards {
 		sh.mu.RLock()
-		stages += len(sh.m)
+		stages += sh.filled
 		sh.mu.RUnlock()
 	}
 	return stages, len(c.plans)

@@ -45,8 +45,10 @@ const evalDomain = "eval"
 
 // ErrStale marks a store object whose payload identity does not match the
 // context it was looked up for — a hash-keyed file whose content belongs
-// elsewhere. (Ordinary definition drift never produces ErrStale: drifted
-// inputs derive a different key, so the old object is simply not found.)
+// elsewhere — or whose op indexes or stage ranges fall outside the
+// context's graph. (Ordinary definition drift never produces ErrStale:
+// drifted inputs derive a different key, so the old object is simply not
+// found.)
 var ErrStale = errors.New("evalcache: store object is stale")
 
 // shardDump is the serializable content of one measurement context.
@@ -61,7 +63,8 @@ type shardDump struct {
 	Plans  []planEntry  `json:"plans,omitempty"`
 }
 
-// stageEntry flattens one stageKey → StageMeasure memo row. The
+// stageEntry flattens one filled slot of the stage memo: the op range
+// [Start, End) under the shape (DP, TP, micro-batch samples). The
 // micro-batch sample count travels as its exact bit pattern, like the
 // in-memory key.
 type stageEntry struct {
@@ -204,6 +207,14 @@ func (c *Cache) loadShardLocked(sh *StageShard) {
 		return
 	}
 	numOps := len(sh.graph.Ops)
+	for _, e := range d.Stages {
+		if e.Start < 0 || e.End <= e.Start || int(e.End) > numOps {
+			c.loadStats.Skipped = append(c.loadStats.Skipped,
+				fmt.Errorf("%w: object %s: stage [%d, %d) out of range for %s (%d ops)",
+					ErrStale, key, e.Start, e.End, sh.graph.Name, numOps))
+			return
+		}
+	}
 	for _, oc := range d.OpCtxs {
 		for _, op := range oc.Ops {
 			if op.Index < 0 || op.Index >= numOps {
@@ -218,9 +229,7 @@ func (c *Cache) loadShardLocked(sh *StageShard) {
 	added := LoadStats{Shards: 1}
 	sh.mu.Lock()
 	for _, e := range d.Stages {
-		k := stageKey{start: e.Start, end: e.End, dp: e.DP, tp: e.TP, microBits: e.MicroBits}
-		if _, ok := sh.m[k]; !ok {
-			sh.m[k] = e.M
+		if sh.storeLocked(shapeKey{dp: e.DP, tp: e.TP, microBits: e.MicroBits}, int(e.Start), int(e.End), e.M) {
 			added.Stages++
 		}
 	}
@@ -313,10 +322,16 @@ func (sh *StageShard) dumpLocked(seed uint64) shardDump {
 	d := shardDump{
 		Seed: seed, Graph: sh.graph.Name, GPU: sh.spec.Name, GPUsPerNode: sh.gpn,
 	}
-	for k, m := range sh.m {
-		d.Stages = append(d.Stages, stageEntry{
-			Start: k.start, End: k.end, DP: k.dp, TP: k.tp, MicroBits: k.microBits, M: m,
-		})
+	for k, rows := range sh.stages {
+		for start, row := range rows {
+			for i, slot := range row {
+				if slot.ok {
+					d.Stages = append(d.Stages, stageEntry{
+						Start: int32(start), End: int32(start + i + 1), DP: k.dp, TP: k.tp, MicroBits: k.microBits, M: slot.m,
+					})
+				}
+			}
+		}
 	}
 	sort.Slice(d.Stages, func(i, j int) bool {
 		a, b := d.Stages[i], d.Stages[j]

@@ -3,6 +3,7 @@ package evalcache
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -260,6 +261,61 @@ func TestStoreTruncatedObject(t *testing.T) {
 	c3.MeasureStage(g, stages[0], spec, 16, 0)
 	if s := c3.Stats(); s.StageMisses != 0 {
 		t.Fatal("repaired store should serve hits")
+	}
+}
+
+// TestStoreRejectsOutOfRangeStages verifies hydration range-checks stage
+// entries: an object holding a stage that starts before op 0, ends at or
+// before its start, or ends past the graph is refused whole as ErrStale,
+// without a panic, and the session re-measures.
+func TestStoreRejectsOutOfRangeStages(t *testing.T) {
+	g := model.MustBuildClustered("GPT-1.3B")
+	spec := hw.MustLookup("A40")
+	ops := int32(len(g.Ops))
+	valid := parallel.StagePlan{OpStart: 0, OpEnd: 3, DP: 2, TP: 1}
+	for _, tc := range []struct {
+		name       string
+		start, end int32
+	}{
+		{"start < 0", -1, 2},
+		{"end <= start", 3, 3},
+		{"end > ops", 1, ops + 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := store.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := exec.NewEngine(42)
+			m := eng.MeasureStage(g, valid, spec, 16, spec.GPUsPerNode)
+			dump := shardDump{
+				Seed: eng.Seed(), Graph: g.Name, GPU: spec.Name, GPUsPerNode: spec.GPUsPerNode,
+				Stages: []stageEntry{
+					{Start: 0, End: 3, DP: 2, TP: 1, MicroBits: math.Float64bits(16), M: m},
+					{Start: tc.start, End: tc.end, DP: 2, TP: 1, MicroBits: math.Float64bits(16), M: m},
+				},
+			}
+			key := shardStoreKey(EngineFingerprint(eng), GraphFingerprint(g), GPUFingerprint(spec), spec.GPUsPerNode)
+			if err := st.Put(evalDomain, key, dump); err != nil {
+				t.Fatal(err)
+			}
+
+			c := New(eng)
+			c.AttachStore(st)
+			if got := c.MeasureStage(g, valid, spec, 16, 0); got != m {
+				t.Fatalf("re-measured %+v, want %+v", got, m)
+			}
+			stats := c.StoreStats()
+			if len(stats.Skipped) != 1 || !errors.Is(stats.Skipped[0], ErrStale) {
+				t.Fatalf("want one ErrStale skip, got %v", stats.Skipped)
+			}
+			if stats.Shards != 0 || stats.Stages != 0 {
+				t.Fatalf("refused object partly restored: %+v", stats)
+			}
+			if s := c.Stats(); s.StageMisses != 1 || s.StageHits != 0 {
+				t.Fatalf("stats %+v, want the valid stage re-measured", s)
+			}
+		})
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"slices"
@@ -389,34 +390,254 @@ func TestSearchPlannerDPParity(t *testing.T) {
 	}
 }
 
+// retiredCompose is the compose DP as it ran before the reachable-cell
+// restriction and the run reduction: the full (deg+1)×(numOps+1)×(n+1)
+// table over every admitted candidate, unset cells infinite.
+// TestComposeMatchesRetired holds composeScratch.compose to it bound for
+// bound.
+func retiredCompose(cands []stageCand, numOps, deg, n int, tmax float64) ([]parallel.StagePlan, float64) {
+	const inf = math.MaxFloat64
+	idx := func(k, start, g int) int { return (k*(numOps+1)+start)*(n+1) + g }
+	size := (deg + 1) * (numOps + 1) * (n + 1)
+	cost := make([]float64, size)
+	for i := range cost {
+		cost[i] = inf
+	}
+	cand := make([]*stageCand, size)
+	byStart := make([][]*stageCand, numOps)
+	for i := range cands {
+		c := &cands[i]
+		if c.time <= tmax {
+			byStart[c.start] = append(byStart[c.start], c)
+		}
+	}
+	cost[idx(0, numOps, 0)] = 0
+	for k := 1; k <= deg; k++ {
+		for start := numOps - 1; start >= 0; start-- {
+			for _, c := range byStart[start] {
+				for g := c.gpus; g <= n; g++ {
+					rest := cost[idx(k-1, c.end, g-c.gpus)]
+					if rest == inf {
+						continue
+					}
+					total := c.time + rest
+					if i := idx(k, start, g); total < cost[i] {
+						cost[i], cand[i] = total, c
+					}
+				}
+			}
+		}
+	}
+	if cost[idx(deg, 0, n)] == inf {
+		return nil, 0
+	}
+	stages := make([]parallel.StagePlan, 0, deg)
+	var bottleneck float64
+	start, g := 0, n
+	for k := deg; k >= 1; k-- {
+		c := cand[idx(k, start, g)]
+		if c == nil {
+			return nil, 0
+		}
+		stages = append(stages, parallel.StagePlan{OpStart: c.start, OpEnd: c.end, DP: c.dp, TP: c.tp})
+		if c.time > bottleneck {
+			bottleneck = c.time
+		}
+		start, g = c.end, g-c.gpus
+	}
+	if start != numOps || g != 0 {
+		return nil, 0
+	}
+	return stages, bottleneck
+}
+
+// composeTable draws a random subset of every stage candidate a
+// deg-stage, n-GPU search enumerates, in enumeration order, keeping each
+// with probability keep and giving it latency(start, end, gpus).
+func composeTable(r *rng.SplitMix64, numOps, deg, n int, keep float64, latency func(start, end, gpus int) float64) []stageCand {
+	var cands []stageCand
+	for start := 0; start < numOps; start++ {
+		for end := start + 1; end <= numOps; end++ {
+			for gpus := 1; gpus <= n-(deg-1); gpus *= 2 {
+				for tp := 1; tp <= gpus; tp *= 2 {
+					if r.Float64() >= keep {
+						continue
+					}
+					cands = append(cands, stageCand{
+						start: start, end: end, gpus: gpus, dp: gpus / tp, tp: tp,
+						time: latency(start, end, gpus),
+					})
+				}
+			}
+		}
+	}
+	return cands
+}
+
+// distinctLatency draws candidate latencies proportional to work per GPU
+// with jitter, never repeating one, as engine measurements do.
+func distinctLatency(r *rng.SplitMix64) func(start, end, gpus int) float64 {
+	seen := map[float64]bool{}
+	return func(start, end, gpus int) float64 {
+		tm := r.Range(0.5, 2) * float64(end-start) / float64(gpus)
+		for seen[tm] {
+			tm = r.Range(0.5, 2) * float64(end-start) / float64(gpus)
+		}
+		seen[tm] = true
+		return tm
+	}
+}
+
+// boundLists returns the three ascending bound lists the compose tests
+// run: 24 quantiles as the search draws them, every candidate latency,
+// and 24 random bounds between the extreme latencies (so the lowest bound
+// is not always the fastest candidate's).
+func boundLists(r *rng.SplitMix64, cands []stageCand) [][]float64 {
+	all := latencyQuantiles(nil, cands, len(cands))
+	var random []float64
+	if len(all) > 0 {
+		for range 24 {
+			random = append(random, r.Range(all[0], all[len(all)-1]))
+		}
+		slices.Sort(random)
+	}
+	return [][]float64{latencyQuantiles(nil, cands, 24), all, slices.Compact(random)}
+}
+
+// edgeTable is a degenerate candidate table and the number of bounds of
+// boundLists it must find feasible.
+type edgeTable struct {
+	name           string
+	numOps, deg, n int
+	cands          []stageCand
+	feasible       int
+}
+
+// edgeTables returns the degenerate tables both compose tests run.
+// All-infeasible: no candidate starts at op 0, or the GPU counts can
+// never add up to n. Single-candidate: one stage covering the graph on
+// all n GPUs is feasible under its own latency (once per bound list);
+// one covering part of it never is.
+func edgeTables(r *rng.SplitMix64) []edgeTable {
+	full := composeTable(r, 6, 2, 8, 1, distinctLatency(r))
+	var noStart, tooFew []stageCand
+	for _, c := range full {
+		if c.start > 0 {
+			noStart = append(noStart, c)
+		}
+		if c.gpus == 1 {
+			tooFew = append(tooFew, c)
+		}
+	}
+	return []edgeTable{
+		{"no stage at op 0", 6, 2, 8, noStart, 0},
+		{"GPUs short of n", 6, 2, 8, tooFew, 0},
+		{"single whole-graph candidate", 4, 1, 4, []stageCand{{start: 0, end: 4, gpus: 4, dp: 2, tp: 2, time: 1.5}}, 3},
+		{"single partial candidate", 4, 1, 4, []stageCand{{start: 0, end: 3, gpus: 4, dp: 4, tp: 1, time: 1.5}}, 0},
+	}
+}
+
+// TestComposeMatchesRetired checks the compose DP, restricted to
+// reachable cells over the candidates no earlier shape of their run
+// dominates, against retiredCompose on every bound: the same stages and
+// the same bottleneck bits. One scratch serves every table, as one
+// session's serves every degree. Besides random tables with distinct
+// latencies it runs tables full of exact ties within and across runs,
+// and tables whose totals tie only after rounding (1e16 plus stage
+// latencies below its spacing), where the first of the tied shapes must
+// still win; plus all-infeasible and single-candidate tables.
+func TestComposeMatchesRetired(t *testing.T) {
+	r := rng.New(11)
+	var scr composeScratch
+	check := func(name string, numOps, deg, n int, cands []stageCand) (feasible int) {
+		t.Helper()
+		scr.load(cands, numOps, deg, n)
+		for _, bounds := range boundLists(r, cands) {
+			for i, b := range bounds {
+				got, gotB := scr.compose(deg, b)
+				want, wantB := retiredCompose(cands, numOps, deg, n, b)
+				if !reflect.DeepEqual(got, want) || math.Float64bits(gotB) != math.Float64bits(wantB) {
+					t.Fatalf("%s: bound %d (%g): compose %v (bottleneck %g), retired DP %v (bottleneck %g)",
+						name, i, b, got, gotB, want, wantB)
+				}
+				if want != nil {
+					feasible++
+				}
+			}
+		}
+		return feasible
+	}
+
+	tied := func(start, end, gpus int) float64 { return float64(1 + r.Intn(3)) }
+	rounded := func(start, end, gpus int) float64 {
+		if r.Float64() < 0.5 {
+			return 1e16 + 2*float64(r.Intn(3))
+		}
+		return 0.5 * float64(1+r.Intn(4))
+	}
+	for _, kind := range []struct {
+		name    string
+		trials  int
+		latency func(start, end, gpus int) float64
+	}{
+		{"distinct", 600, distinctLatency(r)},
+		{"tied", 400, tied},
+		{"rounded", 400, rounded},
+	} {
+		var feasible int
+		for trial := 0; trial < kind.trials; trial++ {
+			numOps, n := 1+r.Intn(8), 1<<r.Intn(5)
+			deg := 1 + r.Intn(min(n, numOps, core.MaxPipelineDegree))
+			feasible += check(fmt.Sprintf("%s trial %d (ops=%d deg=%d n=%d)", kind.name, trial, numOps, deg, n),
+				numOps, deg, n, composeTable(r, numOps, deg, n, r.Range(0.2, 1), kind.latency))
+		}
+		if feasible == 0 {
+			t.Fatalf("%s tables: no feasible bound", kind.name)
+		}
+	}
+
+	// A rounding tie the retired DP breaks by order: the first stage's two
+	// 2-GPU shapes add 1 and 0.5 to the second stage's 1e16, and both sums
+	// round to 1e16. The earlier, slower {0 1 2 1} wins; keeping only the
+	// fastest shape of each run would pick {0 1 1 2}.
+	roundTie := []stageCand{
+		{start: 0, end: 1, gpus: 2, dp: 2, tp: 1, time: 1},
+		{start: 0, end: 1, gpus: 2, dp: 1, tp: 2, time: 0.5},
+		{start: 1, end: 2, gpus: 2, dp: 2, tp: 1, time: 1e16},
+	}
+	if f := check("rounding tie", 2, 2, 4, roundTie); f == 0 {
+		t.Fatal("rounding tie: no feasible bound")
+	}
+	if got, _ := retiredCompose(roundTie, 2, 2, 4, 1e16); len(got) == 0 || got[0] != (parallel.StagePlan{OpStart: 0, OpEnd: 1, DP: 2, TP: 1}) {
+		t.Fatalf("rounding tie: retired DP picked %v, want the earlier shape first", got)
+	}
+
+	for _, e := range edgeTables(r) {
+		if f := check(e.name, e.numOps, e.deg, e.n, e.cands); f != e.feasible {
+			t.Errorf("%s: %d bounds feasible, want %d", e.name, f, e.feasible)
+		}
+	}
+}
+
 // TestComposeBoundsMatchesPerBound checks composeBounds' interval
-// collapse against the DP runs it skips: composeScratch once per bound,
-// each on a fresh table. The candidate tables are random with distinct
-// latencies, which engine jitter guarantees for measured candidates, and
-// include all-infeasible and single-candidate tables.
+// collapse against the DP runs it skips: compose once per bound, each on
+// a fresh scratch. The candidate tables are random with distinct
+// latencies, which engine jitter guarantees for measured candidates (the
+// collapse is exact only for unique optima), plus the edge tables.
 func TestComposeBoundsMatchesPerBound(t *testing.T) {
 	r := rng.New(7)
-	// check compares both on three ascending bound lists: 24 quantiles as
-	// the search draws them, every candidate latency, and 24 random
-	// bounds between the extreme latencies (so the lowest bound is not
-	// always the fastest candidate's). It reports how many bounds were
-	// feasible and how many distinct plans they produced.
+	// check reports how many bounds were feasible and how many distinct
+	// plans they produced.
 	check := func(name string, numOps, deg, n int, cands []stageCand) (feasible, plans int) {
 		t.Helper()
 		s := &searcher{graph: &model.Graph{Ops: make([]model.Op, numOps)}}
-		all := latencyQuantiles(cands, len(cands))
-		var random []float64
-		if len(all) > 0 {
-			for range 24 {
-				random = append(random, r.Range(all[0], all[len(all)-1]))
-			}
-			slices.Sort(random)
-		}
 		distinct := map[string]bool{}
-		for _, bounds := range [][]float64{latencyQuantiles(cands, 24), all, slices.Compact(random)} {
+		for _, bounds := range boundLists(r, cands) {
 			got := s.composeBounds(cands, deg, n, bounds)
 			for i, b := range bounds {
-				want, _ := s.composeScratch(cands, deg, n, b, newComposeScratch(numOps, deg, n))
+				var fresh composeScratch
+				fresh.load(cands, numOps, deg, n)
+				want, _ := fresh.compose(deg, b)
 				if !reflect.DeepEqual(got[i], want) {
 					t.Fatalf("%s: bound %d (%g): composeBounds %v, per-bound DP %v", name, i, b, got[i], want)
 				}
@@ -428,40 +649,13 @@ func TestComposeBoundsMatchesPerBound(t *testing.T) {
 		}
 		return feasible, len(distinct)
 	}
-	// table draws a random subset of every stage candidate a deg-stage,
-	// n-GPU search enumerates, keeping each with probability keep.
-	table := func(numOps, deg, n int, keep float64) []stageCand {
-		seen := map[float64]bool{}
-		var cands []stageCand
-		for start := 0; start < numOps; start++ {
-			for end := start + 1; end <= numOps; end++ {
-				for gpus := 1; gpus <= n-(deg-1); gpus *= 2 {
-					for tp := 1; tp <= gpus; tp *= 2 {
-						if r.Float64() >= keep {
-							continue
-						}
-						tm := r.Range(0.5, 2) * float64(end-start) / float64(gpus)
-						for seen[tm] {
-							tm = r.Range(0.5, 2) * float64(end-start) / float64(gpus)
-						}
-						seen[tm] = true
-						cands = append(cands, stageCand{
-							start: start, end: end, gpus: gpus, dp: gpus / tp, tp: tp,
-							time: tm,
-						})
-					}
-				}
-			}
-		}
-		return cands
-	}
 
 	var feasible, multi int
 	for trial := 0; trial < 1000; trial++ {
 		numOps, n := 1+r.Intn(8), 1<<r.Intn(5)
 		deg := 1 + r.Intn(min(n, numOps, core.MaxPipelineDegree))
 		f, plans := check(fmt.Sprintf("trial %d (ops=%d deg=%d n=%d)", trial, numOps, deg, n),
-			numOps, deg, n, table(numOps, deg, n, r.Range(0.2, 1)))
+			numOps, deg, n, composeTable(r, numOps, deg, n, r.Range(0.2, 1), distinctLatency(r)))
 		feasible += f
 		if plans > 1 {
 			multi++
@@ -470,38 +664,9 @@ func TestComposeBoundsMatchesPerBound(t *testing.T) {
 	if feasible == 0 || multi == 0 {
 		t.Fatalf("random tables exercised too little: %d feasible bounds, %d tables with several plans", feasible, multi)
 	}
-
-	// All-infeasible tables: no candidate starts at op 0, or the GPU
-	// counts can never add up to n.
-	var noStart []stageCand
-	for _, c := range table(6, 2, 8, 1) {
-		if c.start > 0 {
-			noStart = append(noStart, c)
+	for _, e := range edgeTables(r) {
+		if f, _ := check(e.name, e.numOps, e.deg, e.n, e.cands); f != e.feasible {
+			t.Errorf("%s: %d bounds feasible, want %d", e.name, f, e.feasible)
 		}
-	}
-	var tooFew []stageCand
-	for _, c := range table(6, 2, 8, 1) {
-		if c.gpus == 1 {
-			tooFew = append(tooFew, c)
-		}
-	}
-	for _, tc := range []struct {
-		name  string
-		cands []stageCand
-	}{{"no stage at op 0", noStart}, {"GPUs short of n", tooFew}} {
-		if f, _ := check(tc.name, 6, 2, 8, tc.cands); f != 0 {
-			t.Errorf("%s: %d bounds feasible, want none", tc.name, f)
-		}
-	}
-
-	// Single-candidate tables: one stage covering the graph on all n GPUs
-	// is feasible under its own latency; one covering part of it never is.
-	whole := []stageCand{{start: 0, end: 4, gpus: 4, dp: 2, tp: 2, time: 1.5}}
-	if f, _ := check("single whole-graph candidate", 4, 1, 4, whole); f != 3 {
-		t.Errorf("single whole-graph candidate: %d bounds feasible, want 3 (one per bound list)", f)
-	}
-	part := []stageCand{{start: 0, end: 3, gpus: 4, dp: 4, tp: 1, time: 1.5}}
-	if f, _ := check("single partial candidate", 4, 1, 4, part); f != 0 {
-		t.Errorf("single partial candidate: %d bounds feasible, want none", f)
 	}
 }

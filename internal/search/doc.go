@@ -27,4 +27,21 @@
 // degree searched. TestSearchMatrixDigest pins the outcomes across the
 // default workload mix to a digest recorded from the retired serial
 // uncached search while both paths ran and agreed.
+//
+// The compose DP does only the work that can change its answer. Per
+// degree it first drops every candidate that an earlier shape of its run
+// (same start, end and GPU count) matches or beats on latency: under any
+// bound that admits it the earlier shape is admitted too, costs no more
+// in every cell by monotone float addition, and keeps a tie by coming
+// first. Only the fastest shape of a run is not enough: an earlier,
+// slower shape can tie it once rounded into a large total, and the full
+// table then picks the earlier one. The bounds the DP runs under are
+// still drawn from every candidate's latency. Per bound it then fills
+// only the cells that can reach its answer and can be finite: a stage
+// covers at least one op and one GPU, which confines level k of a
+// deg-stage DP to starts in [deg−k, numOps−k] and GPU counts in
+// [k, n−(deg−k)]. Its buffers live on the search session and every
+// degree reuses them. TestComposeMatchesRetired holds the DP to a copy
+// of the full-table DP it replaced, bound for bound, on random tables
+// and on exact and rounding ties.
 package search

@@ -106,8 +106,8 @@ const prunedSearchBaseSeconds = 90.0
 // with partition-imbalance and composition-matching pruning derived from
 // the planner's Pareto frontier. Sharing one cache between the full and
 // pruned searches of a point reuses every overlapping stage measurement.
-// When ctx is cancelled the search stops within one scheduling quantum of
-// its worker pool and returns ctx.Err() with a zero Outcome.
+// When ctx is cancelled the search stops as FullSearchCtx does and returns
+// ctx.Err() with a zero Outcome.
 func PrunedSearchCtx(ctx context.Context, eng *exec.Engine, g *model.Graph, spec hw.GPU, globalBatch, n int, gp *planner.GridPlan, opts Options) (Outcome, error) {
 	if gp == nil || !gp.Feasible || gp.Proxy == nil {
 		return Outcome{}, fmt.Errorf("search: pruned search needs a feasible grid plan")

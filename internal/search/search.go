@@ -95,6 +95,12 @@ type searcher struct {
 
 	stageEvals int
 	err        error // sticky cancellation error (always ctx.Err())
+
+	// Per-degree buffers: every degree of the session reuses them.
+	jobs  []parallel.StagePlan
+	cands []stageCand
+	times []float64
+	scr   composeScratch
 }
 
 // evaluate measures a composed plan end to end through the session cache.
@@ -106,8 +112,9 @@ func (s *searcher) evaluate(plan *parallel.Plan) (exec.Result, error) {
 // GPUs of the given type: every pipeline degree, every contiguous
 // partition, every power-of-two GPU assignment and intra-stage shape —
 // the Alpa workflow. It returns the best measured plan. When ctx is
-// cancelled the search stops within one scheduling quantum of its worker
-// pool and returns ctx.Err() with a zero Outcome.
+// cancelled the search stops once its workers finish the candidates they
+// hold (a worker takes a few percent of a degree's candidates at a time)
+// and returns ctx.Err() with a zero Outcome.
 func FullSearchCtx(ctx context.Context, eng *exec.Engine, g *model.Graph, spec hw.GPU, globalBatch, n int, opts Options) (Outcome, error) {
 	if n < 1 {
 		return Outcome{}, fmt.Errorf("search: n=%d", n)
@@ -178,8 +185,8 @@ func (s *searcher) searchDegree(deg, n int, restrict *Restriction) Outcome {
 	// Bottleneck-bounded composition: enumerate t_max candidates from the
 	// profiled latency distribution, DP-compose minimal-total pipelines
 	// under each bound, measure the distinct results end-to-end.
-	bounds := latencyQuantiles(cands, 24)
-	composed := s.composeBounds(cands, deg, n, bounds)
+	s.times = latencyQuantiles(s.times[:0], cands, 24)
+	composed := s.composeBounds(cands, deg, n, s.times)
 	seen := map[string]bool{}
 	var out Outcome
 	for _, stages := range composed {
@@ -215,7 +222,8 @@ func (s *searcher) searchDegree(deg, n int, restrict *Restriction) Outcome {
 
 // profileStageCandidates profiles every (range, gpus, dp, tp) stage
 // candidate valid for a deg-stage pipeline of n GPUs, applying the
-// restriction's range and shape pruning when present.
+// restriction's range and shape pruning when present. The returned slice
+// is the session's buffer, valid until the next degree.
 //
 // Enumeration, cost accounting and memory feasibility run serially (they
 // are cheap and deterministic); the expensive engine measurements then fan
@@ -224,7 +232,7 @@ func (s *searcher) searchDegree(deg, n int, restrict *Restriction) Outcome {
 func (s *searcher) profileStageCandidates(deg, n, numMicro int, restrict *Restriction) []stageCand {
 	numOps := len(s.graph.Ops)
 	microSamples := float64(s.globalBatch) / float64(numMicro)
-	var jobs []parallel.StagePlan
+	jobs := s.jobs[:0]
 	for start := 0; start < numOps; start++ {
 		for end := start + 1; end <= numOps; end++ {
 			// A stage of a deg-pipeline must leave ≥ start ops before and
@@ -254,16 +262,32 @@ func (s *searcher) profileStageCandidates(deg, n, numMicro int, restrict *Restri
 			}
 		}
 	}
+	s.jobs = jobs
 
-	cands := make([]stageCand, len(jobs))
-	if err := core.ParallelForCtx(s.ctx, len(jobs), s.workers, func(i int) {
+	cands := slices.Grow(s.cands[:0], len(jobs))[:len(jobs)]
+	s.cands = cands
+	measure := func(i int) {
 		st := jobs[i]
 		m := s.shard.Measure(st, microSamples)
 		cands[i] = stageCand{
 			start: st.OpStart, end: st.OpEnd, gpus: st.GPUs(), dp: st.DP, tp: st.TP,
 			time: m.Time(),
 		}
-	}); err != nil {
+	}
+	var err error
+	if s.workers <= 1 {
+		err = core.ParallelForCtx(s.ctx, len(jobs), 1, measure)
+	} else {
+		// A pool handoff costs more than a memo hit, so each worker takes
+		// candidates in chunks: about four per worker and degree.
+		chunk := max(1, len(jobs)/(4*s.workers))
+		err = core.ParallelForCtx(s.ctx, (len(jobs)+chunk-1)/chunk, s.workers, func(k int) {
+			for i := k * chunk; i < min((k+1)*chunk, len(jobs)); i++ {
+				measure(i)
+			}
+		})
+	}
+	if err != nil {
 		s.err = err
 		return nil
 	}
@@ -271,29 +295,27 @@ func (s *searcher) profileStageCandidates(deg, n, numMicro int, restrict *Restri
 }
 
 // latencyQuantiles returns up to k representative bottleneck bounds drawn
-// from the candidate latency distribution. The result is deduplicated:
-// identical bounds would DP-compose identical pipelines, so repeats only
-// waste compose work.
-func latencyQuantiles(cands []stageCand, k int) []float64 {
-	times := make([]float64, 0, len(cands))
+// from the latency distribution of every candidate, in dst's storage. The
+// result is deduplicated: identical bounds would DP-compose identical
+// pipelines, so repeats only waste compose work.
+func latencyQuantiles(dst []float64, cands []stageCand, k int) []float64 {
+	times := dst[:0]
 	for _, c := range cands {
 		times = append(times, c.time)
 	}
 	sort.Float64s(times)
-	var out []float64
-	if len(times) <= k {
-		out = times
-	} else {
-		out = make([]float64, 0, k)
+	if len(times) > k {
+		// Quantile i reads index (len-1)·i/(k-1) ≥ i, so writing it in
+		// place at i never clobbers a later read.
 		for i := 0; i < k; i++ {
-			idx := (len(times) - 1) * i / (k - 1)
-			out = append(out, times[idx])
+			times[i] = times[(len(times)-1)*i/(k-1)]
 		}
+		times = times[:k]
 	}
-	return slices.Compact(out)
+	return slices.Compact(times)
 }
 
-// composeBounds returns composeScratch's result for every bound, running
+// composeBounds returns the compose DP's result for every bound, running
 // the DP only once per distinct outcome. It relies on admitted-set
 // monotonicity: the candidates admitted under bound t are a subset of
 // those admitted under t' ≥ t, so the optimum under t' whose own
@@ -310,13 +332,14 @@ func latencyQuantiles(cands []stageCand, k int) []float64 {
 // this against exactly that reference.
 func (s *searcher) composeBounds(cands []stageCand, deg, n int, bounds []float64) [][]parallel.StagePlan {
 	results := make([][]parallel.StagePlan, len(bounds))
-	scr := newComposeScratch(len(s.graph.Ops), deg, n)
+	scr := &s.scr
+	scr.load(cands, len(s.graph.Ops), deg, n)
 	var solve func(lo, hi int)
 	solve = func(lo, hi int) {
 		if lo > hi {
 			return
 		}
-		stages, bottleneck := s.composeScratch(cands, deg, n, bounds[hi], scr)
+		stages, bottleneck := scr.compose(deg, bounds[hi])
 		if stages == nil {
 			return // every bound ≤ bounds[hi] is infeasible too
 		}
@@ -330,25 +353,56 @@ func (s *searcher) composeBounds(cands []stageCand, deg, n int, bounds []float64
 	return results
 }
 
-// composeScratch is the compose DP's reusable flat table: cells carry an
-// epoch stamp instead of being reallocated and cleared per bound.
+// composeScratch holds the compose DP's buffers. A search session keeps
+// one and every bound and degree reuses it; load prepares it for one
+// degree's candidates.
 type composeScratch struct {
 	numOps, n int
-	cost      []float64
-	cand      []*stageCand
-	stamp     []uint32
-	epoch     uint32
+	cells     []composeCell // cell (k, start, g) at (k·(numOps+1)+start)·(n+1)+g
+	reduced   []stageCand
 	byStart   [][]*stageCand
 }
 
-func newComposeScratch(numOps, deg, n int) *composeScratch {
+// composeCell is one DP cell: the minimal total latency and the first
+// candidate that reaches it.
+type composeCell struct {
+	cost float64
+	c    *stageCand
+}
+
+// load sizes scr for deg-stage pipelines of n GPUs over numOps ops and
+// files the candidates the DP can pick, grouped by start op in
+// candidate order.
+//
+// A candidate is dropped when an earlier candidate of its run — the
+// candidates sharing (start, end, gpus), contiguous in enumeration order —
+// matches or beats its latency. That candidate never wins a cell: any
+// bound admitting it admits the earlier one; both read the same rest
+// cell, so by monotone float addition the earlier one costs no more in
+// every cell; and the strict-< update lets the earlier one keep a tie.
+// Keeping only the fastest shape of each run would not be exact: an
+// earlier, slower shape can tie it once rounded into a large total, and
+// then the earlier shape wins.
+func (scr *composeScratch) load(cands []stageCand, numOps, deg, n int) {
+	scr.numOps, scr.n = numOps, n
 	size := (deg + 1) * (numOps + 1) * (n + 1)
-	return &composeScratch{
-		numOps: numOps, n: n,
-		cost:    make([]float64, size),
-		cand:    make([]*stageCand, size),
-		stamp:   make([]uint32, size),
-		byStart: make([][]*stageCand, numOps),
+	scr.cells = slices.Grow(scr.cells[:0], size)[:size]
+	reduced := scr.reduced[:0]
+	for _, c := range cands {
+		if k := len(reduced) - 1; k >= 0 && reduced[k].start == c.start && reduced[k].end == c.end &&
+			reduced[k].gpus == c.gpus && reduced[k].time <= c.time {
+			continue // kept latencies strictly fall along a run: reduced[k] is its fastest so far
+		}
+		reduced = append(reduced, c)
+	}
+	scr.reduced = reduced
+	scr.byStart = slices.Grow(scr.byStart[:0], numOps)[:numOps]
+	for i := range scr.byStart {
+		scr.byStart[i] = scr.byStart[i][:0]
+	}
+	for i := range reduced {
+		c := &reduced[i]
+		scr.byStart[c.start] = append(scr.byStart[c.start], c)
 	}
 }
 
@@ -356,55 +410,66 @@ func (scr *composeScratch) idx(k, start, g int) int {
 	return (k*(scr.numOps+1)+start)*(scr.n+1) + g
 }
 
-// composeScratch runs the inter-operator DP on scr: split ops into
-// exactly deg stages over exactly n GPUs minimizing total per-microbatch
-// latency subject to every stage ≤ tmax. It returns the stage sequence
-// and its bottleneck (the slowest stage's latency), or nil when
-// infeasible. Cell (k, start, g) holds the minimal total latency covering
-// ops[start:] with exactly k stages using exactly g GPUs.
-func (s *searcher) composeScratch(cands []stageCand, deg, n int, tmax float64, scr *composeScratch) ([]parallel.StagePlan, float64) {
-	numOps := len(s.graph.Ops)
+// compose runs the inter-operator DP over the loaded candidates: split
+// ops into exactly deg stages over exactly n GPUs minimizing total
+// per-microbatch latency subject to every stage ≤ tmax. It returns the
+// stage sequence and its bottleneck (the slowest stage's latency), or nil
+// when infeasible. Cell (k, start, g) holds the minimal total latency
+// covering ops[start:] with exactly k stages using exactly g GPUs.
+//
+// Only cells that can reach the answer (deg, 0, n) and can be finite are
+// computed. Every stage covers at least one op and one GPU, so level
+// k < deg needs start in [deg−k, numOps−k] and g in [k, n−(deg−k)], and
+// a candidate there needs end ≤ numOps−(k−1) and g ≥ gpus+(k−1) to leave
+// room for the k−1 stages behind it; level 1 takes only candidates ending
+// at numOps, at g = gpus; level deg is the single cell (0, n). Each
+// computed cell follows the full table's recurrence, candidate order and
+// strict-< tie-break, so its value is bit-identical to it, and every cell
+// it reads lies in the computed region of the level below.
+// TestComposeMatchesRetired checks this against a copy of the full-table
+// DP.
+func (scr *composeScratch) compose(deg int, tmax float64) ([]parallel.StagePlan, float64) {
+	numOps, n := scr.numOps, scr.n
 	const inf = math.MaxFloat64
-	scr.epoch++
-	byStart := scr.byStart
-	for i := range byStart {
-		byStart[i] = byStart[i][:0]
-	}
-	for i := range cands {
-		c := &cands[i]
-		if c.time <= tmax {
-			byStart[c.start] = append(byStart[c.start], c)
-		}
-	}
-	get := func(k, start, g int) (float64, *stageCand) {
-		i := scr.idx(k, start, g)
-		if scr.stamp[i] != scr.epoch {
-			return inf, nil
-		}
-		return scr.cost[i], scr.cand[i]
-	}
-	set := func(k, start, g int, cost float64, c *stageCand) {
-		i := scr.idx(k, start, g)
-		scr.cost[i], scr.cand[i], scr.stamp[i] = cost, c, scr.epoch
-	}
-	set(0, numOps, 0, 0, nil)
+	cells := scr.cells
+	cells[scr.idx(0, numOps, 0)] = composeCell{}
 	for k := 1; k <= deg; k++ {
-		for start := numOps - 1; start >= 0; start-- {
-			for _, c := range byStart[start] {
-				for g := c.gpus; g <= n; g++ {
-					rest, _ := get(k-1, c.end, g-c.gpus)
-					if rest == inf {
+		startLo, startHi := deg-k, numOps-k
+		gLo, gHi := k, n-(deg-k)
+		if k == deg {
+			startHi, gLo = 0, n
+		}
+		endMax := numOps - (k - 1)
+		for start := startHi; start >= startLo; start-- {
+			row := scr.idx(k, start, 0)
+			for g := gLo; g <= gHi; g++ {
+				cells[row+g] = composeCell{cost: inf}
+			}
+			for _, c := range scr.byStart[start] {
+				if c.time > tmax || c.end > endMax {
+					continue
+				}
+				lo, hi := max(gLo, c.gpus+k-1), gHi
+				if k == 1 {
+					if c.end != numOps {
 						continue
 					}
-					total := c.time + rest
-					if cur, _ := get(k, start, g); total < cur {
-						set(k, start, g, total, c)
+					hi = min(hi, c.gpus)
+				}
+				rest := scr.idx(k-1, c.end, 0) - c.gpus
+				for g := lo; g <= hi; g++ {
+					r := cells[rest+g].cost
+					if r == inf {
+						continue
+					}
+					if total := c.time + r; total < cells[row+g].cost {
+						cells[row+g] = composeCell{cost: total, c: c}
 					}
 				}
 			}
 		}
 	}
-	if cost, _ := get(deg, 0, n); cost == inf {
+	if cells[scr.idx(deg, 0, n)].cost == inf {
 		return nil, 0
 	}
 	// Reconstruct the stage sequence front to back.
@@ -412,7 +477,7 @@ func (s *searcher) composeScratch(cands []stageCand, deg, n int, tmax float64, s
 	var bottleneck float64
 	start, g := 0, n
 	for k := deg; k >= 1; k-- {
-		_, c := get(k, start, g)
+		c := cells[scr.idx(k, start, g)].c
 		if c == nil {
 			return nil, 0
 		}

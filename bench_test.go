@@ -383,84 +383,111 @@ func BenchmarkSimRunMillion(b *testing.B) {
 }
 
 // BenchmarkArenaAssign times the policy layer on its own: one
-// ArenaPolicy.Assign on a frozen round of a streamed simulation. The
-// simulation runs to round `at` (set-up, untimed); frozenRound then
-// times b.N calls of Assign on that round's live Context before the
-// simulation is cancelled, so every call sees the same queue, running
-// set, cluster and warm policy caches. One untimed call comes first: it
-// feeds the launch FIFOs the round's queue changes, and the timed calls,
-// on the same round, reuse them, so the pin times the steady state. light
-// is sim-helios-light's shape (70,000 Helios jobs over 14 days on 128
-// A40 and 128 A10 nodes): round 2,600 has 128 jobs running and 15
-// queued, so the scale-up and scale-down passes over the running set
-// dominate. deep is sim-helios-deep's (12,500 jobs in one day on the same
-// cluster): round 200 has 216 jobs running and 3,335 queued.
+// ArenaPolicy.Assign on a frozen round of a streamed simulation
+// (runFrozen), b.N calls on that round's live Context, so every call
+// sees the same queue, running set, cluster and warm policy caches. One
+// untimed call comes first: it feeds the launch FIFOs the round's queue
+// changes, and the timed calls, on the same round, reuse them, so the
+// pin times the steady state.
 func BenchmarkArenaAssign(b *testing.B) {
-	simBenchSetup()
-	if simBenchErr != nil {
-		b.Fatal(simBenchErr)
-	}
-	for _, c := range []struct {
-		name  string
-		jobs  int
-		days  float64
-		round int
-	}{
-		{"light", 70_000, 14, 2600},
-		{"deep", 12_500, 1, 200},
-	} {
+	for _, c := range frozenRounds {
 		b.Run(c.name, func(b *testing.B) {
-			cfg := trace.HeliosDay(7, []string{"A40", "A10"}, c.jobs)
-			cfg.Duration = c.days * 86400
-			cfg.Workloads = []model.Workload{
-				{Model: "WRes-1B", GlobalBatch: 256},
-				{Model: "GPT-1.3B", GlobalBatch: 128},
-				{Model: "GPT-2.6B", GlobalBatch: 128},
-			}
-			src, err := trace.Stream(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			f := &frozenRound{Policy: sched.NewArena(), b: b, at: c.round, stop: cancel}
-			_, err = sim.RunCtx(ctx, sim.Config{
-				Spec: hw.ClusterSpec{Name: "bench", Regions: []hw.Region{
-					{GPUType: "A40", Nodes: 128}, {GPUType: "A10", Nodes: 128},
-				}},
-				Policy: f, Source: src, DB: simBenchDB, RoundSeconds: 300,
-				Streaming: true, IncludeUnfinished: true, Seed: 7,
+			var first, last sched.Assignment
+			var running, queued int
+			runFrozen(b, c, func(p sched.Policy, ctx *sched.Context) sched.Assignment {
+				running, queued = len(ctx.Running), len(ctx.Queued)
+				first = p.Assign(ctx)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					last = p.Assign(ctx)
+				}
+				b.StopTimer()
+				return last
 			})
-			if f.first == nil {
-				b.Fatalf("the simulation ended after %d rounds, before round %d (err %v)", f.rounds, c.round, err)
+			if !reflect.DeepEqual(first, last) {
+				b.Fatalf("Assign is not repeatable on a frozen round: first call %+v, last %+v", first, last)
 			}
-			if !errors.Is(err, context.Canceled) {
-				b.Fatalf("the simulation did not stop at the frozen round: %v", err)
-			}
-			if !reflect.DeepEqual(*f.first, f.last) {
-				b.Fatalf("Assign is not repeatable on a frozen round: first call %+v, last %+v", *f.first, f.last)
-			}
-			b.ReportMetric(float64(f.running), "running")
-			b.ReportMetric(float64(f.queued), "queued")
+			b.ReportMetric(float64(running), "running")
+			b.ReportMetric(float64(queued), "queued")
 		})
 	}
 }
 
-// frozenRound is a policy wrapper for BenchmarkArenaAssign: at its
-// round `at` it runs one untimed Assign on the round's Context, resets
-// the benchmark timer, runs b.N more, stops the timer, returns the last
-// call's assignment and cancels the simulation through stop. Every other
-// round passes through.
+// frozenRounds are the rounds BenchmarkArenaAssign and
+// TestArenaAssignAllocs freeze. light is sim-helios-light's shape (70,000
+// Helios jobs over 14 days on 128 A40 and 128 A10 nodes): round 2,600
+// has 128 jobs running and 15 queued, so the scale-up and scale-down
+// passes over the running set dominate. deep is sim-helios-deep's
+// (12,500 jobs in one day on the same cluster): round 200 has 216 jobs
+// running and 3,335 queued. allocs bounds the heap allocations of one
+// Assign on the round (see TestArenaAssignAllocs).
+var frozenRounds = []frozenShape{
+	{name: "light", jobs: 70_000, days: 14, round: 2600, allocs: 7},
+	{name: "deep", jobs: 12_500, days: 1, round: 200, allocs: 17},
+}
+
+type frozenShape struct {
+	name   string
+	jobs   int
+	days   float64
+	round  int
+	allocs float64
+}
+
+// runFrozen runs c's streamed simulation under a fresh Arena policy up to
+// round c.round, hands freeze the policy and that round's Context, and
+// stops the simulation there: freeze's assignment is the round's. Running
+// the simulation to the round costs about half a second.
+func runFrozen(tb testing.TB, c frozenShape, freeze func(p sched.Policy, ctx *sched.Context) sched.Assignment) {
+	tb.Helper()
+	simBenchSetup()
+	if simBenchErr != nil {
+		tb.Fatal(simBenchErr)
+	}
+	cfg := trace.HeliosDay(7, []string{"A40", "A10"}, c.jobs)
+	cfg.Duration = c.days * 86400
+	cfg.Workloads = []model.Workload{
+		{Model: "WRes-1B", GlobalBatch: 256},
+		{Model: "GPT-1.3B", GlobalBatch: 128},
+		{Model: "GPT-2.6B", GlobalBatch: 128},
+	}
+	src, err := trace.Stream(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	p := sched.NewArena()
+	f := &frozenRound{Policy: p, at: c.round, stop: cancel, freeze: func(ctx *sched.Context) sched.Assignment {
+		return freeze(p, ctx)
+	}}
+	_, err = sim.RunCtx(ctx, sim.Config{
+		Spec: hw.ClusterSpec{Name: "bench", Regions: []hw.Region{
+			{GPUType: "A40", Nodes: 128}, {GPUType: "A10", Nodes: 128},
+		}},
+		Policy: f, Source: src, DB: simBenchDB, RoundSeconds: 300,
+		Streaming: true, IncludeUnfinished: true, Seed: 7,
+	})
+	if !f.frozen {
+		tb.Fatalf("the simulation ended after %d rounds, before round %d (err %v)", f.rounds, c.round, err)
+	}
+	if !errors.Is(err, context.Canceled) {
+		tb.Fatalf("the simulation did not stop at the frozen round: %v", err)
+	}
+}
+
+// frozenRound is runFrozen's policy wrapper: at its round `at` it
+// returns freeze's assignment and cancels the simulation through stop.
+// Every other round passes through.
 type frozenRound struct {
 	sched.Policy
-	b    *testing.B
-	at   int
-	stop context.CancelFunc
+	at     int
+	stop   context.CancelFunc
+	freeze func(ctx *sched.Context) sched.Assignment
 
-	rounds          int
-	running, queued int
-	first           *sched.Assignment
-	last            sched.Assignment
+	rounds int
+	frozen bool
 }
 
 func (f *frozenRound) Assign(ctx *sched.Context) sched.Assignment {
@@ -468,17 +495,40 @@ func (f *frozenRound) Assign(ctx *sched.Context) sched.Assignment {
 	if f.rounds != f.at {
 		return f.Policy.Assign(ctx)
 	}
-	f.running, f.queued = len(ctx.Running), len(ctx.Queued)
-	first := f.Policy.Assign(ctx)
-	f.first = &first
-	f.b.ReportAllocs()
-	f.b.ResetTimer()
-	for i := 0; i < f.b.N; i++ {
-		f.last = f.Policy.Assign(ctx)
-	}
-	f.b.StopTimer()
+	asg := f.freeze(ctx)
+	f.frozen = true
 	f.stop()
-	return f.last
+	return asg
+}
+
+// TestArenaAssignAllocs pins the heap allocations of one
+// ArenaPolicy.Assign on each frozen round: the call that feeds the launch
+// FIFOs first, as in BenchmarkArenaAssign, then testing.AllocsPerRun over
+// 20 calls. What a round still allocates is its Assignment and the Place
+// map's growth (ARCHITECTURE.md, "The round's garbage"): 7 and 17 per
+// call under Go 1.24's maps, the same on each of 20 single calls; 4–5
+// and 13–16 under the former map implementation (GOEXPERIMENT=
+// noswissmap), whose growth varies from call to call; 16 and 27 before
+// the policy kept its round buffers. The count does not depend on the
+// host, so this catches a regression no wall-clock gate can; a change
+// that raises a bound says why.
+func TestArenaAssignAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("frozen rounds skipped in -short mode")
+	}
+	for _, c := range frozenRounds {
+		t.Run(c.name, func(t *testing.T) {
+			var allocs float64
+			runFrozen(t, c, func(p sched.Policy, ctx *sched.Context) sched.Assignment {
+				asg := p.Assign(ctx)
+				allocs = testing.AllocsPerRun(20, func() { p.Assign(ctx) })
+				return asg
+			})
+			if allocs > c.allocs {
+				t.Errorf("Assign allocates %.0f times per call on the frozen %s round, bound %.0f", allocs, c.name, c.allocs)
+			}
+		})
+	}
 }
 
 // BenchmarkSimRunFaults guards the fault-injected simulation path: the

@@ -1,11 +1,12 @@
 // Package cluster tracks runtime GPU-cluster state for the scheduler:
-// typed homogeneous regions, per-node free maps, buddy-style locality-
-// preserving allocation, and fragmentation accounting (§3.5: "to ensure
-// job locality, Arena follows the buddy allocation rule").
+// typed homogeneous regions, per-node free maps indexed by free count and
+// node health, and buddy-style locality-preserving allocation (§3.5: "to
+// ensure job locality, Arena follows the buddy allocation rule").
 package cluster
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"github.com/sjtu-epcc/arena/internal/hw"
@@ -14,22 +15,91 @@ import (
 // Cluster is the mutable allocation state over a static ClusterSpec.
 type Cluster struct {
 	spec    hw.ClusterSpec
+	types   []string // spec.GPUTypes(), computed once
 	regions map[string]*regionState
 	allocs  map[string][]allocation // jobID -> held blocks
 }
 
+// regionState is one typed region. Every write to a node's free count,
+// down flag or slow factor goes through setNode, which keeps totalFree
+// and the free-count index in step with them, so placement reads the
+// index instead of scanning nodes.
 type regionState struct {
 	gpuType     string
 	gpusPerNode int
 	freePerNode []int // free GPUs per node
 	totalFree   int   // free GPUs on *up* nodes (down capacity is not free)
-	totalGPUs   int
 
 	// Fault state (internal/faults): down nodes are excluded from
-	// allocation and from totalFree; slow[i] > 0 marks a straggler node
-	// whose achieved throughput is multiplied by that factor.
+	// allocation and from totalFree; slow[i] != 0 marks a degraded node
+	// (a straggler whose achieved throughput is multiplied by that
+	// factor when it lies in (0, 1)).
 	down []bool
 	slow []float64
+
+	// byFree is the index: byFree[h][f] holds exactly the up nodes of
+	// health class h (healthy: slow == 0; degraded: slow != 0) with f
+	// free GPUs, f from 0 through gpusPerNode. Down nodes are in no set.
+	byFree [2][]nodeSet
+}
+
+// The health classes of byFree, in placement preference order.
+const (
+	healthy = iota
+	degraded
+)
+
+// nodeSet is a set of node indexes: a bitset and its population count.
+type nodeSet struct {
+	bits []uint64
+	n    int
+}
+
+func (s *nodeSet) add(i int)    { s.bits[i>>6] |= 1 << (i & 63); s.n++ }
+func (s *nodeSet) remove(i int) { s.bits[i>>6] &^= 1 << (i & 63); s.n-- }
+
+// first returns the set's lowest node index, or -1 when it is empty.
+func (s *nodeSet) first() int {
+	for w, b := range s.bits {
+		if b != 0 {
+			return w<<6 + bits.TrailingZeros64(b)
+		}
+	}
+	return -1
+}
+
+// class returns node i's health class.
+func (rs *regionState) class(i int) int {
+	if rs.slow[i] != 0 {
+		return degraded
+	}
+	return healthy
+}
+
+// setNode gives node i a new free count, down flag and slow factor,
+// moving it between the index's sets and keeping totalFree the free
+// count of the up nodes.
+func (rs *regionState) setNode(i, free int, down bool, slow float64) {
+	if !rs.down[i] {
+		rs.byFree[rs.class(i)][rs.freePerNode[i]].remove(i)
+		rs.totalFree -= rs.freePerNode[i]
+	}
+	rs.freePerNode[i], rs.down[i], rs.slow[i] = free, down, slow
+	if !down {
+		rs.byFree[rs.class(i)][free].add(i)
+		rs.totalFree += free
+	}
+}
+
+// fit returns the set of the fullest up nodes of health class h that
+// still have n ≤ gpusPerNode free GPUs, or nil when no such node exists.
+func (rs *regionState) fit(h, n int) *nodeSet {
+	for f := n; f <= rs.gpusPerNode; f++ {
+		if s := &rs.byFree[h][f]; s.n > 0 {
+			return s
+		}
+	}
+	return nil
 }
 
 type allocation struct {
@@ -45,6 +115,7 @@ func New(spec hw.ClusterSpec) (*Cluster, error) {
 	}
 	c := &Cluster{
 		spec:    spec,
+		types:   spec.GPUTypes(),
 		regions: map[string]*regionState{},
 		allocs:  map[string][]allocation{},
 	}
@@ -57,11 +128,20 @@ func New(spec hw.ClusterSpec) (*Cluster, error) {
 			down:        make([]bool, r.Nodes),
 			slow:        make([]float64, r.Nodes),
 		}
+		words := (r.Nodes + 63) / 64
+		for h := range rs.byFree {
+			rs.byFree[h] = make([]nodeSet, g.GPUsPerNode+1)
+			for f := range rs.byFree[h] {
+				rs.byFree[h][f].bits = make([]uint64, words)
+			}
+		}
+		// Every node starts up, healthy and empty: in the index's
+		// healthy set of gpusPerNode free GPUs.
 		for i := range rs.freePerNode {
 			rs.freePerNode[i] = g.GPUsPerNode
+			rs.byFree[healthy][g.GPUsPerNode].add(i)
 		}
 		rs.totalFree = r.Nodes * g.GPUsPerNode
-		rs.totalGPUs = rs.totalFree
 		c.regions[r.GPUType] = rs
 	}
 	return c, nil
@@ -70,8 +150,9 @@ func New(spec hw.ClusterSpec) (*Cluster, error) {
 // Spec returns the underlying static specification.
 func (c *Cluster) Spec() hw.ClusterSpec { return c.spec }
 
-// GPUTypes returns the cluster's types, fastest first.
-func (c *Cluster) GPUTypes() []string { return c.spec.GPUTypes() }
+// GPUTypes returns the cluster's types, fastest first. The slice is
+// computed once and shared by every caller: it is read-only.
+func (c *Cluster) GPUTypes() []string { return c.types }
 
 // TotalGPUs returns the cluster-wide GPU count.
 func (c *Cluster) TotalGPUs() int { return c.spec.TotalGPUs() }
@@ -104,48 +185,21 @@ func (c *Cluster) Utilization() float64 {
 	return 1 - float64(c.TotalFree())/float64(total)
 }
 
-// Holding returns the job's current allocation as (type, GPU count);
-// n = 0 when the job holds nothing.
-func (c *Cluster) Holding(jobID string) (string, int) {
-	blocks := c.allocs[jobID]
-	if len(blocks) == 0 {
-		return "", 0
-	}
-	n := 0
-	for _, b := range blocks {
-		n += b.gpus
-	}
-	return blocks[0].gpuType, n
-}
-
 // CanAlloc reports whether n GPUs of the type are allocatable right now
-// under the locality rule (without mutating state).
+// under the locality rule (without mutating state): one up node with n
+// free GPUs when n fits a node, else enough fully free up nodes
+// (rack-affine buddy blocks; a tail short of a whole node shares that
+// node with nothing else).
 func (c *Cluster) CanAlloc(gpuType string, n int) bool {
 	rs, ok := c.regions[gpuType]
 	if !ok || n < 1 || rs.totalFree < n {
 		return false
 	}
 	if n <= rs.gpusPerNode {
-		// Best-fit within one node.
-		for i, free := range rs.freePerNode {
-			if !rs.down[i] && free >= n {
-				return true
-			}
-		}
-		return false
-	}
-	// Multi-node: require fully free nodes (rack-affine buddy blocks).
-	if n%rs.gpusPerNode != 0 {
-		// Round up to whole nodes: the tail shares a node with nothing else.
+		return rs.fit(healthy, n) != nil || rs.fit(degraded, n) != nil
 	}
 	needed := (n + rs.gpusPerNode - 1) / rs.gpusPerNode
-	freeNodes := 0
-	for i, free := range rs.freePerNode {
-		if !rs.down[i] && free == rs.gpusPerNode {
-			freeNodes++
-		}
-	}
-	return freeNodes >= needed
+	return rs.byFree[healthy][rs.gpusPerNode].n+rs.byFree[degraded][rs.gpusPerNode].n >= needed
 }
 
 // CanAllocHealthy is CanAlloc restricted to fully healthy nodes: up and
@@ -157,26 +211,19 @@ func (c *Cluster) CanAllocHealthy(gpuType string, n int) bool {
 		return false
 	}
 	if n <= rs.gpusPerNode {
-		for i, free := range rs.freePerNode {
-			if !rs.down[i] && rs.slow[i] == 0 && free >= n {
-				return true
-			}
-		}
-		return false
+		return rs.fit(healthy, n) != nil
 	}
 	needed := (n + rs.gpusPerNode - 1) / rs.gpusPerNode
-	freeNodes := 0
-	for i, free := range rs.freePerNode {
-		if !rs.down[i] && rs.slow[i] == 0 && free == rs.gpusPerNode {
-			freeNodes++
-		}
-	}
-	return freeNodes >= needed
+	return rs.byFree[healthy][rs.gpusPerNode].n >= needed
 }
 
 // Alloc reserves n GPUs of the type for a job. The job must not already
 // hold resources (scale operations free first, then re-allocate — the
-// checkpoint-resume path of §4).
+// checkpoint-resume path of §4). A job that fits one node takes the best
+// fit: the fullest node that still fits, preserving big blocks, lowest
+// index first. A larger one takes fully free nodes in index order. Both
+// take healthy nodes before degraded ones, so placement avoids
+// stragglers when it can.
 func (c *Cluster) Alloc(jobID, gpuType string, n int) error {
 	if len(c.allocs[jobID]) != 0 {
 		return fmt.Errorf("cluster: job %s already holds resources", jobID)
@@ -191,56 +238,35 @@ func (c *Cluster) Alloc(jobID, gpuType string, n int) error {
 	if !c.CanAlloc(gpuType, n) {
 		return fmt.Errorf("cluster: cannot allocate %d×%s", n, gpuType)
 	}
-	var blocks []allocation
 	if n <= rs.gpusPerNode {
-		// Best fit: the fullest node that still fits, preserving big
-		// blocks. Two passes — fully healthy nodes first, then degraded
-		// (but up) ones — so placement avoids stragglers when it can.
-		// With no fault state every node is healthy and the first pass is
-		// exactly the historic best-fit.
-		best, bestFree := -1, rs.gpusPerNode+1
-		for i, free := range rs.freePerNode {
-			if !rs.down[i] && rs.slow[i] == 0 && free >= n && free < bestFree {
-				best, bestFree = i, free
-			}
+		s := rs.fit(healthy, n)
+		if s == nil {
+			s = rs.fit(degraded, n)
 		}
-		if best < 0 {
-			for i, free := range rs.freePerNode {
-				if !rs.down[i] && free >= n && free < bestFree {
-					best, bestFree = i, free
-				}
-			}
-		}
-		rs.freePerNode[best] -= n
-		rs.totalFree -= n
-		blocks = append(blocks, allocation{gpuType: gpuType, node: best, gpus: n})
-	} else {
-		needed := (n + rs.gpusPerNode - 1) / rs.gpusPerNode
-		remaining := n
-		// Healthy fully-free nodes first, then degraded fully-free ones.
-		for pass := 0; pass < 2 && needed > 0; pass++ {
-			for i := 0; i < len(rs.freePerNode) && needed > 0; i++ {
-				if rs.down[i] || rs.freePerNode[i] != rs.gpusPerNode {
-					continue
-				}
-				if (pass == 0) != (rs.slow[i] == 0) {
-					continue
-				}
-				take := rs.gpusPerNode
-				if remaining < take {
-					take = remaining
-				}
-				rs.freePerNode[i] -= take
-				rs.totalFree -= take
+		i := s.first()
+		rs.setNode(i, rs.freePerNode[i]-n, false, rs.slow[i])
+		c.allocs[jobID] = []allocation{{gpuType: gpuType, node: i, gpus: n}}
+		return nil
+	}
+	blocks := make([]allocation, 0, (n+rs.gpusPerNode-1)/rs.gpusPerNode)
+	remaining := n
+	for h := range rs.byFree {
+		full := &rs.byFree[h][rs.gpusPerNode]
+		for w := 0; w < len(full.bits) && remaining > 0; w++ {
+			// b is the word as it was: taking a node clears its bit in
+			// full.bits, not here.
+			for b := full.bits[w]; b != 0 && remaining > 0; b &= b - 1 {
+				i := w<<6 + bits.TrailingZeros64(b)
+				take := min(rs.gpusPerNode, remaining)
+				rs.setNode(i, rs.gpusPerNode-take, false, rs.slow[i])
 				blocks = append(blocks, allocation{gpuType: gpuType, node: i, gpus: take})
 				remaining -= take
-				needed--
 			}
 		}
-		if remaining != 0 {
-			// CanAlloc guaranteed feasibility; this is a programming error.
-			panic("cluster: allocation accounting mismatch")
-		}
+	}
+	if remaining != 0 {
+		// CanAlloc guaranteed feasibility; this is a programming error.
+		panic("cluster: allocation accounting mismatch")
 	}
 	c.allocs[jobID] = blocks
 	return nil
@@ -252,10 +278,7 @@ func (c *Cluster) Alloc(jobID, gpuType string, n int) error {
 func (c *Cluster) Free(jobID string) {
 	for _, b := range c.allocs[jobID] {
 		rs := c.regions[b.gpuType]
-		rs.freePerNode[b.node] += b.gpus
-		if !rs.down[b.node] {
-			rs.totalFree += b.gpus
-		}
+		rs.setNode(b.node, rs.freePerNode[b.node]+b.gpus, rs.down[b.node], rs.slow[b.node])
 	}
 	delete(c.allocs, jobID)
 }
@@ -269,8 +292,7 @@ func (c *Cluster) FailNode(gpuType string, node int) []string {
 	if !ok || node < 0 || node >= len(rs.freePerNode) || rs.down[node] {
 		return nil
 	}
-	rs.down[node] = true
-	rs.totalFree -= rs.freePerNode[node]
+	rs.setNode(node, rs.freePerNode[node], true, rs.slow[node])
 	var victims []string
 	for id, blocks := range c.allocs {
 		for _, b := range blocks {
@@ -292,17 +314,7 @@ func (c *Cluster) RecoverNode(gpuType string, node int) {
 	if !ok || node < 0 || node >= len(rs.freePerNode) || !rs.down[node] {
 		return
 	}
-	rs.down[node] = false
-	rs.totalFree += rs.freePerNode[node]
-}
-
-// NodeDown reports whether a node is currently failed.
-func (c *Cluster) NodeDown(gpuType string, node int) bool {
-	rs, ok := c.regions[gpuType]
-	if !ok || node < 0 || node >= len(rs.down) {
-		return false
-	}
-	return rs.down[node]
+	rs.setNode(node, rs.freePerNode[node], false, rs.slow[node])
 }
 
 // SetSlow marks a node as a straggler with the given throughput factor;
@@ -312,7 +324,7 @@ func (c *Cluster) SetSlow(gpuType string, node int, factor float64) {
 	if !ok || node < 0 || node >= len(rs.slow) {
 		return
 	}
-	rs.slow[node] = factor
+	rs.setNode(node, rs.freePerNode[node], rs.down[node], factor)
 }
 
 // ClearSlow ends a node's straggler episode.
@@ -321,7 +333,7 @@ func (c *Cluster) ClearSlow(gpuType string, node int) {
 	if !ok || node < 0 || node >= len(rs.slow) {
 		return
 	}
-	rs.slow[node] = 0
+	rs.setNode(node, rs.freePerNode[node], rs.down[node], 0)
 }
 
 // SlowFactor returns the job's achieved-throughput multiplier: the worst
@@ -336,53 +348,4 @@ func (c *Cluster) SlowFactor(jobID string) float64 {
 		}
 	}
 	return factor
-}
-
-// LargestAllocatable returns the biggest power-of-two GPU count currently
-// allocatable in the typed region under the locality rule.
-func (c *Cluster) LargestAllocatable(gpuType string) int {
-	best := 0
-	for n := 1; n <= c.regionTotal(gpuType); n *= 2 {
-		if c.CanAlloc(gpuType, n) {
-			best = n
-		}
-	}
-	return best
-}
-
-func (c *Cluster) regionTotal(gpuType string) int {
-	rs, ok := c.regions[gpuType]
-	if !ok {
-		return 0
-	}
-	return rs.totalGPUs
-}
-
-// Fragmentation returns the fraction of a region's free GPUs that sit on
-// partially occupied nodes — free capacity that cannot serve multi-node
-// jobs without migration (§3.5's defragmentation motivation).
-func (c *Cluster) Fragmentation(gpuType string) float64 {
-	rs, ok := c.regions[gpuType]
-	if !ok || rs.totalFree == 0 {
-		return 0
-	}
-	fragmented := 0
-	for _, free := range rs.freePerNode {
-		if free > 0 && free < rs.gpusPerNode {
-			fragmented += free
-		}
-	}
-	return float64(fragmented) / float64(rs.totalFree)
-}
-
-// Snapshot returns a human-readable free-capacity summary, deterministic
-// across runs.
-func (c *Cluster) Snapshot() string {
-	types := c.GPUTypes()
-	sort.Strings(types)
-	out := ""
-	for _, t := range types {
-		out += fmt.Sprintf("%s:%d/%d ", t, c.FreeGPUs(t), c.regionTotal(t))
-	}
-	return out
 }

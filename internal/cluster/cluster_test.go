@@ -34,10 +34,6 @@ func TestAllocFreeRoundTrip(t *testing.T) {
 	if err := c.Alloc("j1", "A40", 4); err != nil {
 		t.Fatal(err)
 	}
-	typ, n := c.Holding("j1")
-	if typ != "A40" || n != 4 {
-		t.Fatalf("holding %s/%d", typ, n)
-	}
 	if c.FreeGPUs("A40") != 28 {
 		t.Fatalf("free = %d", c.FreeGPUs("A40"))
 	}
@@ -45,8 +41,9 @@ func TestAllocFreeRoundTrip(t *testing.T) {
 	if c.FreeGPUs("A40") != 32 {
 		t.Fatal("free did not restore capacity")
 	}
-	if _, n := c.Holding("j1"); n != 0 {
-		t.Fatal("job still holds after free")
+	// Alloc refuses a job that still holds resources.
+	if err := c.Alloc("j1", "A40", 4); err != nil {
+		t.Fatalf("job still holds after free: %v", err)
 	}
 }
 
@@ -95,8 +92,8 @@ func TestMultiNodeNeedsFreeNodes(t *testing.T) {
 	if !c.CanAlloc("A40", 1) {
 		t.Fatal("single GPUs should still fit")
 	}
-	if got := c.Fragmentation("A40"); got != 1.0 {
-		t.Fatalf("fragmentation = %v, want 1.0", got)
+	if c.CanAlloc("A40", 2) {
+		t.Fatal("no node has 2 free GPUs")
 	}
 }
 
@@ -110,22 +107,30 @@ func TestBestFitPreservesBigBlocks(t *testing.T) {
 	if err := c.Alloc("b", "A40", 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Fragmentation("A40"); got != 0 {
-		t.Fatalf("best fit should leave no fragmentation, got %v", got)
+	// 15 of the 16 two-GPU nodes stay fully free.
+	if !c.CanAlloc("A40", 30) {
+		t.Fatal("best fit should pack both singles onto one node")
 	}
 }
 
-func TestLargestAllocatable(t *testing.T) {
+func TestCanAllocWholeNodes(t *testing.T) {
+	// Cluster-A's A40 region: 16 nodes × 2 GPUs.
 	c := newCluster(t, hw.ClusterA())
-	if got := c.LargestAllocatable("A40"); got != 32 {
-		t.Fatalf("fresh region largest = %d", got)
+	if !c.CanAlloc("A40", 32) {
+		t.Fatal("a fresh region must fit its whole capacity")
 	}
-	// Consume 17 nodes' worth... Cluster-A A40 region: 16 nodes × 2.
 	if err := c.Alloc("big", "A40", 16); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.LargestAllocatable("A40"); got != 16 {
-		t.Fatalf("largest after half taken = %d", got)
+	if !c.CanAlloc("A40", 16) || c.CanAlloc("A40", 17) {
+		t.Fatal("with 8 fully free nodes left, 16 GPUs fit and 17 do not")
+	}
+	// A tail short of a whole node still takes a node of its own.
+	if err := c.Alloc("odd", "A40", 15); err != nil {
+		t.Fatal(err)
+	}
+	if c.FreeGPUs("A40") != 1 || c.CanAlloc("A40", 2) || !c.CanAlloc("A40", 1) {
+		t.Fatalf("after 15 GPUs on 8 nodes: free %d, want 1 on one node", c.FreeGPUs("A40"))
 	}
 }
 
@@ -148,8 +153,9 @@ func TestV100SixteenGPUNodes(t *testing.T) {
 	if err := c.Alloc("j", "V100", 16); err != nil {
 		t.Fatal(err)
 	}
-	if c.Fragmentation("V100") != 0 {
-		t.Fatal("whole-node alloc should not fragment")
+	// Every other V100 node stays whole.
+	if free := c.FreeGPUs("V100"); !c.CanAlloc("V100", free) {
+		t.Fatalf("whole-node alloc fragmented the region: %d free GPUs are not all on whole nodes", free)
 	}
 }
 
@@ -193,7 +199,7 @@ func TestAllocFreeProperty(t *testing.T) {
 		for _, id := range ids {
 			c.Free(id)
 		}
-		return c.TotalFree() == 64 && c.Fragmentation("A40") == 0
+		return c.TotalFree() == 64 && c.CanAlloc("A40", 32)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -22,8 +22,13 @@ func TestFailNodeReturnsVictimsAndShrinksCapacity(t *testing.T) {
 	if len(victims) == 0 {
 		t.Fatal("node 0 held allocations; FailNode returned none")
 	}
-	if !c.NodeDown("A40", 0) {
-		t.Fatal("node not marked down")
+	// The victims' GPUs park on the down node: freeing them returns no
+	// capacity.
+	for _, id := range victims {
+		c.Free(id)
+	}
+	if got := c.FreeGPUs("A40"); got != 28 {
+		t.Fatalf("free after failing node 0 and freeing its victims = %d, want 28", got)
 	}
 	// Victims' IDs come back sorted.
 	want := append([]string(nil), victims...)

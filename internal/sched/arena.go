@@ -68,6 +68,13 @@ type ArenaPolicy struct {
 	// allocating it every round cost about 2% of a sim-helios-light round
 	// (shallow queue, 2-vCPU host).
 	merge mergeHeap
+
+	// The round's targets and scale-down costs (see optimalScaleDown),
+	// kept between rounds like merge: Assign refills ts and marks the
+	// costs unfilled before it reads either.
+	ts         Targets
+	downCost   []float64
+	downFilled bool
 }
 
 // warnf forwards a warning to Warnf when one is installed.
@@ -164,16 +171,16 @@ func (p *ArenaPolicy) Assign(ctx *Context) Assignment {
 	p.syncQueue(ctx)
 	// The round's free capacity and targets: the running set's, then
 	// each launch's (see Targets).
-	ts := newTargets(ctx, p.types)
+	ts := &p.ts
+	ts.Reset(ctx, p.types)
 	asg := NewAssignment()
-	// downCost is the round's scale-down cost cache (see optimalScaleDown).
-	var downCost []float64
+	p.downFilled = false
 	depth := 0
 
 	// --- Launch phase (LEventHandler, lines 6–16). ---
 	p.launch(ctx, &asg, func(job *Job, lad *ladder) (ok, shrank bool) {
 		depth = 0 // the search depth bounds each launch event (Alg. 1 l.13)
-		return p.tryLaunch(ctx, job, lad, ts, &downCost, &depth, &asg)
+		return p.tryLaunch(ctx, job, lad, ts, &depth, &asg)
 	})
 
 	// --- Straggler-routing phase (fault-aware extension). ---
@@ -417,10 +424,9 @@ func (p *ArenaPolicy) hopeless(ctx *Context, job *Job, lad *ladder) bool {
 // the launch's own, which invalidates the launch phase's failure memo.
 // A failed call reverts completely, so it never sets shrank.
 //
-// downCost is the round's scale-down cost cache (see optimalScaleDown):
-// every target change of a running job goes through retarget, which
-// keeps the changed entry current.
-func (p *ArenaPolicy) tryLaunch(ctx *Context, job *Job, lad *ladder, ts *Targets, downCost *[]float64, depth *int, asg *Assignment) (ok, shrank bool) {
+// Every target change of a running job goes through retarget, which
+// keeps the round's scale-down costs (see optimalScaleDown) current.
+func (p *ArenaPolicy) tryLaunch(ctx *Context, job *Job, lad *ladder, ts *Targets, depth *int, asg *Assignment) (ok, shrank bool) {
 	if c, ok := p.bestUnderFree(ctx, job, lad, ts.Free); ok {
 		asg.Place[job.Trace.ID] = ts.Launch(job, c.t, c.n)
 		return true, false
@@ -434,7 +440,7 @@ func (p *ArenaPolicy) tryLaunch(ctx *Context, job *Job, lad *ladder, ts *Targets
 	}
 	var staged []shrink
 	for *depth < p.D {
-		i, half, ok := p.optimalScaleDown(ctx, ts, downCost)
+		i, half, ok := p.optimalScaleDown(ctx, ts)
 		if !ok {
 			break
 		}
@@ -442,7 +448,7 @@ func (p *ArenaPolicy) tryLaunch(ctx *Context, job *Job, lad *ladder, ts *Targets
 		old := ts.Target[i]
 		t := ts.TypeIndex(old.GPUType)
 		staged = append(staged, shrink{victim: i, t: t, old: old})
-		p.retarget(ctx, ts, *downCost, i, half)
+		p.retarget(ctx, ts, i, half)
 		ts.Free[t] += old.N - half.N
 		if c, ok := p.bestUnderFree(ctx, job, lad, ts.Free); ok {
 			for _, s := range staged {
@@ -458,7 +464,7 @@ func (p *ArenaPolicy) tryLaunch(ctx *Context, job *Job, lad *ladder, ts *Targets
 	for k := len(staged) - 1; k >= 0; k-- {
 		s := staged[k]
 		ts.Free[s.t] -= s.old.N - ts.Target[s.victim].N
-		p.retarget(ctx, ts, *downCost, s.victim, s.old)
+		p.retarget(ctx, ts, s.victim, s.old)
 	}
 	return false, false
 }
@@ -492,20 +498,21 @@ func (p *ArenaPolicy) bestUnderFree(ctx *Context, job *Job, lad *ladder, free []
 // returning its index in ctx.Running and its halved allocation. Ties go
 // to the first job in ctx.Running.
 //
-// The costs come from *downCost, indexed like ctx.Running: the round's
-// first call fills it from the round's targets, and retarget keeps each
-// entry current as the launch phase moves targets, so later calls
-// compare floats only.
-func (p *ArenaPolicy) optimalScaleDown(ctx *Context, ts *Targets, downCost *[]float64) (int, Alloc, bool) {
-	if *downCost == nil {
-		costs := make([]float64, len(ctx.Running))
+// The costs come from p.downCost, indexed like ctx.Running: the round's
+// first call fills it from the round's targets and sets downFilled, and
+// retarget keeps each entry current as the launch phase moves targets,
+// so later calls compare floats only. The slice is kept between rounds;
+// Assign clears downFilled, so a round never reads the last one's costs.
+func (p *ArenaPolicy) optimalScaleDown(ctx *Context, ts *Targets) (int, Alloc, bool) {
+	if !p.downFilled {
+		p.downCost = resize(p.downCost, len(ctx.Running))
 		for i, j := range ctx.Running {
-			costs[i] = p.halvingCost(ctx, j, ts.Target[i])
+			p.downCost[i] = p.halvingCost(ctx, j, ts.Target[i])
 		}
-		*downCost = costs
+		p.downFilled = true
 	}
 	best, bestCost := -1, math.MaxFloat64
-	for i, c := range *downCost {
+	for i, c := range p.downCost {
 		if c < bestCost {
 			best, bestCost = i, c
 		}
@@ -538,9 +545,9 @@ func (p *ArenaPolicy) halvingCost(ctx *Context, j *Job, cur Alloc) float64 {
 // retarget moves ctx.Running[i]'s round target to a and rewrites its
 // entry in the round's scale-down costs, which optimalScaleDown has
 // filled by the time any target moves.
-func (p *ArenaPolicy) retarget(ctx *Context, ts *Targets, downCost []float64, i int, a Alloc) {
+func (p *ArenaPolicy) retarget(ctx *Context, ts *Targets, i int, a Alloc) {
 	ts.Target[i] = a
-	downCost[i] = p.halvingCost(ctx, ctx.Running[i], a)
+	p.downCost[i] = p.halvingCost(ctx, ctx.Running[i], a)
 }
 
 // scaleUp gives idle GPUs to the in-flight jobs — the running ones and

@@ -16,6 +16,9 @@ import (
 type ElasticFlow struct {
 	// ScaleGainThreshold gates rescaling of running jobs (restart costs).
 	ScaleGainThreshold float64
+
+	// ts is the round's targets, kept between rounds (sched.Targets).
+	ts sched.Targets
 }
 
 // NewElasticFlow returns the policy.
@@ -52,7 +55,8 @@ func (e *ElasticFlow) Assign(ctx *sched.Context) sched.Assignment {
 	// The round's free capacity and targets, by type and job index: the
 	// running set in order, then each admission. Growth breaks equal
 	// gains by that index, so ties decide deterministically.
-	ts := sched.NewTargets(ctx)
+	ts := &e.ts
+	ts.Reset(ctx, ctx.Cluster.GPUTypes())
 
 	// Admission at minimum feasible size, arrival order. Shrink work per
 	// round is bounded so huge backlogs cannot stall the scheduler.

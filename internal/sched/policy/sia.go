@@ -26,6 +26,9 @@ type Sia struct {
 	// DisableRefinement turns off the online observation loop so the η
 	// knob alone controls estimate precision (§2.3's controlled study).
 	DisableRefinement bool
+
+	// ts is the round's targets, kept between rounds (sched.Targets).
+	ts sched.Targets
 }
 
 // NewSia returns stock Sia (η = 1).
@@ -54,7 +57,8 @@ func (s *Sia) Assign(ctx *sched.Context) sched.Assignment {
 	// The round's free capacity and targets, by type and job index: the
 	// running set in order, then each admission. Growth breaks equal
 	// gains by that index, so ties decide deterministically.
-	ts := sched.NewTargets(ctx)
+	ts := &s.ts
+	ts.Reset(ctx, ctx.Cluster.GPUTypes())
 
 	// Admission: the smallest perceived-feasible size per type, provided
 	// it fits free capacity, on the type with the best density (goodput

@@ -170,6 +170,14 @@ func NewAssignment() Assignment {
 }
 
 // Policy is a cluster scheduling policy plus its knowledge models.
+//
+// A Policy value serves one round loop at a time: it may keep state
+// between Assign calls — caches, and buffers it refills every round
+// instead of allocating (Arena keeps its launch ladders, launch FIFOs,
+// merge heap, round targets and scale-down costs; Sia and ElasticFlow
+// their round targets) — so two engines must not share one value at
+// once. What it keeps must never reach a decision: Assign decides from
+// the Context and the policy's exported configuration alone.
 type Policy interface {
 	Name() string
 

@@ -204,6 +204,39 @@ type rebuilt struct {
 	shadow sched.Policy
 }
 
+// MatchDropped returns a Policy that decides with fed and, every round,
+// also runs shadow after zeroing every unexported field of *shadow — the
+// caches and kept buffers a policy carries between rounds — so shadow
+// decides from its exported configuration and the round's context
+// alone; t fails on the first round whose two assignments differ. The
+// fields are found by reflection, so a field added later is covered.
+// shadow must be a pointer to a struct, a copy of fed's configuration.
+func MatchDropped(t testing.TB, fed, shadow sched.Policy) sched.Policy {
+	return &dropped{Policy: fed, t: t, shadow: shadow}
+}
+
+type dropped struct {
+	sched.Policy
+	t      testing.TB
+	shadow sched.Policy
+}
+
+func (d *dropped) Assign(ctx *sched.Context) sched.Assignment {
+	asg := d.Policy.Assign(ctx)
+	v := reflect.ValueOf(d.shadow).Elem()
+	fresh := reflect.New(v.Type()).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if v.Type().Field(i).IsExported() {
+			fresh.Field(i).Set(v.Field(i))
+		}
+	}
+	v.Set(fresh)
+	if want := d.shadow.Assign(ctx); !reflect.DeepEqual(asg, want) {
+		d.t.Fatalf("%s at t=%g: with its kept state it assigned %+v, with that state dropped %+v", d.Name(), ctx.Now, asg, want)
+	}
+	return asg
+}
+
 func (r *rebuilt) Assign(ctx *sched.Context) sched.Assignment {
 	asg := r.Policy.Assign(ctx)
 	bare := *ctx

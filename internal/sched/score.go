@@ -61,7 +61,8 @@ import (
 //   - scale-down costs (arena): GetOptimalScaleDown's per-job cost — the
 //     throughput lost per freed GPU by halving a running job at its
 //     current round target — changes only when that target does. The
-//     round's first scale-down fills one cost per running job; tryLaunch
+//     round's first scale-down fills one cost per running job, into a
+//     slice kept between rounds behind a filled-this-round flag; tryLaunch
 //     rewrites exactly the entries it stages and reverts, so every later
 //     pick is a scan of floats and a round that never scales down pays
 //     nothing. Staged victim shrinks live in tryLaunch's own list and the
@@ -78,7 +79,9 @@ import (
 //     dirtied entry, instead of rescanning every candidate per iteration.
 //     Equal gains go to the lower index (elasticflow, sia) or, for
 //     arena, to the lower job ID, so arena's choice does not depend on
-//     the order of its running set and needs no per-round sort.
+//     the order of its running set and needs no per-round sort. Each
+//     policy keeps one Targets, heap included, and Reset refills it
+//     every round.
 //
 // Each cache decides exactly as the full per-round rescan it replaced,
 // bit for bit. Those rescans no longer exist in production code: the
@@ -280,35 +283,48 @@ func (p *ArenaPolicy) deployOf(ctx *Context, lad *ladder, typ string, n int) flo
 // launches, appended as it lands. A running job's target starts at its
 // current grant. The round's decisions are published separately, in the
 // Assignment's Place map.
+//
+// A policy keeps one Targets and refills it with Reset at the top of
+// every Assign, so a round reuses the last round's slices, and those of
+// the scale-up heap, instead of allocating them: Reset overwrites every
+// element the round reads, so what a buffer held before cannot reach a
+// decision.
 type Targets struct {
 	Types  []string // the cluster's GPU types, in its order
 	Free   []int    // free GPUs of Types[t]
 	Jobs   []*Job   // the in-flight jobs
 	Target []Alloc  // Jobs[i]'s allocation after this round's decisions
+
+	// heap is DoubleByGain's, kept with its buffers.
+	heap GainHeap
 }
 
-// NewTargets snapshots the round's free capacity and running set.
-func NewTargets(ctx *Context) *Targets {
-	return newTargets(ctx, ctx.Cluster.GPUTypes())
-}
-
-// newTargets is NewTargets over a type order the caller already holds.
-func newTargets(ctx *Context, types []string) *Targets {
-	ts := &Targets{Types: types, Free: make([]int, len(types))}
-	free := 0
+// Reset refills ts for the round in ctx: the free capacity of each of
+// types (the cluster's type order, which ts shares), then ctx.Running in
+// order at its current grants. It keeps ts's buffers and clears the
+// job pointers the last round left in them, so a kept Targets holds no
+// job past the next round's Reset.
+func (ts *Targets) Reset(ctx *Context, types []string) {
+	ts.Types = types
+	ts.Free = resize(ts.Free, len(types))
 	for t, typ := range types {
 		ts.Free[t] = ctx.Cluster.FreeGPUs(typ)
-		free += ts.Free[t]
 	}
-	// Room for the round's launches: at most one per queued job, and
-	// rarely more than there are free GPUs.
-	room := len(ctx.Running) + min(len(ctx.Queued), free)
-	ts.Jobs = append(make([]*Job, 0, room), ctx.Running...)
-	ts.Target = make([]Alloc, len(ctx.Running), room)
-	for i, j := range ctx.Running {
-		ts.Target[i] = j.Alloc
+	clear(ts.Jobs)
+	ts.Jobs = append(ts.Jobs[:0], ctx.Running...)
+	ts.Target = ts.Target[:0]
+	for _, j := range ctx.Running {
+		ts.Target = append(ts.Target, j.Alloc)
 	}
-	return ts
+}
+
+// resize returns s with length n, reusing its array when it is large
+// enough; the elements are not cleared.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // TypeIndex returns typ's position in Types, or -1 for a type outside
@@ -347,12 +363,12 @@ func (ts *Targets) Launch(j *Job, t, n int) Alloc {
 // changing any decision. Candidates are dense indices into a caller-side
 // slice; Update re-scores one entry (stale copies are discarded lazily on
 // Pop via a per-index version). DoubleByGain is the loop every
-// marginal-gain phase runs on it.
+// marginal-gain phase runs on it, on the heap its Targets keeps.
 type GainHeap struct {
 	entries []gainEntry
 	version []int
 	// keys, when set before the first Update, are the candidates' tie
-	// keys by index; nil breaks ties by index alone.
+	// keys by index; empty breaks ties by index alone.
 	keys []string
 }
 
@@ -363,10 +379,15 @@ type gainEntry struct {
 	version int
 }
 
-// NewGainHeap returns a heap over candidate indices [0, n), equal gains
-// toward the lower index.
-func NewGainHeap(n int) *GainHeap {
-	return &GainHeap{version: make([]int, n)}
+// reset empties the heap for candidate indices [0, n), with no tie keys,
+// keeping its buffers and dropping the strings they held.
+func (h *GainHeap) reset(n int) {
+	clear(h.entries[:cap(h.entries)])
+	h.entries = h.entries[:0]
+	h.version = resize(h.version, n)
+	clear(h.version)
+	clear(h.keys)
+	h.keys = h.keys[:0]
 }
 
 // Update (re-)scores candidate idx. Non-positive gains are recorded as
@@ -388,7 +409,7 @@ func (h *GainHeap) add(idx int, gain float64) bool {
 		return false
 	}
 	e := gainEntry{gain: gain, idx: idx, version: h.version[idx]}
-	if h.keys != nil {
+	if len(h.keys) > 0 {
 		e.key = h.keys[idx]
 	}
 	h.entries = append(h.entries, e)
@@ -482,12 +503,11 @@ func (h *GainHeap) siftDown(i int) {
 // one that does not fit at the start is never scored. A target on a type
 // outside the cluster never fits.
 func DoubleByGain(ts *Targets, rounds int, byID bool, place map[string]Alloc, gain func(i int, cur Alloc) (float64, bool)) int {
-	h := NewGainHeap(len(ts.Jobs))
-	h.entries = make([]gainEntry, 0, len(ts.Jobs)+rounds)
+	h := &ts.heap
+	h.reset(len(ts.Jobs))
 	if byID {
-		h.keys = make([]string, len(ts.Jobs))
-		for i, j := range ts.Jobs {
-			h.keys[i] = j.Trace.ID
+		for _, j := range ts.Jobs {
+			h.keys = append(h.keys, j.Trace.ID)
 		}
 	}
 	fits := func(t int, cur Alloc) bool { return t >= 0 && ts.Free[t] >= cur.N }

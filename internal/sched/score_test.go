@@ -35,9 +35,10 @@ func argmaxScan(gains []float64, live []bool) int {
 func TestGainHeapMatchesArgmaxScan(t *testing.T) {
 	alphabet := []float64{-1, 0, 0.25, 0.5, 0.5, 1, 2}
 	r := rng.New(17)
+	var h GainHeap // one heap, reset per trial as DoubleByGain resets it
 	for trial := 0; trial < 300; trial++ {
 		n := 1 + r.Intn(12)
-		h := NewGainHeap(n)
+		h.reset(n)
 		gains := make([]float64, n)
 		live := make([]bool, n)
 		for step := 0; step < 60; step++ {
@@ -106,13 +107,16 @@ func TestDoubleByGainMatchesRescan(t *testing.T) {
 	alphabet := []float64{-1, 0, 0.5, 1, 1, 3}
 	r := rng.New(23)
 	ties := 0
+	ts := &Targets{} // kept across trials, as a policy keeps it
 	for _, byID := range []bool{false, true} {
 		for trial := 0; trial < 300; trial++ {
 			n := 1 + r.Intn(10)
 			if byID {
 				n = 1 + r.Intn(40)
 			}
-			ts := &Targets{Types: types, Free: []int{r.Intn(24), r.Intn(24)}}
+			ts.Types = types
+			ts.Free = append(ts.Free[:0], r.Intn(24), r.Intn(24))
+			ts.Jobs, ts.Target = ts.Jobs[:0], ts.Target[:0]
 			ids := make([]string, n)
 			class := map[string]int{}
 			target := map[string]Alloc{}
@@ -388,11 +392,12 @@ func TestScaleDownMatchesScan(t *testing.T) {
 				ctx.Running[i] = j
 			}
 			p.ensureLadders(&ctx)
-			ts := NewTargets(&ctx)
-			var downCost []float64
+			ts := &p.ts
+			ts.Reset(&ctx, p.types)
+			p.downFilled = false
 			pick := func(step int) (int, Alloc, bool) {
 				t.Helper()
-				i, got, ok := p.optimalScaleDown(&ctx, ts, &downCost)
+				i, got, ok := p.optimalScaleDown(&ctx, ts)
 				want, wantAlloc, wantOK := scanScaleDown(p, &ctx, ts.Target, &st)
 				if ok != wantOK || (ok && (ctx.Running[i] != want || got != wantAlloc)) {
 					t.Fatalf("%s trial %d step %d: cached pick %d %v %v, scan picks %v %v %v (targets %v)",
@@ -415,13 +420,13 @@ func TestScaleDownMatchesScan(t *testing.T) {
 						break
 					}
 					stack = append(stack, staged{i, ts.Target[i]})
-					p.retarget(&ctx, ts, downCost, i, half)
+					p.retarget(&ctx, ts, i, half)
 				}
 				if r.Intn(2) == 0 {
 					continue // landed: the shrinks stay
 				}
 				for k := len(stack) - 1; k >= 0; k-- {
-					p.retarget(&ctx, ts, downCost, stack[k].i, stack[k].old)
+					p.retarget(&ctx, ts, stack[k].i, stack[k].old)
 					pick(step)
 				}
 			}

@@ -260,7 +260,7 @@ func (s *Server) fireLocked(round int, now float64) sched.Assignment {
 		s.eng.Cancel(id, now)
 	}
 	s.inbox = nil
-	s.inboxSet = map[string]bool{}
+	clear(s.inboxSet)
 	asg := s.eng.Round(now)
 	s.nextRound = round + 1
 	s.lastNow = now

@@ -255,7 +255,7 @@ func (e *Engine) idleBeyond(t float64) bool {
 		return false
 	}
 	if s.src != nil && !s.srcDone {
-		if s.srcPeek == nil || s.srcPeek.SubmitTime <= t {
+		if !s.hasPeek || s.srcPeek.SubmitTime <= t {
 			return false
 		}
 	}

@@ -134,6 +134,39 @@ func exactGoldenConfigs(t *testing.T) map[string]Config {
 	return cfgs
 }
 
+// matchGoldens runs every golden configuration whose policy wrap
+// accepts (a nil wrap result skips it) under the wrapped policy, and
+// requires each run's result digest to stay golden. It returns the runs
+// per policy name.
+func matchGoldens(t *testing.T, wrap func(p sched.Policy) sched.Policy) map[string]int {
+	t.Helper()
+	data, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden map[string]string
+	if err := json.Unmarshal(data, &golden); err != nil {
+		t.Fatal(err)
+	}
+	runs := map[string]int{}
+	for name, cfg := range goldenConfigs(t) {
+		wrapped := wrap(cfg.Policy)
+		if wrapped == nil {
+			continue
+		}
+		runs[cfg.Policy.Name()]++
+		cfg.Policy = wrapped
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := resultDigest(t, res); got != golden[name] {
+			t.Errorf("%s: result digest %s, golden %s", name, got, golden[name])
+		}
+	}
+	return runs
+}
+
 // parityPolicies returns constructors for the paper's five schedulers.
 // Constructors, not instances: some policies carry internal state across
 // rounds, so each run needs its own fresh policy.

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"encoding/json"
-	"os"
 	"slices"
 	"testing"
 
@@ -96,32 +94,15 @@ func TestQueueChangesMatchQueued(t *testing.T) {
 // (schedtest.MatchRebuilt): every round must decide the same, and the
 // fed policy's results must still match the golden digests.
 func TestFedQueueMatchesRebuilt(t *testing.T) {
-	data, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var golden map[string]string
-	if err := json.Unmarshal(data, &golden); err != nil {
-		t.Fatal(err)
-	}
-	runs := 0
-	for name, cfg := range goldenConfigs(t) {
-		fed, ok := cfg.Policy.(*sched.ArenaPolicy)
+	runs := matchGoldens(t, func(p sched.Policy) sched.Policy {
+		fed, ok := p.(*sched.ArenaPolicy)
 		if !ok {
-			continue
+			return nil
 		}
 		shadow := *fed
-		cfg.Policy = schedtest.MatchRebuilt(t, fed, &shadow)
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if got := resultDigest(t, res); got != golden[name] {
-			t.Errorf("%s: result digest %s, golden %s", name, got, golden[name])
-		}
-		runs++
-	}
-	if runs == 0 {
+		return schedtest.MatchRebuilt(t, fed, &shadow)
+	})
+	if runs["arena"] == 0 {
 		t.Fatal("no golden configuration runs an Arena policy")
 	}
 }

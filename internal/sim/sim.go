@@ -12,9 +12,12 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"github.com/sjtu-epcc/arena/internal/clock"
 	"github.com/sjtu-epcc/arena/internal/cluster"
@@ -161,9 +164,15 @@ type state struct {
 	changes           *sched.QueueChanges
 
 	// Streaming trace source (nil for an engine fed only by Submit).
+	// srcPeek is the job pulled but not yet due, when hasPeek is set.
 	src     trace.Source
-	srcPeek *trace.Job // pulled but not yet due
+	srcPeek trace.Job
+	hasPeek bool
 	srcDone bool
+
+	// placed is apply's list of the round's placements, kept between
+	// rounds; apply clears it when it is done.
+	placed []placement
 
 	thrSeries []float64
 
@@ -440,23 +449,28 @@ func (s *state) stage(tj trace.Job) *sched.Job {
 // covers every job admit() could possibly admit this round.
 func (s *state) pull(now float64) {
 	for s.src != nil {
-		if s.srcPeek == nil {
+		if !s.hasPeek {
 			if s.srcDone {
 				return
 			}
-			j, ok := s.src.Next()
-			if !ok {
+			s.srcPeek, s.hasPeek = s.src.Next()
+			if !s.hasPeek {
 				s.srcDone = true
 				return
 			}
-			s.srcPeek = &j
 		}
 		if s.srcPeek.SubmitTime > now {
 			return
 		}
-		s.stage(*s.srcPeek)
-		s.srcPeek = nil
+		s.stage(s.takePeek())
 	}
+}
+
+// takePeek returns the look-ahead job and empties the slot.
+func (s *state) takePeek() trace.Job {
+	j := s.srcPeek
+	s.srcPeek, s.hasPeek = trace.Job{}, false
+	return j
 }
 
 // drainSource stages everything the source still holds — the
@@ -466,9 +480,8 @@ func (s *state) drainSource() {
 	if s.src == nil {
 		return
 	}
-	if s.srcPeek != nil {
-		s.stage(*s.srcPeek)
-		s.srcPeek = nil
+	if s.hasPeek {
+		s.stage(s.takePeek())
 	}
 	for !s.srcDone {
 		j, ok := s.src.Next()
@@ -482,7 +495,7 @@ func (s *state) drainSource() {
 
 // srcExhausted reports whether the source has nothing left to emit.
 func (s *state) srcExhausted() bool {
-	return s.src == nil || (s.srcDone && s.srcPeek == nil)
+	return s.src == nil || (s.srcDone && !s.hasPeek)
 }
 
 // admit moves submitted jobs into the queue. pending is sorted by
@@ -579,7 +592,7 @@ func (s *state) apply(now float64, asg sched.Assignment) {
 			}
 		}
 	}
-	var placed []placement
+	placed := s.placed[:0]
 scan:
 	for _, list := range [][]*sched.Job{s.running, s.queued} {
 		for _, j := range list {
@@ -640,12 +653,13 @@ scan:
 		}
 		live = append(live, p)
 	}
-	sort.Slice(live, func(a, b int) bool {
-		x, y := live[a], live[b]
+	// slices.SortFunc, unlike sort.Slice, allocates nothing.
+	//arena:allow stablesort live jobs have distinct IDs, so (rank, ID) is a total order
+	slices.SortFunc(live, func(x, y placement) int {
 		if x.rank != y.rank {
-			return x.rank < y.rank
+			return cmp.Compare(x.rank, y.rank)
 		}
-		return x.job.Trace.ID < y.job.Trace.ID
+		return strings.Compare(x.job.Trace.ID, y.job.Trace.ID)
 	})
 	for _, p := range live {
 		switch p.job.State {
@@ -657,6 +671,8 @@ scan:
 			}
 		}
 	}
+	clear(placed)
+	s.placed = placed[:0]
 	s.compactQueue()
 }
 
@@ -856,14 +872,13 @@ func (s *state) finish(end float64) *Result {
 	// Jobs the source never emitted into the world (streaming mode only:
 	// exact mode staged them above): count and censor the ones submitted
 	// inside the horizon, one at a time.
-	if s.srcPeek != nil {
-		if s.srcPeek.SubmitTime <= end {
+	if s.hasPeek {
+		if tj := s.takePeek(); tj.SubmitTime <= end {
 			total++
 			if s.cfg.IncludeUnfinished {
-				s.observeJCT(end - s.srcPeek.SubmitTime)
+				s.observeJCT(end - tj.SubmitTime)
 			}
 		}
-		s.srcPeek = nil
 	}
 	for s.src != nil && !s.srcDone {
 		tj, ok := s.src.Next()

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 
-	"github.com/sjtu-epcc/arena/internal/model"
 	"github.com/sjtu-epcc/arena/internal/rng"
 )
 
@@ -76,35 +75,29 @@ func (s *sliceSource) Span() float64 {
 // process, not a bit-compatible replacement. NumJobs is the *expected*
 // job count of the Poisson process; the realized count varies around it.
 type Generator struct {
-	cfg       Config
-	workloads []model.Workload
-	weights   []float64
-	arrivals  *rng.SplitMix64 // arrival-process stream
-	attrs     *rng.SplitMix64 // per-job attribute stream
-	peak      float64         // thinning envelope: max of rate() over the span
-	t         float64
-	i         int
-	done      bool
+	cfg      Config
+	mix      *mix
+	arrivals *rng.SplitMix64 // arrival-process stream
+	attrs    *rng.SplitMix64 // per-job attribute stream
+	peak     float64         // thinning envelope: max of rate() over the span
+	t        float64
+	i        int
+	done     bool
 }
 
 // Stream builds a streaming generator for the configuration. The same
 // Config drives Generate; only the arrival process differs (see type
 // doc). Two Generators from equal Configs emit identical sequences.
 func Stream(cfg Config) (*Generator, error) {
-	cfg, workloads, err := cfg.normalized()
-	if err != nil {
-		return nil, err
-	}
-	weights, err := workloadWeights(workloads)
+	cfg, m, err := cfg.normalized()
 	if err != nil {
 		return nil, err
 	}
 	g := &Generator{
-		cfg:       cfg,
-		workloads: workloads,
-		weights:   weights,
-		arrivals:  rng.Derive(cfg.Seed, rng.HashString("trace-stream-arrivals"), rng.HashString(string(cfg.Kind))),
-		attrs:     rng.Derive(cfg.Seed, rng.HashString("trace-stream-attrs"), rng.HashString(string(cfg.Kind))),
+		cfg:      cfg,
+		mix:      m,
+		arrivals: rng.Derive(cfg.Seed, rng.HashString("trace-stream-arrivals"), rng.HashString(string(cfg.Kind))),
+		attrs:    rng.Derive(cfg.Seed, rng.HashString("trace-stream-attrs"), rng.HashString(string(cfg.Kind))),
 	}
 	g.peak = g.peakRate()
 	return g, nil
@@ -126,7 +119,7 @@ func (g *Generator) Next() (Job, bool) {
 			break
 		}
 	}
-	j := synthesize(g.attrs, g.cfg, g.workloads, g.weights, g.i, g.t)
+	j := synthesize(g.attrs, g.cfg, g.mix, g.i, g.t)
 	g.i++
 	return j, true
 }

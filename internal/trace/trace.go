@@ -108,10 +108,18 @@ func DefaultWorkloads() []model.Workload {
 	return out
 }
 
+// mix is a configuration's job mixture, computed once per trace: the
+// workload candidates with their draw weights, and the priority weights.
+type mix struct {
+	workloads []model.Workload
+	weights   []float64
+	prio      []float64
+}
+
 // normalized validates the configuration and resolves its defaults,
-// returning the effective workload mix. Shared by Generate and Stream so
-// both synthesis paths accept exactly the same configurations.
-func (cfg Config) normalized() (Config, []model.Workload, error) {
+// returning its mixture. Shared by Generate and Stream so both synthesis
+// paths accept exactly the same configurations.
+func (cfg Config) normalized() (Config, *mix, error) {
 	if cfg.NumJobs <= 0 || cfg.Duration <= 0 {
 		return cfg, nil, fmt.Errorf("trace: need positive NumJobs and Duration")
 	}
@@ -127,11 +135,15 @@ func (cfg Config) normalized() (Config, []model.Workload, error) {
 	if cfg.PriorityLevels < 1 {
 		cfg.PriorityLevels = 3
 	}
-	workloads := cfg.Workloads
-	if len(workloads) == 0 {
-		workloads = DefaultWorkloads()
+	m := &mix{workloads: cfg.Workloads, prio: priorityWeights(cfg.PriorityLevels)}
+	if len(m.workloads) == 0 {
+		m.workloads = DefaultWorkloads()
 	}
-	return cfg, workloads, nil
+	var err error
+	if m.weights, err = workloadWeights(m.workloads); err != nil {
+		return cfg, nil, err
+	}
+	return cfg, m, nil
 }
 
 // workloadWeights draws weights for the workload mix. Large-model
@@ -154,8 +166,8 @@ func workloadWeights(workloads []model.Workload) ([]float64, error) {
 // time, which the caller supplies) from the stream r. Generate and the
 // streaming Generator share this so a job's workload/size/priority
 // mixture is identical across both synthesis paths.
-func synthesize(r *rng.SplitMix64, cfg Config, workloads []model.Workload, weights []float64, i int, submit float64) Job {
-	w := workloads[weightedChoice(r, weights)]
+func synthesize(r *rng.SplitMix64, cfg Config, m *mix, i int, submit float64) Job {
+	w := m.workloads[weightedChoice(r, m.weights)]
 
 	// Iterations: heavy-tailed, matching production duration skew.
 	iters := int(r.LogNormalish(200, 2.6) * cfg.LifespanScale)
@@ -170,7 +182,7 @@ func synthesize(r *rng.SplitMix64, cfg Config, workloads []model.Workload, weigh
 	}
 
 	// Priority: most jobs are routine; few are expedited (§3.5).
-	prio := 1 + weightedChoice(r, priorityWeights(cfg.PriorityLevels))
+	prio := 1 + weightedChoice(r, m.prio)
 
 	j := Job{
 		ID:         jobID(cfg.Kind, i),
@@ -210,19 +222,15 @@ func jobID(kind Kind, i int) string {
 
 // Generate synthesizes a deterministic trace for the configuration.
 func Generate(cfg Config) ([]Job, error) {
-	cfg, workloads, err := cfg.normalized()
+	cfg, m, err := cfg.normalized()
 	if err != nil {
 		return nil, err
 	}
 	r := rng.Derive(cfg.Seed, rng.HashString(string(cfg.Kind)))
-	weights, err := workloadWeights(workloads)
-	if err != nil {
-		return nil, err
-	}
 	jobs := make([]Job, 0, cfg.NumJobs)
 	for i := 0; i < cfg.NumJobs; i++ {
 		submit := arrivalTime(cfg.Kind, r, cfg.Duration)
-		jobs = append(jobs, synthesize(r, cfg, workloads, weights, i, submit))
+		jobs = append(jobs, synthesize(r, cfg, m, i, submit))
 	}
 	sort.SliceStable(jobs, func(a, b int) bool { return jobs[a].SubmitTime < jobs[b].SubmitTime })
 	return jobs, nil

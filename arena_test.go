@@ -67,7 +67,7 @@ func TestFacadeSearches(t *testing.T) {
 	}
 	gp, err := s.Plan(ctx, arena.Grid{
 		Workload: arena.Workload{Model: "MoE-1.3B", GlobalBatch: 256},
-		GPUType:  "A40", N: 4, S: full.Plan.PipelineDegree(),
+		GPUType:  "A40", N: 4, S: len(full.Plan.Stages),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +172,7 @@ func TestSessionMatchesFreeFunctions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jpFree, err := profiler.ProfileJob(arena.NewPlanner(), arena.NewProfiler(eng, ct), g, w, []string{"A40"}, 4)
+	jpFree, err := profiler.ProfileJobCtx(context.Background(), arena.NewPlanner(), arena.NewProfiler(eng, ct), g, w, []string{"A40"}, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,13 +203,13 @@ func TestSessionSimulateMatchesFreeSimulate(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dbFree, err := perfdb.Build(arena.NewEngine(42), perfdb.Options{
+	dbFree, err := perfdb.BuildCtx(context.Background(), arena.NewEngine(42), perfdb.Options{
 		GPUTypes: spec.GPUTypes(), MaxN: 8, Workloads: []arena.Workload{w},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	free, err := sim.Run(sim.Config{
+	free, err := sim.RunCtx(context.Background(), sim.Config{
 		Spec: spec, Policy: arena.NewArenaPolicy(), Source: trace.SliceSource(jobs), DB: dbFree,
 		RoundSeconds: 300, IncludeUnfinished: true,
 	})

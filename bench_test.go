@@ -222,7 +222,7 @@ func BenchmarkBuildPerfDB(b *testing.B) {
 	}
 	b.Run("cached", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := perfdb.Build(arena.NewEngine(42), opts); err != nil {
+			if _, err := perfdb.BuildCtx(context.Background(), arena.NewEngine(42), opts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -246,7 +246,7 @@ func simBenchSetup() {
 			{Model: "GPT-1.3B", GlobalBatch: 128},
 			{Model: "GPT-2.6B", GlobalBatch: 128},
 		}
-		simBenchDB, simBenchErr = perfdb.Build(arena.NewEngine(42), perfdb.Options{
+		simBenchDB, simBenchErr = perfdb.BuildCtx(context.Background(), arena.NewEngine(42), perfdb.Options{
 			GPUTypes: []string{"A40", "A10"}, MaxN: 16, Workloads: workloads,
 		})
 		if simBenchErr != nil {
@@ -271,7 +271,7 @@ func BenchmarkSimRun(b *testing.B) {
 	}
 	b.Run("arena", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := sim.Run(sim.Config{
+			res, err := sim.RunCtx(context.Background(), sim.Config{
 				Spec: hw.ClusterA(), Policy: sched.NewArena(), Source: trace.SliceSource(simBenchJobs),
 				DB: simBenchDB, RoundSeconds: 300, IncludeUnfinished: true, Seed: 1,
 			})
@@ -355,7 +355,7 @@ func streamBenchRun(b *testing.B, n int, mkPolicy func() sched.Policy) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := sim.Run(sim.Config{
+		res, err := sim.RunCtx(context.Background(), sim.Config{
 			Spec: streamBenchSpec(), Policy: mkPolicy(), Source: src,
 			Streaming: true, DB: simBenchDB, RoundSeconds: 300,
 			IncludeUnfinished: true, Seed: 1,
@@ -549,7 +549,7 @@ func BenchmarkSimRunFaults(b *testing.B) {
 	}
 	b.Run("arena", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := sim.Run(sim.Config{
+			res, err := sim.RunCtx(context.Background(), sim.Config{
 				Spec: hw.ClusterA(), Policy: sched.NewArena(), Source: trace.SliceSource(simBenchJobs),
 				DB: simBenchDB, RoundSeconds: 300, IncludeUnfinished: true, Seed: 1,
 				Faults: fc,

@@ -95,7 +95,21 @@ func fixtureDiags(t *testing.T, analyzers []*Analyzer, dir, importPath string) (
 	t.Helper()
 	ld := fixtureLoader(t)
 	full := filepath.Join("testdata", dir)
-	entries, err := os.ReadDir(full)
+	pkg, err := ld.check(importPath, full, goFilesIn(t, full))
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags, err := RunPackage(pkg, analyzers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pkg, diags
+}
+
+// goFilesIn lists a fixture directory's Go files, sorted.
+func goFilesIn(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,17 +121,9 @@ func fixtureDiags(t *testing.T, analyzers []*Analyzer, dir, importPath string) (
 	}
 	sort.Strings(files)
 	if len(files) == 0 {
-		t.Fatalf("no fixture files in %s", full)
+		t.Fatalf("no fixture files in %s", dir)
 	}
-	pkg, err := ld.check(importPath, full, files)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags, err := RunPackage(pkg, analyzers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pkg, diags
+	return files
 }
 
 // runFixture checks the fixture and matches findings against its want

@@ -19,12 +19,15 @@ import (
 
 // The standalone loader: parse and type-check every package of this
 // module using only the standard library plus the go command. Package
-// metadata comes from `go list -json`; type information for external
-// dependencies (the standard library — go.mod declares nothing else)
-// comes from export data produced by `go list -export`, which works
-// fully offline against the build cache. Module packages are
+// metadata comes from `go list -json -deps`; type information for
+// external dependencies (the standard library — go.mod declares nothing
+// else) comes from export data produced by `go list -export`, which
+// works fully offline against the build cache. Module packages are
 // type-checked from source in dependency order so the analyzers see
-// syntax trees, not just export data.
+// syntax trees, not just export data. That includes packages of this
+// module that the patterns reach only as dependencies — from the
+// benchmark/ module, whose go.mod replaces this one with its source —
+// though those yield no analysis unit.
 //
 // Each module package yields up to two analysis units: the package
 // including its in-package _test.go files, and — when present — the
@@ -43,6 +46,7 @@ type listedPackage struct {
 	CgoFiles       []string
 	TestGoFiles    []string
 	XTestGoFiles   []string
+	DepOnly        bool // reached only as a dependency of the patterns
 	IgnoredGoFiles []string
 	Imports        []string
 	TestImports    []string
@@ -76,10 +80,14 @@ func LoadModule(cfg LoadConfig) (*LoadResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var mod []*listedPackage
+	var local, mod []*listedPackage
 	ignored := []string{}
 	for _, p := range listed {
 		if p.Standard || !strings.HasPrefix(p.ImportPath, ModulePath) {
+			continue
+		}
+		local = append(local, p)
+		if p.DepOnly {
 			continue
 		}
 		mod = append(mod, p)
@@ -90,7 +98,7 @@ func LoadModule(cfg LoadConfig) (*LoadResult, error) {
 
 	// Export data for everything imported from outside the module.
 	external := map[string]bool{}
-	for _, p := range mod {
+	for _, p := range local {
 		for _, lists := range [][]string{p.Imports, p.TestImports, p.XTestImports} {
 			for _, imp := range lists {
 				if imp != "C" && imp != "unsafe" && !strings.HasPrefix(imp, ModulePath) {
@@ -111,7 +119,7 @@ func LoadModule(cfg LoadConfig) (*LoadResult, error) {
 		checked: map[string]*types.Package{},
 		gc:      gcImporter(fset, exports),
 	}
-	for _, p := range mod {
+	for _, p := range local {
 		ld.byPath[p.ImportPath] = p
 	}
 
@@ -204,11 +212,11 @@ func (ld *moduleLoader) check(importPath, dir string, files []string) (*Package,
 	}, nil
 }
 
-// goList runs `go list -json` and decodes the stream.
+// goList runs `go list -json -deps` and decodes the stream.
 func goList(dir, tags string, export bool, patterns []string) ([]*listedPackage, error) {
-	args := []string{"list", "-json"}
+	args := []string{"list", "-json", "-deps"}
 	if export {
-		args = append(args, "-deps", "-export")
+		args = append(args, "-export")
 	}
 	if tags != "" {
 		args = append(args, "-tags", tags)

@@ -12,13 +12,3 @@ func All() []*Analyzer {
 		StableSort,
 	}
 }
-
-// ByName returns the named analyzer, or nil.
-func ByName(name string) *Analyzer {
-	for _, a := range All() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}

@@ -1,20 +1,38 @@
 package analysis
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
+
+var (
+	repoOnce sync.Once
+	repoRes  *LoadResult
+	repoErr  error
+)
+
+// repoLoad loads the module at HEAD once for both repo sweeps.
+func repoLoad(t *testing.T) *LoadResult {
+	t.Helper()
+	repoOnce.Do(func() {
+		var root string
+		root, repoErr = FindModuleRoot(".")
+		if repoErr == nil {
+			repoRes, repoErr = LoadModule(LoadConfig{Dir: root})
+		}
+	})
+	if repoErr != nil {
+		t.Fatal(repoErr)
+	}
+	return repoRes
+}
 
 // TestRepoSweep runs the full analyzer suite over the module at HEAD
 // and requires zero findings — the same gate CI applies through
 // `go vet -vettool=arena-vet`, held here inside plain `go test ./...`
 // so the discipline binds offline and in every checkout.
 func TestRepoSweep(t *testing.T) {
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := LoadModule(LoadConfig{Dir: root})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := repoLoad(t)
 	// No file may hide from the sweep behind a build tag: the repo has
 	// no tag-gated Go files today, and any future ones must come with a
 	// per-configuration arena-vet invocation before this can relax.

@@ -79,9 +79,6 @@ type Wall struct {
 	epoch time.Time
 }
 
-// NewWall returns a Wall clock whose run timeline starts now.
-func NewWall() *Wall { return NewWallAt(0) }
-
 // NewWallAt returns a Wall clock that currently reads `offset` seconds —
 // how a recovered server resumes its journaled timeline: restarting at
 // offset L makes round ⌈L/interval⌉+1 fire one interval later, exactly

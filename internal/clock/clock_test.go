@@ -112,7 +112,7 @@ func TestWallAtResumesOffset(t *testing.T) {
 }
 
 func TestWallWaitSleepsAndCancels(t *testing.T) {
-	w := NewWall()
+	w := NewWallAt(0)
 	// A short real wait completes.
 	if err := w.Wait(context.Background(), 0.01); err != nil {
 		t.Fatal(err)

@@ -147,9 +147,6 @@ func New(spec hw.ClusterSpec) (*Cluster, error) {
 	return c, nil
 }
 
-// Spec returns the underlying static specification.
-func (c *Cluster) Spec() hw.ClusterSpec { return c.spec }
-
 // GPUTypes returns the cluster's types, fastest first. The slice is
 // computed once and shared by every caller: it is read-only.
 func (c *Cluster) GPUTypes() []string { return c.types }

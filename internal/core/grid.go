@@ -15,8 +15,6 @@ package core
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"github.com/sjtu-epcc/arena/internal/model"
 )
@@ -93,113 +91,4 @@ func Enumerate(w model.Workload, numOps int, gpuTypes []string, maxN int) []Grid
 		}
 	}
 	return grids
-}
-
-// SpaceSize reports analytic sizes of the optimization (sub)spaces for a
-// job, used to document the complexity reduction of grid sharding
-// (§3.2: profiling complexity drops from O(K·N·M·Σ C(O,s)·C(N,s)·2^s)
-// to O(K·N²·M)).
-type SpaceSize struct {
-	JointPlans     float64 // |J| = |S × P|, scheduling × parallelism plans
-	GridCount      int     // number of grids (profiled points, J_out)
-	PerGridEstOnly float64 // average plans per grid (estimated, J_in)
-}
-
-// MeasureSpace computes SpaceSize for one workload given O clustered
-// operators, M GPU types and per-type maximum N.
-func MeasureSpace(numOps, numTypes, maxN int) SpaceSize {
-	var joint float64
-	gridCount := 0
-	for _, n := range GPUCounts(maxN) {
-		for _, s := range PipelineDegrees(n, numOps) {
-			gridCount += numTypes
-			// Plans within the grid: stage partitions × GPU assignments ×
-			// intra-stage parallelism choices.
-			partitions := binom(numOps-1, s-1)
-			assignments := pow2Compositions(n, s)
-			intra := math.Pow(float64(intraChoices(n)), float64(s))
-			joint += float64(numTypes) * partitions * assignments * intra
-		}
-	}
-	return SpaceSize{
-		JointPlans:     joint,
-		GridCount:      gridCount,
-		PerGridEstOnly: joint / float64(gridCount),
-	}
-}
-
-// binom returns C(n, k) as float64 (sizes only; exactness not required
-// beyond float precision).
-func binom(n, k int) float64 {
-	if k < 0 || k > n {
-		return 0
-	}
-	if k > n-k {
-		k = n - k
-	}
-	r := 1.0
-	for i := 0; i < k; i++ {
-		r = r * float64(n-i) / float64(i+1)
-	}
-	return r
-}
-
-// pow2Compositions counts ordered s-tuples of powers of two summing to n.
-func pow2Compositions(n, s int) float64 {
-	memo := map[[2]int]float64{}
-	var rec func(rem, parts int) float64
-	rec = func(rem, parts int) float64 {
-		if parts == 0 {
-			if rem == 0 {
-				return 1
-			}
-			return 0
-		}
-		if rem < parts { // each part ≥ 1
-			return 0
-		}
-		key := [2]int{rem, parts}
-		if v, ok := memo[key]; ok {
-			return v
-		}
-		var total float64
-		for p := 1; p <= rem; p *= 2 {
-			total += rec(rem-p, parts-1)
-		}
-		memo[key] = total
-		return total
-	}
-	return rec(n, s)
-}
-
-// intraChoices counts (dp, tp) factorizations with power-of-two factors
-// for a stage of up to n GPUs (averaged upper bound: log2(n)+1).
-func intraChoices(n int) int {
-	c := 0
-	for p := 1; p <= n; p *= 2 {
-		c++
-	}
-	return c
-}
-
-// BestPerResource groups arbitrary per-grid scores (higher is better) by
-// resource and returns, per resource, the grid with the best score —
-// the traversal the scheduler performs when querying AP performance
-// ("Arena traverses relevant grids for the best-performing one", §3.5).
-func BestPerResource(scores map[Grid]float64) map[Resource]Grid {
-	best := make(map[Resource]Grid)
-	// Deterministic iteration: sort grid keys.
-	grids := make([]Grid, 0, len(scores))
-	for g := range scores {
-		grids = append(grids, g)
-	}
-	sort.Slice(grids, func(i, j int) bool { return grids[i].String() < grids[j].String() })
-	for _, g := range grids {
-		r := Resource{GPUType: g.GPUType, N: g.N}
-		cur, ok := best[r]
-		if !ok || scores[g] > scores[cur] {
-			best[r] = g
-		}
-	}
-	return best
 }

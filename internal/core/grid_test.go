@@ -2,7 +2,6 @@ package core
 
 import (
 	"testing"
-	"testing/quick"
 
 	"github.com/sjtu-epcc/arena/internal/model"
 )
@@ -65,86 +64,6 @@ func TestGridStringStable(t *testing.T) {
 	g := Grid{Workload: w, GPUType: "A100", N: 8, S: 2}
 	if g.String() != "MoE-2.4B@256/8xA100/s2" {
 		t.Errorf("String() = %q", g.String())
-	}
-}
-
-func TestMeasureSpaceReduction(t *testing.T) {
-	// §3.2: grid sharding cuts the profiled space from the full joint
-	// product to O(K·N²·M) points.
-	s := MeasureSpace(16, 4, 16)
-	if s.JointPlans <= float64(s.GridCount) {
-		t.Fatal("joint space should dwarf the grid count")
-	}
-	// The reduction factor must be astronomical for the paper's example.
-	if s.JointPlans/float64(s.GridCount) < 1e4 {
-		t.Errorf("reduction factor too small: %v", s.JointPlans/float64(s.GridCount))
-	}
-	if s.PerGridEstOnly <= 1 {
-		t.Error("each grid should contain many estimated-only plans")
-	}
-}
-
-func TestPow2CompositionsProperty(t *testing.T) {
-	// Property: the count of ordered power-of-two compositions is at least
-	// 1 whenever n ≥ s and n is reachable (s ones + powers), and 0 when
-	// n < s.
-	f := func(rawN, rawS uint8) bool {
-		n := int(rawN%16) + 1
-		s := int(rawS%8) + 1
-		c := pow2Compositions(n, s)
-		if n < s {
-			return c == 0
-		}
-		return c >= 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-	// Known values: compositions of 4 into 2 power-of-two parts:
-	// (1,?)→ no (3 not pow2 reachable as single part? 1+3 invalid), valid:
-	// (2,2), (1,3)✗, (3,1)✗ → plus (1,1) sums 2 ✗. So exactly 1.
-	if got := pow2Compositions(4, 2); got != 1 {
-		t.Errorf("pow2Compositions(4,2) = %v, want 1", got)
-	}
-	if got := pow2Compositions(3, 2); got != 2 {
-		// (1,2) and (2,1).
-		t.Errorf("pow2Compositions(3,2) = %v, want 2", got)
-	}
-}
-
-func TestBinom(t *testing.T) {
-	cases := []struct {
-		n, k int
-		want float64
-	}{{15, 0, 1}, {15, 1, 15}, {15, 3, 455}, {15, 7, 6435}, {5, 6, 0}}
-	for _, c := range cases {
-		if got := binom(c.n, c.k); got != c.want {
-			t.Errorf("binom(%d,%d) = %v, want %v", c.n, c.k, got, c.want)
-		}
-	}
-}
-
-func TestBestPerResource(t *testing.T) {
-	w := model.Workload{Model: "GPT-1.3B", GlobalBatch: 128}
-	scores := map[Grid]float64{
-		{Workload: w, GPUType: "A40", N: 4, S: 1}: 10,
-		{Workload: w, GPUType: "A40", N: 4, S: 2}: 14,
-		{Workload: w, GPUType: "A40", N: 4, S: 4}: 12,
-		{Workload: w, GPUType: "A40", N: 8, S: 2}: 20,
-		{Workload: w, GPUType: "A10", N: 4, S: 2}: 9,
-	}
-	best := BestPerResource(scores)
-	if len(best) != 3 {
-		t.Fatalf("got %d resources", len(best))
-	}
-	if g := best[Resource{GPUType: "A40", N: 4}]; g.S != 2 {
-		t.Errorf("best 4×A40 grid = %v", g)
-	}
-	if g := best[Resource{GPUType: "A40", N: 8}]; g.S != 2 {
-		t.Errorf("best 8×A40 grid = %v", g)
-	}
-	if g := best[Resource{GPUType: "A10", N: 4}]; g.S != 2 {
-		t.Errorf("best 4×A10 grid = %v", g)
 	}
 }
 

@@ -44,7 +44,8 @@
 // the first write is kept. Graphs are identified by their Name, which the
 // model registry guarantees to determine the operator list; callers
 // constructing ad-hoc graphs must give distinct names. Mutating the
-// engine's tunables after populating a cache invalidates it — call Reset.
+// engine's tunables after populating a cache invalidates it: build a new
+// cache.
 //
 // AttachStore extends the memo across processes: each measurement
 // context hydrates lazily from a content-addressed store object on first

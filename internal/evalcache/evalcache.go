@@ -144,7 +144,6 @@ type StageShard struct {
 	// stages is the stage memo: per shape, one row per start op, allocated
 	// on first use and indexed by end−start−1.
 	stages map[shapeKey][][]stageSlot
-	filled int // filled slots across stages
 	ops    map[opCtxKey]*opCtx
 	dirty  bool // has measurements the backing store has not seen
 }
@@ -252,7 +251,6 @@ func (sh *StageShard) storeLocked(key shapeKey, start, end int, m exec.StageMeas
 		return false
 	}
 	*slot = stageSlot{m: m, ok: true}
-	sh.filled++
 	return true
 }
 
@@ -342,36 +340,4 @@ func (c *Cache) Stats() Stats {
 		PlanHits:    int(c.planHits.Load()),
 		PlanMisses:  int(c.planMisses.Load()),
 	}
-}
-
-// Len reports the number of memoized stage measurements and plan
-// evaluations.
-func (c *Cache) Len() (stages, plans int) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for _, sh := range c.shards {
-		sh.mu.RLock()
-		stages += sh.filled
-		sh.mu.RUnlock()
-	}
-	return stages, len(c.plans)
-}
-
-// Reset drops all memoized measurements and counters. Required after
-// mutating the bound engine's tunables; with a backing store it also
-// re-derives the engine fingerprint, so subsequent contexts hydrate from
-// (and save to) the retuned engine's own objects.
-func (c *Cache) Reset() {
-	c.mu.Lock()
-	c.shards = map[shardKey]*StageShard{}
-	c.plans = map[planKey]exec.Result{}
-	if c.backing != nil {
-		c.engineFP = EngineFingerprint(c.eng)
-	}
-	c.loadStats = LoadStats{}
-	c.mu.Unlock()
-	c.stageHits.Store(0)
-	c.stageMisses.Store(0)
-	c.planHits.Store(0)
-	c.planMisses.Store(0)
 }

@@ -102,8 +102,8 @@ func TestEvaluateErrorNotCached(t *testing.T) {
 	if _, err := c.Evaluate(g, plan, spec, 0, spec.GPUsPerNode); err == nil {
 		t.Fatal("want error for batch 0")
 	}
-	if _, plans := c.Len(); plans != 0 {
-		t.Fatalf("error was cached: %d plan entries", plans)
+	if len(c.plans) != 0 {
+		t.Fatalf("error was cached: %d plan entries", len(c.plans))
 	}
 }
 
@@ -131,19 +131,4 @@ func TestConcurrentAccess(t *testing.T) {
 		}(k)
 	}
 	wg.Wait()
-}
-
-func TestReset(t *testing.T) {
-	eng := exec.NewEngine(42)
-	c := New(eng)
-	g := testGraph(t)
-	spec := hw.MustLookup("A40")
-	c.MeasureStage(g, parallel.StagePlan{OpStart: 0, OpEnd: 2, DP: 1, TP: 1}, spec, 4, spec.GPUsPerNode)
-	c.Reset()
-	if stages, plans := c.Len(); stages != 0 || plans != 0 {
-		t.Fatalf("Reset left %d/%d entries", stages, plans)
-	}
-	if s := c.Stats(); s != (Stats{}) {
-		t.Fatalf("Reset left counters %+v", s)
-	}
 }

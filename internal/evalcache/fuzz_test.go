@@ -24,7 +24,8 @@ import (
 // refused object leaves the session measuring cold, bit-identical to the
 // engine.
 func FuzzLoadShard(f *testing.F) {
-	st, err := store.Open(f.TempDir())
+	dir := f.TempDir()
+	st, err := store.Open(dir)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func FuzzLoadShard(f *testing.F) {
 		f.Fatal(err)
 	}
 	key := shardStoreKey(EngineFingerprint(eng), GraphFingerprint(g), GPUFingerprint(spec), spec.GPUsPerNode)
-	path := filepath.Join(st.Dir(), evalDomain, string(key)+".json")
+	path := filepath.Join(dir, evalDomain, string(key)+".json")
 	obj, err := os.ReadFile(path)
 	if err != nil {
 		f.Fatal(err)

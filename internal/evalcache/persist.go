@@ -158,9 +158,9 @@ func shardStoreKey(engineFP, graphFP, gpuFP string, gpusPerNode int) store.Key {
 // before the attach are hydrated immediately, so attaching to a shared,
 // already-warm cache composes.
 //
-// Attach before mutating the engine's tunables, or call Reset afterwards —
-// the store keys embed the engine fingerprint, exactly like the in-memory
-// memo assumes a fixed engine.
+// Attach after the engine's tunables are final: the store keys embed the
+// engine fingerprint, exactly like the in-memory memo assumes a fixed
+// engine.
 func (c *Cache) AttachStore(st *store.Store) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -107,8 +107,12 @@ func (e *Engine) KernelTime(op model.Op, spec hw.GPU, samples float64, tp int) f
 	return t
 }
 
-// shapeEfficiency mirrors hw.GPU.ShapeEfficiency but with the engine's
-// configurable floor/ceiling so ablations can widen or flatten the curve.
+// shapeEfficiency models how much of the roofline a kernel of the given
+// per-GPU work (FLOPs) achieves. Real kernels need enough parallel work to
+// fill all SMs and hide memory latency; as parallelism strategies slice
+// operators thinner (more TP/DP ways), the per-GPU work shrinks and
+// utilization drops — the "diminishing returns" of §2.2 and Fig. 18. The
+// curve is work/(work + EffHalfWork) scaled into [EffFloor, EffCeiling].
 func (e *Engine) shapeEfficiency(spec hw.GPU, work float64) float64 {
 	if work <= 0 {
 		return e.EffFloor

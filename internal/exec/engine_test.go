@@ -3,6 +3,7 @@ package exec
 import (
 	"math"
 	"testing"
+	"testing/quick"
 
 	"github.com/sjtu-epcc/arena/internal/hw"
 	"github.com/sjtu-epcc/arena/internal/model"
@@ -16,6 +17,19 @@ func testGraph(t *testing.T, name string) *model.Graph {
 		t.Fatal(err)
 	}
 	return g
+}
+
+// evenPipeline builds an s-stage pipeline whose stages split g's
+// operators as evenly as possible, each on dp×tp GPUs.
+func evenPipeline(g *model.Graph, s, dp, tp int) *parallel.Plan {
+	stages := make([]parallel.StagePlan, 0, s)
+	start := 0
+	for i := 0; i < s; i++ {
+		end := start + (len(g.Ops)-start)/(s-i)
+		stages = append(stages, parallel.StagePlan{OpStart: start, OpEnd: end, DP: dp, TP: tp})
+		start = end
+	}
+	return &parallel.Plan{Stages: stages, NumMicrobatches: parallel.DefaultMicrobatches(s)}
 }
 
 func evaluate(t *testing.T, e *Engine, g *model.Graph, p *parallel.Plan, typ string, gb int) Result {
@@ -115,10 +129,7 @@ func TestInterconnectMatters(t *testing.T) {
 func TestGPUTimeBreakdownAccounting(t *testing.T) {
 	g := testGraph(t, "GPT-1.3B")
 	e := NewEngine(42)
-	p, err := parallel.EvenPipeline(g, 2, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := evenPipeline(g, 2, 2, 1)
 	r := evaluate(t, e, g, p, "A40", 128)
 	total := r.ComputeGPUTime + r.CommGPUTime + r.IdleGPUTime
 	want := r.IterTime * float64(p.TotalGPUs())
@@ -150,11 +161,7 @@ func TestWideDPInflatesCommGPUTime(t *testing.T) {
 func TestStageTimesReported(t *testing.T) {
 	g := testGraph(t, "WRes-1B")
 	e := NewEngine(42)
-	p, err := parallel.EvenPipeline(g, 4, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := evaluate(t, e, g, p, "A40", 256)
+	r := evaluate(t, e, g, evenPipeline(g, 4, 1, 1), "A40", 256)
 	if len(r.StageTime) != 4 {
 		t.Fatalf("StageTime has %d entries", len(r.StageTime))
 	}
@@ -188,6 +195,21 @@ func TestKernelTimeProperties(t *testing.T) {
 	}
 	if e.KernelTime(op, spec, 0, 1) != 0 {
 		t.Error("zero samples should cost zero")
+	}
+}
+
+func TestShapeEfficiencyBounds(t *testing.T) {
+	e := NewEngine(42)
+	g := hw.MustLookup("H100")
+	f := func(work float64) bool {
+		eff := e.shapeEfficiency(g, math.Abs(work))
+		return eff >= e.EffFloor && eff <= e.EffCeiling
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+	if e.shapeEfficiency(g, 1e15) <= e.shapeEfficiency(g, 1e6) {
+		t.Error("efficiency should grow with work size")
 	}
 }
 

@@ -25,15 +25,6 @@ type HeteroPlan struct {
 	NumMicrobatches int
 }
 
-// TotalGPUs returns the aggregate GPU demand per type.
-func (p *HeteroPlan) TotalGPUs() map[string]int {
-	m := map[string]int{}
-	for _, st := range p.Stages {
-		m[st.GPUType] += st.GPUs()
-	}
-	return m
-}
-
 // Validate checks structure: contiguous coverage, known GPU types,
 // positive degrees.
 func (p *HeteroPlan) Validate(g *model.Graph) error {

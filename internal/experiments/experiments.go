@@ -125,9 +125,6 @@ func NewEnv(seed uint64) *Env {
 	}
 }
 
-// Engine returns the shared execution engine.
-func (e *Env) Engine() *exec.Engine { return e.eng }
-
 // CommTable returns (building on first use) the offline communication
 // table covering the given GPU types.
 func (e *Env) CommTable(types []string) (*profiler.CommTable, error) {

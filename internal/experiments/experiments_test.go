@@ -165,7 +165,7 @@ func TestEnvForwardsProgress(t *testing.T) {
 	}
 
 	w := model.Workload{Model: "WRes-1B", GlobalBatch: 256}
-	db, err := perfdb.Build(env.Engine(), perfdb.Options{
+	db, err := perfdb.BuildCtx(context.Background(), env.eng, perfdb.Options{
 		GPUTypes:  []string{"A40"},
 		MaxN:      4,
 		Workloads: []model.Workload{w},

@@ -79,27 +79,29 @@ func TestTypeNamesCoverCatalog(t *testing.T) {
 }
 
 func TestRooflineRidge(t *testing.T) {
+	// Below the ridge intensity PeakFLOPS/MemBandwidth a kernel is
+	// memory-bound, above it compute-bound.
 	g := MustLookup("A100")
-	ridge := g.RidgeIntensity()
-	// Below the ridge: memory-bound, R(I) = I × BW.
-	low := g.Roofline(ridge / 10)
-	if math.Abs(low-(ridge/10)*g.MemBandwidth)/low > 1e-12 {
-		t.Errorf("memory-bound roofline wrong: %v", low)
+	ridge := g.PeakFLOPS / g.MemBandwidth
+	bytes := 1e9
+	if got := g.IdealKernelTime(ridge/10*bytes, bytes); got != bytes/g.MemBandwidth {
+		t.Errorf("below the ridge: %v, want the memory-bound %v", got, bytes/g.MemBandwidth)
 	}
-	// Above the ridge: compute-bound, R(I) = peak.
-	if got := g.Roofline(ridge * 10); got != g.PeakFLOPS {
-		t.Errorf("compute-bound roofline = %v, want peak", got)
+	if got := g.IdealKernelTime(ridge*10*bytes, bytes); got != ridge*10*bytes/g.PeakFLOPS {
+		t.Errorf("above the ridge: %v, want the compute-bound %v", got, ridge*10*bytes/g.PeakFLOPS)
 	}
 }
 
 func TestRooflineMonotone(t *testing.T) {
+	// The roofline time never falls as a kernel's FLOPs or traffic grow.
 	g := MustLookup("A40")
-	f := func(a, b float64) bool {
-		a, b = math.Abs(a), math.Abs(b)
+	f := func(a, b, bytes float64) bool {
+		a, b, bytes = math.Abs(a), math.Abs(b), math.Abs(bytes)
 		if a > b {
 			a, b = b, a
 		}
-		return g.Roofline(a) <= g.Roofline(b)+1e-9
+		return g.IdealKernelTime(a, bytes) <= g.IdealKernelTime(b, bytes) &&
+			g.IdealKernelTime(bytes, a) <= g.IdealKernelTime(bytes, b)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -119,20 +121,6 @@ func TestIdealKernelTime(t *testing.T) {
 	want = bytes / g.MemBandwidth
 	if got := g.IdealKernelTime(flops, bytes); math.Abs(got-want)/want > 1e-12 {
 		t.Errorf("memory-bound time %v, want %v", got, want)
-	}
-}
-
-func TestShapeEfficiencyBounds(t *testing.T) {
-	g := MustLookup("H100")
-	f := func(work float64) bool {
-		e := g.ShapeEfficiency(math.Abs(work))
-		return e >= 0.25-1e-12 && e <= 0.92+1e-12
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-	if g.ShapeEfficiency(1e15) < g.ShapeEfficiency(1e6) {
-		t.Error("efficiency should grow with work size")
 	}
 }
 
@@ -216,17 +204,6 @@ func TestCollectiveVolumeMonotone(t *testing.T) {
 func TestCollectiveNegativeVolume(t *testing.T) {
 	if _, err := CollectiveTime(AllReduce, Topology{GPUType: "A100", Workers: 2}, -5); err == nil {
 		t.Fatal("expected error for negative volume")
-	}
-}
-
-func TestGroupTopology(t *testing.T) {
-	a100 := MustLookup("A100") // 4 GPUs/node
-	if topo := GroupTopology(a100, 4); topo.CrossNode {
-		t.Error("4 GPUs on a 4-GPU node should stay intra-node")
-	}
-	topo := GroupTopology(a100, 8)
-	if !topo.CrossNode || topo.NICShare != 4 {
-		t.Errorf("8 GPUs should cross nodes with share 4: %+v", topo)
 	}
 }
 

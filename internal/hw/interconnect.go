@@ -108,18 +108,6 @@ func (t Topology) nicShare() int {
 	return t.NICShare
 }
 
-// GroupTopology derives the Topology for k workers of the given GPU type
-// placed with buddy locality: groups up to GPUsPerNode stay on one node;
-// larger groups pack GPUsPerNode ranks per node, all sharing that NIC.
-func GroupTopology(g GPU, k int) Topology {
-	t := Topology{GPUType: g.Name, Workers: k, NICShare: 1}
-	if k > g.GPUsPerNode {
-		t.CrossNode = true
-		t.NICShare = g.GPUsPerNode
-	}
-	return t
-}
-
 // bottleneck returns the ring's slowest link for the topology, with the
 // inter-node NIC bandwidth divided among co-located ranks.
 func (t Topology) bottleneck() (Link, error) {

@@ -1,37 +1,14 @@
 package hw
 
-// Roofline implements the classic roofline performance model the planner
-// relies on (§3.3, Eq. 2): the attainable throughput of a kernel with
-// arithmetic intensity I (FLOPs per byte of memory traffic) on a device is
-//
-//	R(I) = min(PeakFLOPS, I * MemBandwidth)
-//
-// It depends only on hardware specifications, never on execution — which is
-// exactly what makes Arena's execution-free load estimation possible.
-func (g GPU) Roofline(intensity float64) float64 {
-	if intensity <= 0 {
-		// Pure memory traffic: report bandwidth-limited "throughput" of
-		// effectively zero FLOPs; callers should use bytes/bandwidth.
-		return 0
-	}
-	bound := intensity * g.MemBandwidth
-	if bound < g.PeakFLOPS {
-		return bound
-	}
-	return g.PeakFLOPS
-}
-
-// RidgeIntensity returns the arithmetic intensity (FLOPs/byte) at which the
-// device transitions from memory-bound to compute-bound: Peak / Bandwidth.
-func (g GPU) RidgeIntensity() float64 {
-	return g.PeakFLOPS / g.MemBandwidth
-}
-
 // IdealKernelTime returns the roofline lower bound for a kernel performing
 // flops floating-point operations and moving bytes through memory: the
-// larger of the compute-bound and memory-bound times. This is the quantity
-// the planner uses as an operator "load" denominator; the execution engine
-// layers efficiency curves and overheads on top of it.
+// larger of the compute-bound and memory-bound times. It is the paper's
+// roofline model (§3.3, Eq. 2), R(I) = min(PeakFLOPS, I · MemBandwidth)
+// for arithmetic intensity I = flops/bytes, read as a time: flops / R(I).
+// It depends only on hardware specifications, never on execution — which
+// is exactly what makes Arena's execution-free load estimation possible.
+// The planner uses it as an operator "load" denominator; the execution
+// engine layers efficiency curves and overheads on top of it.
 func (g GPU) IdealKernelTime(flops, bytes float64) float64 {
 	var tc, tm float64
 	if g.PeakFLOPS > 0 {
@@ -44,27 +21,4 @@ func (g GPU) IdealKernelTime(flops, bytes float64) float64 {
 		return tc
 	}
 	return tm
-}
-
-// ShapeEfficiency models how much of the roofline a kernel of the given
-// total work (FLOPs) actually achieves on this device. Real kernels need
-// enough parallel work to fill all SMs and hide memory latency; as
-// parallelism strategies slice operators thinner (more TP/DP ways), the
-// per-GPU work shrinks and utilization drops — the "diminishing returns"
-// phenomenon of §2.2 and Fig. 18.
-//
-// The curve is work/(work + EffHalfWork) scaled into [floor, ceiling]:
-// tiny kernels bottom out near the floor (~25% of roofline), huge kernels
-// approach the ceiling (~92%, matching the ~63-70% end-to-end compute
-// utilizations reported in the paper once launch overheads stack on top).
-func (g GPU) ShapeEfficiency(work float64) float64 {
-	const (
-		floor   = 0.25
-		ceiling = 0.92
-	)
-	if work <= 0 {
-		return floor
-	}
-	frac := work / (work + g.EffHalfWork)
-	return floor + (ceiling-floor)*frac
 }

@@ -1,5 +1,5 @@
 // Package metrics aggregates the scheduling statistics the paper reports:
-// cluster throughput time series (Fig. 11), JCT distributions and CDFs
+// cluster throughput time series (Fig. 11), JCT distributions
 // (Fig. 12), queuing delays (Fig. 10), deadline satisfaction (§5.6), and
 // rescheduling counts (§5.3).
 package metrics
@@ -52,16 +52,6 @@ type Summary struct {
 	Preemptions int // crash evictions across all jobs
 	Restarts    int // checkpoint restarts consumed
 	Failed      int // jobs dead past their retry budget
-}
-
-// Finalize computes the aggregate fields from the raw series.
-func (s *Summary) Finalize() {
-	s.AvgThr = Mean(s.ThroughputSeries)
-	s.PeakThr = Max(s.ThroughputSeries)
-	s.AvgJCT = Mean(s.JCTs)
-	s.P50JCT = Percentile(s.JCTs, 0.50)
-	s.P90JCT = Percentile(s.JCTs, 0.90)
-	s.AvgQueue = Mean(s.QueueTimes)
 }
 
 // DeadlineRatio returns the deadline satisfaction ratio (§5.6), or 0 when
@@ -117,31 +107,6 @@ func Percentile(xs []float64, p float64) float64 {
 		return sorted[lo]
 	}
 	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
-}
-
-// CDFPoint is one point of an empirical distribution function.
-type CDFPoint struct {
-	X float64 // value
-	F float64 // fraction ≤ X
-}
-
-// CDF returns the empirical CDF sampled at up to `points` positions
-// (Fig. 12(a)'s JCT CDF).
-func CDF(xs []float64, points int) []CDFPoint {
-	if len(xs) == 0 || points < 2 {
-		return nil
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	out := make([]CDFPoint, 0, points)
-	for i := 0; i < points; i++ {
-		idx := (len(sorted) - 1) * i / (points - 1)
-		out = append(out, CDFPoint{
-			X: sorted[idx],
-			F: float64(idx+1) / float64(len(sorted)),
-		})
-	}
-	return out
 }
 
 // RelErr returns |a−b| / b (0 when b is 0) — the simulation-fidelity

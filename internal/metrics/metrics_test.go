@@ -65,52 +65,12 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestCDF(t *testing.T) {
-	xs := []float64{4, 1, 3, 2}
-	cdf := CDF(xs, 4)
-	if len(cdf) != 4 {
-		t.Fatalf("got %d points", len(cdf))
-	}
-	if cdf[0].X != 1 || cdf[len(cdf)-1].X != 4 {
-		t.Errorf("endpoints: %+v", cdf)
-	}
-	if cdf[len(cdf)-1].F != 1 {
-		t.Errorf("final F = %v", cdf[len(cdf)-1].F)
-	}
-	for i := 1; i < len(cdf); i++ {
-		if cdf[i].X < cdf[i-1].X || cdf[i].F < cdf[i-1].F {
-			t.Error("CDF not monotone")
-		}
-	}
-	if CDF(nil, 4) != nil || CDF(xs, 1) != nil {
-		t.Error("degenerate inputs should return nil")
-	}
-}
-
 func TestRelErr(t *testing.T) {
 	if RelErr(11, 10) != 0.1 {
 		t.Errorf("RelErr(11,10) = %v", RelErr(11, 10))
 	}
 	if RelErr(5, 0) != 0 {
 		t.Error("division by zero guard")
-	}
-}
-
-func TestSummaryFinalize(t *testing.T) {
-	s := Summary{
-		ThroughputSeries: []float64{10, 20, 30},
-		JCTs:             []float64{100, 200, 300, 400},
-		QueueTimes:       []float64{5, 15},
-	}
-	s.Finalize()
-	if s.AvgThr != 20 || s.PeakThr != 30 {
-		t.Errorf("thr: %v/%v", s.AvgThr, s.PeakThr)
-	}
-	if s.AvgJCT != 250 || s.AvgQueue != 10 {
-		t.Errorf("jct/queue: %v/%v", s.AvgJCT, s.AvgQueue)
-	}
-	if s.P50JCT != 250 {
-		t.Errorf("p50 = %v", s.P50JCT)
 	}
 }
 

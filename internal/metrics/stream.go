@@ -29,9 +29,6 @@ func NewP2Quantile(p float64) *P2Quantile {
 // P returns the quantile this estimator tracks.
 func (s *P2Quantile) P() float64 { return s.p }
 
-// Count returns the number of observations added.
-func (s *P2Quantile) Count() int { return s.n }
-
 // Add feeds one observation.
 func (s *P2Quantile) Add(x float64) {
 	if !s.init {
@@ -140,12 +137,6 @@ func (st *Stream) Add(x float64) {
 		q.Add(x)
 	}
 }
-
-// Count returns the number of observations.
-func (st *Stream) Count() int { return st.n }
-
-// Sum returns the running sum.
-func (st *Stream) Sum() float64 { return st.sum }
 
 // Mean returns the exact mean (0 with no observations).
 func (st *Stream) Mean() float64 {

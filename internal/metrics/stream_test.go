@@ -15,8 +15,8 @@ func TestP2ExactBelowFive(t *testing.T) {
 	if got, want := q.Value(), Percentile([]float64{1, 3, 5}, 0.5); got != want {
 		t.Errorf("median of 3 samples: sketch %g, exact %g", got, want)
 	}
-	if q.Count() != 3 {
-		t.Errorf("Count = %d", q.Count())
+	if q.n != 3 {
+		t.Errorf("count = %d", q.n)
 	}
 }
 
@@ -153,8 +153,8 @@ func TestStreamMeanMatchesSliceSum(t *testing.T) {
 		xs = append(xs, x)
 		st.Add(x)
 	}
-	if st.Count() != len(xs) {
-		t.Fatalf("Count %d != %d", st.Count(), len(xs))
+	if st.n != len(xs) {
+		t.Fatalf("count %d != %d", st.n, len(xs))
 	}
 	if st.Mean() != Mean(xs) {
 		t.Errorf("stream mean %g != slice mean %g", st.Mean(), Mean(xs))

@@ -60,15 +60,6 @@ type Op struct {
 	Shardable bool
 }
 
-// Intensity returns the operator's arithmetic intensity in FLOPs per byte,
-// the roofline model's x-axis (§3.3, Eq. 2).
-func (o Op) Intensity() float64 {
-	if o.Bytes <= 0 {
-		return 0
-	}
-	return o.FLOPs / o.Bytes
-}
-
 // Graph is a model's operator sequence together with workload metadata.
 type Graph struct {
 	Name    string  // e.g. "GPT-1.3B"
@@ -104,23 +95,6 @@ func (g *Graph) FwdFLOPs() float64 {
 		total += o.FLOPs
 	}
 	return total
-}
-
-// TrainFLOPs returns total training FLOPs per sample (fwd + bwd ≈ 3× fwd).
-func (g *Graph) TrainFLOPs() float64 { return 3 * g.FwdFLOPs() }
-
-// Validate checks structural invariants: non-empty, positive FLOPs and
-// traffic on every op, monotone non-negative parameters.
-func (g *Graph) Validate() error {
-	if len(g.Ops) == 0 {
-		return fmt.Errorf("model: graph %s has no operators", g.Name)
-	}
-	for i, o := range g.Ops {
-		if o.FLOPs < 0 || o.Bytes <= 0 || o.ParamBytes < 0 || o.ActBytes < 0 {
-			return fmt.Errorf("model: graph %s op %d (%s) has invalid quantities", g.Name, i, o.Name)
-		}
-	}
-	return nil
 }
 
 // Cluster merges the graph's operators into at most o contiguous clusters,

@@ -29,9 +29,6 @@ type StagePlan struct {
 // GPUs returns the stage's GPU count (DP × TP).
 func (s StagePlan) GPUs() int { return s.DP * s.TP }
 
-// NumOps returns the operator count of the stage.
-func (s StagePlan) NumOps() int { return s.OpEnd - s.OpStart }
-
 // StagesKey renders a stage sequence as a compact unique string — the
 // canonical dedup/memo key for plan identity. Unlike Plan.String (which
 // shows only the intra-stage degrees), it encodes the operator ranges, so
@@ -65,9 +62,6 @@ type Plan struct {
 // per pipeline stage (§5.1, following GPipe guidance).
 func DefaultMicrobatches(stages int) int { return 4 * stages }
 
-// PipelineDegree returns the number of stages (the grid dimension s, §3.2).
-func (p *Plan) PipelineDegree() int { return len(p.Stages) }
-
 // TotalGPUs returns the plan's total GPU demand.
 func (p *Plan) TotalGPUs() int {
 	n := 0
@@ -75,18 +69,6 @@ func (p *Plan) TotalGPUs() int {
 		n += s.GPUs()
 	}
 	return n
-}
-
-// MaxStageGPUs returns the largest per-stage GPU group, which bounds the
-// collective-communicator sizes in the plan.
-func (p *Plan) MaxStageGPUs() int {
-	m := 0
-	for _, s := range p.Stages {
-		if s.GPUs() > m {
-			m = s.GPUs()
-		}
-	}
-	return m
 }
 
 // String renders the plan compactly, e.g. "PP2[DP2,DP2]" or
@@ -187,23 +169,6 @@ func PureTP(g *model.Graph, n int) *Plan {
 	}
 }
 
-// EvenPipeline builds an s-stage pipeline with operator counts split as
-// evenly as possible and g GPUs per stage in the given (dp, tp) shape.
-func EvenPipeline(gr *model.Graph, s, dp, tp int) (*Plan, error) {
-	n := len(gr.Ops)
-	if s < 1 || s > n {
-		return nil, fmt.Errorf("parallel: cannot build %d stages over %d ops", s, n)
-	}
-	stages := make([]StagePlan, 0, s)
-	start := 0
-	for i := 0; i < s; i++ {
-		end := start + (n-start)/(s-i)
-		stages = append(stages, StagePlan{OpStart: start, OpEnd: end, DP: dp, TP: tp})
-		start = end
-	}
-	return &Plan{Stages: stages, NumMicrobatches: DefaultMicrobatches(s)}, nil
-}
-
 // MemoryReserveFraction is the usable fraction of device memory; the
 // remainder is held back for framework workspace and fragmentation.
 const MemoryReserveFraction = 0.90
@@ -259,16 +224,4 @@ func PlanMemory(g *model.Graph, p *Plan, spec hw.GPU, globalBatch int) (maxBytes
 		}
 	}
 	return maxBytes, maxBytes <= spec.MemBytes*MemoryReserveFraction
-}
-
-// MinDPGPUs returns the smallest power-of-two GPU count at which the pure
-// data-parallel plan fits the device, or 0 if it never fits within maxN.
-// This is the resource demand an SP-aware scheduler perceives (§2.2).
-func MinDPGPUs(g *model.Graph, spec hw.GPU, globalBatch, maxN int) int {
-	for n := 1; n <= maxN; n *= 2 {
-		if _, ok := PlanMemory(g, PureDP(g, n), spec, globalBatch); ok {
-			return n
-		}
-	}
-	return 0
 }

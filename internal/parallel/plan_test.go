@@ -17,10 +17,23 @@ func graph(t *testing.T, name string) *model.Graph {
 	return g
 }
 
+// evenPipeline builds an s-stage pipeline whose stages split g's
+// operators as evenly as possible, each on dp×tp GPUs.
+func evenPipeline(g *model.Graph, s, dp, tp int) *Plan {
+	stages := make([]StagePlan, 0, s)
+	start := 0
+	for i := 0; i < s; i++ {
+		end := start + (len(g.Ops)-start)/(s-i)
+		stages = append(stages, StagePlan{OpStart: start, OpEnd: end, DP: dp, TP: tp})
+		start = end
+	}
+	return &Plan{Stages: stages, NumMicrobatches: DefaultMicrobatches(s)}
+}
+
 func TestPureDPShape(t *testing.T) {
 	g := graph(t, "GPT-1.3B")
 	p := PureDP(g, 4)
-	if p.PipelineDegree() != 1 || p.TotalGPUs() != 4 {
+	if len(p.Stages) != 1 || p.TotalGPUs() != 4 {
 		t.Fatalf("PureDP: %s", p)
 	}
 	if err := p.Validate(g); err != nil {
@@ -42,33 +55,6 @@ func TestPureTPShape(t *testing.T) {
 	}
 	if p.String() != "TP8" || p.Degrees() != "TP8" {
 		t.Errorf("%q / %q", p.String(), p.Degrees())
-	}
-}
-
-func TestEvenPipeline(t *testing.T) {
-	g := graph(t, "GPT-1.3B")
-	p, err := EvenPipeline(g, 4, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Validate(g); err != nil {
-		t.Fatal(err)
-	}
-	if p.PipelineDegree() != 4 || p.TotalGPUs() != 8 {
-		t.Fatalf("pipeline shape wrong: %s", p)
-	}
-	if p.NumMicrobatches != DefaultMicrobatches(4) {
-		t.Errorf("microbatches = %d", p.NumMicrobatches)
-	}
-	if p.Degrees() != "PP4,DP2" {
-		t.Errorf("Degrees() = %q", p.Degrees())
-	}
-}
-
-func TestEvenPipelineTooManyStages(t *testing.T) {
-	g := graph(t, "GPT-1.3B")
-	if _, err := EvenPipeline(g, len(g.Ops)+1, 1, 1); err == nil {
-		t.Fatal("expected error for more stages than ops")
 	}
 }
 
@@ -109,32 +95,13 @@ func TestValidateCatchesGaps(t *testing.T) {
 	}
 }
 
-func TestMaxStageGPUs(t *testing.T) {
-	g := graph(t, "GPT-1.3B")
-	n := len(g.Ops)
-	p := &Plan{
-		Stages: []StagePlan{
-			{OpStart: 0, OpEnd: n / 2, DP: 4, TP: 2},
-			{OpStart: n / 2, OpEnd: n, DP: 2, TP: 1},
-		},
-		NumMicrobatches: 8,
-	}
-	if p.MaxStageGPUs() != 8 || p.TotalGPUs() != 10 {
-		t.Fatalf("gpu accounting wrong: max=%d total=%d", p.MaxStageGPUs(), p.TotalGPUs())
-	}
-}
-
 func TestDPMemoryDominates(t *testing.T) {
 	// §1 Case#2: static DP consumes the most memory among all parallelism.
 	g := graph(t, "GPT-2.6B")
 	spec := hw.MustLookup("A40")
 	dpMem, _ := PlanMemory(g, PureDP(g, 4), spec, 128)
 	tpMem, _ := PlanMemory(g, PureTP(g, 4), spec, 128)
-	pp, err := EvenPipeline(g, 4, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ppMem, _ := PlanMemory(g, pp, spec, 128)
+	ppMem, _ := PlanMemory(g, evenPipeline(g, 4, 1, 1), spec, 128)
 	if dpMem <= tpMem || dpMem <= ppMem {
 		t.Errorf("DP memory %v should exceed TP %v and PP %v", dpMem, tpMem, ppMem)
 	}
@@ -158,28 +125,16 @@ func TestGPT26BOOMOnV100DP(t *testing.T) {
 			t.Errorf("GPT-2.6B pure DP should OOM on %s", typ)
 		}
 	}
+	// A10 (24 GB) cannot hold its Adam state (≈42 GB static, replicated
+	// on every DP rank) at any DP width.
+	for n := 1; n <= 16; n *= 2 {
+		if _, fits := PlanMemory(g, PureDP(g, n), hw.MustLookup("A10"), 128); fits {
+			t.Errorf("GPT-2.6B DP%d should OOM on A10", n)
+		}
+	}
 	// But an AP plan (PP2 × TP2) fits the same V100s.
-	pp, err := EvenPipeline(g, 2, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, fits := PlanMemory(g, pp, hw.MustLookup("V100"), 128); !fits {
+	if _, fits := PlanMemory(g, evenPipeline(g, 2, 1, 2), hw.MustLookup("V100"), 128); !fits {
 		t.Error("PP2xTP2 should fit GPT-2.6B on V100")
-	}
-}
-
-func TestMinDPGPUs(t *testing.T) {
-	g := graph(t, "GPT-1.3B")
-	a40 := MinDPGPUs(g, hw.MustLookup("A40"), 128, 16)
-	if a40 == 0 {
-		t.Fatal("GPT-1.3B should fit DP on some A40 count")
-	}
-	// A10 (24 GB) can never hold GPT-2.6B's Adam state (≈42 GB static,
-	// replicated on every DP rank): MinDPGPUs reports infeasible.
-	big := graph(t, "GPT-2.6B")
-	a10 := MinDPGPUs(big, hw.MustLookup("A10"), 128, 16)
-	if a10 != 0 {
-		t.Errorf("GPT-2.6B DP should never fit A10, got %d", a10)
 	}
 }
 
@@ -225,6 +180,12 @@ func TestPlanStringForms(t *testing.T) {
 	}
 	if got := p.Degrees(); got != "PP2,DP2,TP2" {
 		t.Errorf("Degrees() = %q", got)
+	}
+	if got := p.TotalGPUs(); got != 8 {
+		t.Errorf("TotalGPUs() = %d, want 8", got)
+	}
+	if got := evenPipeline(g, 4, 2, 1).Degrees(); got != "PP4,DP2" {
+		t.Errorf("uniform pipeline Degrees() = %q", got)
 	}
 	var nilPlan *Plan
 	if nilPlan.String() != "<empty>" {

@@ -63,7 +63,7 @@ func TestBuildCtxCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := Build(exec.NewEngine(42), cancelOpts())
+	fresh, err := BuildCtx(context.Background(), exec.NewEngine(42), cancelOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package perfdb
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/bits"
 	"runtime"
 	"sort"
@@ -156,17 +155,11 @@ func (o Options) maxWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Build constructs the database by exercising the planner, profiler, full
-// and pruned searches on the execution engine for every (workload, type,
-// count) combination.
-func Build(eng *exec.Engine, opts Options) (*DB, error) {
-	return BuildCtx(context.Background(), eng, opts)
-}
-
-// BuildCtx is Build with cooperative cancellation: when ctx is cancelled
-// the build's worker pools drain their in-flight points and BuildCtx
-// returns ctx.Err() with a nil database — no goroutine outlives the call.
-// Uncancelled, the result is bit-identical to Build.
+// BuildCtx constructs the database by exercising the planner, profiler,
+// full and pruned searches on the execution engine for every (workload,
+// type, count) combination. When ctx is cancelled the build's worker
+// pools drain their in-flight points and BuildCtx returns ctx.Err() with
+// a nil database — no goroutine outlives the call.
 func BuildCtx(ctx context.Context, eng *exec.Engine, opts Options) (*DB, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -612,28 +605,4 @@ func (db *DB) Keys() []Key {
 func (db *DB) keyAt(w model.Workload, i int) Key {
 	counts := gridCounts(db.MaxN)
 	return Key{Workload: w, GPUType: db.GPUTypes[i/counts], N: 1 << (i % counts)}
-}
-
-// MeanEstimationError reports the mean relative error of an estimator
-// column vs the AP ground truth over feasible entries — used by the §2.3
-// strawman analysis bench.
-func (db *DB) MeanEstimationError(est func(model.Workload, string, int) float64) float64 {
-	var sum float64
-	var count int
-	for _, k := range db.Keys() {
-		truth := db.APThr(k.Workload, k.GPUType, k.N)
-		if truth <= 0 {
-			continue
-		}
-		e := est(k.Workload, k.GPUType, k.N)
-		if e <= 0 {
-			continue
-		}
-		sum += math.Abs(e-truth) / truth
-		count++
-	}
-	if count == 0 {
-		return 0
-	}
-	return sum / float64(count)
 }

@@ -1,9 +1,11 @@
 package perfdb
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"math"
 	"sync"
 	"testing"
 
@@ -30,7 +32,7 @@ func testWorkloads() []model.Workload {
 func db(t *testing.T) *DB {
 	t.Helper()
 	once.Do(func() {
-		testDB, bErr = Build(exec.NewEngine(42), Options{
+		testDB, bErr = BuildCtx(context.Background(), exec.NewEngine(42), Options{
 			GPUTypes:  []string{"A40", "A10"},
 			MaxN:      16,
 			Workloads: testWorkloads(),
@@ -223,9 +225,28 @@ func TestSearchTimes(t *testing.T) {
 }
 
 func TestMeanEstimationError(t *testing.T) {
+	// The mean relative error of an estimator against the AP ground truth,
+	// over the entries where both are positive (§2.3).
 	d := db(t)
-	arenaErr := d.MeanEstimationError(d.ArenaEstThr)
-	siaErr := d.MeanEstimationError(func(w model.Workload, typ string, n int) float64 {
+	meanErr := func(est func(model.Workload, string, int) float64) float64 {
+		var sum float64
+		var count int
+		for _, k := range d.Keys() {
+			truth := d.APThr(k.Workload, k.GPUType, k.N)
+			e := est(k.Workload, k.GPUType, k.N)
+			if truth <= 0 || e <= 0 {
+				continue
+			}
+			sum += math.Abs(e-truth) / truth
+			count++
+		}
+		if count == 0 {
+			return 0
+		}
+		return sum / float64(count)
+	}
+	arenaErr := meanErr(d.ArenaEstThr)
+	siaErr := meanErr(func(w model.Workload, typ string, n int) float64 {
 		return d.SiaEst(w, typ, n, 1)
 	})
 	if arenaErr <= 0 || siaErr <= 0 {
@@ -237,7 +258,7 @@ func TestMeanEstimationError(t *testing.T) {
 }
 
 func TestBuildValidation(t *testing.T) {
-	if _, err := Build(exec.NewEngine(1), Options{}); err == nil {
+	if _, err := BuildCtx(context.Background(), exec.NewEngine(1), Options{}); err == nil {
 		t.Fatal("missing GPU types should error")
 	}
 }
@@ -248,11 +269,11 @@ func TestBuildDeterministic(t *testing.T) {
 		MaxN:      4,
 		Workloads: []model.Workload{{Model: "WRes-1B", GlobalBatch: 256}},
 	}
-	a, err := Build(exec.NewEngine(42), opts)
+	a, err := BuildCtx(context.Background(), exec.NewEngine(42), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Build(exec.NewEngine(42), opts)
+	b, err := BuildCtx(context.Background(), exec.NewEngine(42), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +333,7 @@ func dbDigest(t *testing.T, d *DB) string {
 // uncachedSerialDigest. Update the digest only for a change that is
 // meant to alter the database.
 func TestCachedBuildMatchesUncachedSerial(t *testing.T) {
-	d, err := Build(exec.NewEngine(42), storeTestOpts(storeTestWorkloads...))
+	d, err := BuildCtx(context.Background(), exec.NewEngine(42), storeTestOpts(storeTestWorkloads...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +355,7 @@ func TestBuildSharedEvalCacheMatchesFresh(t *testing.T) {
 			{Model: "GPT-1.3B", GlobalBatch: 128},
 		},
 	}
-	fresh, err := Build(exec.NewEngine(42), opts)
+	fresh, err := BuildCtx(context.Background(), exec.NewEngine(42), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,11 +363,11 @@ func TestBuildSharedEvalCacheMatchesFresh(t *testing.T) {
 	eng := exec.NewEngine(42)
 	shared := opts
 	shared.EvalCache = evalcache.New(eng)
-	cold, err := Build(eng, shared)
+	cold, err := BuildCtx(context.Background(), eng, shared)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := Build(eng, shared)
+	warm, err := BuildCtx(context.Background(), eng, shared)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +392,7 @@ func TestBuildRejectsForeignEvalCache(t *testing.T) {
 		Workloads: []model.Workload{{Model: "WRes-1B", GlobalBatch: 256}},
 		EvalCache: evalcache.New(exec.NewEngine(7)),
 	}
-	if _, err := Build(exec.NewEngine(42), opts); err == nil {
+	if _, err := BuildCtx(context.Background(), exec.NewEngine(42), opts); err == nil {
 		t.Fatal("cache bound to a different engine must be rejected")
 	}
 }

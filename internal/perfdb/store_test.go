@@ -79,7 +79,7 @@ func TestStorePartialBuildMatchesColdBuild(t *testing.T) {
 		t.Fatalf("partial build should load 1 and build 1 column, got %+v", stats)
 	}
 
-	cold, err := Build(exec.NewEngine(42), storeTestOpts(storeTestWorkloads...))
+	cold, err := BuildCtx(context.Background(), exec.NewEngine(42), storeTestOpts(storeTestWorkloads...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestStoreCorruptColumnRebuilds(t *testing.T) {
 	if !errors.Is(stats.Skipped[0], store.ErrCorrupt) {
 		t.Fatalf("want ErrCorrupt, got %v", stats.Skipped[0])
 	}
-	cold, err := Build(exec.NewEngine(42), opts)
+	cold, err := BuildCtx(context.Background(), exec.NewEngine(42), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestBuildOrLoadKeepsDBWhenSaveFails(t *testing.T) {
 	if stats.BuiltColumns != 1 || db == nil {
 		t.Fatalf("built database was discarded over a persistence failure: db=%v stats=%+v", db, stats)
 	}
-	cold, err := Build(exec.NewEngine(42), opts)
+	cold, err := BuildCtx(context.Background(), exec.NewEngine(42), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestColumnsAnswerExactlyTheirKeys(t *testing.T) {
 // cold build, while the intact column is still served from the store.
 func TestStoreOffGridColumnRebuilds(t *testing.T) {
 	opts := columnTestOpts()
-	cold, err := Build(exec.NewEngine(42), opts)
+	cold, err := BuildCtx(context.Background(), exec.NewEngine(42), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -216,7 +216,7 @@ func TestPlannerEdgePartitions(t *testing.T) {
 			if err := got.Proxy.Plan.Validate(tc.g); err != nil {
 				t.Fatal(err)
 			}
-			if got.Proxy.Plan.PipelineDegree() != tc.grid.S || got.Proxy.Plan.TotalGPUs() != tc.grid.N {
+			if len(got.Proxy.Plan.Stages) != tc.grid.S || got.Proxy.Plan.TotalGPUs() != tc.grid.N {
 				t.Errorf("proxy shape %s, want s=%d n=%d", got.Proxy.Plan, tc.grid.S, tc.grid.N)
 			}
 		})

@@ -17,15 +17,6 @@ import (
 // type.
 type HeteroPool map[string]int
 
-// Total returns the pool's GPU count.
-func (p HeteroPool) Total() int {
-	n := 0
-	for _, c := range p {
-		n += c
-	}
-	return n
-}
-
 // types returns the pool's type names fastest-first (canonical order).
 func (p HeteroPool) types() []string {
 	var out []string

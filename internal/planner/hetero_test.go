@@ -25,7 +25,10 @@ func TestPlanHeteroBasic(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Budget respected per type.
-	demand := plan.TotalGPUs()
+	demand := map[string]int{}
+	for _, st := range plan.Stages {
+		demand[st.GPUType] += st.GPUs()
+	}
 	for typ, n := range demand {
 		if n > pool[typ] {
 			t.Errorf("plan uses %d×%s, pool has %d", n, typ, pool[typ])

@@ -50,27 +50,21 @@ type GridPlan struct {
 	CandidatesEvaluated int
 }
 
-// opRangeStats caches prefix aggregates so per-range queries are O(1).
+// opRangeStats caches prefix sums of operator loads so per-range loads
+// are O(1).
 type opRangeStats struct {
-	load   []float64 // prefix sums of operator loads
-	params []float64 // prefix sums of ParamBytes
+	load []float64
 }
 
 func newRangeStats(g *model.Graph, spec hw.GPU) *opRangeStats {
-	n := len(g.Ops)
-	s := &opRangeStats{
-		load:   make([]float64, n+1),
-		params: make([]float64, n+1),
-	}
+	s := &opRangeStats{load: make([]float64, len(g.Ops)+1)}
 	for i, op := range g.Ops {
 		s.load[i+1] = s.load[i] + OperatorLoad(op, spec)
-		s.params[i+1] = s.params[i] + op.ParamBytes
 	}
 	return s
 }
 
-func (s *opRangeStats) loadOf(i, j int) float64   { return s.load[j] - s.load[i] }
-func (s *opRangeStats) paramsOf(i, j int) float64 { return s.params[j] - s.params[i] }
+func (s *opRangeStats) loadOf(i, j int) float64 { return s.load[j] - s.load[i] }
 
 // OperatorLoad is the roofline-based load of Eq. 2 for one training step of
 // one sample: L = FLOPs / R(I). Expressed through the ideal kernel time so

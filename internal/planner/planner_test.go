@@ -127,7 +127,7 @@ func TestProxyPlanValid(t *testing.T) {
 	if err := gp.Proxy.Plan.Validate(g); err != nil {
 		t.Fatal(err)
 	}
-	if gp.Proxy.Plan.PipelineDegree() != 2 || gp.Proxy.Plan.TotalGPUs() != 4 {
+	if len(gp.Proxy.Plan.Stages) != 2 || gp.Proxy.Plan.TotalGPUs() != 4 {
 		t.Fatalf("proxy shape: %s", gp.Proxy.Plan)
 	}
 }
@@ -268,7 +268,7 @@ func TestSingleStageGrid(t *testing.T) {
 	if gp.CandidatesEvaluated != 1 {
 		t.Errorf("s=1 should evaluate exactly 1 partition, got %d", gp.CandidatesEvaluated)
 	}
-	if gp.Proxy.Plan.PipelineDegree() != 1 || gp.Proxy.Plan.TotalGPUs() != 4 {
+	if len(gp.Proxy.Plan.Stages) != 1 || gp.Proxy.Plan.TotalGPUs() != 4 {
 		t.Errorf("proxy = %s", gp.Proxy.Plan)
 	}
 	if err := gp.Proxy.Plan.Validate(g); err != nil {

@@ -25,7 +25,7 @@ import (
 // volume (§3.4: "Arena offline samples representative data volumes and
 // profiles candidate primitives across pre-accessible hardware").
 type CommTable struct {
-	samples map[string][]volumeSample // key: primitive + "|" + topology
+	samples map[commKey][]volumeSample
 	// OfflineCostSeconds models the one-shot sampling campaign's duration
 	// (the paper reports ≈3.5 hours for a 4-GPU node, §5.8).
 	OfflineCostSeconds float64
@@ -55,7 +55,7 @@ const perSampleSeconds = 1.5
 // types with groups up to maxWorkers: intra-node rings and cross-node
 // rings with every power-of-two NIC-sharing factor.
 func OfflineSampleComm(eng *exec.Engine, gpuTypes []string, maxWorkers int) (*CommTable, error) {
-	ct := &CommTable{samples: map[string][]volumeSample{}}
+	ct := &CommTable{samples: map[commKey][]volumeSample{}}
 	vols := sampleVolumes()
 	for _, typ := range gpuTypes {
 		spec, err := hw.Lookup(typ)
@@ -73,7 +73,7 @@ func OfflineSampleComm(eng *exec.Engine, gpuTypes []string, maxWorkers int) (*Co
 		}
 		for _, prim := range hw.Primitives() {
 			for _, topo := range topos {
-				key := commKey(prim, topo)
+				key := newCommKey(prim, topo)
 				for _, v := range vols {
 					lat := eng.CollectiveTime(prim, topo, v)
 					ct.samples[key] = append(ct.samples[key], volumeSample{volume: v, latency: lat})
@@ -88,9 +88,23 @@ func OfflineSampleComm(eng *exec.Engine, gpuTypes []string, maxWorkers int) (*Co
 	return ct, nil
 }
 
-func commKey(p hw.Primitive, topo hw.Topology) string {
-	return string(p) + "|" + topo.String()
+// commKey keys the table by value: a primitive and its topology,
+// normalized the way Topology.String tells topologies apart. An
+// intra-node ring ignores NICShare; a cross-node ring reads a NICShare
+// below 1 as 1.
+type commKey struct {
+	prim hw.Primitive
+	topo hw.Topology
 }
+
+func newCommKey(p hw.Primitive, topo hw.Topology) commKey {
+	if !topo.CrossNode || topo.NICShare < 1 {
+		topo.NICShare = 1
+	}
+	return commKey{prim: p, topo: topo}
+}
+
+func (k commKey) String() string { return string(k.prim) + "|" + k.topo.String() }
 
 // Interpolate estimates the latency of primitive p over v bytes with the
 // given topology by piecewise-linear interpolation between the two
@@ -102,10 +116,9 @@ func (ct *CommTable) Interpolate(p hw.Primitive, topo hw.Topology, v float64) (f
 	if topo.Workers <= 1 && p != hw.P2P {
 		return 0, nil
 	}
-	key := commKey(p, topo)
-	ss := ct.samples[key]
+	ss := ct.samples[newCommKey(p, topo)]
 	if len(ss) == 0 {
-		return 0, fmt.Errorf("profiler: no offline samples for %s", key)
+		return 0, fmt.Errorf("profiler: no offline samples for %s", newCommKey(p, topo))
 	}
 	if v <= 0 {
 		return 0, nil
@@ -128,7 +141,7 @@ func (ct *CommTable) Interpolate(p hw.Primitive, topo hw.Topology, v float64) (f
 func (ct *CommTable) Keys() []string {
 	keys := make([]string, 0, len(ct.samples))
 	for k := range ct.samples {
-		keys = append(keys, k)
+		keys = append(keys, k.String())
 	}
 	sort.Strings(keys)
 	return keys

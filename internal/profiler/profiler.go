@@ -205,10 +205,6 @@ func (p *Profiler) measureOp(op model.Op, spec hw.GPU, samples float64, tp int, 
 	return t
 }
 
-// CacheSize reports the number of distinct operator configurations
-// profiled so far (across all grids and jobs).
-func (p *Profiler) CacheSize() int { return len(p.cache) }
-
 // JobProfile aggregates the profiled grids of one (workload, types) job:
 // the scheduler's view of its AP performance.
 type JobProfile struct {
@@ -242,27 +238,11 @@ func (jp *JobProfile) BestGrid(r core.Resource) (core.Grid, bool) {
 	return best, found
 }
 
-// Throughput returns the job's best estimated AP throughput on a resource
-// (0 when infeasible).
-func (jp *JobProfile) Throughput(r core.Resource) float64 {
-	g, ok := jp.BestGrid(r)
-	if !ok {
-		return 0
-	}
-	return jp.Estimates[g].Throughput
-}
-
-// ProfileJob plans and profiles every grid of a workload across the given
-// GPU types up to maxN GPUs per type, returning the job's complete profile.
-func ProfileJob(pl *planner.Planner, pr *Profiler, g *model.Graph, w model.Workload, gpuTypes []string, maxN int) (*JobProfile, error) {
-	return ProfileJobCtx(context.Background(), pl, pr, g, w, gpuTypes, maxN, nil)
-}
-
-// ProfileJobCtx is ProfileJob with cooperative cancellation and progress
-// reporting: the grid loop stops at the first cancelled check and returns
+// ProfileJobCtx plans and profiles every grid of a workload across the
+// given GPU types up to maxN GPUs per type, returning the job's complete
+// profile. The grid loop stops at the first cancelled check and returns
 // ctx.Err(); progress (which may be nil) receives one "profile.job" event
-// per grid planned. Uncancelled, the profile is bit-identical to
-// ProfileJob's.
+// per grid planned.
 func ProfileJobCtx(ctx context.Context, pl *planner.Planner, pr *Profiler, g *model.Graph, w model.Workload, gpuTypes []string, maxN int, progress core.ProgressFunc) (*JobProfile, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -1,7 +1,11 @@
 package profiler
 
 import (
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/sjtu-epcc/arena/internal/core"
@@ -52,6 +56,47 @@ func TestInterpolationAccuracy(t *testing.T) {
 		if math.Abs(got-want)/want > 0.05 {
 			t.Errorf("volume %g: interpolated %v vs measured %v", v, got, want)
 		}
+	}
+}
+
+// TestCommTableKeys pins the table's key strings, the missing-sample
+// error text, and the key normalization, and checks that a lookup
+// allocates nothing.
+func TestCommTableKeys(t *testing.T) {
+	_, ct := testSetup(t)
+	keys := ct.Keys()
+	sum := sha256.Sum256([]byte(strings.Join(keys, "\n")))
+	if got := hex.EncodeToString(sum[:]); len(keys) != 285 || got != "434e3c3d6c5ed45ec2b4f20333b6c7b58a080b3864e37e44bd37e45d27c087f5" {
+		t.Errorf("Keys() = %d keys with digest %s, want 285 with the recorded digest", len(keys), got)
+	}
+	for topo, want := range map[hw.Topology]string{
+		{GPUType: "H100", Workers: 2}:                  "profiler: no offline samples for all-reduce|H100/2/intra",
+		{GPUType: "A40", Workers: 32, CrossNode: true}: "profiler: no offline samples for all-reduce|A40/32/inter/share1",
+	} {
+		if _, err := ct.Interpolate(hw.AllReduce, topo, 1e6); err == nil || err.Error() != want {
+			t.Errorf("Interpolate(%v) error = %v, want %q", topo, err, want)
+		}
+	}
+	// An intra-node ring ignores NICShare; a cross-node one reads a
+	// share below 1 as 1.
+	same := [][]hw.Topology{
+		{{GPUType: "A40", Workers: 4}, {GPUType: "A40", Workers: 4, NICShare: 1}, {GPUType: "A40", Workers: 4, NICShare: 4}},
+		{{GPUType: "A40", Workers: 8, CrossNode: true}, {GPUType: "A40", Workers: 8, CrossNode: true, NICShare: -3}, {GPUType: "A40", Workers: 8, CrossNode: true, NICShare: 1}},
+	}
+	for _, topos := range same {
+		want, err := ct.Interpolate(hw.AllReduce, topos[0], 3e7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, topo := range topos[1:] {
+			if got, err := ct.Interpolate(hw.AllReduce, topo, 3e7); err != nil || got != want {
+				t.Errorf("Interpolate(%v) = %v, %v; want %v as for %v", topo, got, err, want, topos[0])
+			}
+		}
+	}
+	topo := hw.Topology{GPUType: "A40", Workers: 4, CrossNode: true, NICShare: 2}
+	if n := testing.AllocsPerRun(100, func() { ct.Interpolate(hw.AllReduce, topo, 1e6) }); n != 0 {
+		t.Errorf("Interpolate allocates %v times per call, want 0", n)
 	}
 }
 
@@ -168,12 +213,12 @@ func TestCrossGridCacheReuse(t *testing.T) {
 	if _, err := warm.ProfileGridPlan(g, gp1); err != nil {
 		t.Fatal(err)
 	}
-	cacheAfterFirst := warm.CacheSize()
+	cacheAfterFirst := len(warm.cache)
 	est2Warm, err := warm.ProfileGridPlan(g, gp2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.CacheSize() < cacheAfterFirst {
+	if len(warm.cache) < cacheAfterFirst {
 		t.Fatal("cache shrank")
 	}
 	if est2Warm.UniqueOps > est2Fresh.UniqueOps {
@@ -194,7 +239,7 @@ func TestProfileJobAcrossGrids(t *testing.T) {
 	}
 	w := model.Workload{Model: "GPT-1.3B", GlobalBatch: 128}
 	pr := New(eng, ct)
-	jp, err := ProfileJob(planner.New(), pr, g, w, []string{"A40", "A10"}, 8)
+	jp, err := ProfileJobCtx(context.Background(), planner.New(), pr, g, w, []string{"A40", "A10"}, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,12 +258,12 @@ func TestProfileJobAcrossGrids(t *testing.T) {
 	if best.N != 4 || best.GPUType != "A40" {
 		t.Errorf("best grid %v has wrong resource", best)
 	}
-	if jp.Throughput(r) <= 0 {
+	if jp.Estimates[best].Throughput <= 0 {
 		t.Error("best throughput should be positive")
 	}
 	// GPT-1.3B cannot run on 1 A10 (24 GB): that resource has no grids.
-	if thr := jp.Throughput(core.Resource{GPUType: "A10", N: 1}); thr != 0 {
-		t.Errorf("1×A10 should be infeasible for GPT-1.3B, got %v", thr)
+	if g, ok := jp.BestGrid(core.Resource{GPUType: "A10", N: 1}); ok {
+		t.Errorf("1×A10 should be infeasible for GPT-1.3B, got grid %v", g)
 	}
 }
 

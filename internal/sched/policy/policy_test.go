@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -22,7 +23,7 @@ var (
 func db(t *testing.T) *perfdb.DB {
 	t.Helper()
 	once.Do(func() {
-		testDB, bErr = perfdb.Build(exec.NewEngine(42), perfdb.Options{
+		testDB, bErr = perfdb.BuildCtx(context.Background(), exec.NewEngine(42), perfdb.Options{
 			GPUTypes: []string{"A40", "A10"},
 			MaxN:     16,
 			Workloads: []model.Workload{

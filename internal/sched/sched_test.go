@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"strconv"
@@ -36,7 +37,7 @@ func testWorkloads() []model.Workload {
 func db(t *testing.T) *perfdb.DB {
 	t.Helper()
 	dbOnce.Do(func() {
-		testDB, dbErr = perfdb.Build(exec.NewEngine(42), perfdb.Options{
+		testDB, dbErr = perfdb.BuildCtx(context.Background(), exec.NewEngine(42), perfdb.Options{
 			GPUTypes:  []string{"A40", "A10"},
 			MaxN:      16,
 			Workloads: testWorkloads(),

@@ -1,6 +1,7 @@
 package schedtest
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -27,7 +28,7 @@ var (
 func db(t *testing.T) *perfdb.DB {
 	t.Helper()
 	once.Do(func() {
-		testDB, bErr = perfdb.Build(exec.NewEngine(42), perfdb.Options{
+		testDB, bErr = perfdb.BuildCtx(context.Background(), exec.NewEngine(42), perfdb.Options{
 			GPUTypes: []string{"A40", "A10"},
 			MaxN:     16,
 			Workloads: []model.Workload{
@@ -64,7 +65,7 @@ func seededJobs(t *testing.T, seed uint64, n int) []trace.Job {
 // test at the first round whose assignment breaks an invariant.
 func checkedRun(t *testing.T, p sched.Policy, jobs []trace.Job, opts Options, fc *faults.Config) {
 	t.Helper()
-	_, err := sim.Run(sim.Config{
+	_, err := sim.RunCtx(context.Background(), sim.Config{
 		Spec: hw.ClusterA(), Policy: Wrap(t, p, opts), Source: trace.SliceSource(jobs), DB: db(t),
 		RoundSeconds: 300, MaxRounds: 200, IncludeUnfinished: true, Seed: 1,
 		Faults: fc,

@@ -86,7 +86,7 @@ func TestFullSearchHandlesOOMModels(t *testing.T) {
 	if !out.Feasible() {
 		t.Fatal("search should find a feasible AP plan on 4×V100")
 	}
-	if out.Plan.PipelineDegree() == 1 && out.Plan.Stages[0].TP == 1 {
+	if len(out.Plan.Stages) == 1 && out.Plan.Stages[0].TP == 1 {
 		t.Errorf("found plan %s should not be pure DP (it OOMs)", out.Plan)
 	}
 }
@@ -96,7 +96,7 @@ func TestSearchSingleGPU(t *testing.T) {
 	if !out.Feasible() {
 		t.Fatal("single-GPU plan should exist")
 	}
-	if out.Plan.TotalGPUs() != 1 || out.Plan.PipelineDegree() != 1 {
+	if out.Plan.TotalGPUs() != 1 || len(out.Plan.Stages) != 1 {
 		t.Errorf("plan = %s", out.Plan)
 	}
 	_ = g

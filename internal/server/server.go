@@ -397,7 +397,9 @@ func (s *Server) Submit(tj trace.Job) (trace.Job, error) {
 
 // validate rejects jobs the scheduler could never place: the perf
 // database must know the workload on at least one GPU type, and the
-// request must be positive.
+// request must be a power of two within the per-job cap, the only GPU
+// counts the database measures. Replay does not validate, so a journal
+// keeps replaying whatever it accepted.
 func (s *Server) validate(tj *trace.Job) error {
 	if tj.Iterations <= 0 {
 		return fmt.Errorf("%w: iterations must be positive", ErrBadJob)
@@ -408,10 +410,17 @@ func (s *Server) validate(tj *trace.Job) error {
 	if tj.ReqGPUs <= 0 {
 		tj.ReqGPUs = 1
 	}
+	db := s.cfg.DB
+	maxN := s.cfg.MaxPerJob
+	if maxN <= 0 {
+		maxN = db.MaxN
+	}
+	if tj.ReqGPUs&(tj.ReqGPUs-1) != 0 || tj.ReqGPUs > maxN {
+		return fmt.Errorf("%w: %d GPUs requested, want a power of two up to %d", ErrBadJob, tj.ReqGPUs, maxN)
+	}
 	if tj.Priority <= 0 {
 		tj.Priority = 1
 	}
-	db := s.cfg.DB
 	for _, g := range db.GPUTypes {
 		for n := 1; n <= db.MaxN; n *= 2 {
 			if _, ok := db.Entry(tj.Workload, g, n); ok {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -35,7 +36,7 @@ var (
 func db(t *testing.T) *perfdb.DB {
 	t.Helper()
 	dbOnce.Do(func() {
-		testDB, dbErr = perfdb.Build(exec.NewEngine(42), perfdb.Options{
+		testDB, dbErr = perfdb.BuildCtx(context.Background(), exec.NewEngine(42), perfdb.Options{
 			GPUTypes: []string{"A40", "A10"},
 			MaxN:     16,
 			Workloads: []model.Workload{
@@ -617,6 +618,42 @@ func TestSubmitRejectsTrailingData(t *testing.T) {
 	defer srv.Close()
 	if jobs := srv.Jobs(); len(jobs) != 1 || jobs[0].ID != "c" {
 		t.Fatalf("the journal replayed %+v, want job c alone", jobs)
+	}
+}
+
+// TestSubmitRejectsUnplaceableGPUCounts: the database measures only
+// powers of two up to the per-job cap (its MaxN, 16, here), so any other
+// request would wait in the queue forever, and under FCFS block every
+// job behind it. The API answers 400 instead and registers nothing.
+func TestSubmitRejectsUnplaceableGPUCounts(t *testing.T) {
+	srv, st := newServer(t, t.TempDir(), policy.NewFCFS())
+	defer st.Close()
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	post := func(id string, gpus int) (int, string) {
+		t.Helper()
+		body := fmt.Sprintf(`{"ID":%q,"Workload":{"Model":"WRes-1B","GlobalBatch":256},"Iterations":2000,"ReqGPUs":%d}`, id, gpus)
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var e apiError
+		json.NewDecoder(resp.Body).Decode(&e)
+		return resp.StatusCode, e.Error
+	}
+	for _, gpus := range []int{3, 32, 1000} {
+		code, msg := post(fmt.Sprintf("r%d", gpus), gpus)
+		if code != http.StatusBadRequest || !strings.HasPrefix(msg, ErrBadJob.Error()) {
+			t.Errorf("ReqGPUs %d: %d %q, want 400 wrapping %q", gpus, code, msg, ErrBadJob)
+		}
+	}
+	if jobs := srv.Jobs(); len(jobs) != 0 {
+		t.Fatalf("rejected submits registered %+v", jobs)
+	}
+	if code, msg := post("a16", 16); code != http.StatusCreated {
+		t.Fatalf("ReqGPUs 16: %d %q, want 201", code, msg)
 	}
 }
 

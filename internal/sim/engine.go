@@ -101,9 +101,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 // cfg returns the normalized configuration (defaults resolved).
 func (e *Engine) cfg() Config { return e.s.cfg }
 
-// RoundSeconds returns the scheduling interval after defaulting.
-func (e *Engine) RoundSeconds() float64 { return e.s.cfg.RoundSeconds }
-
 // MaxRounds returns the round bound RunCtx enforces: the configured cap,
 // or the horizon derived from the initial trace. Incremental drivers
 // (the server) ignore it and run for the process's lifetime.

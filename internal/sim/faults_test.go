@@ -24,7 +24,7 @@ import (
 // runFaultSim is runSim with a fault configuration and a round bound.
 func runFaultSim(t *testing.T, p sched.Policy, jobs []trace.Job, fc *faults.Config, maxRounds int) *Result {
 	t.Helper()
-	res, err := Run(Config{
+	res, err := RunCtx(context.Background(), Config{
 		Spec: hw.ClusterA(), Policy: p, Source: trace.SliceSource(jobs), DB: db(t),
 		RoundSeconds: 300, MaxRounds: maxRounds,
 		IncludeUnfinished: true, Seed: 1, Faults: fc,
@@ -324,7 +324,7 @@ func TestSimFaultTraceValidatedAgainstSpec(t *testing.T) {
 	// A trace naming nodes outside the simulated cluster must be rejected
 	// up front, not crash mid-run.
 	bad := faults.Schedule{{Time: 10, Kind: faults.Crash, GPUType: "A40", Node: 99}}
-	_, err := Run(Config{
+	_, err := RunCtx(context.Background(), Config{
 		Spec: hw.ClusterA(), Policy: policy.NewFCFS(), Source: trace.SliceSource(longJobs(1)), DB: db(t),
 		RoundSeconds: 300, Faults: &faults.Config{Trace: bad},
 	})
@@ -384,7 +384,7 @@ func TestSimRescaleStacksOnPendingDeploy(t *testing.T) {
 		// 4 iterations x 256 samples = 1024 samples = 1024s at thr 1.
 		Iterations: 4, ReqGPUs: 2, ReqType: "A40", Priority: 1,
 	}}
-	res, err := Run(Config{
+	res, err := RunCtx(context.Background(), Config{
 		Spec: hw.ClusterA(), Policy: p, Source: trace.SliceSource(jobs), DB: db(t),
 		RoundSeconds: 300, MaxRounds: 40, IncludeUnfinished: true, Seed: 1,
 	})

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -156,7 +157,7 @@ func matchGoldens(t *testing.T, wrap func(p sched.Policy) sched.Policy) map[stri
 		}
 		runs[cfg.Policy.Name()]++
 		cfg.Policy = wrapped
-		res, err := Run(cfg)
+		res, err := RunCtx(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -223,7 +224,7 @@ func parityFaults() *faults.Config {
 func TestSliceSourceMatchesJobs(t *testing.T) {
 	got := map[string]string{}
 	for name, cfg := range goldenConfigs(t) {
-		res, err := Run(cfg)
+		res, err := RunCtx(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"github.com/sjtu-epcc/arena/internal/hw"
@@ -82,7 +83,7 @@ func lightRun(t *testing.T, database *perfdb.DB) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Config{
+	res, err := RunCtx(context.Background(), Config{
 		Spec: hw.ClusterSpec{Name: "light", Regions: []hw.Region{
 			{GPUType: "A40", Nodes: 128}, {GPUType: "A10", Nodes: 128},
 		}},

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"slices"
 	"testing"
 
@@ -77,7 +78,7 @@ func TestQueueChangesMatchQueued(t *testing.T) {
 	for name, cfg := range goldenConfigs(t) {
 		probe := &changesProbe{Policy: cfg.Policy, t: t, name: name}
 		cfg.Policy = probe
-		if _, err := Run(cfg); err != nil {
+		if _, err := RunCtx(context.Background(), cfg); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		entered += probe.entered
@@ -148,7 +149,7 @@ func TestFedQueueRebuildsWhenItMust(t *testing.T) {
 			t.Fatal(err)
 		}
 		pair := schedtest.MatchRebuilt(t, fed, shadow)
-		_, err = Run(Config{
+		_, err = RunCtx(context.Background(), Config{
 			Spec: hw.ClusterA(), Source: src, DB: db(t),
 			RoundSeconds: 300, MaxRounds: 200, IncludeUnfinished: true, Seed: 1,
 			Policy: &roundHook{Policy: pair, hook: func(round int) bool {
@@ -184,7 +185,7 @@ func TestFedQueueRebuildsWhenItMust(t *testing.T) {
 	}
 	for round := 0; round < 100; round++ {
 		for _, e := range engines {
-			e.Round(float64(round) * e.RoundSeconds())
+			e.Round(float64(round) * 300)
 		}
 	}
 }

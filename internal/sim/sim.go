@@ -74,14 +74,6 @@ type Config struct {
 	// the failure-free simulation bit-identical to the pre-fault model.
 	Faults *faults.Config
 
-	// Clock drives the round loop. Nil uses a virtual clock (discrete-
-	// event time, no wall time burned — the classic simulator). A wall
-	// clock turns the very same loop into real-time execution: rounds
-	// still run at their nominal instants k*RoundSeconds, so results are
-	// bit-identical across clocks. internal/server plugs its clock into
-	// the same Engine this loop drives.
-	Clock clock.Clock
-
 	// Progress, when non-nil, receives one "sim.round" event per
 	// scheduling round (called from the simulation loop, single-threaded).
 	// It never affects outcomes.
@@ -96,20 +88,15 @@ type Result struct {
 	Horizon float64
 }
 
-// Run executes the simulation to completion or the round bound.
-func Run(cfg Config) (*Result, error) {
-	return RunCtx(context.Background(), cfg)
-}
-
-// RunCtx is Run with cooperative cancellation: the round loop stops at
-// the first cancelled check — always between rounds, so an in-flight
-// round completes — and returns ctx.Err() with a nil result.
-// Uncancelled, the simulation is bit-identical to Run.
+// RunCtx executes the simulation to completion or the round bound. The
+// round loop stops at the first cancelled check — always between rounds,
+// so an in-flight round completes — and returns ctx.Err() with a nil
+// result.
 //
 // RunCtx is a thin driver over Engine: it hands Engine.Round to
-// clock.Tick on the configured clock (virtual by default). The live
-// server (internal/server) drives the identical Engine and loop with a
-// wall clock and a journal — there is no forked round logic.
+// clock.Tick on a virtual clock. The live server (internal/server)
+// drives the identical Engine and loop with a wall clock and a journal —
+// there is no forked round logic.
 func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -119,17 +106,13 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	cfg = e.cfg() // normalized defaults (RoundSeconds, MaxPerJob)
-	clk := cfg.Clock
-	if clk == nil {
-		clk = clock.NewVirtual()
-	}
 	maxRounds := e.MaxRounds()
 	// The latest instant this run can ever simulate: nothing submitted
 	// after it can be admitted, so an idle engine whose next arrival lies
 	// beyond it would only burn empty rounds until the MaxRounds cap.
 	horizonEnd := float64(maxRounds+1) * cfg.RoundSeconds
 	lastNow := 0.0
-	err = clock.Tick(ctx, clk, cfg.RoundSeconds, func(round int, now float64) bool {
+	err = clock.Tick(ctx, clock.NewVirtual(), cfg.RoundSeconds, func(round int, now float64) bool {
 		if round >= maxRounds {
 			return false
 		}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"sync"
@@ -25,7 +26,7 @@ var (
 func db(t *testing.T) *perfdb.DB {
 	t.Helper()
 	once.Do(func() {
-		testDB, bErr = perfdb.Build(exec.NewEngine(42), perfdb.Options{
+		testDB, bErr = perfdb.BuildCtx(context.Background(), exec.NewEngine(42), perfdb.Options{
 			GPUTypes: []string{"A40", "A10"},
 			MaxN:     16,
 			Workloads: []model.Workload{
@@ -61,7 +62,7 @@ func testJobs(t *testing.T, n int) []trace.Job {
 
 func runSim(t *testing.T, p sched.Policy, jobs []trace.Job) *Result {
 	t.Helper()
-	res, err := Run(Config{
+	res, err := RunCtx(context.Background(), Config{
 		Spec: hw.ClusterA(), Policy: p, Source: trace.SliceSource(jobs), DB: db(t),
 		RoundSeconds: 300, IncludeUnfinished: true, Seed: 1,
 	})
@@ -217,14 +218,14 @@ func TestSimDeadlineAccounting(t *testing.T) {
 }
 
 func TestSimValidation(t *testing.T) {
-	if _, err := Run(Config{}); err == nil {
+	if _, err := RunCtx(context.Background(), Config{}); err == nil {
 		t.Fatal("missing policy/db should error")
 	}
 }
 
 func TestSimMaxRoundsBound(t *testing.T) {
 	jobs := testJobs(t, 40)
-	res, err := Run(Config{
+	res, err := RunCtx(context.Background(), Config{
 		Spec: hw.ClusterA(), Policy: policy.NewFCFS(), Source: trace.SliceSource(jobs), DB: db(t),
 		RoundSeconds: 300, MaxRounds: 4, IncludeUnfinished: true,
 	})
@@ -340,7 +341,7 @@ func TestSimTotalRespectsHorizon(t *testing.T) {
 	// jobs whose submission lies beyond a MaxRounds-capped horizon —
 	// jobs the simulation never saw.
 	jobs := testJobs(t, 40)
-	res, err := Run(Config{
+	res, err := RunCtx(context.Background(), Config{
 		Spec: hw.ClusterA(), Policy: policy.NewFCFS(), Source: trace.SliceSource(jobs), DB: db(t),
 		RoundSeconds: 300, MaxRounds: 4, IncludeUnfinished: true,
 	})
@@ -364,7 +365,7 @@ func TestSimTotalRespectsHorizon(t *testing.T) {
 func TestSimFidelityNoiseChangesResults(t *testing.T) {
 	jobs := testJobs(t, 30)
 	clean := runSim(t, sched.NewArena(), jobs)
-	noisy, err := Run(Config{
+	noisy, err := RunCtx(context.Background(), Config{
 		Spec: hw.ClusterA(), Policy: sched.NewArena(), Source: trace.SliceSource(jobs), DB: db(t),
 		RoundSeconds: 300, ThroughputNoise: 0.05, IncludeUnfinished: true, Seed: 1,
 	})
@@ -384,13 +385,13 @@ func TestSimFidelityNoiseChangesResults(t *testing.T) {
 func TestSimSourceWithoutSpanNeedsMaxRounds(t *testing.T) {
 	// A bare Source (no Spanner) gives the engine no horizon to derive.
 	src := spanlessSource{}
-	_, err := Run(Config{
+	_, err := RunCtx(context.Background(), Config{
 		Spec: hw.ClusterA(), Policy: policy.NewFCFS(), DB: db(t), Source: src,
 	})
 	if err == nil {
 		t.Fatal("span-less Source without MaxRounds accepted; want error")
 	}
-	res, err := Run(Config{
+	res, err := RunCtx(context.Background(), Config{
 		Spec: hw.ClusterA(), Policy: policy.NewFCFS(), DB: db(t), Source: src,
 		MaxRounds: 10,
 	})
@@ -416,13 +417,13 @@ func TestStreamingMatchesExact(t *testing.T) {
 		Spec: hw.ClusterA(), Policy: sched.NewArena(), Source: trace.SliceSource(jobs), DB: db(t),
 		RoundSeconds: 300, IncludeUnfinished: true, Seed: 1,
 	}
-	exact, err := Run(base)
+	exact, err := RunCtx(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sCfg := base
 	sCfg.Source, sCfg.Streaming = trace.SliceSource(jobs), true
-	stream, err := Run(sCfg)
+	stream, err := RunCtx(context.Background(), sCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +469,7 @@ func TestRunStopsWhenArrivalsBeyondHorizon(t *testing.T) {
 		SubmitTime: 1e7,
 	}}
 	rounds := 0
-	res, err := Run(Config{
+	res, err := RunCtx(context.Background(), Config{
 		Spec: hw.ClusterA(), Policy: policy.NewFCFS(), Source: trace.SliceSource(jobs), DB: db(t),
 		RoundSeconds: 300, MaxRounds: 400, IncludeUnfinished: true, Seed: 1,
 		Progress: func(core.Event) { rounds++ },

@@ -57,7 +57,7 @@ type jrec struct {
 
 // journalPath returns the on-disk file behind a named journal.
 func journalPath(s *Store, name string) string {
-	return filepath.Join(s.Dir(), "journal", name+".log")
+	return filepath.Join(s.dir, "journal", name+".log")
 }
 
 func TestJournalRoundTrip(t *testing.T) {

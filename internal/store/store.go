@@ -180,9 +180,6 @@ func (s *Store) Close() error {
 	return nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // envelope is the on-disk frame around every object payload.
 type envelope struct {
 	Version int             `json:"version"`
@@ -256,30 +253,6 @@ func (s *Store) Get(domain string, k Key, v any) error {
 		return &Error{Op: "get", Path: path, Err: fmt.Errorf("%w: %v", ErrCorrupt, err)}
 	}
 	return nil
-}
-
-// List returns the keys of every object file present in a domain, sorted
-// lexically. Files that do not look like object files are ignored; the
-// objects themselves are not validated (Get does that per object).
-func (s *Store) List(domain string) ([]Key, error) {
-	entries, err := os.ReadDir(filepath.Join(s.dir, domain))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, &Error{Op: "list", Path: filepath.Join(s.dir, domain), Err: err}
-	}
-	var keys []Key
-	for _, e := range entries {
-		name, ok := strings.CutSuffix(e.Name(), ".json")
-		if !ok || e.IsDir() {
-			continue
-		}
-		if k := Key(name); k.valid() {
-			keys = append(keys, k)
-		}
-	}
-	return keys, nil
 }
 
 // payloadSum is the checksum objects and journal frames carry: the

@@ -236,34 +236,6 @@ func TestConcurrentWriters(t *testing.T) {
 	wg.Wait()
 }
 
-func TestList(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if keys, err := s.List("empty"); err != nil || keys != nil {
-		t.Fatalf("empty domain: got %v, %v", keys, err)
-	}
-	k1, k2 := NewKey("d", "1"), NewKey("d", "2")
-	if err := s.Put("d", k1, payload{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put("d", k2, payload{}); err != nil {
-		t.Fatal(err)
-	}
-	// Stray files must not surface as keys.
-	if err := os.WriteFile(filepath.Join(s.Dir(), "d", "README"), []byte("hi"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	keys, err := s.List("d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) != 2 {
-		t.Fatalf("want 2 keys, got %v", keys)
-	}
-}
-
 // TestCrashBetweenWriteAndRename kills a Put in the crash window — temp
 // file durably written, rename not yet executed — and proves the previous
 // object under the final name survives uncorrupted, the failure surfaces
@@ -295,7 +267,7 @@ func TestCrashBetweenWriteAndRename(t *testing.T) {
 	if out.Name != "old" || len(out.Vals) != 1 || out.Vals[0] != 1 {
 		t.Fatalf("old object corrupted: %+v", out)
 	}
-	entries, err := os.ReadDir(filepath.Join(s.Dir(), "d"))
+	entries, err := os.ReadDir(filepath.Join(s.dir, "d"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +279,7 @@ func TestCrashBetweenWriteAndRename(t *testing.T) {
 }
 
 // TestOrphanTempFileIgnored plants a half-written temp file (what a real
-// crash leaves) and checks reads and listings never surface it.
+// crash leaves) and checks reads never surface it.
 func TestOrphanTempFileIgnored(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -317,13 +289,9 @@ func TestOrphanTempFileIgnored(t *testing.T) {
 	if err := s.Put("d", k, payload{Name: "good"}); err != nil {
 		t.Fatal(err)
 	}
-	orphan := filepath.Join(s.Dir(), "d", ".store-12345")
+	orphan := filepath.Join(s.dir, "d", ".store-12345")
 	if err := os.WriteFile(orphan, []byte(`{"version":1,"key":"trunc`), 0o644); err != nil {
 		t.Fatal(err)
-	}
-	keys, err := s.List("d")
-	if err != nil || len(keys) != 1 || keys[0] != k {
-		t.Fatalf("orphan temp file leaked into listing: %v, %v", keys, err)
 	}
 	var out payload
 	if err := s.Get("d", k, &out); err != nil || out.Name != "good" {

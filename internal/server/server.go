@@ -18,6 +18,13 @@
 // nothing: restart replays up to the previous round and the resumed
 // clock re-fires the lost round, deterministically reproducing it.
 //
+// Replay reads without reflection, since a restart reads every record
+// ever written. decodeRecord accepts exactly the layout json.Marshal
+// writes for a record and refuses anything else as corrupt, and
+// roundDigest appends the bytes json.Marshal would write for an
+// Assignment before hashing them. Appends still go through json.Marshal,
+// so the bytes on disk and every digest are what they always were.
+//
 // Time discipline: the server never reads the wall clock directly
 // (the clockdiscipline analyzer in internal/analysis, run by
 // arena-vet, enforces this package-wide); all instants come
@@ -76,9 +83,7 @@ type Config struct {
 	// RoundSeconds is the scheduling interval (paper: 5 minutes); 0
 	// defaults to 300.
 	RoundSeconds float64
-	// MaxPerJob caps per-job allocations; 0 uses the database's MaxN.
-	MaxPerJob int
-	Seed      uint64
+	Seed         uint64
 
 	// Store persists the journal and must be held for the server's
 	// lifetime (its single-writer lock is what makes the journal safe).
@@ -100,6 +105,10 @@ const (
 )
 
 // record is one journal entry; Kind selects which fields are meaningful.
+// Appends encode it with json.Marshal and replay reads it back with
+// decodeRecord, which knows this field order and trace.Job's: a field
+// added to either needs its case there, or TestRecordDecodeMatchesUnmarshal
+// fails.
 type record struct {
 	Kind string `json:"kind"`
 
@@ -141,6 +150,11 @@ type Server struct {
 	nextRound int
 	lastNow   float64
 	autoID    int // all-time submit count, for generated job IDs
+
+	// digestBuf and digestKeys are roundDigest's encoding buffer and
+	// sorted Place keys, kept from round to round.
+	digestBuf  []byte
+	digestKeys []string
 }
 
 // crashBeforeCommit, when non-nil, runs between a round's in-memory
@@ -166,7 +180,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	eng, err := sim.NewEngine(sim.Config{
 		Spec: cfg.Spec, Policy: cfg.Policy, DB: cfg.DB,
-		RoundSeconds: cfg.RoundSeconds, MaxPerJob: cfg.MaxPerJob, Seed: cfg.Seed,
+		RoundSeconds: cfg.RoundSeconds, Seed: cfg.Seed,
 	})
 	if err != nil {
 		return nil, err
@@ -203,12 +217,12 @@ func (s *Server) configRecord() record {
 	}
 }
 
-// replay re-executes the journal. Called once, before the server is
-// shared, so it runs unlocked.
+// replay re-executes the journal, reading each record with decodeRecord.
+// Called once, before the server is shared, so it runs unlocked.
 func (s *Server) replay(entries []json.RawMessage) error {
 	for i, raw := range entries {
-		var rec record
-		if err := json.Unmarshal(raw, &rec); err != nil {
+		rec, err := decodeRecord(raw)
+		if err != nil {
 			return fmt.Errorf("server: journal record %d: %w: %v", i, store.ErrCorrupt, err)
 		}
 		if i == 0 {
@@ -241,7 +255,7 @@ func (s *Server) replay(entries []json.RawMessage) error {
 				return fmt.Errorf("server: %w: journal record %d is round %d, expected round %d", ErrReplay, i, rec.Round, s.nextRound)
 			}
 			asg := s.fireLocked(rec.Round, rec.Now)
-			if got := jsonDigest(asg); got != rec.Digest {
+			if got := s.roundDigest(asg); got != rec.Digest {
 				return fmt.Errorf("server: %w: round %d re-executed to digest %s, journal recorded %s (code or inputs changed since the journal was written)",
 					ErrReplay, rec.Round, got, rec.Digest)
 			}
@@ -277,7 +291,7 @@ func (s *Server) stepLocked(round int, now float64) (sched.Assignment, error) {
 			return asg, err
 		}
 	}
-	err := s.journal.Append(record{Kind: kindRound, Round: round, Now: now, Digest: jsonDigest(asg)})
+	err := s.journal.Append(record{Kind: kindRound, Round: round, Now: now, Digest: s.roundDigest(asg)})
 	return asg, err
 }
 
@@ -397,9 +411,9 @@ func (s *Server) Submit(tj trace.Job) (trace.Job, error) {
 
 // validate rejects jobs the scheduler could never place: the perf
 // database must know the workload on at least one GPU type, and the
-// request must be a power of two within the per-job cap, the only GPU
-// counts the database measures. Replay does not validate, so a journal
-// keeps replaying whatever it accepted.
+// request must be a power of two up to the database's MaxN, the only GPU
+// counts it measures and the engine's per-job cap. Replay does not
+// validate, so a journal keeps replaying whatever it accepted.
 func (s *Server) validate(tj *trace.Job) error {
 	if tj.Iterations <= 0 {
 		return fmt.Errorf("%w: iterations must be positive", ErrBadJob)
@@ -411,12 +425,8 @@ func (s *Server) validate(tj *trace.Job) error {
 		tj.ReqGPUs = 1
 	}
 	db := s.cfg.DB
-	maxN := s.cfg.MaxPerJob
-	if maxN <= 0 {
-		maxN = db.MaxN
-	}
-	if tj.ReqGPUs&(tj.ReqGPUs-1) != 0 || tj.ReqGPUs > maxN {
-		return fmt.Errorf("%w: %d GPUs requested, want a power of two up to %d", ErrBadJob, tj.ReqGPUs, maxN)
+	if tj.ReqGPUs&(tj.ReqGPUs-1) != 0 || tj.ReqGPUs > db.MaxN {
+		return fmt.Errorf("%w: %d GPUs requested, want a power of two up to %d", ErrBadJob, tj.ReqGPUs, db.MaxN)
 	}
 	if tj.Priority <= 0 {
 		tj.Priority = 1
@@ -457,14 +467,15 @@ func (s *Server) Cancel(id string) error {
 	return nil
 }
 
-// jsonDigest fingerprints any JSON-marshalable value: sha256 of its
-// encoding, truncated hex. Map keys marshal sorted, so the digest is
-// deterministic for Assignment's Place map.
+// jsonDigest fingerprints a JSON-marshalable value: sha256 of its
+// encoding, truncated hex. Only the config stamp's cluster fingerprint
+// uses it, once per start; rounds go through roundDigest, which writes
+// the same bytes for an Assignment without reflection.
 func jsonDigest(v any) string {
 	data, err := json.Marshal(v)
 	if err != nil {
-		// Assignment and ClusterSpec are static struct/map shapes whose
-		// encoding cannot fail.
+		// A ClusterSpec is a static struct shape whose encoding cannot
+		// fail.
 		panic(err)
 	}
 	sum := sha256.Sum256(data)

@@ -33,7 +33,7 @@ var (
 	dbErr  error
 )
 
-func db(t *testing.T) *perfdb.DB {
+func db(t testing.TB) *perfdb.DB {
 	t.Helper()
 	dbOnce.Do(func() {
 		testDB, dbErr = perfdb.BuildCtx(context.Background(), exec.NewEngine(42), perfdb.Options{
@@ -51,7 +51,7 @@ func db(t *testing.T) *perfdb.DB {
 	return testDB
 }
 
-func testJobs(t *testing.T, n int) []trace.Job {
+func testJobs(t testing.TB, n int) []trace.Job {
 	t.Helper()
 	jobs, err := trace.Generate(trace.Config{
 		Kind: trace.Philly, Duration: 3 * 3600, NumJobs: n, Seed: 7,
@@ -69,7 +69,7 @@ func testJobs(t *testing.T, n int) []trace.Job {
 
 // newServer opens a store in dir and builds a server on it; the store is
 // closed with the test.
-func newServer(t *testing.T, dir string, p sched.Policy) (*Server, *store.Store) {
+func newServer(t testing.TB, dir string, p sched.Policy) (*Server, *store.Store) {
 	t.Helper()
 	st, err := store.Open(dir)
 	if err != nil {
@@ -90,7 +90,7 @@ func newServer(t *testing.T, dir string, p sched.Policy) (*Server, *store.Store)
 // from its current round through round `until` (exclusive), returning
 // the digest of every assignment fired. The script is a function of the
 // round index, so an interrupted server resumes it mid-way.
-func driveScript(t *testing.T, srv *Server, jobs []trace.Job, until int) []string {
+func driveScript(t testing.TB, srv *Server, jobs []trace.Job, until int) []string {
 	t.Helper()
 	var digests []string
 	for srv.NextRound() < until {

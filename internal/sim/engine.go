@@ -36,9 +36,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.RoundSeconds <= 0 {
 		cfg.RoundSeconds = 300
 	}
-	if cfg.MaxPerJob <= 0 {
-		cfg.MaxPerJob = cfg.DB.MaxN
-	}
 	cl, err := cluster.New(cfg.Spec)
 	if err != nil {
 		return nil, err
@@ -130,7 +127,7 @@ func (e *Engine) Round(now float64) sched.Assignment {
 		Running:   s.running,
 		Cluster:   s.cluster,
 		DB:        s.cfg.DB,
-		MaxPerJob: s.cfg.MaxPerJob,
+		MaxPerJob: s.cfg.DB.MaxN,
 		Changes:   s.changes,
 	}
 	asg := s.cfg.Policy.Assign(rctx)

@@ -47,8 +47,6 @@ type Config struct {
 	RoundSeconds float64
 	// MaxRounds bounds the simulation; 0 derives a horizon from the trace.
 	MaxRounds int
-	// MaxPerJob caps per-job allocations; 0 uses the database's MaxN.
-	MaxPerJob int
 
 	// ThroughputNoise adds deterministic per-(job, segment) variance to
 	// achieved throughput, emulating real-testbed measurement conditions
@@ -105,7 +103,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg = e.cfg() // normalized defaults (RoundSeconds, MaxPerJob)
+	cfg = e.cfg() // normalized defaults (RoundSeconds)
 	maxRounds := e.MaxRounds()
 	// The latest instant this run can ever simulate: nothing submitted
 	// after it can be admitted, so an idle engine whose next arrival lies

@@ -241,6 +241,11 @@ type JobProfile = profiler.JobProfile
 // NewProfiler returns a profiler over an engine and a sampled table.
 func NewProfiler(eng *Engine, ct *CommTable) *Profiler { return profiler.New(eng, ct) }
 
+// ProfileTrials is the profiler's measured repetitions per unique
+// operator configuration; pass it to DirectMeasureCost to bill direct
+// measurement the same way.
+const ProfileTrials = profiler.Trials
+
 // --- AP search (§3.6) ---
 
 // SearchOutcome is a search result with cost accounting.

@@ -105,10 +105,11 @@ func BenchmarkKernelTime(b *testing.B) {
 
 func BenchmarkCollectiveTime(b *testing.B) {
 	eng := arena.NewEngine(42)
+	spec := arena.MustGPU("A40")
 	topo := hw.Topology{GPUType: "A40", Workers: 8, CrossNode: true, NICShare: 2}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.CollectiveTime(hw.AllReduce, topo, 1e9)
+		eng.CollectiveTime(&spec, hw.AllReduce, topo, 1e9)
 	}
 }
 
@@ -129,7 +130,11 @@ func BenchmarkEvaluatePlan(b *testing.B) {
 // build actually plans: every (N, S) grid up to 16 GPUs for a
 // memory-comfortable workload (GPT-1.3B on A40) and a memory-tight one
 // (MoE-10B on A10, where the DP's infeasible-subtree skipping also
-// engages). dp is PlanGrid's prefix-DP enumerator and incremental Pareto
+// engages). Each column is one job's grids on one GPU type, planned in
+// the build's order through one Planner, so the benchmark times the path
+// the build takes: a column's grids share their intra-stage tables, and
+// the switch to the other column drops them, so every iteration starts
+// cold. dp is PlanGrid's prefix-DP enumerator and incremental Pareto
 // sweep; the sub-benchmark keeps its name so its baseline key still
 // matches.
 func BenchmarkPlanGrid(b *testing.B) {

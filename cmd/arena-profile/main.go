@@ -79,7 +79,7 @@ func main() {
 		if err != nil {
 			cli.Fatal(err)
 		}
-		oracle := arena.DirectMeasureCost(res, gp.Proxy.Plan, pr.Trials)
+		oracle := arena.DirectMeasureCost(res, gp.Proxy.Plan, arena.ProfileTrials)
 		errPct := 100 * (est.IterTime - res.IterTime) / res.IterTime
 		fmt.Printf("s=%d plan %-24s estimated %.3fs/iter, measured %.3fs/iter (err %+.1f%%)\n",
 			deg, gp.Proxy.Plan, est.IterTime, res.IterTime, errPct)

@@ -133,12 +133,17 @@ func (e *Engine) kernelJitter(kind model.OpKind, arch hw.Arch, flops float64) fl
 }
 
 // CollectiveTime returns the measured latency of a communication primitive
-// over v bytes with the given topology, including the engine's group-size
-// contention penalty on top of the analytic alpha-beta cost. Offline
-// communication sampling by the profiler observes exactly this function at
-// its chosen sample volumes.
-func (e *Engine) CollectiveTime(p hw.Primitive, topo hw.Topology, v float64) float64 {
-	base := hw.MustCollectiveTime(p, topo, v)
+// over v bytes with the given topology on GPUs of the given spec,
+// including the engine's group-size contention penalty on top of the
+// analytic alpha-beta cost. Offline communication sampling by the
+// profiler observes exactly this function at its chosen sample volumes.
+// It panics on a negative volume or an unknown primitive, which only a
+// caller bug produces.
+func (e *Engine) CollectiveTime(spec *hw.GPU, p hw.Primitive, topo hw.Topology, v float64) float64 {
+	base, err := spec.CollectiveTime(p, topo, v)
+	if err != nil {
+		panic(err)
+	}
 	if topo.Workers > 1 {
 		base *= 1 + e.ContentionCoef*math.Log2(float64(topo.Workers))
 	}

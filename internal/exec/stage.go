@@ -50,7 +50,7 @@ func (e *Engine) MeasureOp(op model.Op, spec hw.GPU, spr float64, tp, gpusPerNod
 		if prim == "" {
 			prim = hw.AllReduce
 		}
-		om.TPComm = e.CollectiveTime(prim, topo, op.TPCommBytes*spr)
+		om.TPComm = e.CollectiveTime(&spec, prim, topo, op.TPCommBytes*spr)
 	}
 	return om
 }
@@ -106,7 +106,7 @@ func (e *Engine) MeasureStageFromOps(g *model.Graph, st parallel.StagePlan, spec
 			GPUType: spec.Name, Workers: st.DP,
 			CrossNode: st.GPUs() > gpusPerNode, NICShare: share,
 		}
-		m.GradSync = e.CollectiveTime(hw.AllReduce, topo, m.ParamBytes/float64(st.TP))
+		m.GradSync = e.CollectiveTime(&spec, hw.AllReduce, topo, m.ParamBytes/float64(st.TP))
 	}
 	return m
 }

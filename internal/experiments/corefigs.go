@@ -216,7 +216,7 @@ func (e *Env) Fig16(ctx context.Context) (*Table, error) {
 					arenaCost += est.ProfileGPUTime
 					direct, err := e.eng.Evaluate(g, gp.Proxy.Plan, spec, m.gb)
 					if err == nil && direct.Fits {
-						oracleCost += exec.DirectMeasureCost(direct, gp.Proxy.Plan, pr.Trials)
+						oracleCost += exec.DirectMeasureCost(direct, gp.Proxy.Plan, profiler.Trials)
 					}
 					if bestEst == nil || est.Throughput > bestEst.Throughput {
 						cp := est

@@ -147,19 +147,30 @@ func TestTransferTimeMonotone(t *testing.T) {
 	}
 }
 
+// collective prices a collective on the topology's own GPU type, failing
+// the test on an error.
+func collective(t *testing.T, p Primitive, topo Topology, v float64) float64 {
+	t.Helper()
+	g := MustLookup(topo.GPUType)
+	d, err := g.CollectiveTime(p, topo, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 func TestCollectiveTimeSingleWorker(t *testing.T) {
 	topo := Topology{GPUType: "A100", Workers: 1}
-	d, err := CollectiveTime(AllReduce, topo, 1e9)
-	if err != nil || d != 0 {
-		t.Fatalf("1-worker all-reduce = %v, %v; want 0", d, err)
+	if d := collective(t, AllReduce, topo, 1e9); d != 0 {
+		t.Fatalf("1-worker all-reduce = %v; want 0", d)
 	}
 }
 
 func TestCollectiveAllReduceTwiceAllGather(t *testing.T) {
 	topo := Topology{GPUType: "A100", Workers: 4}
 	v := 1e9
-	ar := MustCollectiveTime(AllReduce, topo, v)
-	ag := MustCollectiveTime(AllGather, topo, v)
+	ar := collective(t, AllReduce, topo, v)
+	ag := collective(t, AllGather, topo, v)
 	// Ring all-reduce = reduce-scatter + all-gather: ≈ 2× all-gather.
 	if math.Abs(ar-2*ag)/ar > 0.05 {
 		t.Errorf("all-reduce %v vs 2×all-gather %v", ar, 2*ag)
@@ -170,7 +181,7 @@ func TestCollectiveCrossNodeSlower(t *testing.T) {
 	intra := Topology{GPUType: "A100", Workers: 4, CrossNode: false}
 	inter := Topology{GPUType: "A100", Workers: 4, CrossNode: true, NICShare: 1}
 	v := 1e9
-	if MustCollectiveTime(AllReduce, inter, v) <= MustCollectiveTime(AllReduce, intra, v) {
+	if collective(t, AllReduce, inter, v) <= collective(t, AllReduce, intra, v) {
 		t.Error("cross-node collective should be slower than NVLink-local")
 	}
 }
@@ -179,8 +190,8 @@ func TestNICShareSlowdown(t *testing.T) {
 	base := Topology{GPUType: "A40", Workers: 8, CrossNode: true, NICShare: 1}
 	shared := Topology{GPUType: "A40", Workers: 8, CrossNode: true, NICShare: 2}
 	v := 1e9
-	tb := MustCollectiveTime(AllReduce, base, v)
-	ts := MustCollectiveTime(AllReduce, shared, v)
+	tb := collective(t, AllReduce, base, v)
+	ts := collective(t, AllReduce, shared, v)
 	if ts <= tb {
 		t.Error("NIC sharing must slow the collective")
 	}
@@ -193,7 +204,7 @@ func TestCollectiveVolumeMonotone(t *testing.T) {
 	topo := Topology{GPUType: "V100", Workers: 8, CrossNode: false}
 	prev := -1.0
 	for v := 1e3; v <= 1e11; v *= 10 {
-		cur := MustCollectiveTime(AllReduce, topo, v)
+		cur := collective(t, AllReduce, topo, v)
 		if cur <= prev {
 			t.Fatalf("collective time not monotone at %v", v)
 		}
@@ -202,8 +213,28 @@ func TestCollectiveVolumeMonotone(t *testing.T) {
 }
 
 func TestCollectiveNegativeVolume(t *testing.T) {
-	if _, err := CollectiveTime(AllReduce, Topology{GPUType: "A100", Workers: 2}, -5); err == nil {
+	g := MustLookup("A100")
+	if _, err := g.CollectiveTime(AllReduce, Topology{GPUType: "A100", Workers: 2}, -5); err == nil {
 		t.Fatal("expected error for negative volume")
+	}
+}
+
+// TestCollectiveTimeUsesHeldSpec pins that the links come from the spec
+// the caller holds, not from the topology's type name: an A40 ring
+// priced on the V100 spec costs what a V100 ring does.
+func TestCollectiveTimeUsesHeldSpec(t *testing.T) {
+	v100 := MustLookup("V100")
+	for _, cross := range []bool{false, true} {
+		asA40 := Topology{GPUType: "A40", Workers: 4, CrossNode: cross, NICShare: 2}
+		asV100 := asA40
+		asV100.GPUType = "V100"
+		got, err := v100.CollectiveTime(AllReduce, asA40, 1e8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := collective(t, AllReduce, asV100, 1e8); got != want {
+			t.Errorf("cross=%v: %v on the held V100 spec, want %v", cross, got, want)
+		}
 	}
 }
 

@@ -86,7 +86,7 @@ func Primitives() []Primitive {
 // over 8 GPUs on 2-GPU nodes drives each NIC with two ranks' traffic,
 // halving the effective per-rank bandwidth.
 type Topology struct {
-	GPUType   string // catalog name, determines link speeds
+	GPUType   string // catalog name: the comm table's key and String's prefix
 	Workers   int    // communicator size (k)
 	CrossNode bool   // true when the ring includes an inter-node hop
 	NICShare  int    // ranks of this group per node (≥1); 0 means 1
@@ -108,24 +108,22 @@ func (t Topology) nicShare() int {
 	return t.NICShare
 }
 
-// bottleneck returns the ring's slowest link for the topology, with the
-// inter-node NIC bandwidth divided among co-located ranks.
-func (t Topology) bottleneck() (Link, error) {
-	g, err := Lookup(t.GPUType)
-	if err != nil {
-		return Link{}, err
-	}
+// bottleneck returns the ring's slowest link for the topology on GPUs of
+// spec g, with the inter-node NIC bandwidth divided among co-located
+// ranks.
+func (g *GPU) bottleneck(t Topology) Link {
 	if t.CrossNode {
 		l := g.InterLink
 		l.Beta /= float64(t.nicShare())
-		return l, nil
+		return l
 	}
-	return g.IntraLink, nil
+	return g.IntraLink
 }
 
 // CollectiveTime returns the analytic cost of running primitive p over v
-// bytes with the given topology. Ring algorithms are assumed (the NCCL
-// default at these scales):
+// bytes with the given topology on GPUs of spec g, whose links price the
+// ring (t.GPUType is not consulted). Ring algorithms are assumed (the
+// NCCL default at these scales):
 //
 //	all-reduce:      2(k-1)/k * v / B  + 2(k-1) * alpha
 //	all-gather:       (k-1)/k * v / B  +  (k-1) * alpha
@@ -136,14 +134,11 @@ func (t Topology) bottleneck() (Link, error) {
 // where B is the volume-dependent effective bandwidth of the bottleneck
 // link. v is the per-participant payload (e.g. the gradient bytes each
 // replica contributes for all-reduce).
-func CollectiveTime(p Primitive, t Topology, v float64) (float64, error) {
+func (g *GPU) CollectiveTime(p Primitive, t Topology, v float64) (float64, error) {
 	if v < 0 {
 		return 0, fmt.Errorf("hw: negative volume %g", v)
 	}
-	link, err := t.bottleneck()
-	if err != nil {
-		return 0, err
-	}
+	link := g.bottleneck(t)
 	k := float64(t.Workers)
 	if t.Workers <= 1 && p != P2P {
 		return 0, nil // single participant: no communication
@@ -164,15 +159,6 @@ func CollectiveTime(p Primitive, t Topology, v float64) (float64, error) {
 	default:
 		return 0, fmt.Errorf("hw: unknown primitive %q", p)
 	}
-}
-
-// MustCollectiveTime is CollectiveTime for callers with validated inputs.
-func MustCollectiveTime(p Primitive, t Topology, v float64) float64 {
-	d, err := CollectiveTime(p, t, v)
-	if err != nil {
-		panic(err)
-	}
-	return d
 }
 
 // P2PTime returns the cost of a point-to-point activation transfer between

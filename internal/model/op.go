@@ -140,12 +140,13 @@ func balancedPartition(ops []Op, k int) []int {
 	lo, hi := maxOp, prefix[n]
 	feasible := func(cap float64) bool {
 		groups, sum := 1, 0.0
-		for _, op := range ops {
-			if sum+op.FLOPs > cap {
+		for i := range ops {
+			flops := ops[i].FLOPs
+			if sum+flops > cap {
 				groups++
 				sum = 0
 			}
-			sum += op.FLOPs
+			sum += flops
 		}
 		return groups <= k
 	}

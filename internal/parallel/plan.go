@@ -191,9 +191,10 @@ const AdamStateMultiplier = 8.0
 // this stage (numStages − stageIdx, capped by the microbatch count).
 func StageMemoryBytes(g *model.Graph, st StagePlan, globalBatch, numMicro, stageIdx, numStages int) float64 {
 	var params, acts float64
-	for _, op := range g.Ops[st.OpStart:st.OpEnd] {
-		params += op.ParamBytes
-		acts += op.ActBytes
+	ops := g.Ops
+	for i := st.OpStart; i < st.OpEnd; i++ {
+		params += ops[i].ParamBytes
+		acts += ops[i].ActBytes
 	}
 	static := AdamStateMultiplier * params / float64(st.TP)
 

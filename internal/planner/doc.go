@@ -23,8 +23,19 @@
 // candidateSink: partitions are walked as a tree of boundary choices,
 // per-stage fractional shares and the power-of-two assignment DP's rows
 // are keyed to the deepest boundary they depend on and computed once per
-// frontier extension instead of once per partition, and stage ranges
-// that fit device memory at no GPU count prune their whole subtree.
+// frontier extension instead of once per partition, each row over only
+// the GPU counts its stage suffix can reach, and stage ranges that fit
+// device memory at no GPU count prune their whole subtree.
+//
+// # Shared tables
+//
+// A cold build plans every grid of a job, and step 3's selections do not
+// depend on the grid's N. The Planner therefore keeps one intra-stage
+// table per pipeline degree for the (graph, GPU type, global batch) it
+// planned last, and PlanGrid and EnumerateCandidates take the table for
+// their S and put it back (intra.go, planner.go): a job computes each
+// (S, operator range, GPU count) selection once. Communication is priced
+// on the GPU spec the table holds, not looked up by name per collective.
 //
 // # Pareto reduction
 //

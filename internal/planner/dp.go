@@ -21,14 +21,18 @@ package planner
 //     the trailing k stages (a partition *suffix*) are determined and
 //     shared by the whole subtree;
 //   - a stage's fractional share ideal[j] is computed once when its
-//     boundary pair is fixed, from the opRangeStats prefix sums (O(1)
-//     per stage instead of O(s) per partition);
+//     boundary pair is fixed, as the range's load fraction — kept in
+//     the intra-stage table, one division per range per job — times N
+//     (O(1) per stage instead of O(s) per partition);
 //   - the assignment DP's row j — dp[j][r], the minimal squared distance
 //     of assigning stages j..s-1 exactly r power-of-two GPUs — depends
 //     only on ideal[j..s-1], so it too is filled once per frontier
 //     extension and reused by every partition below. At a leaf only the
 //     O(log n) cells of row 1 the final minimum can touch are computed,
 //     instead of the s full rows the reference path rebuilds;
+//   - every row visits only its reachable cells, r ∈ [s−j, n−j], and
+//     only the choices p that leave each later stage a GPU: the cells
+//     below are never valid and those above are never read (fillRow);
 //   - a stage range that fits device memory at no power-of-two GPU
 //     count can never appear in any feasible candidate, so the subtree
 //     under it is skipped wholesale — after counting its partitions with
@@ -67,12 +71,7 @@ import (
 // a grid. All slices are preallocated once per grid; the DFS mutates
 // them in place, and the sink copies anything it retains.
 type partitionDP struct {
-	pl       *Planner
-	grid     core.Grid
-	stats    *opRangeStats
-	intra    *intraSelector
-	total    float64 // total operator load of the graph
-	numMicro int
+	intra *intraSelector
 
 	s, n, numOps int
 
@@ -84,7 +83,9 @@ type partitionDP struct {
 	// Suffix assignment DP, flat (s+1) × (n+1). Cell j*(n+1)+r is valid
 	// iff its stamp equals rowEpoch[j]; rows are re-stamped instead of
 	// cleared when a frontier extension replaces them. Row s is the base
-	// (only cell (s, 0) is valid, value 0) and is never re-stamped.
+	// (only cell (s, 0) is valid, value 0) and is never re-stamped. Only
+	// the reachable cells r ∈ [s−j, n−j] of row j are ever filled (see
+	// fillRow).
 	dp       []float64
 	choice   []int32
 	stamp    []uint32
@@ -109,18 +110,15 @@ type partitionDP struct {
 // enumerateDP streams every partition of the grid with a feasible GPU
 // assignment into the sink and returns the count of partitions
 // enumerated: the per-partition reference's candidates, lexicographic
-// ranks and partition count with ~4× less work.
-func (pl *Planner) enumerateDP(
-	g *model.Graph, grid core.Grid,
-	stats *opRangeStats, intra *intraSelector,
-	totalLoad float64, numMicro int, sink candidateSink,
-) int {
+// ranks and partition count with ~4× less work. intra is the grid's
+// intra-stage table, covering GPU counts up to grid.N.
+func enumerateDP(g *model.Graph, grid core.Grid, intra *intraSelector, sink candidateSink) int {
 	numOps := len(g.Ops)
 	if grid.S == 1 {
 		// A single partition has no boundary frontier to share; evaluate
 		// it directly.
 		scr := newCandScratch(1, grid.N)
-		scr.ideal[0] = stats.loadOf(0, numOps) / totalLoad * float64(grid.N)
+		scr.ideal[0] = intra.frac[rangeIdx(0, numOps)] * float64(grid.N)
 		scr.opsPer[0] = numOps
 		if assign, bias2 := normalizeAssignment(scr.ideal, grid.N, scr); assign != nil {
 			sink.offer([]int{numOps}, assign, scr.opsPer, scr.ideal, bias2, 0)
@@ -129,9 +127,8 @@ func (pl *Planner) enumerateDP(
 	}
 	s, n := grid.S, grid.N
 	e := &partitionDP{
-		pl: pl, grid: grid, stats: stats, intra: intra,
-		total: totalLoad, numMicro: numMicro,
-		s: s, n: n, numOps: numOps,
+		intra: intra,
+		s:     s, n: n, numOps: numOps,
 		bounds: make([]int, s),
 		ideal:  make([]float64, s),
 		opsPer: make([]int, s),
@@ -211,10 +208,12 @@ func (e *partitionDP) descend(j, hi, rank int) {
 	}
 }
 
-// setStage records stage j's fractional GPU share and operator count,
-// with the exact expression buildCandidate uses.
+// setStage records stage j's fractional GPU share and operator count.
+// The share is frac·N, which is bit for bit the reference path's
+// load(start, end)/total·N: the table computed the division once per
+// range.
 func (e *partitionDP) setStage(j, start, end int) {
-	e.ideal[j] = e.stats.loadOf(start, end) / e.total * float64(e.grid.N)
+	e.ideal[j] = e.intra.frac[rangeIdx(start, end)] * float64(e.n)
 	e.opsPer[j] = end - start
 }
 
@@ -223,6 +222,15 @@ func (e *partitionDP) setStage(j, start, end int) {
 // ascending power-of-two candidates, the same cost expression, and
 // first-valid-then-strict-< selection, so a cell's value and choice are
 // bit-identical to the reference path's for the same stage suffix.
+//
+// It visits only the reachable cells. Row j assigns the s−j stages
+// j..s−1 at least one GPU each, and stages 0..j−1 leave at least one
+// GPU each, so only r ∈ [s−j, n−j] can be valid and read; a choice p
+// leaves r−p for the s−j−1 later stages, so p ≤ r−(s−j−1). The cells
+// and choices skipped are exactly those whose next-row cell the
+// reference finds invalid, or whose value no later read consults: they
+// are never stamped with the current epoch, so every read sees the
+// reference's value.
 func (e *partitionDP) fillRow(j int) {
 	n := e.n
 	row, next := j*(n+1), (j+1)*(n+1)
@@ -230,8 +238,9 @@ func (e *partitionDP) fillRow(j int) {
 	epoch, nextEpoch := e.rowEpoch[j], e.rowEpoch[j+1]
 	idealJ := e.ideal[j]
 	dp, choice, stamp := e.dp, e.choice, e.stamp
-	for r := 1; r <= n; r++ {
-		for p := 1; p <= r; p *= 2 {
+	later := e.s - j - 1 // stages after j, one GPU each at least
+	for r := later + 1; r <= n-j; r++ {
+		for p := 1; p <= r-later; p *= 2 {
 			if stamp[next+r-p] != nextEpoch {
 				continue
 			}
@@ -247,9 +256,10 @@ func (e *partitionDP) fillRow(j int) {
 }
 
 // cell1 computes assignment-DP cell (1, r) on demand from the already
-// filled row 2, exactly as fillRow would. Only the O(log n) cells the
-// leaf's final minimum touches are ever computed; the rest of row 1 —
-// which the reference path fills wholesale — stays unevaluated.
+// filled row 2, exactly as fillRow would, over the same reachable
+// choices. Only the O(log n) cells the leaf's final minimum touches are
+// ever computed; the rest of row 1 — which the reference path fills
+// wholesale — stays unevaluated.
 func (e *partitionDP) cell1(r int) (float64, bool) {
 	n := e.n
 	row, next := 1*(n+1), 2*(n+1)
@@ -257,7 +267,7 @@ func (e *partitionDP) cell1(r int) (float64, bool) {
 	dp, choice, stamp := e.dp, e.choice, e.stamp
 	ideal1 := e.ideal[1]
 	valid := false
-	for p := 1; p <= r; p *= 2 {
+	for p := 1; p <= r-(e.s-2); p *= 2 {
 		if stamp[next+r-p] != nextEpoch {
 			continue
 		}
@@ -289,11 +299,12 @@ func (e *partitionDP) leaf(b, rank int) {
 	e.rowEpoch[1]++ // invalidate the previous leaf's sparse row-1 cells
 
 	// dp[0][n] = min over p of (p − ideal[0])² + dp[1][n−p], in the
-	// reference recurrence's exact accumulation and tie-break order.
+	// reference recurrence's exact accumulation and tie-break order; p
+	// leaves at least one GPU for each of the s−1 later stages.
 	var bias2 float64
 	var first int
 	found := false
-	for p := 1; p <= e.n; p *= 2 {
+	for p := 1; p <= e.n-(e.s-1); p *= 2 {
 		v, ok := e.cell1(e.n - p)
 		if !ok {
 			continue
@@ -328,8 +339,7 @@ func (e *partitionDP) leaf(b, rank int) {
 // of GC write barriers. Retained storage is bump-allocated from the
 // sink's arena instead of six heap objects per candidate.
 type populationSink struct {
-	intra    *intraSelector
-	numMicro int
+	intra *intraSelector
 
 	stages []parallel.StagePlan // stageMetrics trial buffer
 	out    []*Candidate
@@ -337,12 +347,11 @@ type populationSink struct {
 	arena  candArena
 }
 
-func newPopulationSink(g *model.Graph, grid core.Grid, intra *intraSelector, numMicro int) *populationSink {
+func newPopulationSink(g *model.Graph, grid core.Grid, intra *intraSelector) *populationSink {
 	return &populationSink{
-		intra:    intra,
-		numMicro: numMicro,
-		stages:   make([]parallel.StagePlan, grid.S),
-		slots:    make([]int32, pascalTable(len(g.Ops))[len(g.Ops)-1][grid.S-1]),
+		intra:  intra,
+		stages: make([]parallel.StagePlan, grid.S),
+		slots:  make([]int32, pascalTable(len(g.Ops))[len(g.Ops)-1][grid.S-1]),
 	}
 }
 
@@ -350,7 +359,7 @@ func newPopulationSink(g *model.Graph, grid core.Grid, intra *intraSelector, num
 // communication load through the shared stageMetrics core and retain the
 // candidate at its rank slot. Memory-infeasible partitions are dropped.
 func (p *populationSink) offer(bounds, assign, opsPer []int, ideal []float64, bias2 float64, rank int) {
-	lComm, ok := stageMetrics(p.stages, p.intra, bounds, assign, p.numMicro)
+	lComm, ok := stageMetrics(p.stages, p.intra, bounds, assign)
 	if !ok {
 		return
 	}
@@ -358,7 +367,7 @@ func (p *populationSink) offer(bounds, assign, opsPer []int, ideal []float64, bi
 	cand := p.arena.newCandidate(s)
 	cand.BComp = math.Sqrt(bias2)
 	cand.LComm = lComm
-	cand.Plan.NumMicrobatches = p.numMicro
+	cand.Plan.NumMicrobatches = p.intra.numMicro
 	copy(cand.Plan.Stages, p.stages[:s])
 	copy(cand.OpsPerStage, opsPer)
 	copy(cand.GPUsPerStage, assign)

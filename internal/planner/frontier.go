@@ -51,18 +51,16 @@ type frontierEntry struct {
 // BComp and strictly decreasing in LComm. It implements candidateSink,
 // so any enumerator can stream into it.
 type sweepFrontier struct {
-	intra    *intraSelector
-	numMicro int
+	intra *intraSelector
 
 	entries []frontierEntry
 	stages  []parallel.StagePlan // per-offer trial buffer, copied on accept
 }
 
-func newSweepFrontier(s int, intra *intraSelector, numMicro int) *sweepFrontier {
+func newSweepFrontier(s int, intra *intraSelector) *sweepFrontier {
 	return &sweepFrontier{
-		intra:    intra,
-		numMicro: numMicro,
-		stages:   make([]parallel.StagePlan, s),
+		intra:  intra,
+		stages: make([]parallel.StagePlan, s),
 	}
 }
 
@@ -86,6 +84,7 @@ func (f *sweepFrontier) offer(bounds, assign, opsPer []int, ideal []float64, bia
 		predL = f.entries[idx-1].cand.LComm
 	}
 
+	numMicro := f.intra.numMicro
 	var acc commAccum
 	start := 0
 	for j, end := range bounds {
@@ -93,14 +92,14 @@ func (f *sweepFrontier) offer(bounds, assign, opsPer []int, ideal []float64, bia
 		if choice == nil {
 			return // stage infeasible at the assigned GPU count
 		}
-		f.stages[j] = parallel.StagePlan{OpStart: start, OpEnd: end, DP: choice.dp, TP: choice.tp}
+		f.stages[j] = parallel.StagePlan{OpStart: start, OpEnd: end, DP: int(choice.dp), TP: int(choice.tp)}
 		acc.add(choice)
-		if hasPred && acc.load(f.numMicro) > predL {
+		if hasPred && acc.load(numMicro) > predL {
 			return // strictly dominated whatever the remaining stages cost
 		}
 		start = end
 	}
-	lComm := acc.load(f.numMicro)
+	lComm := acc.load(numMicro)
 	if !f.admit(idx, bComp, lComm, rank) {
 		return
 	}
@@ -108,7 +107,7 @@ func (f *sweepFrontier) offer(bounds, assign, opsPer []int, ideal []float64, bia
 	cand := &Candidate{
 		Plan: &parallel.Plan{
 			Stages:          append([]parallel.StagePlan(nil), f.stages...),
-			NumMicrobatches: f.numMicro,
+			NumMicrobatches: numMicro,
 		},
 		BComp:        bComp,
 		LComm:        lComm,

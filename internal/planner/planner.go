@@ -3,6 +3,7 @@ package planner
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"github.com/sjtu-epcc/arena/internal/core"
 	"github.com/sjtu-epcc/arena/internal/hw"
@@ -10,7 +11,19 @@ import (
 	"github.com/sjtu-epcc/arena/internal/parallel"
 )
 
-// Planner holds the tunables of the planning pass.
+// Planner holds the tunables of the planning pass, and the intra-stage
+// selection tables of the job it planned last.
+//
+// Those tables are the planner's memo of (operator range, GPU count) →
+// (dp, tp) selections. Their entries do not depend on the grid's N, so
+// the Planner keeps one idle table per pipeline degree S for the
+// (graph, GPU type, global batch) it planned last, and every grid of
+// that job plans with them: PlanGrid and EnumerateCandidates take the
+// table for their S and put it back. A call for another key drops the
+// idle set; a concurrent call whose table is in use builds a private
+// one. A Planner is safe for concurrent use. It identifies a graph by
+// its pointer, so a caller must not change a graph it has planned with
+// the same Planner.
 type Planner struct {
 	// MaxFrontier caps the Pareto frontier size; larger frontiers are
 	// reduced by dropping the higher-communication plan of the most
@@ -20,11 +33,53 @@ type Planner struct {
 	// proxy selection to plans within (1+BiasTolerance)×min, letting the
 	// communication load break near-ties.
 	BiasTolerance float64
+
+	mu   sync.Mutex
+	key  selectorKey                                // the job the idle tables belong to
+	idle [core.MaxPipelineDegree + 1]*intraSelector // by S; nil while in use or not built
+
+	// selections counts the intra-stage selections computed, over every
+	// table (for tests).
+	selections int
 }
 
 // New returns a Planner with the paper-aligned defaults.
 func New() *Planner {
 	return &Planner{MaxFrontier: 16, BiasTolerance: 0.05}
+}
+
+// takeSelector returns the grid's intra-stage table, covering GPU counts
+// up to grid.N: the job's idle table for grid.S when there is one, a new
+// one otherwise.
+func (pl *Planner) takeSelector(g *model.Graph, spec *hw.GPU, grid core.Grid) *intraSelector {
+	key := selectorKey{graph: g, gpuType: grid.GPUType, batch: grid.Workload.GlobalBatch}
+	var is *intraSelector
+	pl.mu.Lock()
+	if key != pl.key {
+		pl.key, pl.idle = key, [len(pl.idle)]*intraSelector{}
+	}
+	if grid.S < len(pl.idle) {
+		is, pl.idle[grid.S] = pl.idle[grid.S], nil
+	}
+	pl.mu.Unlock()
+	if is == nil {
+		is = newIntraSelector(key, spec, grid.S)
+	}
+	is.reserve(grid.N)
+	return is
+}
+
+// putSelector returns a table taken by takeSelector. It becomes the idle
+// table for its S unless the Planner moved on to another job or already
+// holds one.
+func (pl *Planner) putSelector(is *intraSelector) {
+	pl.mu.Lock()
+	pl.selections += is.selections
+	is.selections = 0
+	if is.key == pl.key && is.s < len(pl.idle) && pl.idle[is.s] == nil {
+		pl.idle[is.s] = is
+	}
+	pl.mu.Unlock()
 }
 
 // Candidate is one generated parallelism plan with its two planning
@@ -76,29 +131,17 @@ func OperatorLoad(op model.Op, spec hw.GPU) float64 {
 
 // PlanGrid produces the proxy plan and Pareto frontier for one grid.
 func (pl *Planner) PlanGrid(g *model.Graph, grid core.Grid) (*GridPlan, error) {
-	spec, err := hw.Lookup(grid.GPUType)
+	intra, err := pl.gridSelector(g, grid)
 	if err != nil {
 		return nil, err
 	}
-	numOps := len(g.Ops)
-	if grid.S < 1 || grid.S > numOps || grid.S > grid.N {
-		return nil, fmt.Errorf("planner: grid %v infeasible shape (O=%d)", grid, numOps)
-	}
-
-	stats := newRangeStats(g, spec)
-	totalLoad := stats.loadOf(0, numOps)
-	if totalLoad <= 0 {
-		return nil, fmt.Errorf("planner: graph %s has zero load", g.Name)
-	}
-
-	numMicro := parallel.DefaultMicrobatches(grid.S)
-	intra := newIntraSelector(g, spec, grid, numMicro)
+	defer pl.putSelector(intra)
 
 	// The incremental sweep judges candidates as they are emitted and
 	// materializes only staircase members.
 	out := &GridPlan{Grid: grid}
-	sink := newSweepFrontier(grid.S, intra, numMicro)
-	out.CandidatesEvaluated = pl.enumerateDP(g, grid, stats, intra, totalLoad, numMicro, sink)
+	sink := newSweepFrontier(grid.S, intra)
+	out.CandidatesEvaluated = enumerateDP(g, grid, intra, sink)
 	frontier := sink.candidates()
 	if len(frontier) == 0 {
 		return out, nil // infeasible grid: nothing fits memory
@@ -113,24 +156,33 @@ func (pl *Planner) PlanGrid(g *model.Graph, grid core.Grid) (*GridPlan, error) {
 // per memory-feasible partition) without Pareto filtering — used by the
 // §5.4 case study (Fig. 14), which measures the whole grid population.
 func (pl *Planner) EnumerateCandidates(g *model.Graph, grid core.Grid) []*Candidate {
-	spec, err := hw.Lookup(grid.GPUType)
+	intra, err := pl.gridSelector(g, grid)
 	if err != nil {
 		return nil
 	}
+	defer pl.putSelector(intra)
+	sink := newPopulationSink(g, grid, intra)
+	enumerateDP(g, grid, intra, sink)
+	return sink.candidates()
+}
+
+// gridSelector validates the grid and takes its intra-stage table; the
+// caller puts it back.
+func (pl *Planner) gridSelector(g *model.Graph, grid core.Grid) (*intraSelector, error) {
+	spec, err := hw.Lookup(grid.GPUType)
+	if err != nil {
+		return nil, err
+	}
 	numOps := len(g.Ops)
 	if grid.S < 1 || grid.S > numOps || grid.S > grid.N {
-		return nil
+		return nil, fmt.Errorf("planner: grid %v infeasible shape (O=%d)", grid, numOps)
 	}
-	stats := newRangeStats(g, spec)
-	totalLoad := stats.loadOf(0, numOps)
-	if totalLoad <= 0 {
-		return nil
+	intra := pl.takeSelector(g, &spec, grid)
+	if intra.total <= 0 {
+		pl.putSelector(intra)
+		return nil, fmt.Errorf("planner: graph %s has zero load", g.Name)
 	}
-	numMicro := parallel.DefaultMicrobatches(grid.S)
-	intra := newIntraSelector(g, spec, grid, numMicro)
-	sink := newPopulationSink(g, grid, intra, numMicro)
-	pl.enumerateDP(g, grid, stats, intra, totalLoad, numMicro, sink)
-	return sink.candidates()
+	return intra, nil
 }
 
 // candidateSink consumes the enumerator's output, one call per partition
@@ -178,10 +230,10 @@ func newCandScratch(s, n int) *candScratch {
 // stage shapes (written into the caller's buffer, len = stage count)
 // and the communication-load metric, folding stages through the shared
 // commAccum so the population and sweep paths cannot drift — a
-// candidate's bytes depend only on (bounds, assign, numMicro), never on
-// which sink computed them. Returns ok=false when a stage has no
+// candidate's bytes depend only on (bounds, assign) and the grid's
+// microbatch count, never on which sink computed them. Returns ok=false when a stage has no
 // memory-feasible (dp, tp) shape.
-func stageMetrics(stages []parallel.StagePlan, intra *intraSelector, bounds, assign []int, numMicro int) (lComm float64, ok bool) {
+func stageMetrics(stages []parallel.StagePlan, intra *intraSelector, bounds, assign []int) (lComm float64, ok bool) {
 	var acc commAccum
 	start := 0
 	for j, end := range bounds {
@@ -189,11 +241,11 @@ func stageMetrics(stages []parallel.StagePlan, intra *intraSelector, bounds, ass
 		if choice == nil {
 			return 0, false // no feasible (dp, tp) for this stage
 		}
-		stages[j] = parallel.StagePlan{OpStart: start, OpEnd: end, DP: choice.dp, TP: choice.tp}
+		stages[j] = parallel.StagePlan{OpStart: start, OpEnd: end, DP: int(choice.dp), TP: int(choice.tp)}
 		acc.add(choice)
 		start = end
 	}
-	return acc.load(numMicro), true
+	return acc.load(intra.numMicro), true
 }
 
 // forEachPartition enumerates all compositions of numOps operators into s

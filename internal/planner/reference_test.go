@@ -8,7 +8,6 @@ import (
 	"github.com/sjtu-epcc/arena/internal/core"
 	"github.com/sjtu-epcc/arena/internal/hw"
 	"github.com/sjtu-epcc/arena/internal/model"
-	"github.com/sjtu-epcc/arena/internal/parallel"
 )
 
 // The planner's reference paths live here, in the tests. Production plans
@@ -22,11 +21,10 @@ import (
 // PlanGrid, and the exhaustive population to match EnumerateCandidates.
 
 // gridInputs is PlanGrid's per-grid setup: shape validation, operator
-// load prefix sums, the microbatch count and the intra-stage selector.
+// load prefix sums and a fresh intra-stage selector.
 type gridInputs struct {
 	stats     *opRangeStats
 	totalLoad float64
-	numMicro  int
 	intra     *intraSelector
 }
 
@@ -39,12 +37,13 @@ func newGridInputs(g *model.Graph, grid core.Grid) (*gridInputs, error) {
 	if grid.S < 1 || grid.S > numOps || grid.S > grid.N {
 		return nil, fmt.Errorf("planner: grid %v infeasible shape (O=%d)", grid, numOps)
 	}
-	in := &gridInputs{stats: newRangeStats(g, spec), numMicro: parallel.DefaultMicrobatches(grid.S)}
+	in := &gridInputs{stats: newRangeStats(g, spec)}
 	in.totalLoad = in.stats.loadOf(0, numOps)
 	if in.totalLoad <= 0 {
 		return nil, fmt.Errorf("planner: graph %s has zero load", g.Name)
 	}
-	in.intra = newIntraSelector(g, spec, grid, in.numMicro)
+	in.intra = newIntraSelector(selectorKey{graph: g, gpuType: grid.GPUType, batch: grid.Workload.GlobalBatch}, &spec, grid.S)
+	in.intra.reserve(grid.N)
 	return in, nil
 }
 
@@ -82,16 +81,16 @@ func referencePlanGrid(pl *Planner, g *model.Graph, grid core.Grid, exhaustive, 
 		if exhaustive {
 			return enumerateExhaustive(g, grid, in, sink)
 		}
-		return pl.enumerateDP(g, grid, in.stats, in.intra, in.totalLoad, in.numMicro, sink)
+		return enumerateDP(g, grid, in.intra, sink)
 	}
 	out := &GridPlan{Grid: grid}
 	var frontier []*Candidate
 	if sorted {
-		sink := newPopulationSink(g, grid, in.intra, in.numMicro)
+		sink := newPopulationSink(g, grid, in.intra)
 		out.CandidatesEvaluated = enumerate(sink)
 		frontier = paretoFrontier(sink.candidates())
 	} else {
-		sink := newSweepFrontier(grid.S, in.intra, in.numMicro)
+		sink := newSweepFrontier(grid.S, in.intra)
 		out.CandidatesEvaluated = enumerate(sink)
 		frontier = sink.candidates()
 	}
@@ -111,7 +110,7 @@ func referenceEnumerateCandidates(g *model.Graph, grid core.Grid) []*Candidate {
 	if err != nil {
 		return nil
 	}
-	sink := newPopulationSink(g, grid, in.intra, in.numMicro)
+	sink := newPopulationSink(g, grid, in.intra)
 	enumerateExhaustive(g, grid, in, sink)
 	return sink.candidates()
 }

@@ -75,7 +75,7 @@ func OfflineSampleComm(eng *exec.Engine, gpuTypes []string, maxWorkers int) (*Co
 			for _, topo := range topos {
 				key := newCommKey(prim, topo)
 				for _, v := range vols {
-					lat := eng.CollectiveTime(prim, topo, v)
+					lat := eng.CollectiveTime(&spec, prim, topo, v)
 					ct.samples[key] = append(ct.samples[key], volumeSample{volume: v, latency: lat})
 					ct.OfflineCostSeconds += perSampleSeconds
 				}

@@ -18,30 +18,31 @@ type Profiler struct {
 	eng   *exec.Engine
 	comm  *CommTable
 	cache map[opConfigKey]float64 // measured fwd kernel latencies (dedup)
-
-	// Trials is the number of measured repetitions per unique operator
-	// configuration (kernels are cheap to repeat on one GPU).
-	Trials int
-	// OverlapAssumption is the backward-overlap fraction the profiler's
-	// end-to-end model assumes for gradient synchronization on NVLink-
-	// local rings; CrossNodeOverlapAssumption applies when the ring spans
-	// nodes. Both stay optimistic relative to the engine's truth — a
-	// deliberate model/reality gap that grows with the data-parallel
-	// width (Fig. 16a's rising error).
-	OverlapAssumption          float64
-	CrossNodeOverlapAssumption float64
 }
+
+// Trials is the number of measured repetitions per unique operator
+// configuration (kernels are cheap to repeat on one GPU). Fig. 16(b)
+// and arena-profile bill direct measurement with the same count.
+const Trials = 3
+
+// overlapAssumption is the backward-overlap fraction the profiler's
+// end-to-end model assumes for gradient synchronization on NVLink-local
+// rings; crossNodeOverlapAssumption applies when the ring spans nodes.
+// Both stay optimistic relative to the engine's truth — a deliberate
+// model/reality gap that grows with the data-parallel width (Fig. 16a's
+// rising error).
+const (
+	overlapAssumption          = 0.5
+	crossNodeOverlapAssumption = 0.25
+)
 
 // New constructs a profiler over the engine and an offline-sampled
 // communication table.
 func New(eng *exec.Engine, comm *CommTable) *Profiler {
 	return &Profiler{
-		eng:                        eng,
-		comm:                       comm,
-		cache:                      map[opConfigKey]float64{},
-		Trials:                     3,
-		OverlapAssumption:          0.5,
-		CrossNodeOverlapAssumption: 0.25,
+		eng:   eng,
+		comm:  comm,
+		cache: map[opConfigKey]float64{},
 	}
 }
 
@@ -140,9 +141,9 @@ func (p *Profiler) ProfileGridPlan(g *model.Graph, gp *planner.GridPlan) (Estima
 			if err != nil {
 				return Estimate{}, err
 			}
-			overlap := p.OverlapAssumption
+			overlap := overlapAssumption
 			if topo.CrossNode {
-				overlap = p.CrossNodeOverlapAssumption
+				overlap = crossNodeOverlapAssumption
 			}
 			latent := sync * (1 - overlap)
 			if latent > gradSyncLatent {
@@ -201,7 +202,7 @@ func (p *Profiler) measureOp(op model.Op, spec hw.GPU, samples float64, tp int, 
 	t := p.eng.KernelTime(op, spec, samples, tp)
 	p.cache[key] = t
 	est.UniqueOps++
-	est.ProfileGPUTime += opSetupSeconds + t*(1+p.eng.BwdFactor)*float64(p.Trials)
+	est.ProfileGPUTime += opSetupSeconds + t*(1+p.eng.BwdFactor)*Trials
 	return t
 }
 

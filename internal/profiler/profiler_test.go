@@ -47,12 +47,13 @@ func TestInterpolationAccuracy(t *testing.T) {
 	// measured collectives within a few percent at unseen volumes.
 	eng, ct := testSetup(t)
 	topo := hw.Topology{GPUType: "A40", Workers: 4, CrossNode: true, NICShare: 2}
+	a40 := hw.MustLookup("A40")
 	for _, v := range []float64{3e4, 7e5, 2.3e7, 9e8, 1.7e10} {
 		got, err := ct.Interpolate(hw.AllReduce, topo, v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := eng.CollectiveTime(hw.AllReduce, topo, v)
+		want := eng.CollectiveTime(&a40, hw.AllReduce, topo, v)
 		if math.Abs(got-want)/want > 0.05 {
 			t.Errorf("volume %g: interpolated %v vs measured %v", v, got, want)
 		}
@@ -174,7 +175,7 @@ func TestProfilerCheaperThanOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := exec.DirectMeasureCost(res, gp.Proxy.Plan, pr.Trials)
+	oracle := exec.DirectMeasureCost(res, gp.Proxy.Plan, Trials)
 	if est.ProfileGPUTime >= oracle/2 {
 		t.Errorf("profiling cost %v should be well under oracle %v", est.ProfileGPUTime, oracle)
 	}

@@ -2,12 +2,20 @@
 // typed homogeneous regions, per-node free maps indexed by free count and
 // node health, and buddy-style locality-preserving allocation (§3.5: "to
 // ensure job locality, Arena follows the buddy allocation rule").
+//
+// The cluster keeps node state only. A grant is the Blocks Alloc appends
+// to its caller's buffer; the caller holds them and hands them back to
+// Free and SlowFactor, so the cluster never looks a job up. Keeping one
+// grant per job, and freeing it before taking another, is the caller's
+// duty, as is finding the jobs whose blocks touch a node FailNode takes
+// down.
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"github.com/sjtu-epcc/arena/internal/hw"
 )
@@ -17,8 +25,19 @@ type Cluster struct {
 	spec    hw.ClusterSpec
 	types   []string // spec.GPUTypes(), computed once
 	regions map[string]*regionState
-	allocs  map[string][]allocation // jobID -> held blocks
 }
+
+// Block is one node's share of a grant: GPUs GPUs of node Node in the
+// GPUType region.
+type Block struct {
+	GPUType string
+	Node    int
+	GPUs    int
+}
+
+// ErrNoFit is Alloc's answer when the locality rule finds no placement
+// for the request right now (fragmentation, or too little free capacity).
+var ErrNoFit = errors.New("cluster: no placement fits")
 
 // regionState is one typed region. Every write to a node's free count,
 // down flag or slow factor goes through setNode, which keeps totalFree
@@ -102,12 +121,6 @@ func (rs *regionState) fit(h, n int) *nodeSet {
 	return nil
 }
 
-type allocation struct {
-	gpuType string
-	node    int
-	gpus    int
-}
-
 // New builds an empty (fully free) cluster from a validated spec.
 func New(spec hw.ClusterSpec) (*Cluster, error) {
 	if err := spec.Validate(); err != nil {
@@ -117,7 +130,6 @@ func New(spec hw.ClusterSpec) (*Cluster, error) {
 		spec:    spec,
 		types:   spec.GPUTypes(),
 		regions: map[string]*regionState{},
-		allocs:  map[string][]allocation{},
 	}
 	for _, r := range spec.Regions {
 		g := hw.MustLookup(r.GPUType)
@@ -182,14 +194,13 @@ func (c *Cluster) Utilization() float64 {
 	return 1 - float64(c.TotalFree())/float64(total)
 }
 
-// CanAlloc reports whether n GPUs of the type are allocatable right now
-// under the locality rule (without mutating state): one up node with n
-// free GPUs when n fits a node, else enough fully free up nodes
+// canAlloc reports whether n GPUs of the region are allocatable right
+// now under the locality rule (without mutating state): one up node with
+// n free GPUs when n fits a node, else enough fully free up nodes
 // (rack-affine buddy blocks; a tail short of a whole node shares that
 // node with nothing else).
-func (c *Cluster) CanAlloc(gpuType string, n int) bool {
-	rs, ok := c.regions[gpuType]
-	if !ok || n < 1 || rs.totalFree < n {
+func (rs *regionState) canAlloc(n int) bool {
+	if n < 1 || rs.totalFree < n {
 		return false
 	}
 	if n <= rs.gpusPerNode {
@@ -199,8 +210,9 @@ func (c *Cluster) CanAlloc(gpuType string, n int) bool {
 	return rs.byFree[healthy][rs.gpusPerNode].n+rs.byFree[degraded][rs.gpusPerNode].n >= needed
 }
 
-// CanAllocHealthy is CanAlloc restricted to fully healthy nodes: up and
-// not degraded. The straggler-routing policy uses it to check that a slow
+// CanAllocHealthy reports whether n GPUs of the type are allocatable
+// right now under the locality rule on fully healthy nodes: up and not
+// degraded. The straggler-routing policy uses it to check that a slow
 // allocation has somewhere better to go before paying a migration.
 func (c *Cluster) CanAllocHealthy(gpuType string, n int) bool {
 	rs, ok := c.regions[gpuType]
@@ -214,26 +226,26 @@ func (c *Cluster) CanAllocHealthy(gpuType string, n int) bool {
 	return rs.byFree[healthy][rs.gpusPerNode].n >= needed
 }
 
-// Alloc reserves n GPUs of the type for a job. The job must not already
-// hold resources (scale operations free first, then re-allocate — the
-// checkpoint-resume path of §4). A job that fits one node takes the best
-// fit: the fullest node that still fits, preserving big blocks, lowest
-// index first. A larger one takes fully free nodes in index order. Both
-// take healthy nodes before degraded ones, so placement avoids
-// stragglers when it can.
-func (c *Cluster) Alloc(jobID, gpuType string, n int) error {
-	if len(c.allocs[jobID]) != 0 {
-		return fmt.Errorf("cluster: job %s already holds resources", jobID)
-	}
+// Alloc reserves n GPUs of the type and appends the grant's blocks to
+// buf, returning the extended buffer (buf unchanged on error). The
+// caller holds the blocks; one grant per job, freed before the next
+// (scale operations free first, then re-allocate — the
+// checkpoint-resume path of §4). A job that fits one node takes the
+// best fit: the fullest node that still fits, preserving big blocks,
+// lowest index first. A larger one takes fully free nodes in index
+// order. Both take healthy nodes before degraded ones, so placement
+// avoids stragglers when it can. A request the locality rule cannot
+// place now fails with ErrNoFit.
+func (c *Cluster) Alloc(buf []Block, gpuType string, n int) ([]Block, error) {
 	rs, ok := c.regions[gpuType]
 	if !ok {
-		return fmt.Errorf("cluster: no region for %s", gpuType)
+		return buf, fmt.Errorf("cluster: no region for %s", gpuType)
 	}
 	if n < 1 {
-		return fmt.Errorf("cluster: alloc of %d GPUs", n)
+		return buf, fmt.Errorf("cluster: alloc of %d GPUs", n)
 	}
-	if !c.CanAlloc(gpuType, n) {
-		return fmt.Errorf("cluster: cannot allocate %d×%s", n, gpuType)
+	if !rs.canAlloc(n) {
+		return buf, ErrNoFit
 	}
 	if n <= rs.gpusPerNode {
 		s := rs.fit(healthy, n)
@@ -242,10 +254,9 @@ func (c *Cluster) Alloc(jobID, gpuType string, n int) error {
 		}
 		i := s.first()
 		rs.setNode(i, rs.freePerNode[i]-n, false, rs.slow[i])
-		c.allocs[jobID] = []allocation{{gpuType: gpuType, node: i, gpus: n}}
-		return nil
+		return append(buf, Block{GPUType: gpuType, Node: i, GPUs: n}), nil
 	}
-	blocks := make([]allocation, 0, (n+rs.gpusPerNode-1)/rs.gpusPerNode)
+	buf = slices.Grow(buf, (n+rs.gpusPerNode-1)/rs.gpusPerNode)
 	remaining := n
 	for h := range rs.byFree {
 		full := &rs.byFree[h][rs.gpusPerNode]
@@ -256,51 +267,40 @@ func (c *Cluster) Alloc(jobID, gpuType string, n int) error {
 				i := w<<6 + bits.TrailingZeros64(b)
 				take := min(rs.gpusPerNode, remaining)
 				rs.setNode(i, rs.gpusPerNode-take, false, rs.slow[i])
-				blocks = append(blocks, allocation{gpuType: gpuType, node: i, gpus: take})
+				buf = append(buf, Block{GPUType: gpuType, Node: i, GPUs: take})
 				remaining -= take
 			}
 		}
 	}
 	if remaining != 0 {
-		// CanAlloc guaranteed feasibility; this is a programming error.
+		// canAlloc guaranteed feasibility; this is a programming error.
 		panic("cluster: allocation accounting mismatch")
 	}
-	c.allocs[jobID] = blocks
-	return nil
+	return buf, nil
 }
 
-// Free releases everything a job holds. Freeing an unknown job is a no-op.
-// Blocks on down nodes return to the node's free map but not to totalFree
-// — that capacity comes back only when the node recovers.
-func (c *Cluster) Free(jobID string) {
-	for _, b := range c.allocs[jobID] {
-		rs := c.regions[b.gpuType]
-		rs.setNode(b.node, rs.freePerNode[b.node]+b.gpus, rs.down[b.node], rs.slow[b.node])
+// Free returns a grant's blocks. Blocks on down nodes return to the
+// node's free map but not to totalFree — that capacity comes back only
+// when the node recovers.
+func (c *Cluster) Free(blocks []Block) {
+	for _, b := range blocks {
+		rs := c.regions[b.GPUType]
+		rs.setNode(b.Node, rs.freePerNode[b.Node]+b.GPUs, rs.down[b.Node], rs.slow[b.Node])
 	}
-	delete(c.allocs, jobID)
 }
 
-// FailNode marks a node down, removing its free capacity, and returns the
-// IDs of jobs holding GPUs on it (sorted) — the victims the caller must
-// preempt (each Free returns its blocks to the node's map, parked until
-// recovery). Failing a node that is already down is a no-op.
-func (c *Cluster) FailNode(gpuType string, node int) []string {
+// FailNode marks a node down, removing its free capacity, and reports
+// whether it was up. The jobs holding blocks on it are the victims the
+// caller must preempt (each Free returns its blocks to the node's map,
+// parked until recovery). Failing a node that is already down, or one
+// out of range, is a no-op.
+func (c *Cluster) FailNode(gpuType string, node int) bool {
 	rs, ok := c.regions[gpuType]
 	if !ok || node < 0 || node >= len(rs.freePerNode) || rs.down[node] {
-		return nil
+		return false
 	}
 	rs.setNode(node, rs.freePerNode[node], true, rs.slow[node])
-	var victims []string
-	for id, blocks := range c.allocs {
-		for _, b := range blocks {
-			if b.gpuType == gpuType && b.node == node {
-				victims = append(victims, id)
-				break
-			}
-		}
-	}
-	sort.Strings(victims)
-	return victims
+	return true
 }
 
 // RecoverNode returns a down node's capacity to service. The caller must
@@ -333,14 +333,15 @@ func (c *Cluster) ClearSlow(gpuType string, node int) {
 	rs.setNode(node, rs.freePerNode[node], rs.down[node], 0)
 }
 
-// SlowFactor returns the job's achieved-throughput multiplier: the worst
-// (minimum) straggler factor over the nodes it occupies — synchronous
-// training runs at the slowest worker's pace. 1 means healthy.
-func (c *Cluster) SlowFactor(jobID string) float64 {
+// SlowFactor returns a grant's achieved-throughput multiplier: the worst
+// (minimum) straggler factor over the nodes its blocks occupy —
+// synchronous training runs at the slowest worker's pace. 1 means
+// healthy.
+func (c *Cluster) SlowFactor(blocks []Block) float64 {
 	factor := 1.0
-	for _, b := range c.allocs[jobID] {
-		rs := c.regions[b.gpuType]
-		if s := rs.slow[b.node]; s > 0 && s < factor {
+	for _, b := range blocks {
+		rs := c.regions[b.GPUType]
+		if s := rs.slow[b.Node]; s > 0 && s < factor {
 			factor = s
 		}
 	}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -29,44 +30,55 @@ func TestNewClusterFullyFree(t *testing.T) {
 	}
 }
 
-func TestAllocFreeRoundTrip(t *testing.T) {
-	c := newCluster(t, hw.ClusterA())
-	if err := c.Alloc("j1", "A40", 4); err != nil {
+// canAlloc reports whether n GPUs of the type are allocatable right now:
+// the placement check Alloc makes before it takes nodes.
+func canAlloc(c *Cluster, gpuType string, n int) bool {
+	rs, ok := c.regions[gpuType]
+	return ok && rs.canAlloc(n)
+}
+
+// grant allocates n GPUs of the type into a fresh buffer, failing the
+// test when the placement does not fit.
+func grant(t *testing.T, c *Cluster, gpuType string, n int) []Block {
+	t.Helper()
+	blocks, err := c.Alloc(nil, gpuType, n)
+	if err != nil {
 		t.Fatal(err)
 	}
+	return blocks
+}
+
+func TestAllocFreeRoundTrip(t *testing.T) {
+	c := newCluster(t, hw.ClusterA())
+	blocks := grant(t, c, "A40", 4)
 	if c.FreeGPUs("A40") != 28 {
 		t.Fatalf("free = %d", c.FreeGPUs("A40"))
 	}
-	c.Free("j1")
+	c.Free(blocks)
 	if c.FreeGPUs("A40") != 32 {
 		t.Fatal("free did not restore capacity")
 	}
-	// Alloc refuses a job that still holds resources.
-	if err := c.Alloc("j1", "A40", 4); err != nil {
-		t.Fatalf("job still holds after free: %v", err)
+	// Alloc appends to the buffer it is given.
+	again, err := c.Alloc(blocks[:0], "A40", 4)
+	if err != nil {
+		t.Fatalf("capacity freed but not allocatable: %v", err)
 	}
-}
-
-func TestDoubleAllocRejected(t *testing.T) {
-	c := newCluster(t, hw.ClusterA())
-	if err := c.Alloc("j1", "A40", 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Alloc("j1", "A40", 2); err == nil {
-		t.Fatal("double alloc should fail")
+	if len(again) != 2 || &again[0] != &blocks[0] {
+		t.Fatalf("4 A40 GPUs took %v, want 2 blocks in the given buffer", again)
 	}
 }
 
 func TestAllocValidation(t *testing.T) {
 	c := newCluster(t, hw.ClusterA())
-	if err := c.Alloc("j", "H100", 2); err == nil {
-		t.Error("unknown type should fail")
+	buf := []Block{{GPUType: "A10", Node: 3, GPUs: 1}}
+	if got, err := c.Alloc(buf, "H100", 2); err == nil || len(got) != 1 {
+		t.Errorf("unknown type should fail and leave the buffer: %v, %v", got, err)
 	}
-	if err := c.Alloc("j", "A40", 0); err == nil {
+	if _, err := c.Alloc(buf, "A40", 0); err == nil {
 		t.Error("zero GPUs should fail")
 	}
-	if err := c.Alloc("j", "A40", 33); err == nil {
-		t.Error("over-capacity should fail")
+	if got, err := c.Alloc(buf, "A40", 33); !errors.Is(err, ErrNoFit) || len(got) != 1 {
+		t.Errorf("over-capacity should fail with ErrNoFit and leave the buffer: %v, %v", got, err)
 	}
 }
 
@@ -75,24 +87,23 @@ func TestMultiNodeNeedsFreeNodes(t *testing.T) {
 	// two per node), then free one of each pair: every node ends with
 	// exactly 1 free GPU — 16 free total, but no multi-node block.
 	c := newCluster(t, hw.ClusterA())
+	var grants [][]Block
 	for i := 0; i < 32; i++ {
-		if err := c.Alloc(jobID(i), "A40", 1); err != nil {
-			t.Fatal(err)
-		}
+		grants = append(grants, grant(t, c, "A40", 1))
 	}
 	for i := 0; i < 32; i += 2 {
-		c.Free(jobID(i))
+		c.Free(grants[i])
 	}
 	if c.FreeGPUs("A40") != 16 {
 		t.Fatalf("free = %d", c.FreeGPUs("A40"))
 	}
-	if c.CanAlloc("A40", 4) {
+	if canAlloc(c, "A40", 4) {
 		t.Fatal("no fully free nodes: 4-GPU block must be unallocatable")
 	}
-	if !c.CanAlloc("A40", 1) {
+	if !canAlloc(c, "A40", 1) {
 		t.Fatal("single GPUs should still fit")
 	}
-	if c.CanAlloc("A40", 2) {
+	if canAlloc(c, "A40", 2) {
 		t.Fatal("no node has 2 free GPUs")
 	}
 }
@@ -101,14 +112,10 @@ func TestBestFitPreservesBigBlocks(t *testing.T) {
 	// Allocating 1 GPU twice should pack both on the same node (best fit),
 	// keeping other nodes fully free for multi-node jobs.
 	c := newCluster(t, hw.ClusterA())
-	if err := c.Alloc("a", "A40", 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Alloc("b", "A40", 1); err != nil {
-		t.Fatal(err)
-	}
+	grant(t, c, "A40", 1)
+	grant(t, c, "A40", 1)
 	// 15 of the 16 two-GPU nodes stay fully free.
-	if !c.CanAlloc("A40", 30) {
+	if !canAlloc(c, "A40", 30) {
 		t.Fatal("best fit should pack both singles onto one node")
 	}
 }
@@ -116,29 +123,23 @@ func TestBestFitPreservesBigBlocks(t *testing.T) {
 func TestCanAllocWholeNodes(t *testing.T) {
 	// Cluster-A's A40 region: 16 nodes × 2 GPUs.
 	c := newCluster(t, hw.ClusterA())
-	if !c.CanAlloc("A40", 32) {
+	if !canAlloc(c, "A40", 32) {
 		t.Fatal("a fresh region must fit its whole capacity")
 	}
-	if err := c.Alloc("big", "A40", 16); err != nil {
-		t.Fatal(err)
-	}
-	if !c.CanAlloc("A40", 16) || c.CanAlloc("A40", 17) {
+	grant(t, c, "A40", 16)
+	if !canAlloc(c, "A40", 16) || canAlloc(c, "A40", 17) {
 		t.Fatal("with 8 fully free nodes left, 16 GPUs fit and 17 do not")
 	}
 	// A tail short of a whole node still takes a node of its own.
-	if err := c.Alloc("odd", "A40", 15); err != nil {
-		t.Fatal(err)
-	}
-	if c.FreeGPUs("A40") != 1 || c.CanAlloc("A40", 2) || !c.CanAlloc("A40", 1) {
+	grant(t, c, "A40", 15)
+	if c.FreeGPUs("A40") != 1 || canAlloc(c, "A40", 2) || !canAlloc(c, "A40", 1) {
 		t.Fatalf("after 15 GPUs on 8 nodes: free %d, want 1 on one node", c.FreeGPUs("A40"))
 	}
 }
 
 func TestHeterogeneousRegionsIndependent(t *testing.T) {
 	c := newCluster(t, hw.ClusterSim())
-	if err := c.Alloc("j1", "A100", 16); err != nil {
-		t.Fatal(err)
-	}
+	grant(t, c, "A100", 16)
 	if c.FreeGPUs("A100") != 320-16 {
 		t.Fatal("A100 region accounting wrong")
 	}
@@ -150,30 +151,18 @@ func TestHeterogeneousRegionsIndependent(t *testing.T) {
 func TestV100SixteenGPUNodes(t *testing.T) {
 	// V100 nodes hold 16 GPUs (Table 1): a 16-GPU job fits on one node.
 	c := newCluster(t, hw.ClusterSim())
-	if err := c.Alloc("j", "V100", 16); err != nil {
-		t.Fatal(err)
-	}
+	grant(t, c, "V100", 16)
 	// Every other V100 node stays whole.
-	if free := c.FreeGPUs("V100"); !c.CanAlloc("V100", free) {
+	if free := c.FreeGPUs("V100"); !canAlloc(c, "V100", free) {
 		t.Fatalf("whole-node alloc fragmented the region: %d free GPUs are not all on whole nodes", free)
 	}
 }
 
 func TestUtilization(t *testing.T) {
 	c := newCluster(t, hw.ClusterA())
-	if err := c.Alloc("j", "A40", 32); err != nil {
-		t.Fatal(err)
-	}
+	grant(t, c, "A40", 32)
 	if got := c.Utilization(); got != 0.5 {
 		t.Fatalf("utilization = %v, want 0.5", got)
-	}
-}
-
-func TestFreeUnknownJobNoop(t *testing.T) {
-	c := newCluster(t, hw.ClusterA())
-	c.Free("ghost")
-	if c.TotalFree() != 64 {
-		t.Fatal("freeing unknown job changed state")
 	}
 }
 
@@ -185,27 +174,23 @@ func TestAllocFreeProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ids := make([]string, 0, len(sizes))
-		for i, raw := range sizes {
+		var grants [][]Block
+		for _, raw := range sizes {
 			n := 1 << (raw % 5) // 1..16
-			id := jobID(i)
-			if c.CanAlloc("A40", n) {
-				if err := c.Alloc(id, "A40", n); err != nil {
+			if canAlloc(c, "A40", n) {
+				blocks, err := c.Alloc(nil, "A40", n)
+				if err != nil {
 					return false
 				}
-				ids = append(ids, id)
+				grants = append(grants, blocks)
 			}
 		}
-		for _, id := range ids {
-			c.Free(id)
+		for _, blocks := range grants {
+			c.Free(blocks)
 		}
-		return c.TotalFree() == 64 && c.CanAlloc("A40", 32)
+		return c.TotalFree() == 64 && canAlloc(c, "A40", 32)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func jobID(i int) string {
-	return "job-" + string(rune('a'+i%26)) + string(rune('0'+i/26%10)) + string(rune('0'+i/260))
 }

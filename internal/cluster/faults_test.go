@@ -1,44 +1,32 @@
 package cluster
 
 import (
-	"reflect"
-	"sort"
 	"testing"
 
 	"github.com/sjtu-epcc/arena/internal/hw"
 )
 
-func TestFailNodeReturnsVictimsAndShrinksCapacity(t *testing.T) {
+func TestFailNodeShrinksCapacity(t *testing.T) {
 	c := newCluster(t, hw.ClusterA())
-	// j1 on A40 node 0 (best fit lands the first 2-GPU block there); j2
-	// takes a second block, filling node 0 before spilling.
-	if err := c.Alloc("j1", "A40", 2); err != nil {
-		t.Fatal(err)
+	// j1 takes A40 node 0 (best fit lands the first 2-GPU block there);
+	// j2 takes node 1.
+	j1 := grant(t, c, "A40", 2)
+	j2 := grant(t, c, "A40", 2)
+	if j1[0].Node != 0 || j2[0].Node != 1 {
+		t.Fatalf("blocks %v and %v, want nodes 0 and 1", j1, j2)
 	}
-	if err := c.Alloc("j2", "A40", 2); err != nil {
-		t.Fatal(err)
+	if !c.FailNode("A40", 0) {
+		t.Fatal("failing an up node reported no change")
 	}
-	victims := c.FailNode("A40", 0)
-	if len(victims) == 0 {
-		t.Fatal("node 0 held allocations; FailNode returned none")
-	}
-	// The victims' GPUs park on the down node: freeing them returns no
+	// The victim's GPUs park on the down node: freeing them returns no
 	// capacity.
-	for _, id := range victims {
-		c.Free(id)
-	}
+	c.Free(j1)
 	if got := c.FreeGPUs("A40"); got != 28 {
-		t.Fatalf("free after failing node 0 and freeing its victims = %d, want 28", got)
+		t.Fatalf("free after failing node 0 and freeing its victim = %d, want 28", got)
 	}
-	// Victims' IDs come back sorted.
-	want := append([]string(nil), victims...)
-	sort.Strings(want)
-	if !reflect.DeepEqual(victims, want) {
-		t.Errorf("victims not sorted: %v", victims)
-	}
-	// Double-fail is a no-op.
-	if again := c.FailNode("A40", 0); again != nil {
-		t.Errorf("failing a down node returned victims: %v", again)
+	// Double-fail and out-of-range nodes are no-ops.
+	if c.FailNode("A40", 0) || c.FailNode("A40", 16) || c.FailNode("A40", -1) || c.FailNode("H100", 0) {
+		t.Error("failing a down, out-of-range or unknown node reported a change")
 	}
 }
 
@@ -53,24 +41,20 @@ func TestFailRecoverTotalFreeInvariant(t *testing.T) {
 		}
 	}
 	check("fresh", 32)
-	if err := c.Alloc("j1", "A40", 2); err != nil { // node 0
-		t.Fatal(err)
-	}
+	j1 := grant(t, c, "A40", 2) // node 0
 	check("alloc", 30)
-	victims := c.FailNode("A40", 0)
+	c.FailNode("A40", 0)
 	// Node 0 down: its 0 free GPUs leave totalFree (already allocated).
 	check("fail", 30)
-	for _, id := range victims {
-		c.Free(id)
-	}
+	c.Free(j1)
 	// Freed blocks park on the down node: still not free capacity.
 	check("free victims", 30)
-	if c.CanAlloc("A40", 32) {
+	if canAlloc(c, "A40", 32) {
 		t.Fatal("a down node's capacity must not be allocatable")
 	}
 	c.RecoverNode("A40", 0)
 	check("recover", 32)
-	if !c.CanAlloc("A40", 32) {
+	if !canAlloc(c, "A40", 32) {
 		t.Fatal("recovered capacity must be allocatable again")
 	}
 	// Recovering an up node is a no-op.
@@ -82,17 +66,15 @@ func TestDownNodesExcludedFromPlacement(t *testing.T) {
 	spec := hw.ClusterSpec{Regions: []hw.Region{{GPUType: "A40", Nodes: 2}}}
 	c := newCluster(t, spec)
 	c.FailNode("A40", 0)
-	if err := c.Alloc("j1", "A40", 2); err != nil {
-		t.Fatal(err)
-	}
+	j1 := grant(t, c, "A40", 2)
 	// The only possible home is node 1.
 	c.SetSlow("A40", 1, 0.5)
-	if f := c.SlowFactor("j1"); f != 0.5 {
-		t.Fatalf("job placed on node %v? slow factor %v, want 0.5", 0, f)
+	if f := c.SlowFactor(j1); f != 0.5 {
+		t.Fatalf("job placed on %v: slow factor %v, want 0.5", j1, f)
 	}
-	// With node 1 occupied and node 0 down, a 4-GPU ask (both nodes) fails.
-	c.Free("j1")
-	if c.CanAlloc("A40", 4) {
+	// With node 0 down, a 4-GPU ask (both nodes) fails.
+	c.Free(j1)
+	if canAlloc(c, "A40", 4) {
 		t.Fatal("multi-node alloc must not span a down node")
 	}
 }
@@ -103,18 +85,12 @@ func TestHealthyFirstPlacement(t *testing.T) {
 	// best-fit order would pick node 0 first.
 	c := newCluster(t, hw.ClusterA())
 	c.SetSlow("A40", 0, 0.3)
-	if err := c.Alloc("j1", "A40", 2); err != nil {
-		t.Fatal(err)
-	}
-	if f := c.SlowFactor("j1"); f != 1 {
+	if f := c.SlowFactor(grant(t, c, "A40", 2)); f != 1 {
 		t.Fatalf("single-node alloc landed on the straggler (factor %v)", f)
 	}
 	// Multi-node: slow nodes are a last resort. 8 GPUs = 4 nodes out of
 	// 16 with only node 0 slow → all healthy.
-	if err := c.Alloc("j2", "A40", 8); err != nil {
-		t.Fatal(err)
-	}
-	if f := c.SlowFactor("j2"); f != 1 {
+	if f := c.SlowFactor(grant(t, c, "A40", 8)); f != 1 {
 		t.Fatalf("multi-node alloc touched the straggler (factor %v)", f)
 	}
 	// When only the straggler remains, allocation degrades onto it rather
@@ -125,14 +101,15 @@ func TestHealthyFirstPlacement(t *testing.T) {
 	if small.CanAllocHealthy("A10", 2) {
 		t.Fatal("no healthy capacity, CanAllocHealthy must say so")
 	}
-	if err := small.Alloc("j3", "A10", 2); err != nil {
+	j3, err := small.Alloc(nil, "A10", 2)
+	if err != nil {
 		t.Fatalf("degraded capacity must still be usable: %v", err)
 	}
-	if f := small.SlowFactor("j3"); f != 0.4 {
+	if f := small.SlowFactor(j3); f != 0.4 {
 		t.Fatalf("factor %v, want 0.4", f)
 	}
 	small.ClearSlow("A10", 0)
-	if f := small.SlowFactor("j3"); f != 1 {
+	if f := small.SlowFactor(j3); f != 1 {
 		t.Fatalf("episode cleared but factor still %v", f)
 	}
 }
@@ -145,10 +122,7 @@ func TestSlowFactorIsWorstOverBlocks(t *testing.T) {
 		c.SetSlow("A40", i, 0.6)
 	}
 	c.SetSlow("A40", 1, 0.2)
-	if err := c.Alloc("j1", "A40", 4); err != nil { // nodes 0+1
-		t.Fatal(err)
-	}
-	if f := c.SlowFactor("j1"); f != 0.2 {
+	if f := c.SlowFactor(grant(t, c, "A40", 4)); f != 0.2 { // nodes 0+1
 		t.Fatalf("factor %v, want the worst block's 0.2", f)
 	}
 }

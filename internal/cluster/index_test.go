@@ -2,10 +2,12 @@ package cluster
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -15,12 +17,13 @@ import (
 
 // retiredCluster is the placement the free-count index replaced, written
 // out as it ran: CanAlloc, CanAllocHealthy and Alloc scan every node of
-// the region (best fit in two passes, healthy nodes first), and the fault
-// operations write the node arrays directly. FuzzClusterOps runs it
-// beside the indexed Cluster as the oracle.
+// the region (best fit in two passes, healthy nodes first), the fault
+// operations write the node arrays directly, and the cluster keeps each
+// job's blocks by ID, so FailNode scans them for its victims. FuzzClusterOps
+// runs it beside the indexed Cluster as the oracle.
 type retiredCluster struct {
 	regions map[string]*retiredRegion
-	allocs  map[string][]allocation
+	allocs  map[string][]Block
 }
 
 type retiredRegion struct {
@@ -32,7 +35,7 @@ type retiredRegion struct {
 }
 
 func newRetired(spec hw.ClusterSpec) *retiredCluster {
-	c := &retiredCluster{regions: map[string]*retiredRegion{}, allocs: map[string][]allocation{}}
+	c := &retiredCluster{regions: map[string]*retiredRegion{}, allocs: map[string][]Block{}}
 	for _, r := range spec.Regions {
 		g := hw.MustLookup(r.GPUType)
 		rs := &retiredRegion{
@@ -110,7 +113,7 @@ func (c *retiredCluster) Alloc(jobID, gpuType string, n int) error {
 	if !c.CanAlloc(gpuType, n) {
 		return fmt.Errorf("cluster: cannot allocate %d×%s", n, gpuType)
 	}
-	var blocks []allocation
+	var blocks []Block
 	if n <= rs.gpusPerNode {
 		best, bestFree := -1, rs.gpusPerNode+1
 		for i, free := range rs.freePerNode {
@@ -127,7 +130,7 @@ func (c *retiredCluster) Alloc(jobID, gpuType string, n int) error {
 		}
 		rs.freePerNode[best] -= n
 		rs.totalFree -= n
-		blocks = append(blocks, allocation{gpuType: gpuType, node: best, gpus: n})
+		blocks = append(blocks, Block{GPUType: gpuType, Node: best, GPUs: n})
 	} else {
 		needed := (n + rs.gpusPerNode - 1) / rs.gpusPerNode
 		remaining := n
@@ -145,7 +148,7 @@ func (c *retiredCluster) Alloc(jobID, gpuType string, n int) error {
 				}
 				rs.freePerNode[i] -= take
 				rs.totalFree -= take
-				blocks = append(blocks, allocation{gpuType: gpuType, node: i, gpus: take})
+				blocks = append(blocks, Block{GPUType: gpuType, Node: i, GPUs: take})
 				remaining -= take
 				needed--
 			}
@@ -160,10 +163,10 @@ func (c *retiredCluster) Alloc(jobID, gpuType string, n int) error {
 
 func (c *retiredCluster) Free(jobID string) {
 	for _, b := range c.allocs[jobID] {
-		rs := c.regions[b.gpuType]
-		rs.freePerNode[b.node] += b.gpus
-		if !rs.down[b.node] {
-			rs.totalFree += b.gpus
+		rs := c.regions[b.GPUType]
+		rs.freePerNode[b.Node] += b.GPUs
+		if !rs.down[b.Node] {
+			rs.totalFree += b.GPUs
 		}
 	}
 	delete(c.allocs, jobID)
@@ -179,7 +182,7 @@ func (c *retiredCluster) FailNode(gpuType string, node int) []string {
 	var victims []string
 	for id, blocks := range c.allocs {
 		for _, b := range blocks {
-			if b.gpuType == gpuType && b.node == node {
+			if b.GPUType == gpuType && b.Node == node {
 				victims = append(victims, id)
 				break
 			}
@@ -227,8 +230,10 @@ var clusterOpsTypes = []string{"A40", "A10", "A100", "H100", "L20", "V100"}
 // 1–300 nodes (2, 4, 8 or 16 GPUs per node) and a sequence of Alloc,
 // Free, FailNode (its victims freed or left in place), RecoverNode,
 // SetSlow and ClearSlow, and runs it on the indexed Cluster and on the
-// retired node scans. After every step both must have chosen the same
-// nodes and report the same SlowFactor, and on the region the step
+// retired node scans. The fuzzer holds each grant of the indexed
+// Cluster, as the engine does, and finds a crash's victims among them.
+// After every step both must have chosen the same nodes and report the
+// same SlowFactor and the same victims, and on the region the step
 // changed both must report the same FreeGPUs and answer CanAlloc and
 // CanAllocHealthy alike for every n (see checkCan), and the index must
 // hold exactly the up nodes by health and free count.
@@ -279,7 +284,12 @@ func FuzzClusterOps(f *testing.F) {
 		for _, r := range spec.Regions {
 			checkCan(t, -1, c, old, r)
 		}
-		var held []string // allocated job IDs, in allocation order
+		// held is the indexed Cluster's grants, in allocation order.
+		type grant struct {
+			id     string
+			blocks []Block
+		}
+		var held []grant
 		for step := 0; len(data) > 0; step++ {
 			reg := spec.Regions[next()%len(spec.Regions)]
 			typ := reg.GPUType
@@ -294,47 +304,59 @@ func FuzzClusterOps(f *testing.F) {
 					n = 1 + next16()%(reg.Nodes*gpn+1)
 				}
 				id := fmt.Sprintf("j%d", step)
-				errNew, errOld := c.Alloc(id, typ, n), old.Alloc(id, typ, n)
+				blocks, errNew := c.Alloc(nil, typ, n)
+				errOld := old.Alloc(id, typ, n)
 				if (errNew == nil) != (errOld == nil) {
 					t.Fatalf("step %d: Alloc(%s, %d) = %v, retired %v", step, typ, n, errNew, errOld)
 				}
-				if !reflect.DeepEqual(c.allocs[id], old.allocs[id]) {
-					t.Fatalf("step %d: Alloc(%s, %d) took %v, retired %v", step, typ, n, c.allocs[id], old.allocs[id])
+				if errNew != nil && !errors.Is(errNew, ErrNoFit) && n >= 1 {
+					t.Fatalf("step %d: Alloc(%s, %d) = %v, want ErrNoFit", step, typ, n, errNew)
+				}
+				if !reflect.DeepEqual(blocks, old.allocs[id]) {
+					t.Fatalf("step %d: Alloc(%s, %d) took %v, retired %v", step, typ, n, blocks, old.allocs[id])
 				}
 				if errNew == nil {
-					held = append(held, id)
+					held = append(held, grant{id, blocks})
 				}
-				if got, want := c.SlowFactor(id), retiredSlowFactor(old, id); got != want {
+				if got, want := c.SlowFactor(blocks), retiredSlowFactor(old, id); got != want {
 					t.Fatalf("step %d: SlowFactor(%s) = %v, retired %v", step, id, got, want)
 				}
 			case 1: // Free
 				if len(held) > 0 {
 					k := next() % len(held)
 					for _, r := range spec.Regions {
-						if r.GPUType == c.allocs[held[k]][0].gpuType {
+						if r.GPUType == held[k].blocks[0].GPUType {
 							touched = r
 						}
 					}
-					c.Free(held[k])
-					old.Free(held[k])
+					c.Free(held[k].blocks)
+					old.Free(held[k].id)
 					held = append(held[:k], held[k+1:]...)
 				}
 			case 2: // FailNode
-				victims, want := c.FailNode(typ, node), old.FailNode(typ, node)
+				up := c.FailNode(typ, node)
+				want := old.FailNode(typ, node)
+				var victims []string
+				kept := held[:0:0]
+				for _, g := range held {
+					if up && slices.ContainsFunc(g.blocks, func(b Block) bool { return b.GPUType == typ && b.Node == node }) {
+						victims = append(victims, g.id)
+						continue
+					}
+					kept = append(kept, g)
+				}
+				sort.Strings(victims)
 				if !reflect.DeepEqual(victims, want) {
-					t.Fatalf("step %d: FailNode(%s, %d) = %v, retired %v", step, typ, node, victims, want)
+					t.Fatalf("step %d: FailNode(%s, %d) hit %v, retired %v", step, typ, node, victims, want)
 				}
 				if next()%2 == 0 {
-					for _, id := range victims {
-						c.Free(id)
-						old.Free(id)
-						for k, h := range held {
-							if h == id {
-								held = append(held[:k], held[k+1:]...)
-								break
-							}
+					for _, g := range held {
+						if slices.Contains(victims, g.id) {
+							c.Free(g.blocks)
+							old.Free(g.id)
 						}
 					}
+					held = kept
 				}
 			case 3:
 				c.RecoverNode(typ, node)
@@ -370,13 +392,14 @@ func checkCan(t *testing.T, step int, c *Cluster, old *retiredCluster, r hw.Regi
 	gpn := hw.MustLookup(typ).GPUsPerNode
 	for n := 0; n <= (r.Nodes+1)*gpn; n++ {
 		ref := n
-		refAlloc, refHealthy := c.CanAlloc, c.CanAllocHealthy
+		refAlloc := func(typ string, n int) bool { return canAlloc(c, typ, n) }
+		refHealthy := c.CanAllocHealthy
 		if n <= 2*gpn+1 || n%gpn <= 1 {
 			refAlloc, refHealthy = old.CanAlloc, old.CanAllocHealthy
 		} else {
 			ref = (n + gpn - 1) / gpn * gpn
 		}
-		if got, want := c.CanAlloc(typ, n), refAlloc(typ, ref); got != want {
+		if got, want := canAlloc(c, typ, n), refAlloc(typ, ref); got != want {
 			t.Fatalf("step %d: CanAlloc(%s, %d) = %v, want %v (as at n = %d)", step, typ, n, got, want, ref)
 		}
 		if got, want := c.CanAllocHealthy(typ, n), refHealthy(typ, ref); got != want {
@@ -417,7 +440,7 @@ func checkIndex(t *testing.T, step int, rs *regionState) {
 func retiredSlowFactor(c *retiredCluster, jobID string) float64 {
 	factor := 1.0
 	for _, b := range c.allocs[jobID] {
-		if s := c.regions[b.gpuType].slow[b.node]; s > 0 && s < factor {
+		if s := c.regions[b.GPUType].slow[b.Node]; s > 0 && s < factor {
 			factor = s
 		}
 	}

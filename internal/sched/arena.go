@@ -236,7 +236,7 @@ func (p *ArenaPolicy) launch(ctx *Context, asg *Assignment, attempt func(job *Jo
 		job, lad := f.q[f.next].job, f.lad
 		switch {
 		case p.Objective == ObjDeadline && p.hopeless(ctx, job, lad):
-			asg.Drop = append(asg.Drop, job.Trace.ID)
+			asg.Drop = append(asg.Drop, job)
 		case p.DisableElastic && len(lad.counts) == 0:
 			// Rigid mode with a request no profiled size can serve on any
 			// allowed type: drop the job instead of letting it queue
@@ -244,7 +244,7 @@ func (p *ArenaPolicy) launch(ctx *Context, asg *Assignment, attempt func(job *Jo
 			// counts are never empty, so only rigid mode can drop here.)
 			p.warnf("sched: dropping rigid job %s: no feasible GPU count for request of %d (type %s)",
 				job.Trace.ID, job.Trace.ReqGPUs, job.Trace.ReqType)
-			asg.Drop = append(asg.Drop, job.Trace.ID)
+			asg.Drop = append(asg.Drop, job)
 		case memo && lad.failedAt == p.failEpoch:
 			// Provably identical failure: a same-signature launch already
 			// ran the full search this round and nothing it depends on has
@@ -311,7 +311,7 @@ func (p *ArenaPolicy) routeStragglers(ctx *Context, ts *Targets, asg *Assignment
 		if j.BusyUntil > ctx.Now {
 			continue // mid-reconfiguration; moving again would thrash
 		}
-		if _, placed := asg.Place[j.Trace.ID]; placed {
+		if _, placed := asg.Place[j]; placed {
 			continue // this round already rescales it
 		}
 		cur := j.Alloc
@@ -330,7 +330,7 @@ func (p *ArenaPolicy) routeStragglers(ctx *Context, ts *Targets, asg *Assignment
 		if tMove >= tStay {
 			continue
 		}
-		asg.Migrate = append(asg.Migrate, j.Trace.ID)
+		asg.Migrate = append(asg.Migrate, j)
 	}
 }
 
@@ -428,7 +428,7 @@ func (p *ArenaPolicy) hopeless(ctx *Context, job *Job, lad *ladder) bool {
 // keeps the round's scale-down costs (see optimalScaleDown) current.
 func (p *ArenaPolicy) tryLaunch(ctx *Context, job *Job, lad *ladder, ts *Targets, depth *int, asg *Assignment) (ok, shrank bool) {
 	if c, ok := p.bestUnderFree(ctx, job, lad, ts.Free); ok {
-		asg.Place[job.Trace.ID] = ts.Launch(job, c.t, c.n)
+		asg.Place[job] = ts.Launch(job, c.t, c.n)
 		return true, false
 	}
 	// Cluster full: iteratively scale down the in-flight job that loses
@@ -452,9 +452,9 @@ func (p *ArenaPolicy) tryLaunch(ctx *Context, job *Job, lad *ladder, ts *Targets
 		ts.Free[t] += old.N - half.N
 		if c, ok := p.bestUnderFree(ctx, job, lad, ts.Free); ok {
 			for _, s := range staged {
-				asg.Place[ctx.Running[s.victim].Trace.ID] = ts.Target[s.victim]
+				asg.Place[ctx.Running[s.victim]] = ts.Target[s.victim]
 			}
-			asg.Place[job.Trace.ID] = ts.Launch(job, c.t, c.n)
+			asg.Place[job] = ts.Launch(job, c.t, c.n)
 			return true, true
 		}
 	}

@@ -124,8 +124,8 @@ func runLaunch(t *testing.T, p *ArenaPolicy, ctx *Context, attempt func(*Job) (o
 	var seq []string
 	dropped := 0
 	flush := func() {
-		for _, id := range asg.Drop[dropped:] {
-			seq = append(seq, id+" drop")
+		for _, j := range asg.Drop[dropped:] {
+			seq = append(seq, j.Trace.ID+" drop")
 		}
 		dropped = len(asg.Drop)
 	}

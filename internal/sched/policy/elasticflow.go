@@ -107,7 +107,7 @@ func (e *ElasticFlow) Assign(ctx *sched.Context) sched.Assignment {
 			}
 		}
 		if ts.FreeOf(typ) >= minN {
-			asg.Place[job.Trace.ID] = ts.Launch(job, ts.TypeIndex(typ), minN)
+			asg.Place[job] = ts.Launch(job, ts.TypeIndex(typ), minN)
 		}
 	}
 
@@ -154,7 +154,7 @@ func (e *ElasticFlow) growthGain(ctx *sched.Context, job *sched.Job, cur sched.A
 // shrink). It reports whether it stopped because no shrinkable victim
 // remains in the region — a condition that can only persist for the rest
 // of the round, since admission never grows a running job's target.
-func (e *ElasticFlow) shrinkRegion(ctx *sched.Context, ts *sched.Targets, typ string, need int, place map[string]sched.Alloc, budget *int) bool {
+func (e *ElasticFlow) shrinkRegion(ctx *sched.Context, ts *sched.Targets, typ string, need int, place map[*sched.Job]sched.Alloc, budget *int) bool {
 	for ts.FreeOf(typ) < need && *budget > 0 {
 		*budget--
 		victim := -1
@@ -180,7 +180,7 @@ func (e *ElasticFlow) shrinkRegion(ctx *sched.Context, ts *sched.Targets, typ st
 		cur := ts.Target[victim]
 		next := sched.Alloc{GPUType: typ, N: cur.N / 2}
 		ts.Target[victim] = next
-		place[ctx.Running[victim].Trace.ID] = next
+		place[ctx.Running[victim]] = next
 		ts.Free[ts.TypeIndex(typ)] += cur.N - next.N
 	}
 	return false

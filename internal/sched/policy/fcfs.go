@@ -39,7 +39,7 @@ func (f *FCFS) Assign(ctx *sched.Context) sched.Assignment {
 		if alloc.N > free[alloc.GPUType] {
 			break // head-of-line blocking
 		}
-		asg.Place[job.Trace.ID] = alloc
+		asg.Place[job] = alloc
 		free[alloc.GPUType] -= alloc.N
 	}
 	return asg

@@ -112,13 +112,13 @@ func (g *Gavel) Assign(ctx *sched.Context) sched.Assignment {
 	for _, c := range cands {
 		// Preferred type first, then any type with capacity.
 		if free[c.typ] >= c.n {
-			asg.Place[c.job.Trace.ID] = sched.Alloc{GPUType: c.typ, N: c.n}
+			asg.Place[c.job] = sched.Alloc{GPUType: c.typ, N: c.n}
 			free[c.typ] -= c.n
 			continue
 		}
 		for ti, typ := range types {
 			if c.sc.byType[ti] > 0 && free[typ] >= c.n {
-				asg.Place[c.job.Trace.ID] = sched.Alloc{GPUType: typ, N: c.n}
+				asg.Place[c.job] = sched.Alloc{GPUType: typ, N: c.n}
 				free[typ] -= c.n
 				break
 			}
@@ -138,7 +138,7 @@ func (g *Gavel) Assign(ctx *sched.Context) sched.Assignment {
 			}
 			newThr := dpView(ctx.DB, job.Workload(), typ, cur.N)
 			if curThr > 0 && newThr > curThr*g.SwitchGainThreshold {
-				asg.Place[job.Trace.ID] = sched.Alloc{GPUType: typ, N: cur.N}
+				asg.Place[job] = sched.Alloc{GPUType: typ, N: cur.N}
 				free[typ] -= cur.N
 				free[cur.GPUType] += cur.N
 				break

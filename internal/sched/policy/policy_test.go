@@ -47,7 +47,7 @@ func ctx(t *testing.T, queued, running []*sched.Job) *sched.Context {
 	}
 	for _, j := range running {
 		j.State = sched.StateRunning
-		if err := cl.Alloc(j.Trace.ID, j.Alloc.GPUType, j.Alloc.N); err != nil {
+		if _, err := cl.Alloc(nil, j.Alloc.GPUType, j.Alloc.N); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -68,11 +68,20 @@ func job(id, m string, gb, req, prio int) *sched.Job {
 	}
 }
 
+// placedByID is an assignment's placements keyed by the placed jobs' IDs.
+func placedByID(place map[*sched.Job]sched.Alloc) map[string]sched.Alloc {
+	out := make(map[string]sched.Alloc, len(place))
+	for j, a := range place {
+		out[j.Trace.ID] = a
+	}
+	return out
+}
+
 func TestFCFSHonoursRequests(t *testing.T) {
 	p := NewFCFS()
 	j := job("j1", "WRes-1B", 256, 4, 1)
 	asg := p.Assign(ctx(t, []*sched.Job{j}, nil))
-	alloc, ok := asg.Place["j1"]
+	alloc, ok := placedByID(asg.Place)["j1"]
 	if !ok || alloc.N != 4 || alloc.GPUType != "A40" {
 		t.Fatalf("FCFS should honour the 4xA40 request: %v", alloc)
 	}
@@ -84,15 +93,15 @@ func TestFCFSHeadOfLineBlocking(t *testing.T) {
 	small := job("small", "WRes-1B", 256, 1, 1)
 	c := ctx(t, []*sched.Job{big, small}, nil)
 	// Leave only 8 A40s free: the 16-GPU head blocks the 1-GPU follower.
-	if err := c.Cluster.Alloc("filler", "A40", 16); err != nil {
+	if _, err := c.Cluster.Alloc(nil, "A40", 16); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Cluster.Alloc("filler2", "A40", 8); err != nil {
+	if _, err := c.Cluster.Alloc(nil, "A40", 8); err != nil {
 		t.Fatal(err)
 	}
 	asg := p.Assign(c)
 	if len(asg.Place) != 0 {
-		t.Fatalf("FCFS must block behind the infeasible head: %v", asg.Place)
+		t.Fatalf("FCFS must block behind the infeasible head: %v", placedByID(asg.Place))
 	}
 }
 
@@ -102,7 +111,7 @@ func TestFCFSRaisesInfeasibleRequests(t *testing.T) {
 	p := NewFCFS()
 	j := job("j1", "GPT-6.7B", 128, 1, 1)
 	asg := p.Assign(ctx(t, []*sched.Job{j}, nil))
-	alloc, ok := asg.Place["j1"]
+	alloc, ok := placedByID(asg.Place)["j1"]
 	if !ok {
 		t.Fatal("job not placed")
 	}
@@ -116,7 +125,7 @@ func TestGavelPicksBestType(t *testing.T) {
 	j := job("j1", "WRes-1B", 256, 2, 1)
 	j.Trace.ReqType = "A10"
 	asg := p.Assign(ctx(t, []*sched.Job{j}, nil))
-	alloc, ok := asg.Place["j1"]
+	alloc, ok := placedByID(asg.Place)["j1"]
 	if !ok {
 		t.Fatal("job not placed")
 	}
@@ -134,7 +143,7 @@ func TestGavelKeepsCount(t *testing.T) {
 	p := NewGavel()
 	j := job("j1", "WRes-1B", 256, 4, 1)
 	asg := p.Assign(ctx(t, []*sched.Job{j}, nil))
-	if alloc := asg.Place["j1"]; alloc.N != 4 {
+	if alloc := placedByID(asg.Place)["j1"]; alloc.N != 4 {
 		t.Errorf("Gavel changed the GPU count: %v", alloc)
 	}
 }
@@ -143,7 +152,7 @@ func TestElasticFlowAdmitsAtMinThenGrows(t *testing.T) {
 	p := NewElasticFlow()
 	j := job("j1", "WRes-1B", 256, 8, 1)
 	asg := p.Assign(ctx(t, []*sched.Job{j}, nil))
-	alloc, ok := asg.Place["j1"]
+	alloc, ok := placedByID(asg.Place)["j1"]
 	if !ok {
 		t.Fatal("job not admitted")
 	}
@@ -161,14 +170,14 @@ func TestElasticFlowShrinksToAdmit(t *testing.T) {
 	run.Alloc = sched.Alloc{GPUType: "A40", N: 16}
 	newcomer := job("new", "WRes-1B", 256, 2, 1)
 	c := ctx(t, []*sched.Job{newcomer}, []*sched.Job{run})
-	if err := c.Cluster.Alloc("filler", "A40", 16); err != nil {
+	if _, err := c.Cluster.Alloc(nil, "A40", 16); err != nil {
 		t.Fatal(err)
 	}
 	asg := p.Assign(c)
-	if _, ok := asg.Place["new"]; !ok {
+	if _, ok := placedByID(asg.Place)["new"]; !ok {
 		t.Fatal("newcomer not admitted")
 	}
-	if down, ok := asg.Place["incumbent"]; !ok || down.N >= 16 {
+	if down, ok := placedByID(asg.Place)["incumbent"]; !ok || down.N >= 16 {
 		t.Fatalf("incumbent not shrunk: %v", down)
 	}
 }
@@ -177,7 +186,7 @@ func TestSiaAdmitsDensely(t *testing.T) {
 	p := NewSia()
 	j := job("j1", "WRes-1B", 256, 8, 1)
 	asg := p.Assign(ctx(t, []*sched.Job{j}, nil))
-	alloc, ok := asg.Place["j1"]
+	alloc, ok := placedByID(asg.Place)["j1"]
 	if !ok {
 		t.Fatal("job not admitted")
 	}
@@ -198,7 +207,7 @@ func TestSiaRespectsDPFloor(t *testing.T) {
 	p := NewSia()
 	j := job("j1", "GPT-2.6B", 128, 1, 1)
 	asg := p.Assign(ctx(t, []*sched.Job{j}, nil))
-	alloc, ok := asg.Place["j1"]
+	alloc, ok := placedByID(asg.Place)["j1"]
 	if !ok {
 		t.Fatal("job not admitted")
 	}

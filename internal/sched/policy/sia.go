@@ -108,7 +108,7 @@ func (s *Sia) Assign(ctx *sched.Context) sched.Assignment {
 		if best < 0 {
 			failed[w] = true
 		} else {
-			asg.Place[job.Trace.ID] = ts.Launch(job, best, cands[best].minN)
+			asg.Place[job] = ts.Launch(job, best, cands[best].minN)
 		}
 	}
 

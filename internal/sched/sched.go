@@ -94,11 +94,18 @@ type Job struct {
 	// must pay the resume overhead on top of the deployment search.
 	Restarting bool
 	// ladderHint is 1 + the index of the job's launch ladder in the
-	// Arena policy's ladder list (0 = none yet). It sits in the padding
-	// after Restarting, so Job stays 256 bytes. The policy checks the
-	// hinted ladder's signature before using it, so a stale hint (another
-	// policy instance, a reset cache, a flipped ablation) only misses.
-	ladderHint uint32
+	// Arena policy's ladder list (0 = none yet, or a ladder past the
+	// 65,535th, which the job finds through the policy's map). It and
+	// Slot sit in the padding after Restarting, so Job stays
+	// 256 bytes. The policy checks the hinted ladder's signature before
+	// using it, so a stale hint (another policy instance, a reset cache, a
+	// flipped ablation) only misses.
+	ladderHint uint16
+	// Slot belongs to the engine that runs the job, and no policy reads
+	// it: 1 + the index of the job's simulation record there, 0 while it
+	// has none. The engine stamps it at the job's first launch and clears
+	// it when the job retires.
+	Slot uint32
 	// SlowFactor is the straggler degradation of the current allocation
 	// (multiplies achieved throughput; 0 or 1 = healthy).
 	SlowFactor float64
@@ -148,25 +155,32 @@ type QueueChanges struct {
 	Entered []*Job
 }
 
-// Assignment is a policy's decision for the round.
+// Assignment is a policy's decision for the round. It names jobs by the
+// pointers of the round's Context; the engine ignores a job it does not
+// hold in its queue or its running set (a pending or retired job, or
+// another engine's). Trace IDs are unique among live jobs, so ordering
+// named jobs by ID is a total order; the engine applies an assignment in
+// such an order, never in map order.
 type Assignment struct {
-	// Place maps job ID → target allocation. Queued jobs with a target
-	// launch; running jobs with a different target rescale (paying the
-	// reconfiguration overhead). A zero Alloc does nothing: the job keeps
-	// its state and its resources (no policy emits one).
-	Place map[string]Alloc
-	// Drop lists jobs abandoned as unable to meet their deadline (§5.6).
-	Drop []string
+	// Place maps a job to its target allocation. Queued jobs with a
+	// target launch; running jobs with a different target rescale (paying
+	// the reconfiguration overhead). A zero Alloc does nothing: the job
+	// keeps its state and its resources (no policy emits one). A policy
+	// that places a job twice in a round leaves its last target.
+	Place map[*Job]Alloc
+	// Drop lists queued jobs abandoned as unable to meet their deadline
+	// (§5.6). A job both placed and dropped is dropped.
+	Drop []*Job
 	// Migrate lists running jobs to move to a fresh allocation of the
 	// *same* shape, paying checkpoint-resume but no new parallelism
-	// search — the straggler-routing escape hatch. Ignored for ids that
+	// search — the straggler-routing escape hatch. Ignored for jobs that
 	// also appear in Place.
-	Migrate []string
+	Migrate []*Job
 }
 
 // NewAssignment returns an empty assignment.
 func NewAssignment() Assignment {
-	return Assignment{Place: map[string]Alloc{}}
+	return Assignment{Place: map[*Job]Alloc{}}
 }
 
 // Policy is a cluster scheduling policy plus its knowledge models.

@@ -57,7 +57,7 @@ func testCtx(t *testing.T, queued, running []*Job) *Context {
 	}
 	for _, j := range running {
 		j.State = StateRunning
-		if err := cl.Alloc(j.Trace.ID, j.Alloc.GPUType, j.Alloc.N); err != nil {
+		if _, err := cl.Alloc(nil, j.Alloc.GPUType, j.Alloc.N); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -69,6 +69,15 @@ func testCtx(t *testing.T, queued, running []*Job) *Context {
 		DB:        db(t),
 		MaxPerJob: 16,
 	}
+}
+
+// placedByID is an assignment's placements keyed by the placed jobs' IDs.
+func placedByID(place map[*Job]Alloc) map[string]Alloc {
+	out := make(map[string]Alloc, len(place))
+	for j, a := range place {
+		out[j.Trace.ID] = a
+	}
+	return out
 }
 
 func mkJob(id, modelName string, gb, reqGPUs, prio int) *Job {
@@ -88,7 +97,7 @@ func TestArenaLaunchesQueuedJobs(t *testing.T) {
 	j := mkJob("j1", "WRes-1B", 256, 2, 1)
 	ctx := testCtx(t, []*Job{j}, nil)
 	asg := p.Assign(ctx)
-	alloc, ok := asg.Place["j1"]
+	alloc, ok := placedByID(asg.Place)["j1"]
 	if !ok || alloc.IsZero() {
 		t.Fatal("queued job not launched on an empty cluster")
 	}
@@ -104,7 +113,7 @@ func TestArenaDenseAllocationForAPOnlyModel(t *testing.T) {
 	j := mkJob("j1", "GPT-2.6B", 128, 2, 1)
 	ctx := testCtx(t, []*Job{j}, nil)
 	asg := p.Assign(ctx)
-	alloc, ok := asg.Place["j1"]
+	alloc, ok := placedByID(asg.Place)["j1"]
 	if !ok {
 		t.Fatal("job not placed")
 	}
@@ -119,7 +128,7 @@ func TestArenaGiantModelSchedulable(t *testing.T) {
 	j := mkJob("j1", "GPT-6.7B", 128, 4, 1)
 	ctx := testCtx(t, []*Job{j}, nil)
 	asg := p.Assign(ctx)
-	if _, ok := asg.Place["j1"]; !ok {
+	if _, ok := placedByID(asg.Place)["j1"]; !ok {
 		t.Fatal("AP-only model not scheduled")
 	}
 }
@@ -133,14 +142,14 @@ func TestArenaPriorityOrder(t *testing.T) {
 	lo.SubmittedAt, hi.SubmittedAt = 0, 10
 	ctx := testCtx(t, []*Job{lo, hi}, nil)
 	// Shrink capacity: occupy most of the cluster.
-	if err := ctx.Cluster.Alloc("blocker", "A40", 16); err != nil {
+	if _, err := ctx.Cluster.Alloc(nil, "A40", 16); err != nil {
 		t.Fatal(err)
 	}
-	if err := ctx.Cluster.Alloc("blocker2", "A10", 32); err != nil {
+	if _, err := ctx.Cluster.Alloc(nil, "A10", 32); err != nil {
 		t.Fatal(err)
 	}
 	asg := p.Assign(ctx)
-	if _, ok := asg.Place["hi"]; !ok {
+	if _, ok := placedByID(asg.Place)["hi"]; !ok {
 		t.Fatal("high-priority job should launch")
 	}
 }
@@ -181,17 +190,17 @@ func TestArenaScaleDownToAdmit(t *testing.T) {
 	queued := mkJob("new", "WRes-1B", 256, 2, 1)
 	ctx := testCtx(t, []*Job{queued}, []*Job{run})
 	// Exhaust the rest of the cluster so scale-down is the only path.
-	if err := ctx.Cluster.Alloc("filler-a40", "A40", 16); err != nil {
+	if _, err := ctx.Cluster.Alloc(nil, "A40", 16); err != nil {
 		t.Fatal(err)
 	}
-	if err := ctx.Cluster.Alloc("filler-a10", "A10", 32); err != nil {
+	if _, err := ctx.Cluster.Alloc(nil, "A10", 32); err != nil {
 		t.Fatal(err)
 	}
 	asg := p.Assign(ctx)
-	if _, ok := asg.Place["new"]; !ok {
+	if _, ok := placedByID(asg.Place)["new"]; !ok {
 		t.Fatal("newcomer not admitted")
 	}
-	down, ok := asg.Place["big"]
+	down, ok := placedByID(asg.Place)["big"]
 	if !ok || down.N >= 16 {
 		t.Fatalf("incumbent not scaled down: %v", down)
 	}
@@ -204,14 +213,14 @@ func TestArenaScaleDownRespectsDepth(t *testing.T) {
 	run.Alloc = Alloc{GPUType: "A40", N: 16}
 	queued := mkJob("new", "WRes-1B", 256, 2, 1)
 	ctx := testCtx(t, []*Job{queued}, []*Job{run})
-	if err := ctx.Cluster.Alloc("filler-a40", "A40", 16); err != nil {
+	if _, err := ctx.Cluster.Alloc(nil, "A40", 16); err != nil {
 		t.Fatal(err)
 	}
-	if err := ctx.Cluster.Alloc("filler-a10", "A10", 32); err != nil {
+	if _, err := ctx.Cluster.Alloc(nil, "A10", 32); err != nil {
 		t.Fatal(err)
 	}
 	asg := p.Assign(ctx)
-	if _, ok := asg.Place["big"]; ok {
+	if _, ok := placedByID(asg.Place)["big"]; ok {
 		t.Fatal("scale-down happened despite D=0")
 	}
 }
@@ -224,7 +233,7 @@ func TestArenaScaleUpIdleCapacity(t *testing.T) {
 	run.RemainingSamples = 1e9 // long enough to amortize the restart
 	ctx := testCtx(t, nil, []*Job{run})
 	asg := p.Assign(ctx)
-	up, ok := asg.Place["solo"]
+	up, ok := placedByID(asg.Place)["solo"]
 	if !ok || up.N <= 2 {
 		t.Fatalf("idle capacity not used: %v (ok=%v)", up, ok)
 	}
@@ -238,7 +247,7 @@ func TestArenaNoScaleUpForNearlyDoneJob(t *testing.T) {
 	run.RemainingSamples = 10 // finishes within seconds
 	ctx := testCtx(t, nil, []*Job{run})
 	asg := p.Assign(ctx)
-	if _, ok := asg.Place["done-soon"]; ok {
+	if _, ok := placedByID(asg.Place)["done-soon"]; ok {
 		t.Fatal("nearly-done job should not be rescaled")
 	}
 }
@@ -257,17 +266,17 @@ func TestArenaRevertsWastedScaleDown(t *testing.T) {
 	ctx := testCtx(t, []*Job{queued}, []*Job{victim})
 	// Exhaust everything else so scale-down is the only possible source
 	// of capacity (Cluster A: 32×A40 + 32×A10, victim holds 4 A40).
-	if err := ctx.Cluster.Alloc("filler-a40", "A40", 28); err != nil {
+	if _, err := ctx.Cluster.Alloc(nil, "A40", 28); err != nil {
 		t.Fatal(err)
 	}
-	if err := ctx.Cluster.Alloc("filler-a10", "A10", 32); err != nil {
+	if _, err := ctx.Cluster.Alloc(nil, "A10", 32); err != nil {
 		t.Fatal(err)
 	}
 	asg := p.Assign(ctx)
-	if alloc, ok := asg.Place["new"]; ok {
+	if alloc, ok := placedByID(asg.Place)["new"]; ok {
 		t.Fatalf("GPT-6.7B cannot fit in 3 freeable GPUs, yet launched at %v", alloc)
 	}
-	if down, ok := asg.Place["victim"]; ok {
+	if down, ok := placedByID(asg.Place)["victim"]; ok {
 		t.Fatalf("victim shrunk to %v although the enabling launch never landed", down)
 	}
 	if len(asg.Place) != 0 {
@@ -284,17 +293,17 @@ func TestArenaScaleDownStillLandsWhenLaunchFits(t *testing.T) {
 	victim.Alloc = Alloc{GPUType: "A40", N: 16}
 	queued := mkJob("new", "GPT-6.7B", 128, 4, 1)
 	ctx := testCtx(t, []*Job{queued}, []*Job{victim})
-	if err := ctx.Cluster.Alloc("filler-a40", "A40", 16); err != nil {
+	if _, err := ctx.Cluster.Alloc(nil, "A40", 16); err != nil {
 		t.Fatal(err)
 	}
-	if err := ctx.Cluster.Alloc("filler-a10", "A10", 32); err != nil {
+	if _, err := ctx.Cluster.Alloc(nil, "A10", 32); err != nil {
 		t.Fatal(err)
 	}
 	asg := p.Assign(ctx)
-	if _, ok := asg.Place["new"]; !ok {
+	if _, ok := placedByID(asg.Place)["new"]; !ok {
 		t.Fatal("launch should land once the victim's halving frees 8 GPUs")
 	}
-	down, ok := asg.Place["victim"]
+	down, ok := placedByID(asg.Place)["victim"]
 	if !ok || down.N >= 16 {
 		t.Fatalf("victim shrink must persist with the landed launch, got %v (ok=%v)", down, ok)
 	}
@@ -310,7 +319,7 @@ func TestArenaRigidNonPow2SnapsToProfiledSize(t *testing.T) {
 	j := mkJob("j1", "WRes-1B", 256, 3, 1)
 	ctx := testCtx(t, []*Job{j}, nil)
 	asg := p.Assign(ctx)
-	alloc, ok := asg.Place["j1"]
+	alloc, ok := placedByID(asg.Place)["j1"]
 	if !ok {
 		t.Fatal("rigid non-power-of-two job starved on an empty cluster")
 	}
@@ -335,10 +344,10 @@ func TestArenaRigidInfeasibleDropped(t *testing.T) {
 	ctx := testCtx(t, []*Job{j}, nil)
 	ctx.MaxPerJob = 4
 	asg := p.Assign(ctx)
-	if len(asg.Drop) != 1 || asg.Drop[0] != "j1" {
+	if len(asg.Drop) != 1 || asg.Drop[0].Trace.ID != "j1" {
 		t.Fatalf("infeasible rigid job not dropped: %v", asg.Drop)
 	}
-	if _, ok := asg.Place["j1"]; ok {
+	if _, ok := placedByID(asg.Place)["j1"]; ok {
 		t.Fatal("dropped job must not be placed")
 	}
 	if len(warnings) != 1 {
@@ -352,7 +361,7 @@ func TestArenaDisableElastic(t *testing.T) {
 	j := mkJob("j1", "WRes-1B", 256, 4, 1)
 	ctx := testCtx(t, []*Job{j}, nil)
 	asg := p.Assign(ctx)
-	alloc, ok := asg.Place["j1"]
+	alloc, ok := placedByID(asg.Place)["j1"]
 	if !ok {
 		t.Fatal("job not placed")
 	}
@@ -368,7 +377,7 @@ func TestArenaDisableHetero(t *testing.T) {
 	j.Trace.ReqType = "A10"
 	ctx := testCtx(t, []*Job{j}, nil)
 	asg := p.Assign(ctx)
-	alloc, ok := asg.Place["j1"]
+	alloc, ok := placedByID(asg.Place)["j1"]
 	if !ok {
 		t.Fatal("job not placed")
 	}
@@ -412,7 +421,7 @@ func TestArenaDeadlineDropsHopeless(t *testing.T) {
 	j.Trace.Deadline = 1 // impossible
 	ctx := testCtx(t, []*Job{j}, nil)
 	asg := p.Assign(ctx)
-	if len(asg.Drop) != 1 || asg.Drop[0] != "j1" {
+	if len(asg.Drop) != 1 || asg.Drop[0].Trace.ID != "j1" {
 		t.Fatalf("hopeless job not dropped: %v", asg.Drop)
 	}
 }
@@ -427,7 +436,7 @@ func TestArenaDeadlineKeepsFeasible(t *testing.T) {
 	if len(asg.Drop) != 0 {
 		t.Fatal("feasible-deadline job dropped")
 	}
-	if _, ok := asg.Place["j1"]; !ok {
+	if _, ok := placedByID(asg.Place)["j1"]; !ok {
 		t.Fatal("feasible-deadline job not placed")
 	}
 }

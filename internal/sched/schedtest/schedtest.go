@@ -12,10 +12,12 @@
 //     capacity plus whatever the same assignment frees (running jobs
 //     that shrink, move away, or release). The balance may be spent in
 //     any order — the engine applies shrinks first — but must end ≥ 0.
-//   - Identity: every Place / Drop / Migrate id names a job in the
-//     round's Queued or Running sets; no job is placed twice (Drop and
-//     Migrate carry no duplicates, and neither overlaps Place/Drop in
-//     a contradictory way).
+//   - Identity: every Place / Drop / Migrate entry is one of the
+//     round's Queued or Running pointers (a copy carrying a queued job's
+//     ID is an impostor the engine would ignore); no two distinct jobs
+//     named in one assignment share an ID, since the engine orders its
+//     work by ID; Drop and Migrate carry no duplicates, and neither
+//     overlaps Place/Drop in a contradictory way.
 //   - Shape: placements are at least one GPU on a known type; a zero
 //     Alloc (release) is only meaningful for running jobs.
 //   - Rigidity (opt-in): rigid policies place only profiled
@@ -56,18 +58,25 @@ func Check(ctx *sched.Context, asg sched.Assignment, opts Options) error {
 		violations = append(violations, fmt.Sprintf(format, args...))
 	}
 
-	queued := map[string]*sched.Job{}
+	queued := map[*sched.Job]bool{}
 	for _, j := range ctx.Queued {
-		queued[j.Trace.ID] = j
+		queued[j] = true
 	}
-	running := map[string]*sched.Job{}
+	running := map[*sched.Job]bool{}
 	for _, j := range ctx.Running {
-		running[j.Trace.ID] = j
+		running[j] = true
 	}
-	known := func(id string) bool {
-		_, q := queued[id]
-		_, r := running[id]
-		return q || r
+	// named maps each ID the assignment names to the first job named
+	// under it; a second, distinct job under the same ID is reported once.
+	named := map[string]*sched.Job{}
+	shared := map[string]bool{}
+	name := func(j *sched.Job) {
+		if prev, ok := named[j.Trace.ID]; !ok {
+			named[j.Trace.ID] = j
+		} else if prev != j && !shared[j.Trace.ID] {
+			shared[j.Trace.ID] = true
+			fail("two distinct jobs named %s", j.Trace.ID)
+		}
 	}
 
 	// Capacity balance per type: snapshot free, plus what running jobs'
@@ -78,23 +87,32 @@ func Check(ctx *sched.Context, asg sched.Assignment, opts Options) error {
 		types[typ] = true
 		balance[typ] = ctx.Cluster.FreeGPUs(typ)
 	}
-	// Iterate placements in sorted id order: fail messages end up in the
-	// returned error, so map-range order would make the report (and any
-	// test asserting on it) differ run to run.
-	placeIDs := make([]string, 0, len(asg.Place))
-	for id := range asg.Place {
-		placeIDs = append(placeIDs, id)
+	// Iterate placements in ID order (then target, for jobs sharing an
+	// ID): fail messages end up in the returned error, so map-range order
+	// would make the report (and any test asserting on it) differ run to
+	// run.
+	placed := make([]*sched.Job, 0, len(asg.Place))
+	for j := range asg.Place {
+		placed = append(placed, j)
 	}
-	sort.Strings(placeIDs)
-	for _, id := range placeIDs {
-		target := asg.Place[id]
-		j, isRunning := running[id]
-		if !isRunning {
-			var isQueued bool
-			if j, isQueued = queued[id]; !isQueued {
-				fail("Place[%s]: unknown job id", id)
-				continue
-			}
+	sort.Slice(placed, func(a, b int) bool {
+		x, y := placed[a], placed[b]
+		tx, ty := asg.Place[x], asg.Place[y]
+		if x.Trace.ID != y.Trace.ID {
+			return x.Trace.ID < y.Trace.ID
+		}
+		if tx.GPUType != ty.GPUType {
+			return tx.GPUType < ty.GPUType
+		}
+		return tx.N < ty.N
+	})
+	for _, j := range placed {
+		id, target := j.Trace.ID, asg.Place[j]
+		name(j)
+		isRunning := running[j]
+		if !isRunning && !queued[j] {
+			fail("Place[%s]: not a job of the round", id)
+			continue
 		}
 		if target.IsZero() {
 			if !isRunning {
@@ -131,43 +149,48 @@ func Check(ctx *sched.Context, asg sched.Assignment, opts Options) error {
 	}
 
 	// Drop: no duplicates, no overlap with Place, queued targets only.
-	dropped := map[string]bool{}
-	for _, id := range asg.Drop {
-		if dropped[id] {
+	dropped := map[*sched.Job]bool{}
+	for _, j := range asg.Drop {
+		id := j.Trace.ID
+		if dropped[j] {
 			fail("Drop: %s listed twice", id)
 			continue
 		}
-		dropped[id] = true
-		if _, placed := asg.Place[id]; placed {
+		dropped[j] = true
+		name(j)
+		if _, placed := asg.Place[j]; placed {
 			fail("%s both placed and dropped", id)
 		}
-		if !known(id) {
-			fail("Drop: unknown job id %s", id)
-		} else if _, q := queued[id]; !q {
+		switch {
+		case queued[j]:
+		case running[j]:
 			fail("Drop: %s is not queued", id)
+		default:
+			fail("Drop: %s is not a job of the round", id)
 		}
 	}
 
 	// Migrate: no duplicates, running targets, healthy destination.
-	migrated := map[string]bool{}
-	for _, id := range asg.Migrate {
-		if migrated[id] {
+	migrated := map[*sched.Job]bool{}
+	for _, j := range asg.Migrate {
+		id := j.Trace.ID
+		if migrated[j] {
 			fail("Migrate: %s listed twice", id)
 			continue
 		}
-		migrated[id] = true
-		if dropped[id] {
+		migrated[j] = true
+		name(j)
+		if dropped[j] {
 			fail("%s both dropped and migrated", id)
 		}
-		if !known(id) {
-			fail("Migrate: unknown job id %s", id)
+		if !queued[j] && !running[j] {
+			fail("Migrate: %s is not a job of the round", id)
 			continue
 		}
-		if _, placed := asg.Place[id]; placed {
+		if _, placed := asg.Place[j]; placed {
 			continue // a rescale supersedes the migration; engine ignores it
 		}
-		j, isRunning := running[id]
-		if !isRunning {
+		if !running[j] {
 			fail("Migrate: %s is not running", id)
 			continue
 		}

@@ -128,41 +128,65 @@ func TestArenaMigratesOntoHealthyCapacity(t *testing.T) {
 
 func TestCheckFlagsViolations(t *testing.T) {
 	// The checker itself must reject hand-built bad assignments — a
-	// checker that passes everything proves nothing.
+	// checker that passes everything proves nothing — and say which
+	// invariant each breaks.
 	jobs := seededJobs(t, 7, 4)
 	// A minimal synthetic context suffices: the invariants only read
 	// Queued/Running/Cluster.
 	cl := mustCluster(t)
 	q := &sched.Job{Trace: jobs[0], State: sched.StateQueued}
-	ctx := &sched.Context{Now: 0, Queued: []*sched.Job{q}, Cluster: cl, DB: db(t), MaxPerJob: 16}
+	// twin is a second queued job carrying q's ID: the round is legal,
+	// naming both in one assignment is not.
+	twin := &sched.Job{Trace: jobs[1], State: sched.StateQueued}
+	twin.Trace.ID = q.Trace.ID
+	ctx := &sched.Context{Now: 0, Queued: []*sched.Job{q, twin}, Cluster: cl, DB: db(t), MaxPerJob: 16}
+	// impostor is a copy of q: same ID and fields, another pointer.
+	impostor := *q
+	stranger := &sched.Job{Trace: jobs[2], State: sched.StateQueued}
+	a40 := sched.Alloc{GPUType: "A40", N: 2}
+	id := q.Trace.ID
 
-	cases := map[string]sched.Assignment{
-		"unknown id": {Place: map[string]sched.Alloc{"ghost": {GPUType: "A40", N: 2}}},
-		"over-commit": {Place: map[string]sched.Alloc{
-			q.Trace.ID: {GPUType: "A40", N: cl.FreeGPUs("A40") + 1},
-		}},
-		"unknown type":   {Place: map[string]sched.Alloc{q.Trace.ID: {GPUType: "H100", N: 1}}},
-		"zero on queued": {Place: map[string]sched.Alloc{q.Trace.ID: {}}},
-		"place+drop": {
-			Place: map[string]sched.Alloc{q.Trace.ID: {GPUType: "A40", N: 1}},
-			Drop:  []string{q.Trace.ID},
-		},
-		"drop twice":      {Drop: []string{q.Trace.ID, q.Trace.ID}},
-		"migrate queued":  {Migrate: []string{q.Trace.ID}},
-		"migrate unknown": {Migrate: []string{"ghost"}},
+	cases := map[string]struct {
+		asg  sched.Assignment
+		want string
+	}{
+		"stranger":   {sched.Assignment{Place: map[*sched.Job]sched.Alloc{stranger: a40}}, fmt.Sprintf("Place[%s]: not a job of the round", stranger.Trace.ID)},
+		"impostor":   {sched.Assignment{Place: map[*sched.Job]sched.Alloc{&impostor: a40}}, fmt.Sprintf("Place[%s]: not a job of the round", id)},
+		"shared ID":  {sched.Assignment{Place: map[*sched.Job]sched.Alloc{q: a40, twin: a40}}, "two distinct jobs named " + id},
+		"drop twins": {sched.Assignment{Drop: []*sched.Job{q, twin}}, "two distinct jobs named " + id},
+		"over-commit": {sched.Assignment{Place: map[*sched.Job]sched.Alloc{
+			q: {GPUType: "A40", N: cl.FreeGPUs("A40") + 1},
+		}}, "type A40 over-committed"},
+		"unknown type":   {sched.Assignment{Place: map[*sched.Job]sched.Alloc{q: {GPUType: "H100", N: 1}}}, "unknown GPU type"},
+		"zero on queued": {sched.Assignment{Place: map[*sched.Job]sched.Alloc{q: {}}}, "zero Alloc for a queued job"},
+		"place+drop": {sched.Assignment{
+			Place: map[*sched.Job]sched.Alloc{q: {GPUType: "A40", N: 1}},
+			Drop:  []*sched.Job{q},
+		}, id + " both placed and dropped"},
+		"drop twice":       {sched.Assignment{Drop: []*sched.Job{q, q}}, "Drop: " + id + " listed twice"},
+		"drop impostor":    {sched.Assignment{Drop: []*sched.Job{&impostor}}, "Drop: " + id + " is not a job of the round"},
+		"migrate queued":   {sched.Assignment{Migrate: []*sched.Job{q}}, "Migrate: " + id + " is not running"},
+		"migrate stranger": {sched.Assignment{Migrate: []*sched.Job{stranger}}, "Migrate: " + stranger.Trace.ID + " is not a job of the round"},
 	}
-	for name, asg := range cases {
+	for name, c := range cases {
+		asg := c.asg
 		if asg.Place == nil {
-			asg.Place = map[string]sched.Alloc{}
+			asg.Place = map[*sched.Job]sched.Alloc{}
 		}
 		if err := Check(ctx, asg, Options{}); err == nil {
-			t.Errorf("%s: accepted, want violation", name)
+			t.Errorf("%s: accepted, want violation %q", name, c.want)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: %v, want violation %q", name, err, c.want)
 		}
 	}
 	if err := Check(ctx, sched.NewAssignment(), Options{}); err != nil {
 		t.Errorf("empty assignment rejected: %v", err)
 	}
-	pow2 := sched.Assignment{Place: map[string]sched.Alloc{q.Trace.ID: {GPUType: "A40", N: 3}}}
+	split := sched.Assignment{Place: map[*sched.Job]sched.Alloc{q: a40}, Drop: []*sched.Job{twin}}
+	if err := Check(ctx, split, Options{}); err == nil || !strings.Contains(err.Error(), "two distinct jobs") {
+		t.Errorf("a placed and a dropped job sharing an ID: %v, want the shared ID reported", err)
+	}
+	pow2 := sched.Assignment{Place: map[*sched.Job]sched.Alloc{q: {GPUType: "A40", N: 3}}}
 	if err := Check(ctx, pow2, Options{RequirePow2: true}); err == nil {
 		t.Error("non-power-of-two placement accepted under RequirePow2")
 	}
@@ -172,25 +196,25 @@ func TestCheckReportsViolationsInSortedIDOrder(t *testing.T) {
 	// Check's error joins one message per violation; Place is a map, so
 	// without the sorted iteration the placement section of the report
 	// would come out in map-range order — different every call. Eight
-	// unknown ids make an accidentally-sorted order vanishingly likely
-	// (1/8! per call), so this fails against an unsorted loop.
+	// jobs outside the round make an accidentally-sorted order vanishingly
+	// likely (1/8! per call), so this fails against an unsorted loop.
 	cl := mustCluster(t)
 	ctx := &sched.Context{Now: 0, Cluster: cl}
-	asg := sched.Assignment{Place: map[string]sched.Alloc{}}
+	asg := sched.Assignment{Place: map[*sched.Job]sched.Alloc{}}
 	suffixes := []string{"g", "c", "a", "e", "h", "b", "f", "d"}
 	for _, s := range suffixes {
-		asg.Place["ghost-"+s] = sched.Alloc{GPUType: "A40", N: 1}
+		asg.Place[&sched.Job{Trace: trace.Job{ID: "ghost-" + s}}] = sched.Alloc{GPUType: "A40", N: 1}
 	}
 
 	var want []string
 	for _, s := range []string{"a", "b", "c", "d", "e", "f", "g", "h"} {
-		want = append(want, fmt.Sprintf("Place[ghost-%s]: unknown job id", s))
+		want = append(want, fmt.Sprintf("Place[ghost-%s]: not a job of the round", s))
 	}
 	wantErr := "schedtest: " + strings.Join(want, "; ")
 	for i := 0; i < 5; i++ {
 		err := Check(ctx, asg, Options{})
 		if err == nil {
-			t.Fatal("unknown placement ids accepted")
+			t.Fatal("placements outside the round accepted")
 		}
 		if got := err.Error(); got != wantErr {
 			t.Fatalf("call %d: violations not in sorted id order:\n got: %s\nwant: %s", i, got, wantErr)

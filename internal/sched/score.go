@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"math/bits"
 	"slices"
 
@@ -205,7 +206,7 @@ func (p *ArenaPolicy) launchLadder(ctx *Context, job *Job) *ladder {
 		}
 	}
 	if h, ok := p.ladderOf[sig]; ok {
-		job.ladderHint = h
+		job.ladderHint = hintOf(h)
 		return p.ladders[h-1]
 	}
 	lad := &ladder{sig: sig, counts: p.allowedCounts(ctx, job)}
@@ -240,8 +241,17 @@ func (p *ArenaPolicy) launchLadder(ctx *Context, job *Job) *ladder {
 	}
 	p.ladders = append(p.ladders, lad)
 	p.ladderOf[sig] = uint32(len(p.ladders))
-	job.ladderHint = uint32(len(p.ladders))
+	job.ladderHint = hintOf(uint32(len(p.ladders)))
 	return lad
+}
+
+// hintOf returns the ladder hint for 1 + a ladder's index: itself while
+// it fits a Job's hint, else 0 (no hint).
+func hintOf(h uint32) uint16 {
+	if h > math.MaxUint16 {
+		return 0
+	}
+	return uint16(h)
 }
 
 // slot returns the table slot of n GPUs of type typ, or -1 when the
@@ -502,7 +512,7 @@ func (h *GainHeap) siftDown(i int) {
 // that no longer fits is discarded for good rather than re-queued — and
 // one that does not fit at the start is never scored. A target on a type
 // outside the cluster never fits.
-func DoubleByGain(ts *Targets, rounds int, byID bool, place map[string]Alloc, gain func(i int, cur Alloc) (float64, bool)) int {
+func DoubleByGain(ts *Targets, rounds int, byID bool, place map[*Job]Alloc, gain func(i int, cur Alloc) (float64, bool)) int {
 	h := &ts.heap
 	h.reset(len(ts.Jobs))
 	if byID {
@@ -534,7 +544,7 @@ func DoubleByGain(ts *Targets, rounds int, byID bool, place map[string]Alloc, ga
 		next := Alloc{GPUType: cur.GPUType, N: cur.N * 2}
 		ts.Free[t] -= cur.N
 		ts.Target[i] = next
-		place[ts.Jobs[i].Trace.ID] = next
+		place[ts.Jobs[i]] = next
 		doubled++
 		if g, ok := gain(i, next); ok {
 			h.Update(i, g)

@@ -156,7 +156,7 @@ func TestDoubleByGainMatchesRescan(t *testing.T) {
 			rounds := r.Intn(8)
 			wantPlace := map[string]Alloc{}
 			want := rescanDoubling(order, rounds, target, free, wantPlace, gain)
-			gotPlace := map[string]Alloc{}
+			gotPlace := map[*Job]Alloc{}
 			scored := map[float64][]Alloc{}
 			got := DoubleByGain(ts, rounds, byID, gotPlace, func(i int, cur Alloc) (float64, bool) {
 				g, ok := gain(ts.Jobs[i].Trace.ID, cur)
@@ -177,7 +177,7 @@ func TestDoubleByGainMatchesRescan(t *testing.T) {
 				gotTarget[j.Trace.ID] = ts.Target[i]
 			}
 			gotFree := map[string]int{"A40": ts.Free[0], "A10": ts.Free[1]}
-			if got != want || !reflect.DeepEqual(gotTarget, target) || !reflect.DeepEqual(gotFree, free) || !reflect.DeepEqual(gotPlace, wantPlace) {
+			if got != want || !reflect.DeepEqual(gotTarget, target) || !reflect.DeepEqual(gotFree, free) || !reflect.DeepEqual(placedByID(gotPlace), wantPlace) {
 				t.Fatalf("byID %v trial %d: DoubleByGain made %d doublings (target %v free %v place %v), rescan %d (target %v free %v place %v)",
 					byID, trial, got, gotTarget, gotFree, gotPlace, want, target, free, wantPlace)
 			}
@@ -437,6 +437,28 @@ func TestScaleDownMatchesScan(t *testing.T) {
 	}
 }
 
+// TestLadderHintPastUint16 checks the hint's range: the 65,535th
+// ladder is its own hint, and a job whose ladder lies past it gets no
+// hint and finds the ladder through the policy's map, every time.
+func TestLadderHintPastUint16(t *testing.T) {
+	if hintOf(math.MaxUint16) != math.MaxUint16 || hintOf(math.MaxUint16+1) != 0 {
+		t.Fatalf("hintOf(65535) = %d, hintOf(65536) = %d", hintOf(math.MaxUint16), hintOf(math.MaxUint16+1))
+	}
+	p := NewArena()
+	ctx := testCtx(t, nil, nil)
+	p.ensureLadders(ctx)
+	lad := p.launchLadder(ctx, mkJob("first", "WRes-1B", 256, 2, 1))
+	// Move the ladder to index 65,535: 1 + its index no longer fits.
+	p.ladders = append(make([]*ladder, math.MaxUint16), lad)
+	p.ladderOf[lad.sig] = math.MaxUint16 + 1
+	j := mkJob("j", "WRes-1B", 256, 2, 1)
+	for i := 0; i < 2; i++ {
+		if got := p.launchLadder(ctx, j); got != lad || j.ladderHint != 0 {
+			t.Fatalf("call %d: ladder %p (want %p), hint %d (want none)", i, got, lad, j.ladderHint)
+		}
+	}
+}
+
 // TestLadderHintMatchesColdLookup gives launchLadder jobs whose hints
 // index another policy instance's ladder list, the list from before an
 // ensureLadders reset, or the list from before each ablation flip; each
@@ -554,10 +576,10 @@ func TestLaunchMemoStamps(t *testing.T) {
 	p := NewArena()
 	a := giant("a", 0)
 	if asg := p.Assign(testCtx(t, []*Job{a}, unshrinkable(32, 32))); len(asg.Place) != 0 {
-		t.Fatalf("round 1 placed %v on a full cluster", asg.Place)
+		t.Fatalf("round 1 placed %v on a full cluster", placedByID(asg.Place))
 	}
-	if asg := p.Assign(testCtx(t, []*Job{a}, unshrinkable(28, 32))); asg.Place["a"] != (Alloc{GPUType: "A40", N: 4}) {
-		t.Fatalf("round 2: the job failed in round 1 got %v with 4 A40 free", asg.Place)
+	if asg := p.Assign(testCtx(t, []*Job{a}, unshrinkable(28, 32))); placedByID(asg.Place)["a"] != (Alloc{GPUType: "A40", N: 4}) {
+		t.Fatalf("round 2: the job failed in round 1 got %v with 4 A40 free", placedByID(asg.Place))
 	}
 
 	p = NewArena()
@@ -570,8 +592,8 @@ func TestLaunchMemoStamps(t *testing.T) {
 		"b": {GPUType: "A10", N: 4}, "c": {GPUType: "A40", N: 4},
 		"v10": {GPUType: "A10", N: 4}, "v40": {GPUType: "A40", N: 4},
 	}
-	if !reflect.DeepEqual(asg.Place, want) {
-		t.Fatalf("placements %v, want %v", asg.Place, want)
+	if !reflect.DeepEqual(placedByID(asg.Place), want) {
+		t.Fatalf("placements %v, want %v", placedByID(asg.Place), want)
 	}
 }
 
@@ -584,8 +606,8 @@ func TestLadderCacheTracksDisablePlanner(t *testing.T) {
 		return p.Assign(testCtx(t, []*Job{mkJob("q", "GPT-2.6B", 128, 2, 1)}, unshrinkable(30, 32)))
 	}
 	p := NewArena()
-	if asg := round(p); asg.Place["q"] != (Alloc{GPUType: "A40", N: 2}) {
-		t.Fatalf("with the planner: %v, want q on 2 A40", asg.Place)
+	if asg := round(p); placedByID(asg.Place)["q"] != (Alloc{GPUType: "A40", N: 2}) {
+		t.Fatalf("with the planner: %v, want q on 2 A40", placedByID(asg.Place))
 	}
 	p.DisablePlanner = true
 	fresh := NewArena()
@@ -622,8 +644,8 @@ func TestLadderCacheTracksDisableHetero(t *testing.T) {
 	round := func(p *ArenaPolicy) Assignment {
 		return p.Assign(testCtx(t, []*Job{q}, nil))
 	}
-	if asg := flipMatchesFresh(t, func(p *ArenaPolicy) { p.DisableHetero = true }, round); asg.Place["q"].GPUType != "A40" {
-		t.Fatalf("before the flip: %v, want q on A40", asg.Place)
+	if asg := flipMatchesFresh(t, func(p *ArenaPolicy) { p.DisableHetero = true }, round); placedByID(asg.Place)["q"].GPUType != "A40" {
+		t.Fatalf("before the flip: %v, want q on A40", placedByID(asg.Place))
 	}
 }
 
@@ -637,8 +659,8 @@ func TestLadderCacheTracksDisableElastic(t *testing.T) {
 	round := func(p *ArenaPolicy) Assignment {
 		return p.Assign(testCtx(t, []*Job{q}, unshrinkable(32, 30)))
 	}
-	if asg := flipMatchesFresh(t, func(p *ArenaPolicy) { p.DisableElastic = true }, round); asg.Place["q"] != (Alloc{GPUType: "A10", N: 2}) {
-		t.Fatalf("before the flip: %v, want q on 2 A10", asg.Place)
+	if asg := flipMatchesFresh(t, func(p *ArenaPolicy) { p.DisableElastic = true }, round); placedByID(asg.Place)["q"] != (Alloc{GPUType: "A10", N: 2}) {
+		t.Fatalf("before the flip: %v, want q on 2 A10", placedByID(asg.Place))
 	}
 }
 
@@ -664,8 +686,8 @@ func TestLadderCacheTracksDisablePruning(t *testing.T) {
 		r.RemainingSamples = remaining
 		return p.Assign(testCtx(t, nil, []*Job{r}))
 	}
-	if asg := flipMatchesFresh(t, func(p *ArenaPolicy) { p.DisablePruning = true }, round); asg.Place["r"] != (Alloc{GPUType: "A40", N: 4}) {
-		t.Fatalf("before the flip: %v, want r doubled to 4 A40", asg.Place)
+	if asg := flipMatchesFresh(t, func(p *ArenaPolicy) { p.DisablePruning = true }, round); placedByID(asg.Place)["r"] != (Alloc{GPUType: "A40", N: 4}) {
+		t.Fatalf("before the flip: %v, want r doubled to 4 A40", placedByID(asg.Place))
 	}
 }
 
@@ -782,7 +804,7 @@ func TestTablesMatchDirectEvaluation(t *testing.T) {
 			}
 			cur := Alloc{GPUType: types[r.Intn(len(types))], N: sizes[r.Intn(len(sizes))]}
 			if r.Intn(3) == 0 {
-				j.ladderHint = uint32(1 + r.Intn(len(p.ladders)+1)) // maybe another signature's
+				j.ladderHint = uint16(1 + r.Intn(len(p.ladders)+1)) // maybe another signature's
 			}
 
 			g, ok := p.scaleGain(ctx, j, cur)

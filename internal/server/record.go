@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"strings"
 
 	"github.com/sjtu-epcc/arena/internal/sched"
 	"github.com/sjtu-epcc/arena/internal/trace"
@@ -249,29 +250,37 @@ func (d *decoder) uint() uint64 {
 	return v
 }
 
-// roundDigest fingerprints a round's Assignment as jsonDigest does — the
-// first 8 bytes of the sha256 of its json.Marshal encoding, in hex —
-// but appends that encoding by hand into a buffer the server keeps:
-// {"Place":…,"Drop":…,"Migrate":…}, Place's keys sorted bytewise, each
-// value {"GPUType":…,"N":…}, null for a nil map or slice and {} or []
-// for an empty one. Callers hold mu or own the server exclusively.
+// roundDigest fingerprints a round's Assignment as jsonDigest did when
+// the assignment named jobs by ID — the first 8 bytes of the sha256 of
+// the json.Marshal encoding of {Place map[ID]Alloc, Drop []ID,
+// Migrate []ID}, in hex — and appends that encoding by hand into a
+// buffer the server keeps: {"Place":…,"Drop":…,"Migrate":…}, Place's
+// jobs sorted by ID bytewise, each value {"GPUType":…,"N":…}, Drop's and
+// Migrate's IDs in list order, null for a nil map or slice and {} or []
+// for an empty one. The daemon refuses to reuse an ID, so the placed
+// jobs' IDs are distinct and the bytes are those of the ID-keyed
+// assignment journals were written with. Callers hold mu or own the
+// server exclusively.
 func (s *Server) roundDigest(asg sched.Assignment) string {
 	b := append(s.digestBuf[:0], `{"Place":`...)
 	if asg.Place == nil {
 		b = append(b, "null"...)
 	} else {
 		keys := s.digestKeys[:0]
-		for id := range asg.Place {
-			keys = append(keys, id)
+		for j := range asg.Place {
+			keys = append(keys, j)
 		}
-		slices.Sort(keys)
+		//arena:allow stablesort the daemon's job IDs are unique
+		slices.SortFunc(keys, func(x, y *sched.Job) int {
+			return strings.Compare(x.Trace.ID, y.Trace.ID)
+		})
 		b = append(b, '{')
-		for i, id := range keys {
+		for i, j := range keys {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			a := asg.Place[id]
-			b = appendJSONString(b, id)
+			a := asg.Place[j]
+			b = appendJSONString(b, j.Trace.ID)
 			b = append(b, `:{"GPUType":`...)
 			b = appendJSONString(b, a.GPUType)
 			b = append(b, `,"N":`...)
@@ -279,29 +288,31 @@ func (s *Server) roundDigest(asg sched.Assignment) string {
 			b = append(b, '}')
 		}
 		b = append(b, '}')
-		s.digestKeys = keys
+		clear(keys)
+		s.digestKeys = keys[:0]
 	}
 	b = append(b, `,"Drop":`...)
-	b = appendJSONStrings(b, asg.Drop)
+	b = appendJSONIDs(b, asg.Drop)
 	b = append(b, `,"Migrate":`...)
-	b = appendJSONStrings(b, asg.Migrate)
+	b = appendJSONIDs(b, asg.Migrate)
 	b = append(b, '}')
 	s.digestBuf = b
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:8])
 }
 
-// appendJSONStrings appends a string slice as json.Marshal writes it.
-func appendJSONStrings(b []byte, ss []string) []byte {
-	if ss == nil {
+// appendJSONIDs appends the IDs of a job list as json.Marshal writes a
+// string slice.
+func appendJSONIDs(b []byte, jobs []*sched.Job) []byte {
+	if jobs == nil {
 		return append(b, "null"...)
 	}
 	b = append(b, '[')
-	for i, s := range ss {
+	for i, j := range jobs {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = appendJSONString(b, s)
+		b = appendJSONString(b, j.Trace.ID)
 	}
 	return append(b, ']')
 }

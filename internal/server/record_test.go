@@ -200,49 +200,92 @@ func marshalDigest(v any) string {
 	return hex.EncodeToString(sum[:])[:16]
 }
 
-func randomIDs(r *rand.Rand) []string {
-	switch r.Intn(4) {
-	case 0:
-		return nil
-	case 1:
-		return []string{}
+// idAssignment is an Assignment naming its jobs by ID, the shape it had
+// when journals were first written: json.Marshal of it is what
+// roundDigest writes.
+type idAssignment struct {
+	Place   map[string]sched.Alloc
+	Drop    []string
+	Migrate []string
+}
+
+// idKeyed returns asg with each job replaced by its ID.
+func idKeyed(asg sched.Assignment) idAssignment {
+	a := idAssignment{Drop: jobIDs(asg.Drop), Migrate: jobIDs(asg.Migrate)}
+	if asg.Place != nil {
+		a.Place = make(map[string]sched.Alloc, len(asg.Place))
+		for j, alloc := range asg.Place {
+			a.Place[j.Trace.ID] = alloc
+		}
 	}
-	ids := make([]string, 1+r.Intn(6))
-	for i := range ids {
-		ids[i] = randomString(r)
+	return a
+}
+
+// jobIDs lists the jobs' IDs: nil for nil, empty for empty.
+func jobIDs(jobs []*sched.Job) []string {
+	if jobs == nil {
+		return nil
+	}
+	ids := make([]string, len(jobs))
+	for i, j := range jobs {
+		ids[i] = j.Trace.ID
 	}
 	return ids
 }
 
+func randomJobs(r *rand.Rand) []*sched.Job {
+	switch r.Intn(4) {
+	case 0:
+		return nil
+	case 1:
+		return []*sched.Job{}
+	}
+	jobs := make([]*sched.Job, 1+r.Intn(6))
+	for i := range jobs {
+		jobs[i] = &sched.Job{Trace: trace.Job{ID: randomString(r)}}
+	}
+	return jobs
+}
+
+// randomAssignment builds an assignment whose placed jobs have distinct
+// IDs, as the daemon's live jobs do; Drop and Migrate may repeat one.
 func randomAssignment(r *rand.Rand) sched.Assignment {
 	var a sched.Assignment
 	if k := r.Intn(4); k > 0 {
-		a.Place = map[string]sched.Alloc{}
+		a.Place = map[*sched.Job]sched.Alloc{}
+		seen := map[string]bool{}
 		for n := (k - 1) * r.Intn(24); n > 0; n-- {
 			gpu := []string{"A40", "A10", "V100"}[r.Intn(3)]
 			if r.Intn(4) == 0 {
 				gpu = randomString(r)
 			}
-			a.Place[randomString(r)] = sched.Alloc{GPUType: gpu, N: randomInt(r)}
+			id := randomString(r)
+			if seen[id] {
+				continue
+			}
+			seen[id] = true
+			a.Place[&sched.Job{Trace: trace.Job{ID: id}}] = sched.Alloc{GPUType: gpu, N: randomInt(r)}
 		}
 	}
-	a.Drop, a.Migrate = randomIDs(r), randomIDs(r)
+	a.Drop, a.Migrate = randomJobs(r), randomJobs(r)
 	return a
 }
 
 // TestRoundDigestMatchesMarshal digests random Assignments — nil and
 // empty Place, Drop and Migrate, IDs and GPU types that need escapes,
 // the int extremes — through one server, so its kept buffer and key
-// slice carry over from each round to the next, against marshalDigest.
+// slice carry over from each round to the next, against marshalDigest
+// of the same assignment named by ID.
 func TestRoundDigestMatchesMarshal(t *testing.T) {
 	var s Server
+	job := func(id string) *sched.Job { return &sched.Job{Trace: trace.Job{ID: id}} }
 	for _, a := range []sched.Assignment{
 		{},
 		sched.NewAssignment(),
-		{Place: map[string]sched.Alloc{}, Drop: []string{}, Migrate: []string{}},
-		{Place: map[string]sched.Alloc{"b": {GPUType: "A40", N: 2}, "a": {GPUType: "A10", N: 1}, "<&>": {GPUType: `"\`, N: -1}}, Drop: []string{"\u2028"}},
+		{Place: map[*sched.Job]sched.Alloc{}, Drop: []*sched.Job{}, Migrate: []*sched.Job{}},
+		{Place: map[*sched.Job]sched.Alloc{job("b"): {GPUType: "A40", N: 2}, job("a"): {GPUType: "A10", N: 1}, job("<&>"): {GPUType: `"\`, N: -1}}, Drop: []*sched.Job{job("\u2028")}},
 	} {
-		if got, want := s.roundDigest(a), marshalDigest(a); got != want {
+		if got, want := s.roundDigest(a), marshalDigest(idKeyed(a)); got != want {
 			t.Fatalf("%+v: roundDigest %s, json.Marshal %s", a, got, want)
 		}
 	}
@@ -253,7 +296,7 @@ func TestRoundDigestMatchesMarshal(t *testing.T) {
 	r := rand.New(rand.NewSource(24))
 	for i := 0; i < n; i++ {
 		a := randomAssignment(r)
-		if got, want := s.roundDigest(a), marshalDigest(a); got != want {
+		if got, want := s.roundDigest(a), marshalDigest(idKeyed(a)); got != want {
 			t.Fatalf("assignment %d %+v: roundDigest %s, json.Marshal %s", i, a, got, want)
 		}
 	}

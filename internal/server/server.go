@@ -154,7 +154,7 @@ type Server struct {
 	// digestBuf and digestKeys are roundDigest's encoding buffer and
 	// sorted Place keys, kept from round to round.
 	digestBuf  []byte
-	digestKeys []string
+	digestKeys []*sched.Job
 }
 
 // crashBeforeCommit, when non-nil, runs between a round's in-memory

@@ -117,7 +117,7 @@ func driveScript(t testing.TB, srv *Server, jobs []trace.Job, until int) []strin
 		if err != nil {
 			t.Fatal(err)
 		}
-		digests = append(digests, jsonDigest(asg))
+		digests = append(digests, jsonDigest(idKeyed(asg)))
 	}
 	return digests
 }

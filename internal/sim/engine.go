@@ -48,7 +48,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 		cfg:     cfg,
 		cluster: cl,
 		src:     cfg.Source,
-		sim:     map[*sched.Job]*jobSim{},
 		changes: &sched.QueueChanges{},
 		jctS:    metrics.NewStream(),
 		queueS:  metrics.NewStream(),
@@ -183,7 +182,7 @@ func (e *Engine) Cancel(id string, now float64) bool {
 			// running set.
 			s.materialize(j, now)
 			s.invalidate(j)
-			s.cluster.Free(id)
+			s.release(j)
 			j.State = sched.StateDropped
 			j.FinishedAt = now
 			j.Alloc = sched.Alloc{}

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"math"
+	"slices"
+	"strings"
 
 	"github.com/sjtu-epcc/arena/internal/faults"
 	"github.com/sjtu-epcc/arena/internal/sched"
@@ -14,14 +16,8 @@ import (
 func (s *state) applyFault(ev faults.Event) {
 	switch ev.Kind {
 	case faults.Crash:
-		victims := s.cluster.FailNode(ev.GPUType, ev.Node)
-		for _, id := range victims {
-			for _, j := range s.running {
-				if j.Trace.ID == id {
-					s.preempt(ev.Time, j)
-					break
-				}
-			}
+		if s.cluster.FailNode(ev.GPUType, ev.Node) {
+			s.preemptOn(ev)
 		}
 	case faults.Recover:
 		s.cluster.RecoverNode(ev.GPUType, ev.Node)
@@ -34,6 +30,27 @@ func (s *state) applyFault(ev faults.Event) {
 	}
 }
 
+// preemptOn preempts the running jobs holding blocks on a crashed node,
+// in ID order.
+func (s *state) preemptOn(ev faults.Event) {
+	var victims []*sched.Job
+	for _, j := range s.running {
+		for _, b := range s.simFor(j).blocks {
+			if b.GPUType == ev.GPUType && b.Node == ev.Node {
+				victims = append(victims, j)
+				break
+			}
+		}
+	}
+	//arena:allow stablesort running jobs have distinct IDs
+	slices.SortFunc(victims, func(x, y *sched.Job) int {
+		return strings.Compare(x.Trace.ID, y.Trace.ID)
+	})
+	for _, j := range victims {
+		s.preempt(ev.Time, j)
+	}
+}
+
 // refreshSlowFactors recomputes every running job's straggler factor
 // from the cluster's node state (an episode may start or end under a
 // live allocation). A job whose factor changed is a rate change: its
@@ -41,7 +58,7 @@ func (s *state) applyFault(ev faults.Event) {
 // its completion re-predicted under the new one.
 func (s *state) refreshSlowFactors(t float64) {
 	for _, j := range s.running {
-		f := s.cluster.SlowFactor(j.Trace.ID)
+		f := s.cluster.SlowFactor(s.simFor(j).blocks)
 		if f == j.SlowFactor {
 			continue
 		}
@@ -62,7 +79,7 @@ func (s *state) preempt(t float64, j *sched.Job) {
 	// rolling it back (the rollback is what destroys it).
 	s.materialize(j, t)
 	s.invalidate(j)
-	s.cluster.Free(j.Trace.ID)
+	s.release(j)
 	s.running = removeJob(s.running, j)
 	ac := s.simFor(j)
 	s.goodputGPUSec -= ac.sinceCkptGPUSec

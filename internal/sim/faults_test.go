@@ -333,10 +333,12 @@ func TestSimFaultTraceValidatedAgainstSpec(t *testing.T) {
 	}
 }
 
-// scriptPolicy replays a fixed per-round assignment script with constant
-// throughput and overheads — a harness for exact overhead arithmetic.
+// scriptPolicy replays a per-round assignment script with constant
+// throughput and overheads — a harness for exact overhead arithmetic and
+// for assignment shapes no real policy emits. A round the script leaves
+// out assigns nothing.
 type scriptPolicy struct {
-	script map[int]sched.Assignment
+	script map[int]func(ctx *sched.Context) sched.Assignment
 	round  int
 	deploy float64
 	thr    float64
@@ -344,9 +346,31 @@ type scriptPolicy struct {
 
 func (p *scriptPolicy) Name() string { return "script" }
 func (p *scriptPolicy) Assign(ctx *sched.Context) sched.Assignment {
-	asg := p.script[p.round]
+	var asg sched.Assignment
+	if f := p.script[p.round]; f != nil {
+		asg = f(ctx)
+	}
 	p.round++
 	return asg
+}
+
+// roundJob returns the job of the round's context with the given ID.
+func roundJob(t *testing.T, ctx *sched.Context, id string) *sched.Job {
+	t.Helper()
+	for _, list := range [][]*sched.Job{ctx.Queued, ctx.Running} {
+		for _, j := range list {
+			if j.Trace.ID == id {
+				return j
+			}
+		}
+	}
+	t.Fatalf("no job %s in the round at t=%g", id, ctx.Now)
+	return nil
+}
+
+// fixed returns a script step that assigns asg whatever the round holds.
+func fixed(asg sched.Assignment) func(*sched.Context) sched.Assignment {
+	return func(*sched.Context) sched.Assignment { return asg }
 }
 func (p *scriptPolicy) PerceivedThr(db *perfdb.DB, w model.Workload, gpuType string, n int) float64 {
 	return p.thr
@@ -373,9 +397,13 @@ func TestSimRescaleStacksOnPendingDeploy(t *testing.T) {
 	p := &scriptPolicy{
 		thr:    1.0,
 		deploy: 2000,
-		script: map[int]sched.Assignment{
-			0: {Place: map[string]sched.Alloc{"j1": {GPUType: "A40", N: 2}}},
-			1: {Place: map[string]sched.Alloc{"j1": {GPUType: "A40", N: 4}}},
+		script: map[int]func(*sched.Context) sched.Assignment{
+			0: func(ctx *sched.Context) sched.Assignment {
+				return sched.Assignment{Place: map[*sched.Job]sched.Alloc{roundJob(t, ctx, "j1"): {GPUType: "A40", N: 2}}}
+			},
+			1: func(ctx *sched.Context) sched.Assignment {
+				return sched.Assignment{Place: map[*sched.Job]sched.Alloc{roundJob(t, ctx, "j1"): {GPUType: "A40", N: 4}}}
+			},
 		},
 	}
 	jobs := []trace.Job{{
@@ -402,42 +430,45 @@ func TestSimRescaleStacksOnPendingDeploy(t *testing.T) {
 }
 
 // TestApplyResolvesAssignmentOnce drives apply through the scripted
-// policy with assignment shapes no golden run produces: a drop listed
-// twice, a drop naming a running job, a placement for an unknown ID, a
-// zero placement and a migration of a queued job. The duplicate drop
-// retires its job once, the running job keeps running, the rest change
-// nothing, and the queue keeps its order around the round's launch and
-// drop. Two more rounds pin the scan's early exit: a placement for the
-// last queued job next to a ghost ID and an ID both placed and dropped
-// (the drop wins), then a drop and a placement whose IDs are the last
-// two jobs the scan reaches, with no ghost to force a full scan.
+// policy with assignment shapes no golden run produces. Round 1: a drop
+// listed twice, a drop naming a running job, a migration of a queued
+// job, a zero placement, a placement and a drop naming a job still
+// pending, and a placement and a drop naming impostors (copies of queued
+// jobs, QueueSeq included). The duplicate drop retires its job once and
+// the rest change nothing, while the queue keeps its order around the
+// round's launch and drop. Round 2: a job both placed and dropped is dropped, and a
+// placement and a drop naming a retired job change nothing. Round 3: a
+// drop and a launch of the last two jobs in the queue.
 func TestApplyResolvesAssignmentOnce(t *testing.T) {
 	a40x2 := sched.Alloc{GPUType: "A40", N: 2}
-	p := &scriptPolicy{thr: 1, script: map[int]sched.Assignment{
-		0: {Place: map[string]sched.Alloc{"j1": a40x2}},
-		1: {
-			Drop:    []string{"j3", "j1", "j3"},
-			Migrate: []string{"j5"},
-			Place: map[string]sched.Alloc{
-				"j4": a40x2, "j2": {}, "ghost": a40x2,
-			},
-		},
-		2: {
-			Drop:  []string{"j2"},
-			Place: map[string]sched.Alloc{"j6": a40x2, "ghost": a40x2, "j2": a40x2},
-		},
-		3: {
-			Drop:  []string{"j7"},
-			Place: map[string]sched.Alloc{"j8": a40x2},
-		},
-	}}
+	p := &scriptPolicy{thr: 1}
 	e, err := NewEngine(Config{Spec: hw.ClusterA(), Policy: p, DB: db(t), MaxRounds: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := model.Workload{Model: "WRes-1B", GlobalBatch: 256}
+	submit := func(id string, at float64) *sched.Job {
+		return e.Submit(trace.Job{ID: id, SubmitTime: at, Workload: w, Iterations: 1000, ReqGPUs: 2, ReqType: "A40", Priority: 1}, 0)
+	}
+	j := map[string]*sched.Job{}
 	for _, id := range []string{"j1", "j2", "j3", "j4", "j5", "j6"} {
-		e.Submit(trace.Job{ID: id, Workload: w, Iterations: 1000, ReqGPUs: 2, ReqType: "A40", Priority: 1}, 0)
+		j[id] = submit(id, 0)
+	}
+	pending := submit("later", 1e6)
+	p.script = map[int]func(*sched.Context) sched.Assignment{
+		0: fixed(sched.Assignment{Place: map[*sched.Job]sched.Alloc{j["j1"]: a40x2}}),
+		1: func(*sched.Context) sched.Assignment {
+			impostor5, impostor6 := *j["j5"], *j["j6"]
+			return sched.Assignment{
+				Drop:    []*sched.Job{j["j3"], j["j1"], j["j3"], pending, &impostor5},
+				Migrate: []*sched.Job{j["j5"]},
+				Place:   map[*sched.Job]sched.Alloc{j["j4"]: a40x2, j["j2"]: {}, pending: a40x2, &impostor6: a40x2},
+			}
+		},
+		2: fixed(sched.Assignment{
+			Drop:  []*sched.Job{j["j2"], j["j3"]},
+			Place: map[*sched.Job]sched.Alloc{j["j6"]: a40x2, j["j3"]: a40x2, j["j2"]: a40x2},
+		}),
 	}
 	check := func(round int, want []string, dropped int) {
 		t.Helper()
@@ -451,15 +482,22 @@ func TestApplyResolvesAssignmentOnce(t *testing.T) {
 		if st := e.Stats(); st.Dropped != dropped || st.Migrations != 0 {
 			t.Fatalf("stats after round %d %+v: want %d drops and no migration", round, st, dropped)
 		}
+		if pending.State != sched.StateQueued || pending.Slot != 0 {
+			t.Fatalf("pending job is %s with slot %d after round %d", pending.State, pending.Slot, round)
+		}
 	}
 	e.Round(0)
 	e.Round(300)
-	check(1, []string{"j3:dropped", "j1:running", "j4:running", "j2:queued", "j5:queued", "j6:queued"}, 1)
+	check(1, []string{"j3:dropped", "j1:running", "j4:running", "j2:queued", "j5:queued", "j6:queued", "later:queued"}, 1)
 	e.Round(600)
-	check(2, []string{"j3:dropped", "j2:dropped", "j1:running", "j4:running", "j6:running", "j5:queued"}, 2)
+	check(2, []string{"j3:dropped", "j2:dropped", "j1:running", "j4:running", "j6:running", "j5:queued", "later:queued"}, 2)
 	for _, id := range []string{"j7", "j8"} {
-		e.Submit(trace.Job{ID: id, Workload: w, Iterations: 1000, ReqGPUs: 2, ReqType: "A40", Priority: 1}, 600)
+		j[id] = submit(id, 600)
 	}
+	p.script[3] = fixed(sched.Assignment{
+		Drop:  []*sched.Job{j["j7"]},
+		Place: map[*sched.Job]sched.Alloc{j["j8"]: a40x2},
+	})
 	e.Round(900)
-	check(3, []string{"j3:dropped", "j2:dropped", "j7:dropped", "j1:running", "j4:running", "j6:running", "j8:running", "j5:queued"}, 3)
+	check(3, []string{"j3:dropped", "j2:dropped", "j7:dropped", "j1:running", "j4:running", "j6:running", "j8:running", "j5:queued", "later:queued"}, 3)
 }

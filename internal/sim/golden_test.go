@@ -20,7 +20,7 @@ import (
 	"github.com/sjtu-epcc/arena/internal/trace"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.json from the current code")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.json and testdata/work.json from the current code")
 
 const goldenPath = "testdata/golden.json"
 

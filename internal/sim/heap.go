@@ -104,11 +104,11 @@ func (s *state) pushFault(idx int) {
 func (s *state) advance(t float64) {
 	for len(s.heap) > 0 && s.heap[0].at <= t {
 		ev := s.heap.pop()
+		s.work.events++
 		switch ev.class {
 		case classCompletion:
-			js := s.sim[ev.job]
-			if js == nil || js.epoch != ev.epoch {
-				continue // stale prediction, lazily deleted
+			if ev.job.Slot == 0 || s.simFor(ev.job).epoch != ev.epoch {
+				continue // stale prediction (or a retired job), lazily deleted
 			}
 			s.materialize(ev.job, ev.at)
 			s.complete(ev.job, ev.at)

@@ -96,21 +96,26 @@ type Result struct {
 // drives the identical Engine and loop with a wall clock and a journal —
 // there is no forked round logic.
 func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	e, err := NewEngine(cfg)
 	if err != nil {
 		return nil, err
 	}
-	cfg = e.cfg() // normalized defaults (RoundSeconds)
+	return e.run(ctx)
+}
+
+// run is RunCtx on a new engine.
+func (e *Engine) run(ctx context.Context) (*Result, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	cfg := e.cfg() // normalized defaults (RoundSeconds)
 	maxRounds := e.MaxRounds()
 	// The latest instant this run can ever simulate: nothing submitted
 	// after it can be admitted, so an idle engine whose next arrival lies
 	// beyond it would only burn empty rounds until the MaxRounds cap.
 	horizonEnd := float64(maxRounds+1) * cfg.RoundSeconds
 	lastNow := 0.0
-	err = clock.Tick(ctx, clock.NewVirtual(), cfg.RoundSeconds, func(round int, now float64) bool {
+	err := clock.Tick(ctx, clock.NewVirtual(), cfg.RoundSeconds, func(round int, now float64) bool {
 		if round >= maxRounds {
 			return false
 		}
@@ -151,9 +156,16 @@ type state struct {
 	hasPeek bool
 	srcDone bool
 
-	// placed is apply's list of the round's placements, kept between
-	// rounds; apply clears it when it is done.
+	// apply's buffers, kept between rounds and cleared after use: the
+	// round's placements and the queue positions of the jobs that leave
+	// the queue. grant receives each launch's blocks before they move to
+	// the job's record.
 	placed []placement
+	gone   []int
+	grant  []cluster.Block
+
+	// work is the engine's work ledger (see workLedger).
+	work workLedger
 
 	thrSeries []float64
 
@@ -168,10 +180,12 @@ type state struct {
 	events faults.Schedule // materialized realization, time-ordered
 	evIdx  int             // next unapplied event
 
-	// Per-job simulation record. sim is keyed by job pointer and only
-	// ever read through a specific job — never iterated — so map order
-	// cannot leak into results. Entries are deleted when jobs retire.
-	sim           map[*sched.Job]*jobSim
+	// Per-job simulation records: a job's is recs[Slot-1] from its first
+	// launch until it retires, when its slot joins freeSlots for the next
+	// first launch to reuse. Pointers into recs are taken per use and
+	// never kept across a launch, which may grow it.
+	recs          []jobSim
+	freeSlots     []uint32
 	goodputGPUSec float64
 	wastedGPUSec  float64
 	recomputeSec  float64
@@ -189,8 +203,9 @@ type state struct {
 	mPreempt, mRestarts, mMigrations int
 }
 
-// jobSim is one job's simulation record: checkpoint accounting plus the
-// anchored-progress state the event core runs on.
+// jobSim is one job's simulation record: checkpoint accounting, the
+// anchored-progress state the event core runs on, and the blocks of the
+// job's GPU grant (empty while it holds none).
 //
 // The progress model: RemainingSamples is exact as of instant `anchor`;
 // between anchors the job trains at the cached effective throughput
@@ -213,16 +228,46 @@ type jobSim struct {
 	pred   float64 // predicted completion instant (+Inf when never)
 	seq    uint64  // rate-change sequence: same-instant completion order
 	epoch  uint64  // invalidates stale heap entries on any rate change
+
+	blocks []cluster.Block
 }
 
-// simFor returns (creating on first use) a job's simulation record.
-func (s *state) simFor(j *sched.Job) *jobSim {
-	js, ok := s.sim[j]
-	if !ok {
-		js = &jobSim{pred: math.Inf(1)}
-		s.sim[j] = js
+// workLedger counts the engine's algorithmic work. It is write-only: a
+// test reads it (TestWorkLedger), and no digest, outcome or golden
+// result does.
+type workLedger struct {
+	events      int // event-heap entries advance popped
+	queueProbes int // queue positions the QueueSeq search read
+	queueMoved  int // queue entries the dequeue moved
+	eligible    int // queue entries the fault-eligibility pass read
+}
+
+// simFor returns a launched job's simulation record.
+func (s *state) simFor(j *sched.Job) *jobSim { return &s.recs[j.Slot-1] }
+
+// takeSlot gives a job its simulation record at its first launch: a
+// retired job's slot when one is free, else a new one.
+func (s *state) takeSlot(j *sched.Job) *jobSim {
+	if j.Slot != 0 {
+		return s.simFor(j)
 	}
+	if n := len(s.freeSlots); n > 0 {
+		j.Slot = s.freeSlots[n-1]
+		s.freeSlots = s.freeSlots[:n-1]
+	} else {
+		s.recs = append(s.recs, jobSim{})
+		j.Slot = uint32(len(s.recs))
+	}
+	js := s.simFor(j)
+	js.pred = math.Inf(1)
 	return js
+}
+
+// release returns a job's GPU grant to the cluster.
+func (s *state) release(j *sched.Job) {
+	js := s.simFor(j)
+	s.cluster.Free(js.blocks)
+	js.blocks = js.blocks[:0]
 }
 
 // materialize brings a job's RemainingSamples (and checkpoint-window
@@ -337,7 +382,7 @@ func (s *state) effectiveThr(j *sched.Job) float64 {
 func (s *state) complete(j *sched.Job, at float64) {
 	j.State = sched.StateFinished
 	j.FinishedAt = at
-	s.cluster.Free(j.Trace.ID)
+	s.release(j)
 	s.running = removeJob(s.running, j)
 	s.retire(j)
 }
@@ -345,9 +390,15 @@ func (s *state) complete(j *sched.Job, at float64) {
 // retire takes a job that reached a terminal state (finished, dropped,
 // failed) out of the live world and folds it into the running totals.
 // Exact mode also keeps it on done_ for Result.Jobs; streaming mode
-// drops it, which is what keeps memory O(active jobs).
+// drops it, which is what keeps memory O(active jobs). A launched job's
+// record is wiped, its block buffer kept, and its slot freed.
 func (s *state) retire(j *sched.Job) {
-	delete(s.sim, j)
+	if j.Slot != 0 {
+		js := s.simFor(j)
+		*js = jobSim{blocks: js.blocks[:0]}
+		s.freeSlots = append(s.freeSlots, j.Slot)
+		j.Slot = 0
+	}
 	if !s.cfg.Streaming {
 		s.done_ = append(s.done_, j)
 	}
@@ -521,6 +572,7 @@ func (s *state) roundQueue(now float64) []*sched.Job {
 		// NextEligibleAt changes only when a crash requeues the job,
 		// which restamps it.
 		eligible = make([]*sched.Job, 0, len(s.queued))
+		s.work.eligible += len(s.queued)
 		for _, j := range s.queued {
 			if j.NextEligibleAt > now {
 				continue
@@ -542,86 +594,64 @@ func (s *state) roundQueue(now float64) []*sched.Job {
 }
 
 // apply executes the policy's assignment: drops, migrations, then the
-// placements, charging deployment overheads. IDs are unique among live
-// jobs, so every ID the assignment names resolves in one pass over the
-// running set and then the queue that stops once each distinct ID has
-// matched (an ID naming no live job scans everything); a zero placement
-// counts as matched and applies nothing. The queue is compacted once at
-// the end (launched and dropped jobs leave it, the rest keep their
-// order). A round hashes the running set and the queue prefix up to its
-// last named job, sorts its placements and checks each queued job's
-// state once, however deep the queue.
+// placements, charging deployment overheads. Its work follows the
+// assignment, never the world. A job is running exactly when it is
+// StateRunning; a queued job is found by a binary search on QueueSeq
+// (queuePos); a job neither running nor queued (pending, retired, or not
+// this engine's) is ignored. Placements are applied in (rank, ID) order,
+// IDs being unique among live jobs. The launched and dropped jobs leave
+// the queue at the positions the search found (dequeue).
 func (s *state) apply(now float64, asg sched.Assignment) {
 	if len(asg.Drop) == 0 && len(asg.Migrate) == 0 && len(asg.Place) == 0 {
 		return
 	}
-	// named resolves the drop and migration IDs; unresolved counts the
-	// distinct IDs of Place, Drop and Migrate not yet matched.
-	var named map[string]*sched.Job
-	unresolved := len(asg.Place)
-	if n := len(asg.Drop) + len(asg.Migrate); n > 0 {
-		named = make(map[string]*sched.Job, n)
-		for _, ids := range [][]string{asg.Drop, asg.Migrate} {
-			for _, id := range ids {
-				if _, dup := named[id]; dup {
-					continue
-				}
-				named[id] = nil
-				if _, ok := asg.Place[id]; !ok {
-					unresolved++
-				}
-			}
+	gone := s.gone[:0]
+	for _, j := range asg.Drop {
+		if j.State != sched.StateQueued {
+			continue // running, retired, or listed twice
 		}
-	}
-	placed := s.placed[:0]
-scan:
-	for _, list := range [][]*sched.Job{s.running, s.queued} {
-		for _, j := range list {
-			id := j.Trace.ID
-			target, inPlace := asg.Place[id]
-			if inPlace && !target.IsZero() {
-				placed = append(placed, placement{job: j, target: target})
-			}
-			_, inNamed := named[id]
-			if inNamed {
-				named[id] = j
-			}
-			if inPlace || inNamed {
-				if unresolved--; unresolved == 0 {
-					break scan
-				}
-			}
+		pos := s.queuePos(j)
+		if pos < 0 {
+			continue
 		}
-	}
-
-	for _, id := range asg.Drop {
-		if j := named[id]; j != nil && j.State == sched.StateQueued {
-			j.State = sched.StateDropped
-			j.FinishedAt = now
-			s.retire(j)
-		}
+		j.State = sched.StateDropped
+		j.FinishedAt = now
+		s.retire(j)
+		gone = append(gone, pos)
 	}
 	if len(asg.Migrate) > 0 {
-		migrate := append([]string(nil), asg.Migrate...)
-		sort.Strings(migrate)
-		for _, id := range migrate {
-			if _, placed := asg.Place[id]; placed {
+		migrate := slices.Clone(asg.Migrate)
+		//arena:allow stablesort live jobs have distinct IDs, and equal IDs name one job
+		slices.SortFunc(migrate, func(x, y *sched.Job) int {
+			return strings.Compare(x.Trace.ID, y.Trace.ID)
+		})
+		for _, j := range migrate {
+			if _, placed := asg.Place[j]; placed {
 				continue // a rescale supersedes the migration
 			}
-			if j := named[id]; j != nil && j.Running() {
+			if j.State == sched.StateRunning {
 				s.migrate(now, j)
 			}
 		}
 	}
 
+	placed := s.placed[:0]
+	for j, target := range asg.Place {
+		if !target.IsZero() {
+			placed = append(placed, placement{job: j, target: target})
+		}
+	}
 	// Deterministic application order: shrinks and moves of running jobs
 	// first (they free capacity), then queued launches, then growths;
 	// ties by ID. A job dropped above is no longer live and is skipped.
-	live := placed[:0]
+	live := 0
 	for _, p := range placed {
 		j := p.job
 		switch {
 		case j.State == sched.StateQueued:
+			if p.pos = s.queuePos(j); p.pos < 0 {
+				continue
+			}
 			p.rank = 2
 		case j.State != sched.StateRunning:
 			continue
@@ -632,20 +662,25 @@ scan:
 		default:
 			p.rank = 3
 		}
-		live = append(live, p)
+		placed[live] = p
+		live++
 	}
+	clear(placed[live:])
+	placed = placed[:live]
 	// slices.SortFunc, unlike sort.Slice, allocates nothing.
 	//arena:allow stablesort live jobs have distinct IDs, so (rank, ID) is a total order
-	slices.SortFunc(live, func(x, y placement) int {
+	slices.SortFunc(placed, func(x, y placement) int {
 		if x.rank != y.rank {
 			return cmp.Compare(x.rank, y.rank)
 		}
 		return strings.Compare(x.job.Trace.ID, y.job.Trace.ID)
 	})
-	for _, p := range live {
+	for _, p := range placed {
 		switch p.job.State {
 		case sched.StateQueued:
-			s.launch(now, p.job, p.target)
+			if s.launch(now, p.job, p.target) {
+				gone = append(gone, p.pos)
+			}
 		case sched.StateRunning:
 			if p.job.Alloc != p.target {
 				s.rescale(now, p.job, p.target)
@@ -654,39 +689,82 @@ scan:
 	}
 	clear(placed)
 	s.placed = placed[:0]
-	s.compactQueue()
+	s.dequeue(gone)
+	s.gone = gone[:0]
 }
 
-// placement is one resolved asg.Place entry and its application rank.
+// placement is one live asg.Place entry, its application rank and, for
+// a queued job, its queue position.
 type placement struct {
 	job    *sched.Job
 	target sched.Alloc
 	rank   int
+	pos    int
 }
 
-// compactQueue removes the jobs that left the queue during apply —
-// launched or dropped — keeping the order of the rest.
-func (s *state) compactQueue() {
-	q := s.queued[:0]
-	for _, j := range s.queued {
-		if j.State == sched.StateQueued {
-			q = append(q, j)
+// queuePos returns a job's position in the queue, or -1 when it is not
+// queued. The queue is in ascending QueueSeq and every enqueue stamps a
+// larger one, so a binary search finds the only position the job can
+// hold. Jobs that leave the queue during apply stay in place until its
+// dequeue, so positions found in one apply stay valid through it.
+func (s *state) queuePos(j *sched.Job) int {
+	lo, hi := 0, len(s.queued)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		s.work.queueProbes++
+		if s.queued[m].QueueSeq < j.QueueSeq {
+			lo = m + 1
+		} else {
+			hi = m
 		}
 	}
-	clear(s.queued[len(q):])
-	s.queued = q
+	if lo < len(s.queued) && s.queued[lo] == j {
+		return lo
+	}
+	return -1
 }
 
-// launch places a queued job.
-func (s *state) launch(now float64, j *sched.Job, target sched.Alloc) {
+// dequeue removes the jobs at the given queue positions (distinct, in
+// any order), keeping the rest in QueueSeq order: it sorts the positions
+// and slides each segment between them down over the gaps. Jobs
+// requeued during apply were appended behind every position and stay.
+func (s *state) dequeue(gone []int) {
+	if len(gone) == 0 {
+		return
+	}
+	slices.Sort(gone)
+	q := s.queued
+	w := gone[0]
+	for k, p := range gone {
+		end := len(q)
+		if k+1 < len(gone) {
+			end = gone[k+1]
+		}
+		w += copy(q[w:], q[p+1:end])
+	}
+	s.work.queueMoved += w - gone[0]
+	clear(q[w:])
+	s.queued = q[:w]
+}
+
+// launch places a queued job and reports whether it landed. The job
+// must hold no grant: one that does is an engine bug, and panics.
+func (s *state) launch(now float64, j *sched.Job, target sched.Alloc) bool {
 	w := j.Workload()
 	actual := s.cfg.Policy.ActualThr(s.cfg.DB, w, target.GPUType, target.N)
 	if actual <= 0 {
-		return // perceived-feasible but truly infeasible: stays queued
+		return false // perceived-feasible but truly infeasible: stays queued
 	}
-	if err := s.cluster.Alloc(j.Trace.ID, target.GPUType, target.N); err != nil {
-		return // fragmentation: retry next round
+	grant, err := s.cluster.Alloc(s.grant[:0], target.GPUType, target.N)
+	s.grant = grant[:0]
+	if err != nil {
+		return false // fragmentation: retry next round
 	}
+	ac := s.takeSlot(j)
+	if len(ac.blocks) != 0 {
+		panic("sim: job " + j.Trace.ID + " launched while holding a grant")
+	}
+	ac.blocks = append(ac.blocks, grant...)
 	j.State = sched.StateRunning
 	j.Alloc = target
 	j.ActualThr = actual
@@ -697,17 +775,17 @@ func (s *state) launch(now float64, j *sched.Job, target sched.Alloc) {
 		j.BusyUntil += sched.CheckpointResume
 		j.Restarting = false
 	}
-	j.SlowFactor = s.cluster.SlowFactor(j.Trace.ID)
+	j.SlowFactor = s.cluster.SlowFactor(ac.blocks)
 	// A (re)launch starts a fresh checkpoint epoch from the restored state.
 	j.CheckpointRemaining = j.RemainingSamples
-	ac := s.simFor(j)
 	ac.sinceCkptSec, ac.sinceCkptGPUSec = 0, 0
 	if j.LaunchedAt < 0 {
 		j.LaunchedAt = now
 	}
-	// apply compacts the queue once the round's launches are done.
+	// apply dequeues the job once the round's launches are done.
 	s.running = append(s.running, j)
 	s.rePredict(j, now)
+	return true
 }
 
 // migrate moves a running job to a fresh allocation of the same shape
@@ -717,8 +795,10 @@ func (s *state) launch(now float64, j *sched.Job, target sched.Alloc) {
 func (s *state) migrate(now float64, j *sched.Job) {
 	s.materialize(j, now)
 	old := j.Alloc
-	s.cluster.Free(j.Trace.ID)
-	if err := s.cluster.Alloc(j.Trace.ID, old.GPUType, old.N); err != nil {
+	s.release(j)
+	ac := s.simFor(j)
+	var err error
+	if ac.blocks, err = s.cluster.Alloc(ac.blocks, old.GPUType, old.N); err != nil {
 		// The freed block must refit (nothing else allocates in between);
 		// requeue defensively if it somehow cannot.
 		j.State = sched.StateQueued
@@ -730,13 +810,12 @@ func (s *state) migrate(now float64, j *sched.Job) {
 		s.invalidate(j)
 		return
 	}
-	j.SlowFactor = s.cluster.SlowFactor(j.Trace.ID)
+	j.SlowFactor = s.cluster.SlowFactor(ac.blocks)
 	j.Migrations++
 	j.Resched++
 	j.BusyUntil = math.Max(now, j.BusyUntil) + sched.CheckpointResume
 	// Migration checkpoints the job: progress so far is durable.
 	j.CheckpointRemaining = j.RemainingSamples
-	ac := s.simFor(j)
 	ac.sinceCkptSec, ac.sinceCkptGPUSec = 0, 0
 	s.rePredict(j, now)
 }
@@ -751,10 +830,12 @@ func (s *state) rescale(now float64, j *sched.Job, target sched.Alloc) {
 	}
 	s.materialize(j, now)
 	old := j.Alloc
-	s.cluster.Free(j.Trace.ID)
-	if err := s.cluster.Alloc(j.Trace.ID, target.GPUType, target.N); err != nil {
+	s.release(j)
+	ac := s.simFor(j)
+	var err error
+	if ac.blocks, err = s.cluster.Alloc(ac.blocks, target.GPUType, target.N); err != nil {
 		// Fragmentation defeated the move; restore the old allocation.
-		if err := s.cluster.Alloc(j.Trace.ID, old.GPUType, old.N); err != nil {
+		if ac.blocks, err = s.cluster.Alloc(ac.blocks, old.GPUType, old.N); err != nil {
 			// Old slots vanished too (should not happen: we just freed
 			// them); requeue defensively.
 			j.State = sched.StateQueued
@@ -769,7 +850,7 @@ func (s *state) rescale(now float64, j *sched.Job, target sched.Alloc) {
 	j.Alloc = target
 	j.ActualThr = actual
 	j.Resched++
-	j.SlowFactor = s.cluster.SlowFactor(j.Trace.ID)
+	j.SlowFactor = s.cluster.SlowFactor(ac.blocks)
 	// §5.8: the rescheduling AP search is non-blocking (the runtime
 	// searches while the job drains); only checkpoint-resume stops
 	// training, plus a small blocking tail of the search. A job still
@@ -779,7 +860,6 @@ func (s *state) rescale(now float64, j *sched.Job, target sched.Alloc) {
 		0.2*s.cfg.Policy.DeployOverhead(s.cfg.DB, w, target.GPUType, target.N)
 	// Checkpoint-resume implies a durable save of progress so far.
 	j.CheckpointRemaining = j.RemainingSamples
-	ac := s.simFor(j)
 	ac.sinceCkptSec, ac.sinceCkptGPUSec = 0, 0
 	s.rePredict(j, now)
 }

@@ -9,6 +9,8 @@ import (
 	"context"
 	"errors"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"reflect"
 	"sync"
@@ -630,14 +632,13 @@ func BenchmarkServerScheduleRound(b *testing.B) {
 	})
 }
 
-// BenchmarkServerRecover guards the daemon's restart: server.New replays
-// the journal of a 1,000-round session — every record's frame checked,
-// every submit re-applied, every round re-executed and its digest
-// verified — and Close releases it. The session has daemon-philly's
-// shape (Philly arrivals at 2,500 jobs a day, the Arena policy, 300 s
-// rounds, 256 A40 and 256 A10 nodes) and is built once, before the
-// timer starts.
-func BenchmarkServerRecover(b *testing.B) {
+// recoverSession journals a 1,000-round daemon session on a fresh store,
+// closed with the benchmark, and returns the configuration that restarts
+// the daemon from it. The session has daemon-philly's shape (Philly
+// arrivals at 2,500 jobs a day, the Arena policy, 300 s rounds, 256 A40
+// and 256 A10 nodes).
+func recoverSession(b *testing.B) (server.Config, int) {
+	b.Helper()
 	simBenchSetup()
 	if simBenchErr != nil {
 		b.Fatal(simBenchErr)
@@ -660,7 +661,7 @@ func BenchmarkServerRecover(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer st.Close()
+	b.Cleanup(func() { st.Close() })
 	cfg := server.Config{
 		Spec: hw.ClusterSpec{Name: "bench", Regions: []hw.Region{
 			{GPUType: "A40", Nodes: 256}, {GPUType: "A10", Nodes: 256},
@@ -685,6 +686,16 @@ func BenchmarkServerRecover(b *testing.B) {
 	if err := srv.Close(); err != nil {
 		b.Fatal(err)
 	}
+	return cfg, rounds
+}
+
+// BenchmarkServerRecover guards the daemon's restart: server.New replays
+// the journal of recoverSession's 1,000-round session — every record's
+// frame checked, every submit re-applied, every round re-executed and
+// its digest verified — and Close releases it. The session is built
+// once, before the timer starts.
+func BenchmarkServerRecover(b *testing.B) {
+	cfg, rounds := recoverSession(b)
 	b.Run("1k", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			cfg.Policy = sched.NewArena() // a restart starts with cold policy caches
@@ -698,6 +709,67 @@ func BenchmarkServerRecover(b *testing.B) {
 			if err := srv.Close(); err != nil {
 				b.Fatal(err)
 			}
+		}
+	})
+}
+
+// statusWriter is a ResponseWriter that keeps the status and drops the
+// body.
+type statusWriter struct {
+	header http.Header
+	code   int
+}
+
+func (w *statusWriter) Header() http.Header { return w.header }
+
+func (w *statusWriter) WriteHeader(code int) { w.code = code }
+
+func (w *statusWriter) Write(p []byte) (int, error) {
+	if w.code == 0 {
+		w.code = http.StatusOK
+	}
+	return len(p), nil
+}
+
+// BenchmarkServerGetJob guards the daemon's poll: one GET /v1/jobs/{id}
+// through the handler of a daemon recovered from recoverSession's
+// session, for the jobs still queued or running when it closed, in turn
+// — the jobs clients wait on. The requests are built before the timer
+// starts and the writer drops the body, so an op is the server's work:
+// routing, the job lookup, its view and its body.
+func BenchmarkServerGetJob(b *testing.B) {
+	cfg, _ := recoverSession(b)
+	cfg.Policy = sched.NewArena()
+	srv, err := server.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	var reqs []*http.Request
+	for _, v := range srv.Jobs() {
+		if v.State == string(sched.StateQueued) || v.State == string(sched.StateRunning) {
+			reqs = append(reqs, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+v.ID, nil))
+		}
+	}
+	if len(reqs) == 0 {
+		b.Fatal("the session left no job queued or running")
+	}
+	h := srv.Handler()
+	w := &statusWriter{header: http.Header{}}
+	get := func(r *http.Request) {
+		w.code = 0
+		h.ServeHTTP(w, r)
+		if w.code != http.StatusOK {
+			b.Fatalf("GET %s: status %d", r.URL.Path, w.code)
+		}
+	}
+	b.Run("1k", func(b *testing.B) {
+		for _, r := range reqs { // each job once, untimed
+			get(r)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			get(reqs[i%len(reqs)])
 		}
 	})
 }

@@ -14,15 +14,17 @@ import (
 // minimum feasible size, and idle GPUs flow to the jobs with the best
 // marginal perceived gain. Knowledge is full-space DP profiling.
 type ElasticFlow struct {
-	// ScaleGainThreshold gates rescaling of running jobs (restart costs).
-	ScaleGainThreshold float64
-
 	// ts is the round's targets, kept between rounds (sched.Targets).
 	ts sched.Targets
 }
 
+// elasticFlowScaleGain gates the doubling of a job's GPU count: a rescale
+// restarts the job, so only a perceived throughput gain above this factor
+// grows it.
+const elasticFlowScaleGain = 1.25
+
 // NewElasticFlow returns the policy.
-func NewElasticFlow() *ElasticFlow { return &ElasticFlow{ScaleGainThreshold: 1.25} }
+func NewElasticFlow() *ElasticFlow { return &ElasticFlow{} }
 
 // Name implements sched.Policy.
 func (e *ElasticFlow) Name() string { return "elasticflow-ls" }
@@ -143,7 +145,7 @@ func (e *ElasticFlow) growthGain(ctx *sched.Context, job *sched.Job, cur sched.A
 	}
 	thrCur := dpView(ctx.DB, job.Workload(), cur.GPUType, cur.N)
 	thrNew := dpView(ctx.DB, job.Workload(), cur.GPUType, cur.N*2)
-	if thrCur <= 0 || thrNew <= thrCur*e.ScaleGainThreshold {
+	if thrCur <= 0 || thrNew <= thrCur*elasticFlowScaleGain {
 		return 0, false
 	}
 	return (thrNew - thrCur) / float64(cur.N), true

@@ -12,14 +12,15 @@ import (
 // count fixed at the user request but dynamically chooses the GPU *type*
 // to maximize total throughput (a greedy stand-in for its ILP round
 // solver, §5.1). Its knowledge is full-space DP profiling.
-type Gavel struct {
-	// SwitchGainThreshold gates type migration of running jobs: moving a
-	// job pays checkpoint-resume + AP re-search, so only clear wins move.
-	SwitchGainThreshold float64
-}
+type Gavel struct{}
 
-// NewGavel returns the policy with the default migration threshold.
-func NewGavel() *Gavel { return &Gavel{SwitchGainThreshold: 1.3} }
+// gavelSwitchGain gates type migration of running jobs: moving a job pays
+// checkpoint-resume + AP re-search, so only a perceived throughput gain
+// above this factor moves it.
+const gavelSwitchGain = 1.3
+
+// NewGavel returns the policy.
+func NewGavel() *Gavel { return &Gavel{} }
 
 // Name implements sched.Policy.
 func (g *Gavel) Name() string { return "gavel" }
@@ -137,7 +138,7 @@ func (g *Gavel) Assign(ctx *sched.Context) sched.Assignment {
 				continue
 			}
 			newThr := dpView(ctx.DB, job.Workload(), typ, cur.N)
-			if curThr > 0 && newThr > curThr*g.SwitchGainThreshold {
+			if curThr > 0 && newThr > curThr*gavelSwitchGain {
 				asg.Place[job] = sched.Alloc{GPUType: typ, N: cur.N}
 				free[typ] -= cur.N
 				free[cur.GPUType] += cur.N

@@ -21,8 +21,6 @@ type Sia struct {
 	// Eta is the §2.3 precision knob: allocations up to 2^(η−1) GPUs use
 	// precise profiles, the rest extrapolate linearly. η=1 is stock Sia.
 	Eta int
-	// ScaleGainThreshold gates rescaling of running jobs.
-	ScaleGainThreshold float64
 	// DisableRefinement turns off the online observation loop so the η
 	// knob alone controls estimate precision (§2.3's controlled study).
 	DisableRefinement bool
@@ -31,8 +29,12 @@ type Sia struct {
 	ts sched.Targets
 }
 
+// siaScaleGain gates the doubling of a job's GPU count: only a perceived
+// throughput gain above this factor grows it.
+const siaScaleGain = 1.4
+
 // NewSia returns stock Sia (η = 1).
-func NewSia() *Sia { return &Sia{Eta: 1, ScaleGainThreshold: 1.4} }
+func NewSia() *Sia { return &Sia{Eta: 1} }
 
 // Name implements sched.Policy.
 func (s *Sia) Name() string { return "sia" }
@@ -133,7 +135,7 @@ func (s *Sia) growthGain(ctx *sched.Context, job *sched.Job, cur sched.Alloc) (f
 	}
 	thrCur := s.perceived(ctx.DB, job.Workload(), cur.GPUType, cur.N)
 	thrNew := s.perceived(ctx.DB, job.Workload(), cur.GPUType, cur.N*2)
-	if thrCur <= 0 || thrNew <= thrCur*s.ScaleGainThreshold {
+	if thrCur <= 0 || thrNew <= thrCur*siaScaleGain {
 		return 0, false
 	}
 	return (thrNew - thrCur) / float64(cur.N), true

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"strconv"
 	"strings"
 
 	"github.com/sjtu-epcc/arena/internal/sched"
@@ -13,7 +15,9 @@ import (
 )
 
 // JobView is the API's job representation: the trace record plus the
-// scheduler-facing lifecycle the engine tracks.
+// scheduler-facing lifecycle the engine tracks. Its bodies are appended
+// by hand (appendJobView), so a field added here needs its line there,
+// or TestJobViewBodyMatchesEncoder fails.
 type JobView struct {
 	ID          string  `json:"id"`
 	State       string  `json:"state"`
@@ -36,6 +40,143 @@ type JobView struct {
 	Restarts      int     `json:"restarts,omitempty"`
 	Migrations    int     `json:"migrations,omitempty"`
 	CancelPending bool    `json:"cancel_pending,omitempty"`
+}
+
+// jobBody is the body writeJSON's indenting encoder writes for v, with
+// its trailing newline, appended by hand. ok is false when a float is
+// NaN or infinite: encoding/json refuses those and writes nothing.
+func jobBody(v *JobView) (body []byte, ok bool) {
+	b, ok := appendJobView(make([]byte, 0, 512), v, "")
+	return append(b, '\n'), ok
+}
+
+// jobsBody is the body writeJSON's indenting encoder writes for views,
+// each element one level deeper than a lone view; ok is false when any
+// float is NaN or infinite.
+func jobsBody(views []JobView) (body []byte, ok bool) {
+	if len(views) == 0 {
+		return []byte("[]\n"), true
+	}
+	b := append(make([]byte, 0, 512*len(views)), '[')
+	for i := range views {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, "\n  "...)
+		if b, ok = appendJobView(b, &views[i], "  "); !ok {
+			return nil, false
+		}
+	}
+	return append(b, "\n]\n"...), true
+}
+
+// appendJobView appends v as encoding/json indents a JobView whose
+// closing brace sits at indent: one `"key": value` line per field in
+// declaration order, two spaces deeper, leaving out the zero values the
+// omitempty tags name. Strings go through appendJSONString and floats
+// through appendJSONFloat, which write what encoding/json writes.
+func appendJobView(b []byte, v *JobView, indent string) ([]byte, bool) {
+	w := viewWriter{b: append(b, '{'), indent: indent, ok: true}
+	w.str("id", v.ID)
+	w.str("state", v.State)
+	w.str("model", v.Model)
+	w.int("global_batch", v.GlobalBatch)
+	w.int("iterations", v.Iterations)
+	w.int("req_gpus", v.ReqGPUs)
+	if v.ReqType != "" {
+		w.str("req_type", v.ReqType)
+	}
+	w.int("priority", v.Priority)
+	w.float("submit_time", v.SubmitTime)
+	w.float("submitted_at", v.SubmittedAt)
+	w.float("launched_at", v.LaunchedAt)
+	if v.FinishedAt != 0 {
+		w.float("finished_at", v.FinishedAt)
+	}
+	if v.GPUType != "" {
+		w.str("gpu_type", v.GPUType)
+	}
+	if v.GPUs != 0 {
+		w.int("gpus", v.GPUs)
+	}
+	w.float("remaining_frac", v.RemainingFrac)
+	w.int("resched", v.Resched)
+	if v.Preemptions != 0 {
+		w.int("preemptions", v.Preemptions)
+	}
+	if v.Restarts != 0 {
+		w.int("restarts", v.Restarts)
+	}
+	if v.Migrations != 0 {
+		w.int("migrations", v.Migrations)
+	}
+	if v.CancelPending {
+		w.key("cancel_pending")
+		w.b = append(w.b, "true"...)
+	}
+	w.b = append(w.b, '\n')
+	w.b = append(w.b, indent...)
+	return append(w.b, '}'), w.ok
+}
+
+// viewWriter appends an indented object's fields.
+type viewWriter struct {
+	b      []byte
+	indent string // the object's; its fields sit two spaces deeper
+	fields int    // written so far
+	ok     bool   // false once a float has no JSON encoding
+}
+
+// key starts a field's line: the comma after the field before, if any,
+// then `"name": `. Field names need no escaping.
+func (w *viewWriter) key(name string) {
+	if w.fields > 0 {
+		w.b = append(w.b, ',')
+	}
+	w.fields++
+	w.b = append(w.b, '\n')
+	w.b = append(w.b, w.indent...)
+	w.b = append(w.b, `  "`...)
+	w.b = append(w.b, name...)
+	w.b = append(w.b, `": `...)
+}
+
+func (w *viewWriter) str(k, s string) {
+	w.key(k)
+	w.b = appendJSONString(w.b, s)
+}
+
+func (w *viewWriter) int(k string, n int) {
+	w.key(k)
+	w.b = strconv.AppendInt(w.b, int64(n), 10)
+}
+
+func (w *viewWriter) float(k string, f float64) {
+	w.key(k)
+	var ok bool
+	w.b, ok = appendJSONFloat(w.b, f)
+	w.ok = w.ok && ok
+}
+
+// appendJSONFloat appends f as encoding/json writes a float64: the
+// shortest form that round-trips, in 'f' format, or in 'e' format below
+// 1e-6 and from 1e21 up with a one-digit negative exponent unpadded
+// (1e-7, not 1e-07). NaN and ±Inf have no JSON form: ok is false and b is
+// returned as it is.
+func appendJSONFloat(b []byte, f float64) ([]byte, bool) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return b, false
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b, true
 }
 
 // viewLocked renders one engine job; callers hold mu.
@@ -163,7 +304,8 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.Jobs())
+		body, ok := jobsBody(s.Jobs())
+		writeBody(w, http.StatusOK, body, ok)
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		v, err := s.Job(r.PathValue("id"))
@@ -171,7 +313,8 @@ func (s *Server) Handler() http.Handler {
 			writeError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, v)
+		body, ok := jobBody(&v)
+		writeBody(w, http.StatusOK, body, ok)
 	})
 	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		if err := s.Cancel(r.PathValue("id")); err != nil {
@@ -218,7 +361,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, v)
+	body, ok := jobBody(&v)
+	writeBody(w, http.StatusCreated, body, ok)
 }
 
 // handleMetrics serves the stats snapshot in Prometheus exposition
@@ -275,11 +419,23 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, status, apiError{Error: err.Error()})
 }
 
-// writeJSON writes one JSON response.
+// writeJSON writes one JSON response. A value encoding/json refuses
+// leaves the status written and the body empty.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
+}
+
+// writeBody writes a JobView body from jobBody or jobsBody as writeJSON
+// would write the views: the same header and status, and no body when
+// ok is false.
+func writeBody(w http.ResponseWriter, status int, body []byte, ok bool) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	if ok {
+		_, _ = w.Write(body)
+	}
 }

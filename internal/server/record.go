@@ -31,13 +31,17 @@ import (
 // JSON number grammar and then goes through the strconv call
 // json.Unmarshal makes for the field's kind, so every value is
 // bit-identical and an int field refuses a fraction or an exponent.
-func decodeRecord(payload []byte) (record, error) {
-	d := decoder{buf: payload, n: len(payload)}
+//
+// The kind, the job's model and its requested GPU type repeat a handful
+// of values across a journal, so they are read through shared, which
+// keeps one copy of each; a nil table shares nothing.
+func decodeRecord(payload []byte, shared strTable) (record, error) {
+	d := decoder{buf: payload, n: len(payload), shared: shared}
 	var r record
 	d.expect(`{"kind":`)
-	r.Kind = d.str()
+	r.Kind = d.str(d.shared)
 	if d.key(`,"policy":`) {
-		r.Policy = d.str()
+		r.Policy = d.str(nil)
 	}
 	if d.key(`,"round_seconds":`) {
 		r.RoundSeconds = d.float()
@@ -46,13 +50,13 @@ func decodeRecord(payload []byte) (record, error) {
 		r.Seed = d.uint()
 	}
 	if d.key(`,"cluster":`) {
-		r.Cluster = d.str()
+		r.Cluster = d.str(nil)
 	}
 	if d.key(`,"job":`) {
 		r.Job = d.job()
 	}
 	if d.key(`,"id":`) {
-		r.ID = d.str()
+		r.ID = d.str(nil)
 	}
 	if d.key(`,"round":`) {
 		r.Round = d.int()
@@ -61,7 +65,7 @@ func decodeRecord(payload []byte) (record, error) {
 		r.Now = d.float()
 	}
 	if d.key(`,"digest":`) {
-		r.Digest = d.str()
+		r.Digest = d.str(nil)
 	}
 	d.expect(`}`)
 	if d.err == nil && len(d.buf) > 0 {
@@ -74,11 +78,11 @@ func decodeRecord(payload []byte) (record, error) {
 func (d *decoder) job() *trace.Job {
 	var j trace.Job
 	d.expect(`{"ID":`)
-	j.ID = d.str()
+	j.ID = d.str(nil)
 	d.expect(`,"SubmitTime":`)
 	j.SubmitTime = d.float()
 	d.expect(`,"Workload":{"Model":`)
-	j.Workload.Model = d.str()
+	j.Workload.Model = d.str(d.shared)
 	d.expect(`,"GlobalBatch":`)
 	j.Workload.GlobalBatch = d.int()
 	d.expect(`},"Iterations":`)
@@ -86,7 +90,7 @@ func (d *decoder) job() *trace.Job {
 	d.expect(`,"ReqGPUs":`)
 	j.ReqGPUs = d.int()
 	d.expect(`,"ReqType":`)
-	j.ReqType = d.str()
+	j.ReqType = d.str(d.shared)
 	d.expect(`,"Priority":`)
 	j.Priority = d.int()
 	d.expect(`,"Deadline":`)
@@ -98,9 +102,27 @@ func (d *decoder) job() *trace.Job {
 // decoder is a cursor over one payload. The first failure sticks: every
 // later read returns a zero value and leaves err as it is.
 type decoder struct {
-	buf []byte // the unread rest of the payload
-	n   int    // the payload's length, for offsets in errors
-	err error
+	buf    []byte // the unread rest of the payload
+	n      int    // the payload's length, for offsets in errors
+	err    error
+	shared strTable
+}
+
+// strTable holds one copy of each distinct string read through it. A
+// replay owns one for its duration, so the thousands of jobs a restarted
+// daemon keeps share a few model and GPU-type strings.
+type strTable map[string]string
+
+// get returns the table's copy of b's string, adding one on a miss.
+func (t strTable) get(b []byte) string {
+	if s, ok := t[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if t != nil {
+		t[s] = s
+	}
+	return s
 }
 
 func (d *decoder) fail(what string) {
@@ -125,8 +147,9 @@ func (d *decoder) expect(lit string) {
 	}
 }
 
-// str reads a string token.
-func (d *decoder) str() string {
+// str reads a string token. A plain one is taken through shared, which
+// holds only escape-free strings, so a hit is the string a copy would be.
+func (d *decoder) str(shared strTable) string {
 	if d.err != nil {
 		return ""
 	}
@@ -152,7 +175,7 @@ func (d *decoder) str() string {
 	tok := b[:i+1]
 	d.buf = b[i+1:]
 	if plain {
-		return string(tok[1:i])
+		return shared.get(tok[1:i])
 	}
 	var s string
 	if err := json.Unmarshal(tok, &s); err != nil {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 
@@ -163,13 +164,16 @@ func asBits(r record) recordBits {
 // HTML-escapable, control, non-ASCII and invalid UTF-8 characters;
 // floats of both zero signs, exponent scales and subnormals; the int
 // extremes and seeds over the whole uint64 range — and requires exactly
-// what json.Unmarshal gives, floats compared by bits.
+// what json.Unmarshal gives, floats compared by bits. Each record is
+// decoded twice: alone, and through one string table shared by every
+// record, as a replay reads them.
 func TestRecordDecodeMatchesUnmarshal(t *testing.T) {
 	n := 50_000
 	if testing.Short() {
 		n = 5_000
 	}
 	r := rand.New(rand.NewSource(24))
+	shared := strTable{}
 	for i := 0; i < n; i++ {
 		payload, err := json.Marshal(randomRecord(r))
 		if err != nil {
@@ -179,13 +183,18 @@ func TestRecordDecodeMatchesUnmarshal(t *testing.T) {
 		if err := json.Unmarshal(payload, &want); err != nil {
 			t.Fatal(err)
 		}
-		got, err := decodeRecord(payload)
-		if err != nil {
-			t.Fatalf("record %d %s: %v", i, payload, err)
+		for _, table := range []strTable{nil, shared} {
+			got, err := decodeRecord(payload, table)
+			if err != nil {
+				t.Fatalf("record %d %s: %v", i, payload, err)
+			}
+			if asBits(got) != asBits(want) {
+				t.Fatalf("record %d %s:\n decoded   %+v %+v\n Unmarshal %+v %+v", i, payload, got, got.Job, want, want.Job)
+			}
 		}
-		if asBits(got) != asBits(want) {
-			t.Fatalf("record %d %s:\n decoded   %+v %+v\n Unmarshal %+v %+v", i, payload, got, got.Job, want, want.Job)
-		}
+	}
+	if len(shared) == 0 {
+		t.Fatal("the shared table holds no string")
 	}
 }
 
@@ -304,8 +313,8 @@ func TestRoundDigestMatchesMarshal(t *testing.T) {
 
 // nonCanonicalPayloads are payloads json.Marshal never writes for a
 // record and that a journal can still carry: each is valid, compact
-// JSON, so Append writes it as it is and the store's checksum and
-// json.Valid pass it. Most of them json.Unmarshal would accept.
+// JSON, so Append writes it as it is and the store's checksum passes it.
+// Most of them json.Unmarshal would accept.
 var nonCanonicalPayloads = map[string]string{
 	"reordered keys":          `{"id":"job-000000","kind":"cancel"}`,
 	"reordered job keys":      `{"kind":"submit","job":{"SubmitTime":0,"ID":"x","Workload":{"Model":"WRes-1B","GlobalBatch":256},"Iterations":1,"ReqGPUs":1,"ReqType":"","Priority":1,"Deadline":0}}`,
@@ -334,10 +343,11 @@ var nonCanonicalPayloads = map[string]string{
 	"workload fields swapped": `{"kind":"submit","job":{"ID":"x","SubmitTime":0,"Workload":{"GlobalBatch":256,"Model":"WRes-1B"},"Iterations":1,"ReqGPUs":1,"ReqType":"","Priority":1,"Deadline":0}}`,
 }
 
-// unjournalablePayloads are refused before a record reaches the server's
-// decode — Append compacts the white space away, and the store's
-// json.Valid refuses the rest — so decodeRecord is checked on them
-// directly.
+// unjournalablePayloads are payloads Append never writes: it writes only
+// compact json.Marshal output. A journal holds one only in a frame forged
+// together with its sha256, which the store passes, since it checks a
+// payload's bytes and not their grammar; decodeRecord is the check that
+// refuses them. None holds a line break, which would split its frame.
 var unjournalablePayloads = map[string]string{
 	"trailing data":              `{"kind":"cancel","id":"job-000000"}x`,
 	"a second record":            `{"kind":"cancel","id":"job-000000"}{"kind":"cancel"}`,
@@ -347,7 +357,7 @@ var unjournalablePayloads = map[string]string{
 	"truncated":                  `{"kind":"cancel","id":"job-00`,
 	"unterminated string":        `{"kind":"cancel","id":"job-000000`,
 	"dangling backslash":         `{"kind":"cancel","id":"job\`,
-	"control byte in a string":   "{\"kind\":\"cancel\",\"id\":\"job\n0\"}",
+	"control byte in a string":   "{\"kind\":\"cancel\",\"id\":\"job\t0\"}",
 	"unknown escape":             `{"kind":"cancel","id":"job\x00"}`,
 	"short unicode escape":       `{"kind":"cancel","id":"job\u00"}`,
 	"plus sign":                  `{"kind":"round","round":+5,"digest":"0000000000000000"}`,
@@ -368,14 +378,16 @@ var unjournalablePayloads = map[string]string{
 	"bare decimal point in seed": `{"kind":"cancel","seed":.1,"id":"job-000000"}`,
 	"empty payload":              ``,
 	"nothing but the kind":       `{"kind"}`,
+	"nothing after the kind key": `{"kind":`,
 }
 
-// TestReplayRefusesNonCanonicalRecords appends, after a valid config
-// stamp, one record json.Marshal never writes. The server must refuse
-// to start with store.ErrCorrupt from the replay of record 1, the same
-// error as any other unreadable record, where a canonical submit or
-// cancel starts. Payloads no journal can carry go to decodeRecord
-// directly.
+// TestReplayRefusesNonCanonicalRecords writes, after a valid config
+// stamp, one record json.Marshal never writes, as a hand-built frame
+// with a correct sha256. The server must refuse to start with
+// store.ErrCorrupt from the replay of record 1, the same error as any
+// other unreadable record, where a canonical submit or cancel starts.
+// The store checks a frame's sum and not its payload's grammar, so this
+// includes payloads that are not JSON at all.
 func TestReplayRefusesNonCanonicalRecords(t *testing.T) {
 	start := func(payload string) error {
 		dir := t.TempDir()
@@ -393,10 +405,19 @@ func TestReplayRefusesNonCanonicalRecords(t *testing.T) {
 		if err := j.Append(stamp); err != nil {
 			t.Fatal(err)
 		}
-		if err := j.Append(json.RawMessage(payload)); err != nil {
+		j.Close()
+		sum := sha256.Sum256([]byte(payload))
+		frame := fmt.Sprintf(`{"version":%d,"seq":1,"sum":"%x","payload":%s}`+"\n", store.Version, sum, payload)
+		f, err := os.OpenFile(journalFile(dir), os.O_APPEND|os.O_WRONLY, 0)
+		if err != nil {
 			t.Fatal(err)
 		}
-		j.Close()
+		if _, err := f.WriteString(frame); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
 		srv, err := New(Config{Spec: hw.ClusterA(), Policy: sched.NewArena(), DB: db(t),
 			RoundSeconds: 300, Seed: 1, Store: st, Clock: clock.NewVirtual()})
 		if err == nil {
@@ -410,15 +431,12 @@ func TestReplayRefusesNonCanonicalRecords(t *testing.T) {
 	if err := start(`{"kind":"cancel","id":"job-000000"}`); err != nil {
 		t.Fatalf("canonical cancel: %v", err)
 	}
-	for name, payload := range nonCanonicalPayloads {
-		err := start(payload)
-		if !errors.Is(err, store.ErrCorrupt) || !strings.Contains(err.Error(), "journal record 1:") {
-			t.Errorf("%s: %s started with %v, want record 1 refused as %v", name, payload, err, store.ErrCorrupt)
-		}
-	}
-	for name, payload := range unjournalablePayloads {
-		if _, err := decodeRecord([]byte(payload)); err == nil {
-			t.Errorf("%s: decodeRecord accepted %q", name, payload)
+	for _, m := range []map[string]string{nonCanonicalPayloads, unjournalablePayloads} {
+		for name, payload := range m {
+			err := start(payload)
+			if !errors.Is(err, store.ErrCorrupt) || !strings.Contains(err.Error(), "journal record 1:") {
+				t.Errorf("%s: %q started with %v, want record 1 refused as %v", name, payload, err, store.ErrCorrupt)
+			}
 		}
 	}
 }
@@ -447,7 +465,7 @@ func FuzzDecodeRecord(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		got, err := decodeRecord(payload)
+		got, err := decodeRecord(payload, strTable{})
 		if err != nil {
 			return
 		}

@@ -23,7 +23,13 @@
 // writes for a record and refuses anything else as corrupt, and
 // roundDigest appends the bytes json.Marshal would write for an
 // Assignment before hashing them. Appends still go through json.Marshal,
-// so the bytes on disk and every digest are what they always were.
+// so the bytes on disk and every digest are what they always were. The
+// store checks each frame's checksum but not its payload's grammar, so
+// decodeRecord is the one parse a payload gets.
+//
+// Clients poll the jobs they wait on, so every JobView body is appended
+// by hand (appendJobView), byte for byte what writeJSON's indenting
+// json.Encoder writes; the other replies still go through writeJSON.
 //
 // Time discipline: the server never reads the wall clock directly
 // (the clockdiscipline analyzer in internal/analysis, run by
@@ -217,11 +223,13 @@ func (s *Server) configRecord() record {
 	}
 }
 
-// replay re-executes the journal, reading each record with decodeRecord.
-// Called once, before the server is shared, so it runs unlocked.
+// replay re-executes the journal, reading each record with decodeRecord
+// through one string table. Called once, before the server is shared, so
+// it runs unlocked.
 func (s *Server) replay(entries []json.RawMessage) error {
+	shared := strTable{}
 	for i, raw := range entries {
-		rec, err := decodeRecord(raw)
+		rec, err := decodeRecord(raw, shared)
 		if err != nil {
 			return fmt.Errorf("server: journal record %d: %w: %v", i, store.ErrCorrupt, err)
 		}

@@ -472,6 +472,9 @@ func TestHTTPAPI(t *testing.T) {
 	if jv.State != string(sched.StateRunning) || jv.GPUs == 0 {
 		t.Fatalf("after one round, j1 = %+v", jv)
 	}
+	if want := respond(func(w http.ResponseWriter) { writeJSON(w, http.StatusOK, jv) }); string(body) != want.body {
+		t.Fatalf("get job body %q, json.Encoder writes %q", body, want.body)
+	}
 	if resp, _ = get("/v1/jobs/nope"); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("get unknown job: %d", resp.StatusCode)
 	}
@@ -484,6 +487,9 @@ func TestHTTPAPI(t *testing.T) {
 	}
 	if len(list) != 2 {
 		t.Fatalf("list returned %d jobs", len(list))
+	}
+	if want := respond(func(w http.ResponseWriter) { writeJSON(w, http.StatusOK, list) }); string(body) != want.body {
+		t.Fatalf("list body %q, json.Encoder writes %q", body, want.body)
 	}
 
 	// Cancel applies at the next round.

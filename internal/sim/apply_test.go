@@ -327,6 +327,7 @@ type ledgerRow struct {
 // testdata/work.json exactly. The counts are deterministic, so a change
 // that moves one, on any host, says so here; a change meant to move
 // them re-records the file with -update and lists the counts that moved.
+// Each run must finish a job, or its counts measure an empty schedule.
 func TestWorkLedger(t *testing.T) {
 	cfgs := exactGoldenConfigs(t)
 	got := map[string]ledgerRow{}
@@ -335,8 +336,12 @@ func TestWorkLedger(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.run(context.Background()); err != nil {
+		res, err := e.run(context.Background())
+		if err != nil {
 			t.Fatal(err)
+		}
+		if res.Summary.Finished == 0 {
+			t.Errorf("%s finished no job", name)
 		}
 		w := e.s.work
 		got[name] = ledgerRow{

@@ -14,7 +14,6 @@ import (
 	"github.com/sjtu-epcc/arena/internal/faults"
 	"github.com/sjtu-epcc/arena/internal/hw"
 	"github.com/sjtu-epcc/arena/internal/metrics"
-	"github.com/sjtu-epcc/arena/internal/model"
 	"github.com/sjtu-epcc/arena/internal/sched"
 	"github.com/sjtu-epcc/arena/internal/sched/policy"
 	"github.com/sjtu-epcc/arena/internal/trace"
@@ -124,7 +123,9 @@ func exactGoldenConfigs(t *testing.T) map[string]Config {
 	for _, name := range []string{"arena", "sia", "elasticflow"} {
 		cfgs["deep/"+name] = slice(parityPolicies()[name](), deep)
 	}
-	src, err := trace.Stream(trace.HeliosDay(11, []string{"A40", "A10"}, 10000))
+	helios := trace.HeliosDay(11, []string{"A40", "A10"}, 10000)
+	helios.Workloads = testWorkloads() // HeliosDay's own are not in the database
+	src, err := trace.Stream(helios)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,11 +187,7 @@ func parityPolicies() map[string]func() sched.Policy {
 func phillyStream(t *testing.T) *trace.Generator {
 	t.Helper()
 	cfg := trace.PhillySixHour(9, []string{"A40", "A10"})
-	cfg.Workloads = []model.Workload{
-		{Model: "WRes-1B", GlobalBatch: 256},
-		{Model: "GPT-1.3B", GlobalBatch: 128},
-		{Model: "GPT-2.6B", GlobalBatch: 128},
-	}
+	cfg.Workloads = testWorkloads()
 	src, err := trace.Stream(cfg)
 	if err != nil {
 		t.Fatal(err)

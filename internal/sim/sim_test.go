@@ -27,19 +27,25 @@ func db(t *testing.T) *perfdb.DB {
 	t.Helper()
 	once.Do(func() {
 		testDB, bErr = perfdb.BuildCtx(context.Background(), exec.NewEngine(42), perfdb.Options{
-			GPUTypes: []string{"A40", "A10"},
-			MaxN:     16,
-			Workloads: []model.Workload{
-				{Model: "WRes-1B", GlobalBatch: 256},
-				{Model: "GPT-1.3B", GlobalBatch: 128},
-				{Model: "GPT-2.6B", GlobalBatch: 128},
-			},
+			GPUTypes:  []string{"A40", "A10"},
+			MaxN:      16,
+			Workloads: testWorkloads(),
 		})
 	})
 	if bErr != nil {
 		t.Fatal(bErr)
 	}
 	return testDB
+}
+
+// testWorkloads are the test database's workloads: a generated trace
+// over others runs none of its jobs.
+func testWorkloads() []model.Workload {
+	return []model.Workload{
+		{Model: "WRes-1B", GlobalBatch: 256},
+		{Model: "GPT-1.3B", GlobalBatch: 128},
+		{Model: "GPT-2.6B", GlobalBatch: 128},
+	}
 }
 
 func testJobs(t *testing.T, n int) []trace.Job {

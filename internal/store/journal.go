@@ -3,6 +3,8 @@ package store
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -22,11 +24,15 @@ import (
 // sequence numbers are contiguous from 0. The frame is built and read by
 // hand, byte for byte what json.Marshal of a struct with those four
 // fields writes, so a payload is encoded once on append and read on open
-// only by its checksum and a json.Valid scan. OpenJournal validates
-// every frame before returning: any unparseable, version-skewed,
-// out-of-order or checksum-failing record — including a torn final line
-// — yields a *Error wrapping ErrCorrupt (or ErrSchema), and the caller
-// is expected to refuse to proceed rather than replay garbage. Append
+// only by its checksum. OpenJournal validates every frame before
+// returning: any unparseable, version-skewed, out-of-order or
+// checksum-failing record — including a torn final line — yields a
+// *Error wrapping ErrCorrupt (or ErrSchema), and the caller is expected
+// to refuse to proceed rather than replay garbage. The journal verifies
+// a payload's bytes, not its grammar: Append writes only json.Marshal
+// output, so a payload that passes its checksum and is not JSON was
+// forged together with its sha256, and the reader that decodes the
+// payload is the one that refuses it. Append
 // fsyncs each record before returning, so an acknowledged record
 // survives the process; the first failed write or fsync is sticky, so
 // nothing is ever appended after a torn tail.
@@ -65,10 +71,12 @@ func journalName(name string) bool {
 }
 
 // OpenJournal opens (creating if needed) the journal `name`, validates
-// every existing record, and returns the journal positioned to append
-// along with the validated payloads in order — the replay input. Any
-// invalid record fails the open; a store that has been tampered with or
-// torn is surfaced, never silently truncated.
+// every existing frame, and returns the journal positioned to append
+// along with the verified payloads in order — the replay input. Any
+// invalid frame fails the open; a store that has been tampered with or
+// torn is surfaced, never silently truncated. A payload is returned as
+// the bytes its checksum covers: checking their grammar is the caller's
+// job, done by whatever decodes them.
 func (s *Store) OpenJournal(name string) (*Journal, []json.RawMessage, error) {
 	if !journalName(name) {
 		return nil, nil, &Error{Op: "journal", Path: name, Err: fmt.Errorf("invalid journal name %q", name)}
@@ -119,7 +127,7 @@ func readJournal(path string, f *os.File) ([]json.RawMessage, int, error) {
 // returns its payload, a subslice of line. The version is read first,
 // so a frame from another schema is ErrSchema whatever follows it; any
 // other departure from the exact bytes appendFrame writes is
-// ErrCorrupt.
+// ErrCorrupt. The payload is checked against its sum only.
 func readFrame(line []byte, seq int) ([]byte, error) {
 	malformed := func(what string) error {
 		return fmt.Errorf("%w: record %d: malformed frame (%s)", ErrCorrupt, seq, what)
@@ -156,12 +164,13 @@ func readFrame(line []byte, seq int) ([]byte, error) {
 	if !ok {
 		return nil, malformed("end")
 	}
-	// payloadSum is lowercase hex, so an upper-case sum fails here too.
-	if payloadSum(payload) != string(sum) {
+	// The digest is encoded in lowercase hex, as payloadSum writes it, so
+	// an upper-case sum fails here too.
+	digest := sha256.Sum256(payload)
+	var want [sumLen]byte
+	hex.Encode(want[:], digest[:])
+	if !bytes.Equal(want[:], sum) {
 		return nil, fmt.Errorf("%w: record %d payload checksum mismatch", ErrCorrupt, seq)
-	}
-	if !json.Valid(payload) {
-		return nil, fmt.Errorf("%w: record %d payload is not valid JSON", ErrCorrupt, seq)
 	}
 	return payload, nil
 }

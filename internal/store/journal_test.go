@@ -351,6 +351,8 @@ func TestJournalFrameMatchesMarshal(t *testing.T) {
 // would parse but no writer produces, and frames from another schema.
 // The version is read first, so a skewed version is ErrSchema even when
 // the rest of its frame is garbage; every other departure is ErrCorrupt.
+// A payload is checked against its sum only: one that is summed and not
+// JSON is its reader's to refuse (the daemon's replay tests do that).
 func TestJournalRefusesNonCanonicalFrames(t *testing.T) {
 	sum := payloadSum([]byte(`{"kind":"round"}`))
 	frame := func(version, seq, sum, payload string) string {
@@ -370,8 +372,6 @@ func TestJournalRefusesNonCanonicalFrames(t *testing.T) {
 		{"upper-case hex", frame("1", "0", strings.ToUpper(sum), `{"kind":"round"}`), ErrCorrupt},
 		{"short sum", frame("1", "0", sum[:63], `{"kind":"round"}`), ErrCorrupt},
 		{"payload respaced after summing", frame("1", "0", sum, `{"kind": "round"}`), ErrCorrupt},
-		{"summed invalid payload", frame("1", "0", payloadSum([]byte(`{"kind":`)), `{"kind":`), ErrCorrupt},
-		{"empty payload", frame("1", "0", payloadSum(nil), ``), ErrCorrupt},
 		{"skewed version", frame("2", "0", sum, `{"kind":"round"}`), ErrSchema},
 		{"skewed version, garbage after", `{"version":-7 garbage`, ErrSchema},
 	} {

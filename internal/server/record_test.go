@@ -387,9 +387,10 @@ var unjournalablePayloads = map[string]string{
 // store.ErrCorrupt from the replay of record 1, the same error as any
 // other unreadable record, where a canonical submit or cancel starts.
 // The store checks a frame's sum and not its payload's grammar, so this
-// includes payloads that are not JSON at all.
+// includes payloads that are not JSON at all. Each refused payload is a
+// subtest named by its map key.
 func TestReplayRefusesNonCanonicalRecords(t *testing.T) {
-	start := func(payload string) error {
+	start := func(t *testing.T, payload string) error {
 		dir := t.TempDir()
 		st, err := store.Open(dir)
 		if err != nil {
@@ -425,18 +426,20 @@ func TestReplayRefusesNonCanonicalRecords(t *testing.T) {
 		}
 		return err
 	}
-	if err := start(`{"kind":"submit","job":{"ID":"x","SubmitTime":0,"Workload":{"Model":"WRes-1B","GlobalBatch":256},"Iterations":1,"ReqGPUs":1,"ReqType":"","Priority":1,"Deadline":0}}`); err != nil {
+	if err := start(t, `{"kind":"submit","job":{"ID":"x","SubmitTime":0,"Workload":{"Model":"WRes-1B","GlobalBatch":256},"Iterations":1,"ReqGPUs":1,"ReqType":"","Priority":1,"Deadline":0}}`); err != nil {
 		t.Fatalf("canonical submit: %v", err)
 	}
-	if err := start(`{"kind":"cancel","id":"job-000000"}`); err != nil {
+	if err := start(t, `{"kind":"cancel","id":"job-000000"}`); err != nil {
 		t.Fatalf("canonical cancel: %v", err)
 	}
 	for _, m := range []map[string]string{nonCanonicalPayloads, unjournalablePayloads} {
 		for name, payload := range m {
-			err := start(payload)
-			if !errors.Is(err, store.ErrCorrupt) || !strings.Contains(err.Error(), "journal record 1:") {
-				t.Errorf("%s: %q started with %v, want record 1 refused as %v", name, payload, err, store.ErrCorrupt)
-			}
+			t.Run(name, func(t *testing.T) {
+				err := start(t, payload)
+				if !errors.Is(err, store.ErrCorrupt) || !strings.Contains(err.Error(), "journal record 1:") {
+					t.Errorf("%q started with %v, want record 1 refused as %v", payload, err, store.ErrCorrupt)
+				}
+			})
 		}
 	}
 }

@@ -23,16 +23,21 @@ import (
 // Cluster is the mutable allocation state over a static ClusterSpec.
 type Cluster struct {
 	spec    hw.ClusterSpec
-	types   []string // spec.GPUTypes(), computed once
-	regions map[string]*regionState
+	types   []string                // spec.GPUTypes(), computed once
+	regions map[string]*regionState // by GPU type, for the by-type entry points
+	list    []*regionState          // in spec order: a Block's region indexes it
 }
 
 // Block is one node's share of a grant: GPUs GPUs of node Node in the
-// GPUType region.
+// GPUType region. Alloc also records the region's index in the block,
+// so Free and SlowFactor, which take blocks as Alloc made them, find
+// the region without hashing its GPU type.
 type Block struct {
 	GPUType string
 	Node    int
 	GPUs    int
+
+	region int // the region's index in Cluster.list
 }
 
 // ErrNoFit is Alloc's answer when the locality rule finds no placement
@@ -45,6 +50,7 @@ var ErrNoFit = errors.New("cluster: no placement fits")
 // index instead of scanning nodes.
 type regionState struct {
 	gpuType     string
+	index       int // in Cluster.list
 	gpusPerNode int
 	freePerNode []int // free GPUs per node
 	totalFree   int   // free GPUs on *up* nodes (down capacity is not free)
@@ -131,10 +137,11 @@ func New(spec hw.ClusterSpec) (*Cluster, error) {
 		types:   spec.GPUTypes(),
 		regions: map[string]*regionState{},
 	}
-	for _, r := range spec.Regions {
+	for i, r := range spec.Regions {
 		g := hw.MustLookup(r.GPUType)
 		rs := &regionState{
 			gpuType:     r.GPUType,
+			index:       i,
 			gpusPerNode: g.GPUsPerNode,
 			freePerNode: make([]int, r.Nodes),
 			down:        make([]bool, r.Nodes),
@@ -155,6 +162,7 @@ func New(spec hw.ClusterSpec) (*Cluster, error) {
 		}
 		rs.totalFree = r.Nodes * g.GPUsPerNode
 		c.regions[r.GPUType] = rs
+		c.list = append(c.list, rs)
 	}
 	return c, nil
 }
@@ -254,7 +262,7 @@ func (c *Cluster) Alloc(buf []Block, gpuType string, n int) ([]Block, error) {
 		}
 		i := s.first()
 		rs.setNode(i, rs.freePerNode[i]-n, false, rs.slow[i])
-		return append(buf, Block{GPUType: gpuType, Node: i, GPUs: n}), nil
+		return append(buf, Block{GPUType: gpuType, Node: i, GPUs: n, region: rs.index}), nil
 	}
 	buf = slices.Grow(buf, (n+rs.gpusPerNode-1)/rs.gpusPerNode)
 	remaining := n
@@ -267,7 +275,7 @@ func (c *Cluster) Alloc(buf []Block, gpuType string, n int) ([]Block, error) {
 				i := w<<6 + bits.TrailingZeros64(b)
 				take := min(rs.gpusPerNode, remaining)
 				rs.setNode(i, rs.gpusPerNode-take, false, rs.slow[i])
-				buf = append(buf, Block{GPUType: gpuType, Node: i, GPUs: take})
+				buf = append(buf, Block{GPUType: gpuType, Node: i, GPUs: take, region: rs.index})
 				remaining -= take
 			}
 		}
@@ -284,7 +292,7 @@ func (c *Cluster) Alloc(buf []Block, gpuType string, n int) ([]Block, error) {
 // when the node recovers.
 func (c *Cluster) Free(blocks []Block) {
 	for _, b := range blocks {
-		rs := c.regions[b.GPUType]
+		rs := c.list[b.region]
 		rs.setNode(b.Node, rs.freePerNode[b.Node]+b.GPUs, rs.down[b.Node], rs.slow[b.Node])
 	}
 }
@@ -340,7 +348,7 @@ func (c *Cluster) ClearSlow(gpuType string, node int) {
 func (c *Cluster) SlowFactor(blocks []Block) float64 {
 	factor := 1.0
 	for _, b := range blocks {
-		rs := c.regions[b.GPUType]
+		rs := c.list[b.region]
 		if s := rs.slow[b.Node]; s > 0 && s < factor {
 			factor = s
 		}

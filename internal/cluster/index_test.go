@@ -27,6 +27,7 @@ type retiredCluster struct {
 }
 
 type retiredRegion struct {
+	index       int // the region's place in the spec, which Alloc records in each Block
 	gpusPerNode int
 	freePerNode []int
 	totalFree   int
@@ -36,9 +37,10 @@ type retiredRegion struct {
 
 func newRetired(spec hw.ClusterSpec) *retiredCluster {
 	c := &retiredCluster{regions: map[string]*retiredRegion{}, allocs: map[string][]Block{}}
-	for _, r := range spec.Regions {
+	for i, r := range spec.Regions {
 		g := hw.MustLookup(r.GPUType)
 		rs := &retiredRegion{
+			index:       i,
 			gpusPerNode: g.GPUsPerNode,
 			freePerNode: make([]int, r.Nodes),
 			down:        make([]bool, r.Nodes),
@@ -130,7 +132,7 @@ func (c *retiredCluster) Alloc(jobID, gpuType string, n int) error {
 		}
 		rs.freePerNode[best] -= n
 		rs.totalFree -= n
-		blocks = append(blocks, Block{GPUType: gpuType, Node: best, GPUs: n})
+		blocks = append(blocks, Block{GPUType: gpuType, Node: best, GPUs: n, region: rs.index})
 	} else {
 		needed := (n + rs.gpusPerNode - 1) / rs.gpusPerNode
 		remaining := n
@@ -148,7 +150,7 @@ func (c *retiredCluster) Alloc(jobID, gpuType string, n int) error {
 				}
 				rs.freePerNode[i] -= take
 				rs.totalFree -= take
-				blocks = append(blocks, Block{GPUType: gpuType, Node: i, GPUs: take})
+				blocks = append(blocks, Block{GPUType: gpuType, Node: i, GPUs: take, region: rs.index})
 				remaining -= take
 				needed--
 			}

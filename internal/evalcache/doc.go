@@ -28,6 +28,25 @@
 // range-length) kernel measurements collapse to one per distinct
 // operator configuration.
 //
+// A search measures a pipeline degree's candidates a start row at a time
+// (StageShard.MeasureRows): the enumeration is start-major, so the
+// candidates sharing a start op are contiguous. One read lock per row
+// resolves each shape's memo row once and reads the hits in place. The
+// misses of a shape are computed by one left fold over their ascending
+// ends (exec.Engine.MeasureStageRow): the running sums after op e−1 are
+// the same additions from zero that a stage [start, e) makes on its own,
+// so every value is bit-identical to a stage measured alone. One write
+// lock per row stores the misses. Measure, plan evaluation's path, is a
+// row of one candidate, so there is one miss path.
+//
+// Stats counts a stage read as a miss exactly when the call filled the
+// memo slot, and as a hit otherwise: hits plus misses are the reads, and
+// misses are the slots filled by measuring. Serially that is every read
+// that found its slot empty; under concurrency a reader that computed a
+// slot another reader filled first counts a hit, so the counts do not
+// depend on how races fall. StageOpSteps counts the op measurements the
+// row folds summed. The counters are write-only.
+//
 // A shard's stage memo is dense: a small map keyed by shape (DP, TP,
 // micro-batch samples) whose value holds one row per start op, allocated
 // on first use and indexed by end−start−1. A perfdb shard holds about 120
@@ -40,8 +59,8 @@
 // proportional to the starts a session touches.
 //
 // Because the underlying computation is pure, concurrent misses on the
-// same key are benign: both goroutines compute the identical value and
-// the first write is kept. Graphs are identified by their Name, which the
+// same key are benign: both goroutines compute the identical value, the
+// first write is kept and only that one counts as a miss. Graphs are identified by their Name, which the
 // model registry guarantees to determine the operator list; callers
 // constructing ad-hoc graphs must give distinct names. Mutating the
 // engine's tunables after populating a cache invalidates it: build a new

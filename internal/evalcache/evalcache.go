@@ -1,7 +1,9 @@
 package evalcache
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -64,9 +66,16 @@ type planKey struct {
 	gpusPerNode int
 }
 
-// Stats reports cache effectiveness counters.
+// Stats reports cache effectiveness counters. A stage read is a miss
+// exactly when it filled its memo slot, and a hit otherwise, so
+// StageHits+StageMisses counts the reads and StageMisses the slots
+// filled by measuring, also when concurrent readers race for one slot.
+// StageOpSteps counts the op measurements summed into stage misses: one
+// per op of each row fold. The counters are write-only: they enter no
+// digest and no persisted object.
 type Stats struct {
 	StageHits, StageMisses int
+	StageOpSteps           int
 	PlanHits, PlanMisses   int
 }
 
@@ -88,6 +97,7 @@ type Cache struct {
 	loadStats LoadStats
 
 	stageHits, stageMisses atomic.Int64
+	stageOpSteps           atomic.Int64
 	planHits, planMisses   atomic.Int64
 }
 
@@ -131,7 +141,9 @@ func (c *Cache) sortedShardsLocked() []*StageShard {
 
 // StageShard is the cache's view of one measurement context: a (graph,
 // device, node-packing) triple. A search session resolves its shard once
-// and then pays one small map lookup and two slice indexes per candidate.
+// and hands it a degree's candidates row by row (MeasureRows): one read
+// lock and one small map lookup per shape and start op, two slice
+// indexes per candidate.
 // Shards share the parent cache's counters, so reuse still spans searches
 // (full ↔ pruned, every GPU count of a column).
 type StageShard struct {
@@ -191,53 +203,209 @@ func (c *Cache) StageShard(g *model.Graph, spec hw.GPU, gpusPerNode int) *StageS
 // loop is pure summation in the engine's own order, so the result is bit
 // identical to a direct MeasureStage), which collapses the search's
 // O(ranges × range-length) kernel measurements to one per distinct
-// operator configuration.
+// operator configuration. It is a row of one candidate: MeasureRows'
+// path, with its counting.
 func (sh *StageShard) Measure(st parallel.StagePlan, microSamples float64) exec.StageMeasure {
-	key := shapeKey{dp: int32(st.DP), tp: int32(st.TP), microBits: math.Float64bits(microSamples)}
-	sh.mu.RLock()
-	slot := sh.slotLocked(key, st.OpStart, st.OpEnd)
-	sh.mu.RUnlock()
-	if slot.ok {
-		sh.cache.stageHits.Add(1)
-		return slot.m
+	scr := rowPool.Get().(*rowScratch)
+	row := [1]parallel.StagePlan{st}
+	var m exec.StageMeasure
+	sh.measureRow(scr, row[:], microSamples, func(_ int, sm exec.StageMeasure) { m = sm })
+	rowPool.Put(scr)
+	return m
+}
+
+// MeasureRows writes the per-microbatch latency (StageMeasure.Time) of
+// each stage candidate sts[i] into times[i], measuring every distinct key
+// at most once, as Measure does. It reads and fills the memo one start
+// row at a time: sts splits into maximal runs that share an OpStart (a
+// start-major enumeration such as the search's gives one run per start
+// op), and each run takes one read lock for its hits, one fold per shape
+// over the ascending ends it missed, and one write lock to store them.
+// Every stage must lie in the graph, as for Measure.
+func (sh *StageShard) MeasureRows(sts []parallel.StagePlan, microSamples float64, times []float64) {
+	scr := rowPool.Get().(*rowScratch)
+	for lo := 0; lo < len(sts); {
+		hi := lo + 1
+		for hi < len(sts) && sts[hi].OpStart == sts[lo].OpStart {
+			hi++
+		}
+		out := times[lo:hi]
+		sh.measureRow(scr, sts[lo:hi], microSamples, func(i int, m exec.StageMeasure) { out[i] = m.Time() })
+		lo = hi
 	}
-	spr := microSamples / float64(st.DP)
+	rowPool.Put(scr)
+}
+
+// rowScratch holds measureRow's buffers. rowPool lends them out, so a
+// row allocates nothing beyond the memo rows it fills.
+type rowScratch struct {
+	shapes  []rowShape
+	shapeOf []int32 // per candidate: its shape's index, or -1 for a hit
+	order   []int32 // the misses' candidate indexes, grouped by shape
+	ends    []int
+	ms      []exec.StageMeasure // the misses' measurements, aligned with order
+}
+
+// rowShape is one (DP, TP) shape of a row.
+type rowShape struct {
+	key    shapeKey
+	slots  []stageSlot // the shape's memo row for the start op; nil until first filled
+	n, off int         // the shape's misses and their offset into order
+}
+
+var rowPool = sync.Pool{New: func() any { return new(rowScratch) }}
+
+// find returns the index of key among the row's shapes, or -1. A
+// start-major enumeration lists a row's shapes in the same order at every
+// end, so the shape after the last one found is tried first.
+func (scr *rowScratch) find(key shapeKey, last int) int {
+	if next := last + 1; next < len(scr.shapes) && scr.shapes[next].key == key {
+		return next
+	}
+	for j := range scr.shapes {
+		if scr.shapes[j].key == key {
+			return j
+		}
+	}
+	return -1
+}
+
+// measureRow measures row, whose candidates share one start op, and hands
+// each candidate's measurement to emit. One read lock resolves each
+// shape's memo row once and reads the hits in place; the misses go to
+// fill. A read counts as a miss only when fill filled its slot.
+func (sh *StageShard) measureRow(scr *rowScratch, row []parallel.StagePlan, microSamples float64, emit func(i int, m exec.StageMeasure)) {
+	start := row[0].OpStart
+	microBits := math.Float64bits(microSamples)
+	scr.shapeOf = slices.Grow(scr.shapeOf[:0], len(row))[:len(row)]
+	missed, last := 0, -1
+	sh.mu.RLock()
+	for i, st := range row {
+		key := shapeKey{dp: int32(st.DP), tp: int32(st.TP), microBits: microBits}
+		j := scr.find(key, last)
+		if j < 0 {
+			j = len(scr.shapes)
+			var slots []stageSlot
+			if rows := sh.stages[key]; rows != nil {
+				slots = rows[start]
+			}
+			scr.shapes = append(scr.shapes, rowShape{key: key, slots: slots})
+		}
+		last = j
+		if slots := scr.shapes[j].slots; slots != nil && slots[st.OpEnd-start-1].ok {
+			emit(i, slots[st.OpEnd-start-1].m)
+			scr.shapeOf[i] = -1
+			continue
+		}
+		scr.shapeOf[i] = int32(j)
+		scr.shapes[j].n++
+		missed++
+	}
+	sh.mu.RUnlock()
+	hits := len(row) - missed
+	if missed > 0 {
+		filled := sh.fill(scr, row, microSamples, missed, emit)
+		hits += missed - filled
+		sh.cache.stageMisses.Add(int64(filled))
+	}
+	sh.cache.stageHits.Add(int64(hits))
+	// The pooled scratch must not keep the shard's memo rows alive.
+	clear(scr.shapes)
+	scr.shapes = scr.shapes[:0]
+}
+
+// fill measures a row's misses, stores them and emits them, and reports
+// how many memo slots it filled. Each shape's misses are computed by one
+// fold over their ascending ends; one write lock stores them all. A slot
+// a concurrent reader filled meanwhile keeps its first value (an equal
+// one: the engine is pure), and that read counts as a hit.
+func (sh *StageShard) fill(scr *rowScratch, row []parallel.StagePlan, microSamples float64, missed int, emit func(i int, m exec.StageMeasure)) (filled int) {
+	start := row[0].OpStart
+	// Group the misses by shape, in row order within a shape.
+	off := 0
+	for j := range scr.shapes {
+		s := &scr.shapes[j]
+		s.off, off, s.n = off, off+s.n, 0
+	}
+	scr.order = slices.Grow(scr.order[:0], missed)[:missed]
+	for i, j := range scr.shapeOf {
+		if j >= 0 {
+			s := &scr.shapes[j]
+			scr.order[s.off+s.n] = int32(i)
+			s.n++
+		}
+	}
+	byEnd := func(a, b int32) int { return cmp.Compare(row[a].OpEnd, row[b].OpEnd) }
+	scr.ms = slices.Grow(scr.ms[:0], missed)[:missed]
+	steps := 0
+	for j := range scr.shapes {
+		s := &scr.shapes[j]
+		if s.n == 0 {
+			continue
+		}
+		group := scr.order[s.off : s.off+s.n]
+		if !slices.IsSortedFunc(group, byEnd) {
+			slices.SortStableFunc(group, byEnd)
+		}
+		ends := scr.ends[:0]
+		for _, i := range group {
+			ends = append(ends, row[i].OpEnd)
+		}
+		scr.ends = ends
+		steps += sh.fold(row[group[0]], microSamples, ends, scr.ms[s.off:s.off+s.n])
+	}
+	sh.cache.stageOpSteps.Add(int64(steps))
+
+	sh.mu.Lock()
+	for j := range scr.shapes {
+		s := &scr.shapes[j]
+		if s.n == 0 {
+			continue
+		}
+		slots := sh.rowLocked(s.key, start)
+		for k, i := range scr.order[s.off : s.off+s.n] {
+			if slot := &slots[row[i].OpEnd-start-1]; !slot.ok {
+				*slot = stageSlot{m: scr.ms[s.off+k], ok: true}
+				filled++
+			}
+		}
+	}
+	if filled > 0 {
+		sh.dirty = true
+	}
+	sh.mu.Unlock()
+	for k, i := range scr.order {
+		emit(int(i), scr.ms[k])
+	}
+	return filled
+}
+
+// fold measures the stages [st.OpStart, ends[k]) of st's shape into
+// out[k] with one engine row fold over the shape's op context, and
+// returns the op measurements it summed. It is the cache's one copy of
+// the miss arithmetic.
+func (sh *StageShard) fold(st parallel.StagePlan, microSamples float64, ends []int, out []exec.StageMeasure) int {
+	spr := microSamples / float64(st.DP) // samples per replica per microbatch
 	ctx := sh.opContext(opCtxKey{tp: int32(st.TP), sprBits: math.Float64bits(spr)})
 	eng := sh.cache.eng
-	// One lock spans the whole assembly: per-op work inside is either a
-	// slice read or a rare pure computation filling the context in.
+	// One lock spans the fold: per-op work inside is either a slice read
+	// or a rare pure computation filling the context in.
 	ctx.mu.Lock()
-	m := eng.MeasureStageFromOps(sh.graph, st, sh.spec, microSamples, sh.gpn, func(i int) exec.OpMeasure {
+	eng.MeasureStageRow(sh.graph, st, ends, sh.spec, sh.gpn, func(i int) exec.OpMeasure {
 		if !ctx.have[i] {
 			ctx.vals[i] = eng.MeasureOp(sh.graph.Ops[i], sh.spec, spr, st.TP, sh.gpn)
 			ctx.have[i] = true
 		}
 		return ctx.vals[i]
-	})
+	}, out)
 	ctx.mu.Unlock()
-	sh.mu.Lock()
-	sh.storeLocked(key, st.OpStart, st.OpEnd, m)
-	sh.dirty = true
-	sh.mu.Unlock()
-	sh.cache.stageMisses.Add(1)
-	return m
+	return ends[len(ends)-1] - st.OpStart
 }
 
-// slotLocked returns the memo slot of ops[start:end) under key, empty
-// when its row was never allocated. The caller holds sh.mu.
-func (sh *StageShard) slotLocked(key shapeKey, start, end int) stageSlot {
-	if rows := sh.stages[key]; rows != nil {
-		if row := rows[start]; row != nil {
-			return row[end-start-1]
-		}
-	}
-	return stageSlot{}
-}
-
-// storeLocked fills the memo slot of ops[start:end) under key unless it
-// is filled already (a concurrent miss computed the same pure value), and
-// reports whether it filled it. The caller holds sh.mu for writing.
-func (sh *StageShard) storeLocked(key shapeKey, start, end int, m exec.StageMeasure) bool {
+// rowLocked returns the memo row of start op `start` under key,
+// allocating it, and the shape's row table, on first use. The caller
+// holds sh.mu for writing.
+func (sh *StageShard) rowLocked(key shapeKey, start int) []stageSlot {
 	rows := sh.stages[key]
 	if rows == nil {
 		rows = make([][]stageSlot, len(sh.graph.Ops))
@@ -246,7 +414,14 @@ func (sh *StageShard) storeLocked(key shapeKey, start, end int, m exec.StageMeas
 	if rows[start] == nil {
 		rows[start] = make([]stageSlot, len(sh.graph.Ops)-start)
 	}
-	slot := &rows[start][end-start-1]
+	return rows[start]
+}
+
+// storeLocked fills the memo slot of ops[start:end) under key unless it
+// is filled already, and reports whether it filled it. The caller holds
+// sh.mu for writing.
+func (sh *StageShard) storeLocked(key shapeKey, start, end int, m exec.StageMeasure) bool {
+	slot := &sh.rowLocked(key, start)[end-start-1]
 	if slot.ok {
 		return false
 	}
@@ -335,9 +510,10 @@ func copyResult(res exec.Result) exec.Result {
 // Stats returns a snapshot of the hit/miss counters.
 func (c *Cache) Stats() Stats {
 	return Stats{
-		StageHits:   int(c.stageHits.Load()),
-		StageMisses: int(c.stageMisses.Load()),
-		PlanHits:    int(c.planHits.Load()),
-		PlanMisses:  int(c.planMisses.Load()),
+		StageHits:    int(c.stageHits.Load()),
+		StageMisses:  int(c.stageMisses.Load()),
+		StageOpSteps: int(c.stageOpSteps.Load()),
+		PlanHits:     int(c.planHits.Load()),
+		PlanMisses:   int(c.planMisses.Load()),
 	}
 }

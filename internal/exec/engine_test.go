@@ -306,3 +306,83 @@ func TestStageFitsMemoryConsistentWithPlanMemory(t *testing.T) {
 		t.Error("half-model TP2 stage should fit V100")
 	}
 }
+
+// stageLoop is MeasureStageFromOps as it was before the row form: one
+// left fold over the stage's own ops, then the finishing terms.
+func stageLoop(e *Engine, g *model.Graph, st parallel.StagePlan, spec hw.GPU, gpusPerNode int, opAt func(i int) OpMeasure) StageMeasure {
+	var m StageMeasure
+	for i := st.OpStart; i < st.OpEnd; i++ {
+		om := opAt(i)
+		m.FwdCompute += om.Fwd
+		m.ParamBytes += g.Ops[i].ParamBytes
+		if om.TPComm != 0 {
+			m.TPComm += om.TPComm
+		}
+	}
+	m.BwdCompute = m.FwdCompute * e.BwdFactor
+	m.Straggler = 1.0
+	if group := st.GPUs(); group > 1 {
+		m.Straggler = 1 + e.StragglerCoef*math.Log2(float64(group))
+	}
+	if st.DP > 1 {
+		share := gpusPerNode / st.TP
+		if share < 1 {
+			share = 1
+		}
+		topo := hw.Topology{
+			GPUType: spec.Name, Workers: st.DP,
+			CrossNode: st.GPUs() > gpusPerNode, NICShare: share,
+		}
+		m.GradSync = e.CollectiveTime(&spec, hw.AllReduce, topo, m.ParamBytes/float64(st.TP))
+	}
+	return m
+}
+
+// bitsOf returns the bit patterns of m's fields, so that measurements
+// compare bit for bit.
+func bitsOf(m StageMeasure) [6]uint64 {
+	return [6]uint64{
+		math.Float64bits(m.FwdCompute), math.Float64bits(m.BwdCompute), math.Float64bits(m.TPComm),
+		math.Float64bits(m.Straggler), math.Float64bits(m.GradSync), math.Float64bits(m.ParamBytes),
+	}
+}
+
+// TestMeasureStageRowMatchesStageLoop holds the row fold to stageLoop,
+// bit for bit: every start op of two models, every shape up to 16 GPUs,
+// every end at once (with one end repeated), on two node packings.
+func TestMeasureStageRowMatchesStageLoop(t *testing.T) {
+	e := NewEngine(42)
+	for _, name := range []string{"GPT-1.3B", "MoE-2.4B"} {
+		g := testGraph(t, name)
+		for _, typ := range []string{"A40", "V100"} {
+			spec := hw.MustLookup(typ)
+			for _, gpn := range []int{spec.GPUsPerNode, 1} {
+				for gpus := 1; gpus <= 16; gpus *= 2 {
+					for tp := 1; tp <= gpus; tp *= 2 {
+						spr := 16 / float64(gpus/tp)
+						opAt := func(i int) OpMeasure { return e.MeasureOp(g.Ops[i], spec, spr, tp, gpn) }
+						for start := range len(g.Ops) {
+							st := parallel.StagePlan{OpStart: start, DP: gpus / tp, TP: tp}
+							ends := []int{start + 1}
+							for end := start + 1; end <= len(g.Ops); end++ {
+								ends = append(ends, end)
+							}
+							out := make([]StageMeasure, len(ends))
+							e.MeasureStageRow(g, st, ends, spec, gpn, opAt, out)
+							for k, end := range ends {
+								st.OpEnd = end
+								want := stageLoop(e, g, st, spec, gpn, opAt)
+								if bitsOf(out[k]) != bitsOf(want) {
+									t.Fatalf("%s %s gpn=%d %+v: row fold %+v, stage loop %+v", name, typ, gpn, st, out[k], want)
+								}
+								if one := e.MeasureStageFromOps(g, st, spec, 16, gpn, opAt); bitsOf(one) != bitsOf(want) {
+									t.Fatalf("%s %s gpn=%d %+v: MeasureStageFromOps %+v, stage loop %+v", name, typ, gpn, st, one, want)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}

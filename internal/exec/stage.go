@@ -73,42 +73,63 @@ func (e *Engine) MeasureStage(g *model.Graph, st parallel.StagePlan, spec hw.GPU
 // MeasureStageFromOps assembles a stage measurement from per-operator
 // measurements supplied by opAt (indexed into g.Ops), exactly as
 // MeasureStage does — same accumulation order, so an opAt serving
-// memoized MeasureOp values reproduces MeasureStage bit for bit.
+// memoized MeasureOp values reproduces MeasureStage bit for bit. It is
+// MeasureStageRow with the one end st.OpEnd.
 func (e *Engine) MeasureStageFromOps(g *model.Graph, st parallel.StagePlan, spec hw.GPU, microSamples float64, gpusPerNode int, opAt func(i int) OpMeasure) StageMeasure {
+	ends := [1]int{st.OpEnd}
+	var out [1]StageMeasure
+	e.MeasureStageRow(g, st, ends[:], spec, gpusPerNode, opAt, out[:])
+	return out[0]
+}
+
+// MeasureStageRow measures a row of stages that share st's start op and
+// (DP, TP) shape: out[k] receives the measurement of ops
+// [st.OpStart, ends[k]), st.OpEnd being ignored. ends must not descend;
+// an end may repeat. It is one left fold over [st.OpStart, the last end)
+// that finishes a measurement at each requested end: the running sums
+// after op e−1 are the same additions from zero, in the same order, that
+// a stage [st.OpStart, e) makes on its own, so each out[k] is bit for
+// bit MeasureStageFromOps' value while the row costs one op measurement
+// per op instead of one per op and stage.
+func (e *Engine) MeasureStageRow(g *model.Graph, st parallel.StagePlan, ends []int, spec hw.GPU, gpusPerNode int, opAt func(i int) OpMeasure, out []StageMeasure) {
 	if gpusPerNode < 1 {
 		gpusPerNode = spec.GPUsPerNode
 	}
-	var m StageMeasure
-	for i := st.OpStart; i < st.OpEnd; i++ {
-		om := opAt(i)
-		m.FwdCompute += om.Fwd
-		m.ParamBytes += g.Ops[i].ParamBytes
-		if om.TPComm != 0 {
-			m.TPComm += om.TPComm
-		}
-	}
-	m.BwdCompute = m.FwdCompute * e.BwdFactor
-
 	// Replica-synchronization straggler: the slowest of dp×tp workers
 	// gates every microbatch boundary.
-	m.Straggler = 1.0
+	straggler := 1.0
 	if group := st.GPUs(); group > 1 {
-		m.Straggler = 1 + e.StragglerCoef*math.Log2(float64(group))
+		straggler = 1 + e.StragglerCoef*math.Log2(float64(group))
+	}
+	// Data-parallel gradient all-reduce (once per iteration).
+	share := max(1, gpusPerNode/st.TP)
+	topo := hw.Topology{
+		GPUType: spec.Name, Workers: st.DP,
+		CrossNode: st.GPUs() > gpusPerNode, NICShare: share,
 	}
 
-	// Data-parallel gradient all-reduce (once per iteration).
-	if st.DP > 1 {
-		share := gpusPerNode / st.TP
-		if share < 1 {
-			share = 1
+	var m StageMeasure
+	i := st.OpStart
+	for k, end := range ends {
+		if end < i {
+			panic("exec: MeasureStageRow: ends must ascend from the start op")
 		}
-		topo := hw.Topology{
-			GPUType: spec.Name, Workers: st.DP,
-			CrossNode: st.GPUs() > gpusPerNode, NICShare: share,
+		for ; i < end; i++ {
+			om := opAt(i)
+			m.FwdCompute += om.Fwd
+			m.ParamBytes += g.Ops[i].ParamBytes
+			if om.TPComm != 0 {
+				m.TPComm += om.TPComm
+			}
 		}
-		m.GradSync = e.CollectiveTime(&spec, hw.AllReduce, topo, m.ParamBytes/float64(st.TP))
+		fin := m
+		fin.BwdCompute = fin.FwdCompute * e.BwdFactor
+		fin.Straggler = straggler
+		if st.DP > 1 {
+			fin.GradSync = e.CollectiveTime(&spec, hw.AllReduce, topo, fin.ParamBytes/float64(st.TP))
+		}
+		out[k] = fin
 	}
-	return m
 }
 
 // StageFitsMemory reports whether the stage candidate fits device memory

@@ -630,7 +630,7 @@ func TestComposeBoundsMatchesPerBound(t *testing.T) {
 	// plans they produced.
 	check := func(name string, numOps, deg, n int, cands []stageCand) (feasible, plans int) {
 		t.Helper()
-		s := &searcher{graph: &model.Graph{Ops: make([]model.Op, numOps)}}
+		s := &searcher{graph: &model.Graph{Ops: make([]model.Op, numOps)}, buffers: new(buffers)}
 		distinct := map[string]bool{}
 		for _, bounds := range boundLists(r, cands) {
 			got := s.composeBounds(cands, deg, n, bounds)

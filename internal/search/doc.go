@@ -21,9 +21,13 @@
 // candidates are measured once: the caller's Options.Cache, shared across
 // degrees, across the full and pruned searches of one point and across
 // GPU counts of one perfdb column, or a private cache when it is nil.
-// There is one measurement path and one compose DP. The other execution
-// options change wall-clock only, never results: Workers fans candidate
-// profiling out over a pool, and Progress streams one event per pipeline
+// There is one measurement path and one compose DP. A degree's
+// candidates are enumerated start-major and handed to the cache's shard
+// a start row at a time (evalcache.StageShard.MeasureRows), one lock
+// window and one fold per shape per row instead of one per candidate.
+// The other execution options change wall-clock only, never results:
+// Workers fans candidate profiling out over a pool in chunks, which the
+// shard splits into rows, and Progress streams one event per pipeline
 // degree searched. TestSearchMatrixDigest pins the outcomes across the
 // default workload mix to a digest recorded from the retired serial
 // uncached search while both paths ran and agreed.
@@ -40,8 +44,13 @@
 // only the cells that can reach its answer and can be finite: a stage
 // covers at least one op and one GPU, which confines level k of a
 // deg-stage DP to starts in [deg−k, numOps−k] and GPU counts in
-// [k, n−(deg−k)]. Its buffers live on the search session and every
-// degree reuses them. TestComposeMatchesRetired holds the DP to a copy
-// of the full-table DP it replaced, bound for bound, on random tables
-// and on exact and rounding ties.
+// [k, n−(deg−k)]. Its buffers, with the candidate and latency slices,
+// come from a pool: every degree of a search reuses them, and a search
+// returns them when it ends (clearing the compose cells' candidate
+// pointers first), so the next search of a build starts with them grown.
+// Nothing escapes them: the plans a search returns are fresh
+// allocations. The 24 bounds are selected at their ranks
+// (latencyQuantiles), not read off a full sort. TestComposeMatchesRetired
+// holds the DP to a copy of the full-table DP it replaced, bound for
+// bound, on random tables and on exact and rounding ties.
 package search

@@ -119,6 +119,7 @@ func PrunedSearchCtx(ctx context.Context, eng *exec.Engine, g *model.Graph, spec
 	if err != nil {
 		return Outcome{}, err
 	}
+	defer s.release()
 	restrict := BuildRestriction(g, spec, gp.Frontier)
 
 	out := s.searchDegree(gp.Grid.S, n, restrict)

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"sync"
 
 	"github.com/sjtu-epcc/arena/internal/core"
 	"github.com/sjtu-epcc/arena/internal/evalcache"
@@ -96,11 +97,36 @@ type searcher struct {
 	stageEvals int
 	err        error // sticky cancellation error (always ctx.Err())
 
-	// Per-degree buffers: every degree of the session reuses them.
+	*buffers // every degree of the session reuses them
+}
+
+// buffers are a search session's per-degree buffers. A session takes
+// them from bufferPool and puts them back when it ends, so the hundreds
+// of searches of a cold perfdb build reuse them instead of regrowing each
+// from empty.
+type buffers struct {
 	jobs  []parallel.StagePlan
 	cands []stageCand
-	times []float64
+	times []float64 // the candidates' latencies, then the degree's bounds
 	scr   composeScratch
+}
+
+var bufferPool = sync.Pool{New: func() any { return new(buffers) }}
+
+// release returns the session's buffers to bufferPool. The compose cells
+// and byStart lists point into the scratch's own candidate arrays; they
+// are cleared first, so a pooled scratch keeps no array it outgrew alive.
+// Nothing else refers to the buffers once the search returns: the plans
+// it returns are fresh allocations.
+func (s *searcher) release() {
+	scr := &s.scr
+	clear(scr.cells[:cap(scr.cells)])
+	byStart := scr.byStart[:cap(scr.byStart)]
+	for i := range byStart {
+		clear(byStart[i][:cap(byStart[i])])
+	}
+	bufferPool.Put(s.buffers)
+	s.buffers = nil
 }
 
 // evaluate measures a composed plan end to end through the session cache.
@@ -123,6 +149,7 @@ func FullSearchCtx(ctx context.Context, eng *exec.Engine, g *model.Graph, spec h
 	if err != nil {
 		return Outcome{}, err
 	}
+	defer s.release()
 	var best Outcome
 	degrees := core.PipelineDegrees(n, len(g.Ops))
 	for i, deg := range degrees {
@@ -156,7 +183,7 @@ func newSearcher(ctx context.Context, eng *exec.Engine, g *model.Graph, spec hw.
 	return &searcher{
 		ctx: ctx, graph: g, spec: spec, globalBatch: globalBatch,
 		gpusPerNode: gpusPerNode, cache: cache, shard: cache.StageShard(g, spec, gpusPerNode),
-		workers: opts.workers(),
+		workers: opts.workers(), buffers: bufferPool.Get().(*buffers),
 	}, nil
 }
 
@@ -226,12 +253,43 @@ func (s *searcher) searchDegree(deg, n int, restrict *Restriction) Outcome {
 // is the session's buffer, valid until the next degree.
 //
 // Enumeration, cost accounting and memory feasibility run serially (they
-// are cheap and deterministic); the expensive engine measurements then fan
-// out over the session's worker pool. Because the engine is pure, the
-// resulting candidate list is bit-identical to the serial path.
+// are cheap and deterministic); the engine measurements then go to the
+// shard row by row, fanned out over the session's worker pool. Because
+// the engine is pure, the resulting candidate list is bit-identical to
+// the serial path.
 func (s *searcher) profileStageCandidates(deg, n, numMicro int, restrict *Restriction) []stageCand {
-	numOps := len(s.graph.Ops)
+	jobs := s.stageCandidates(deg, n, numMicro, restrict)
 	microSamples := float64(s.globalBatch) / float64(numMicro)
+	times := slices.Grow(s.times[:0], len(jobs))[:len(jobs)]
+	s.times = times
+	// A pool handoff costs more than a memo hit, so each worker takes
+	// candidates in chunks, about four per worker and degree, and the
+	// shard measures a chunk one start row at a time.
+	chunk := max(1, len(jobs)/(4*s.workers))
+	if err := core.ParallelForCtx(s.ctx, (len(jobs)+chunk-1)/chunk, s.workers, func(k int) {
+		lo, hi := k*chunk, min((k+1)*chunk, len(jobs))
+		s.shard.MeasureRows(jobs[lo:hi], microSamples, times[lo:hi])
+	}); err != nil {
+		s.err = err
+		return nil
+	}
+	cands := slices.Grow(s.cands[:0], len(jobs))[:len(jobs)]
+	for i, st := range jobs {
+		cands[i] = stageCand{
+			start: st.OpStart, end: st.OpEnd, gpus: st.GPUs(), dp: st.DP, tp: st.TP,
+			time: times[i],
+		}
+	}
+	s.cands = cands
+	return cands
+}
+
+// stageCandidates enumerates, start-major, the memory-feasible stage
+// candidates of a deg-stage pipeline of n GPUs into the session's jobs
+// buffer, counting every candidate it profiles (feasible or not) into
+// stageEvals.
+func (s *searcher) stageCandidates(deg, n, numMicro int, restrict *Restriction) []parallel.StagePlan {
+	numOps := len(s.graph.Ops)
 	jobs := s.jobs[:0]
 	for start := 0; start < numOps; start++ {
 		for end := start + 1; end <= numOps; end++ {
@@ -263,56 +321,100 @@ func (s *searcher) profileStageCandidates(deg, n, numMicro int, restrict *Restri
 		}
 	}
 	s.jobs = jobs
-
-	cands := slices.Grow(s.cands[:0], len(jobs))[:len(jobs)]
-	s.cands = cands
-	measure := func(i int) {
-		st := jobs[i]
-		m := s.shard.Measure(st, microSamples)
-		cands[i] = stageCand{
-			start: st.OpStart, end: st.OpEnd, gpus: st.GPUs(), dp: st.DP, tp: st.TP,
-			time: m.Time(),
-		}
-	}
-	var err error
-	if s.workers <= 1 {
-		err = core.ParallelForCtx(s.ctx, len(jobs), 1, measure)
-	} else {
-		// A pool handoff costs more than a memo hit, so each worker takes
-		// candidates in chunks: about four per worker and degree.
-		chunk := max(1, len(jobs)/(4*s.workers))
-		err = core.ParallelForCtx(s.ctx, (len(jobs)+chunk-1)/chunk, s.workers, func(k int) {
-			for i := k * chunk; i < min((k+1)*chunk, len(jobs)); i++ {
-				measure(i)
-			}
-		})
-	}
-	if err != nil {
-		s.err = err
-		return nil
-	}
-	return cands
+	return jobs
 }
 
 // latencyQuantiles returns up to k representative bottleneck bounds drawn
-// from the latency distribution of every candidate, in dst's storage. The
-// result is deduplicated: identical bounds would DP-compose identical
-// pipelines, so repeats only waste compose work.
+// from the latency distribution of every candidate, in dst's storage:
+// the values at ranks (len−1)·i/(k−1) of the sorted latencies. The result
+// is deduplicated: identical bounds would DP-compose identical pipelines,
+// so repeats only waste compose work. It selects the ranks without
+// sorting every latency; a list of at most k (or one holding a NaN) is
+// sorted whole.
 func latencyQuantiles(dst []float64, cands []stageCand, k int) []float64 {
 	times := dst[:0]
+	nan := false
 	for _, c := range cands {
 		times = append(times, c.time)
+		nan = nan || c.time != c.time
 	}
-	sort.Float64s(times)
-	if len(times) > k {
-		// Quantile i reads index (len-1)·i/(k-1) ≥ i, so writing it in
-		// place at i never clobbers a later read.
-		for i := 0; i < k; i++ {
-			times[i] = times[(len(times)-1)*i/(k-1)]
+	if len(times) <= k {
+		sort.Float64s(times)
+		return slices.Compact(times)
+	}
+	var buf [24]int
+	ranks := buf[:0]
+	for i := 0; i < k; i++ {
+		ranks = append(ranks, (len(times)-1)*i/(k-1))
+	}
+	if nan {
+		sort.Float64s(times)
+	} else {
+		selectRanks(times, 0, ranks)
+	}
+	// Quantile i reads rank ranks[i] ≥ i, so writing it in place at i
+	// never clobbers a later read.
+	for i, r := range ranks {
+		times[i] = times[r]
+	}
+	return slices.Compact(times[:k])
+}
+
+// selectRanks reorders a, whose first element has rank off, so that
+// a[r−off] holds the value an ascending sort puts at rank r, for every r
+// of the ascending ranks: a quickselect for several targets that
+// partitions three ways around a median-of-three pivot, so runs of equal
+// latencies settle in one pass. It recurses into the smaller side
+// and loops on the larger, so its depth stays logarithmic.
+func selectRanks(a []float64, off int, ranks []int) {
+	for len(ranks) > 0 {
+		if len(a) <= 12 {
+			for i := 1; i < len(a); i++ {
+				for j := i; j > 0 && a[j] < a[j-1]; j-- {
+					a[j], a[j-1] = a[j-1], a[j]
+				}
+			}
+			return
 		}
-		times = times[:k]
+		p := medianOfThree(a[0], a[len(a)/2], a[len(a)-1])
+		// a[:lt] < p, a[lt:gt] == p, a[gt:] > p.
+		lt, i, gt := 0, 0, len(a)
+		for i < gt {
+			switch x := a[i]; {
+			case x < p:
+				a[lt], a[i] = x, a[lt]
+				lt++
+				i++
+			case x > p:
+				gt--
+				a[i], a[gt] = a[gt], x
+			default:
+				i++
+			}
+		}
+		// Ranks in [off+lt, off+gt) hold p and are settled.
+		l := sort.SearchInts(ranks, off+lt)
+		r := sort.SearchInts(ranks, off+gt)
+		left, right := ranks[:l], ranks[r:]
+		if lt <= len(a)-gt {
+			selectRanks(a[:lt], off, left)
+			a, off, ranks = a[gt:], off+gt, right
+		} else {
+			selectRanks(a[gt:], off+gt, right)
+			a, ranks = a[:lt], left
+		}
 	}
-	return slices.Compact(times)
+}
+
+// medianOfThree returns the median of x, y and z.
+func medianOfThree(x, y, z float64) float64 {
+	if x > y {
+		x, y = y, x
+	}
+	if y > z {
+		y = z
+	}
+	return max(x, y)
 }
 
 // composeBounds returns the compose DP's result for every bound, running

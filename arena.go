@@ -69,7 +69,7 @@
 // measurements, plan evaluations and whole performance-database columns
 // are all reusable whenever those inputs repeat. WithStore persists them
 // in a content-addressed on-disk store (internal/store): objects are
-// keyed by hashes of (engine seed and tunables, model-graph fingerprint,
+// keyed by hashes of (engine seed and constants, model-graph fingerprint,
 // GPU-spec fingerprint, workload params, schema version), so
 //
 //   - repeated CLI invocations skip even cold-search profiling (the
@@ -358,10 +358,10 @@ type Summary = metrics.Summary
 // checkpoint-restart accounting, and the retry/backoff policy.
 type FaultsConfig = faults.Config
 
-// FaultModel is the stochastic per-GPU-type crash/straggler model.
+// FaultModel is the stochastic crash/straggler model every node runs.
 type FaultModel = faults.Model
 
-// TypeFaults parameterizes one GPU type's fault processes.
+// TypeFaults parameterizes a node's fault processes.
 type TypeFaults = faults.TypeFaults
 
 // FaultEvent is one scripted or generated fault occurrence.

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"path/filepath"
 	"sync"
 	"testing"
 )
@@ -9,6 +10,10 @@ var (
 	repoOnce sync.Once
 	repoRes  *LoadResult
 	repoErr  error
+
+	benchOnce sync.Once
+	benchRes  *LoadResult
+	benchErr  error
 )
 
 // repoLoad loads the module at HEAD once for both repo sweeps.
@@ -25,6 +30,25 @@ func repoLoad(t *testing.T) *LoadResult {
 		t.Fatal(repoErr)
 	}
 	return repoRes
+}
+
+// sweepUnits returns the units of this module and of the benchmark/
+// module, each loaded once, for the sweeps that read both: benchmark/'s
+// code is the only caller of some of internal/'s API.
+func sweepUnits(t *testing.T) []*Package {
+	t.Helper()
+	res := repoLoad(t)
+	benchOnce.Do(func() {
+		var root string
+		root, benchErr = FindModuleRoot(".")
+		if benchErr == nil {
+			benchRes, benchErr = LoadModule(LoadConfig{Dir: filepath.Join(root, "benchmark")})
+		}
+	})
+	if benchErr != nil {
+		t.Fatal(benchErr)
+	}
+	return append(append([]*Package{}, res.Packages...), benchRes.Packages...)
 }
 
 // TestRepoSweep runs the full analyzer suite over the module at HEAD

@@ -274,16 +274,16 @@ func viaInterface(fn *types.Func, ifaces []*types.Interface) bool {
 	return false
 }
 
-// exemptUnused drops the exempted declarations from found and returns
-// what is left, plus every exemption that matched nothing.
-func exemptUnused(found []unusedDecl, exempt []string) (left []unusedDecl, stale []string) {
+// applyExempt drops the findings whose name an exemption lists and
+// returns what is left, plus every exemption that matched nothing.
+func applyExempt[T any](found []T, name func(T) string, exempt []string) (left []T, stale []string) {
 	hit := map[string]bool{}
 	for _, e := range exempt {
 		hit[e] = false
 	}
 	for _, d := range found {
-		if _, ok := hit[d.key.String()]; ok {
-			hit[d.key.String()] = true
+		if _, ok := hit[name(d)]; ok {
+			hit[name(d)] = true
 		} else {
 			left = append(left, d)
 		}
@@ -296,21 +296,41 @@ func exemptUnused(found []unusedDecl, exempt []string) (left []unusedDecl, stale
 	return left, stale
 }
 
+func unusedName(d unusedDecl) string { return d.key.String() }
+
+// loadTwice type-checks testdata/<dir>/lib under libPath with its test
+// file, and testdata/<dir>/second, standing in for a second module,
+// against its own load of lib from source, so that the two loads'
+// objects differ and meet only through their keys.
+func loadTwice(t *testing.T, dir, libPath string) (lib, second *Package) {
+	t.Helper()
+	ld := fixtureLoader(t)
+	libDir := filepath.Join("testdata", dir, "lib")
+	lib, err := ld.check(libPath, libDir, goFilesIn(t, libDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ld2 := &moduleLoader{
+		fset:    ld.fset,
+		byPath:  map[string]*listedPackage{libPath: {ImportPath: libPath, Dir: libDir, GoFiles: []string{"lib.go"}}},
+		checked: map[string]*types.Package{},
+		gc:      ld,
+	}
+	secondDir := filepath.Join("testdata", dir, "second")
+	second, err = ld2.check(ModulePath+"/benchmark", secondDir, goFilesIn(t, secondDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.Pkg.Imports()[0] == lib.Pkg {
+		t.Fatal("the second package must import its own load of the fixture")
+	}
+	return lib, second
+}
+
 // TestUnusedSweep fails on every declaration under internal/ that only
-// tests reference. The benchmark/ module loads beside this one: its
-// code is the only caller of some of internal/'s API.
+// tests reference.
 func TestUnusedSweep(t *testing.T) {
-	res := repoLoad(t)
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bench, err := LoadModule(LoadConfig{Dir: filepath.Join(root, "benchmark")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	units := append(append([]*Package{}, res.Packages...), bench.Packages...)
-	found := findUnused(units, func(path string) bool {
+	found := findUnused(sweepUnits(t), func(path string) bool {
 		return strings.HasPrefix(path, ModulePath+"/internal/")
 	})
 
@@ -321,7 +341,7 @@ func TestUnusedSweep(t *testing.T) {
 		}
 		exempt = append(exempt, e.decl)
 	}
-	left, stale := exemptUnused(found, exempt)
+	left, stale := applyExempt(found, unusedName, exempt)
 	for _, e := range stale {
 		t.Errorf("exemption %s exempts nothing: delete it", e)
 	}
@@ -333,30 +353,10 @@ func TestUnusedSweep(t *testing.T) {
 // TestUnusedFixture shows what the sweep flags and what it passes. The
 // fixture package loads twice: once with its test file, as the module
 // under the sweep, and once from source as the dependency of a second
-// package standing in for a second module, so the two loads' objects
-// differ and meet only through their keys.
+// package standing in for a second module.
 func TestUnusedFixture(t *testing.T) {
-	ld := fixtureLoader(t)
 	libPath := ModulePath + "/internal/unusedfix"
-	libDir := filepath.Join("testdata", "unused", "lib")
-	lib, err := ld.check(libPath, libDir, goFilesIn(t, libDir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	second := &moduleLoader{
-		fset:    ld.fset,
-		byPath:  map[string]*listedPackage{libPath: {ImportPath: libPath, Dir: libDir, GoFiles: []string{"lib.go"}}},
-		checked: map[string]*types.Package{},
-		gc:      ld,
-	}
-	secondDir := filepath.Join("testdata", "unused", "second")
-	other, err := second.check(ModulePath+"/benchmark", secondDir, goFilesIn(t, secondDir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if other.Pkg.Imports()[0] == lib.Pkg {
-		t.Fatal("the second package must import its own load of the fixture")
-	}
+	lib, other := loadTwice(t, "unused", libPath)
 
 	inScope := func(path string) bool { return path == libPath }
 	var diags []Diagnostic
@@ -376,7 +376,7 @@ func TestUnusedFixture(t *testing.T) {
 
 	// An exemption takes its declaration off the list; one that
 	// matches nothing is reported.
-	left, stale := exemptUnused(findUnused([]*Package{lib, other}, inScope),
+	left, stale := applyExempt(findUnused([]*Package{lib, other}, inScope), unusedName,
 		[]string{"internal/unusedfix.TestOnly", "internal/unusedfix.Remote"})
 	if len(left) != 1 || left[0].key.name != "leftover" {
 		t.Errorf("after exempting TestOnly, left = %v, want leftover alone", left)

@@ -62,9 +62,7 @@
 // same key are benign: both goroutines compute the identical value, the
 // first write is kept and only that one counts as a miss. Graphs are identified by their Name, which the
 // model registry guarantees to determine the operator list; callers
-// constructing ad-hoc graphs must give distinct names. Mutating the
-// engine's tunables after populating a cache invalidates it: build a new
-// cache.
+// constructing ad-hoc graphs must give distinct names.
 //
 // AttachStore extends the memo across processes: each measurement
 // context hydrates lazily from a content-addressed store object on first

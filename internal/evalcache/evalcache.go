@@ -90,10 +90,9 @@ type Cache struct {
 
 	// backing, when non-nil (AttachStore), persists measurement contexts:
 	// each shard is loaded from its content-addressed object on first
-	// resolution and written back by SaveStore when dirty. engineFP and
-	// loadStats are maintained alongside it, all under mu.
+	// resolution and written back by SaveStore when dirty. loadStats is
+	// maintained alongside it, both under mu.
 	backing   *store.Store
-	engineFP  string
 	loadStats LoadStats
 
 	stageHits, stageMisses atomic.Int64

@@ -67,7 +67,7 @@ func TestEvaluateMatchesEngineAndCopies(t *testing.T) {
 	spec := hw.MustLookup("A40")
 	plan := parallel.PureDP(g, 4)
 
-	want, err := eng.EvaluateWithNodes(g, plan, spec, 128, spec.GPUsPerNode)
+	want, err := eng.EvaluateMeasured(eng, g, plan, spec, 128, spec.GPUsPerNode)
 	if err != nil {
 		t.Fatal(err)
 	}

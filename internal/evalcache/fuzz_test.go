@@ -61,7 +61,7 @@ func FuzzLoadShard(f *testing.F) {
 	if err := c.SaveStore(st); err != nil {
 		f.Fatal(err)
 	}
-	key := shardStoreKey(EngineFingerprint(eng), GraphFingerprint(g), GPUFingerprint(spec), spec.GPUsPerNode)
+	key := shardStoreKey(eng.Fingerprint(), GraphFingerprint(g), GPUFingerprint(spec), spec.GPUsPerNode)
 	path := filepath.Join(dir, evalDomain, string(key)+".json")
 	obj, err := os.ReadFile(path)
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"strconv"
 
@@ -26,18 +25,20 @@ import (
 // memory): the op-measurement table keyed like opCtxKey, the stage memo,
 // and the plan evaluations of that (graph, device, node-packing) triple.
 // The object's key hashes everything that determines the measurements:
-// the eval schema version, the engine fingerprint (seed plus every
-// tunable), the model-graph fingerprint (every operator's static
-// quantities), the GPU-spec fingerprint, and the node packing.
+// the eval schema version, the engine fingerprint (the seed plus every
+// effect magnitude the engine's constants hold), the model-graph
+// fingerprint (every operator's static quantities), the GPU-spec
+// fingerprint, and the node packing.
 //
 // Loading is lazy and exactly as wide as the session's working set: a
 // context's object is read once, when the context is first resolved —
 // never sooner. A store shared across seeds, models or weeks of
 // accumulated objects costs a session nothing for the objects it does not
-// touch, and objects orphaned by definition drift (a retuned engine, an
-// edited model) are simply never looked up, because the drifted inputs
-// derive a different key. Saving is equally scoped: SaveStore writes only
-// the contexts that gained measurements since they were loaded.
+// touch, and objects orphaned by definition drift (an edited engine
+// constant, an edited model) are simply never looked up, because the
+// drifted inputs derive a different key. Saving is equally scoped:
+// SaveStore writes only the contexts that gained measurements since they
+// were loaded.
 const evalSchema = 1
 
 // evalDomain is the store domain the cache persists under.
@@ -109,21 +110,6 @@ type LoadStats struct {
 	Skipped []error
 }
 
-// EngineFingerprint condenses everything about an engine that determines
-// its measurements: the seed and every tunable, each by exact bit pattern.
-func EngineFingerprint(eng *exec.Engine) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "seed=%d", eng.Seed())
-	for _, f := range []float64{
-		eng.StragglerCoef, eng.ContentionCoef, eng.MicrobatchNoise,
-		eng.OverlapFraction, eng.CrossNodeOverlap, eng.IterOverheadS,
-		eng.BwdFactor, eng.EffCeiling, eng.EffFloor,
-	} {
-		fmt.Fprintf(h, ",%x", math.Float64bits(f))
-	}
-	return hex.EncodeToString(h.Sum(nil))[:32]
-}
-
 // GraphFingerprint condenses a model graph's static definition — name,
 // family, sequence length, activation factor and every operator quantity —
 // via its canonical JSON encoding.
@@ -157,15 +143,10 @@ func shardStoreKey(engineFP, graphFP, gpuFP string, gpusPerNode int) store.Key {
 // writes back the contexts that gained measurements. Contexts resolved
 // before the attach are hydrated immediately, so attaching to a shared,
 // already-warm cache composes.
-//
-// Attach after the engine's tunables are final: the store keys embed the
-// engine fingerprint, exactly like the in-memory memo assumes a fixed
-// engine.
 func (c *Cache) AttachStore(st *store.Store) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.backing = st
-	c.engineFP = EngineFingerprint(c.eng)
 	for _, sh := range c.sortedShardsLocked() {
 		c.loadShardLocked(sh)
 	}
@@ -188,7 +169,7 @@ func (c *Cache) loadShardLocked(sh *StageShard) {
 	if c.backing == nil {
 		return
 	}
-	key := shardStoreKey(c.engineFP, GraphFingerprint(sh.graph), GPUFingerprint(sh.spec), sh.gpn)
+	key := shardStoreKey(c.eng.Fingerprint(), GraphFingerprint(sh.graph), GPUFingerprint(sh.spec), sh.gpn)
 	var d shardDump
 	if err := c.backing.Get(evalDomain, key, &d); err != nil {
 		if !errors.Is(err, store.ErrNotFound) {
@@ -272,11 +253,8 @@ func (c *Cache) loadShardLocked(sh *StageShard) {
 // without ever producing a torn object. Without an attached store,
 // SaveStore is a no-op.
 func (c *Cache) SaveStore(st *store.Store) error {
+	engineFP := c.eng.Fingerprint()
 	c.mu.RLock()
-	engineFP := c.engineFP
-	if c.backing == nil {
-		engineFP = EngineFingerprint(c.eng)
-	}
 	shards := c.sortedShardsLocked()
 	plans := make(map[planKey]exec.Result, len(c.plans))
 	for k, v := range c.plans {

@@ -183,27 +183,6 @@ func TestStoreForeignSeedIgnored(t *testing.T) {
 	}
 }
 
-// TestStoreRetunedEngineIgnored verifies the engine fingerprint isolates
-// tunable changes the same way: retuned engines derive different keys and
-// never see (or warn about) the old objects.
-func TestStoreRetunedEngineIgnored(t *testing.T) {
-	st, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	warmCache(t, st)
-
-	eng2 := exec.NewEngine(42)
-	eng2.BwdFactor = 2.5 // ablation-style retune
-	c2 := New(eng2)
-	c2.AttachStore(st)
-	populate(t, c2)
-	stats := c2.StoreStats()
-	if stats.Shards != 0 || len(stats.Skipped) != 0 {
-		t.Fatalf("retuned engine must neither restore nor warn: %+v", stats)
-	}
-}
-
 // TestStoreTruncatedObject verifies the corruption path: a truncated
 // object lands in StoreStats.Skipped as a typed *store.Error when its
 // context is resolved, and the session transparently re-measures.
@@ -296,7 +275,7 @@ func TestStoreRejectsOutOfRangeStages(t *testing.T) {
 					{Start: tc.start, End: tc.end, DP: 2, TP: 1, MicroBits: math.Float64bits(16), M: m},
 				},
 			}
-			key := shardStoreKey(EngineFingerprint(eng), GraphFingerprint(g), GPUFingerprint(spec), spec.GPUsPerNode)
+			key := shardStoreKey(eng.Fingerprint(), GraphFingerprint(g), GPUFingerprint(spec), spec.GPUsPerNode)
 			if err := st.Put(evalDomain, key, dump); err != nil {
 				t.Fatal(err)
 			}
@@ -332,7 +311,7 @@ func TestAttachStoreHydratesInSortedShardOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := model.MustBuildClustered("GPT-1.3B")
-	engineFP := EngineFingerprint(exec.NewEngine(42))
+	engineFP := exec.NewEngine(42).Fingerprint()
 	type shardCtx struct {
 		gpu string
 		gpn int

@@ -27,6 +27,8 @@
 package exec
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math"
 
@@ -36,42 +38,56 @@ import (
 	"github.com/sjtu-epcc/arena/internal/rng"
 )
 
-// Engine evaluates parallelism plans on simulated hardware. The zero value
-// is not usable; construct with NewEngine.
+// Engine evaluates parallelism plans on simulated hardware. An engine is
+// its seed and nothing else: the effect magnitudes are the constants
+// below, so two engines of one seed measure everything alike, and
+// Fingerprint names what they measure. Construct with NewEngine.
 type Engine struct {
 	seed uint64
-
-	// Tunables (exposed for ablation benches; defaults in NewEngine).
-	StragglerCoef    float64 // per-log2(group) sync penalty on compute
-	ContentionCoef   float64 // per-log2(workers) penalty on collectives
-	MicrobatchNoise  float64 // per-microbatch timing noise amplitude
-	OverlapFraction  float64 // fraction of intra-node DP grad-sync hidden by backward
-	CrossNodeOverlap float64 // overlap fraction when the DP ring crosses nodes
-	IterOverheadS    float64 // fixed per-iteration framework overhead
-	BwdFactor        float64 // backward/forward compute ratio (≈2)
-	EffCeiling       float64 // max fraction of roofline achieved by kernels
-	EffFloor         float64 // min fraction for tiny kernels
 }
 
-// NewEngine returns an engine with the default effect magnitudes,
-// deterministic under the given seed.
+// The engine's effect magnitudes. They are typed, so the compiler rounds
+// an expression of constants alone to float64, as the runtime would.
+const (
+	stragglerCoef    float64 = 0.012 // per-log2(group) sync penalty on compute
+	contentionCoef   float64 = 0.045 // per-log2(workers) penalty on collectives
+	microbatchNoise  float64 = 0.02  // per-microbatch timing noise amplitude
+	overlapFraction  float64 = 0.5   // fraction of intra-node DP grad-sync hidden by backward
+	crossNodeOverlap float64 = 0.15  // overlap fraction when the DP ring crosses nodes
+	iterOverheadS    float64 = 0.018 // fixed per-iteration framework overhead, seconds
+	effCeiling       float64 = 0.85  // max fraction of roofline achieved by kernels
+	effFloor         float64 = 0.22  // min fraction for tiny kernels
+)
+
+// BwdFactor is the backward/forward compute ratio. The profiler assumes
+// it for the backward kernels of the stages it measures forward.
+const BwdFactor float64 = 2.0
+
+// NewEngine returns the engine of the given determinism seed.
 func NewEngine(seed uint64) *Engine {
-	return &Engine{
-		seed:             seed,
-		StragglerCoef:    0.012,
-		ContentionCoef:   0.045,
-		MicrobatchNoise:  0.02,
-		OverlapFraction:  0.5,
-		CrossNodeOverlap: 0.15,
-		IterOverheadS:    0.018,
-		BwdFactor:        2.0,
-		EffCeiling:       0.85,
-		EffFloor:         0.22,
-	}
+	return &Engine{seed: seed}
 }
 
 // Seed returns the engine's determinism seed.
 func (e *Engine) Seed() uint64 { return e.seed }
+
+// Fingerprint condenses everything that determines the engine's
+// measurements, the seed and each effect magnitude by exact bit pattern,
+// into the 32 hex digits the evalcache and perfdb stores key their
+// objects by. It hashes the constants themselves, so editing one orphans
+// the objects measured under the old value.
+func (e *Engine) Fingerprint() string {
+	h := sha256.New()
+	fmt.Fprintf(h, "seed=%d", e.seed)
+	for _, f := range []float64{
+		stragglerCoef, contentionCoef, microbatchNoise,
+		overlapFraction, crossNodeOverlap, iterOverheadS,
+		BwdFactor, effCeiling, effFloor,
+	} {
+		fmt.Fprintf(h, ",%x", math.Float64bits(f))
+	}
+	return hex.EncodeToString(h.Sum(nil))[:32]
+}
 
 // KernelTime returns the measured latency of one (clustered) operator's
 // forward kernels processing `samples` samples with tp-way tensor
@@ -112,13 +128,13 @@ func (e *Engine) KernelTime(op model.Op, spec hw.GPU, samples float64, tp int) f
 // fill all SMs and hide memory latency; as parallelism strategies slice
 // operators thinner (more TP/DP ways), the per-GPU work shrinks and
 // utilization drops — the "diminishing returns" of §2.2 and Fig. 18. The
-// curve is work/(work + EffHalfWork) scaled into [EffFloor, EffCeiling].
+// curve is work/(work + EffHalfWork) scaled into [effFloor, effCeiling].
 func (e *Engine) shapeEfficiency(spec hw.GPU, work float64) float64 {
 	if work <= 0 {
-		return e.EffFloor
+		return effFloor
 	}
 	frac := work / (work + spec.EffHalfWork)
-	return e.EffFloor + (e.EffCeiling-e.EffFloor)*frac
+	return effFloor + (effCeiling-effFloor)*frac
 }
 
 // kernelJitter returns a multiplicative factor in [0.93, 1.07] keyed on
@@ -145,7 +161,7 @@ func (e *Engine) CollectiveTime(spec *hw.GPU, p hw.Primitive, topo hw.Topology, 
 		panic(err)
 	}
 	if topo.Workers > 1 {
-		base *= 1 + e.ContentionCoef*math.Log2(float64(topo.Workers))
+		base *= 1 + contentionCoef*math.Log2(float64(topo.Workers))
 	}
 	return base
 }
@@ -169,9 +185,9 @@ type Result struct {
 }
 
 // Evaluate measures the plan on the device type with its default node
-// size. See EvaluateWithNodes for explicit placement control.
+// size. See EvaluateMeasured for explicit placement control.
 func (e *Engine) Evaluate(g *model.Graph, p *parallel.Plan, spec hw.GPU, globalBatch int) (Result, error) {
-	return e.EvaluateWithNodes(g, p, spec, globalBatch, spec.GPUsPerNode)
+	return e.EvaluateMeasured(e, g, p, spec, globalBatch, spec.GPUsPerNode)
 }
 
 // StageMeasurer supplies per-stage measurements during plan evaluation.
@@ -183,16 +199,11 @@ type StageMeasurer interface {
 	MeasureStage(g *model.Graph, st parallel.StagePlan, spec hw.GPU, microSamples float64, gpusPerNode int) StageMeasure
 }
 
-// EvaluateWithNodes measures one training iteration of graph g under plan
-// p on GPUs of the given type, with gpusPerNode GPUs packed per node
-// (overriding the catalog default; Fig. 2(c)'s 2×1-A40-over-InfiniBand
-// setup uses gpusPerNode = 1).
-func (e *Engine) EvaluateWithNodes(g *model.Graph, p *parallel.Plan, spec hw.GPU, globalBatch, gpusPerNode int) (Result, error) {
-	return e.EvaluateMeasured(e, g, p, spec, globalBatch, gpusPerNode)
-}
-
-// EvaluateMeasured is EvaluateWithNodes drawing stage measurements from
-// an explicit StageMeasurer.
+// EvaluateMeasured measures one training iteration of graph g under plan
+// p on GPUs of the given type, drawing stage measurements from sm, with
+// gpusPerNode GPUs packed per node (overriding the catalog default when
+// positive; Fig. 2(c)'s 2×1-A40-over-InfiniBand setup uses
+// gpusPerNode = 1).
 func (e *Engine) EvaluateMeasured(sm StageMeasurer, g *model.Graph, p *parallel.Plan, spec hw.GPU, globalBatch, gpusPerNode int) (Result, error) {
 	if err := p.Validate(g); err != nil {
 		return Result{}, err
@@ -232,9 +243,9 @@ func (e *Engine) EvaluateMeasured(sm StageMeasurer, g *model.Graph, p *parallel.
 			// Backward-overlap hides part of the sync; bucketed all-reduce
 			// over a thin shared NIC overlaps far less than NVLink-local
 			// rings do.
-			overlap := e.OverlapFraction
+			overlap := overlapFraction
 			if st.GPUs() > gpusPerNode {
-				overlap = e.CrossNodeOverlap
+				overlap = crossNodeOverlap
 			}
 			latent := m.GradSync * (1 - overlap)
 			if latent > maxGradSyncLatency {
@@ -258,9 +269,9 @@ func (e *Engine) EvaluateMeasured(sm StageMeasurer, g *model.Graph, p *parallel.
 
 	// 1F1B pipeline wavefront: done[i][m] is when stage i finishes its
 	// m-th microbatch slot; per-slot time carries deterministic noise.
-	pipeEnd := e.pipelineWavefront(g, stageTimes, p2pTimes, numMicro)
+	pipeEnd := e.pipelineWavefront(g, stageTimes, p2pTimes, numMicro, microbatchNoise)
 
-	iter := pipeEnd + maxGradSyncLatency + e.IterOverheadS
+	iter := pipeEnd + maxGradSyncLatency + iterOverheadS
 	// Allocator / framework variance per (model, plan shape, device).
 	iter *= e.allocJitter(g, p, spec)
 
@@ -278,12 +289,13 @@ func (e *Engine) EvaluateMeasured(sm StageMeasurer, g *model.Graph, p *parallel.
 //	done[i][m] = max(done[i][m-1], done[i-1][m] + p2p[i-1]) + slot(i, m)
 //
 // which reduces to fill time + (B−1)×bottleneck for balanced stages and
-// penalizes imbalance exactly as a real pipeline does.
-func (e *Engine) pipelineWavefront(g *model.Graph, stageTimes, p2pTimes []float64, numMicro int) float64 {
+// penalizes imbalance exactly as a real pipeline does. Each slot's time
+// varies by up to ±noise/2 of its stage time.
+func (e *Engine) pipelineWavefront(g *model.Graph, stageTimes, p2pTimes []float64, numMicro int, noise float64) float64 {
 	s := len(stageTimes)
 	prev := make([]float64, s) // done[i][m-1]
 	cur := make([]float64, s)
-	noise := rng.Derive(e.seed, rng.HashString(g.Name), 0xF1F1)
+	draws := rng.Derive(e.seed, rng.HashString(g.Name), 0xF1F1)
 	for m := 0; m < numMicro; m++ {
 		for i := 0; i < s; i++ {
 			ready := prev[i]
@@ -293,7 +305,7 @@ func (e *Engine) pipelineWavefront(g *model.Graph, stageTimes, p2pTimes []float6
 					ready = arrive
 				}
 			}
-			slot := stageTimes[i] * (1 + e.MicrobatchNoise*(noise.Float64()-0.5))
+			slot := stageTimes[i] * (1 + noise*(draws.Float64()-0.5))
 			cur[i] = ready + slot
 		}
 		prev, cur = cur, prev

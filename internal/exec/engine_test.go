@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -52,6 +53,32 @@ func TestEngineDeterminism(t *testing.T) {
 	c := evaluate(t, NewEngine(43), g, p, "A40", 128)
 	if c.IterTime == a.IterTime {
 		t.Fatal("different seeds should perturb measurements")
+	}
+}
+
+// TestEngineFingerprintPinned pins what every evalcache and perfdb store
+// key embeds: an engine of one seed must hash to the same fingerprint in
+// every version, or every store on disk goes cold. The reflect check
+// keeps Engine free of exported fields, so that nothing but its seed can
+// tell two engines apart.
+func TestEngineFingerprintPinned(t *testing.T) {
+	for _, c := range []struct {
+		seed uint64
+		want string
+	}{
+		{0, "2535569669983925a884cfce2bdb817e"},
+		{7, "8163ad1b340f8a7f8bcd7555e20f5fef"},
+		{42, "53012556445e56d5017f19217823bff0"},
+	} {
+		if got := NewEngine(c.seed).Fingerprint(); got != c.want {
+			t.Errorf("seed %d: fingerprint %s, want %s", c.seed, got, c.want)
+		}
+	}
+	typ := reflect.TypeOf(Engine{})
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.IsExported() {
+			t.Errorf("Engine has an exported field %s", f.Name)
+		}
 	}
 }
 
@@ -113,11 +140,11 @@ func TestInterconnectMatters(t *testing.T) {
 	e := NewEngine(42)
 	p := parallel.PureDP(g, 2)
 	spec := hw.MustLookup("A40")
-	intra, err := e.EvaluateWithNodes(g, p, spec, 256, 2)
+	intra, err := e.EvaluateMeasured(e, g, p, spec, 256, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inter, err := e.EvaluateWithNodes(g, p, spec, 256, 1)
+	inter, err := e.EvaluateMeasured(e, g, p, spec, 256, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +230,7 @@ func TestShapeEfficiencyBounds(t *testing.T) {
 	g := hw.MustLookup("H100")
 	f := func(work float64) bool {
 		eff := e.shapeEfficiency(g, math.Abs(work))
-		return eff >= e.EffFloor && eff <= e.EffCeiling
+		return eff >= effFloor && eff <= effCeiling
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -245,11 +272,10 @@ func TestPipelineWavefrontBalancedApproximation(t *testing.T) {
 	// For balanced stages, the wavefront should approximate
 	// fill + (B−1) × bottleneck.
 	e := NewEngine(42)
-	e.MicrobatchNoise = 0 // isolate the recurrence
 	g := testGraph(t, "GPT-1.3B")
 	stage := []float64{1.0, 1.0, 1.0, 1.0}
 	p2p := []float64{0, 0, 0, 0}
-	got := e.pipelineWavefront(g, stage, p2p, 16)
+	got := e.pipelineWavefront(g, stage, p2p, 16, 0) // no noise: isolate the recurrence
 	want := 4.0 + 15.0*1.0
 	if math.Abs(got-want) > 1e-9 {
 		t.Errorf("wavefront = %v, want %v", got, want)
@@ -258,10 +284,9 @@ func TestPipelineWavefrontBalancedApproximation(t *testing.T) {
 
 func TestPipelineWavefrontBottleneckDominates(t *testing.T) {
 	e := NewEngine(42)
-	e.MicrobatchNoise = 0
 	g := testGraph(t, "GPT-1.3B")
-	balanced := e.pipelineWavefront(g, []float64{1, 1}, []float64{0, 0}, 8)
-	skewed := e.pipelineWavefront(g, []float64{0.5, 1.5}, []float64{0, 0}, 8)
+	balanced := e.pipelineWavefront(g, []float64{1, 1}, []float64{0, 0}, 8, 0)
+	skewed := e.pipelineWavefront(g, []float64{0.5, 1.5}, []float64{0, 0}, 8, 0)
 	// Equal total work, but imbalance costs: 1.5-bottleneck pipeline is
 	// strictly slower (§3.2's load-balancing observation).
 	if skewed <= balanced {
@@ -319,10 +344,10 @@ func stageLoop(e *Engine, g *model.Graph, st parallel.StagePlan, spec hw.GPU, gp
 			m.TPComm += om.TPComm
 		}
 	}
-	m.BwdCompute = m.FwdCompute * e.BwdFactor
+	m.BwdCompute = m.FwdCompute * BwdFactor
 	m.Straggler = 1.0
 	if group := st.GPUs(); group > 1 {
-		m.Straggler = 1 + e.StragglerCoef*math.Log2(float64(group))
+		m.Straggler = 1 + stragglerCoef*math.Log2(float64(group))
 	}
 	if st.DP > 1 {
 		share := gpusPerNode / st.TP

@@ -95,9 +95,9 @@ func (e *Engine) EvaluateHetero(g *model.Graph, p *HeteroPlan, globalBatch int) 
 
 		if m.GradSync > 0 {
 			commGPU += m.GradSync * group
-			overlap := e.OverlapFraction
+			overlap := overlapFraction
 			if st.GPUs() > spec.GPUsPerNode {
-				overlap = e.CrossNodeOverlap
+				overlap = crossNodeOverlap
 			}
 			if latent := m.GradSync * (1 - overlap); latent > maxGradSyncLatency {
 				maxGradSyncLatency = latent
@@ -125,8 +125,8 @@ func (e *Engine) EvaluateHetero(g *model.Graph, p *HeteroPlan, globalBatch int) 
 		}
 	}
 
-	pipeEnd := e.pipelineWavefront(g, stageTimes, p2pTimes, numMicro)
-	iter := (pipeEnd + maxGradSyncLatency + e.IterOverheadS) * e.heteroJitter(g, p)
+	pipeEnd := e.pipelineWavefront(g, stageTimes, p2pTimes, numMicro, microbatchNoise)
+	iter := (pipeEnd + maxGradSyncLatency + iterOverheadS) * e.heteroJitter(g, p)
 
 	res.IterTime = iter
 	res.Throughput = float64(globalBatch) / iter

@@ -99,7 +99,7 @@ func (e *Engine) MeasureStageRow(g *model.Graph, st parallel.StagePlan, ends []i
 	// gates every microbatch boundary.
 	straggler := 1.0
 	if group := st.GPUs(); group > 1 {
-		straggler = 1 + e.StragglerCoef*math.Log2(float64(group))
+		straggler = 1 + stragglerCoef*math.Log2(float64(group))
 	}
 	// Data-parallel gradient all-reduce (once per iteration).
 	share := max(1, gpusPerNode/st.TP)
@@ -123,7 +123,7 @@ func (e *Engine) MeasureStageRow(g *model.Graph, st parallel.StagePlan, ends []i
 			}
 		}
 		fin := m
-		fin.BwdCompute = fin.FwdCompute * e.BwdFactor
+		fin.BwdCompute = fin.FwdCompute * BwdFactor
 		fin.Straggler = straggler
 		if st.DP > 1 {
 			fin.GradSync = e.CollectiveTime(&spec, hw.AllReduce, topo, fin.ParamBytes/float64(st.TP))

@@ -158,7 +158,6 @@ func (e *Env) DB(ctx context.Context, types []string) (*perfdb.DB, error) {
 		ctx = context.Background()
 	}
 	opts := perfdb.Options{
-		Seed:      e.Seed,
 		GPUTypes:  types,
 		MaxN:      16,
 		Workloads: trace.DefaultWorkloads(),

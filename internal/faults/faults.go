@@ -1,5 +1,5 @@
 // Package faults is the deterministic fault-injection subsystem: seeded
-// Poisson crash/recovery processes per GPU type, transient straggler
+// Poisson crash/recovery processes per node, transient straggler
 // (degraded-throughput) episodes, and script-driven failure traces. At
 // the cluster scales the paper targets, node failures and stragglers are
 // the normal operating condition, not an exception — this package lets
@@ -117,8 +117,8 @@ func (s Schedule) Validate(spec hw.ClusterSpec) error {
 	return nil
 }
 
-// TypeFaults parameterizes the stochastic fault processes of one GPU
-// type's nodes. Zero fields disable the corresponding process.
+// TypeFaults parameterizes the stochastic fault processes of a node.
+// Zero fields disable the corresponding process.
 type TypeFaults struct {
 	// MTBF is the mean time between crashes of one node, seconds
 	// (exponential inter-failure times — a Poisson failure process, the
@@ -157,22 +157,11 @@ func (tf TypeFaults) withDefaults() TypeFaults {
 	return tf
 }
 
-// Model is the stochastic fault model of a cluster: per-GPU-type crash
-// and straggler processes, with Default applied to types PerType omits.
-// GPU generations fail at different rates (new silicon and dense HGX
-// boards fail more), which is exactly the asymmetric capacity loss that
-// heterogeneity-aware re-planning responds to.
+// Model is the stochastic fault model of a cluster: every node of every
+// GPU type runs Default's crash and straggler processes, each node on
+// its own random stream.
 type Model struct {
 	Default TypeFaults
-	PerType map[string]TypeFaults
-}
-
-// forType resolves the fault parameters of one GPU type.
-func (m *Model) forType(gpuType string) TypeFaults {
-	if tf, ok := m.PerType[gpuType]; ok {
-		return tf.withDefaults()
-	}
-	return m.Default.withDefaults()
 }
 
 // Schedule materializes the model's fault realization for a cluster over
@@ -180,8 +169,8 @@ func (m *Model) forType(gpuType string) TypeFaults {
 // so adding nodes or types never shifts another node's realization.
 func (m *Model) Schedule(spec hw.ClusterSpec, seed uint64, horizon float64) Schedule {
 	var out Schedule
+	tf := m.Default.withDefaults()
 	for _, region := range spec.Regions {
-		tf := m.forType(region.GPUType)
 		for node := 0; node < region.Nodes; node++ {
 			out = append(out, crashProcess(tf, region.GPUType, node, seed, horizon)...)
 			out = append(out, stragglerProcess(tf, region.GPUType, node, seed, horizon)...)

@@ -69,22 +69,6 @@ func TestModelScheduleWellFormed(t *testing.T) {
 	}
 }
 
-func TestModelPerTypeOverride(t *testing.T) {
-	m := &Model{
-		Default: TypeFaults{MTBF: 3600},
-		PerType: map[string]TypeFaults{"A10": {}}, // A10 nodes never fail
-	}
-	s := m.Schedule(hw.ClusterA(), 1, 48*3600)
-	for _, ev := range s {
-		if ev.GPUType == "A10" {
-			t.Fatalf("per-type override ignored: %+v", ev)
-		}
-	}
-	if len(s) == 0 {
-		t.Fatal("A40 region should still fail under the default")
-	}
-}
-
 func TestParseTrace(t *testing.T) {
 	in := `
 # failure storm

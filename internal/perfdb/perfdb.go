@@ -116,10 +116,6 @@ func newDB(opts Options, seed uint64) *DB {
 
 // Options configure a database build.
 type Options struct {
-	// Seed, when non-zero, must match the engine's seed — the engine is
-	// the sole source of determinism; the field exists so call sites
-	// state their expectation and Build can catch a mismatched pairing.
-	Seed      uint64
 	GPUTypes  []string
 	MaxN      int
 	Workloads []model.Workload
@@ -166,9 +162,6 @@ func BuildCtx(ctx context.Context, eng *exec.Engine, opts Options) (*DB, error) 
 	}
 	if len(opts.GPUTypes) == 0 {
 		return nil, fmt.Errorf("perfdb: no GPU types")
-	}
-	if opts.Seed != 0 && opts.Seed != eng.Seed() {
-		return nil, fmt.Errorf("perfdb: options seed %d does not match engine seed %d", opts.Seed, eng.Seed())
 	}
 	if opts.EvalCache != nil && opts.EvalCache.Engine() != eng {
 		return nil, fmt.Errorf("perfdb: eval cache is bound to a different engine (seed %d) than the build's (seed %d)",

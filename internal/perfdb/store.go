@@ -22,7 +22,7 @@ import (
 // missing columns and reuses every other one byte for byte.
 //
 // A column's key hashes everything its entries depend on: the column
-// schema version, the engine fingerprint (seed + tunables), the
+// schema version, the engine fingerprint (seed + engine constants), the
 // workload's model-graph fingerprint and global batch, the full GPU-type
 // list with each device's spec fingerprint, and MaxN. The type list and
 // MaxN belong to the key because the build's offline communication table
@@ -105,7 +105,7 @@ func columnKey(engineFP string, w model.Workload, graphFP string, gpuTypes []str
 // columnKeys derives the content address of every requested workload
 // column (opts already defaulted).
 func columnKeys(eng *exec.Engine, opts Options) ([]store.Key, error) {
-	engineFP := evalcache.EngineFingerprint(eng)
+	engineFP := eng.Fingerprint()
 	gpuFPs := make([]string, len(opts.GPUTypes))
 	for i, t := range opts.GPUTypes {
 		spec, err := hw.Lookup(t)
@@ -156,9 +156,6 @@ func BuildOrLoadStore(ctx context.Context, eng *exec.Engine, opts Options, st *s
 	}
 	if len(opts.GPUTypes) == 0 {
 		return nil, stats, fmt.Errorf("perfdb: no GPU types")
-	}
-	if opts.Seed != 0 && opts.Seed != eng.Seed() {
-		return nil, stats, fmt.Errorf("perfdb: options seed %d does not match engine seed %d", opts.Seed, eng.Seed())
 	}
 	if opts.MaxN < 1 {
 		opts.MaxN = 16

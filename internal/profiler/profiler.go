@@ -125,7 +125,7 @@ func (p *Profiler) ProfileGridPlan(g *model.Graph, gp *planner.GridPlan) (Estima
 		}
 		// Backward kernels are measured alongside forward in the stage
 		// executable; the profiler sees the generic bwd/fwd ratio.
-		bwd := fwd * p.eng.BwdFactor
+		bwd := fwd * exec.BwdFactor
 		stageTimes[i] = fwd + bwd + 2*tpComm
 
 		if st.DP > 1 {
@@ -202,7 +202,7 @@ func (p *Profiler) measureOp(op model.Op, spec hw.GPU, samples float64, tp int, 
 	t := p.eng.KernelTime(op, spec, samples, tp)
 	p.cache[key] = t
 	est.UniqueOps++
-	est.ProfileGPUTime += opSetupSeconds + t*(1+p.eng.BwdFactor)*Trials
+	est.ProfileGPUTime += opSetupSeconds + t*(1+exec.BwdFactor)*Trials
 	return t
 }
 

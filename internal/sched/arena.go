@@ -38,12 +38,6 @@ type ArenaPolicy struct {
 	DisableHetero   bool // pin each job to its requested GPU type
 	DisablePruning  bool // deploy with the full AP search
 
-	// Warnf, when non-nil, receives scheduler warnings (currently:
-	// rigid-mode jobs dropped because no profiled GPU count can run
-	// them). Nil discards warnings, keeping simulation runs quiet; the
-	// messages never influence decisions.
-	Warnf func(format string, args ...any)
-
 	// ladders caches per-signature launch candidate lists and tables in
 	// build order; ladderOf maps a signature to 1 + its index there (the
 	// value a job's ladderHint holds); ladderKey fingerprints the inputs
@@ -75,13 +69,6 @@ type ArenaPolicy struct {
 	ts         Targets
 	downCost   []float64
 	downFilled bool
-}
-
-// warnf forwards a warning to Warnf when one is installed.
-func (p *ArenaPolicy) warnf(format string, args ...any) {
-	if p.Warnf != nil {
-		p.Warnf(format, args...)
-	}
 }
 
 // NewArena returns the paper-default configuration.
@@ -242,8 +229,6 @@ func (p *ArenaPolicy) launch(ctx *Context, asg *Assignment, attempt func(job *Jo
 			// allowed type: drop the job instead of letting it queue
 			// forever and head-of-line-block its priority queue. (Elastic
 			// counts are never empty, so only rigid mode can drop here.)
-			p.warnf("sched: dropping rigid job %s: no feasible GPU count for request of %d (type %s)",
-				job.Trace.ID, job.Trace.ReqGPUs, job.Trace.ReqType)
 			asg.Drop = append(asg.Drop, job)
 		case memo && lad.failedAt == p.failEpoch:
 			// Provably identical failure: a same-signature launch already

@@ -3,7 +3,7 @@
 // op/stage memo tables and the perfdb's per-workload columns). It knows
 // nothing about either client: it stores JSON payloads under keys that the
 // clients derive by hashing the inputs that determine the payload (engine
-// seed and tunables, model-graph fingerprint, GPU spec, workload params,
+// seed and constants, model-graph fingerprint, GPU spec, workload params,
 // schema version).
 //
 // Content addressing is what makes invalidation free: when any input

@@ -111,7 +111,7 @@ func WithWorkloads(ws ...Workload) Option {
 //     and rebuilds only columns the store lacks, so adding one workload
 //     profiles that workload alone.
 //
-// Objects are keyed by content (engine seed and tunables, model-graph and
+// Objects are keyed by content (engine seed and constants, model-graph and
 // device-spec fingerprints, workload params, schema version): changing any
 // input orphans exactly the objects it invalidates, and processes — or
 // differently configured sessions — whose inputs agree share objects.

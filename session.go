@@ -432,7 +432,6 @@ func (s *Session) BuildPerfDB(ctx context.Context) (*PerfDB, error) {
 		s.dbMu.Unlock()
 
 		opts := perfdb.Options{
-			Seed:      s.cfg.seed,
 			GPUTypes:  s.cfg.gpuTypes,
 			MaxN:      s.cfg.maxN,
 			Workloads: s.cfg.workloads,

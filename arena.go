@@ -65,23 +65,26 @@
 // # The measurement store
 //
 // Every expensive artifact in the pipeline is a deterministic function of
-// its inputs: the engine is a pure function of its seed, so op and stage
-// measurements, plan evaluations and whole performance-database columns
-// are all reusable whenever those inputs repeat. WithStore persists them
-// in a content-addressed on-disk store (internal/store): objects are
-// keyed by hashes of (engine seed and constants, model-graph fingerprint,
-// GPU-spec fingerprint, workload params, schema version), so
+// its inputs: the engine is a pure function of its seed, so a whole
+// performance-database column is reusable whenever its inputs repeat.
+// WithStore persists the columns in a content-addressed on-disk store
+// (internal/store), the reproduction's analogue of the paper's profiled
+// database file (§A.4.4). Columns are keyed by hashes of (engine seed and
+// constants, model-graph fingerprint, GPU-spec fingerprint, workload
+// params, schema version), so
 //
-//   - repeated CLI invocations skip even cold-search profiling (the
-//     op/stage memo hydrates lazily per measurement context and
-//     Session.Close flushes back what the session added);
 //   - BuildPerfDB rebuilds only the workload columns the store lacks —
 //     adding one workload profiles that workload alone;
 //   - changing any input (a model definition, a device spec, the seed)
-//     invalidates exactly the objects derived from it, for free.
+//     invalidates exactly the columns derived from it, for free.
+//
+// Op and stage measurements and plan evaluations are memoized in memory
+// only: re-measuring the analytic engine costs less than decoding them
+// back from disk would.
 //
 // The cmd tools expose this uniformly as -store (alongside the equally
-// uniform -seed and -workers):
+// uniform -seed and -workers); each reads and writes the columns of the
+// database it builds there:
 //
 //	arena-sim     -policy all -trace philly -store ./measurements
 //	arena-bench   -fig fig11 -store ./measurements

@@ -188,6 +188,45 @@ func TestSessionMatchesFreeFunctions(t *testing.T) {
 	}
 }
 
+// TestSessionBuildPerfDBOwnCaches builds a fresh session's database. The
+// build measures through per-workload caches of its own, so the session's
+// EvalCache is left untouched, and the entries and profiling wall times
+// are the ones perfdb.BuildCtx builds.
+func TestSessionBuildPerfDBOwnCaches(t *testing.T) {
+	ctx := context.Background()
+	ws := []arena.Workload{{Model: "GPT-1.3B", GlobalBatch: 128}, {Model: "WRes-1B", GlobalBatch: 256}}
+	s, err := arena.New(arena.WithSeed(42), arena.WithGPUTypes("A40"), arena.WithMaxN(4), arena.WithWorkloads(ws...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.BuildPerfDB(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.EvalCache().Stats(); st != (arena.EvalCacheStats{}) {
+		t.Errorf("the build measured through the session's cache: %+v", st)
+	}
+	want, err := perfdb.BuildCtx(ctx, arena.NewEngine(42), perfdb.Options{GPUTypes: []string{"A40"}, MaxN: 4, Workloads: ws})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Keys(), want.Keys()) {
+		t.Fatalf("keys %v, BuildCtx builds %v", got.Keys(), want.Keys())
+	}
+	for _, k := range want.Keys() {
+		a, _ := got.Entry(k.Workload, k.GPUType, k.N)
+		b, _ := want.Entry(k.Workload, k.GPUType, k.N)
+		if *a != *b {
+			t.Errorf("entry %+v: session %+v, BuildCtx %+v", k, *a, *b)
+		}
+	}
+	for _, w := range ws {
+		if got.ArenaProfileWall(w) != want.ArenaProfileWall(w) || got.DPProfileWall(w) != want.DPProfileWall(w) || got.SiaProfileWall(w) != want.SiaProfileWall(w) {
+			t.Errorf("%v: profiling wall times differ from BuildCtx's", w)
+		}
+	}
+}
+
 // TestSessionSimulateMatchesFreeSimulate covers the database + simulator
 // half of the bit-identity contract.
 func TestSessionSimulateMatchesFreeSimulate(t *testing.T) {

@@ -9,9 +9,10 @@
 //	arena-plan -model WRes-1B -batch 256 -gpu A40 -n 4 -s 2 -frontier
 //	arena-plan -model GPT-1.3B -gpu A40 -n 8 -store ./measurements
 //
-// With -store, measurements persist across invocations: running the same
-// command twice serves the second run entirely from the on-disk memo
-// (watch the "store:" lines on stderr report zero cold measurements).
+// With -store, the tool also builds the workload's performance-database
+// column and persists it: running the same command twice serves the
+// second run's column from the store (its perfdb line reads
+// "perfdb (store)").
 package main
 
 import (
@@ -56,7 +57,7 @@ func main() {
 		arena.WithMaxN(*n),
 		arena.WithWorkloads(w),
 	)
-	defer cli.CloseSession(c, sess)
+	defer cli.CloseSession(sess)
 
 	degrees := arena.PipelineDegrees(*n, len(g.Ops))
 	if *s > 0 {

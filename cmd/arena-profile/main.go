@@ -42,7 +42,7 @@ func main() {
 		arena.WithMaxN(*n),
 		arena.WithWorkloads(w),
 	)
-	defer cli.CloseSession(c, sess)
+	defer cli.CloseSession(sess)
 
 	fmt.Printf("offline-sampling communication primitives for %s...\n", *gpu)
 	ct, err := sess.CommTable(ctx)

@@ -75,7 +75,7 @@ func main() {
 		arena.WithMaxN(16),
 		arena.WithWorkloads(workloads...),
 	)
-	defer cli.CloseSession(c, sess)
+	defer cli.CloseSession(sess)
 
 	fmt.Printf("building performance database for %v...\n", spec.GPUTypes())
 	start := time.Now()

@@ -95,7 +95,7 @@ func main() {
 		arena.WithMaxN(16),
 		arena.WithWorkloads(arena.DefaultWorkloads()...),
 	)
-	defer cli.CloseSession(c, sess)
+	defer cli.CloseSession(sess)
 
 	fmt.Printf("building performance database for %v (this exercises the planner, profiler and AP searches)...\n", types)
 	start := time.Now()

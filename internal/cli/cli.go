@@ -32,9 +32,9 @@ type Common struct {
 	// (-workers).
 	Workers int
 	// Store is the content-addressed measurement store directory
-	// (-store): op/stage/plan measurements and per-workload performance-
-	// database columns persist across invocations, so repeated runs skip
-	// cold profiling and adding a workload rebuilds only its own column.
+	// (-store): per-workload performance-database columns persist across
+	// invocations, so a repeated run builds no column and adding a
+	// workload rebuilds only its own.
 	Store string
 }
 
@@ -44,7 +44,7 @@ func CommonFlags() *Common {
 	c := &Common{}
 	flag.Uint64Var(&c.Seed, "seed", 42, "determinism seed")
 	flag.IntVar(&c.Workers, "workers", 0, "worker goroutines for profiling/search/build fan-out (0 = all cores)")
-	flag.StringVar(&c.Store, "store", "", "content-addressed measurement store directory: persists op/stage measurements and per-workload PerfDB columns across runs")
+	flag.StringVar(&c.Store, "store", "", "content-addressed measurement store directory: persists per-workload PerfDB columns across runs")
 	return c
 }
 
@@ -133,27 +133,11 @@ func NewSession(c *Common, opts ...arena.Option) *arena.Session {
 	return sess
 }
 
-// CloseSession flushes the session's measurement memo to the store and
-// reports the session's profiling economics: what the store restored
-// (hydration is lazy, so this is known only at the end) and how much cold
-// measurement it saved. Persistence failures only lose the cross-run
-// cache, so they warn instead of failing the tool.
-func CloseSession(c *Common, sess *arena.Session) {
-	if c.Store != "" {
-		st := sess.EvalStoreStats()
-		for _, serr := range st.Skipped {
-			fmt.Fprintf(os.Stderr, "%s: warning: %v (object skipped; measurements rebuilt)\n", Tool(), serr)
-		}
-		if st.Stages+st.Ops+st.Plans > 0 {
-			fmt.Fprintf(os.Stderr, "%s: store: restored %d stage, %d op, %d plan measurements from %s\n",
-				Tool(), st.Stages, st.Ops, st.Plans, c.Store)
-		}
-		s := sess.EvalCache().Stats()
-		fmt.Fprintf(os.Stderr, "%s: store: this run measured %d stages and %d plans cold (%d stage, %d plan requests served from the memo)\n",
-			Tool(), s.StageMisses, s.PlanMisses, s.StageHits, s.PlanHits)
-	}
+// CloseSession closes the session's store. A failure to release it only
+// loses the lock, so it warns instead of failing the tool.
+func CloseSession(sess *arena.Session) {
 	if err := sess.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "%s: warning: %v (measurements from this run were not persisted)\n", Tool(), err)
+		fmt.Fprintf(os.Stderr, "%s: warning: %v (closing the store)\n", Tool(), err)
 	}
 }
 

@@ -60,15 +60,13 @@
 //
 // Because the underlying computation is pure, concurrent misses on the
 // same key are benign: both goroutines compute the identical value, the
-// first write is kept and only that one counts as a miss. Graphs are identified by their Name, which the
-// model registry guarantees to determine the operator list; callers
-// constructing ad-hoc graphs must give distinct names.
+// first write is kept and only that one counts as a miss. Graphs are
+// identified by their Name, which the model registry guarantees to
+// determine the operator list; callers constructing ad-hoc graphs must
+// give distinct names.
 //
-// AttachStore extends the memo across processes: each measurement
-// context hydrates lazily from a content-addressed store object on first
-// resolution, and SaveStore writes back only the contexts that gained
-// measurements. Keys hash everything that determines a measurement
-// (engine fingerprint, graph fingerprint, GPU spec, node packing, schema
-// version), so definition drift orphans old objects instead of serving
-// them; see persist.go for the exact rules.
+// The memo lives in memory only and dies with its Cache. Re-measuring
+// the analytic engine costs less than decoding a persisted memo would,
+// so the one cache persisted across processes is the performance
+// database's column store (internal/perfdb).
 package evalcache

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"math"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -13,7 +12,6 @@ import (
 	"github.com/sjtu-epcc/arena/internal/hw"
 	"github.com/sjtu-epcc/arena/internal/model"
 	"github.com/sjtu-epcc/arena/internal/parallel"
-	"github.com/sjtu-epcc/arena/internal/store"
 )
 
 // shardKey identifies a measurement context: everything about a stage
@@ -72,7 +70,7 @@ type planKey struct {
 // filled by measuring, also when concurrent readers race for one slot.
 // StageOpSteps counts the op measurements summed into stage misses: one
 // per op of each row fold. The counters are write-only: they enter no
-// digest and no persisted object.
+// digest.
 type Stats struct {
 	StageHits, StageMisses int
 	StageOpSteps           int
@@ -87,13 +85,6 @@ type Cache struct {
 	mu     sync.RWMutex
 	shards map[shardKey]*StageShard
 	plans  map[planKey]exec.Result
-
-	// backing, when non-nil (AttachStore), persists measurement contexts:
-	// each shard is loaded from its content-addressed object on first
-	// resolution and written back by SaveStore when dirty. loadStats is
-	// maintained alongside it, both under mu.
-	backing   *store.Store
-	loadStats LoadStats
 
 	stageHits, stageMisses atomic.Int64
 	stageOpSteps           atomic.Int64
@@ -111,32 +102,6 @@ func New(eng *exec.Engine) *Cache {
 
 // Engine returns the engine this cache memoizes.
 func (c *Cache) Engine() *exec.Engine { return c.eng }
-
-// sortedShardsLocked returns the shards in deterministic key order
-// (graph, gpu, gpusPerNode). Persistence paths iterate this instead of
-// the map so hydration order, save order and partial-failure behavior
-// are reproducible. The caller holds mu.
-func (c *Cache) sortedShardsLocked() []*StageShard {
-	keys := make([]shardKey, 0, len(c.shards))
-	for k := range c.shards {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.graph != b.graph {
-			return a.graph < b.graph
-		}
-		if a.gpu != b.gpu {
-			return a.gpu < b.gpu
-		}
-		return a.gpusPerNode < b.gpusPerNode
-	})
-	out := make([]*StageShard, len(keys))
-	for i, k := range keys {
-		out[i] = c.shards[k]
-	}
-	return out
-}
 
 // StageShard is the cache's view of one measurement context: a (graph,
 // device, node-packing) triple. A search session resolves its shard once
@@ -156,7 +121,6 @@ type StageShard struct {
 	// on first use and indexed by end−start−1.
 	stages map[shapeKey][][]stageSlot
 	ops    map[opCtxKey]*opCtx
-	dirty  bool // has measurements the backing store has not seen
 }
 
 // StageShard returns (creating on first use) the shard for a measurement
@@ -186,10 +150,6 @@ func (c *Cache) StageShard(g *model.Graph, spec hw.GPU, gpusPerNode int) *StageS
 		stages: map[shapeKey][][]stageSlot{},
 		ops:    map[opCtxKey]*opCtx{},
 	}
-	// First resolution of this measurement context: hydrate it from the
-	// backing store (one targeted object read; contexts the session never
-	// touches are never read).
-	c.loadShardLocked(sh)
 	c.shards[key] = sh
 	return sh
 }
@@ -369,9 +329,6 @@ func (sh *StageShard) fill(scr *rowScratch, row []parallel.StagePlan, microSampl
 			}
 		}
 	}
-	if filled > 0 {
-		sh.dirty = true
-	}
 	sh.mu.Unlock()
 	for k, i := range scr.order {
 		emit(int(i), scr.ms[k])
@@ -416,18 +373,6 @@ func (sh *StageShard) rowLocked(key shapeKey, start int) []stageSlot {
 	return rows[start]
 }
 
-// storeLocked fills the memo slot of ops[start:end) under key unless it
-// is filled already, and reports whether it filled it. The caller holds
-// sh.mu for writing.
-func (sh *StageShard) storeLocked(key shapeKey, start, end int, m exec.StageMeasure) bool {
-	slot := &sh.rowLocked(key, start)[end-start-1]
-	if slot.ok {
-		return false
-	}
-	*slot = stageSlot{m: m, ok: true}
-	return true
-}
-
 // opContext returns (creating on first use) the per-(tp, spr) operator
 // measurement context.
 func (sh *StageShard) opContext(key opCtxKey) *opCtx {
@@ -463,11 +408,6 @@ func (c *Cache) Evaluate(g *model.Graph, p *parallel.Plan, spec hw.GPU, globalBa
 	if gpusPerNode < 1 {
 		gpusPerNode = spec.GPUsPerNode // match StageShard: one key per context
 	}
-	// Resolve the measurement context first: with a backing store this
-	// hydrates the context's persisted plan evaluations (and stage/op
-	// memo) before the lookup below, so a warm store serves the plan
-	// without re-evaluating.
-	sh := c.StageShard(g, spec, gpusPerNode)
 	key := planKey{
 		graph: g.Name, sig: parallel.StagesKey(p.Stages) + "#" + strconv.Itoa(p.NumMicrobatches),
 		gpu: spec.Name, globalBatch: globalBatch, gpusPerNode: gpusPerNode,
@@ -489,9 +429,6 @@ func (c *Cache) Evaluate(g *model.Graph, p *parallel.Plan, spec hw.GPU, globalBa
 	c.mu.Lock()
 	c.plans[key] = res
 	c.mu.Unlock()
-	sh.mu.Lock()
-	sh.dirty = true
-	sh.mu.Unlock()
 	c.planMisses.Add(1)
 	return copyResult(res), nil
 }

@@ -131,4 +131,9 @@ func TestConcurrentAccess(t *testing.T) {
 		}(k)
 	}
 	wg.Wait()
+	// One shared key plus 6 ends × 4 micro-batch sizes: however the races
+	// fall, each distinct key is one miss and every other read a hit.
+	if s := c.Stats(); s.StageMisses != 25 || s.StageHits+s.StageMisses != 16*50*2 {
+		t.Errorf("%d reads of 25 distinct keys counted %d hits and %d misses", 16*50*2, s.StageHits, s.StageMisses)
+	}
 }

@@ -77,15 +77,16 @@ func TestMeasureRowsConcurrent(t *testing.T) {
 	if s := c.Stats(); s.StageMisses != len(sts) || s.StageHits+s.StageMisses != 4*len(sts) {
 		t.Errorf("4 × %d reads of %d distinct slots counted %d hits and %d misses", len(sts), len(sts), s.StageHits, s.StageMisses)
 	}
-	sh.mu.Lock()
-	got := sh.dumpLocked(eng.Seed())
-	sh.mu.Unlock()
-	serial.mu.Lock()
-	ref := serial.dumpLocked(eng.Seed())
-	serial.mu.Unlock()
-	if !reflect.DeepEqual(got, ref) {
-		t.Errorf("concurrent memo (%d stages, %d op contexts) differs from the serial one (%d, %d)",
-			len(got.Stages), len(got.OpCtxs), len(ref.Stages), len(ref.OpCtxs))
+	if !reflect.DeepEqual(sh.stages, serial.stages) {
+		t.Errorf("concurrent stage memo (%d shapes) differs from the serial one (%d)", len(sh.stages), len(serial.stages))
+	}
+	if len(sh.ops) != len(serial.ops) {
+		t.Errorf("concurrent memo holds %d op contexts, the serial one %d", len(sh.ops), len(serial.ops))
+	}
+	for k, ref := range serial.ops {
+		if got, ok := sh.ops[k]; !ok || !reflect.DeepEqual(got.vals, ref.vals) || !reflect.DeepEqual(got.have, ref.have) {
+			t.Errorf("op context %+v differs from the serial one", k)
+		}
 	}
 }
 

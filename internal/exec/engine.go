@@ -73,9 +73,9 @@ func (e *Engine) Seed() uint64 { return e.seed }
 
 // Fingerprint condenses everything that determines the engine's
 // measurements, the seed and each effect magnitude by exact bit pattern,
-// into the 32 hex digits the evalcache and perfdb stores key their
-// objects by. It hashes the constants themselves, so editing one orphans
-// the objects measured under the old value.
+// into the 32 hex digits the perfdb column store keys its objects by.
+// It hashes the constants themselves, so editing one orphans the objects
+// measured under the old value.
 func (e *Engine) Fingerprint() string {
 	h := sha256.New()
 	fmt.Fprintf(h, "seed=%d", e.seed)

@@ -56,8 +56,7 @@ func TestEngineDeterminism(t *testing.T) {
 	}
 }
 
-// TestEngineFingerprintPinned pins what every evalcache and perfdb store
-// key embeds: an engine of one seed must hash to the same fingerprint in
+// TestEngineFingerprintPinned pins what every perfdb column key embeds: an engine of one seed must hash to the same fingerprint in
 // every version, or every store on disk goes cold. The reflect check
 // keeps Engine free of exported fields, so that nothing but its seed can
 // tell two engines apart.

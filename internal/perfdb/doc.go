@@ -24,13 +24,10 @@
 // concentrates (see docs/ARCHITECTURE.md §planner) — while workloads
 // fan out over a worker pool and all points of a workload share stage
 // measurements through an evalcache (a candidate measured for n=4 is
-// byte-identical for n=8).
-// Options.EvalCache substitutes a caller-owned cache — the session
-// passes its store-attached one, so even a first-ever build starts from
-// measurements persisted by earlier searches. The execution options
-// (Workers, EvalCache) change wall-clock only: the determinism tests in
-// this package pin a build's entries to a digest recorded from the
-// uncached serial build this one replaced, and check shared-cache,
+// byte-identical for n=8). Each workload's cache is created for its
+// column and dies with the build. Workers changes wall-clock only: the
+// determinism tests in this package pin a build's entries to a digest
+// recorded from the uncached serial build this one replaced, and check
 // store-backed and post-cancellation builds against fresh ones bit for
 // bit.
 //
@@ -53,9 +50,10 @@
 // BuildOrLoadStore avoids rebuilding: it persists one content-addressed
 // object per workload column with partial invalidation — adding a
 // workload to a cached request builds exactly the missing column (see
-// store.go for the key derivation rules). A stored column is used only if
-// it is the request's column point for point: the same seed, model,
-// batch, GPU types and MaxN, and exactly one entry per grid point. Any
-// other column is reported as store.ErrCorrupt in StoreStats.Skipped and
-// rebuilt.
+// store.go for the key derivation rules). The columns are the only
+// measurements any tool persists; the evalcache's memo stays in memory.
+// A stored column is used only if it is the request's column point for
+// point: the same seed, model, batch, GPU types and MaxN, and exactly
+// one entry per grid point. Any other column is reported as
+// store.ErrCorrupt in StoreStats.Skipped and rebuilt.
 package perfdb

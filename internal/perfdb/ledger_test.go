@@ -25,29 +25,32 @@ type ledgerRow struct {
 }
 
 // TestWorkLedger builds TestCachedBuildMatchesUncachedSerial's database
-// serially through one measurement cache and compares the cache's
-// counters with testdata/work.json exactly: stage hits and misses, the
-// op measurements summed into the misses, and plan hits and misses. The
-// counts are deterministic, so a change that moves one, on any host, says
-// so here; a change meant to move them re-records the file with -update
-// and lists the counts that moved.
+// serially and compares the summed counters of its per-workload
+// measurement caches with testdata/work.json exactly: stage hits and
+// misses, the op measurements summed into the misses, and plan hits and
+// misses. The counts are deterministic, so a change that moves one, on
+// any host, says so here; a change meant to move them re-records the
+// file with -update and lists the counts that moved.
 func TestWorkLedger(t *testing.T) {
-	eng := exec.NewEngine(42)
 	opts := storeTestOpts(storeTestWorkloads...)
 	opts.Workers = 1
-	opts.EvalCache = evalcache.New(eng)
-	d, err := BuildCtx(context.Background(), eng, opts)
+	var row ledgerRow
+	opts.onCache = func(c *evalcache.Cache) {
+		s := c.Stats()
+		row.StageHits += s.StageHits
+		row.StageMisses += s.StageMisses
+		row.StageOpSteps += s.StageOpSteps
+		row.PlanHits += s.PlanHits
+		row.PlanMisses += s.PlanMisses
+	}
+	d, err := BuildCtx(context.Background(), exec.NewEngine(42), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := dbDigest(t, d); got != uncachedSerialDigest {
 		t.Fatalf("database digest %s, want %s", got, uncachedSerialDigest)
 	}
-	s := opts.EvalCache.Stats()
-	got := map[string]ledgerRow{"digest-build": {
-		StageHits: s.StageHits, StageMisses: s.StageMisses, StageOpSteps: s.StageOpSteps,
-		PlanHits: s.PlanHits, PlanMisses: s.PlanMisses,
-	}}
+	got := map[string]ledgerRow{"digest-build": row}
 	if *updateLedger {
 		data, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {

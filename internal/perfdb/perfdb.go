@@ -125,22 +125,16 @@ type Options struct {
 	// builds fully serially. It changes wall-clock only, never results.
 	Workers int
 
-	// EvalCache, when non-nil, is the measurement cache the build's
-	// searches and plan evaluations run through instead of a fresh
-	// per-workload cache. It must be bound to the same engine the build
-	// receives (the session passes its own). The point is cross-process
-	// warm starts: with a store-attached cache (arena.WithStore), even a
-	// first-ever database build begins from the op and stage
-	// measurements earlier searches persisted, instead of measuring
-	// every workload column cold. The engine is a pure function of its
-	// seed, so sharing a cache — across workloads and across processes —
-	// changes wall-clock only, never results.
-	EvalCache *evalcache.Cache
-
 	// Progress, when non-nil, receives one "perfdb.build" event per
 	// completed (workload, type, count) point. Points fan out over worker
 	// pools, so the function may be called concurrently.
 	Progress core.ProgressFunc
+
+	// onCache, when non-nil, is handed each workload's measurement cache
+	// once the workload's points are built, possibly concurrently. The
+	// caches die with the build; TestWorkLedger reads their counters
+	// here.
+	onCache func(*evalcache.Cache)
 }
 
 // maxWorkers resolves the build's worker budget.
@@ -162,10 +156,6 @@ func BuildCtx(ctx context.Context, eng *exec.Engine, opts Options) (*DB, error) 
 	}
 	if len(opts.GPUTypes) == 0 {
 		return nil, fmt.Errorf("perfdb: no GPU types")
-	}
-	if opts.EvalCache != nil && opts.EvalCache.Engine() != eng {
-		return nil, fmt.Errorf("perfdb: eval cache is bound to a different engine (seed %d) than the build's (seed %d)",
-			opts.EvalCache.Engine().Seed(), eng.Seed())
 	}
 	if opts.MaxN < 1 {
 		opts.MaxN = 16
@@ -241,13 +231,14 @@ func (ps *progressSink) point(w model.Workload, typ string, n int) {
 
 // buildWorkload computes every entry of one workload (all types × counts).
 //
-// All points of the workload share one evalcache: a stage candidate
-// measured for the n=4 full search is byte-identical for n=8 (and for the
-// pruned search of either), so the column's search cost collapses to the
-// distinct-candidate set. The points fan out over a worker pool; the wall
-// time accumulators are folded serially in (type, count) order afterwards
-// so float summation order — and therefore every derived number — matches
-// the serial build bit for bit.
+// All points of the workload share one evalcache, which dies with the
+// build: a stage candidate measured for the n=4 full search is
+// byte-identical for n=8 (and for the pruned search of either), so the
+// column's search cost collapses to the distinct-candidate set. The
+// points fan out over a worker pool; the wall time accumulators are
+// folded serially in (type, count) order afterwards so float summation
+// order — and therefore every derived number — matches the serial build
+// bit for bit.
 func buildWorkload(ctx context.Context, eng *exec.Engine, ct *profiler.CommTable, w model.Workload, opts Options, sink *progressSink) (res workloadResult) {
 	g, err := model.BuildClustered(w.Model)
 	if err != nil {
@@ -270,16 +261,7 @@ func buildWorkload(ctx context.Context, eng *exec.Engine, ct *profiler.CommTable
 	// points — so searches run with Workers: 1. Splitting the core budget
 	// a third time inside profileStageCandidates would only multiply
 	// CPU-bound goroutines (GOMAXPROCS³) contending on the shard locks.
-	//
-	// A caller-provided cache (Options.EvalCache) replaces the fresh
-	// per-workload one: measurement keys are namespaced by (graph,
-	// device, node packing), so workloads sharing one cache cannot
-	// collide, and a store-attached session cache lets this build start
-	// from measurements persisted by earlier searches.
-	cache := opts.EvalCache
-	if cache == nil {
-		cache = evalcache.New(eng)
-	}
+	cache := evalcache.New(eng)
 	searchOpts := search.Options{Cache: cache, Workers: 1}
 
 	// Points in slot order: types outer, counts inner.
@@ -306,6 +288,9 @@ func buildWorkload(ctx context.Context, eng *exec.Engine, ct *profiler.CommTable
 	}); err != nil {
 		res.err = err
 		return res
+	}
+	if opts.onCache != nil {
+		opts.onCache(cache)
 	}
 
 	col.entries = make([]Entry, len(points))

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"github.com/sjtu-epcc/arena/internal/evalcache"
 	"github.com/sjtu-epcc/arena/internal/exec"
 	"github.com/sjtu-epcc/arena/internal/model"
 )
@@ -339,60 +338,5 @@ func TestCachedBuildMatchesUncachedSerial(t *testing.T) {
 	}
 	if got := dbDigest(t, d); got != uncachedSerialDigest {
 		t.Fatalf("database digest %s, want %s", got, uncachedSerialDigest)
-	}
-}
-
-func TestBuildSharedEvalCacheMatchesFresh(t *testing.T) {
-	// A caller-provided measurement cache (the session's, possibly
-	// store-hydrated) must change wall-clock only: entries are
-	// bit-identical to a build with fresh per-workload caches, on the
-	// first use of the cache and again when it is fully warm.
-	opts := Options{
-		GPUTypes: []string{"A40"},
-		MaxN:     4,
-		Workloads: []model.Workload{
-			{Model: "WRes-1B", GlobalBatch: 256},
-			{Model: "GPT-1.3B", GlobalBatch: 128},
-		},
-	}
-	fresh, err := BuildCtx(context.Background(), exec.NewEngine(42), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	eng := exec.NewEngine(42)
-	shared := opts
-	shared.EvalCache = evalcache.New(eng)
-	cold, err := BuildCtx(context.Background(), eng, shared)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := BuildCtx(context.Background(), eng, shared)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats := shared.EvalCache.Stats(); stats.StageHits == 0 {
-		t.Error("shared cache recorded no hits across builds")
-	}
-	for _, d := range []*DB{cold, warm} {
-		for _, k := range fresh.Keys() {
-			ea, _ := fresh.Entry(k.Workload, k.GPUType, k.N)
-			eb, ok := d.Entry(k.Workload, k.GPUType, k.N)
-			if !ok || *ea != *eb {
-				t.Fatalf("entry %v differs between fresh-cache and shared-cache builds", k)
-			}
-		}
-	}
-}
-
-func TestBuildRejectsForeignEvalCache(t *testing.T) {
-	opts := Options{
-		GPUTypes:  []string{"A40"},
-		MaxN:      2,
-		Workloads: []model.Workload{{Model: "WRes-1B", GlobalBatch: 256}},
-		EvalCache: evalcache.New(exec.NewEngine(7)),
-	}
-	if _, err := BuildCtx(context.Background(), exec.NewEngine(42), opts); err == nil {
-		t.Fatal("cache bound to a different engine must be rejected")
 	}
 }

@@ -2,13 +2,15 @@ package perfdb
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"slices"
 	"sort"
 	"strconv"
 
-	"github.com/sjtu-epcc/arena/internal/evalcache"
 	"github.com/sjtu-epcc/arena/internal/exec"
 	"github.com/sjtu-epcc/arena/internal/hw"
 	"github.com/sjtu-epcc/arena/internal/model"
@@ -89,6 +91,27 @@ type StoreStats struct {
 // FromStore reports whether every requested column came from the store.
 func (s StoreStats) FromStore() bool { return s.BuiltColumns == 0 && s.LoadedColumns > 0 }
 
+// graphFingerprint condenses a model graph's static definition — name,
+// family, sequence length, activation factor and every operator quantity —
+// via its canonical JSON encoding.
+func graphFingerprint(g *model.Graph) string { return jsonFingerprint(g) }
+
+// gpuFingerprint condenses a device specification.
+func gpuFingerprint(spec hw.GPU) string { return jsonFingerprint(spec) }
+
+// jsonFingerprint hashes a value's canonical JSON encoding. Go marshals
+// struct fields in declaration order, so the encoding — and the
+// fingerprint — is deterministic for a fixed schema.
+func jsonFingerprint(v any) string {
+	data, err := json.Marshal(v)
+	if err != nil {
+		// Fingerprinted types are plain data structs; marshal cannot fail.
+		panic(fmt.Sprintf("perfdb: fingerprint %T: %v", v, err))
+	}
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:])[:32]
+}
+
 // columnKey derives the content address of one workload column.
 func columnKey(engineFP string, w model.Workload, graphFP string, gpuTypes []string, gpuFPs []string, maxN int) store.Key {
 	fields := []string{
@@ -112,7 +135,7 @@ func columnKeys(eng *exec.Engine, opts Options) ([]store.Key, error) {
 		if err != nil {
 			return nil, err
 		}
-		gpuFPs[i] = evalcache.GPUFingerprint(spec)
+		gpuFPs[i] = gpuFingerprint(spec)
 	}
 	keys := make([]store.Key, len(opts.Workloads))
 	for i, w := range opts.Workloads {
@@ -120,7 +143,7 @@ func columnKeys(eng *exec.Engine, opts Options) ([]store.Key, error) {
 		if err != nil {
 			return nil, err
 		}
-		keys[i] = columnKey(engineFP, w, evalcache.GraphFingerprint(g), opts.GPUTypes, gpuFPs, opts.MaxN)
+		keys[i] = columnKey(engineFP, w, graphFingerprint(g), opts.GPUTypes, gpuFPs, opts.MaxN)
 	}
 	return keys, nil
 }
@@ -134,10 +157,8 @@ func columnKeys(eng *exec.Engine, opts Options) ([]store.Key, error) {
 //
 // The merged result is bit-identical to a cold Build of the same options:
 // workload columns are independent by construction (each build runs its
-// own planner and profiler over the same pure engine, and measurement
-// caches — per-workload or shared via Options.EvalCache — only memoize
-// that engine's pure results), which
-// TestStorePartialBuildMatchesColdBuild asserts.
+// own planner, profiler and measurement cache over the same pure engine),
+// which TestStorePartialBuildMatchesColdBuild asserts.
 //
 // A nil store builds without persistence. A column write failure returns
 // the fully usable database together with a *PersistError; unreadable

@@ -332,16 +332,16 @@ func (p *ArenaPolicy) allowedTypes(job *Job) []string {
 // request is pinned, but snapped up onto the profiled power-of-two grid
 // and still raised to the smallest feasible size beyond it — rigid
 // schedulers pad requests to the sizes they can actually place rather
-// than starving them. Returns nil when no profiled size up to MaxPerJob
-// is feasible on any allowed type; the launch loop drops such jobs with
-// a warning. (Before the snap, a non-power-of-two request — e.g. 3 —
+// than starving them. Returns nil when no profiled size up to the
+// database's MaxN is feasible on any allowed type; the launch loop drops
+// such jobs with a warning. (Before the snap, a non-power-of-two request — e.g. 3 —
 // probed 3→6→12 entirely off the profiled grid, saw zero perceived
 // throughput everywhere, and queued forever while head-of-line-blocking
 // its priority queue, silently diverging the w/o-elastic ablation from
 // Fig. 17 on such traces.)
 func (p *ArenaPolicy) allowedCounts(ctx *Context, job *Job) []int {
 	if p.DisableElastic {
-		for n := ceilPow2(job.Trace.ReqGPUs); n <= ctx.MaxPerJob; n *= 2 {
+		for n := ceilPow2(job.Trace.ReqGPUs); n <= ctx.DB.MaxN; n *= 2 {
 			for _, typ := range p.allowedTypes(job) {
 				if p.PerceivedThr(ctx.DB, job.Workload(), typ, n) > 0 {
 					return []int{n}
@@ -351,7 +351,7 @@ func (p *ArenaPolicy) allowedCounts(ctx *Context, job *Job) []int {
 		return nil
 	}
 	var out []int
-	for n := 1; n <= ctx.MaxPerJob; n *= 2 {
+	for n := 1; n <= ctx.DB.MaxN; n *= 2 {
 		out = append(out, n)
 	}
 	return out
@@ -558,7 +558,7 @@ func (p *ArenaPolicy) scaleUp(ctx *Context, ts *Targets, depth *int, asg *Assign
 // capacity check is deliberately not here: it is the only input that
 // moves between selections without the candidate itself being doubled.
 func (p *ArenaPolicy) scaleGain(ctx *Context, j *Job, cur Alloc) (float64, bool) {
-	if cur.IsZero() || cur.N*2 > ctx.MaxPerJob {
+	if cur.IsZero() || cur.N*2 > ctx.DB.MaxN {
 		return 0, false
 	}
 	// Rescaling a reconfiguring job again would thrash; fresh

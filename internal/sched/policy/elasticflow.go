@@ -33,13 +33,13 @@ func (e *ElasticFlow) Name() string { return "elasticflow-ls" }
 // type where the job is perceived-feasible at all.
 func (e *ElasticFlow) region(ctx *sched.Context, job *sched.Job) string {
 	typ := job.Trace.ReqType
-	for n := 1; n <= ctx.MaxPerJob; n *= 2 {
+	for n := 1; n <= ctx.DB.MaxN; n *= 2 {
 		if dpView(ctx.DB, job.Workload(), typ, n) > 0 {
 			return typ
 		}
 	}
 	for _, t := range ctx.Cluster.GPUTypes() {
-		for n := 1; n <= ctx.MaxPerJob; n *= 2 {
+		for n := 1; n <= ctx.DB.MaxN; n *= 2 {
 			if dpView(ctx.DB, job.Workload(), t, n) > 0 {
 				return t
 			}
@@ -123,7 +123,7 @@ func (e *ElasticFlow) Assign(ctx *sched.Context) sched.Assignment {
 
 // minFeasible is the smallest profiled size the workload runs at on typ.
 func (e *ElasticFlow) minFeasible(ctx *sched.Context, w model.Workload, typ string) int {
-	for n := 1; n <= ctx.MaxPerJob; n *= 2 {
+	for n := 1; n <= ctx.DB.MaxN; n *= 2 {
 		if dpView(ctx.DB, w, typ, n) > 0 {
 			return n
 		}
@@ -137,7 +137,7 @@ func (e *ElasticFlow) minFeasible(ctx *sched.Context, w model.Workload, typ stri
 // The free-capacity check stays with the caller — it is the only input
 // that moves without the candidate itself being doubled.
 func (e *ElasticFlow) growthGain(ctx *sched.Context, job *sched.Job, cur sched.Alloc) (float64, bool) {
-	if cur.N*2 > ctx.MaxPerJob {
+	if cur.N*2 > ctx.DB.MaxN {
 		return 0, false
 	}
 	if job.Running() && job.BusyUntil > ctx.Now {

@@ -72,7 +72,7 @@ func (g *Gavel) Assign(ctx *sched.Context) sched.Assignment {
 		req int
 	}
 	scoreOf := func(job *sched.Job) score {
-		sc := score{n: g.demand(ctx.DB, job, ctx.MaxPerJob)}
+		sc := score{n: g.demand(ctx.DB, job)}
 		if sc.n == 0 {
 			return sc
 		}
@@ -151,9 +151,9 @@ func (g *Gavel) Assign(ctx *sched.Context) sched.Assignment {
 
 // demand is the job's fixed GPU count: the user request, raised to the
 // DP-feasibility floor its profiles report (Case#2's overestimation).
-// When the DP floor exceeds the per-job cap, the job falls back to a
-// manually partitioned plan at the AP floor.
-func (g *Gavel) demand(db *perfdb.DB, job *sched.Job, maxPerJob int) int {
+// When the DP floor exceeds the per-job cap (the database's MaxN), the
+// job falls back to a manually partitioned plan at the AP floor.
+func (g *Gavel) demand(db *perfdb.DB, job *sched.Job) int {
 	dpMin, apMin := 0, 0
 	for _, typ := range db.GPUTypes {
 		if m := db.MinFeasibleDP(job.Workload(), typ); m != 0 && (dpMin == 0 || m < dpMin) {
@@ -164,18 +164,18 @@ func (g *Gavel) demand(db *perfdb.DB, job *sched.Job, maxPerJob int) int {
 		}
 	}
 	minN := dpMin
-	if minN == 0 || minN > maxPerJob {
+	if minN == 0 || minN > db.MaxN {
 		minN = apMin // manual plan fallback
 	}
-	if minN == 0 || minN > maxPerJob {
+	if minN == 0 || minN > db.MaxN {
 		return 0
 	}
 	n := job.Trace.ReqGPUs
 	if minN > n {
 		n = minN
 	}
-	if n > maxPerJob {
-		n = maxPerJob
+	if n > db.MaxN {
+		n = db.MaxN
 	}
 	return n
 }

@@ -53,7 +53,7 @@ func ctx(t *testing.T, queued, running []*sched.Job) *sched.Context {
 	}
 	return &sched.Context{
 		Now: 0, Queued: queued, Running: running,
-		Cluster: cl, DB: db(t), MaxPerJob: 16,
+		Cluster: cl, DB: db(t),
 	}
 }
 

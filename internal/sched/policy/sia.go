@@ -87,7 +87,7 @@ func (s *Sia) Assign(ctx *sched.Context) sched.Assignment {
 		if !ok {
 			cands = make([]minCand, len(types))
 			for ti, typ := range types {
-				for n := 1; n <= ctx.MaxPerJob; n *= 2 {
+				for n := 1; n <= ctx.DB.MaxN; n *= 2 {
 					if thr := s.perceived(ctx.DB, w, typ, n); thr > 0 {
 						cands[ti] = minCand{minN: n, thr: thr}
 						break
@@ -127,7 +127,7 @@ func (s *Sia) Assign(ctx *sched.Context) sched.Assignment {
 // both feed sched.DoubleByGain, each with its own perceived table and
 // threshold.
 func (s *Sia) growthGain(ctx *sched.Context, job *sched.Job, cur sched.Alloc) (float64, bool) {
-	if cur.N*2 > ctx.MaxPerJob {
+	if cur.N*2 > ctx.DB.MaxN {
 		return 0, false
 	}
 	if job.Running() && job.BusyUntil > ctx.Now {

@@ -128,9 +128,9 @@ type Context struct {
 	Queued  []*Job
 	Running []*Job
 	Cluster *cluster.Cluster
-	DB      *perfdb.DB
-	// MaxPerJob caps any single job's allocation (the paper's N, §2.3).
-	MaxPerJob int
+	// DB is the performance database; its MaxN caps any single job's
+	// allocation (the paper's N, §2.3).
+	DB *perfdb.DB
 	// Changes, when non-nil, says how Queued differs from the previous
 	// round's, so a policy can keep per-queue state across rounds instead
 	// of rescanning Queued. The engine owns it and rewrites it every

@@ -4,7 +4,6 @@ import (
 	"context"
 	"slices"
 	"strconv"
-	"sync"
 	"testing"
 	"unsafe"
 
@@ -16,11 +15,8 @@ import (
 	"github.com/sjtu-epcc/arena/internal/trace"
 )
 
-var (
-	dbOnce sync.Once
-	testDB *perfdb.DB
-	dbErr  error
-)
+// dbs holds the fixture databases by MaxN.
+var dbs = map[int]*perfdb.DB{}
 
 // testWorkloads keeps the fixture DB small but representative: one small
 // model (DP-friendly), one memory-bound model (DP OOMs on small parts),
@@ -35,17 +31,26 @@ func testWorkloads() []model.Workload {
 
 func db(t *testing.T) *perfdb.DB {
 	t.Helper()
-	dbOnce.Do(func() {
-		testDB, dbErr = perfdb.BuildCtx(context.Background(), exec.NewEngine(42), perfdb.Options{
-			GPUTypes:  []string{"A40", "A10"},
-			MaxN:      16,
-			Workloads: testWorkloads(),
-		})
-	})
-	if dbErr != nil {
-		t.Fatal(dbErr)
+	return dbCapped(t, 16)
+}
+
+// dbCapped returns the fixture database built with the given MaxN, the
+// per-job cap the policies read from it; each cap is built once.
+func dbCapped(t *testing.T, maxN int) *perfdb.DB {
+	t.Helper()
+	if d, ok := dbs[maxN]; ok {
+		return d
 	}
-	return testDB
+	d, err := perfdb.BuildCtx(context.Background(), exec.NewEngine(42), perfdb.Options{
+		GPUTypes:  []string{"A40", "A10"},
+		MaxN:      maxN,
+		Workloads: testWorkloads(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dbs[maxN] = d
+	return d
 }
 
 func testCtx(t *testing.T, queued, running []*Job) *Context {
@@ -61,12 +66,11 @@ func testCtx(t *testing.T, queued, running []*Job) *Context {
 		}
 	}
 	return &Context{
-		Now:       0,
-		Queued:    queued,
-		Running:   running,
-		Cluster:   cl,
-		DB:        db(t),
-		MaxPerJob: 16,
+		Now:     0,
+		Queued:  queued,
+		Running: running,
+		Cluster: cl,
+		DB:      db(t),
 	}
 }
 
@@ -329,15 +333,15 @@ func TestArenaRigidNonPow2SnapsToProfiledSize(t *testing.T) {
 
 func TestArenaRigidInfeasibleDropped(t *testing.T) {
 	// A rigid request no profiled size can serve (GPT-6.7B needs ≥ 8 A10,
-	// capped here at 4 per job) is dropped rather than left to
-	// head-of-line-block its priority queue forever.
+	// capped here at 4 per job by a database built up to 4) is dropped
+	// rather than left to head-of-line-block its priority queue forever.
 	p := NewArena()
 	p.DisableElastic = true
 	p.DisableHetero = true
 	j := mkJob("j1", "GPT-6.7B", 128, 3, 1)
 	j.Trace.ReqType = "A10"
 	ctx := testCtx(t, []*Job{j}, nil)
-	ctx.MaxPerJob = 4
+	ctx.DB = dbCapped(t, 4)
 	asg := p.Assign(ctx)
 	if len(asg.Drop) != 1 || asg.Drop[0].Trace.ID != "j1" {
 		t.Fatalf("infeasible rigid job not dropped: %v", asg.Drop)

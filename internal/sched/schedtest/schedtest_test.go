@@ -139,7 +139,7 @@ func TestCheckFlagsViolations(t *testing.T) {
 	// naming both in one assignment is not.
 	twin := &sched.Job{Trace: jobs[1], State: sched.StateQueued}
 	twin.Trace.ID = q.Trace.ID
-	ctx := &sched.Context{Now: 0, Queued: []*sched.Job{q, twin}, Cluster: cl, DB: db(t), MaxPerJob: 16}
+	ctx := &sched.Context{Now: 0, Queued: []*sched.Job{q, twin}, Cluster: cl, DB: db(t)}
 	// impostor is a copy of q: same ID and fields, another pointer.
 	impostor := *q
 	stranger := &sched.Job{Trace: jobs[2], State: sched.StateQueued}

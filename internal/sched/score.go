@@ -143,28 +143,26 @@ type ladder struct {
 
 // ladderCacheKey fingerprints everything a ladder and its tables depend
 // on besides the signature and the cluster's type order (kept in
-// ArenaPolicy.types). The database pointer stands in for its contents:
-// arena's perceived throughputs are static per DB (no online
-// refinement), so the same pointer means the same table. The switches
-// are every ablation a ladder reads: DisablePlanner picks the perceived
-// table, DisablePruning the deployment overhead, and DisableHetero and
-// DisableElastic the allowed types and counts — and, with them, whether
-// the signature carries the request at all.
+// ArenaPolicy.types). The database pointer stands in for its contents,
+// the per-job cap (its MaxN) included: arena's perceived throughputs are
+// static per DB (no online refinement), so the same pointer means the
+// same table. The switches are every ablation a ladder reads:
+// DisablePlanner picks the perceived table, DisablePruning the
+// deployment overhead, and DisableHetero and DisableElastic the allowed
+// types and counts — and, with them, whether the signature carries the
+// request at all.
 type ladderCacheKey struct {
-	db   *perfdb.DB
-	maxN int
+	db *perfdb.DB
 
 	noPlanner, noPruning, noHetero, noElastic bool
 }
 
 // ensureLadders resets the ladder cache when its inputs moved (different
-// database, per-job cap, cluster type order, or a flipped ablation switch
-// — e.g. the policy instance reused across simulations). Called once per
-// Assign.
+// database, cluster type order, or a flipped ablation switch — e.g. the
+// policy instance reused across simulations). Called once per Assign.
 func (p *ArenaPolicy) ensureLadders(ctx *Context) {
 	key := ladderCacheKey{
 		db:        ctx.DB,
-		maxN:      max(ctx.MaxPerJob, 0),
 		noPlanner: p.DisablePlanner,
 		noPruning: p.DisablePruning,
 		noHetero:  p.DisableHetero,
@@ -210,7 +208,7 @@ func (p *ArenaPolicy) launchLadder(ctx *Context, job *Job) *ladder {
 		return p.ladders[h-1]
 	}
 	lad := &ladder{sig: sig, counts: p.allowedCounts(ctx, job)}
-	stride := bits.Len(uint(p.ladderKey.maxN))
+	stride := bits.Len(uint(p.ladderKey.db.MaxN))
 	lad.thr = make([]float64, len(p.types)*stride)
 	lad.deploy = make([]float64, len(p.types)*stride)
 	for t, typ := range p.types {
@@ -258,12 +256,13 @@ func hintOf(h uint32) uint16 {
 // point is off the tables: a type outside the cluster, or n not a power
 // of two in [1, the per-job cap].
 func (p *ArenaPolicy) slot(typ string, n int) int {
-	if n < 1 || n > p.ladderKey.maxN || n&(n-1) != 0 {
+	maxN := p.ladderKey.db.MaxN
+	if n < 1 || n > maxN || n&(n-1) != 0 {
 		return -1
 	}
 	for t, name := range p.types {
 		if name == typ {
-			return t*bits.Len(uint(p.ladderKey.maxN)) + bits.TrailingZeros(uint(n))
+			return t*bits.Len(uint(maxN)) + bits.TrailingZeros(uint(n))
 		}
 	}
 	return -1

@@ -534,11 +534,11 @@ func TestLadderHintMatchesColdLookup(t *testing.T) {
 	check("another instance", p)
 
 	hint(p)
-	ctx.MaxPerJob = 8
-	p.ensureLadders(ctx) // a new cap resets the cache
+	ctx.DB = dbCapped(t, 8)
+	p.ensureLadders(ctx) // a database of another cap resets the cache
 	build(p)
 	check("reset", p)
-	ctx.MaxPerJob = 16
+	ctx.DB = db(t)
 
 	for _, flip := range []struct {
 		name string
@@ -695,7 +695,7 @@ func TestLadderCacheTracksDisablePruning(t *testing.T) {
 // per-signature tables: every throughput and overhead a PerceivedThr or
 // DeployOverhead call.
 func directScaleGain(p *ArenaPolicy, ctx *Context, j *Job, cur Alloc) (float64, bool) {
-	if cur.IsZero() || cur.N*2 > ctx.MaxPerJob {
+	if cur.IsZero() || cur.N*2 > ctx.DB.MaxN {
 		return 0, false
 	}
 	if j.Running() && j.BusyUntil > ctx.Now {

@@ -240,6 +240,32 @@ func TestPrunedSearchCancellation(t *testing.T) {
 	}
 }
 
+// TestOptionsAcceptSameSeedCache hands a search a cache bound to another
+// engine of the search's seed. An engine is its seed, so the cache must
+// serve the search, with the outcome a private cache gives.
+func TestOptionsAcceptSameSeedCache(t *testing.T) {
+	g, err := model.BuildClustered("GPT-1.3B")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := hw.MustLookup("A40")
+	cache := evalcache.New(exec.NewEngine(42))
+	shared, err := FullSearchCtx(context.Background(), exec.NewEngine(42), g, spec, 128, 4, Options{Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cache.Stats().StageMisses == 0 {
+		t.Fatal("the search measured nothing through the cache it was handed")
+	}
+	private, err := FullSearchCtx(context.Background(), exec.NewEngine(42), g, spec, 128, 4, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(shared, private) {
+		t.Errorf("same-seed cache outcome %+v differs from a private cache's %+v", shared, private)
+	}
+}
+
 func TestOptionsRejectForeignCache(t *testing.T) {
 	eng := exec.NewEngine(42)
 	other := exec.NewEngine(7)

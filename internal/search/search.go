@@ -61,8 +61,9 @@ type Options struct {
 	GPUsPerNode int
 	// Cache memoizes stage measurements and plan evaluations across
 	// degrees and across searches sharing it; nil gives the search a
-	// private cache of its own. It must be bound to the same engine the
-	// search runs on.
+	// private cache of its own. It must be bound to an engine of the
+	// search's seed: an engine is its seed, so any such engine measures
+	// alike.
 	Cache *evalcache.Cache
 	// Workers bounds the candidate-profiling fan-out per degree
 	// (<= 1 = serial, < 0 = GOMAXPROCS).
@@ -170,8 +171,9 @@ func newSearcher(ctx context.Context, eng *exec.Engine, g *model.Graph, spec hw.
 	cache := opts.Cache
 	if cache == nil {
 		cache = evalcache.New(eng)
-	} else if cache.Engine() != eng {
-		return nil, fmt.Errorf("search: cache is bound to a different engine")
+	} else if cache.Engine().Seed() != eng.Seed() {
+		return nil, fmt.Errorf("search: cache is bound to an engine of seed %d, the search runs seed %d",
+			cache.Engine().Seed(), eng.Seed())
 	}
 	if ctx == nil {
 		ctx = context.Background()

@@ -121,13 +121,12 @@ func (e *Engine) Round(now float64) sched.Assignment {
 	// once hid a cancellation bug (the vet shadow check in CI now
 	// rejects the pattern).
 	rctx := &sched.Context{
-		Now:       now,
-		Queued:    s.roundQueue(now),
-		Running:   s.running,
-		Cluster:   s.cluster,
-		DB:        s.cfg.DB,
-		MaxPerJob: s.cfg.DB.MaxN,
-		Changes:   s.changes,
+		Now:     now,
+		Queued:  s.roundQueue(now),
+		Running: s.running,
+		Cluster: s.cluster,
+		DB:      s.cfg.DB,
+		Changes: s.changes,
 	}
 	asg := s.cfg.Policy.Assign(rctx)
 	s.apply(now, asg)

@@ -1,10 +1,10 @@
 // Package store is a content-addressed, versioned, on-disk object store —
-// the persistence substrate under the measurement caches (the evalcache's
-// op/stage memo tables and the perfdb's per-workload columns). It knows
-// nothing about either client: it stores JSON payloads under keys that the
-// clients derive by hashing the inputs that determine the payload (engine
-// seed and constants, model-graph fingerprint, GPU spec, workload params,
-// schema version).
+// the persistence substrate under the performance database's per-workload
+// columns (internal/perfdb, the one object client) and the daemon's
+// journal (internal/server). It knows nothing about its clients: it
+// stores JSON payloads under keys that a client derives by hashing the
+// inputs that determine the payload (engine seed and constants,
+// model-graph fingerprint, GPU spec, workload params, schema version).
 //
 // Content addressing is what makes invalidation free: when any input
 // changes — a model definition, a device spec, the schema — the derived
@@ -46,7 +46,7 @@
 // convention as perfdb.PersistError: persistence is a cache concern and
 // must never abort work that can be recomputed.
 //
-// The clients' key-derivation and invalidation rules — which fields feed
-// which hash, and what a drifted input orphans — are documented in
+// The column key's derivation and invalidation rules — which fields feed
+// the hash, and what a drifted input orphans — are documented in
 // docs/ARCHITECTURE.md alongside the rest of the persistence design.
 package store

@@ -99,23 +99,19 @@ func WithWorkloads(ws ...Workload) Option {
 }
 
 // WithStore attaches a content-addressed measurement store rooted at dir,
-// created on first use. One persistent mechanism covers both layers:
+// created on first use. BuildPerfDB persists the performance database
+// there per workload column and rebuilds only the columns the store
+// lacks, so adding one workload profiles that workload alone. The
+// columns are all the store caches: the session's stage-measurement memo
+// stays in memory, since re-measuring the analytic engine costs less than
+// reading a persisted memo back. arena-server also keeps its journal in
+// the store.
 //
-//   - the session's stage/op/plan measurement memo hydrates from the
-//     store lazily — one object read per measurement context, on first
-//     use — and Close flushes back the contexts that gained
-//     measurements, so repeated CLI invocations skip even cold-search
-//     profiling while a large shared store costs only what the session
-//     actually touches;
-//   - BuildPerfDB persists the performance database per workload column
-//     and rebuilds only columns the store lacks, so adding one workload
-//     profiles that workload alone.
-//
-// Objects are keyed by content (engine seed and constants, model-graph and
+// Columns are keyed by content (engine seed and constants, model-graph and
 // device-spec fingerprints, workload params, schema version): changing any
-// input orphans exactly the objects it invalidates, and processes — or
-// differently configured sessions — whose inputs agree share objects.
-// Corrupt or stale objects are skipped and rebuilt (see EvalStoreStats /
+// input orphans exactly the columns it invalidates, and processes — or
+// differently configured sessions — whose inputs agree share columns.
+// Corrupt or stale columns are skipped and rebuilt (see
 // PerfDBStoreStats), never served.
 //
 // The store directory admits one process at a time: New takes an advisory

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"github.com/sjtu-epcc/arena/internal/core"
-	"github.com/sjtu-epcc/arena/internal/evalcache"
 	"github.com/sjtu-epcc/arena/internal/exec"
 	"github.com/sjtu-epcc/arena/internal/hw"
 	"github.com/sjtu-epcc/arena/internal/model"
@@ -50,8 +49,8 @@ type Session struct {
 	planner *planner.Planner
 	cache   *EvalCache
 
-	// store is the content-addressed measurement store (nil without
-	// WithStore).
+	// store holds the performance database's columns and the daemon's
+	// journal (nil without WithStore).
 	store *store.Store
 
 	progressMu sync.Mutex // serializes cfg.progress calls
@@ -70,12 +69,6 @@ type Session struct {
 	dbStoreStats PerfDBStoreStats
 	dbBuilding   chan struct{}
 }
-
-// EvalStoreStats reports what a session restored from its measurement
-// store at construction: counts of stage/op/plan measurements, plus typed
-// errors for objects that were skipped (corrupt, truncated or stale) and
-// will be transparently re-measured.
-type EvalStoreStats = evalcache.LoadStats
 
 // PerfDBStoreStats reports how BuildPerfDB was served from the store:
 // workload columns loaded vs built, plus typed errors for skipped objects.
@@ -117,31 +110,23 @@ func New(opts ...Option) (*Session, error) {
 			return nil, err
 		}
 		s.store = st
-		// Hydration is lazy: each measurement context loads its store
-		// object when first resolved, so a large shared store costs the
-		// session only the contexts it actually touches.
-		s.cache.AttachStore(st)
 	}
 	return s, nil
 }
 
-// Close flushes the session's measurement memo to the configured store
-// and releases the store's single-writer lock so another process can
-// open the directory; without WithStore it is a no-op. Closing does not
-// invalidate the session — it may keep measuring — but persistence stops:
-// the store is gone, so defer Close next to New and treat it as the end
-// of the session's lifecycle. The returned error, when non-nil, is a
-// *store-layer persistence failure; all measured results remain valid, so
-// callers typically warn and continue, exactly as with
-// perfdb.PersistError.
+// Close releases the store's single-writer lock so another process can
+// open the directory; without WithStore it is a no-op. Every column
+// BuildPerfDB built is already on disk, so Close writes nothing. Closing
+// does not invalidate the session — it may keep measuring — but the store
+// is gone, so defer Close next to New and treat it as the end of the
+// session's lifecycle. The returned error, when non-nil, comes from
+// releasing the lock; all results remain valid, so callers typically warn
+// and continue.
 func (s *Session) Close() error {
 	if s.store == nil {
 		return nil
 	}
-	err := s.cache.SaveStore(s.store)
-	if cerr := s.store.Close(); err == nil {
-		err = cerr
-	}
+	err := s.store.Close()
 	s.store = nil
 	return err
 }
@@ -152,13 +137,6 @@ func (s *Session) Close() error {
 func (s *Session) Store() *store.Store {
 	return s.store
 }
-
-// EvalStoreStats reports what the session has restored from the
-// measurement store so far (zero without WithStore). Hydration is lazy —
-// per measurement context, on first use — so the counts grow as the
-// session works. Skipped entries are the warn-and-rebuild path: each
-// names one store object that was corrupt, truncated or misplaced.
-func (s *Session) EvalStoreStats() EvalStoreStats { return s.cache.StoreStats() }
 
 // PerfDBStoreStats reports how the last BuildPerfDB call was served from
 // the store (zero before the first call; without WithStore every column
@@ -195,7 +173,9 @@ func (s *Session) Engine() *Engine { return s.eng }
 // Planner returns the session's execution-free parallelism planner.
 func (s *Session) Planner() *Planner { return s.planner }
 
-// EvalCache returns the session's stage-measurement cache.
+// EvalCache returns the session's stage-measurement cache: the memo of
+// FullSearch, PrunedSearch, Search and Evaluate. BuildPerfDB measures
+// through caches of its own, one per workload, that die with the build.
 func (s *Session) EvalCache() *EvalCache { return s.cache }
 
 // emit forwards a progress event, serializing the user's callback.
@@ -400,7 +380,8 @@ func (s *Session) Evaluate(ctx context.Context, g *Graph, p *Plan, gpuType strin
 // first use over (GPU types × counts up to MaxN × workloads) — by far the
 // most expensive step of a simulator run. With WithStore each workload
 // column is served from the content-addressed store when present and only
-// missing columns are built (and written back).
+// missing columns are built (and written back). A build measures through
+// per-workload caches that die with it, not the session's EvalCache.
 //
 // A column persistence failure returns the fully usable database together
 // with a *perfdb.PersistError-wrapped error; callers decide whether to
@@ -437,11 +418,6 @@ func (s *Session) BuildPerfDB(ctx context.Context) (*PerfDB, error) {
 			Workloads: s.cfg.workloads,
 			Workers:   s.cfg.workers,
 			Progress:  s.progress(),
-			// The session's own cache: with WithStore attached, even a
-			// first-ever build reuses op and stage measurements earlier
-			// searches persisted, and the build's measurements flow back
-			// into the session memo (and to the store on Close).
-			EvalCache: s.cache,
 		}
 		db, stats, err := perfdb.BuildOrLoadStore(ctx, s.eng, opts, s.store)
 		s.dbMu.Lock()

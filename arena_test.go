@@ -189,7 +189,7 @@ func TestSessionMatchesFreeFunctions(t *testing.T) {
 }
 
 // TestSessionBuildPerfDBOwnCaches builds a fresh session's database. The
-// build measures through per-workload caches of its own, so the session's
+// build measures through per-model caches of its own, so the session's
 // EvalCache is left untouched, and the entries and profiling wall times
 // are the ones perfdb.BuildCtx builds.
 func TestSessionBuildPerfDBOwnCaches(t *testing.T) {

@@ -216,9 +216,9 @@ func BenchmarkFullSearch(b *testing.B) {
 	})
 }
 
-// BenchmarkBuildPerfDB times a cold database build (shared per-workload
-// evalcache plus the types × counts fan-out). The sub-benchmark keeps
-// its name, cached, so its baseline key still matches.
+// BenchmarkBuildPerfDB times a cold database build (per-model evalcaches
+// plus the types × counts fan-out). The sub-benchmark keeps its name,
+// cached, so its baseline key still matches.
 func BenchmarkBuildPerfDB(b *testing.B) {
 	opts := perfdb.Options{
 		GPUTypes: []string{"A40"}, MaxN: 16,

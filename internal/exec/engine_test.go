@@ -56,10 +56,11 @@ func TestEngineDeterminism(t *testing.T) {
 	}
 }
 
-// TestEngineFingerprintPinned pins what every perfdb column key embeds: an engine of one seed must hash to the same fingerprint in
-// every version, or every store on disk goes cold. The reflect check
-// keeps Engine free of exported fields, so that nothing but its seed can
-// tell two engines apart.
+// TestEngineFingerprintPinned pins what every perfdb column key embeds:
+// an engine of one seed must hash to the same fingerprint in every
+// version, or every store on disk goes cold. The reflect check keeps
+// Engine free of exported fields, so that nothing but its seed can tell
+// two engines apart.
 func TestEngineFingerprintPinned(t *testing.T) {
 	for _, c := range []struct {
 		seed uint64

@@ -24,12 +24,13 @@
 // concentrates (see docs/ARCHITECTURE.md §planner) — while workloads
 // fan out over a worker pool and all points of a workload share stage
 // measurements through an evalcache (a candidate measured for n=4 is
-// byte-identical for n=8). Each workload's cache is created for its
-// column and dies with the build. Workers changes wall-clock only: the
-// determinism tests in this package pin a build's entries to a digest
-// recorded from the uncached serial build this one replaced, and check
-// store-backed and post-cancellation builds against fresh ones bit for
-// bit.
+// byte-identical for n=8). The workloads of one model share a cache, so
+// its batch sizes reuse the stage shapes whose micro-batch samples
+// coincide; the cache dies once the model's last column is built.
+// Workers changes wall-clock only: the determinism tests in this package
+// pin a build's entries to a digest recorded from the uncached serial
+// build this one replaced, and check store-backed and post-cancellation
+// builds against fresh ones bit for bit.
 //
 // # Column layout
 //

@@ -9,6 +9,7 @@ import (
 
 	"github.com/sjtu-epcc/arena/internal/evalcache"
 	"github.com/sjtu-epcc/arena/internal/exec"
+	"github.com/sjtu-epcc/arena/internal/model"
 )
 
 var updateLedger = flag.Bool("update", false, "rewrite testdata/work.json from the current code")
@@ -25,7 +26,7 @@ type ledgerRow struct {
 }
 
 // TestWorkLedger builds TestCachedBuildMatchesUncachedSerial's database
-// serially and compares the summed counters of its per-workload
+// serially and compares the summed counters of its per-model
 // measurement caches with testdata/work.json exactly: stage hits and
 // misses, the op measurements summed into the misses, and plan hits and
 // misses. The counts are deterministic, so a change that moves one, on
@@ -76,5 +77,37 @@ func TestWorkLedger(t *testing.T) {
 	}
 	if len(got) != len(want) {
 		t.Errorf("%d builds, %d in the ledger", len(got), len(want))
+	}
+}
+
+// TestBuildSharesModelCacheAcrossBatches builds two batch sizes of one
+// model together, on two workers, and each alone. Together they measure
+// through one cache, which serves the stage shapes whose micro-batch
+// samples the two batch sizes share, so it fills fewer stage slots than
+// the two lone builds; the columns are the lone builds' bit for bit.
+func TestBuildSharesModelCacheAcrossBatches(t *testing.T) {
+	ws := []model.Workload{{Model: "GPT-1.3B", GlobalBatch: 128}, {Model: "GPT-1.3B", GlobalBatch: 256}}
+	build := func(workers int, ws ...model.Workload) (*DB, []evalcache.Stats) {
+		t.Helper()
+		opts := storeTestOpts(ws...)
+		opts.Workers = workers
+		var stats []evalcache.Stats
+		opts.onCache = func(c *evalcache.Cache) { stats = append(stats, c.Stats()) }
+		d, err := BuildCtx(context.Background(), exec.NewEngine(42), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d, stats
+	}
+	got, shared := build(2, ws...)
+	if len(shared) != 1 {
+		t.Fatalf("%d caches for one model's build, want 1", len(shared))
+	}
+	want, lone := build(1, ws[0])
+	b, st := build(1, ws[1])
+	want.cols[ws[1]] = b.cols[ws[1]]
+	equalDBExact(t, got, want)
+	if sum := lone[0].StageMisses + st[0].StageMisses; shared[0].StageMisses >= sum {
+		t.Errorf("the shared cache filled %d stage slots, the lone builds %d: no stage was shared", shared[0].StageMisses, sum)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"runtime"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"github.com/sjtu-epcc/arena/internal/core"
@@ -130,9 +131,9 @@ type Options struct {
 	// pools, so the function may be called concurrently.
 	Progress core.ProgressFunc
 
-	// onCache, when non-nil, is handed each workload's measurement cache
-	// once the workload's points are built, possibly concurrently. The
-	// caches die with the build; TestWorkLedger reads their counters
+	// onCache, when non-nil, is handed each model's measurement cache
+	// once the model's last workload is built, possibly concurrently.
+	// The caches die with the build; TestWorkLedger reads their counters
 	// here.
 	onCache func(*evalcache.Cache)
 }
@@ -181,8 +182,11 @@ func BuildCtx(ctx context.Context, eng *exec.Engine, opts Options) (*DB, error) 
 		counts++
 	}
 	sink := &progressSink{fn: opts.Progress, total: len(opts.Workloads) * len(opts.GPUTypes) * counts}
+	caches := newModelCaches(eng, opts)
 	if err := core.ParallelForCtx(ctx, len(opts.Workloads), opts.maxWorkers(), func(i int) {
-		results[i] = buildWorkload(ctx, eng, ct, opts.Workloads[i], opts, sink)
+		w := opts.Workloads[i]
+		results[i] = buildWorkload(ctx, eng, ct, w, caches.get(w.Model), opts, sink)
+		caches.done(w.Model)
 	}); err != nil {
 		return nil, err
 	}
@@ -194,6 +198,58 @@ func BuildCtx(ctx context.Context, eng *exec.Engine, opts Options) (*DB, error) 
 		db.cols[opts.Workloads[i]] = r.col
 	}
 	return db, nil
+}
+
+// modelCaches hands the workloads of one model a shared measurement
+// cache. Every memo key names the graph, and a stage is keyed by its
+// micro-batch samples, not the global batch, so a model's batch sizes
+// share every stage shape and op context whose samples coincide, while
+// two models share nothing. A model's cache is dropped once its last
+// workload is built, so a build holds no more memos than it has models
+// in flight.
+type modelCaches struct {
+	eng     *exec.Engine
+	onCache func(*evalcache.Cache)
+
+	mu   sync.Mutex
+	left map[string]int
+	live map[string]*evalcache.Cache
+}
+
+// newModelCaches counts the build's workloads of each model.
+func newModelCaches(eng *exec.Engine, opts Options) *modelCaches {
+	mc := &modelCaches{eng: eng, onCache: opts.onCache, left: map[string]int{}, live: map[string]*evalcache.Cache{}}
+	for _, w := range opts.Workloads {
+		mc.left[w.Model]++
+	}
+	return mc
+}
+
+// get returns the model's cache, creating it for the first workload.
+func (mc *modelCaches) get(model string) *evalcache.Cache {
+	mc.mu.Lock()
+	defer mc.mu.Unlock()
+	c := mc.live[model]
+	if c == nil {
+		c = evalcache.New(mc.eng)
+		mc.live[model] = c
+	}
+	return c
+}
+
+// done counts one of the model's workloads as built. After the last it
+// drops the model's cache and hands it to onCache.
+func (mc *modelCaches) done(model string) {
+	mc.mu.Lock()
+	mc.left[model]--
+	c, last := mc.live[model], mc.left[model] == 0
+	if last {
+		delete(mc.live, model)
+	}
+	mc.mu.Unlock()
+	if last && mc.onCache != nil {
+		mc.onCache(c)
+	}
 }
 
 // workloadResult is one workload's contribution to the database.
@@ -231,15 +287,14 @@ func (ps *progressSink) point(w model.Workload, typ string, n int) {
 
 // buildWorkload computes every entry of one workload (all types × counts).
 //
-// All points of the workload share one evalcache, which dies with the
-// build: a stage candidate measured for the n=4 full search is
-// byte-identical for n=8 (and for the pruned search of either), so the
-// column's search cost collapses to the distinct-candidate set. The
-// points fan out over a worker pool; the wall time accumulators are
-// folded serially in (type, count) order afterwards so float summation
-// order — and therefore every derived number — matches the serial build
-// bit for bit.
-func buildWorkload(ctx context.Context, eng *exec.Engine, ct *profiler.CommTable, w model.Workload, opts Options, sink *progressSink) (res workloadResult) {
+// All points of the workload measure through the model's cache: a stage
+// candidate measured for the n=4 full search is byte-identical for n=8
+// (and for the pruned search of either), so the column's search cost
+// collapses to the distinct-candidate set. The points fan out over a
+// worker pool; the wall time accumulators are folded serially in (type,
+// count) order afterwards so float summation order — and therefore
+// every derived number — matches the serial build bit for bit.
+func buildWorkload(ctx context.Context, eng *exec.Engine, ct *profiler.CommTable, w model.Workload, cache *evalcache.Cache, opts Options, sink *progressSink) (res workloadResult) {
 	g, err := model.BuildClustered(w.Model)
 	if err != nil {
 		res.err = err
@@ -261,7 +316,6 @@ func buildWorkload(ctx context.Context, eng *exec.Engine, ct *profiler.CommTable
 	// points — so searches run with Workers: 1. Splitting the core budget
 	// a third time inside profileStageCandidates would only multiply
 	// CPU-bound goroutines (GOMAXPROCS³) contending on the shard locks.
-	cache := evalcache.New(eng)
 	searchOpts := search.Options{Cache: cache, Workers: 1}
 
 	// Points in slot order: types outer, counts inner.
@@ -288,9 +342,6 @@ func buildWorkload(ctx context.Context, eng *exec.Engine, ct *profiler.CommTable
 	}); err != nil {
 		res.err = err
 		return res
-	}
-	if opts.onCache != nil {
-		opts.onCache(cache)
 	}
 
 	col.entries = make([]Entry, len(points))

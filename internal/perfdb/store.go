@@ -156,8 +156,8 @@ func columnKeys(eng *exec.Engine, opts Options) ([]store.Key, error) {
 // columns are written back for the next run.
 //
 // The merged result is bit-identical to a cold Build of the same options:
-// workload columns are independent by construction (each build runs its
-// own planner, profiler and measurement cache over the same pure engine),
+// workload columns are independent by construction (each runs its own
+// planner and profiler, and its cache memoizes the same pure engine),
 // which TestStorePartialBuildMatchesColdBuild asserts.
 //
 // A nil store builds without persistence. A column write failure returns

@@ -333,12 +333,12 @@ func (p *ArenaPolicy) allowedTypes(job *Job) []string {
 // and still raised to the smallest feasible size beyond it — rigid
 // schedulers pad requests to the sizes they can actually place rather
 // than starving them. Returns nil when no profiled size up to the
-// database's MaxN is feasible on any allowed type; the launch loop drops
-// such jobs with a warning. (Before the snap, a non-power-of-two request — e.g. 3 —
-// probed 3→6→12 entirely off the profiled grid, saw zero perceived
-// throughput everywhere, and queued forever while head-of-line-blocking
-// its priority queue, silently diverging the w/o-elastic ablation from
-// Fig. 17 on such traces.)
+// database's MaxN is feasible on any allowed type; the launch loop then
+// lists the job in Assignment.Drop. (Before the snap, a non-power-of-two
+// request — e.g. 3 — probed 3→6→12 entirely off the profiled grid, saw
+// zero perceived throughput everywhere, and queued forever while
+// head-of-line-blocking its priority queue, silently diverging the
+// w/o-elastic ablation from Fig. 17 on such traces.)
 func (p *ArenaPolicy) allowedCounts(ctx *Context, job *Job) []int {
 	if p.DisableElastic {
 		for n := ceilPow2(job.Trace.ReqGPUs); n <= ctx.DB.MaxN; n *= 2 {

@@ -175,7 +175,7 @@ func (s *Session) Planner() *Planner { return s.planner }
 
 // EvalCache returns the session's stage-measurement cache: the memo of
 // FullSearch, PrunedSearch, Search and Evaluate. BuildPerfDB measures
-// through caches of its own, one per workload, that die with the build.
+// through caches of its own, one per model, that die with the build.
 func (s *Session) EvalCache() *EvalCache { return s.cache }
 
 // emit forwards a progress event, serializing the user's callback.
@@ -381,7 +381,7 @@ func (s *Session) Evaluate(ctx context.Context, g *Graph, p *Plan, gpuType strin
 // most expensive step of a simulator run. With WithStore each workload
 // column is served from the content-addressed store when present and only
 // missing columns are built (and written back). A build measures through
-// per-workload caches that die with it, not the session's EvalCache.
+// per-model caches that die with it, not the session's EvalCache.
 //
 // A column persistence failure returns the fully usable database together
 // with a *perfdb.PersistError-wrapped error; callers decide whether to
